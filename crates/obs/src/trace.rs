@@ -3,11 +3,17 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Zero cost when disabled.** Every instrumentation site in the
-//!    simulator is `if trace::active() { trace::emit(..) }`; [`active`]
-//!    is one `Relaxed` load of a process-wide `AtomicBool` that is only
-//!    `true` while a collector is installed. `reproduce` stdout must
-//!    stay byte-identical and the NoC hot loop within noise of the
-//!    pre-observability binary.
+//!    simulator sits behind one of two gates. Sites whose event is
+//!    cheap to build are `if trace::active() { trace::emit(..) }`;
+//!    [`active`] is one `Relaxed` load of a process-wide `AtomicBool`
+//!    that is only `true` while some thread has a collector installed.
+//!    Sites whose event allocates (`Retire` formats its opcode name)
+//!    are `if trace::wants(SUB_..) { .. }`: [`wants`] puts the same
+//!    inlined load in front of an outlined read of *this thread's*
+//!    collector mask, so an event the mask would drop is never built.
+//!    Both gates only ever skip work — no simulator decision may read
+//!    them. `reproduce` stdout must stay byte-identical and the NoC hot
+//!    loop within noise of the pre-observability binary.
 //! 2. **Deterministic per-thread streams.** Collectors are
 //!    thread-local, so sweep workers never interleave events; each
 //!    worker's ring flushes to the shared JSONL sink as one contiguous
@@ -680,6 +686,24 @@ pub fn active() -> bool {
     TRACE_ACTIVE.load(Ordering::Relaxed)
 }
 
+/// Would the current thread's collector keep an event of `subsystem`
+/// (a `SUB_*` bit)? The gate for emit sites whose event allocates:
+/// [`active`]'s inlined load short-circuits the untraced case, and the
+/// outlined mask read spares a traced thread from building events its
+/// own mask drops. The collector's tile filter still applies in
+/// [`emit`].
+#[inline(always)]
+#[must_use]
+pub fn wants(subsystem: u32) -> bool {
+    active() && thread_mask() & subsystem != 0
+}
+
+/// The current thread's collector mask (0 without a collector).
+#[inline(never)]
+fn thread_mask() -> u32 {
+    COLLECTOR.with(|c| c.borrow().as_ref().map_or(0, |col| col.mask))
+}
+
 /// Publishes the ambient cycle clock used by emit sites whose call
 /// path has no cycle argument (NoC hops). Call only under
 /// `if active()`.
@@ -932,6 +956,20 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0], TraceEvent::Retire { tile: 3, .. }));
         assert!(matches!(events[1], TraceEvent::NocHop { from: 3, .. }));
+
+        // `wants` answers for this thread's mask only: true for the
+        // subsystems in it, false on a thread with no collector even
+        // while this one is capturing.
+        let ((), _) = capture(&spec, || {
+            assert!(wants(SUB_RETIRE) && wants(SUB_NOC));
+            assert!(!wants(SUB_CACHE) && !wants(SUB_ENGINE));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert!(active(), "the capturing thread holds the global gate open");
+                    assert!(!wants(SUB_RETIRE) && !wants(SUB_NOC));
+                });
+            });
+        });
     }
 
     #[test]

@@ -17,13 +17,20 @@
 //! * **Load roll-back** — the thread scheduler speculates that loads hit
 //!   the L1; a miss rolls back younger instructions and stalls the
 //!   thread until the fill returns.
+//!
+//! Three loops drive a core: the live per-cycle [`Core::step`], and the
+//! batched dense engine's local run-ahead [`Core::run_local`] with its
+//! one-running-thread specialization. All three take the register-only
+//! instruction semantics (ALU, FP, branch, `movi`, nop) from a single
+//! function over the thread's register file; each loop owns only its
+//! scheduling bookkeeping and its memory/store/membar/halt arms.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use piton_arch::isa::{Opcode, Reg};
+use piton_arch::isa::{Instruction, Opcode, Reg};
 use piton_arch::topology::TileId;
-use piton_obs::trace::{self, TraceEvent};
+use piton_obs::trace::{self, TraceEvent, SUB_RETIRE};
 
 use crate::events::{datapath_activity, value_activity, ActivityCounters};
 use crate::memsys::MemorySystem;
@@ -36,31 +43,44 @@ pub const ROLLBACK_PENALTY_CYCLES: u64 = 8;
 /// Opcode slot of an [`IssueRecord`] for a fall-off-the-end halt: the
 /// issue slot was consumed (the machine must count the cycle as
 /// issuing) but no instruction was fetched, so nothing folds into the
-/// per-opcode counters.
-pub const PHANTOM_OP: u16 = u16::MAX;
+/// per-opcode counters and nothing retires.
+pub const PHANTOM_OP: u8 = u8::MAX;
 
 /// One instruction issue deferred by [`Core::run_local`].
 ///
 /// Everything *order-sensitive* about an issue travels here: the
 /// per-opcode operand-activity accumulation is the one `f64` the
 /// engines must fold in the naive engine's global (cycle, core) order,
-/// since floating-point addition does not associate. Order-free `u64`
-/// tallies travel in [`LocalCharges`] instead and fold at the batch
+/// since floating-point addition does not associate, and `thread`/`pc`
+/// are what the machine's ordered replay needs to emit the issue's
+/// `Retire` trace event at its (cycle, tile) turn. Order-free `u64`
+/// tallies travel in [`LocalCharges`] instead and fold at the replay
 /// barrier in any order.
+///
+/// Filled unconditionally — the local run never asks whether anyone is
+/// tracing — and kept at 16 bytes: a saturated lane buffers one record
+/// per cycle it runs ahead.
 #[derive(Debug, Clone, Copy)]
 pub struct IssueRecord {
-    /// Cycle of the issue, as an offset from the local run's start.
-    pub offset: u32,
+    /// Cycle of the issue, as an offset from the local run's start
+    /// (a local run spans at most 2¹⁶ cycles).
+    pub offset: u16,
     /// Dense opcode index ([`piton_arch::isa::Opcode::index`]), or
     /// [`PHANTOM_OP`] for a fall-off-the-end halt.
-    pub op: u16,
+    pub op: u8,
+    /// Hardware thread that issued.
+    pub thread: u8,
+    /// Program counter of the issued instruction.
+    pub pc: u32,
     /// Operand-value activity of the issue (what `record_issue` would
     /// have added to `operand_activity`), already clamped to `[0, 1]`.
     pub activity: f64,
 }
 
+const _: () = assert!(std::mem::size_of::<IssueRecord>() == 16);
+
 /// Order-free activity accumulated by [`Core::run_local`] over a local
-/// span, folded into the machine's [`ActivityCounters`] at the batch
+/// span, folded into the machine's [`ActivityCounters`] at the replay
 /// barrier. Integer addition is exact and commutative, so per-core
 /// batch aggregation is bit-identical to the naive engine's per-cycle
 /// charging no matter how lanes interleave.
@@ -162,6 +182,101 @@ impl Thread {
             self.regs[r.index()] = v;
         }
     }
+
+    /// Executes a *register-only* instruction (nop, `movi`, integer
+    /// ALU, FP, branch) against this thread's register file and returns
+    /// its unclamped operand activity plus the branch target when a
+    /// branch is taken. Such an instruction always occupies the thread
+    /// for `base_latency()` cycles.
+    ///
+    /// The one copy of these semantics: the live issue path and both
+    /// local run-ahead loops call it, each keeping only its own
+    /// scheduling bookkeeping and its memory/store/membar/halt arms.
+    #[inline(always)]
+    fn execute_local(&mut self, instr: &Instruction) -> (f64, Option<usize>) {
+        let op = instr.opcode;
+        match op {
+            Opcode::Nop => (0.0, None),
+            Opcode::Movi => {
+                self.write(instr.rd, instr.imm as u64);
+                (0.0, None)
+            }
+            Opcode::And | Opcode::Add | Opcode::Sub | Opcode::Mulx | Opcode::Sdivx => {
+                let a = self.read(instr.rs1);
+                let b = self.read(instr.rs2);
+                let r = match op {
+                    Opcode::And => a & b,
+                    Opcode::Add => a.wrapping_add(b),
+                    Opcode::Sub => a.wrapping_sub(b),
+                    Opcode::Mulx => a.wrapping_mul(b),
+                    Opcode::Sdivx => {
+                        if b == 0 {
+                            u64::MAX
+                        } else {
+                            ((a as i64).wrapping_div(b as i64)) as u64
+                        }
+                    }
+                    _ => unreachable!(),
+                };
+                self.write(instr.rd, r);
+                (datapath_activity(a, b, r), None)
+            }
+            Opcode::Faddd | Opcode::Fmuld | Opcode::Fdivd => {
+                let a = f64::from_bits(self.read(instr.rs1));
+                let b = f64::from_bits(self.read(instr.rs2));
+                let r = match op {
+                    Opcode::Faddd => a + b,
+                    Opcode::Fmuld => a * b,
+                    Opcode::Fdivd => a / b,
+                    _ => unreachable!(),
+                };
+                let bits = r.to_bits();
+                self.write(instr.rd, bits);
+                (datapath_activity(a.to_bits(), b.to_bits(), bits), None)
+            }
+            Opcode::Fadds | Opcode::Fmuls | Opcode::Fdivs => {
+                let a = f32::from_bits(self.read(instr.rs1) as u32);
+                let b = f32::from_bits(self.read(instr.rs2) as u32);
+                let r = match op {
+                    Opcode::Fadds => a + b,
+                    Opcode::Fmuls => a * b,
+                    Opcode::Fdivs => a / b,
+                    _ => unreachable!(),
+                };
+                let bits = u64::from(r.to_bits());
+                self.write(instr.rd, bits);
+                let activity =
+                    datapath_activity(u64::from(a.to_bits()), u64::from(b.to_bits()), bits);
+                (activity, None)
+            }
+            Opcode::Beq | Opcode::Bne => {
+                let a = self.read(instr.rs1);
+                let b = self.read(instr.rs2);
+                let taken = (op == Opcode::Beq) == (a == b);
+                (
+                    datapath_activity(a, b, u64::from(taken)),
+                    taken.then(|| instr.branch_target()),
+                )
+            }
+            Opcode::Ldx | Opcode::Stx | Opcode::Casx | Opcode::Membar | Opcode::Halt => {
+                unreachable!("not a register-only instruction")
+            }
+        }
+    }
+}
+
+/// Emits the `Retire` trace event of one issue. The event allocates
+/// (it carries the opcode's name), so call sites gate on
+/// `trace::wants(SUB_RETIRE)`.
+#[cold]
+pub(crate) fn emit_retire(cycle: u64, tile: TileId, thread: usize, op: Opcode, pc: u64) {
+    trace::emit(TraceEvent::Retire {
+        cycle,
+        tile: tile.index() as u32,
+        thread: thread as u32,
+        op: format!("{op:?}"),
+        pc,
+    });
 }
 
 /// One pending store-buffer entry.
@@ -501,9 +616,9 @@ impl Core {
     ///
     /// Order-free integer charges accrue into `charges`; each issue
     /// appends an [`IssueRecord`] to `records` so the machine can fold
-    /// the order-sensitive operand-activity `f64`s (and count issuing
-    /// cycles) in the naive engine's global (cycle, core) order. The
-    /// run stops:
+    /// the order-sensitive operand-activity `f64`s, count issuing
+    /// cycles and emit `Retire` trace events in the naive engine's
+    /// global (cycle, core) order. The run stops:
     ///
     /// * **before** a `ldx`/`casx` issue (horizon = that cycle, none of
     ///   that cycle's charges applied): the access must reach the
@@ -522,9 +637,9 @@ impl Core {
     /// the span.
     ///
     /// The caller must ensure the core is enabled, the store buffer is
-    /// empty, and tracing is inactive (deferred issues emit no trace
-    /// events); `Machine::run_dense_batched` guards all three.
-    #[allow(clippy::too_many_lines, clippy::cast_possible_truncation)]
+    /// empty and the span fits an [`IssueRecord`] offset;
+    /// `Machine::run_dense_batched` guards all three.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn run_local(
         &mut self,
         start: u64,
@@ -537,6 +652,7 @@ impl Core {
             self.store_buffer.entries.is_empty(),
             "run_local with pending stores"
         );
+        debug_assert!(end - start <= 1 << 16, "span overflows the record offset");
         // The saturated sweeps this engine exists for run one thread
         // per core: a specialized loop keeps that thread's state in
         // locals and skips the round-robin/dual/memory-wait scans
@@ -592,39 +708,36 @@ impl Core {
                 .instructions
                 .get(pc)
                 .copied();
-            let offset = (now - start) as u32;
-            let dual = self.running_threads() >= 2;
-            let Some(instr) = instr else {
-                // Fell off the end: an issuing step that fetches and
-                // records nothing, halting the thread.
-                charges.active += 1;
-                charges.mem_stall += mem_waiting;
-                if dual {
-                    charges.dual += 1;
-                }
-                self.next_thread = (idx + 1) % n;
-                self.last_issue = None;
-                self.threads[idx].state = ThreadState::Halted;
-                records.push(IssueRecord {
-                    offset,
-                    op: PHANTOM_OP,
-                    activity: 0.0,
-                });
-                now += 1;
-                continue;
-            };
-            let op = instr.opcode;
-            if matches!(op, Opcode::Ldx | Opcode::Casx) {
+            if instr.is_some_and(|i| matches!(i.opcode, Opcode::Ldx | Opcode::Casx)) {
                 // Hand the whole cycle back before committing any of
                 // its charges: the machine redoes it via `step`.
                 return now;
             }
+            // The issue slot of cycle `at` is consumed from here on.
+            let at = now;
+            now += 1;
             charges.active += 1;
             charges.mem_stall += mem_waiting;
-            self.next_thread = (idx + 1) % n;
-            if dual {
+            if self.running_threads() >= 2 {
                 charges.dual += 1;
             }
+            self.next_thread = (idx + 1) % n;
+            let mut record = IssueRecord {
+                offset: (at - start) as u16,
+                op: PHANTOM_OP,
+                thread: idx as u8,
+                pc: pc as u32,
+                activity: 0.0,
+            };
+            let Some(instr) = instr else {
+                // Fell off the end: an issuing step that fetches and
+                // records nothing, halting the thread.
+                self.last_issue = None;
+                self.threads[idx].state = ThreadState::Halted;
+                records.push(record);
+                continue;
+            };
+            let op = instr.opcode;
             if let Some((prev_t, prev_pc, prev_op)) = self.last_issue {
                 if prev_t != idx && prev_pc == pc && prev_op == op {
                     charges.drafted += 1;
@@ -632,161 +745,52 @@ impl Core {
             }
             self.last_issue = Some((idx, pc, op));
             charges.l1i += 1;
+            record.op = op.index() as u8;
 
-            let emit = |records: &mut Vec<IssueRecord>,
-                        charges: &mut LocalCharges,
-                        occupancy: u64,
-                        activity: f64|
-             -> u64 {
-                let occupancy = occupancy.max(1);
-                let i = op.index();
-                charges.issues[i] += 1;
-                charges.occupancy[i] += occupancy;
-                records.push(IssueRecord {
-                    offset,
-                    op: i as u16,
-                    activity: activity.clamp(0.0, 1.0),
-                });
-                occupancy
-            };
-            let occupy = |t: &mut Thread, occupancy: u64, wait: WaitKind, target: Option<usize>| {
-                t.busy_until = now + occupancy;
-                t.wait = wait;
-                t.pc = target.unwrap_or(t.pc + 1);
-                t.retired += 1;
-            };
-
-            match op {
-                Opcode::Nop => {
-                    let occ = emit(records, charges, 1, 0.0);
-                    occupy(&mut self.threads[idx], occ, WaitKind::Execute, None);
-                }
-                Opcode::Movi => {
-                    let v = instr.imm as u64;
-                    self.threads[idx].write(instr.rd, v);
-                    let occ = emit(records, charges, 1, 0.0);
-                    occupy(&mut self.threads[idx], occ, WaitKind::Execute, None);
-                }
-                Opcode::And | Opcode::Add | Opcode::Sub | Opcode::Mulx | Opcode::Sdivx => {
-                    let a = self.threads[idx].read(instr.rs1);
-                    let b = self.threads[idx].read(instr.rs2);
-                    let r = match op {
-                        Opcode::And => a & b,
-                        Opcode::Add => a.wrapping_add(b),
-                        Opcode::Sub => a.wrapping_sub(b),
-                        Opcode::Mulx => a.wrapping_mul(b),
-                        Opcode::Sdivx => {
-                            if b == 0 {
-                                u64::MAX
-                            } else {
-                                ((a as i64).wrapping_div(b as i64)) as u64
-                            }
-                        }
-                        _ => unreachable!(),
-                    };
-                    self.threads[idx].write(instr.rd, r);
-                    let occ = emit(
-                        records,
-                        charges,
-                        op.base_latency(),
-                        datapath_activity(a, b, r),
-                    );
-                    occupy(&mut self.threads[idx], occ, WaitKind::Execute, None);
-                }
-                Opcode::Faddd | Opcode::Fmuld | Opcode::Fdivd => {
-                    let a = f64::from_bits(self.threads[idx].read(instr.rs1));
-                    let b = f64::from_bits(self.threads[idx].read(instr.rs2));
-                    let r = match op {
-                        Opcode::Faddd => a + b,
-                        Opcode::Fmuld => a * b,
-                        Opcode::Fdivd => a / b,
-                        _ => unreachable!(),
-                    };
-                    let bits = r.to_bits();
-                    self.threads[idx].write(instr.rd, bits);
-                    let occ = emit(
-                        records,
-                        charges,
-                        op.base_latency(),
-                        datapath_activity(a.to_bits(), b.to_bits(), bits),
-                    );
-                    occupy(&mut self.threads[idx], occ, WaitKind::Execute, None);
-                }
-                Opcode::Fadds | Opcode::Fmuls | Opcode::Fdivs => {
-                    let a = f32::from_bits(self.threads[idx].read(instr.rs1) as u32);
-                    let b = f32::from_bits(self.threads[idx].read(instr.rs2) as u32);
-                    let r = match op {
-                        Opcode::Fadds => a + b,
-                        Opcode::Fmuls => a * b,
-                        Opcode::Fdivs => a / b,
-                        _ => unreachable!(),
-                    };
-                    let bits = u64::from(r.to_bits());
-                    self.threads[idx].write(instr.rd, bits);
-                    let occ = emit(
-                        records,
-                        charges,
-                        op.base_latency(),
-                        datapath_activity(u64::from(a.to_bits()), u64::from(b.to_bits()), bits),
-                    );
-                    occupy(&mut self.threads[idx], occ, WaitKind::Execute, None);
+            let t = &mut self.threads[idx];
+            t.retired += 1;
+            let (occupancy, activity, wait, target) = match op {
+                Opcode::Halt => {
+                    t.state = ThreadState::Halted;
+                    charges.issues[op.index()] += 1;
+                    charges.occupancy[op.index()] += 1;
+                    records.push(record);
+                    continue;
                 }
                 Opcode::Stx => {
                     // The buffer was empty at entry and the run stops
                     // after the first store, so it can never be full
                     // here — no roll-back path in local mode.
-                    let addr = self.threads[idx]
-                        .read(instr.rs1)
-                        .wrapping_add(instr.imm as u64);
-                    let value = self.threads[idx].read(instr.rs2);
-                    self.store_buffer.push(addr, value, now);
+                    let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
+                    let value = t.read(instr.rs2);
+                    self.store_buffer.push(addr, value, at);
                     charges.sb_enqueues += 1;
-                    let occ = emit(records, charges, 1, value_activity(value));
-                    occupy(&mut self.threads[idx], occ, WaitKind::Execute, None);
-                    // From the next cycle on the pending drain is a
-                    // memory-system mutation: hand back.
-                    return now + 1;
-                }
-                Opcode::Beq | Opcode::Bne => {
-                    let a = self.threads[idx].read(instr.rs1);
-                    let b = self.threads[idx].read(instr.rs2);
-                    let taken = (op == Opcode::Beq) == (a == b);
-                    let target = if taken {
-                        Some(instr.branch_target())
-                    } else {
-                        None
-                    };
-                    let occ = emit(
-                        records,
-                        charges,
-                        op.base_latency(),
-                        datapath_activity(a, b, u64::from(taken)),
-                    );
-                    occupy(&mut self.threads[idx], occ, WaitKind::Execute, target);
+                    (1, value_activity(value), WaitKind::Execute, None)
                 }
                 Opcode::Membar => {
                     // Empty buffer: only the drain port's residual
                     // busy time can hold the barrier.
-                    let done = self.store_buffer.drained_by(now);
-                    let occ = emit(records, charges, (done - now).max(op.base_latency()), 0.0);
-                    occupy(&mut self.threads[idx], occ, WaitKind::StoreDrain, None);
+                    let held = self.store_buffer.drained_by(at) - at;
+                    (held.max(op.base_latency()), 0.0, WaitKind::StoreDrain, None)
                 }
-                Opcode::Halt => {
-                    let t = &mut self.threads[idx];
-                    t.retired += 1;
-                    t.state = ThreadState::Halted;
-                    let i = op.index();
-                    charges.issues[i] += 1;
-                    charges.occupancy[i] += 1;
-                    records.push(IssueRecord {
-                        offset,
-                        op: i as u16,
-                        activity: 0.0,
-                    });
+                _ => {
+                    let (activity, target) = t.execute_local(&instr);
+                    (op.base_latency(), activity, WaitKind::Execute, target)
                 }
-                Opcode::Ldx | Opcode::Casx => unreachable!("handled above"),
+            };
+            let occupancy = occupancy.max(1);
+            charges.issues[op.index()] += 1;
+            charges.occupancy[op.index()] += occupancy;
+            record.activity = activity.clamp(0.0, 1.0);
+            records.push(record);
+            t.busy_until = at + occupancy;
+            t.wait = wait;
+            t.pc = target.unwrap_or(pc + 1);
+            if op == Opcode::Stx {
+                // From the next cycle on the pending drain is a
+                // memory-system mutation: hand back.
+                return now;
             }
-            now += 1;
         }
         end
     }
@@ -803,7 +807,7 @@ impl Core {
     /// take the same value at every issue (written once at exit), and
     /// only the *first* issue can draft (against a sibling's final
     /// issue from before the span).
-    #[allow(clippy::too_many_lines, clippy::cast_possible_truncation)]
+    #[allow(clippy::cast_possible_truncation)]
     fn run_local_single(
         &mut self,
         idx: usize,
@@ -842,18 +846,20 @@ impl Core {
                     now = wake;
                     continue;
                 }
-                let offset = (now - start) as u32;
-                let Some(&instr) = code.get(pc) else {
+                let mut record = IssueRecord {
+                    offset: (now - start) as u16,
+                    op: PHANTOM_OP,
+                    thread: idx as u8,
+                    pc: pc as u32,
+                    activity: 0.0,
+                };
+                let Some(instr) = code.get(pc) else {
                     // Fell off the end: phantom issue, then every
                     // remaining cycle charges nothing.
                     charges.active += 1;
                     new_last = Some(None);
                     t.state = ThreadState::Halted;
-                    records.push(IssueRecord {
-                        offset,
-                        op: PHANTOM_OP,
-                        activity: 0.0,
-                    });
+                    records.push(record);
                     break 'run end;
                 };
                 let op = instr.opcode;
@@ -871,187 +877,46 @@ impl Core {
                 }
                 new_last = Some(Some((idx, pc, op)));
                 charges.l1i += 1;
-                let i = op.index();
-                match op {
-                    Opcode::Nop => {
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += 1;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: 0.0,
-                        });
-                        busy = now + 1;
-                        wait = WaitKind::Execute;
-                        pc += 1;
-                        retired += 1;
-                    }
-                    Opcode::Movi => {
-                        t.write(instr.rd, instr.imm as u64);
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += 1;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: 0.0,
-                        });
-                        busy = now + 1;
-                        wait = WaitKind::Execute;
-                        pc += 1;
-                        retired += 1;
-                    }
-                    Opcode::And | Opcode::Add | Opcode::Sub | Opcode::Mulx | Opcode::Sdivx => {
-                        let a = t.read(instr.rs1);
-                        let b = t.read(instr.rs2);
-                        let r = match op {
-                            Opcode::And => a & b,
-                            Opcode::Add => a.wrapping_add(b),
-                            Opcode::Sub => a.wrapping_sub(b),
-                            Opcode::Mulx => a.wrapping_mul(b),
-                            Opcode::Sdivx => {
-                                if b == 0 {
-                                    u64::MAX
-                                } else {
-                                    ((a as i64).wrapping_div(b as i64)) as u64
-                                }
-                            }
-                            _ => unreachable!(),
-                        };
-                        t.write(instr.rd, r);
-                        let occ = op.base_latency().max(1);
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += occ;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: datapath_activity(a, b, r).clamp(0.0, 1.0),
-                        });
-                        busy = now + occ;
-                        wait = WaitKind::Execute;
-                        pc += 1;
-                        retired += 1;
-                    }
-                    Opcode::Faddd | Opcode::Fmuld | Opcode::Fdivd => {
-                        let a = f64::from_bits(t.read(instr.rs1));
-                        let b = f64::from_bits(t.read(instr.rs2));
-                        let r = match op {
-                            Opcode::Faddd => a + b,
-                            Opcode::Fmuld => a * b,
-                            Opcode::Fdivd => a / b,
-                            _ => unreachable!(),
-                        };
-                        let bits = r.to_bits();
-                        t.write(instr.rd, bits);
-                        let occ = op.base_latency().max(1);
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += occ;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: datapath_activity(a.to_bits(), b.to_bits(), bits)
-                                .clamp(0.0, 1.0),
-                        });
-                        busy = now + occ;
-                        wait = WaitKind::Execute;
-                        pc += 1;
-                        retired += 1;
-                    }
-                    Opcode::Fadds | Opcode::Fmuls | Opcode::Fdivs => {
-                        let a = f32::from_bits(t.read(instr.rs1) as u32);
-                        let b = f32::from_bits(t.read(instr.rs2) as u32);
-                        let r = match op {
-                            Opcode::Fadds => a + b,
-                            Opcode::Fmuls => a * b,
-                            Opcode::Fdivs => a / b,
-                            _ => unreachable!(),
-                        };
-                        let bits = u64::from(r.to_bits());
-                        t.write(instr.rd, bits);
-                        let occ = op.base_latency().max(1);
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += occ;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: datapath_activity(
-                                u64::from(a.to_bits()),
-                                u64::from(b.to_bits()),
-                                bits,
-                            )
-                            .clamp(0.0, 1.0),
-                        });
-                        busy = now + occ;
-                        wait = WaitKind::Execute;
-                        pc += 1;
-                        retired += 1;
+                record.op = op.index() as u8;
+                retired += 1;
+                let (occupancy, activity, kind, target) = match op {
+                    Opcode::Halt => {
+                        t.state = ThreadState::Halted;
+                        charges.issues[op.index()] += 1;
+                        charges.occupancy[op.index()] += 1;
+                        records.push(record);
+                        break 'run end;
                     }
                     Opcode::Stx => {
                         let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
                         let value = t.read(instr.rs2);
                         self.store_buffer.push(addr, value, now);
                         charges.sb_enqueues += 1;
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += 1;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: value_activity(value).clamp(0.0, 1.0),
-                        });
-                        busy = now + 1;
-                        wait = WaitKind::Execute;
-                        pc += 1;
-                        retired += 1;
-                        break 'run now + 1;
-                    }
-                    Opcode::Beq | Opcode::Bne => {
-                        let a = t.read(instr.rs1);
-                        let b = t.read(instr.rs2);
-                        let taken = (op == Opcode::Beq) == (a == b);
-                        let occ = op.base_latency().max(1);
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += occ;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: datapath_activity(a, b, u64::from(taken)).clamp(0.0, 1.0),
-                        });
-                        busy = now + occ;
-                        wait = WaitKind::Execute;
-                        pc = if taken { instr.branch_target() } else { pc + 1 };
-                        retired += 1;
+                        (1, value_activity(value), WaitKind::Execute, None)
                     }
                     Opcode::Membar => {
                         // Empty buffer: only residual drain-port busy
                         // time can hold the barrier.
-                        let done = self.store_buffer.drained_by(now);
-                        let occ = (done - now).max(op.base_latency()).max(1);
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += occ;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: 0.0,
-                        });
-                        busy = now + occ;
-                        wait = WaitKind::StoreDrain;
-                        pc += 1;
-                        retired += 1;
+                        let held = self.store_buffer.drained_by(now) - now;
+                        (held.max(op.base_latency()), 0.0, WaitKind::StoreDrain, None)
                     }
-                    Opcode::Halt => {
-                        retired += 1;
-                        t.state = ThreadState::Halted;
-                        charges.issues[i] += 1;
-                        charges.occupancy[i] += 1;
-                        records.push(IssueRecord {
-                            offset,
-                            op: i as u16,
-                            activity: 0.0,
-                        });
-                        break 'run end;
+                    _ => {
+                        let (activity, target) = t.execute_local(instr);
+                        (op.base_latency(), activity, WaitKind::Execute, target)
                     }
-                    Opcode::Ldx | Opcode::Casx => unreachable!("handled above"),
-                }
+                };
+                let occupancy = occupancy.max(1);
+                charges.issues[op.index()] += 1;
+                charges.occupancy[op.index()] += occupancy;
+                record.activity = activity.clamp(0.0, 1.0);
+                records.push(record);
+                busy = now + occupancy;
+                wait = kind;
+                pc = target.unwrap_or(pc + 1);
                 now += 1;
+                if op == Opcode::Stx {
+                    break 'run now;
+                }
             }
             end
         };
@@ -1067,7 +932,6 @@ impl Core {
     }
 
     /// Issues the next instruction of thread `idx`.
-    #[allow(clippy::too_many_lines)]
     fn issue(
         &mut self,
         idx: usize,
@@ -1075,129 +939,35 @@ impl Core {
         memsys: &mut MemorySystem,
         act: &mut ActivityCounters,
     ) {
-        let (instr, program_len) = {
-            let t = &self.threads[idx];
-            let program = t.program.as_ref().expect("running thread has a program");
-            if t.pc >= program.instructions.len() {
-                // Fell off the end: halt.
-                let t = &mut self.threads[idx];
-                t.state = ThreadState::Halted;
-                return;
-            }
-            (program.instructions[t.pc], program.instructions.len())
+        let t = &mut self.threads[idx];
+        let program = t.program.as_ref().expect("running thread has a program");
+        let Some(&instr) = program.instructions.get(t.pc) else {
+            // Fell off the end: halt.
+            t.state = ThreadState::Halted;
+            return;
         };
-        let _ = program_len;
         act.l1i_accesses += 1;
 
         let op = instr.opcode;
         match op {
-            Opcode::Nop => {
-                self.finish(idx, now, 1, op, 0.0, None, act);
-            }
-            Opcode::Movi => {
-                let v = instr.imm as u64;
-                self.threads[idx].write(instr.rd, v);
-                self.finish(idx, now, 1, op, 0.0, None, act);
-            }
-            Opcode::And | Opcode::Add | Opcode::Sub | Opcode::Mulx | Opcode::Sdivx => {
-                let a = self.threads[idx].read(instr.rs1);
-                let b = self.threads[idx].read(instr.rs2);
-                let r = match op {
-                    Opcode::And => a & b,
-                    Opcode::Add => a.wrapping_add(b),
-                    Opcode::Sub => a.wrapping_sub(b),
-                    Opcode::Mulx => a.wrapping_mul(b),
-                    Opcode::Sdivx => {
-                        if b == 0 {
-                            u64::MAX
-                        } else {
-                            ((a as i64).wrapping_div(b as i64)) as u64
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                self.threads[idx].write(instr.rd, r);
-                self.finish(
-                    idx,
-                    now,
-                    op.base_latency(),
-                    op,
-                    datapath_activity(a, b, r),
-                    None,
-                    act,
-                );
-            }
-            Opcode::Faddd | Opcode::Fmuld | Opcode::Fdivd => {
-                let a = f64::from_bits(self.threads[idx].read(instr.rs1));
-                let b = f64::from_bits(self.threads[idx].read(instr.rs2));
-                let r = match op {
-                    Opcode::Faddd => a + b,
-                    Opcode::Fmuld => a * b,
-                    Opcode::Fdivd => a / b,
-                    _ => unreachable!(),
-                };
-                let bits = r.to_bits();
-                self.threads[idx].write(instr.rd, bits);
-                self.finish(
-                    idx,
-                    now,
-                    op.base_latency(),
-                    op,
-                    datapath_activity(a.to_bits(), b.to_bits(), bits),
-                    None,
-                    act,
-                );
-            }
-            Opcode::Fadds | Opcode::Fmuls | Opcode::Fdivs => {
-                let a = f32::from_bits(self.threads[idx].read(instr.rs1) as u32);
-                let b = f32::from_bits(self.threads[idx].read(instr.rs2) as u32);
-                let r = match op {
-                    Opcode::Fadds => a + b,
-                    Opcode::Fmuls => a * b,
-                    Opcode::Fdivs => a / b,
-                    _ => unreachable!(),
-                };
-                let bits = u64::from(r.to_bits());
-                self.threads[idx].write(instr.rd, bits);
-                self.finish(
-                    idx,
-                    now,
-                    op.base_latency(),
-                    op,
-                    datapath_activity(u64::from(a.to_bits()), u64::from(b.to_bits()), bits),
-                    None,
-                    act,
-                );
-            }
             Opcode::Ldx => {
-                let addr = self.threads[idx]
-                    .read(instr.rs1)
-                    .wrapping_add(instr.imm as u64);
+                let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
                 let out = memsys.load(self.tile, addr, now, act);
-                self.threads[idx].write(instr.rd, out.value);
-                self.finish(
-                    idx,
-                    now,
-                    out.latency,
-                    op,
-                    value_activity(out.value),
-                    None,
-                    act,
-                );
+                t.write(instr.rd, out.value);
+                let activity = value_activity(out.value);
+                self.finish(idx, now, out.latency, op, activity, None, act);
             }
             Opcode::Stx => {
                 if self.store_buffer.is_full() {
                     // Speculative issue found the buffer full: roll back
                     // and re-execute (the stx (F) case of Figure 11).
                     act.store_rollbacks += 1;
-                    self.threads[idx].busy_until = now + ROLLBACK_PENALTY_CYCLES;
-                    self.threads[idx].wait = WaitKind::StoreDrain;
+                    t.busy_until = now + ROLLBACK_PENALTY_CYCLES;
+                    t.wait = WaitKind::StoreDrain;
                     return; // PC unchanged: the store retries
                 }
-                let addr = self.threads[idx]
-                    .read(instr.rs1)
-                    .wrapping_add(instr.imm as u64);
-                let value = self.threads[idx].read(instr.rs2);
+                let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
+                let value = t.read(instr.rs2);
                 self.store_buffer.push(addr, value, now);
                 act.sb_enqueues += 1;
                 // The thread continues past the store after one cycle;
@@ -1205,67 +975,30 @@ impl Core {
                 self.finish(idx, now, 1, op, value_activity(value), None, act);
             }
             Opcode::Casx => {
-                let addr = self.threads[idx].read(instr.rs1);
-                let expected = self.threads[idx].read(instr.rs2);
-                let new = self.threads[idx].read(instr.rd);
+                let addr = t.read(instr.rs1);
+                let expected = t.read(instr.rs2);
+                let new = t.read(instr.rd);
                 let (old, latency) = memsys.cas(self.tile, addr, expected, new, now, act);
-                self.threads[idx].write(instr.rd, old);
-                self.finish(
-                    idx,
-                    now,
-                    latency,
-                    op,
-                    value_activity(old ^ expected),
-                    None,
-                    act,
-                );
-            }
-            Opcode::Beq | Opcode::Bne => {
-                let a = self.threads[idx].read(instr.rs1);
-                let b = self.threads[idx].read(instr.rs2);
-                let taken = (op == Opcode::Beq) == (a == b);
-                let target = if taken {
-                    Some(instr.branch_target())
-                } else {
-                    None
-                };
-                self.finish(
-                    idx,
-                    now,
-                    op.base_latency(),
-                    op,
-                    datapath_activity(a, b, u64::from(taken)),
-                    target,
-                    act,
-                );
+                t.write(instr.rd, old);
+                let activity = value_activity(old ^ expected);
+                self.finish(idx, now, latency, op, activity, None, act);
             }
             Opcode::Membar => {
-                let done = self.store_buffer.drained_by(now);
-                self.finish(
-                    idx,
-                    now,
-                    (done - now).max(op.base_latency()),
-                    op,
-                    0.0,
-                    None,
-                    act,
-                );
+                let held = self.store_buffer.drained_by(now) - now;
+                self.finish(idx, now, held.max(op.base_latency()), op, 0.0, None, act);
             }
             Opcode::Halt => {
-                let t = &mut self.threads[idx];
                 let pc = t.pc as u64;
                 t.retired += 1;
                 t.state = ThreadState::Halted;
                 act.record_issue(op, 1, 0.0);
-                if trace::active() {
-                    trace::emit(TraceEvent::Retire {
-                        cycle: now,
-                        tile: self.tile.index() as u32,
-                        thread: idx as u32,
-                        op: format!("{op:?}"),
-                        pc,
-                    });
+                if trace::wants(SUB_RETIRE) {
+                    emit_retire(now, self.tile, idx, op, pc);
                 }
+            }
+            _ => {
+                let (activity, target) = t.execute_local(&instr);
+                self.finish(idx, now, op.base_latency(), op, activity, target, act);
             }
         }
     }
@@ -1296,14 +1029,8 @@ impl Core {
         let pc = t.pc as u64;
         t.pc = branch_target.unwrap_or(t.pc + 1);
         t.retired += 1;
-        if trace::active() {
-            trace::emit(TraceEvent::Retire {
-                cycle: now,
-                tile: self.tile.index() as u32,
-                thread: idx as u32,
-                op: format!("{op:?}"),
-                pc,
-            });
+        if trace::wants(SUB_RETIRE) {
+            emit_retire(now, self.tile, idx, op, pc);
         }
     }
 }
@@ -1312,7 +1039,6 @@ impl Core {
 mod tests {
     use super::*;
     use piton_arch::config::ChipConfig;
-    use piton_arch::isa::Instruction;
 
     fn setup() -> (Core, MemorySystem, ActivityCounters) {
         (

@@ -20,6 +20,15 @@
 //! behind `cfg(any(test, feature = "naive-engine"))` and pinned by an
 //! equivalence property test.
 //!
+//! When most live cores issue most cycles the calendar buys nothing,
+//! and the loop hands over to the one dense mode, a batched two-phase
+//! engine (see `run_dense_batched`): lanes run ahead locally, then one
+//! ordered replay folds their deferred effects — and emits their
+//! `Retire` trace events — in the naive engine's (cycle, tile) order.
+//! So there is one fast path and one oracle, and which mode runs
+//! depends on the machine's state alone: tracing changes what is
+//! emitted, never what is executed.
+//!
 //! The machine also exposes the chipset-side dummy-packet injector used
 //! by the NoC energy study of §IV-G (Figure 12): the real experiment
 //! modified the chipset FPGA logic to stream invalidation packets into
@@ -52,9 +61,9 @@ use piton_arch::config::ChipConfig;
 use piton_arch::error::PitonError;
 use piton_arch::topology::TileId;
 use piton_obs::metrics::{self, Histogram};
-use piton_obs::trace::{self, EngineMode, TraceEvent};
+use piton_obs::trace::{self, EngineMode, TraceEvent, SUB_RETIRE};
 
-use crate::core::{Core, IssueRecord, LocalCharges, WaitKind, PHANTOM_OP};
+use crate::core::{emit_retire, Core, IssueRecord, LocalCharges, WaitKind, PHANTOM_OP};
 use crate::events::ActivityCounters;
 use crate::memsys::MemorySystem;
 use crate::noc::NocId;
@@ -252,16 +261,14 @@ pub struct EngineMetrics {
     pub calendar_stale_pops: u64,
     /// Cycles driven by the event-driven calendar mode.
     pub event_cycles: u64,
-    /// Cycles driven by the dense polling mode.
-    pub dense_cycles: u64,
     /// Cycles driven by the batched (phase-A/phase-B) dense mode.
     pub batched_cycles: u64,
-    /// Batches executed by the batched dense mode (each ends in one
-    /// effect-replay barrier).
+    /// Batches executed by the batched dense mode (each fixes one poll
+    /// set and ends in one issue-duty check).
     pub batches: u64,
     /// High-water mark of deferred issues buffered by any one lane in
-    /// any batch — the effect-buffer depth phase B replays at the
-    /// barrier.
+    /// any segment of a batch — the effect-buffer depth phase B
+    /// replays.
     pub record_hwm: u64,
     /// Cycles driven by the reference naive engine.
     pub naive_cycles: u64,
@@ -281,18 +288,25 @@ struct PublishedMarks {
     calendar_pops: u64,
     calendar_stale_pops: u64,
     event_cycles: u64,
-    dense_cycles: u64,
     batched_cycles: u64,
     batches: u64,
     naive_cycles: u64,
     handovers: u64,
 }
 
-/// Batch length of the batched dense engine, in cycles: long enough to
-/// amortize the per-batch lane setup and the phase-A thread-scope
-/// spawn, short enough that a core whose store buffer empties (or that
-/// halts) re-enters the fast local path at the next barrier.
+/// Batch length of the batched dense engine, in cycles: the window
+/// over which the poll set stays fixed and at whose end issue duty
+/// decides whether to hand back to the calendar.
 const DENSE_BATCH_CYCLES: u64 = 4_096;
+
+/// Cycles of a batch that phase A runs ahead before phase B replays
+/// them. A batch is worked off in segments so that a lane's effect
+/// buffer holds one segment's issues (16 KB), not a batch's — 1.6 MB
+/// across a 25-lane machine, a fifth of `reproduce`'s resident set.
+/// Long enough to amortize the per-segment lane setup and the phase-A
+/// thread-scope spawn; short enough that a core whose store buffer
+/// empties re-enters the fast local path soon.
+const DENSE_SEGMENT_CYCLES: u64 = 1_024;
 
 /// Reusable per-lane state of the batched dense engine: phase A's
 /// output (the lane's *effect buffer* of deferred issues plus its
@@ -309,6 +323,73 @@ struct LaneBuf {
     records: Vec<IssueRecord>,
     /// Order-free charges of the local span.
     charges: LocalCharges,
+}
+
+impl LaneBuf {
+    /// Phase B's turn of this lane at batch-relative cycle `rel` while
+    /// the lane is inside its local span: if its next deferred issue
+    /// falls on this cycle, folds the issue's operand activity and
+    /// returns the record.
+    #[inline(always)]
+    fn replay(&mut self, rel: u16, act: &mut ActivityCounters) -> Option<IssueRecord> {
+        let r = *self.records.get(self.cursor)?;
+        if r.offset != rel {
+            return None;
+        }
+        self.cursor += 1;
+        if r.op != PHANTOM_OP {
+            act.operand_activity[usize::from(r.op)] += r.activity;
+        }
+        Some(r)
+    }
+}
+
+/// Phase A of one segment: every polled core whose store buffer is
+/// empty runs ahead locally over `span`, filling its lane's effect
+/// buffer, charges and horizon; cores with drains in flight get a
+/// horizon at the span's start (stepped throughout). `scratch` holds one
+/// buffer per polled core, in the same order. Lane outputs are
+/// disjoint, so fanning the lanes out over `threads` workers cannot
+/// affect results.
+fn run_lanes_ahead(
+    cores: &mut [Core],
+    polled: &[usize],
+    scratch: &mut [LaneBuf],
+    span: std::ops::Range<u64>,
+    threads: usize,
+) {
+    let mut tasks: Vec<(&mut Core, &mut LaneBuf)> = Vec::with_capacity(polled.len());
+    let mut cores = cores.iter_mut();
+    let mut consumed = 0usize;
+    for (&k, buf) in polled.iter().zip(scratch) {
+        let core = cores.nth(k - consumed).expect("polled index in range");
+        consumed = k + 1;
+        buf.cursor = 0;
+        buf.records.clear();
+        buf.charges.clear();
+        if core.has_pending_stores() {
+            buf.horizon = span.start;
+        } else {
+            tasks.push((core, buf));
+        }
+    }
+    let run = |(core, buf): &mut (&mut Core, &mut LaneBuf)| {
+        buf.horizon = core.run_local(span.start, span.end, &mut buf.records, &mut buf.charges);
+    };
+    let workers = threads.min(tasks.len());
+    if workers <= 1 {
+        tasks.iter_mut().for_each(run);
+    } else {
+        // Group same-program lanes onto one worker so the shared decode
+        // stays hot per worker.
+        tasks.sort_by_key(|(core, _)| core.program_identity());
+        let per = tasks.len().div_ceil(workers);
+        std::thread::scope(|s| {
+            for chunk in tasks.chunks_mut(per) {
+                s.spawn(move || chunk.iter_mut().for_each(run));
+            }
+        });
+    }
 }
 
 /// Phase-A worker threads from `PITON_DENSE_THREADS` (default 1).
@@ -530,11 +611,13 @@ impl Machine {
     ///
     /// When issue duty is high — most live cores issuing most cycles,
     /// as in the lockstep 25-tile EPI tests — the calendar is pure
-    /// overhead, so the engine drops into a dense polling mode: the
-    /// naive sweep restricted to cores that can do anything at all
-    /// (running threads or store drains in flight; the naive engine's
-    /// steps of the others are observable no-ops). Either mode is
-    /// exact, so switching between them at any cycle boundary is too.
+    /// overhead, so the engine hands over to the batched dense mode
+    /// (`run_dense_batched`): the naive sweep restricted to
+    /// cores that can do anything at all (running threads or store
+    /// drains in flight; the naive engine's steps of the others are
+    /// observable no-ops). Either mode is exact, so switching between
+    /// them at any cycle boundary is too. The choice depends on the
+    /// machine's state alone — never on whether anyone is tracing.
     pub fn run(&mut self, cycles: u64) {
         let end = self.now + cycles;
         if cycles == 0 {
@@ -554,30 +637,15 @@ impl Machine {
                 return;
             }
             self.emetrics.handovers += 1;
-            // Traced runs use the scalar dense sweep: deferred local
-            // execution emits no per-cycle trace events, so live event
-            // order is only preserved by stepping every cycle in place.
-            // Untraced runs (every production sweep) take the batched
-            // engine; both are counter-exact, so the choice is
-            // invisible outside the engine diagnostics.
-            let traced = trace::active();
-            if traced {
+            if trace::active() {
                 trace::emit(TraceEvent::Engine {
                     cycle: self.now,
                     mode: EngineMode::Dense,
                 });
             }
             let entered = self.now;
-            let done = if traced {
-                self.run_dense(end)
-            } else {
-                self.run_dense_batched(end)
-            };
-            if traced {
-                self.emetrics.dense_cycles += self.now - entered;
-            } else {
-                self.emetrics.batched_cycles += self.now - entered;
-            }
+            let done = self.run_dense_batched(end);
+            self.emetrics.batched_cycles += self.now - entered;
             if done {
                 return;
             }
@@ -754,105 +822,16 @@ impl Machine {
         true
     }
 
-    /// Dense polling until `end` (returns `true`) or until issue duty
-    /// drops low enough that the event scheduler is worth its rebuild
-    /// (returns `false`).
-    ///
-    /// The poll set is fixed at entry: every core with a running thread
-    /// or store drains in flight, stepped in ascending core order every
-    /// cycle — exactly the naive sweep minus cores whose steps would be
-    /// observable no-ops (no thread can wake and no drain can land
-    /// within one `run`), so charges, step order and counters are
-    /// identical to [`Machine::run_naive`]. All-stall cycles use the
-    /// naive fast-forward and stay dense: lockstep workloads (the
-    /// 25-tile EPI sweeps) alternate all-issue and all-stall cycles,
-    /// and bouncing to the event scheduler on each stall would rebuild
-    /// the calendar every few cycles. Only a *sustained* low-duty
-    /// stretch (mostly-idle polled cores) exits.
-    fn run_dense(&mut self, end: u64) -> bool {
-        let polled: Vec<usize> = (0..self.cores.len())
-            .filter(|&k| self.cores[k].any_running() || self.cores[k].has_pending_stores())
-            .collect();
-        if polled.is_empty() {
-            // Nothing can ever issue or drain: idle the clock out.
-            self.act.cycles += end - self.now;
-            self.now = end;
-            return true;
-        }
-        let all = polled.len() == self.cores.len();
-        let mut low_duty_streak: u32 = 0;
-        while self.now < end {
-            if trace::active() {
-                trace::set_cycle(self.now);
-            }
-            let mut issued = 0;
-            if all {
-                for core in &mut self.cores {
-                    issued += usize::from(core.step(self.now, &mut self.memsys, &mut self.act));
-                }
-            } else {
-                for &k in &polled {
-                    issued +=
-                        usize::from(self.cores[k].step(self.now, &mut self.memsys, &mut self.act));
-                }
-            }
-            self.engine_steps += polled.len() as u64;
-            if issued > 0 && metrics::enabled() {
-                self.emetrics.issue_duty.observe(issued as u64);
-            }
-            self.act.cycles += 1;
-            self.now += 1;
-            if issued == 0 {
-                // The naive fast-forward: jump to the next cycle any
-                // core can issue, bulk-charging the skipped window.
-                // Unpolled cores have no running threads, so they
-                // contribute neither a ready time nor any charge, and
-                // the scan stays within the polled set.
-                let next = polled
-                    .iter()
-                    .filter_map(|&k| self.cores[k].next_ready_at())
-                    .min()
-                    .unwrap_or(end)
-                    .min(end)
-                    .max(self.now);
-                if next > self.now {
-                    let skipped = next - self.now;
-                    let running = polled
-                        .iter()
-                        .filter(|&&k| self.cores[k].any_running())
-                        .count() as u64;
-                    let memory_waiting: u64 = polled
-                        .iter()
-                        .map(|&k| self.cores[k].memory_waiting_threads(self.now))
-                        .sum();
-                    self.act.cycles += skipped;
-                    self.act.core_active_cycles += skipped * running;
-                    self.act.mem_stall_cycles += skipped * memory_waiting;
-                    self.now = next;
-                }
-                continue;
-            }
-            if issued * 8 < polled.len() {
-                low_duty_streak += 1;
-                if low_duty_streak >= 16 {
-                    return false;
-                }
-            } else {
-                low_duty_streak = 0;
-            }
-        }
-        true
-    }
-
     /// Batched dense stepping until `end` (returns `true`) or until a
     /// whole batch's issue duty is low enough that the event scheduler
-    /// is worth its rebuild (returns `false`). Counter-exact against
-    /// [`Machine::run_naive`] and the scalar [`Machine::run_dense`];
-    /// only the engine diagnostics can tell them apart.
+    /// is worth its rebuild (returns `false`). Counter- and
+    /// trace-exact against [`Machine::run_naive`]; only the engine
+    /// diagnostics can tell them apart.
     ///
-    /// Each batch (at most [`DENSE_BATCH_CYCLES`]) runs in two phases
-    /// over the polled lanes (cores with a running thread or drains in
-    /// flight), re-derived every batch:
+    /// Each batch (at most [`DENSE_BATCH_CYCLES`]) fixes the polled
+    /// lanes (cores with a running thread or drains in flight) and works
+    /// its cycles off in segments of [`DENSE_SEGMENT_CYCLES`], two
+    /// phases per segment:
     ///
     /// * **Phase A** — every polled core whose store buffer is empty
     ///   runs ahead *locally* ([`Core::run_local`]): ALU/FP/branch
@@ -872,22 +851,32 @@ impl Machine {
     ///   [`Core::step`] at and beyond it — which is exactly the naive
     ///   engine's global mutation sequence, so every NoC Hamming chain
     ///   and `f64` accumulation folds in the same order, bit for bit.
-    ///   Zero-issue cycles fast-forward like the scalar modes: local
+    ///   Trace events keep that order too: a replayed record emits its
+    ///   `Retire` at its (cycle, tile) turn, between the live events of
+    ///   the stepped lanes around it.
+    ///   Zero-issue cycles fast-forward like the naive engine: local
     ///   lanes contribute their next record's cycle (equal to their
     ///   hidden `next_ready_at`, since a ready local thread always
     ///   issues), stepped lanes their actual `next_ready_at`, and the
     ///   bulk charge covers stepped lanes only — local spans were
-    ///   already charged by phase A at the same frozen rates.
+    ///   already charged by phase A at the same frozen rates. A jump
+    ///   that reaches its segment's end carries on in the next one, so
+    ///   the segment length never shows in which cycles get processed.
     ///
-    /// Re-deriving the poll set per batch is also the mode-hysteresis
-    /// fix for degraded dies: a core that halts or is fused off leaves
-    /// both the stepping loop and the issue-duty denominator at the
-    /// next barrier, where the scalar sweep's entry-fixed poll set kept
-    /// counting it and could ping-pong modes on a heavily-fused part.
+    /// Re-deriving the poll set per batch also keeps mode hysteresis
+    /// honest on degraded dies: a core that halts or is fused off
+    /// leaves both the stepping loop and the issue-duty denominator at
+    /// the next barrier, so a heavily-fused part cannot ping-pong modes
+    /// on cores that no longer count.
     #[allow(clippy::too_many_lines)]
     fn run_dense_batched(&mut self, end: u64) -> bool {
         let mut scratch = std::mem::take(&mut self.lane_scratch);
         let mut reached_end = true;
+        // Hoisted gates: a collector is per thread, so this thread's
+        // answers cannot change while it is inside this call.
+        let metrics_on = metrics::enabled();
+        let tracing = trace::active();
+        let trace_retire = trace::wants(SUB_RETIRE);
         'batches: while self.now < end {
             let polled: Vec<usize> = (0..self.cores.len())
                 .filter(|&k| self.cores[k].any_running() || self.cores[k].has_pending_stores())
@@ -898,172 +887,148 @@ impl Machine {
                 self.now = end;
                 break;
             }
-            let start = self.now;
-            let bend = (start + DENSE_BATCH_CYCLES).min(end);
+            let bend = (self.now + DENSE_BATCH_CYCLES).min(end);
             self.emetrics.batches += 1;
             if scratch.len() < polled.len() {
                 scratch.resize_with(polled.len(), LaneBuf::default);
             }
-
-            // Phase A: run store-buffer-empty lanes ahead locally.
-            {
-                let mut tasks: Vec<(&mut Core, &mut LaneBuf)> = Vec::with_capacity(polled.len());
-                let mut cores = self.cores.iter_mut();
-                let mut bufs = scratch.iter_mut();
-                let mut consumed = 0usize;
-                for &k in &polled {
-                    let core = cores.nth(k - consumed).expect("polled index in range");
-                    consumed = k + 1;
-                    let buf = bufs.next().expect("scratch sized to polled");
-                    buf.cursor = 0;
-                    buf.records.clear();
-                    buf.charges.clear();
-                    if core.has_pending_stores() {
-                        // In-flight drains: stepped for the whole batch.
-                        buf.horizon = start;
-                    } else {
-                        tasks.push((core, buf));
-                    }
-                }
-                let workers = self.dense_threads.min(tasks.len());
-                if workers <= 1 {
-                    for (core, buf) in &mut tasks {
-                        buf.horizon =
-                            core.run_local(start, bend, &mut buf.records, &mut buf.charges);
-                    }
-                } else {
-                    // Group same-program lanes onto one worker so the
-                    // shared decode stays hot per worker; lane outputs
-                    // are disjoint, so placement cannot affect results.
-                    tasks.sort_by_key(|(core, _)| core.program_identity());
-                    let per = tasks.len().div_ceil(workers);
-                    std::thread::scope(|s| {
-                        for chunk in tasks.chunks_mut(per) {
-                            s.spawn(move || {
-                                for (core, buf) in chunk {
-                                    buf.horizon = core.run_local(
-                                        start,
-                                        bend,
-                                        &mut buf.records,
-                                        &mut buf.charges,
-                                    );
-                                }
-                            });
-                        }
-                    });
-                }
-            }
-            for buf in &scratch[..polled.len()] {
-                self.emetrics.record_hwm = self.emetrics.record_hwm.max(buf.records.len() as u64);
-            }
-
-            // Phase B: the sequential exact replay.
-            let metrics_on = metrics::enabled();
-            // When every lane covered the whole batch locally, the
-            // replay is a pure record merge: no horizon checks, no core
-            // access — just each lane's next record against the cycle.
-            let all_local = scratch[..polled.len()].iter().all(|b| b.horizon == bend);
             let mut issued_total: u64 = 0;
             let mut processed: u64 = 0;
-            let mut c = start;
-            while c < bend {
-                let mut issued: u64 = 0;
-                #[allow(clippy::cast_possible_truncation)]
-                let rel = (c - start) as u32;
-                if all_local {
-                    for buf in &mut scratch[..polled.len()] {
-                        if let Some(r) = buf.records.get(buf.cursor) {
-                            if r.offset == rel {
-                                if r.op != PHANTOM_OP {
-                                    self.act.operand_activity[r.op as usize] += r.activity;
-                                }
-                                issued += 1;
-                                buf.cursor += 1;
-                            }
-                        }
-                    }
-                } else {
-                    for (j, &k) in polled.iter().enumerate() {
-                        let buf = &mut scratch[j];
-                        if c < buf.horizon {
-                            if let Some(r) = buf.records.get(buf.cursor) {
-                                if r.offset == rel {
-                                    if r.op != PHANTOM_OP {
-                                        self.act.operand_activity[r.op as usize] += r.activity;
-                                    }
-                                    issued += 1;
-                                    buf.cursor += 1;
-                                }
-                            }
-                        } else {
-                            issued +=
-                                u64::from(self.cores[k].step(c, &mut self.memsys, &mut self.act));
-                        }
-                    }
-                }
-                self.engine_steps += polled.len() as u64;
-                if issued > 0 && metrics_on {
-                    self.emetrics.issue_duty.observe(issued);
-                }
-                issued_total += issued;
-                processed += 1;
-                c += 1;
-                if issued == 0 && c < bend {
-                    // The naive fast-forward, batched: local lanes'
-                    // next event is their next deferred record (or
-                    // their frozen wake time once the buffer is dry —
-                    // provably at or beyond their horizon), stepped
-                    // lanes' is their live `next_ready_at`. Charges
-                    // cover stepped lanes only; phase A already charged
-                    // the local spans at the same frozen rates.
-                    let mut next = bend;
-                    let mut running: u64 = 0;
-                    let mut mem_waiting: u64 = 0;
-                    for (j, &k) in polled.iter().enumerate() {
-                        let buf = &scratch[j];
-                        if c < buf.horizon {
-                            if let Some(r) = buf.records.get(buf.cursor) {
-                                next = next.min(start + u64::from(r.offset));
-                            } else if let Some(t) = self.cores[k].next_ready_at() {
-                                debug_assert!(t >= buf.horizon, "local lane wakes inside its span");
-                                next = next.min(t);
-                            }
-                        } else {
-                            running += u64::from(self.cores[k].any_running());
-                            mem_waiting += self.cores[k].memory_waiting_threads(c);
-                            if let Some(t) = self.cores[k].next_ready_at() {
-                                next = next.min(t);
-                            }
-                        }
-                    }
-                    let next = next.max(c);
-                    if next > c {
-                        let skipped = next - c;
-                        self.act.cycles += skipped;
-                        self.act.core_active_cycles += skipped * running;
-                        self.act.mem_stall_cycles += skipped * mem_waiting;
-                        c = next;
-                    }
-                }
-            }
-            self.act.cycles += processed;
-            self.now = c;
+            // Whether the last processed cycle issued nothing, so the
+            // next one starts with a fast-forward. Carried across
+            // segment ends: a jump a segment cuts short resumes, before
+            // any cycle is processed, once the next segment's records
+            // exist — segments never add a processed cycle.
+            let mut idle = false;
+            while self.now < bend {
+                let start = self.now;
+                let send = (start + DENSE_SEGMENT_CYCLES).min(bend);
 
-            // The barrier: fold the order-free phase-A aggregates (all
-            // exact integers, so fold order is free) and verify every
-            // effect buffer replayed to exhaustion.
-            for buf in &scratch[..polled.len()] {
-                debug_assert_eq!(buf.cursor, buf.records.len(), "unreplayed issue records");
-                let ch = &buf.charges;
-                self.act.core_active_cycles += ch.active;
-                self.act.mem_stall_cycles += ch.mem_stall;
-                self.act.dual_thread_cycles += ch.dual;
-                self.act.drafted_issues += ch.drafted;
-                self.act.l1i_accesses += ch.l1i;
-                self.act.sb_enqueues += ch.sb_enqueues;
-                for i in 0..Opcode::COUNT {
-                    self.act.issues[i] += ch.issues[i];
-                    self.act.occupancy_cycles[i] += ch.occupancy[i];
+                // Phase A: run store-buffer-empty lanes ahead locally.
+                run_lanes_ahead(
+                    &mut self.cores,
+                    &polled,
+                    &mut scratch,
+                    start..send,
+                    self.dense_threads,
+                );
+                for buf in &scratch[..polled.len()] {
+                    self.emetrics.record_hwm =
+                        self.emetrics.record_hwm.max(buf.records.len() as u64);
+                }
+
+                // Phase B: the sequential exact replay.
+                // When every lane covered the whole segment locally and
+                // no `Retire` events are wanted, the replay is a pure
+                // record merge: no horizon checks, no core access,
+                // nothing to emit — just each lane's next record
+                // against the cycle.
+                let merge_only =
+                    !trace_retire && scratch[..polled.len()].iter().all(|b| b.horizon == send);
+                let mut c = start;
+                while c < send {
+                    if idle {
+                        // The naive fast-forward, batched: local lanes'
+                        // next event is their next deferred record (or
+                        // their frozen wake time once the buffer is dry
+                        // — provably at or beyond their horizon),
+                        // stepped lanes' is their live `next_ready_at`.
+                        // Charges cover stepped lanes only; phase A
+                        // already charged the local spans at the same
+                        // frozen rates.
+                        let mut next = send;
+                        let mut running: u64 = 0;
+                        let mut mem_waiting: u64 = 0;
+                        for (buf, &k) in scratch.iter().zip(&polled) {
+                            if c < buf.horizon {
+                                if let Some(r) = buf.records.get(buf.cursor) {
+                                    next = next.min(start + u64::from(r.offset));
+                                } else if let Some(t) = self.cores[k].next_ready_at() {
+                                    debug_assert!(
+                                        t >= buf.horizon,
+                                        "local lane wakes inside its span"
+                                    );
+                                    next = next.min(t);
+                                }
+                            } else {
+                                running += u64::from(self.cores[k].any_running());
+                                mem_waiting += self.cores[k].memory_waiting_threads(c);
+                                if let Some(t) = self.cores[k].next_ready_at() {
+                                    next = next.min(t);
+                                }
+                            }
+                        }
+                        if next > c {
+                            let skipped = next - c;
+                            self.act.cycles += skipped;
+                            self.act.core_active_cycles += skipped * running;
+                            self.act.mem_stall_cycles += skipped * mem_waiting;
+                            c = next;
+                            if c == send {
+                                break;
+                            }
+                        }
+                    }
+                    let mut issued: u64 = 0;
+                    #[allow(clippy::cast_possible_truncation)]
+                    let rel = (c - start) as u16;
+                    if merge_only {
+                        for buf in &mut scratch[..polled.len()] {
+                            issued += u64::from(buf.replay(rel, &mut self.act).is_some());
+                        }
+                    } else {
+                        if tracing {
+                            trace::set_cycle(c);
+                        }
+                        for (buf, &k) in scratch.iter_mut().zip(&polled) {
+                            if c >= buf.horizon {
+                                issued += u64::from(self.cores[k].step(
+                                    c,
+                                    &mut self.memsys,
+                                    &mut self.act,
+                                ));
+                            } else if let Some(r) = buf.replay(rel, &mut self.act) {
+                                issued += 1;
+                                if trace_retire && r.op != PHANTOM_OP {
+                                    emit_retire(
+                                        c,
+                                        TileId::new(k),
+                                        usize::from(r.thread),
+                                        Opcode::ALL[usize::from(r.op)],
+                                        u64::from(r.pc),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    self.engine_steps += polled.len() as u64;
+                    if issued > 0 && metrics_on {
+                        self.emetrics.issue_duty.observe(issued);
+                    }
+                    issued_total += issued;
+                    processed += 1;
+                    self.act.cycles += 1;
+                    idle = issued == 0;
+                    c += 1;
+                }
+                self.now = c;
+
+                // The barrier: fold the order-free phase-A aggregates
+                // (all exact integers, so fold order is free) and
+                // verify every effect buffer replayed to exhaustion.
+                for buf in &scratch[..polled.len()] {
+                    debug_assert_eq!(buf.cursor, buf.records.len(), "unreplayed issue records");
+                    let ch = &buf.charges;
+                    self.act.core_active_cycles += ch.active;
+                    self.act.mem_stall_cycles += ch.mem_stall;
+                    self.act.dual_thread_cycles += ch.dual;
+                    self.act.drafted_issues += ch.drafted;
+                    self.act.l1i_accesses += ch.l1i;
+                    self.act.sb_enqueues += ch.sb_enqueues;
+                    for i in 0..Opcode::COUNT {
+                        self.act.issues[i] += ch.issues[i];
+                        self.act.occupancy_cycles[i] += ch.occupancy[i];
+                    }
                 }
             }
 
@@ -1182,7 +1147,6 @@ impl Machine {
             &mut w.calendar_stale_pops,
         );
         publish("event_cycles", m.event_cycles, &mut w.event_cycles);
-        publish("dense_cycles", m.dense_cycles, &mut w.dense_cycles);
         publish("batched_cycles", m.batched_cycles, &mut w.batched_cycles);
         publish("batches", m.batches, &mut w.batches);
         publish("naive_cycles", m.naive_cycles, &mut w.naive_cycles);
@@ -1526,6 +1490,32 @@ mod tests {
         assert_eq!(m.counters().cycles, 100_000);
     }
 
+    /// Segment ends are invisible: 25 tiles in lockstep on back-to-back
+    /// divides issue for one cycle and then stall together for 72, a
+    /// rhythm whose fast-forward jumps straddle every segment end of
+    /// the batch. With all 25 cores polled, equal step counts mean the
+    /// batched engine processed exactly the naive engine's cycles.
+    #[test]
+    fn segment_ends_add_no_processed_cycles() {
+        let p = Program::from_instructions(vec![
+            Instruction::movi(Reg::new(1), 1_000_003),
+            Instruction::movi(Reg::new(2), 3),
+            Instruction::alu(Opcode::Sdivx, Reg::new(3), Reg::new(1), Reg::new(2)),
+            Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 2),
+        ]);
+        let mut batched = machine();
+        batched.load_on_tiles(25, 0, &p);
+        batched.run(4_000);
+        let mut naive = machine();
+        naive.load_on_tiles(25, 0, &p);
+        naive.run_naive(4_000);
+        let m = batched.engine_metrics();
+        assert_eq!(m.batches, 1);
+        assert!(m.batched_cycles > 3 * DENSE_SEGMENT_CYCLES);
+        assert_eq!(batched.engine_steps(), naive.engine_steps());
+        assert_eq!(batched.counters(), naive.counters());
+    }
+
     /// Deterministic engine-equivalence regression over a workload mix
     /// that exercises every scheduler path: store-buffer drains in dead
     /// windows, memory stalls, rollbacks, dual threads, cross-core
@@ -1808,14 +1798,12 @@ mod tests {
                 );
                 let modal: u64 = [
                     format!("{}.event_cycles", prefix),
-                    format!("{}.dense_cycles", prefix),
                     format!("{}.batched_cycles", prefix),
                 ]
                 .iter()
                 .filter_map(|k| snap.counters.get(k))
                 .sum();
                 prop_assert_eq!(modal, event.engine_metrics().event_cycles
-                    + event.engine_metrics().dense_cycles
                     + event.engine_metrics().batched_cycles);
                 // Batch accounting publishes coherently: every batched
                 // cycle belongs to a batch, and a batch implies cycles.

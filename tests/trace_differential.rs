@@ -163,8 +163,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every engine path must be mutually bit-identical on randomized
-    /// workloads: the naive reference, the traced scalar-dense sweep,
-    /// the batched dense engine (`dense_threads = 1`) and the
+    /// workloads: the naive reference, the batched dense engine
+    /// (`dense_threads = 1`) traced and untraced, and the
     /// tile-parallel batched engine. Mixed programs per tile, a core
     /// mask applied mid-run and a governed clock are all in play, and
     /// the batch accounting (batched cycles, barrier count,
@@ -209,9 +209,10 @@ proptest! {
         parallel.set_dense_threads(workers);
         drive(&mut parallel, false);
 
-        let spec = TraceSpec::parse("governor").expect("static spec");
+        // Every subsystem wanted, `Retire` included, so the traced run
+        // takes the replay that emits.
         let mut traced_slot = None;
-        trace::capture(&spec, || {
+        trace::capture(&TraceSpec::default(), || {
             let mut m = machine();
             drive(&mut m, false);
             traced_slot = Some(m);
@@ -230,16 +231,62 @@ proptest! {
         let total: u64 = chunks.iter().sum();
         let b = batched.engine_metrics();
         let p = parallel.engine_metrics();
-        prop_assert_eq!(b.event_cycles + b.dense_cycles + b.batched_cycles, total);
-        prop_assert_eq!(b.dense_cycles, 0); // untraced runs never take the scalar sweep
+        prop_assert_eq!(b.event_cycles + b.batched_cycles, total);
         prop_assert_eq!(b.batched_cycles, p.batched_cycles);
         prop_assert_eq!(b.batches, p.batches);
         prop_assert_eq!(b.record_hwm, p.record_hwm);
         prop_assert!(b.batches == 0 || b.batched_cycles > 0, "batches without batched cycles");
-        let t = traced.engine_metrics();
-        prop_assert_eq!(t.batched_cycles, 0); // traced runs take the scalar sweep
-        prop_assert_eq!(t.event_cycles + t.dense_cycles, total);
+        // Observing must not perturb: a collector changes nothing the
+        // engine does, down to its own scheduling diagnostics.
+        prop_assert_eq!(traced.engine_metrics(), b);
     }
+}
+
+/// A collector on *another* thread must not reach an untraced machine:
+/// the helper holds `trace::capture` open (so the process-wide gate is
+/// up) for exactly as long as the main thread drives its machine, and
+/// the result must equal a run made with no collector anywhere —
+/// counters and engine diagnostics alike.
+#[test]
+fn foreign_collector_does_not_perturb_an_untraced_machine() {
+    use std::sync::Barrier;
+
+    let placement = testprog::placement(&[0x5EED_0001, 0x5EED_0002, 0x5EED_0003], 9);
+    let drive = || {
+        let mut m = machine();
+        for &(tile, thread, ref program) in &placement {
+            m.load_thread(TileId::new(tile), thread, program.clone());
+        }
+        for chunk in [700, 4_500, 1_300] {
+            m.run(chunk);
+        }
+        m
+    };
+    let alone = drive();
+    assert!(
+        alone.engine_metrics().batched_cycles > 0,
+        "the workload must reach the dense engine for the comparison to mean anything"
+    );
+
+    let (installed, finished) = (Barrier::new(2), Barrier::new(2));
+    let beside = std::thread::scope(|s| {
+        s.spawn(|| {
+            trace::capture(&TraceSpec::default(), || {
+                installed.wait();
+                finished.wait();
+            });
+        });
+        installed.wait();
+        assert!(
+            trace::active(),
+            "the helper's collector holds the gate open"
+        );
+        let m = drive();
+        finished.wait();
+        m
+    });
+    assert_eq!(beside.counters(), alone.counters());
+    assert_eq!(beside.engine_metrics(), alone.engine_metrics());
 }
 
 // --- Golden trace fixtures: one representative program per ---
