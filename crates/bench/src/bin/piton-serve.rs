@@ -21,25 +21,10 @@
 //! socket and prints a counter summary. Exit status: 0 on clean
 //! shutdown, 1 on serve failures, 2 on usage errors.
 
+use piton_bench::flag_value;
 use piton_core::runner;
 use piton_core::serve::{Server, ServerConfig};
 use piton_obs::metrics;
-
-/// `--NAME VALUE` / `--NAME=VALUE` with an environment fallback.
-fn flag_value(name: &str, env: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&prefixed) {
-            return Some(v.to_owned());
-        }
-        if *a == long {
-            return args.get(i + 1).cloned();
-        }
-    }
-    std::env::var(env).ok()
-}
 
 fn usage() -> ! {
     eprintln!("usage: piton-serve --socket PATH --cache-dir DIR [--jobs N] [--shard N]");
@@ -47,10 +32,12 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let Some(socket) = flag_value("socket", "PITON_SERVE_SOCKET") else {
+    let args: Vec<String> = std::env::args().collect();
+    let flag = |name: &str, env: &str| flag_value(&args, name, Some(env));
+    let Some(socket) = flag("socket", "PITON_SERVE_SOCKET") else {
         usage()
     };
-    let Some(cache_dir) = flag_value("cache-dir", "PITON_SERVE_CACHE") else {
+    let Some(cache_dir) = flag("cache-dir", "PITON_SERVE_CACHE") else {
         usage()
     };
     let parse_count = |spec: Option<String>, what: &str| -> Option<usize> {
@@ -62,9 +49,9 @@ fn main() {
             }
         })
     };
-    let jobs = parse_count(flag_value("jobs", "PITON_JOBS"), "--jobs")
-        .unwrap_or_else(runner::default_jobs);
-    let shard = parse_count(flag_value("shard", "PITON_SERVE_SHARD"), "--shard").unwrap_or(512);
+    let jobs =
+        parse_count(flag("jobs", "PITON_JOBS"), "--jobs").unwrap_or_else(runner::default_jobs);
+    let shard = parse_count(flag("shard", "PITON_SERVE_SHARD"), "--shard").unwrap_or(512);
 
     metrics::enable();
     let config = ServerConfig::new(&socket, &cache_dir)

@@ -68,15 +68,17 @@
 //! `PITON_METRICS`. Neither touches stdout: the rendered tables stay
 //! byte-identical with and without them.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use piton_board::fault::{self, FaultPlan};
+use piton_bench::flag_value;
+use piton_board::fault::FaultPlan;
 use piton_core::analytic::{self, compare, predict};
 use piton_core::experiments::{
     ablations, area, core_scaling, design_space, epi, governor, mem_latency, memory_energy,
     mt_vs_mc, noc_energy, specint, static_idle, thermal, vf_sweep, yield_stats, Backend, Fidelity,
 };
-use piton_core::journal;
+use piton_core::journal::{self, Journal};
 use piton_core::report::Hole;
 use piton_core::runner;
 use piton_core::GovernorConfig;
@@ -92,206 +94,81 @@ struct SectionTiming {
     stats: runner::SweepStats,
 }
 
-fn parse_jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if let Some(n) = a
-            .strip_prefix("--jobs=")
-            .or_else(|| a.strip_prefix("jobs="))
-        {
-            return n
-                .parse()
-                .map_or_else(|_| runner::default_jobs(), |n: usize| n.max(1));
-        }
-        if a == "--jobs" {
-            if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        }
-    }
-    runner::default_jobs()
-}
-
-/// Resolves the fault plan from `--fault-plan=SPEC`, `PITON_FAULT_PLAN`
-/// (same spec), or `PITON_FAULT_SEED` (bare seed, default rates) — in
-/// that order of precedence. Exits with status 2 on a malformed spec.
-fn parse_fault_plan() -> Option<FaultPlan> {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args
-        .iter()
-        .enumerate()
-        .find_map(|(i, a)| {
-            a.strip_prefix("--fault-plan=")
-                .map(str::to_owned)
-                .or_else(|| {
-                    (a == "--fault-plan")
-                        .then(|| args.get(i + 1).cloned())
-                        .flatten()
-                })
-        })
-        .or_else(|| std::env::var("PITON_FAULT_PLAN").ok());
-    if let Some(spec) = spec {
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => return Some(plan),
-            Err(e) => {
-                eprintln!("reproduce: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    match std::env::var("PITON_FAULT_SEED").ok() {
-        Some(seed) => match seed.parse() {
-            Ok(seed) => Some(FaultPlan::with_seed(seed)),
-            Err(_) => {
-                eprintln!("reproduce: PITON_FAULT_SEED must be a u64, got {seed:?}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    }
-}
-
-/// Resolves the governor policy from `--governor=POLICY` /
-/// `--governor POLICY` or `PITON_GOVERNOR` (default off). Exits with
-/// status 2 on an unknown policy name.
-fn parse_governor() -> GovernorConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args
-        .iter()
-        .enumerate()
-        .find_map(|(i, a)| {
-            a.strip_prefix("--governor=")
-                .map(str::to_owned)
-                .or_else(|| {
-                    (a == "--governor")
-                        .then(|| args.get(i + 1).cloned())
-                        .flatten()
-                })
-        })
-        .or_else(|| std::env::var("PITON_GOVERNOR").ok());
-    match spec {
-        None => GovernorConfig::Off,
-        Some(spec) => match GovernorConfig::parse(&spec) {
-            Ok(policy) => policy,
-            Err(e) => {
-                eprintln!("reproduce: bad --governor policy: {e}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// Resolves the backend from `--backend=NAME` / `--backend NAME` or
-/// `PITON_BACKEND` (default `cycle`). Exits with status 2 on an
-/// unknown backend name.
-fn parse_backend() -> Backend {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args
-        .iter()
-        .enumerate()
-        .find_map(|(i, a)| {
-            a.strip_prefix("--backend=").map(str::to_owned).or_else(|| {
-                (a == "--backend")
-                    .then(|| args.get(i + 1).cloned())
-                    .flatten()
-            })
-        })
-        .or_else(|| std::env::var("PITON_BACKEND").ok());
-    match spec {
-        None => Backend::Cycle,
-        Some(spec) => match Backend::parse(&spec) {
-            Ok(backend) => backend,
-            Err(e) => {
-                eprintln!("reproduce: bad --backend: {e}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// Resolves the trace spec from `--trace=SPEC` / `--trace SPEC` or
-/// `PITON_TRACE`. Exits with status 2 on a malformed spec.
-fn parse_trace_spec() -> Option<TraceSpec> {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args
-        .iter()
-        .enumerate()
-        .find_map(|(i, a)| {
-            a.strip_prefix("--trace=")
-                .map(str::to_owned)
-                .or_else(|| (a == "--trace").then(|| args.get(i + 1).cloned()).flatten())
-        })
-        .or_else(|| std::env::var("PITON_TRACE").ok())?;
-    match TraceSpec::parse(&spec) {
-        Ok(spec) => Some(spec),
-        Err(e) => {
-            eprintln!("reproduce: bad --trace spec: {e}");
+/// Parses a flag's value, if given, exiting with status 2 and
+/// `reproduce: {what}{error}` when it is malformed.
+fn parse_or_exit<T, E: std::fmt::Display>(
+    value: Option<String>,
+    what: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Option<T> {
+    value.map(|v| {
+        parse(&v).unwrap_or_else(|e| {
+            eprintln!("reproduce: {what}{e}");
             std::process::exit(2);
-        }
-    }
-}
-
-/// Resolves the run-manifest output path from `--metrics=PATH` /
-/// `--metrics PATH` or `PITON_METRICS` (default
-/// `piton-run-manifest.json`).
-fn parse_manifest_path() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .enumerate()
-        .find_map(|(i, a)| {
-            a.strip_prefix("--metrics=").map(str::to_owned).or_else(|| {
-                (a == "--metrics")
-                    .then(|| args.get(i + 1).cloned())
-                    .flatten()
-            })
         })
-        .or_else(|| std::env::var("PITON_METRICS").ok())
-        .unwrap_or_else(|| "piton-run-manifest.json".to_owned())
-}
-
-/// Resolves the result-journal path from `--journal=PATH` /
-/// `--journal PATH` or `PITON_JOURNAL`, plus whether `--resume` was
-/// requested. `--resume` without a journal path exits 2: there is
-/// nothing to resume from.
-fn parse_journal() -> (Option<String>, bool) {
-    let args: Vec<String> = std::env::args().collect();
-    let path = args
-        .iter()
-        .enumerate()
-        .find_map(|(i, a)| {
-            a.strip_prefix("--journal=").map(str::to_owned).or_else(|| {
-                (a == "--journal")
-                    .then(|| args.get(i + 1).cloned())
-                    .flatten()
-            })
-        })
-        .or_else(|| std::env::var("PITON_JOURNAL").ok());
-    let resume = args.iter().any(|a| a == "--resume");
-    if resume && path.is_none() {
-        eprintln!("reproduce: --resume requires --journal PATH (or PITON_JOURNAL)");
-        std::process::exit(2);
-    }
-    (path, resume)
-}
-
-/// The journal context spec — the shared [`journal::run_context`]
-/// keyed on this run's fidelity label, fault effects and backend. The
-/// serve daemon derives cache contexts through the same function, so a
-/// `--journal` file and a `piton-serve` cache entry for the same
-/// configuration carry byte-identical context strings.
-fn journal_context(quick: bool, plan: Option<&FaultPlan>, backend: Backend) -> String {
-    journal::run_context(if quick { "quick" } else { "full" }, plan, backend)
+    })
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
-    let jobs = parse_jobs();
-    let backend = parse_backend();
-    let governor_policy = parse_governor();
-    let fault_plan = parse_fault_plan();
-    let trace_spec = parse_trace_spec();
-    let manifest_path = parse_manifest_path();
-    let (journal_path, resume) = parse_journal();
+    let args: Vec<String> = std::env::args().collect();
+    let flag = |name: &str, env: &str| flag_value(&args, name, Some(env));
+    let quick = args.iter().any(|a| a == "quick");
+    // `--jobs N`, `--jobs=N` or `jobs=N`, then `PITON_JOBS`, then every
+    // available core; 0 means 1.
+    let jobs = parse_or_exit(
+        flag_value(&args, "jobs", None)
+            .or_else(|| {
+                args.iter()
+                    .find_map(|a| a.strip_prefix("jobs=").map(str::to_owned))
+            })
+            .or_else(|| std::env::var("PITON_JOBS").ok()),
+        "bad --jobs: ",
+        |v| {
+            v.trim()
+                .parse::<usize>()
+                .map(|n| n.max(1))
+                .map_err(|_| format!("{v:?} is not a worker count"))
+        },
+    )
+    .unwrap_or_else(runner::default_jobs);
+    let backend = parse_or_exit(
+        flag("backend", "PITON_BACKEND"),
+        "bad --backend: ",
+        Backend::parse,
+    )
+    .unwrap_or(Backend::Cycle);
+    let governor_policy = parse_or_exit(
+        flag("governor", "PITON_GOVERNOR"),
+        "bad --governor policy: ",
+        GovernorConfig::parse,
+    )
+    .unwrap_or(GovernorConfig::Off);
+    // A full spec wins over a bare seed with default monitor-fault rates.
+    let fault_plan = parse_or_exit(flag("fault-plan", "PITON_FAULT_PLAN"), "", FaultPlan::parse)
+        .or_else(|| {
+            parse_or_exit(
+                std::env::var("PITON_FAULT_SEED").ok(),
+                "PITON_FAULT_SEED must be a u64, got ",
+                |v| {
+                    v.parse()
+                        .map(FaultPlan::with_seed)
+                        .map_err(|_| format!("{v:?}"))
+                },
+            )
+        });
+    let trace_spec = parse_or_exit(
+        flag("trace", "PITON_TRACE"),
+        "bad --trace spec: ",
+        TraceSpec::parse,
+    );
+    let manifest_path =
+        flag("metrics", "PITON_METRICS").unwrap_or_else(|| "piton-run-manifest.json".to_owned());
+    let journal_path = flag("journal", "PITON_JOURNAL");
+    let resume = args.iter().any(|a| a == "--resume");
+    if resume && journal_path.is_none() {
+        eprintln!("reproduce: --resume requires --journal PATH (or PITON_JOURNAL)");
+        std::process::exit(2);
+    }
     // The registry only accumulates (and is drained into the run
     // manifest); nothing printed to stdout depends on it.
     metrics::enable();
@@ -307,8 +184,9 @@ fn main() {
         trace::set_worker_spec(Some(spec.clone()));
         trace::install(spec, true);
     }
-    let csv_dir: Option<std::path::PathBuf> =
-        std::env::args().find_map(|a| a.strip_prefix("csv=").map(std::path::PathBuf::from));
+    let csv_dir: Option<std::path::PathBuf> = args
+        .iter()
+        .find_map(|a| a.strip_prefix("csv=").map(std::path::PathBuf::from));
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv directory");
     }
@@ -317,25 +195,24 @@ fn main() {
             std::fs::write(dir.join(name), data).expect("write csv");
         }
     };
-    let mut fidelity = if quick {
+    let fidelity = if quick {
         Fidelity::quick()
     } else {
         Fidelity::full()
     }
-    .with_jobs(jobs)
-    .with_backend(backend)
-    .with_governor(governor_policy);
-    if let Some(plan) = &fault_plan {
-        fidelity = fidelity.with_fault(fault::register(plan.clone()));
-    }
-    let journal_token = journal_path.as_ref().map(|path| {
-        let context = journal_context(quick, fault_plan.as_ref(), backend);
+    .with_jobs(jobs);
+    let plan = fault_plan.as_ref();
+    let journal = journal_path.as_ref().map(|path| {
+        // The same context the serve daemon derives, so a `--journal`
+        // file and a `piton-serve` cache entry for one configuration
+        // carry byte-identical context strings.
+        let context = journal::run_context(if quick { "quick" } else { "full" }, plan, backend);
         if !resume {
             // A fresh durable run starts from a clean slate; only
             // `--resume` trusts (and recovers) an existing journal.
             let _ = std::fs::remove_file(path);
         }
-        match journal::Journal::open(std::path::Path::new(path), &context) {
+        match Journal::open(std::path::Path::new(path), &context) {
             Ok(j) => {
                 let s = j.stats();
                 eprintln!(
@@ -344,7 +221,7 @@ fn main() {
                     s.torn,
                     if resume { " (resuming)" } else { "" }
                 );
-                journal::register(j)
+                Mutex::new(j)
             }
             Err(e) => {
                 eprintln!("reproduce: {e}");
@@ -352,9 +229,7 @@ fn main() {
             }
         }
     });
-    if let Some(token) = journal_token {
-        fidelity = fidelity.with_journal(token);
-    }
+    let journal = journal.as_ref();
     eprintln!(
         "reproduce: {} fidelity, {jobs} sweep worker(s)",
         if quick { "quick" } else { "full" }
@@ -446,7 +321,7 @@ fn main() {
             "Figure 10 + Table V — static and idle power",
             static_result.render(),
         );
-        let epi_result = epi::run(fidelity);
+        let epi_result = epi::run(fidelity, plan, journal);
         holes += epi_result.holes.len();
         record_holes(&mut hole_records, &epi_result.holes);
         write_csv("figure11_epi.csv", epi_result.to_csv());
@@ -460,7 +335,7 @@ fn main() {
         let mem_result = memory_energy::run(fidelity);
         write_csv("table7_memory_energy.csv", mem_result.to_csv());
         section("Table VII — memory system energy", mem_result.render());
-        let noc_result = noc_energy::run(fidelity);
+        let noc_result = noc_energy::run(fidelity, plan, journal);
         holes += noc_result.holes.len();
         record_holes(&mut hole_records, &noc_result.holes);
         write_csv("figure12_noc_epf.csv", noc_result.to_csv());
@@ -474,7 +349,7 @@ fn main() {
             (1..=25).collect()
         };
         let t_fig13 = Instant::now();
-        let scaling_result = core_scaling::run_with_cores(&cores, fidelity);
+        let scaling_result = core_scaling::run_with_cores(&cores, fidelity, plan, journal);
         fig13_wall = Some(t_fig13.elapsed());
         holes += scaling_result.holes.len();
         record_holes(&mut hole_records, &scaling_result.holes);
@@ -562,7 +437,7 @@ fn main() {
     }
     if let Some(cal) = &cal {
         let t_ds = Instant::now();
-        let ds = design_space::run(cal, fidelity);
+        let ds = design_space::run(cal, fidelity, plan, journal);
         let ds_wall = t_ds.elapsed();
         holes += ds.holes.len();
         record_holes(&mut hole_records, &ds.holes);
@@ -633,9 +508,8 @@ fn main() {
 
     // Drain the journal accounting into the metrics registry (before
     // the snapshot below) and the manifest's journal block.
-    let journal_stats = journal_token.map(|token| {
-        let shared = journal::resolve(token);
-        let stats = shared.lock().expect("journal lock").stats();
+    let journal_stats = journal.map(|j| {
+        let stats = j.lock().expect("journal lock").stats();
         metrics::counter_add("journal.served", stats.served);
         metrics::counter_add("journal.appended", stats.appended);
         metrics::counter_add("journal.recovered", stats.recovered);

@@ -26,25 +26,14 @@
 mod diff_driver {
     use piton_arch::config::ChipConfig;
     use piton_arch::topology::TileId;
+    use piton_bench::flag_value;
     use piton_obs::diff::first_divergence;
     use piton_obs::trace::{self, TraceSpec};
     use piton_sim::machine::Machine;
     use piton_sim::testprog;
 
-    fn arg_value(name: &str) -> Option<String> {
-        let args: Vec<String> = std::env::args().collect();
-        let eq = format!("--{name}=");
-        args.iter().enumerate().find_map(|(i, a)| {
-            a.strip_prefix(&eq).map(str::to_owned).or_else(|| {
-                (a == &format!("--{name}"))
-                    .then(|| args.get(i + 1).cloned())
-                    .flatten()
-            })
-        })
-    }
-
-    fn parse_list(name: &str, default: &[u64]) -> Vec<u64> {
-        let Some(v) = arg_value(name) else {
+    fn parse_list(args: &[String], name: &str, default: &[u64]) -> Vec<u64> {
+        let Some(v) = flag_value(args, name, None) else {
             return default.to_vec();
         };
         let parsed: Result<Vec<u64>, _> = v.split(',').map(|p| p.trim().parse::<u64>()).collect();
@@ -58,15 +47,16 @@ mod diff_driver {
     }
 
     pub fn run() -> i32 {
-        let seeds = parse_list("seeds", &[0xC0FF_EE00, 0xBAD_CAB1E]);
-        let chunks = parse_list("chunks", &[2_000, 2_000, 2_000]);
-        let slots = arg_value("slots").map_or(6, |v| {
+        let args: Vec<String> = std::env::args().collect();
+        let seeds = parse_list(&args, "seeds", &[0xC0FF_EE00, 0xBAD_CAB1E]);
+        let chunks = parse_list(&args, "chunks", &[2_000, 2_000, 2_000]);
+        let slots = flag_value(&args, "slots", None).map_or(6, |v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("trace_diff: --slots expects a count, got {v:?}");
                 std::process::exit(2);
             })
         });
-        let desync: u64 = arg_value("desync").map_or(0, |v| {
+        let desync: u64 = flag_value(&args, "desync", None).map_or(0, |v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("trace_diff: --desync expects cycles, got {v:?}");
                 std::process::exit(2);
@@ -74,7 +64,8 @@ mod diff_driver {
         });
         // Engine-mode events are excluded by default: the two engines
         // legitimately differ in how they schedule themselves.
-        let spec_text = arg_value("spec").unwrap_or_else(|| "retire,cache,noc".to_owned());
+        let spec_text =
+            flag_value(&args, "spec", None).unwrap_or_else(|| "retire,cache,noc".to_owned());
         let spec = TraceSpec::parse(&spec_text).unwrap_or_else(|e| {
             eprintln!("trace_diff: bad --spec: {e}");
             std::process::exit(2);

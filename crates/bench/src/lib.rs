@@ -1,79 +1,60 @@
-//! Shared plumbing for the benchmark harness.
+//! Shared plumbing for the command-line binaries (`reproduce`,
+//! `piton-serve`, `piton-client`, `trace_diff`).
 //!
-//! Each Criterion bench target regenerates one table or figure of the
-//! paper (see `benches/`), timing the full experiment pipeline at a
-//! reduced fidelity and printing the regenerated rows once per run.
-//! The `reproduce` binary (`cargo run --release -p piton-bench --bin
-//! reproduce`) runs everything at paper fidelity and emits the complete
-//! EXPERIMENTS.md body.
+//! The yardstick for speed is the repo benchmark under `benchmark/`;
+//! this crate only holds what the binaries have in common.
 
-use std::sync::Once;
-
-use criterion::Criterion;
-use piton_core::Fidelity;
-
-/// Fidelity used inside timing loops: small enough that Criterion can
-/// collect several samples.
+/// The value of flag `--NAME`: `--NAME=VALUE` anywhere in `args`, else
+/// `--NAME VALUE`, else the environment variable `env`, if any.
+///
+/// # Examples
+///
+/// ```
+/// let args: Vec<String> = ["quick", "--jobs", "4"].map(String::from).to_vec();
+/// assert_eq!(piton_bench::flag_value(&args, "jobs", None).as_deref(), Some("4"));
+/// ```
 #[must_use]
-pub fn bench_fidelity() -> Fidelity {
-    Fidelity {
-        samples: 8,
-        chunk_cycles: 2_000,
-        warmup_cycles: 20_000,
-        jobs: 1,
-        fault: None,
-        governor: piton_core::GovernorConfig::Off,
-        journal: None,
-        backend: piton_core::experiments::Backend::Cycle,
-    }
-}
-
-/// Fidelity used for the one-shot table printout accompanying a bench.
-#[must_use]
-pub fn print_fidelity() -> Fidelity {
-    Fidelity::quick()
-}
-
-/// Prints a regenerated table once per process (so repeated Criterion
-/// iterations don't spam).
-pub fn print_once(once: &'static Once, render: impl FnOnce() -> String) {
-    once.call_once(|| {
-        println!("\n{}", render());
-    });
-}
-
-/// A Criterion instance tuned for experiment-scale benchmarks (seconds
-/// per iteration rather than nanoseconds).
-#[must_use]
-pub fn criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(8))
-        .warm_up_time(std::time::Duration::from_secs(1))
+pub fn flag_value(args: &[String], name: &str, env: Option<&str>) -> Option<String> {
+    let long = format!("--{name}");
+    let prefixed = format!("--{name}=");
+    args.iter()
+        .find_map(|a| a.strip_prefix(&prefixed).map(str::to_owned))
+        .or_else(|| {
+            let i = args.iter().position(|a| *a == long)?;
+            args.get(i + 1).cloned()
+        })
+        .or_else(|| std::env::var(env?).ok())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn fidelities_are_ordered() {
-        let b = bench_fidelity();
-        let p = print_fidelity();
-        assert!(b.samples <= p.samples);
-        assert!(b.chunk_cycles <= p.chunk_cycles);
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|&a| a.to_owned()).collect()
     }
 
     #[test]
-    fn print_once_prints_once() {
-        static ONCE: Once = Once::new();
-        let mut calls = 0;
-        for _ in 0..3 {
-            print_once(&ONCE, || {
-                calls += 1;
-                String::new()
-            });
+    fn flag_value_prefers_equals_then_space_then_environment() {
+        // A variable only this test reads, so no other test can race it.
+        let env = "PITON_BENCH_FLAG_VALUE_TEST";
+        std::env::set_var(env, "from-env");
+        let cases: [(&[&str], Option<&str>); 5] = [
+            (&["--x", "space", "--x=equals"], Some("equals")),
+            (&["--x=equals"], Some("equals")),
+            (&["quick", "--x", "space"], Some("space")),
+            (&["--x"], Some("from-env")),
+            (&["--xy=other", "x=bare"], Some("from-env")),
+        ];
+        for (list, want) in cases {
+            assert_eq!(
+                flag_value(&args(list), "x", Some(env)).as_deref(),
+                want,
+                "{list:?}"
+            );
         }
-        assert_eq!(calls, 1);
+        std::env::remove_var(env);
+        assert_eq!(flag_value(&args(&["--x"]), "x", Some(env)), None);
+        assert_eq!(flag_value(&args(&["--x"]), "x", None), None);
     }
 }

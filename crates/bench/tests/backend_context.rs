@@ -3,7 +3,8 @@
 //! grids share section names, but the numbers mean different things).
 //! A `--resume` under a different backend must be refused outright —
 //! exit status 2 and a context-mismatch diagnostic — before any grid
-//! point is recomputed or trusted.
+//! point is recomputed or trusted. Malformed flag values get the same
+//! exit status 2 before any section runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -71,6 +72,24 @@ fn cycle_journal_refuses_an_analytic_resume() {
 
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&manifest);
+}
+
+#[test]
+fn malformed_jobs_count_exits_2_before_running() {
+    for jobs in [&["--jobs", "abc"][..], &["--jobs=abc"]] {
+        let out = Command::new(BIN)
+            .arg("quick")
+            .args(jobs)
+            .output()
+            .expect("spawn reproduce");
+        let err = stderr_text(&out);
+        assert_eq!(out.status.code(), Some(2), "{jobs:?}: {err}");
+        assert!(
+            err.contains("\"abc\""),
+            "the diagnostic must name the value: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{jobs:?} must not run any section");
+    }
 }
 
 #[test]

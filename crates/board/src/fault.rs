@@ -22,10 +22,8 @@
 //!   for their first attempts (`flaky`), exercising the runner's
 //!   `catch_unwind` isolation and retry path.
 //!
-//! Plans are plain values threaded through `Fidelity`; a process-wide
-//! registry ([`register`]/[`lookup`]) hands out `Copy`-able
-//! [`FaultToken`]s so the plan can ride along in types that must stay
-//! `Copy`.
+//! Plans are plain values: the caller owns one and lends it by
+//! reference to every sweep it should perturb.
 //!
 //! # Examples
 //!
@@ -38,8 +36,6 @@
 //! // Same spec, same plan — fault injection is reproducible.
 //! assert_eq!(plan, FaultPlan::parse("seed=42,drop=0.05,glitch=0.02,kill=epi:3").unwrap());
 //! ```
-
-use std::sync::Mutex;
 
 use piton_arch::error::PitonError;
 use piton_arch::units::Watts;
@@ -442,33 +438,6 @@ impl FaultState {
     }
 }
 
-/// A `Copy`-able handle to a registered [`FaultPlan`], so plan-carrying
-/// configuration (e.g. `Fidelity`) can stay `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultToken(u32);
-
-static REGISTRY: Mutex<Vec<FaultPlan>> = Mutex::new(Vec::new());
-
-/// Registers a plan in the process-wide registry, returning its token.
-/// The registry is append-only: tokens stay valid for the process
-/// lifetime and registration order does not affect any fault stream.
-#[must_use]
-pub fn register(plan: FaultPlan) -> FaultToken {
-    let mut reg = REGISTRY.lock().expect("fault registry lock");
-    reg.push(plan);
-    FaultToken(u32::try_from(reg.len() - 1).expect("registry fits in u32"))
-}
-
-/// Resolves a token back to its plan.
-///
-/// # Panics
-///
-/// Panics on a token from another process (registry miss).
-#[must_use]
-pub fn lookup(token: FaultToken) -> FaultPlan {
-    REGISTRY.lock().expect("fault registry lock")[token.0 as usize].clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,12 +575,5 @@ mod tests {
     fn sabotage_gate_kill_panics() {
         let plan = FaultPlan::parse("kill=epi:3").unwrap();
         let _ = sabotage_gate(&plan, "epi", 3, 0);
-    }
-
-    #[test]
-    fn registry_round_trips() {
-        let plan = FaultPlan::with_seed(0xDEAD);
-        let token = register(plan.clone());
-        assert_eq!(lookup(token), plan);
     }
 }

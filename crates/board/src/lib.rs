@@ -36,7 +36,7 @@ pub mod population;
 pub mod supply;
 pub mod system;
 
-pub use fault::{FaultPlan, FaultToken};
+pub use fault::FaultPlan;
 pub use monitor::{Measured, MeasurementWindow, Quality};
 pub use population::{ChipPopulation, ChipStatus, Die, NamedChip, YieldCounts};
 pub use system::{PitonSystem, RailMeasurement, WorkloadRun};

@@ -5,6 +5,8 @@
 //! microbenchmark die); full-chip power is measured per point and a
 //! linear fit gives the mW/core trendline.
 
+use std::sync::Mutex;
+
 use piton_arch::error::PitonError;
 use piton_arch::units::Watts;
 use piton_board::fault::{self, FaultPlan};
@@ -13,6 +15,7 @@ use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, Thr
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::journal::Journal;
 use crate::measure::linear_fit;
 use crate::report::{render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
@@ -132,13 +135,18 @@ fn measure_point(
 }
 
 /// Runs the Figure 13 sweep over the given core counts (the harness
-/// sweeps 1..=25; tests use fewer points).
+/// sweeps 1..=25; tests use fewer points) under an optional fault plan,
+/// serving and recording points through an optional result journal.
 #[must_use]
-pub fn run_with_cores(core_counts: &[usize], fidelity: Fidelity) -> CoreScalingResult {
+pub fn run_with_cores(
+    core_counts: &[usize],
+    fidelity: Fidelity,
+    plan: Option<&FaultPlan>,
+    journal: Option<&Mutex<Journal>>,
+) -> CoreScalingResult {
     let mut idle_sys = PitonSystem::reference_chip_3();
     idle_sys.set_chunk_cycles(fidelity.chunk_cycles);
     let idle = idle_sys.measure_idle_power().mean;
-    let plan = fidelity.fault.map(fault::lookup);
 
     // 3 benchmarks × 2 T/C × core counts, all independent systems.
     let grid = grid_with_cores(core_counts);
@@ -147,9 +155,9 @@ pub fn run_with_cores(core_counts: &[usize], fidelity: Fidelity) -> CoreScalingR
         grid.clone(),
         runner::RetryPolicy::default(),
         "scaling",
-        plan.as_ref(),
-        fidelity.journal,
-        |index, point, attempt| compute_point(index, point, fidelity, plan.as_ref(), attempt),
+        plan,
+        journal,
+        |index, point, attempt| compute_point(index, point, fidelity, plan, attempt),
     );
 
     let mut holes: Vec<Hole> = grid
@@ -203,9 +211,13 @@ pub fn run_with_cores(core_counts: &[usize], fidelity: Fidelity) -> CoreScalingR
 
 /// Runs the full 1..=25-core sweep.
 #[must_use]
-pub fn run(fidelity: Fidelity) -> CoreScalingResult {
+pub fn run(
+    fidelity: Fidelity,
+    plan: Option<&FaultPlan>,
+    journal: Option<&Mutex<Journal>>,
+) -> CoreScalingResult {
     let cores: Vec<usize> = (1..=25).collect();
-    run_with_cores(&cores, fidelity)
+    run_with_cores(&cores, fidelity, plan, journal)
 }
 
 impl CoreScalingResult {
@@ -273,7 +285,7 @@ mod tests {
     use super::*;
 
     fn result() -> CoreScalingResult {
-        run_with_cores(&[1, 5, 9, 13, 17, 21, 25], Fidelity::quick())
+        run_with_cores(&[1, 5, 9, 13, 17, 21, 25], Fidelity::quick(), None, None)
     }
 
     #[test]

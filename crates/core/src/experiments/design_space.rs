@@ -14,6 +14,8 @@
 //! `"design_space"` section, so it inherits crash-resume and the
 //! backend-tagged journal context like every paper figure.
 
+use std::sync::Mutex;
+
 use piton_arch::error::PitonError;
 use piton_arch::units::{Hertz, Volts, Watts};
 use piton_board::population::NamedChip;
@@ -28,7 +30,7 @@ use piton_obs::json::{ObjectBuilder, Value};
 
 use crate::analytic::compare::FigureComparison;
 use crate::analytic::{Calibrated, Features};
-use crate::journal::JournalPayload;
+use crate::journal::{Journal, JournalPayload};
 use crate::report::{Hole, Table, ANALYTIC_MARK, HOLE_MARK};
 use crate::runner;
 
@@ -273,20 +275,26 @@ pub fn compute_point(
     Ok(evaluate(cal, nominal, ipc, p))
 }
 
-/// Runs the mega-sweep with the analytic backend.
+/// Runs the mega-sweep with the analytic backend under an optional
+/// fault plan, serving and recording points through an optional result
+/// journal.
 #[must_use]
-pub fn run(cal: &Calibrated, fidelity: Fidelity) -> DesignSpaceResult {
+pub fn run(
+    cal: &Calibrated,
+    fidelity: Fidelity,
+    plan: Option<&FaultPlan>,
+    journal: Option<&Mutex<Journal>>,
+) -> DesignSpaceResult {
     let grid = grid();
     let table = mix_table(cal);
-    let plan = fidelity.fault.map(fault::lookup);
     let out = runner::try_sweep_journaled(
         fidelity.jobs,
         grid.clone(),
         runner::RetryPolicy::default(),
         "design_space",
-        plan.as_ref(),
-        fidelity.journal,
-        |index, &p, attempt| compute_point(cal, &table, index, p, plan.as_ref(), attempt),
+        plan,
+        journal,
+        |index, &p, attempt| compute_point(cal, &table, index, p, plan, attempt),
     );
     let holes = grid
         .iter()

@@ -7,6 +7,8 @@
 //! minimum/random/maximum operand values. The `stx (NF)` case subtracts
 //! the energy of its nine drain-`nop`s, exactly as §IV-E describes.
 
+use std::sync::Mutex;
+
 use piton_arch::error::PitonError;
 use piton_arch::isa::{Opcode, OperandPattern};
 use piton_board::fault::{self, FaultPlan};
@@ -15,6 +17,7 @@ use piton_workloads::epi::{epi_test, EpiCase, StoreVariant, STX_DRAIN_NOPS};
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::journal::Journal;
 use crate::measure::{epi_with_error, WithError};
 use crate::report::{render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
@@ -115,9 +118,16 @@ fn measure_case(
     Ok(epi)
 }
 
-/// Runs a chosen subset of cases (tests use a few; the harness runs all).
+/// Runs a chosen subset of cases (tests use a few; the harness runs all)
+/// under an optional fault plan, serving and recording points through an
+/// optional result journal.
 #[must_use]
-pub fn run_cases(cases: &[EpiCase], fidelity: Fidelity) -> EpiResult {
+pub fn run_cases(
+    cases: &[EpiCase],
+    fidelity: Fidelity,
+    plan: Option<&FaultPlan>,
+    journal: Option<&Mutex<Journal>>,
+) -> EpiResult {
     // Idle baseline.
     let mut sys = PitonSystem::reference_chip_2();
     sys.set_chunk_cycles(fidelity.chunk_cycles);
@@ -142,7 +152,6 @@ pub fn run_cases(cases: &[EpiCase], fidelity: Fidelity) -> EpiResult {
     // Every remaining (case, pattern) point builds its own system, so
     // the grid fans out across the sweep workers; regrouping by case
     // afterwards keeps the row order identical at any jobs level.
-    let plan = fidelity.fault.map(fault::lookup);
     let grid: Vec<(EpiCase, OperandPattern)> = cases
         .iter()
         .flat_map(|&case| {
@@ -159,10 +168,10 @@ pub fn run_cases(cases: &[EpiCase], fidelity: Fidelity) -> EpiResult {
         grid.clone(),
         runner::RetryPolicy::default(),
         "epi",
-        plan.as_ref(),
-        fidelity.journal,
+        plan,
+        journal,
         |index, &(case, pattern), attempt| {
-            if let Some(plan) = &plan {
+            if let Some(plan) = plan {
                 fault::sabotage_gate(plan, "epi", index, attempt)?;
             }
             if case == EpiCase::Plain(Opcode::Nop) {
@@ -174,7 +183,7 @@ pub fn run_cases(cases: &[EpiCase], fidelity: Fidelity) -> EpiResult {
                     idle,
                     fidelity,
                     Some(nop_epi.value),
-                    plan.as_ref(),
+                    plan,
                     attempt_seed(index, attempt),
                 )
             }
@@ -212,8 +221,12 @@ pub fn run_cases(cases: &[EpiCase], fidelity: Fidelity) -> EpiResult {
 
 /// Runs the full Figure 11 sweep.
 #[must_use]
-pub fn run(fidelity: Fidelity) -> EpiResult {
-    run_cases(&EpiCase::figure_11(), fidelity)
+pub fn run(
+    fidelity: Fidelity,
+    plan: Option<&FaultPlan>,
+    journal: Option<&Mutex<Journal>>,
+) -> EpiResult {
+    run_cases(&EpiCase::figure_11(), fidelity, plan, journal)
 }
 
 impl EpiResult {
@@ -306,6 +319,8 @@ mod tests {
                 EpiCase::Load,
             ],
             Fidelity::quick(),
+            None,
+            None,
         )
     }
 

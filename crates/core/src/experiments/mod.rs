@@ -18,10 +18,13 @@
 //! | [`design_space`] | beyond the paper — analytic VDD × f × cores × mix mega-sweep |
 //!
 //! Every experiment takes a [`Fidelity`] so tests can run scaled-down
-//! versions of the same code path the full harness uses. Beyond the
-//! paper's artifacts, [`ablations`] sweeps the modelled design choices
-//! (slice mapping, store-buffer depth, thread-switch overhead, NoC
-//! router-versus-wire split) the insights depend on.
+//! versions of the same code path the full harness uses. The four
+//! durable sweeps ([`epi`], [`noc_energy`], [`core_scaling`],
+//! [`design_space`]) also borrow an optional fault plan and result
+//! journal from their caller. Beyond the paper's artifacts,
+//! [`ablations`] sweeps the modelled design choices (slice mapping,
+//! store-buffer depth, thread-switch overhead, NoC router-versus-wire
+//! split) the insights depend on.
 
 pub mod ablations;
 pub mod area;
@@ -40,14 +43,11 @@ pub mod vf_sweep;
 pub mod yield_stats;
 
 pub use piton_arch::config::Backend;
-use piton_board::fault::FaultToken;
-use piton_power::governor::GovernorConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::journal::JournalToken;
-
 /// Measurement effort knob: how many monitor samples back each reported
-/// number and how many simulated cycles back each sample.
+/// number and how many simulated cycles back each sample. A plain value:
+/// fault plans and result journals are passed beside it by reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Fidelity {
     /// Monitor samples per measurement window (the paper uses 128).
@@ -62,26 +62,6 @@ pub struct Fidelity {
     /// byte-identical at every setting because each grid point builds
     /// its own isolated system.
     pub jobs: usize,
-    /// Registered fault-injection plan, if any (see
-    /// [`piton_board::fault`]). `None` runs the historical fault-free
-    /// path, byte-identical to builds before fault injection existed.
-    pub fault: Option<FaultToken>,
-    /// Closed-loop DVFS governor policy. [`GovernorConfig::Off`] (the
-    /// default) keeps every experiment open-loop and byte-identical to
-    /// builds before the governor existed; any other policy enables the
-    /// `governor` experiment family's closed-loop sections.
-    pub governor: GovernorConfig,
-    /// Registered write-ahead result journal, if any (see
-    /// [`crate::journal`]). Journaled sweep sections serve completed
-    /// points from it and append fresh ones, making the run durable
-    /// and `--resume`-able; `None` runs the historical in-memory path,
-    /// byte-identical to builds before journaling existed.
-    pub journal: Option<JournalToken>,
-    /// Which engine produces the numbers ([`Backend::Cycle`] is the
-    /// historical default). Experiments that predate the analytic
-    /// model ignore it; the `design_space` family and the `reproduce`
-    /// harness use it to pick cycle, analytic or cross-checked runs.
-    pub backend: Backend,
 }
 
 impl Fidelity {
@@ -93,10 +73,6 @@ impl Fidelity {
             chunk_cycles: 20_000,
             warmup_cycles: 300_000,
             jobs: 1,
-            fault: None,
-            governor: GovernorConfig::Off,
-            journal: None,
-            backend: Backend::Cycle,
         }
     }
 
@@ -108,10 +84,6 @@ impl Fidelity {
             chunk_cycles: 3_000,
             warmup_cycles: 30_000,
             jobs: 1,
-            fault: None,
-            governor: GovernorConfig::Off,
-            journal: None,
-            backend: Backend::Cycle,
         }
     }
 
@@ -119,36 +91,6 @@ impl Fidelity {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Same fidelity with a registered fault plan injected into every
-    /// experiment sweep.
-    #[must_use]
-    pub fn with_fault(mut self, token: FaultToken) -> Self {
-        self.fault = Some(token);
-        self
-    }
-
-    /// Same fidelity with a closed-loop DVFS governor policy.
-    #[must_use]
-    pub fn with_governor(mut self, governor: GovernorConfig) -> Self {
-        self.governor = governor;
-        self
-    }
-
-    /// Same fidelity with a registered write-ahead result journal
-    /// backing every journaled sweep section.
-    #[must_use]
-    pub fn with_journal(mut self, token: JournalToken) -> Self {
-        self.journal = Some(token);
-        self
-    }
-
-    /// Same fidelity with a different experiment backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 }

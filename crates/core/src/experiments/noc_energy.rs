@@ -8,6 +8,8 @@
 //! per flit is `EPF = (47/7) × (P_hop − P_base)/f`, and a linear fit
 //! over hops gives the paper's pJ/hop trendlines.
 
+use std::sync::Mutex;
+
 use piton_arch::error::PitonError;
 use piton_arch::topology::TileId;
 use piton_arch::units::Watts;
@@ -17,6 +19,7 @@ use piton_sim::machine::SwitchPattern;
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::journal::Journal;
 use crate::measure::{epf_pj, linear_fit};
 use crate::report::{render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
@@ -119,11 +122,15 @@ pub fn compute_point(
     Ok(measure_power(pattern, dst, fidelity, 0xE0 + i as u64))
 }
 
-/// Runs the Figure 12 sweep.
+/// Runs the Figure 12 sweep under an optional fault plan, serving and
+/// recording points through an optional result journal.
 #[must_use]
-pub fn run(fidelity: Fidelity) -> NocEnergyResult {
+pub fn run(
+    fidelity: Fidelity,
+    plan: Option<&FaultPlan>,
+    journal: Option<&Mutex<Journal>>,
+) -> NocEnergyResult {
     let f = piton_arch::units::Hertz::from_mhz(500.05);
-    let plan = fidelity.fault.map(fault::lookup);
     // Every point an isolated system; hop 0 is the pattern's baseline
     // power the others subtract.
     let powers = runner::try_sweep_journaled(
@@ -131,9 +138,9 @@ pub fn run(fidelity: Fidelity) -> NocEnergyResult {
         grid(),
         runner::RetryPolicy::default(),
         "noc",
-        plan.as_ref(),
-        fidelity.journal,
-        |index, point, attempt| compute_point(index, point, fidelity, plan.as_ref(), attempt),
+        plan,
+        journal,
+        |index, point, attempt| compute_point(index, point, fidelity, plan, attempt),
     );
 
     let mut holes = Vec::new();
@@ -267,7 +274,7 @@ mod tests {
     use super::*;
 
     fn result() -> NocEnergyResult {
-        run(Fidelity::quick())
+        run(Fidelity::quick(), None, None)
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! byte-deterministic at any `--jobs` level, a resumed run's output is
 //! **byte-identical** to an uninterrupted one.
 //!
+//! A journal belongs to whoever opened it (`reproduce`, a test, the
+//! serve cache) and is lent to sweeps as `Option<&Mutex<Journal>>`.
+//!
 //! # File format (`piton-journal/v1`)
 //!
 //! One line per entry, each framed as
@@ -44,7 +47,6 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use piton_arch::config::Backend;
 use piton_arch::error::PitonError;
@@ -52,7 +54,6 @@ use piton_arch::units::Watts;
 use piton_board::fault::FaultPlan;
 use piton_obs::json::{self, ObjectBuilder, Value};
 use piton_obs::manifest::JournalStats;
-use serde::{Deserialize, Serialize};
 
 use crate::measure::WithError;
 
@@ -421,33 +422,6 @@ impl Journal {
     }
 }
 
-/// A `Copy`-able handle to a registered [`Journal`], mirroring the
-/// fault layer's `FaultToken` so journal-carrying configuration (e.g.
-/// `Fidelity`) stays `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JournalToken(u32);
-
-static REGISTRY: Mutex<Vec<Arc<Mutex<Journal>>>> = Mutex::new(Vec::new());
-
-/// Registers a journal in the process-wide registry, returning its
-/// token. Append-only: tokens stay valid for the process lifetime.
-#[must_use]
-pub fn register(journal: Journal) -> JournalToken {
-    let mut reg = REGISTRY.lock().expect("journal registry lock");
-    reg.push(Arc::new(Mutex::new(journal)));
-    JournalToken(u32::try_from(reg.len() - 1).expect("registry fits in u32"))
-}
-
-/// Resolves a token back to its shared journal.
-///
-/// # Panics
-///
-/// Panics on a token from another process (registry miss).
-#[must_use]
-pub fn resolve(token: JournalToken) -> Arc<Mutex<Journal>> {
-    Arc::clone(&REGISTRY.lock().expect("journal registry lock")[token.0 as usize])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,16 +628,5 @@ mod tests {
                 let _ = std::fs::remove_file(&path);
             }
         }
-    }
-
-    #[test]
-    fn registry_round_trips() {
-        let path = temp_path("registry");
-        let _ = std::fs::remove_file(&path);
-        let j = Journal::open(&path, "ctx").unwrap();
-        let token = register(j);
-        let shared = resolve(token);
-        assert_eq!(shared.lock().unwrap().context(), "ctx");
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -32,7 +32,7 @@ use piton_board::fault::FaultPlan;
 use piton_obs::trace::{JournalKind, TraceEvent};
 use piton_obs::{metrics, trace};
 
-use crate::journal::{self, JournalPayload, JournalToken};
+use crate::journal::{Journal, JournalPayload};
 
 /// Accumulated sweep timing: how much point work ran (`busy`) versus
 /// how long the sweeps took end to end (`wall`).
@@ -364,8 +364,8 @@ fn note_point_metrics(attempt: u32, holed: bool) {
 
 /// Journal-backed [`try_sweep`]: the durable, crash-resumable sweep.
 ///
-/// With a journal token, every grid point already present in the
-/// write-ahead [`crate::journal::Journal`] is **served** from it —
+/// With a journal, every grid point already present in the
+/// write-ahead [`Journal`] is **served** from it —
 /// skipping the closure, and with it every sabotage gate and retry —
 /// while freshly computed points are **appended** before the sweep
 /// proceeds. Payload round-trips are exact, so a resumed sweep's
@@ -378,7 +378,7 @@ fn note_point_metrics(attempt: u32, holed: bool) {
 /// after its record is durably on disk — so the `--resume` relaunch
 /// serves the point from the journal and the crash never re-fires.
 ///
-/// With `token = None` and a plan without crash points this behaves
+/// With `journal = None` and a plan without crash points this behaves
 /// exactly like [`try_sweep`].
 pub fn try_sweep_journaled<I, T, F>(
     jobs: usize,
@@ -386,7 +386,7 @@ pub fn try_sweep_journaled<I, T, F>(
     policy: RetryPolicy,
     section: &str,
     plan: Option<&FaultPlan>,
-    token: Option<JournalToken>,
+    journal: Option<&Mutex<Journal>>,
     f: F,
 ) -> Vec<Result<T, PointError>>
 where
@@ -394,9 +394,8 @@ where
     T: Send + JournalPayload,
     F: Fn(usize, &I, u32) -> Result<T, PitonError> + Sync,
 {
-    let shared = token.map(journal::resolve);
     let out = sweep(jobs, items, |idx, item| {
-        if let Some(shared) = &shared {
+        if let Some(shared) = journal {
             let mut j = shared.lock().expect("journal lock");
             if let Some(v) = j.serve(section, idx) {
                 if let Ok(t) = T::from_value(&v) {
@@ -416,7 +415,7 @@ where
         let (attempt, out) = run_point(idx, &item, policy, &f);
         note_point_metrics(attempt, out.is_err());
         if let Ok(v) = &out {
-            if let Some(shared) = &shared {
+            if let Some(shared) = journal {
                 let mut j = shared.lock().expect("journal lock");
                 if let Err(e) = j.record(section, idx, &v.to_value()) {
                     // A result we cannot make durable must not be
@@ -449,7 +448,7 @@ where
         }
         out
     });
-    if let Some(shared) = &shared {
+    if let Some(shared) = journal {
         // The batch boundary: everything this sweep appended becomes
         // durable in one fsync.
         if let Err(e) = shared.lock().expect("journal lock").sync() {
@@ -666,7 +665,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_file(&path);
-        let token = journal::register(journal::Journal::open(&path, "runner-test-ctx").unwrap());
+        let journal = Mutex::new(Journal::open(&path, "runner-test-ctx").unwrap());
         let calls = AtomicUsize::new(0);
         let f = |_: usize, &x: &u64, _: u32| {
             calls.fetch_add(1, Ordering::Relaxed);
@@ -679,11 +678,11 @@ mod tests {
             RetryPolicy::default(),
             "scaling",
             None,
-            Some(token),
+            Some(&journal),
             f,
         );
         assert_eq!(calls.load(Ordering::Relaxed), 6);
-        // Same token again: every point is served, none recomputed,
+        // Same journal again: every point is served, none recomputed,
         // results byte-identical at a different jobs level.
         let second = try_sweep_journaled(
             1,
@@ -691,7 +690,7 @@ mod tests {
             RetryPolicy::default(),
             "scaling",
             None,
-            Some(token),
+            Some(&journal),
             f,
         );
         assert_eq!(calls.load(Ordering::Relaxed), 6);
@@ -699,17 +698,17 @@ mod tests {
             v.into_iter().map(Result::unwrap).collect()
         };
         assert_eq!(unwrap(first), unwrap(second));
-        let stats = journal::resolve(token).lock().unwrap().stats();
+        let stats = journal.lock().unwrap().stats();
         assert_eq!(stats.appended, 6);
         assert_eq!(stats.served, 6);
         // The records are durable: a fresh open recovers all of them.
-        let reopened = journal::Journal::open(&path, "runner-test-ctx").unwrap();
+        let reopened = Journal::open(&path, "runner-test-ctx").unwrap();
         assert_eq!(reopened.stats().recovered, 6);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn journaled_sweep_without_token_matches_try_sweep() {
+    fn journaled_sweep_without_journal_matches_try_sweep() {
         let f = |i: usize, &x: &u64, attempt: u32| {
             if i == 2 && attempt == 0 {
                 return Err(PitonError::transient("glitch"));

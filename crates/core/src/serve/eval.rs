@@ -11,21 +11,21 @@
 //! | `scaling` | 3 benches × 2 T/C × 25 cores = 150 | cycle | watts (f64) |
 //! | `design_space` | 105,000 V/f/cores/mix points | analytic | power/EPI/junction |
 //!
-//! The `design_space` section needs a calibrated analytic model; the
-//! calibration is derived from the request context alone, so it is
-//! computed once per context and cached process-wide.
+//! The `design_space` section needs a calibrated analytic model. It
+//! depends on the request's fidelity alone, so the daemon computes it
+//! once per fidelity and keeps it in a map the [`super::Server`] owns.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use piton_arch::config::Backend;
 use piton_arch::error::PitonError;
-use piton_board::fault::{self, FaultPlan};
 use piton_obs::json::Value;
 
+use super::Calibrations;
 use crate::analytic::{self, Calibrated};
-use crate::experiments::{core_scaling, design_space, noc_energy, Fidelity};
+use crate::experiments::{core_scaling, design_space, noc_energy};
 use crate::journal::{self, JournalPayload};
-use crate::serve::request::RunRequest;
+use crate::serve::request::{FidelitySpec, RunRequest};
 
 /// The serveable journal sections.
 pub const SECTIONS: [&str; 3] = ["noc", "scaling", "design_space"];
@@ -67,47 +67,39 @@ impl std::fmt::Debug for SectionEval {
     }
 }
 
-/// Process-wide calibration cache, keyed by context string: requests
-/// repeating a context — the daemon's entire point — must not re-run
-/// the probe battery.
-static CALIBRATIONS: Mutex<Vec<(String, Arc<Calibrated>)>> = Mutex::new(Vec::new());
-
+/// The calibration at fidelity `spec`, computed on first use and kept in
+/// the daemon's `calibrations` map. The map is keyed by the fidelity
+/// alone because calibration reads nothing else: the probe battery runs
+/// fault-free, so every fault plan at one fidelity shares a model.
 fn calibration_for(
-    context: &str,
-    fidelity: Fidelity,
-    plan: Option<&FaultPlan>,
+    calibrations: &Calibrations,
+    spec: &FidelitySpec,
 ) -> Result<Arc<Calibrated>, PitonError> {
-    {
-        let cache = CALIBRATIONS.lock().expect("calibration cache lock");
-        if let Some((_, cal)) = cache.iter().find(|(k, _)| k == context) {
-            return Ok(Arc::clone(cal));
-        }
+    let key = spec.render();
+    if let Some(cal) = calibrations.lock().expect("calibration map lock").get(&key) {
+        return Ok(Arc::clone(cal));
     }
     // Calibrate outside the lock: it is expensive, and a concurrent
     // duplicate is benign — calibration is deterministic, so whichever
-    // copy lands in the cache serves identical numbers.
-    let fidelity = match plan {
-        // Match `reproduce`: a fault plan perturbs the probe battery
-        // too, so the fitted model is part of the faulted context.
-        Some(p) => fidelity.with_fault(fault::register(p.clone())),
-        None => fidelity,
-    };
-    let cal = Arc::new(analytic::calibrate(fidelity)?);
-    let mut cache = CALIBRATIONS.lock().expect("calibration cache lock");
-    if let Some((_, existing)) = cache.iter().find(|(k, _)| k == context) {
-        return Ok(Arc::clone(existing));
-    }
-    cache.push((context.to_owned(), Arc::clone(&cal)));
-    Ok(cal)
+    // copy lands in the map serves identical numbers.
+    let cal = Arc::new(analytic::calibrate(spec.to_fidelity())?);
+    Ok(Arc::clone(
+        calibrations
+            .lock()
+            .expect("calibration map lock")
+            .entry(key)
+            .or_insert(cal),
+    ))
 }
 
-/// Resolves a run request against the section registry.
+/// Resolves a run request against the section registry, calibrating
+/// `design_space` requests through the daemon's `calibrations` map.
 ///
 /// # Errors
 ///
 /// [`PitonError::Codec`] for an unknown section or a section/backend
 /// mismatch; calibration failures for `design_space`.
-pub fn resolve(req: &RunRequest) -> Result<SectionEval, PitonError> {
+pub fn resolve(req: &RunRequest, calibrations: &Calibrations) -> Result<SectionEval, PitonError> {
     let natural = match req.section.as_str() {
         "noc" | "scaling" => Backend::Cycle,
         "design_space" => Backend::Analytic,
@@ -153,7 +145,7 @@ pub fn resolve(req: &RunRequest) -> Result<SectionEval, PitonError> {
             )
         }
         "design_space" => {
-            let cal = calibration_for(&context, fidelity, plan.as_ref())?;
+            let cal = calibration_for(calibrations, &req.fidelity)?;
             let table = design_space::mix_table(&cal);
             let grid = design_space::grid();
             (
@@ -184,20 +176,20 @@ pub fn resolve(req: &RunRequest) -> Result<SectionEval, PitonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::request::{FidelitySpec, Request};
+    use crate::serve::request::Request;
 
-    fn run_request(json: &str) -> RunRequest {
+    fn resolve_run(json: &str) -> Result<SectionEval, PitonError> {
         match Request::parse(json).unwrap() {
-            Request::Run(r) => *r,
+            Request::Run(r) => resolve(&r, &Calibrations::default()),
             other => panic!("expected a run request, got {other:?}"),
         }
     }
 
     #[test]
     fn sections_resolve_with_natural_backends_and_grid_lengths() {
-        let noc = resolve(&run_request(r#"{"op":"run","section":"noc"}"#)).unwrap();
+        let noc = resolve_run(r#"{"op":"run","section":"noc"}"#).unwrap();
         assert_eq!((noc.backend, noc.len), (Backend::Cycle, 36));
-        let scaling = resolve(&run_request(r#"{"op":"run","section":"scaling"}"#)).unwrap();
+        let scaling = resolve_run(r#"{"op":"run","section":"scaling"}"#).unwrap();
         assert_eq!((scaling.backend, scaling.len), (Backend::Cycle, 150));
         assert!(noc.context.contains("backend=cycle"), "{}", noc.context);
         assert!(noc.context.contains("fidelity=quick"), "{}", noc.context);
@@ -205,21 +197,15 @@ mod tests {
 
     #[test]
     fn unknown_sections_and_backend_mismatches_are_refused() {
-        assert!(resolve(&run_request(r#"{"op":"run","section":"epi"}"#)).is_err());
-        let err = resolve(&run_request(
-            r#"{"op":"run","section":"noc","backend":"analytic"}"#,
-        ))
-        .unwrap_err();
+        assert!(resolve_run(r#"{"op":"run","section":"epi"}"#).is_err());
+        let err = resolve_run(r#"{"op":"run","section":"noc","backend":"analytic"}"#).unwrap_err();
         assert!(err.to_string().contains("cycle"), "{err}");
-        assert!(resolve(&run_request(
-            r#"{"op":"run","section":"design_space","backend":"cycle"}"#
-        ))
-        .is_err());
+        assert!(resolve_run(r#"{"op":"run","section":"design_space","backend":"cycle"}"#).is_err());
     }
 
     #[test]
     fn context_discriminates_every_knob() {
-        let base = resolve(&run_request(r#"{"op":"run","section":"noc"}"#))
+        let base = resolve_run(r#"{"op":"run","section":"noc"}"#)
             .unwrap()
             .context;
         for variant in [
@@ -227,25 +213,21 @@ mod tests {
             r#"{"op":"run","section":"noc","fidelity":"s=4,c=1000,w=4000"}"#,
             r#"{"op":"run","section":"noc","fault":"seed=7,drop=0.25"}"#,
         ] {
-            let ctx = resolve(&run_request(variant)).unwrap().context;
+            let ctx = resolve_run(variant).unwrap().context;
             assert_ne!(ctx, base, "{variant}");
         }
         // Crash points decide when the process dies, never what it
         // computes: they must NOT shift the context.
-        let crash = resolve(&run_request(
-            r#"{"op":"run","section":"noc","fault":"crash=noc:3"}"#,
-        ))
-        .unwrap()
-        .context;
+        let crash = resolve_run(r#"{"op":"run","section":"noc","fault":"crash=noc:3"}"#)
+            .unwrap()
+            .context;
         assert_eq!(crash, base);
     }
 
     #[test]
     fn computed_points_match_the_experiment_sweep_exactly() {
-        let eval = resolve(&run_request(
-            r#"{"op":"run","section":"noc","fidelity":"s=2,c=500,w=2000"}"#,
-        ))
-        .unwrap();
+        let eval =
+            resolve_run(r#"{"op":"run","section":"noc","fidelity":"s=2,c=500,w=2000"}"#).unwrap();
         let grid = noc_energy::grid();
         let fidelity = FidelitySpec::parse("s=2,c=500,w=2000")
             .unwrap()

@@ -33,17 +33,19 @@ pub mod eval;
 pub mod frames;
 pub mod request;
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use piton_arch::error::PitonError;
 use piton_obs::manifest::{ServeContextRecord, ServeManifest};
 use piton_obs::metrics;
 
+use crate::analytic::Calibrated;
 use crate::journal::point_key;
 use crate::runner::{self, RetryPolicy};
 
@@ -153,9 +155,14 @@ counters! {
     torn => "serve.torn",
 }
 
+/// Fitted analytic models by rendered request fidelity (see
+/// [`eval::resolve`]).
+type Calibrations = Mutex<HashMap<String, Arc<Calibrated>>>;
+
 /// Shared per-connection context.
 struct ConnCtx {
     cache: Arc<ResultCache>,
+    calibrations: Arc<Calibrations>,
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
     jobs: usize,
@@ -168,6 +175,7 @@ pub struct Server {
     config: ServerConfig,
     listener: UnixListener,
     cache: Arc<ResultCache>,
+    calibrations: Arc<Calibrations>,
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
 }
@@ -200,6 +208,7 @@ impl Server {
             config,
             listener,
             cache,
+            calibrations: Arc::default(),
             counters: Arc::new(ServeCounters::default()),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -262,6 +271,7 @@ impl Server {
                     self.counters.connections(1);
                     let ctx = ConnCtx {
                         cache: Arc::clone(&self.cache),
+                        calibrations: Arc::clone(&self.calibrations),
                         counters: Arc::clone(&self.counters),
                         shutdown: Arc::clone(&self.shutdown),
                         jobs: self.config.jobs,
@@ -452,7 +462,7 @@ fn serve_connection(stream: UnixStream, ctx: &ConnCtx) -> std::io::Result<()> {
 }
 
 fn handle_run(writer: &mut UnixStream, ctx: &ConnCtx, run: &RunRequest) -> Result<(), RunAbort> {
-    let eval = eval::resolve(run).map_err(RunAbort::Refused)?;
+    let eval = eval::resolve(run, &ctx.calibrations).map_err(RunAbort::Refused)?;
     let indices = run.grid.resolve(eval.len).map_err(RunAbort::Refused)?;
     let (journal, opened) = ctx
         .cache

@@ -48,7 +48,7 @@ pub const THROTTLE_HEADROOM_C: f64 = 4.0;
 /// control step as the die temperature breathes).
 pub const FRONTIER_SWITCH_MARGIN: f64 = 0.02;
 
-/// Governor policy knob, carried on `Fidelity`. `Off` (the default)
+/// Governor policy knob (`reproduce --governor`). `Off` (the default)
 /// keeps every historical code path byte-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GovernorConfig {

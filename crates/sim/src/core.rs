@@ -593,22 +593,6 @@ impl Core {
             .count()
     }
 
-    /// An opaque identity for the program this core is executing:
-    /// `Arc` pointer identity of the first running thread's program, so
-    /// cores loaded from one shared decode (`load_on_tiles`, or the
-    /// shared microbenchmark images) compare equal. The batched dense
-    /// engine groups same-program lanes onto one worker so the shared
-    /// instruction stream stays hot in that worker's cache. Zero when
-    /// nothing is loaded.
-    #[must_use]
-    pub fn program_identity(&self) -> usize {
-        self.threads
-            .iter()
-            .find(|t| t.state == ThreadState::Running)
-            .and_then(|t| t.program.as_ref())
-            .map_or(0, |p| Arc::as_ptr(p) as usize)
-    }
-
     /// Batch-steps this core over `[start, end)` while its cycles stay
     /// *local* — touching only its own threads, registers and (empty)
     /// store buffer, never the shared memory system — and returns the

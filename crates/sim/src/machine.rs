@@ -303,9 +303,9 @@ const DENSE_BATCH_CYCLES: u64 = 4_096;
 /// them. A batch is worked off in segments so that a lane's effect
 /// buffer holds one segment's issues (16 KB), not a batch's — 1.6 MB
 /// across a 25-lane machine, a fifth of `reproduce`'s resident set.
-/// Long enough to amortize the per-segment lane setup and the phase-A
-/// thread-scope spawn; short enough that a core whose store buffer
-/// empties re-enters the fast local path soon.
+/// Long enough to amortize the per-segment lane setup; short enough
+/// that a core whose store buffer empties re-enters the fast local path
+/// soon.
 const DENSE_SEGMENT_CYCLES: u64 = 1_024;
 
 /// Reusable per-lane state of the batched dense engine: phase A's
@@ -348,56 +348,24 @@ impl LaneBuf {
 /// empty runs ahead locally over `span`, filling its lane's effect
 /// buffer, charges and horizon; cores with drains in flight get a
 /// horizon at the span's start (stepped throughout). `scratch` holds one
-/// buffer per polled core, in the same order. Lane outputs are
-/// disjoint, so fanning the lanes out over `threads` workers cannot
-/// affect results.
+/// buffer per polled core, in the same order.
 fn run_lanes_ahead(
     cores: &mut [Core],
     polled: &[usize],
     scratch: &mut [LaneBuf],
     span: std::ops::Range<u64>,
-    threads: usize,
 ) {
-    let mut tasks: Vec<(&mut Core, &mut LaneBuf)> = Vec::with_capacity(polled.len());
-    let mut cores = cores.iter_mut();
-    let mut consumed = 0usize;
     for (&k, buf) in polled.iter().zip(scratch) {
-        let core = cores.nth(k - consumed).expect("polled index in range");
-        consumed = k + 1;
+        let core = &mut cores[k];
         buf.cursor = 0;
         buf.records.clear();
         buf.charges.clear();
-        if core.has_pending_stores() {
-            buf.horizon = span.start;
+        buf.horizon = if core.has_pending_stores() {
+            span.start
         } else {
-            tasks.push((core, buf));
-        }
+            core.run_local(span.start, span.end, &mut buf.records, &mut buf.charges)
+        };
     }
-    let run = |(core, buf): &mut (&mut Core, &mut LaneBuf)| {
-        buf.horizon = core.run_local(span.start, span.end, &mut buf.records, &mut buf.charges);
-    };
-    let workers = threads.min(tasks.len());
-    if workers <= 1 {
-        tasks.iter_mut().for_each(run);
-    } else {
-        // Group same-program lanes onto one worker so the shared decode
-        // stays hot per worker.
-        tasks.sort_by_key(|(core, _)| core.program_identity());
-        let per = tasks.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for chunk in tasks.chunks_mut(per) {
-                s.spawn(move || chunk.iter_mut().for_each(run));
-            }
-        });
-    }
-}
-
-/// Phase-A worker threads from `PITON_DENSE_THREADS` (default 1).
-fn dense_threads_from_env() -> usize {
-    std::env::var("PITON_DENSE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 /// The simulated Piton chip.
@@ -422,9 +390,6 @@ pub struct Machine {
     /// Test-only scheduler fault: delays every ready-calendar wakeup by
     /// this many cycles. Zero in production.
     calendar_skew: u64,
-    /// Worker threads for the batched dense engine's phase A (see
-    /// [`Machine::set_dense_threads`]).
-    dense_threads: usize,
     /// Per-lane scratch buffers of the batched dense engine.
     lane_scratch: Vec<LaneBuf>,
     /// Clock the DVFS governor currently holds (kHz), when one is
@@ -459,29 +424,9 @@ impl Machine {
             emetrics: EngineMetrics::default(),
             published: PublishedMarks::default(),
             calendar_skew: 0,
-            dense_threads: dense_threads_from_env(),
             lane_scratch: Vec::new(),
             governed_khz: None,
         }
-    }
-
-    /// Sets the worker-thread count for the batched dense engine's
-    /// phase A (the local lane run-ahead). Defaults to the
-    /// `PITON_DENSE_THREADS` environment variable, else 1 (fully
-    /// serial, no thread scope spawned).
-    ///
-    /// Any setting produces bit-identical results: phase A writes only
-    /// disjoint per-lane buffers and never touches the shared memory
-    /// system, and phase B replays the buffers sequentially in
-    /// ascending core order at the batch barrier.
-    pub fn set_dense_threads(&mut self, threads: usize) {
-        self.dense_threads = threads.max(1);
-    }
-
-    /// The batched dense engine's phase-A worker-thread count.
-    #[must_use]
-    pub fn dense_threads(&self) -> usize {
-        self.dense_threads
     }
 
     /// Records the clock a DVFS governor is holding (kHz), or `None`
@@ -839,11 +784,7 @@ impl Machine {
     ///   aggregate per lane and each issue's order-sensitive residue is
     ///   deferred into the lane's effect buffer. A lane stops at its
     ///   *horizon* — the first memory-system access. Phase A has no
-    ///   effects outside its own lane, so lanes fan out across
-    ///   [`Machine::set_dense_threads`] scoped workers (same-program
-    ///   lanes grouped per worker via `Arc` pointer identity, keeping
-    ///   the shared decode hot) with bit-identical results at any
-    ///   thread count.
+    ///   effects outside its own lane.
     /// * **Phase B** — the one sequential pass that owns the shared
     ///   memory system: cycles ascend, and within each cycle the lanes
     ///   are visited in ascending tile order — folding the lane's
@@ -905,13 +846,7 @@ impl Machine {
                 let send = (start + DENSE_SEGMENT_CYCLES).min(bend);
 
                 // Phase A: run store-buffer-empty lanes ahead locally.
-                run_lanes_ahead(
-                    &mut self.cores,
-                    &polled,
-                    &mut scratch,
-                    start..send,
-                    self.dense_threads,
-                );
+                run_lanes_ahead(&mut self.cores, &polled, &mut scratch, start..send);
                 for buf in &scratch[..polled.len()] {
                     self.emetrics.record_hwm =
                         self.emetrics.record_hwm.max(buf.records.len() as u64);

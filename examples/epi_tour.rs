@@ -21,7 +21,7 @@ fn main() {
         EpiCase::Load,
     ];
     println!("Measuring EPI on 25 cores (this runs the full methodology)...\n");
-    let result = epi::run_cases(&cases, Fidelity::quick());
+    let result = epi::run_cases(&cases, Fidelity::quick(), None, None);
     println!("{}", result.render());
 
     let add = result

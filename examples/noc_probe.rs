@@ -11,7 +11,7 @@ use piton::characterization::experiments::{noc_energy, Fidelity};
 
 fn main() {
     println!("Sweeping NoC dummy-packet traffic over 0..=8 hops × 4 patterns...\n");
-    let result = noc_energy::run(Fidelity::quick());
+    let result = noc_energy::run(Fidelity::quick(), None, None);
     println!("{}", result.render());
 
     let hsw = result.series_for("HSW").expect("HSW series");

@@ -74,19 +74,19 @@ fn figure_10_and_table_v_within_budget() {
 
 #[test]
 fn figure_11_within_budget() {
-    let cycle = epi::run(Fidelity::quick());
+    let cycle = epi::run(Fidelity::quick(), None, None);
     assert_within_budget(&compare::compare_epi(&cycle, calibrated()));
 }
 
 #[test]
 fn figure_12_within_budget() {
-    let cycle = noc_energy::run(Fidelity::quick());
+    let cycle = noc_energy::run(Fidelity::quick(), None, None);
     assert_within_budget(&compare::compare_noc(&cycle, calibrated()));
 }
 
 #[test]
 fn figure_13_within_budget() {
-    let cycle = core_scaling::run_with_cores(&QUICK_CORES, Fidelity::quick());
+    let cycle = core_scaling::run_with_cores(&QUICK_CORES, Fidelity::quick(), None, None);
     assert_within_budget(&compare::compare_core_scaling(&cycle, calibrated()));
 }
 
@@ -112,7 +112,7 @@ fn design_space_oracle_within_budget() {
 /// intentional model change).
 #[test]
 fn design_space_snapshot() {
-    let r = design_space::run(calibrated(), Fidelity::quick());
+    let r = design_space::run(calibrated(), Fidelity::quick(), None, None);
     assert!(r.holes.is_empty(), "fault-free sweep left holes");
     assert_eq!(r.evaluated(), r.grid.len());
     common::assert_matches_golden("design_space.txt", &r.render());

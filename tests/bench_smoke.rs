@@ -61,16 +61,16 @@ fn execution_drafting_saves_at_full_scale_too() {
 #[test]
 fn csv_and_render_agree_on_row_counts() {
     use piton::characterization::experiments::noc_energy;
-    let r = noc_energy::run(Fidelity {
-        samples: 4,
-        chunk_cycles: 1_000,
-        warmup_cycles: 4_000,
-        jobs: 2,
-        fault: None,
-        governor: piton::power::GovernorConfig::Off,
-        journal: None,
-        backend: piton::arch::config::Backend::Cycle,
-    });
+    let r = noc_energy::run(
+        Fidelity {
+            samples: 4,
+            chunk_cycles: 1_000,
+            warmup_cycles: 4_000,
+            jobs: 2,
+        },
+        None,
+        None,
+    );
     let csv = r.to_csv();
     // header + 4 patterns x 9 hop points
     assert_eq!(csv.lines().count(), 1 + 4 * 9);

@@ -37,21 +37,21 @@ fn table_ix_specint() {
 
 #[test]
 fn figure_11_energy_per_instruction() {
-    let r = epi::run(Fidelity::quick());
+    let r = epi::run(Fidelity::quick(), None, None);
     assert!(r.holes.is_empty(), "unexpected holes: {:?}", r.holes);
     common::assert_matches_golden("figure11_epi.txt", &r.render());
 }
 
 #[test]
 fn figure_12_noc_energy_per_flit() {
-    let r = noc_energy::run(Fidelity::quick());
+    let r = noc_energy::run(Fidelity::quick(), None, None);
     assert!(r.holes.is_empty(), "unexpected holes: {:?}", r.holes);
     common::assert_matches_golden("figure12_noc.txt", &r.render());
 }
 
 #[test]
 fn figure_13_power_scaling() {
-    let r = core_scaling::run_with_cores(&QUICK_CORES, Fidelity::quick());
+    let r = core_scaling::run_with_cores(&QUICK_CORES, Fidelity::quick(), None, None);
     assert!(r.holes.is_empty(), "unexpected holes: {:?}", r.holes);
     common::assert_matches_golden("figure13_scaling.txt", &r.render());
 }

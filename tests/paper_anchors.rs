@@ -68,7 +68,7 @@ fn figure_9_shape_three_chips() {
 
 #[test]
 fn figure_12_trendlines() {
-    let r = noc_energy::run(Fidelity::quick());
+    let r = noc_energy::run(Fidelity::quick(), None, None);
     for (label, paper) in noc_energy::paper_reference() {
         let measured = r.series_for(label).unwrap().pj_per_hop;
         let dev = (measured - paper).abs() / paper;
@@ -84,6 +84,8 @@ fn epi_formula_three_adds_per_load_through_the_full_stack() {
     let r = epi::run_cases(
         &[EpiCase::Plain(Opcode::Add), EpiCase::Load],
         Fidelity::quick(),
+        None,
+        None,
     );
     let add = r
         .row("add")

@@ -4,8 +4,11 @@
 //! that guarantee — any accidental order- or thread-dependence in an
 //! experiment shows up as a byte diff here.
 
-use piton::board::fault::{self, FaultPlan};
+use std::sync::Mutex;
+
+use piton::board::fault::FaultPlan;
 use piton::characterization::experiments::{core_scaling, epi, noc_energy, Fidelity};
+use piton::characterization::journal::Journal;
 
 /// A deliberately tiny fidelity: determinism does not depend on sample
 /// counts, so keep the simulated work minimal.
@@ -15,25 +18,21 @@ fn tiny(jobs: usize) -> Fidelity {
         chunk_cycles: 1_000,
         warmup_cycles: 4_000,
         jobs,
-        fault: None,
-        governor: piton::power::GovernorConfig::Off,
-        journal: None,
-        backend: piton::arch::config::Backend::Cycle,
     }
 }
 
 #[test]
 fn noc_energy_is_byte_identical_across_jobs_levels() {
-    let serial = noc_energy::run(tiny(1));
-    let parallel = noc_energy::run(tiny(4));
+    let serial = noc_energy::run(tiny(1), None, None);
+    let parallel = noc_energy::run(tiny(4), None, None);
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
 #[test]
 fn epi_is_byte_identical_across_jobs_levels() {
-    let serial = epi::run(tiny(1));
-    let parallel = epi::run(tiny(8));
+    let serial = epi::run(tiny(1), None, None);
+    let parallel = epi::run(tiny(8), None, None);
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
@@ -41,8 +40,8 @@ fn epi_is_byte_identical_across_jobs_levels() {
 #[test]
 fn core_scaling_is_byte_identical_across_jobs_levels() {
     let cores = [1usize, 9, 25];
-    let serial = core_scaling::run_with_cores(&cores, tiny(1));
-    let parallel = core_scaling::run_with_cores(&cores, tiny(3));
+    let serial = core_scaling::run_with_cores(&cores, tiny(1), None, None);
+    let parallel = core_scaling::run_with_cores(&cores, tiny(3), None, None);
     assert_eq!(serial.render(), parallel.render());
 }
 
@@ -52,17 +51,15 @@ fn core_scaling_is_byte_identical_across_jobs_levels() {
 /// journal-free run, at a different jobs level than the original.
 #[test]
 fn resume_from_any_completed_prefix_is_byte_identical() {
-    use piton::characterization::journal::{self, Journal};
-
-    let baseline = noc_energy::run(tiny(1)).render();
+    let baseline = noc_energy::run(tiny(1), None, None).render();
 
     let mut path = std::env::temp_dir();
     path.push(format!("piton-determinism-journal-{}", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let token = journal::register(Journal::open(&path, "determinism-ctx").unwrap());
-    let journaled = noc_energy::run(tiny(4).with_journal(token));
+    let journal = Mutex::new(Journal::open(&path, "determinism-ctx").unwrap());
+    let journaled = noc_energy::run(tiny(4), None, Some(&journal));
     assert_eq!(journaled.render(), baseline);
-    let stats = journal::resolve(token).lock().unwrap().stats();
+    let stats = journal.lock().unwrap().stats();
     assert_eq!(stats.appended, 4 * 9, "every noc grid point journaled");
 
     // Truncate the journal at assorted byte offsets — a crash
@@ -76,10 +73,10 @@ fn resume_from_any_completed_prefix_is_byte_identical() {
             std::process::id()
         ));
         std::fs::write(&partial, &full[..cut]).unwrap();
-        let token = journal::register(Journal::open(&partial, "determinism-ctx").unwrap());
-        let resumed = noc_energy::run(tiny(1).with_journal(token));
+        let journal = Mutex::new(Journal::open(&partial, "determinism-ctx").unwrap());
+        let resumed = noc_energy::run(tiny(1), None, Some(&journal));
         assert_eq!(resumed.render(), baseline, "cut={cut}");
-        let stats = journal::resolve(token).lock().unwrap().stats();
+        let stats = journal.lock().unwrap().stats();
         assert_eq!(
             stats.served + stats.appended,
             4 * 9,
@@ -96,9 +93,9 @@ fn resume_from_any_completed_prefix_is_byte_identical() {
 /// run exactly.
 #[test]
 fn injected_kill_holes_identically_at_every_jobs_level() {
-    let token = fault::register(FaultPlan::parse("seed=7,kill=epi:3").unwrap());
-    let serial = epi::run(tiny(1).with_fault(token));
-    let parallel = epi::run(tiny(8).with_fault(token));
+    let plan = FaultPlan::parse("seed=7,kill=epi:3").unwrap();
+    let serial = epi::run(tiny(1), Some(&plan), None);
+    let parallel = epi::run(tiny(8), Some(&plan), None);
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(serial.holes.len(), 1);
     assert_eq!(serial.holes[0].attempts, 3);
@@ -106,7 +103,7 @@ fn injected_kill_holes_identically_at_every_jobs_level() {
 
     // The kill plan injects no monitor faults, so all surviving lines
     // must match the fault-free output byte for byte.
-    let clean = epi::run(tiny(1)).render();
+    let clean = epi::run(tiny(1), None, None).render();
     let clean_lines: std::collections::HashSet<&str> = clean.lines().collect();
     for line in serial.render().lines() {
         assert!(
@@ -114,4 +111,31 @@ fn injected_kill_holes_identically_at_every_jobs_level() {
             "unexpected divergence on non-holed line: {line:?}"
         );
     }
+}
+
+/// A grid point that fails every attempt is a hole, never a journal
+/// record: the first run appends every other point, and a resume under
+/// the same plan serves all of them, recomputes only the killed point
+/// and holes it again, rendering byte-identically.
+#[test]
+fn journaled_fault_holes_are_never_journaled() {
+    let plan = FaultPlan::parse("kill=noc:5").unwrap();
+    let mut path = std::env::temp_dir();
+    path.push(format!("piton-determinism-holes-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+
+    let journal = Mutex::new(Journal::open(&path, "holes-ctx").unwrap());
+    let first = noc_energy::run(tiny(2), Some(&plan), Some(&journal));
+    let stats = journal.into_inner().unwrap().stats();
+    assert_eq!((stats.appended, stats.served), (35, 0));
+    assert_eq!(first.holes.len(), 1);
+    assert_eq!(first.holes[0].index, 5);
+
+    let journal = Mutex::new(Journal::open(&path, "holes-ctx").unwrap());
+    let resumed = noc_energy::run(tiny(1), Some(&plan), Some(&journal));
+    let stats = journal.into_inner().unwrap().stats();
+    assert_eq!((stats.recovered, stats.served, stats.appended), (35, 35, 0));
+    assert_eq!(resumed.holes, first.holes);
+    assert_eq!(resumed.render(), first.render());
+    let _ = std::fs::remove_file(&path);
 }
