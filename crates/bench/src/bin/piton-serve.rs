@@ -24,7 +24,6 @@
 use piton_bench::flag_value;
 use piton_core::runner;
 use piton_core::serve::{Server, ServerConfig};
-use piton_obs::metrics;
 
 fn usage() -> ! {
     eprintln!("usage: piton-serve --socket PATH --cache-dir DIR [--jobs N] [--shard N]");
@@ -53,7 +52,6 @@ fn main() {
         parse_count(flag("jobs", "PITON_JOBS"), "--jobs").unwrap_or_else(runner::default_jobs);
     let shard = parse_count(flag("shard", "PITON_SERVE_SHARD"), "--shard").unwrap_or(512);
 
-    metrics::enable();
     let config = ServerConfig::new(&socket, &cache_dir)
         .with_jobs(jobs)
         .with_shard_points(shard);

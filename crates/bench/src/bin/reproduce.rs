@@ -179,11 +179,6 @@ fn main() {
         metrics::gauge_set("watchdog.chunk_cycles", watchdog::chunk_cycles() as f64);
         metrics::gauge_set("watchdog.limit_cycles", watchdog::limit_cycles() as f64);
     }
-    if let Some(spec) = &trace_spec {
-        trace::install_sink(&spec.out);
-        trace::set_worker_spec(Some(spec.clone()));
-        trace::install(spec, true);
-    }
     let csv_dir: Option<std::path::PathBuf> = args
         .iter()
         .find_map(|a| a.strip_prefix("csv=").map(std::path::PathBuf::from));
@@ -253,217 +248,237 @@ fn main() {
     }
 
     let t0 = Instant::now();
-    let mut timings: Vec<SectionTiming> = Vec::new();
-    let mut section = |title: &'static str, body: String| {
-        println!("\n# {title}\n");
-        println!("{body}");
-        // `body` was produced before entry; charge the elapsed time
-        // since the previous section to this one.
-        let wall = t0.elapsed() - timings.iter().map(|t| t.wall).sum::<Duration>();
-        let stats = runner::take_stats();
-        eprintln!("[{:7.1?}] {title} done", t0.elapsed());
-        timings.push(SectionTiming { title, wall, stats });
-    };
+    // Everything the sections observe, sweep workers included, reaches
+    // this thread's metrics registry and, under `--trace`, the run's
+    // trace file.
+    let run = || {
+        let mut timings: Vec<SectionTiming> = Vec::new();
+        let mut section = |title: &'static str, body: String| {
+            println!("\n# {title}\n");
+            println!("{body}");
+            // `body` was produced before entry; charge the elapsed time
+            // since the previous section to this one.
+            let wall = t0.elapsed() - timings.iter().map(|t| t.wall).sum::<Duration>();
+            let stats = runner::take_stats();
+            eprintln!("[{:7.1?}] {title} done", t0.elapsed());
+            timings.push(SectionTiming { title, wall, stats });
+        };
 
-    section(
-        "Table IV — chip testing statistics",
-        yield_stats::run().render(),
-    );
-    section("Figure 8 — area breakdown", area::run().render());
-    section(
-        "Figure 9 — voltage versus frequency",
-        vf_sweep::run_with_jobs(jobs).render(),
-    );
-    let mut holes = 0usize;
-    let mut hole_records: Vec<HoleRecord> = Vec::new();
-    let record_holes = |records: &mut Vec<HoleRecord>, hs: &[Hole]| {
-        records.extend(hs.iter().map(|h| HoleRecord {
-            section: h.section.clone(),
-            index: h.index,
-            point: h.point.clone(),
-            attempts: h.attempts,
-            error: h.error.clone(),
-        }));
-    };
-    // Calibrate the analytic backend up front so the per-figure
-    // comparisons can ride along as each cycle result lands.
-    let cal = if backend.runs_analytic() {
-        let t_cal = Instant::now();
-        match analytic::calibrate(fidelity) {
-            Ok(cal) => {
-                eprintln!(
-                    "reproduce: analytic model fitted against {} cycle-level probe(s) in {:.1?}",
-                    cal.report.probes,
-                    t_cal.elapsed()
+        section(
+            "Table IV — chip testing statistics",
+            yield_stats::run().render(),
+        );
+        section("Figure 8 — area breakdown", area::run().render());
+        section(
+            "Figure 9 — voltage versus frequency",
+            vf_sweep::run_with_jobs(jobs).render(),
+        );
+        let mut holes = 0usize;
+        let mut hole_records: Vec<HoleRecord> = Vec::new();
+        let record_holes = |records: &mut Vec<HoleRecord>, hs: &[Hole]| {
+            records.extend(hs.iter().map(|h| HoleRecord {
+                section: h.section.clone(),
+                index: h.index,
+                point: h.point.clone(),
+                attempts: h.attempts,
+                error: h.error.clone(),
+            }));
+        };
+        // Calibrate the analytic backend up front so the per-figure
+        // comparisons can ride along as each cycle result lands.
+        let cal = if backend.runs_analytic() {
+            let t_cal = Instant::now();
+            match analytic::calibrate(fidelity) {
+                Ok(cal) => {
+                    eprintln!(
+                        "reproduce: analytic model fitted against {} cycle-level probe(s) in {:.1?}",
+                        cal.report.probes,
+                        t_cal.elapsed()
+                    );
+                    section(
+                        "Calibration — closed-form fit vs cycle-level probes",
+                        analytic::render_calibration(&cal),
+                    );
+                    Some(cal)
+                }
+                Err(e) => {
+                    eprintln!("reproduce: calibration failed: {e}");
+                    std::process::exit(2);
+                }
+            }
+        } else {
+            None
+        };
+        let mut comparisons: Vec<compare::FigureComparison> = Vec::new();
+        let mut fig13_wall: Option<Duration> = None;
+        if backend.runs_cycle() {
+            let static_result = static_idle::run(fidelity);
+            if let Some(cal) = &cal {
+                comparisons.extend(compare::compare_static_idle(&static_result, cal));
+            }
+            section(
+                "Figure 10 + Table V — static and idle power",
+                static_result.render(),
+            );
+            let epi_result = epi::run(fidelity, plan, journal);
+            holes += epi_result.holes.len();
+            record_holes(&mut hole_records, &epi_result.holes);
+            write_csv("figure11_epi.csv", epi_result.to_csv());
+            if let Some(cal) = &cal {
+                comparisons.push(compare::compare_epi(&epi_result, cal));
+            }
+            section(
+                "Figure 11 + Table VI — energy per instruction",
+                epi_result.render(),
+            );
+            let mem_result = memory_energy::run(fidelity);
+            write_csv("table7_memory_energy.csv", mem_result.to_csv());
+            section("Table VII — memory system energy", mem_result.render());
+            let noc_result = noc_energy::run(fidelity, plan, journal);
+            holes += noc_result.holes.len();
+            record_holes(&mut hole_records, &noc_result.holes);
+            write_csv("figure12_noc_epf.csv", noc_result.to_csv());
+            if let Some(cal) = &cal {
+                comparisons.push(compare::compare_noc(&noc_result, cal));
+            }
+            section("Figure 12 — NoC energy per flit", noc_result.render());
+            let cores: Vec<usize> = if quick {
+                vec![1, 5, 9, 13, 17, 21, 25]
+            } else {
+                (1..=25).collect()
+            };
+            let t_fig13 = Instant::now();
+            let scaling_result = core_scaling::run_with_cores(&cores, fidelity, plan, journal);
+            fig13_wall = Some(t_fig13.elapsed());
+            holes += scaling_result.holes.len();
+            record_holes(&mut hole_records, &scaling_result.holes);
+            if let Some(cal) = &cal {
+                comparisons.push(compare::compare_core_scaling(&scaling_result, cal));
+            }
+            section(
+                "Figure 13 — power scaling with core count",
+                scaling_result.render(),
+            );
+            let threads: Vec<usize> = if quick {
+                vec![8, 16, 24]
+            } else {
+                (1..=12).map(|k| 2 * k).collect()
+            };
+            let mt_result = mt_vs_mc::run_with_threads(&threads, fidelity);
+            if let Some(cal) = &cal {
+                comparisons.push(compare::compare_mt_vs_mc(&mt_result, cal));
+            }
+            section(
+                "Figure 14 — multithreading versus multicore",
+                mt_result.render(),
+            );
+            section(
+                "Table VIII — system specifications",
+                specint::SpecResult::render_table_viii(),
+            );
+            let spec_result = specint::run(fidelity);
+            write_csv("table9_specint.csv", spec_result.to_csv());
+            section(
+                "Table IX — SPECint 2006 performance, power, and energy",
+                spec_result.render(),
+            );
+            section(
+                "Figure 15 — memory latency breakdown",
+                mem_latency::run().render(),
+            );
+            section(
+                "Figure 16 — gcc-166 power time series",
+                specint::run_timeseries(if quick { 48 } else { 256 }, fidelity).render(),
+            );
+            let thermal_result = thermal::run_thermal_power(fidelity);
+            if let Some(cal) = &cal {
+                comparisons.push(compare::compare_thermal(&thermal_result, cal));
+            }
+            section(
+                "Figure 17 — power versus temperature",
+                thermal_result.render(),
+            );
+            section(
+                "Figure 18 — scheduling and thermal hysteresis",
+                thermal::run_scheduling(if quick { 64 } else { 180 }, 1.0, fidelity).render(),
+            );
+            if !governor_policy.is_off() {
+                section(
+                    "Figure 9 (closed loop) — governor throttle boundary",
+                    governor::run_throttle_boundary(fidelity).render(),
                 );
                 section(
-                    "Calibration — closed-form fit vs cycle-level probes",
-                    analytic::render_calibration(&cal),
+                    "Figure 18 (closed loop) — governor scheduling hysteresis",
+                    governor::run_hysteresis(if quick { 64 } else { 180 }, 1.0, fidelity).render(),
                 );
-                Some(cal)
+                section(
+                    "Energy frontier — governor policies racing to completion",
+                    governor::run_energy_frontier(fidelity).render(),
+                );
             }
-            Err(e) => {
-                eprintln!("reproduce: calibration failed: {e}");
-                std::process::exit(2);
+            section(
+                "Ablations — design-choice sweeps (beyond the paper)",
+                format!(
+                    "{}\n{}\n{}\n{}\n{}",
+                    ablations::slice_mapping().render(),
+                    ablations::render_store_buffer(&ablations::store_buffer_depth(fidelity)),
+                    ablations::render_overhead(&ablations::dual_thread_overhead(fidelity)),
+                    ablations::render_noc_split(&ablations::noc_energy_split(fidelity)),
+                    ablations::execution_drafting(fidelity).render(),
+                ),
+            );
+        } else if let Some(cal) = &cal {
+            // Analytic-only: closed-form reproductions of the power
+            // figures (timing/functional studies have no fast path).
+            for (title, body) in predict::render_analytic_sections(cal) {
+                section(title, body);
             }
         }
-    } else {
-        None
+        if let Some(cal) = &cal {
+            let t_ds = Instant::now();
+            let ds = design_space::run(cal, fidelity, plan, journal);
+            let ds_wall = t_ds.elapsed();
+            holes += ds.holes.len();
+            record_holes(&mut hole_records, &ds.holes);
+            let evaluated = ds.evaluated();
+            section(
+                "Design space — analytic V/f/cores/mix mega-sweep",
+                ds.render(),
+            );
+            match fig13_wall {
+                Some(w) => eprintln!(
+                    "reproduce: analytic design_space: {evaluated} point(s) in {ds_wall:.1?} vs cycle Figure 13 {w:.1?}"
+                ),
+                None => eprintln!(
+                    "reproduce: analytic design_space: {evaluated} point(s) in {ds_wall:.1?}"
+                ),
+            }
+            if backend == Backend::Both {
+                comparisons.push(design_space::cycle_oracle(cal, fidelity));
+            }
+        }
+        if !comparisons.is_empty() {
+            section(
+                "Analytic vs cycle — per-figure conformance",
+                compare::error_table(&comparisons),
+            );
+        }
+        (timings, holes, hole_records, cal, comparisons)
     };
-    let mut comparisons: Vec<compare::FigureComparison> = Vec::new();
-    let mut fig13_wall: Option<Duration> = None;
-    if backend.runs_cycle() {
-        let static_result = static_idle::run(fidelity);
-        if let Some(cal) = &cal {
-            comparisons.extend(compare::compare_static_idle(&static_result, cal));
+    let (timings, holes, hole_records, cal, comparisons) = match &trace_spec {
+        Some(spec) => {
+            let (out, written) = trace::to_file(spec, run);
+            match written {
+                Ok((lines, dropped)) => eprintln!(
+                    "reproduce: trace: {lines} event(s) -> {} ({dropped} ring-dropped)",
+                    spec.out
+                ),
+                Err(e) => eprintln!("reproduce: trace: {e}"),
+            }
+            out
         }
-        section(
-            "Figure 10 + Table V — static and idle power",
-            static_result.render(),
-        );
-        let epi_result = epi::run(fidelity, plan, journal);
-        holes += epi_result.holes.len();
-        record_holes(&mut hole_records, &epi_result.holes);
-        write_csv("figure11_epi.csv", epi_result.to_csv());
-        if let Some(cal) = &cal {
-            comparisons.push(compare::compare_epi(&epi_result, cal));
-        }
-        section(
-            "Figure 11 + Table VI — energy per instruction",
-            epi_result.render(),
-        );
-        let mem_result = memory_energy::run(fidelity);
-        write_csv("table7_memory_energy.csv", mem_result.to_csv());
-        section("Table VII — memory system energy", mem_result.render());
-        let noc_result = noc_energy::run(fidelity, plan, journal);
-        holes += noc_result.holes.len();
-        record_holes(&mut hole_records, &noc_result.holes);
-        write_csv("figure12_noc_epf.csv", noc_result.to_csv());
-        if let Some(cal) = &cal {
-            comparisons.push(compare::compare_noc(&noc_result, cal));
-        }
-        section("Figure 12 — NoC energy per flit", noc_result.render());
-        let cores: Vec<usize> = if quick {
-            vec![1, 5, 9, 13, 17, 21, 25]
-        } else {
-            (1..=25).collect()
-        };
-        let t_fig13 = Instant::now();
-        let scaling_result = core_scaling::run_with_cores(&cores, fidelity, plan, journal);
-        fig13_wall = Some(t_fig13.elapsed());
-        holes += scaling_result.holes.len();
-        record_holes(&mut hole_records, &scaling_result.holes);
-        if let Some(cal) = &cal {
-            comparisons.push(compare::compare_core_scaling(&scaling_result, cal));
-        }
-        section(
-            "Figure 13 — power scaling with core count",
-            scaling_result.render(),
-        );
-        let threads: Vec<usize> = if quick {
-            vec![8, 16, 24]
-        } else {
-            (1..=12).map(|k| 2 * k).collect()
-        };
-        let mt_result = mt_vs_mc::run_with_threads(&threads, fidelity);
-        if let Some(cal) = &cal {
-            comparisons.push(compare::compare_mt_vs_mc(&mt_result, cal));
-        }
-        section(
-            "Figure 14 — multithreading versus multicore",
-            mt_result.render(),
-        );
-        section(
-            "Table VIII — system specifications",
-            specint::SpecResult::render_table_viii(),
-        );
-        let spec_result = specint::run(fidelity);
-        write_csv("table9_specint.csv", spec_result.to_csv());
-        section(
-            "Table IX — SPECint 2006 performance, power, and energy",
-            spec_result.render(),
-        );
-        section(
-            "Figure 15 — memory latency breakdown",
-            mem_latency::run().render(),
-        );
-        section(
-            "Figure 16 — gcc-166 power time series",
-            specint::run_timeseries(if quick { 48 } else { 256 }, fidelity).render(),
-        );
-        let thermal_result = thermal::run_thermal_power(fidelity);
-        if let Some(cal) = &cal {
-            comparisons.push(compare::compare_thermal(&thermal_result, cal));
-        }
-        section(
-            "Figure 17 — power versus temperature",
-            thermal_result.render(),
-        );
-        section(
-            "Figure 18 — scheduling and thermal hysteresis",
-            thermal::run_scheduling(if quick { 64 } else { 180 }, 1.0, fidelity).render(),
-        );
-        if !governor_policy.is_off() {
-            section(
-                "Figure 9 (closed loop) — governor throttle boundary",
-                governor::run_throttle_boundary(fidelity).render(),
-            );
-            section(
-                "Figure 18 (closed loop) — governor scheduling hysteresis",
-                governor::run_hysteresis(if quick { 64 } else { 180 }, 1.0, fidelity).render(),
-            );
-            section(
-                "Energy frontier — governor policies racing to completion",
-                governor::run_energy_frontier(fidelity).render(),
-            );
-        }
-        section(
-            "Ablations — design-choice sweeps (beyond the paper)",
-            format!(
-                "{}\n{}\n{}\n{}\n{}",
-                ablations::slice_mapping().render(),
-                ablations::render_store_buffer(&ablations::store_buffer_depth(fidelity)),
-                ablations::render_overhead(&ablations::dual_thread_overhead(fidelity)),
-                ablations::render_noc_split(&ablations::noc_energy_split(fidelity)),
-                ablations::execution_drafting(fidelity).render(),
-            ),
-        );
-    } else if let Some(cal) = &cal {
-        // Analytic-only: closed-form reproductions of the power
-        // figures (timing/functional studies have no fast path).
-        for (title, body) in predict::render_analytic_sections(cal) {
-            section(title, body);
-        }
-    }
-    if let Some(cal) = &cal {
-        let t_ds = Instant::now();
-        let ds = design_space::run(cal, fidelity, plan, journal);
-        let ds_wall = t_ds.elapsed();
-        holes += ds.holes.len();
-        record_holes(&mut hole_records, &ds.holes);
-        let evaluated = ds.evaluated();
-        section(
-            "Design space — analytic V/f/cores/mix mega-sweep",
-            ds.render(),
-        );
-        match fig13_wall {
-            Some(w) => eprintln!(
-                "reproduce: analytic design_space: {evaluated} point(s) in {ds_wall:.1?} vs cycle Figure 13 {w:.1?}"
-            ),
-            None => eprintln!(
-                "reproduce: analytic design_space: {evaluated} point(s) in {ds_wall:.1?}"
-            ),
-        }
-        if backend == Backend::Both {
-            comparisons.push(design_space::cycle_oracle(cal, fidelity));
-        }
-    }
-    if !comparisons.is_empty() {
-        section(
-            "Analytic vs cycle — per-figure conformance",
-            compare::error_table(&comparisons),
-        );
-    }
+        None => run(),
+    };
 
     // Per-section sweep speedup: how much grid-point work ran versus
     // the wall-clock the section took.
@@ -491,20 +506,6 @@ fn main() {
         "total: {total:?} (sweep work {total_busy:.1?}, overall speedup {:.2}x)",
         total_busy.as_secs_f64() / total.as_secs_f64()
     );
-
-    // Flush the trace sink (worker collectors flushed as their threads
-    // finished; the main thread's collector flushes here).
-    if trace_spec.is_some() {
-        trace::set_worker_spec(None);
-        let _ = trace::uninstall();
-        match trace::flush_sink_to_file() {
-            Ok(Some((path, lines, dropped))) => {
-                eprintln!("reproduce: trace: {lines} event(s) -> {path} ({dropped} ring-dropped)");
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("reproduce: trace: {e}"),
-        }
-    }
 
     // Drain the journal accounting into the metrics registry (before
     // the snapshot below) and the manifest's journal block.

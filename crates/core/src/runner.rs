@@ -10,9 +10,11 @@
 //! dependencies) and collects results **in index order**, so the output
 //! is byte-identical to the serial run at any jobs level.
 //!
-//! Wall-clock and per-point busy time are accumulated in a process-wide
-//! tally the `reproduce` binary drains per section ([`take_stats`]) to
-//! report the achieved speedup.
+//! Workers enter the calling thread's [`piton_obs::Scope`], so their
+//! trace events and metrics reach the run that called the sweep.
+//! Wall-clock and per-point busy time are accumulated in the calling
+//! thread's tally, which the `reproduce` binary drains per section
+//! ([`take_stats`]) to report the achieved speedup.
 //!
 //! # Examples
 //!
@@ -34,52 +36,13 @@ use piton_obs::{metrics, trace};
 
 use crate::journal::{Journal, JournalPayload};
 
-/// Accumulated sweep timing: how much point work ran (`busy`) versus
-/// how long the sweeps took end to end (`wall`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SweepStats {
-    /// Completed sweeps.
-    pub sweeps: usize,
-    /// Grid points measured.
-    pub points: usize,
-    /// Sum of per-point execution times.
-    pub busy: Duration,
-    /// Sum of sweep wall-clock times.
-    pub wall: Duration,
-}
+pub use piton_obs::manifest::SweepStats;
 
-impl SweepStats {
-    /// Achieved parallel speedup: busy time divided by wall time
-    /// (1.0 when serial, approaching `jobs` under perfect scaling).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.wall.is_zero() {
-            1.0
-        } else {
-            self.busy.as_secs_f64() / self.wall.as_secs_f64()
-        }
-    }
-
-    fn absorb(&mut self, points: usize, busy: Duration, wall: Duration) {
-        self.sweeps += 1;
-        self.points += points;
-        self.busy += busy;
-        self.wall += wall;
-    }
-}
-
-static STATS: Mutex<SweepStats> = Mutex::new(SweepStats {
-    sweeps: 0,
-    points: 0,
-    busy: Duration::ZERO,
-    wall: Duration::ZERO,
-});
-
-/// Returns the stats accumulated since the last call and resets the
-/// tally (the `reproduce` harness drains this once per section).
+/// Returns the stats of the sweeps this thread called since the last
+/// call and resets the tally (the `reproduce` harness drains this once
+/// per section).
 pub fn take_stats() -> SweepStats {
-    let mut guard = STATS.lock().expect("stats lock");
-    std::mem::take(&mut *guard)
+    SweepStats::take()
 }
 
 /// Runs `f(index, item)` over every item of the grid on up to `jobs`
@@ -118,10 +81,7 @@ where
                 r
             })
             .collect();
-        STATS
-            .lock()
-            .expect("stats lock")
-            .absorb(n, busy, t_sweep.elapsed());
+        SweepStats::record(n, busy, t_sweep.elapsed());
         return out;
     }
 
@@ -129,15 +89,15 @@ where
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let busy_ns = std::sync::atomic::AtomicU64::new(0);
     let cursor = AtomicUsize::new(0);
+    let observers = piton_obs::current();
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                // `worker_scope` gives each worker its own trace
-                // collector when file-backed tracing is live, so events
-                // emitted off the main thread still reach the sink.
+                // Each worker reports to the caller's trace file and
+                // metrics registry.
                 scope.spawn(|| {
-                    trace::worker_scope(|| loop {
+                    observers.enter(|| loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         if idx >= n {
                             break;
@@ -174,7 +134,7 @@ where
                 .expect("all grid points completed")
         })
         .collect();
-    STATS.lock().expect("stats lock").absorb(
+    SweepStats::record(
         n,
         Duration::from_nanos(busy_ns.load(Ordering::Relaxed)),
         t_sweep.elapsed(),
@@ -459,15 +419,10 @@ where
 }
 
 /// The number of worker threads to use when the caller doesn't say:
-/// `PITON_JOBS` if set (clamped to at least 1), otherwise the machine's
-/// available parallelism.
+/// the machine's available parallelism. (The binaries read
+/// `PITON_JOBS` themselves.)
 #[must_use]
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("PITON_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -735,15 +690,17 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_reset() {
-        // Other tests run concurrently in this process and also feed
-        // the global tally, so only check what this sweep guarantees:
-        // afterwards the tally covers at least our points, and taking
-        // it twice in a row eventually yields an empty tally.
+        // The tally is this test thread's alone: it holds exactly the
+        // sweeps called here (a parallel sweep counts once, on the
+        // calling thread), and taking it empties it.
         let _ = sweep(2, (0u64..5).collect(), |_, x| x);
+        let _ = sweep(1, (0u64..3).collect(), |_, x| x);
         let s = take_stats();
-        assert!(s.sweeps >= 1);
-        assert!(s.points >= 5);
+        assert_eq!((s.sweeps, s.points), (2, 8));
         assert!(s.speedup() >= 0.0);
+        let empty = take_stats();
+        assert_eq!((empty.sweeps, empty.points), (0, 0));
+        assert!(empty.busy.is_zero() && empty.wall.is_zero());
     }
 
     #[test]

@@ -43,7 +43,6 @@ use std::time::Duration;
 
 use piton_arch::error::PitonError;
 use piton_obs::manifest::{ServeContextRecord, ServeManifest};
-use piton_obs::metrics;
 
 use crate::analytic::Calibrated;
 use crate::journal::point_key;
@@ -101,9 +100,7 @@ impl ServerConfig {
 
 macro_rules! counters {
     ($($field:ident => $name:literal),* $(,)?) => {
-        /// The daemon's `serve.*` counters. Atomically maintained, and
-        /// mirrored into [`piton_obs::metrics`] when metrics are
-        /// enabled, so in-process harnesses can assert on either view.
+        /// The daemon's `serve.*` counters, atomically maintained.
         #[derive(Debug, Default)]
         pub struct ServeCounters {
             $($field: AtomicU64,)*
@@ -112,13 +109,7 @@ macro_rules! counters {
         impl ServeCounters {
             $(
                 fn $field(&self, n: u64) {
-                    if n == 0 {
-                        return;
-                    }
                     self.$field.fetch_add(n, Ordering::Relaxed);
-                    if metrics::enabled() {
-                        metrics::counter_add($name, n);
-                    }
                 }
             )*
 

@@ -32,6 +32,9 @@
 //! }
 //! ```
 
+use std::cell::Cell;
+use std::time::Duration;
+
 use piton_arch::error::PitonError;
 
 use crate::json::{self, ObjectBuilder, Value};
@@ -44,7 +47,7 @@ pub const MANIFEST_SCHEMA: &str = "piton-run-manifest/v1";
 /// ([`RunManifest::deterministic_json`]).
 pub const DETERMINISTIC_SCHEMA: &str = "piton-run-manifest/v1-deterministic";
 
-/// Per-section sweep accounting (from the runner's `SweepStats`).
+/// Per-section sweep accounting (from [`SweepStats`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SectionRecord {
     pub title: String,
@@ -52,6 +55,65 @@ pub struct SectionRecord {
     pub busy_s: f64,
     pub sweeps: u64,
     pub points: u64,
+}
+
+/// Accumulated sweep timing: how much point work ran (`busy`) versus
+/// how long the sweeps took end to end (`wall`).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SweepStats {
+    /// Completed sweeps.
+    pub sweeps: usize,
+    /// Grid points measured.
+    pub points: usize,
+    /// Sum of per-point execution times.
+    pub busy: Duration,
+    /// Sum of sweep wall-clock times.
+    pub wall: Duration,
+}
+
+thread_local! {
+    /// The tally of sweeps called from this thread. A sweep records on
+    /// its calling thread after joining its workers, so the tally needs
+    /// no [`crate::Scope`].
+    static SWEEP_STATS: Cell<SweepStats> = const {
+        Cell::new(SweepStats {
+            sweeps: 0,
+            points: 0,
+            busy: Duration::ZERO,
+            wall: Duration::ZERO,
+        })
+    };
+}
+
+impl SweepStats {
+    /// Achieved parallel speedup: busy time divided by wall time
+    /// (1.0 when serial, approaching `jobs` under perfect scaling).
+    #[must_use]
+    pub fn speedup(&self) -> f64 {
+        if self.wall.is_zero() {
+            1.0
+        } else {
+            self.busy.as_secs_f64() / self.wall.as_secs_f64()
+        }
+    }
+
+    /// Adds one finished sweep to this thread's tally.
+    pub fn record(points: usize, busy: Duration, wall: Duration) {
+        SWEEP_STATS.with(|tally| {
+            let mut t = tally.get();
+            t.sweeps += 1;
+            t.points += points;
+            t.busy += busy;
+            t.wall += wall;
+            tally.set(t);
+        });
+    }
+
+    /// Returns this thread's tally since the last call and resets it.
+    #[must_use]
+    pub fn take() -> SweepStats {
+        SWEEP_STATS.with(Cell::take)
+    }
 }
 
 /// One permanently-failed sweep point (mirrors `report::Hole`).

@@ -1,19 +1,22 @@
-//! Process-wide metrics registry: counters, gauges, log₂ histograms.
+//! Per-run metrics registry: counters, gauges, log₂ histograms.
 //!
-//! The registry sits *off* the simulator's hot paths: cycle engines
-//! accumulate their tallies in plain struct fields and publish them
-//! here once per machine (see `Machine::publish_metrics` in
-//! `piton-sim`), and sweep/monitor code records rare events (retries,
-//! holes, dropped ADC samples) directly. Recording is gated on
-//! [`enabled`] — one relaxed atomic load — so library users that never
-//! opt in (unit tests, benches) pay a branch, not a mutex.
+//! A registry belongs to the thread that called [`enable`] and to the
+//! sweep workers that enter that thread's [`crate::Scope`], so two runs
+//! in one process record into two registries. It sits *off* the
+//! simulator's hot paths: cycle engines accumulate their tallies in
+//! plain struct fields and publish them here once per machine (see
+//! `Machine::publish_metrics` in `piton-sim`), and sweep/monitor code
+//! records rare events (retries, holes, dropped ADC samples) directly.
+//! Recording is gated on [`enabled`] — one thread-local load — so
+//! threads that never opt in (unit tests, benches, the serve daemon)
+//! pay a branch, not a mutex.
 //!
 //! Snapshots serialize into the `piton-run-manifest/v1` document (see
 //! [`crate::manifest`]).
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::json::{ObjectBuilder, Value};
 
@@ -77,42 +80,66 @@ impl Histogram {
     }
 }
 
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+/// A registry shared between a run's thread and its sweep workers. Its
+/// contents have the shape of a [`MetricsSnapshot`].
+pub(crate) type Shared = Arc<Mutex<MetricsSnapshot>>;
+
+thread_local! {
+    /// Whether this thread has a registry: the gate [`enabled`] reads,
+    /// kept apart from [`REGISTRY`] so it is one destructor-free load.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static REGISTRY: RefCell<Option<Shared>> = const { RefCell::new(None) };
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-/// Is metrics recording on? One relaxed load.
+/// Is metrics recording on for this thread? One thread-local load.
 #[inline(always)]
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Turns metrics recording on (idempotent).
+/// Turns metrics recording on for this thread, installing a fresh
+/// registry if it has none (idempotent).
 pub fn enable() {
-    {
-        let mut reg = REGISTRY.lock().unwrap();
-        if reg.is_none() {
-            *reg = Some(Registry::default());
+    if !enabled() {
+        install(Some(Shared::default()));
+    }
+}
+
+/// Puts `registry` in this thread's slot and returns what was there.
+fn install(registry: Option<Shared>) -> Option<Shared> {
+    ENABLED.with(|e| e.set(registry.is_some()));
+    REGISTRY.with(|r| r.replace(registry))
+}
+
+/// This thread's registry, for its sweep workers to share.
+pub(crate) fn current() -> Option<Shared> {
+    REGISTRY.with(|r| r.borrow().clone())
+}
+
+/// Runs `body` recording into `registry` (nowhere when `None`) and
+/// puts this thread's own registry back afterwards, also on unwind;
+/// see [`crate::Scope::enter`].
+pub(crate) fn enter<T>(registry: Option<Shared>, body: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Shared>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            install(self.0.take());
         }
     }
-    ENABLED.store(true, Ordering::Relaxed);
+    let _restore = Restore(install(registry));
+    body()
 }
 
-fn with_registry(f: impl FnOnce(&mut Registry)) {
+fn with_registry(f: impl FnOnce(&mut MetricsSnapshot)) {
     if !enabled() {
         return;
     }
-    let mut reg = REGISTRY.lock().unwrap();
-    if let Some(reg) = reg.as_mut() {
-        f(reg);
-    }
+    REGISTRY.with(|r| {
+        if let Some(reg) = r.borrow().as_ref() {
+            f(&mut reg.lock().expect("metrics registry lock"));
+        }
+    });
 }
 
 /// Adds `delta` to counter `name` (created at zero on first use).
@@ -262,25 +289,12 @@ impl MetricsSnapshot {
     }
 }
 
-/// Copies out the current registry contents (empty when disabled).
+/// Copies out this thread's registry contents (empty when disabled).
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = REGISTRY.lock().unwrap();
-    reg.as_ref()
-        .map_or_else(MetricsSnapshot::default, |reg| MetricsSnapshot {
-            counters: reg.counters.clone(),
-            gauges: reg.gauges.clone(),
-            histograms: reg.histograms.clone(),
-        })
-}
-
-/// Clears the registry (recording stays enabled if it was). Intended
-/// for tests that need isolation from other tests' published metrics.
-pub fn reset() {
-    let mut reg = REGISTRY.lock().unwrap();
-    if let Some(reg) = reg.as_mut() {
-        *reg = Registry::default();
-    }
+    current().map_or_else(MetricsSnapshot::default, |reg| {
+        reg.lock().expect("metrics registry lock").clone()
+    })
 }
 
 #[cfg(test)]
@@ -323,25 +337,41 @@ mod tests {
 
     #[test]
     fn registry_round_trip_through_json() {
+        // The registry is this test thread's alone, so the snapshot
+        // holds exactly what this test recorded.
+        assert!(!enabled());
         enable();
-        reset();
         counter_add("test.counter", 3);
         counter_add("test.counter", 4);
         gauge_set("test.gauge", 2.5);
         histogram_observe("test.hist", 17);
         let snap = snapshot();
-        assert_eq!(snap.counters.get("test.counter"), Some(&7));
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        // Compare only the keys this test owns: other tests in the
-        // binary may be publishing concurrently.
+        let mut hist = Histogram::default();
+        hist.observe(17);
+        let expected = MetricsSnapshot {
+            counters: BTreeMap::from([("test.counter".to_owned(), 7)]),
+            gauges: BTreeMap::from([("test.gauge".to_owned(), 2.5)]),
+            histograms: BTreeMap::from([("test.hist".to_owned(), hist)]),
+        };
+        assert_eq!(snap, expected);
+        assert_eq!(MetricsSnapshot::from_json(&snap.to_json()).unwrap(), snap);
+    }
+
+    #[test]
+    fn entered_threads_share_the_registry_and_others_do_not_record() {
+        enable();
+        let scope = crate::current();
+        std::thread::scope(|s| {
+            s.spawn(|| scope.enter(|| counter_add("shared", 2)));
+            s.spawn(|| {
+                assert!(!enabled());
+                counter_add("shared", 100);
+            });
+        });
+        counter_add("shared", 1);
         assert_eq!(
-            back.counters.get("test.counter"),
-            snap.counters.get("test.counter")
-        );
-        assert_eq!(back.gauges.get("test.gauge"), snap.gauges.get("test.gauge"));
-        assert_eq!(
-            back.histograms.get("test.hist"),
-            snap.histograms.get("test.hist")
+            snapshot().counters,
+            BTreeMap::from([("shared".to_owned(), 3)])
         );
     }
 }

@@ -3,21 +3,25 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Zero cost when disabled.** Every instrumentation site in the
-//!    simulator sits behind one of two gates. Sites whose event is
-//!    cheap to build are `if trace::active() { trace::emit(..) }`;
-//!    [`active`] is one `Relaxed` load of a process-wide `AtomicBool`
-//!    that is only `true` while some thread has a collector installed.
-//!    Sites whose event allocates (`Retire` formats its opcode name)
-//!    are `if trace::wants(SUB_..) { .. }`: [`wants`] puts the same
-//!    inlined load in front of an outlined read of *this thread's*
-//!    collector mask, so an event the mask would drop is never built.
-//!    Both gates only ever skip work — no simulator decision may read
-//!    them. `reproduce` stdout must stay byte-identical and the NoC hot
-//!    loop within noise of the pre-observability binary.
+//!    simulator sits behind one of two gates, both reads of *this
+//!    thread's* collector mask — a `const`-initialised, destructor-free
+//!    thread-local that is 0 without a collector. Sites whose event is
+//!    cheap to build are `if trace::active() { trace::emit(..) }`
+//!    (mask ≠ 0); sites whose event allocates (`Retire` formats its
+//!    opcode name) are `if trace::wants(SUB_..) { .. }` (mask has the
+//!    bit), so an event the mask would drop is never built. Either is
+//!    one thread-local load and one branch, and a collector on another
+//!    thread opens neither. Both gates only ever skip work — no
+//!    simulator decision may read them. `reproduce` stdout must stay
+//!    byte-identical and the NoC hot loop within noise of the
+//!    pre-observability binary.
 //! 2. **Deterministic per-thread streams.** Collectors are
-//!    thread-local, so sweep workers never interleave events; each
-//!    worker's ring flushes to the shared JSONL sink as one contiguous
-//!    block when the collector is uninstalled (or the thread exits).
+//!    thread-local, so sweep workers never interleave events. A
+//!    file-backed collector ([`to_file`]) shares its JSONL buffer with
+//!    the collectors its sweep workers inherit through
+//!    [`crate::Scope`]; each worker's ring flushes into it as one
+//!    contiguous block when the worker's scope ends, the owner's ring
+//!    last, and the owner writes the file.
 //! 3. **Bounded memory.** The collector is a ring: past `cap` events,
 //!    the oldest are dropped and counted in `dropped`, never
 //!    reallocated on the hot path.
@@ -29,8 +33,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::{self, ObjectBuilder, Value};
 
@@ -647,61 +650,104 @@ impl TraceSpec {
     }
 }
 
-/// Process-wide gate: `true` only while at least one thread has a
-/// collector installed. Emit sites branch over this before doing any
-/// event construction.
-static TRACE_ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Number of threads with a live collector (guards `TRACE_ACTIVE`).
-static COLLECTORS: Mutex<u32> = Mutex::new(0);
-/// The shared JSONL sink collectors flush into (when file-backed
-/// tracing is configured via [`install_sink`]).
-static SINK: Mutex<Option<Sink>> = Mutex::new(None);
-
-struct Sink {
-    path: String,
-    lines: String,
-    dropped: u64,
-}
-
 thread_local! {
+    /// This thread's collector mask, 0 without a collector: the whole
+    /// gate, kept apart from [`COLLECTOR`] so reading it is one load.
+    static MASK: Cell<u32> = const { Cell::new(0) };
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
     static AMBIENT_CYCLE: Cell<u64> = const { Cell::new(0) };
 }
 
-struct Collector {
-    mask: u32,
-    tile: Option<u64>,
-    cap: usize,
-    ring: VecDeque<TraceEvent>,
+/// The JSONL buffer behind one trace file, shared by the collector
+/// that owns the file and those its sweep workers inherit.
+#[derive(Default)]
+struct Sink {
+    lines: String,
     dropped: u64,
-    /// Flush to the global [`SINK`] on uninstall (file-backed mode).
-    to_sink: bool,
 }
 
-/// Is any collector installed on this process? One relaxed load; the
+struct Collector {
+    spec: TraceSpec,
+    ring: VecDeque<TraceEvent>,
+    dropped: u64,
+    /// The file buffer this collector flushes into when dropped
+    /// (`None` for [`capture`]).
+    sink: Option<Arc<Mutex<Sink>>>,
+}
+
+impl Collector {
+    fn new(spec: &TraceSpec, sink: Option<Arc<Mutex<Sink>>>) -> Self {
+        Collector {
+            spec: spec.clone(),
+            ring: VecDeque::with_capacity(spec.capacity.min(4096)),
+            dropped: 0,
+            sink,
+        }
+    }
+}
+
+impl Drop for Collector {
+    /// A file-backed collector's events reach the file as one
+    /// contiguous block, whether its scope ended or unwound.
+    fn drop(&mut self) {
+        let Some(sink) = &self.sink else { return };
+        let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
+        for e in self.ring.drain(..) {
+            sink.lines.push_str(&e.to_jsonl());
+            sink.lines.push('\n');
+        }
+        sink.dropped += self.dropped;
+    }
+}
+
+/// A file-backed collector's filter and buffer: what [`crate::Scope`]
+/// carries to a sweep worker so its events reach the same file.
+#[derive(Clone)]
+pub(crate) struct Inherited {
+    spec: TraceSpec,
+    sink: Arc<Mutex<Sink>>,
+}
+
+/// The current thread's file-backed collector, for its workers to
+/// inherit. An in-memory [`capture`] covers its own thread only.
+pub(crate) fn inheritable() -> Option<Inherited> {
+    if !active() {
+        return None;
+    }
+    COLLECTOR.with(|c| {
+        let slot = c.borrow();
+        let col = slot.as_ref()?;
+        Some(Inherited {
+            spec: col.spec.clone(),
+            sink: Arc::clone(col.sink.as_ref()?),
+        })
+    })
+}
+
+/// Runs `body` with a collector like `inherited` on this thread (none
+/// when `None`); see [`crate::Scope::enter`].
+pub(crate) fn enter<T>(inherited: Option<&Inherited>, body: impl FnOnce() -> T) -> T {
+    let collector = inherited.map(|i| Collector::new(&i.spec, Some(Arc::clone(&i.sink))));
+    scoped(collector, body).0
+}
+
+/// Is a collector installed on this thread? One thread-local load; the
 /// entire cost of the trace layer when disabled.
 #[inline(always)]
 #[must_use]
 pub fn active() -> bool {
-    TRACE_ACTIVE.load(Ordering::Relaxed)
+    MASK.with(Cell::get) != 0
 }
 
 /// Would the current thread's collector keep an event of `subsystem`
-/// (a `SUB_*` bit)? The gate for emit sites whose event allocates:
-/// [`active`]'s inlined load short-circuits the untraced case, and the
-/// outlined mask read spares a traced thread from building events its
-/// own mask drops. The collector's tile filter still applies in
-/// [`emit`].
+/// (a `SUB_*` bit)? The gate for emit sites whose event allocates: it
+/// costs what [`active`] does and spares a traced thread from building
+/// events its own mask drops. The collector's tile filter still applies
+/// in [`emit`].
 #[inline(always)]
 #[must_use]
 pub fn wants(subsystem: u32) -> bool {
-    active() && thread_mask() & subsystem != 0
-}
-
-/// The current thread's collector mask (0 without a collector).
-#[inline(never)]
-fn thread_mask() -> u32 {
-    COLLECTOR.with(|c| c.borrow().as_ref().map_or(0, |col| col.mask))
+    MASK.with(Cell::get) & subsystem != 0
 }
 
 /// Publishes the ambient cycle clock used by emit sites whose call
@@ -719,64 +765,30 @@ pub fn ambient_cycle() -> u64 {
     AMBIENT_CYCLE.with(Cell::get)
 }
 
-fn add_collector() {
-    let mut n = COLLECTORS.lock().unwrap();
-    *n += 1;
-    TRACE_ACTIVE.store(true, Ordering::Relaxed);
+/// Puts `next` in this thread's collector slot and returns what was
+/// there.
+fn swap(next: Option<Collector>) -> Option<Collector> {
+    MASK.with(|m| m.set(next.as_ref().map_or(0, |c| c.spec.mask)));
+    COLLECTOR.with(|c| c.replace(next))
 }
 
-fn remove_collector() {
-    let mut n = COLLECTORS.lock().unwrap();
-    *n = n.saturating_sub(1);
-    if *n == 0 {
-        TRACE_ACTIVE.store(false, Ordering::Relaxed);
-    }
-}
-
-/// Installs a ring collector on the current thread. Returns `false`
-/// (and changes nothing) if one is already installed.
-pub fn install(spec: &TraceSpec, to_sink: bool) -> bool {
-    COLLECTOR.with(|c| {
-        let mut slot = c.borrow_mut();
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(Collector {
-            mask: spec.mask,
-            tile: spec.tile,
-            cap: spec.capacity,
-            ring: VecDeque::with_capacity(spec.capacity.min(4096)),
-            dropped: 0,
-            to_sink,
-        });
-        add_collector();
-        true
-    })
-}
-
-/// Uninstalls the current thread's collector, returning its buffered
-/// events in emit order and the count of ring-dropped events. If the
-/// collector was sink-bound, the events are also appended to the
-/// global sink buffer.
-#[must_use]
-pub fn uninstall() -> (Vec<TraceEvent>, u64) {
-    let taken = COLLECTOR.with(|c| c.borrow_mut().take());
-    let Some(col) = taken else {
-        return (Vec::new(), 0);
-    };
-    remove_collector();
-    let events: Vec<TraceEvent> = col.ring.into_iter().collect();
-    if col.to_sink {
-        let mut sink = SINK.lock().unwrap();
-        if let Some(sink) = sink.as_mut() {
-            for e in &events {
-                sink.lines.push_str(&e.to_jsonl());
-                sink.lines.push('\n');
+/// Runs `body` with `collector` in place of this thread's collector,
+/// which is put back afterwards — also when `body` panics, so a failing
+/// test doesn't leak its collector into later ones on the same thread.
+/// Returns `body`'s result and the collector it ran with.
+fn scoped<T>(collector: Option<Collector>, body: impl FnOnce() -> T) -> (T, Option<Collector>) {
+    struct Restore(Option<Option<Collector>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if let Some(prior) = self.0.take() {
+                swap(prior);
             }
-            sink.dropped += col.dropped;
         }
     }
-    (events, col.dropped)
+    let mut restore = Restore(Some(swap(collector)));
+    let out = body();
+    let ours = swap(restore.0.take().flatten());
+    (out, ours)
 }
 
 /// Emits one event into the current thread's collector, applying its
@@ -785,15 +797,15 @@ pub fn emit(event: TraceEvent) {
     COLLECTOR.with(|c| {
         let mut slot = c.borrow_mut();
         let Some(col) = slot.as_mut() else { return };
-        if col.mask & event.subsystem() == 0 {
+        if col.spec.mask & event.subsystem() == 0 {
             return;
         }
-        if let (Some(want), Some(got)) = (col.tile, event.entity()) {
+        if let (Some(want), Some(got)) = (col.spec.tile, event.entity()) {
             if want != got {
                 return;
             }
         }
-        if col.ring.len() == col.cap {
+        if col.ring.len() == col.spec.capacity {
             col.ring.pop_front();
             col.dropped += 1;
         }
@@ -801,96 +813,30 @@ pub fn emit(event: TraceEvent) {
     });
 }
 
-/// Spec that short-lived worker threads (the sweep engine's) adopt via
-/// [`worker_scope`] while file-backed tracing is configured.
-static WORKER_SPEC: Mutex<Option<TraceSpec>> = Mutex::new(None);
-
-/// Publishes (or clears) the collector spec worker threads should
-/// adopt. Set by the CLI together with [`install_sink`].
-pub fn set_worker_spec(spec: Option<TraceSpec>) {
-    *WORKER_SPEC.lock().unwrap() = spec;
-}
-
-/// Runs `body` with a sink-bound collector installed on this thread iff
-/// tracing is live and a worker spec is published; otherwise runs
-/// `body` untouched. The sweep engine wraps each worker thread's
-/// point-loop in this so events emitted off the main thread still reach
-/// the JSONL sink.
-pub fn worker_scope<T>(body: impl FnOnce() -> T) -> T {
-    if !active() {
-        return body();
-    }
-    let spec = WORKER_SPEC.lock().unwrap().clone();
-    let Some(spec) = spec else {
-        return body();
-    };
-    if !install(&spec, true) {
-        return body();
-    }
-    // Flush to the sink even if a grid point panics (the runner's
-    // catch_unwind will resume it).
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            let _ = uninstall();
-        }
-    }
-    let _guard = Guard;
-    body()
-}
-
-/// Configures the process-wide JSONL sink `uninstall` flushes into.
-/// The file is written by [`flush_sink_to_file`].
-pub fn install_sink(path: &str) {
-    let mut sink = SINK.lock().unwrap();
-    *sink = Some(Sink {
-        path: path.to_owned(),
-        lines: String::new(),
-        dropped: 0,
-    });
-}
-
-/// Writes all sink-buffered JSONL lines to the sink path and clears
-/// the sink. Returns `(path, line_count, ring_dropped)` if a sink was
-/// installed.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error annotated with the path.
-pub fn flush_sink_to_file() -> Result<Option<(String, usize, u64)>, String> {
-    let taken = SINK.lock().unwrap().take();
-    let Some(sink) = taken else { return Ok(None) };
-    let count = sink.lines.lines().count();
-    std::fs::write(&sink.path, &sink.lines)
-        .map_err(|e| format!("writing trace sink {}: {e}", sink.path))?;
-    Ok(Some((sink.path, count, sink.dropped)))
-}
-
-/// Runs `body` with a fresh in-memory collector installed on this
-/// thread and returns `(body result, captured events)`. The primary
-/// capture entry point for tests and `trace_diff`.
-///
-/// # Panics
-///
-/// Panics if a collector is already installed on this thread.
+/// Runs `body` with a fresh in-memory collector on this thread and
+/// returns `(body result, captured events)`. The primary capture entry
+/// point for tests and `trace_diff`. Sweep workers do not inherit it.
 pub fn capture<T>(spec: &TraceSpec, body: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
-    assert!(
-        install(spec, false),
-        "trace::capture: collector already installed on this thread"
-    );
-    // Ensure the collector is removed even if `body` panics, so a
-    // failing test doesn't poison later captures on the same thread.
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            let _ = uninstall();
-        }
-    }
-    let guard = Guard;
-    let out = body();
-    std::mem::forget(guard);
-    let (events, _) = uninstall();
-    (out, events)
+    let (out, col) = scoped(Some(Collector::new(spec, None)), body);
+    let mut col = col.expect("the collector this scope installed");
+    (out, Vec::from(std::mem::take(&mut col.ring)))
+}
+
+/// Runs `body` with a file-backed collector on this thread, which the
+/// sweep workers it spawns inherit (see [`crate::Scope`]), then writes
+/// everything collected to `spec.out` as JSONL: each worker's ring as
+/// one block in the order the workers finished, this thread's ring
+/// last. Returns `body`'s result and `(lines written, ring-dropped
+/// events)`, or the I/O error annotated with the path.
+pub fn to_file<T>(spec: &TraceSpec, body: impl FnOnce() -> T) -> (T, Result<(usize, u64), String>) {
+    let sink = Arc::new(Mutex::new(Sink::default()));
+    let (out, col) = scoped(Some(Collector::new(spec, Some(Arc::clone(&sink)))), body);
+    drop(col);
+    let sink = sink.lock().expect("trace sink lock");
+    let written = std::fs::write(&spec.out, &sink.lines)
+        .map(|()| (sink.lines.lines().count(), sink.dropped))
+        .map_err(|e| format!("writing trace sink {}: {e}", spec.out));
+    (out, written)
 }
 
 #[cfg(test)]
@@ -957,15 +903,15 @@ mod tests {
         assert!(matches!(events[0], TraceEvent::Retire { tile: 3, .. }));
         assert!(matches!(events[1], TraceEvent::NocHop { from: 3, .. }));
 
-        // `wants` answers for this thread's mask only: true for the
-        // subsystems in it, false on a thread with no collector even
-        // while this one is capturing.
+        // Both gates answer for this thread's mask only: `wants` is true
+        // for the subsystems in it, and a thread with no collector sees
+        // both gates shut while this one is capturing.
         let ((), _) = capture(&spec, || {
             assert!(wants(SUB_RETIRE) && wants(SUB_NOC));
             assert!(!wants(SUB_CACHE) && !wants(SUB_ENGINE));
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    assert!(active(), "the capturing thread holds the global gate open");
+                    assert!(!active(), "a collector opens only its own thread's gate");
                     assert!(!wants(SUB_RETIRE) && !wants(SUB_NOC));
                 });
             });
@@ -994,10 +940,44 @@ mod tests {
 
     #[test]
     fn active_flag_set_during_capture() {
-        // Other test threads may also hold collectors, so only the
-        // "set while captured" direction is assertable here.
+        // The gate is per thread, so other tests' collectors never
+        // reach this one: it is shut exactly outside the capture, and
+        // a panicking capture shuts it too.
         let spec = TraceSpec::default();
+        assert!(!active());
         let ((), _) = capture(&spec, || assert!(active()));
+        assert!(!active());
+        let unwound = std::panic::catch_unwind(|| capture(&spec, || panic!("mid-capture")));
+        assert!(unwound.is_err());
+        assert!(!active());
+    }
+
+    #[test]
+    fn file_collector_is_inherited_by_entered_workers() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("piton-trace-inherit-{}.jsonl", std::process::id()));
+        let spec = TraceSpec::parse(&format!("engine,out={}", path.display())).unwrap();
+        let engine = |cycle| TraceEvent::Engine {
+            cycle,
+            mode: EngineMode::Calendar,
+        };
+        let ((), written) = to_file(&spec, || {
+            emit(engine(1));
+            let scope = crate::current();
+            std::thread::scope(|s| {
+                s.spawn(|| scope.enter(|| emit(engine(2))));
+                // A thread that does not enter the scope is untraced.
+                s.spawn(|| {
+                    assert!(!active());
+                    emit(engine(3));
+                });
+            });
+        });
+        assert_eq!(written, Ok((2, 0)));
+        // The worker's block lands first, the owner's ring last.
+        let doc = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(decode_jsonl(&doc).unwrap(), vec![engine(2), engine(1)]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

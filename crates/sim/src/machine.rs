@@ -1054,14 +1054,14 @@ impl Machine {
         }
     }
 
-    /// Publishes this machine's engine diagnostics into the `piton-obs`
-    /// metrics registry under `prefix` (counters `<prefix>.steps`,
-    /// `<prefix>.calendar_pops`, … and histogram `<prefix>.issue_duty`).
+    /// Publishes this machine's engine diagnostics into this thread's
+    /// `piton-obs` metrics registry (counters `engine.steps`,
+    /// `engine.calendar_pops`, … and histogram `engine.issue_duty`).
     ///
     /// Delta-published against per-machine watermarks, so repeated
     /// calls (and the automatic call on drop) never double count. No-op
     /// while the registry is disabled.
-    pub fn publish_metrics_as(&mut self, prefix: &str) {
+    pub fn publish_metrics(&mut self) {
         if !metrics::enabled() {
             return;
         }
@@ -1069,7 +1069,7 @@ impl Machine {
             let delta = cur - *mark;
             *mark = cur;
             if delta > 0 {
-                metrics::counter_add(&format!("{prefix}.{name}"), delta);
+                metrics::counter_add(&format!("engine.{name}"), delta);
             }
         };
         let m = &self.emetrics;
@@ -1090,18 +1090,12 @@ impl Machine {
             // A watermark, not a flow: last-write-wins gauge (the
             // registry keeps whichever machine published last; sweeps
             // over homogeneous machines see a representative depth).
-            metrics::gauge_set(&format!("{prefix}.record_hwm"), m.record_hwm as f64);
+            metrics::gauge_set("engine.record_hwm", m.record_hwm as f64);
         }
         let duty = std::mem::take(&mut self.emetrics.issue_duty);
         if duty.count > 0 {
-            metrics::histogram_merge(&format!("{prefix}.issue_duty"), &duty);
+            metrics::histogram_merge("engine.issue_duty", &duty);
         }
-    }
-
-    /// [`Machine::publish_metrics_as`] under the standard `engine`
-    /// prefix.
-    pub fn publish_metrics(&mut self) {
-        self.publish_metrics_as("engine");
     }
 
     /// Test-only scheduler fault injection: delays every ready-calendar
@@ -1277,8 +1271,8 @@ impl Machine {
 impl Drop for Machine {
     /// Publishes any unpublished engine diagnostics so sweeps aggregate
     /// scheduler behavior without each experiment calling
-    /// [`Machine::publish_metrics`] — a no-op (one relaxed load) unless
-    /// the metrics registry is enabled.
+    /// [`Machine::publish_metrics`] — a no-op (one thread-local load)
+    /// unless this thread's metrics registry is enabled.
     fn drop(&mut self) {
         self.publish_metrics();
     }
@@ -1721,43 +1715,42 @@ mod tests {
                 // The diagnostic counters promote into the metrics
                 // registry exactly once (delta-published watermarks), so
                 // the skip behavior asserted above is visible to the
-                // observability layer too. A unique prefix isolates this
-                // test from other machines dropping concurrently.
-                piton_obs::metrics::enable();
-                let prefix = format!("test_eq.{}", seeds.first().copied().unwrap_or(0));
-                event.publish_metrics_as(&prefix);
-                let snap = piton_obs::metrics::snapshot();
-                prop_assert_eq!(
-                    snap.counters.get(&format!("{}.steps", prefix)).copied(),
-                    Some(event.engine_steps())
-                );
-                let modal: u64 = [
-                    format!("{}.event_cycles", prefix),
-                    format!("{}.batched_cycles", prefix),
+                // observability layer too. A fresh thread records into a
+                // registry of its own, so the counts are exact.
+                let em = event.engine_metrics();
+                let expected: std::collections::BTreeMap<String, u64> = [
+                    ("steps", em.steps),
+                    ("calendar_pops", em.calendar_pops),
+                    ("calendar_stale_pops", em.calendar_stale_pops),
+                    ("event_cycles", em.event_cycles),
+                    ("batched_cycles", em.batched_cycles),
+                    ("batches", em.batches),
+                    ("naive_cycles", em.naive_cycles),
+                    ("handovers", em.handovers),
                 ]
-                .iter()
-                .filter_map(|k| snap.counters.get(k))
-                .sum();
-                prop_assert_eq!(modal, event.engine_metrics().event_cycles
-                    + event.engine_metrics().batched_cycles);
+                .into_iter()
+                .filter(|&(_, v)| v > 0)
+                .map(|(k, v)| (format!("engine.{k}"), v))
+                .collect();
+                let (published, again) = std::thread::scope(|s| {
+                    s.spawn(|| {
+                        piton_obs::metrics::enable();
+                        event.publish_metrics();
+                        let published = piton_obs::metrics::snapshot();
+                        // Re-publishing must be a no-op (watermarks consumed).
+                        event.publish_metrics();
+                        (published, piton_obs::metrics::snapshot())
+                    })
+                    .join()
+                    .expect("publishing thread")
+                });
+                prop_assert_eq!(&published.counters, &expected);
+                prop_assert_eq!(published, again);
                 // Batch accounting publishes coherently: every batched
                 // cycle belongs to a batch, and a batch implies cycles.
-                let batches = snap
-                    .counters
-                    .get(&format!("{}.batches", prefix))
-                    .copied()
-                    .unwrap_or(0);
-                prop_assert_eq!(batches, event.engine_metrics().batches);
                 prop_assert!(
-                    batches == 0 || event.engine_metrics().batched_cycles > 0,
+                    em.batches == 0 || em.batched_cycles > 0,
                     "batches without batched cycles"
-                );
-                // Re-publishing must be a no-op (watermarks consumed).
-                event.publish_metrics_as(&prefix);
-                let again = piton_obs::metrics::snapshot();
-                prop_assert_eq!(
-                    again.counters.get(&format!("{}.steps", prefix)).copied(),
-                    Some(event.engine_steps())
                 );
             }
 

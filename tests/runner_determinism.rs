@@ -9,6 +9,8 @@ use std::sync::Mutex;
 use piton::board::fault::FaultPlan;
 use piton::characterization::experiments::{core_scaling, epi, noc_energy, Fidelity};
 use piton::characterization::journal::Journal;
+use piton::obs::metrics;
+use piton::obs::trace::{self, TraceSpec};
 
 /// A deliberately tiny fidelity: determinism does not depend on sample
 /// counts, so keep the simulated work minimal.
@@ -85,6 +87,60 @@ fn resume_from_any_completed_prefix_is_byte_identical() {
         assert!(stats.served > 0, "some points must be served (cut={cut})");
         let _ = std::fs::remove_file(&partial);
     }
+}
+
+/// Observation belongs to the run: two runs on two threads of one
+/// process, each with its own metrics registry and trace file, observe
+/// exactly what the same run observes alone — their sweep workers'
+/// events and counts included.
+#[test]
+fn two_runs_in_one_process_observe_disjointly() {
+    // Flaky points give the workers something to count: their retries.
+    let plan = FaultPlan::parse("flaky=noc:3,flaky=noc:8").unwrap();
+    let counted = || {
+        metrics::enable();
+        let run = noc_energy::run(tiny(2), Some(&plan), None);
+        assert!(run.holes.is_empty());
+        metrics::snapshot().counters
+    };
+    let solo = std::thread::scope(|s| s.spawn(counted).join().unwrap());
+    assert!(!solo.is_empty(), "a run that counts nothing pins nothing");
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(counted), s.spawn(counted));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, solo);
+    assert_eq!(b, solo);
+
+    // Returns the file's lines, sorted when the workers' blocks land
+    // in scheduling order.
+    let traced = |tag: &str, jobs: usize| {
+        let mut path = std::env::temp_dir();
+        path.push(format!("piton-disjoint-{}-{tag}.jsonl", std::process::id()));
+        let spec = TraceSpec::parse(&format!("noc,out={}", path.display())).unwrap();
+        let (_, written) = trace::to_file(&spec, || noc_energy::run(tiny(jobs), None, None));
+        let lines = written.expect("trace file written").0;
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(doc.lines().count(), lines);
+        let mut lines: Vec<String> = doc.lines().map(str::to_owned).collect();
+        if jobs > 1 {
+            lines.sort();
+        }
+        lines
+    };
+    let solo = traced("solo", 1);
+    assert!(!solo.is_empty(), "an empty trace pins nothing");
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(|| traced("a", 1)), s.spawn(|| traced("b", 1)));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, solo);
+    assert_eq!(b, solo);
+    // Workers inherit the file: a parallel run traces the same events.
+    let mut sorted = solo;
+    sorted.sort();
+    assert_eq!(traced("parallel", 2), sorted);
 }
 
 /// A killed grid point must neither abort the sweep nor perturb any

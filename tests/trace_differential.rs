@@ -228,10 +228,10 @@ proptest! {
 }
 
 /// A collector on *another* thread must not reach an untraced machine:
-/// the helper holds `trace::capture` open (so the process-wide gate is
-/// up) for exactly as long as the main thread drives its machine, and
-/// the result must equal a run made with no collector anywhere —
-/// counters and engine diagnostics alike.
+/// the helper holds `trace::capture` open for exactly as long as the
+/// main thread drives its machine, the main thread's gate stays shut
+/// throughout, and the result must equal a run made with no collector
+/// anywhere — counters and engine diagnostics alike.
 #[test]
 fn foreign_collector_does_not_perturb_an_untraced_machine() {
     use std::sync::Barrier;
@@ -254,22 +254,29 @@ fn foreign_collector_does_not_perturb_an_untraced_machine() {
     );
 
     let (installed, finished) = (Barrier::new(2), Barrier::new(2));
-    let beside = std::thread::scope(|s| {
-        s.spawn(|| {
+    // Gate readings are asserted after the scope joins, so a failure
+    // cannot strand the other thread at a barrier.
+    let (helper_open, main_open, beside) = std::thread::scope(|s| {
+        let helper = s.spawn(|| {
             trace::capture(&TraceSpec::default(), || {
                 installed.wait();
                 finished.wait();
-            });
+                trace::active()
+            })
+            .0
         });
         installed.wait();
-        assert!(
-            trace::active(),
-            "the helper's collector holds the gate open"
-        );
+        let open_before = trace::active();
         let m = drive();
+        let main_open = open_before || trace::active();
         finished.wait();
-        m
+        (helper.join().expect("helper thread"), main_open, m)
     });
+    assert!(helper_open, "the helper's capture opens its own gate");
+    assert!(
+        !main_open,
+        "the helper's collector must not open the main thread's gate"
+    );
     assert_eq!(beside.counters(), alone.counters());
     assert_eq!(beside.engine_metrics(), alone.engine_metrics());
 }
