@@ -19,11 +19,13 @@
 //!   thread until the fill returns.
 //!
 //! Three loops drive a core: the live per-cycle [`Core::step`], and the
-//! batched dense engine's local run-ahead [`Core::run_local`] with its
-//! one-running-thread specialization. All three take the register-only
-//! instruction semantics (ALU, FP, branch, `movi`, nop) from a single
-//! function over the thread's register file; each loop owns only its
-//! scheduling bookkeeping and its memory/store/membar/halt arms.
+//! two loops behind the batched dense engine's local run-ahead
+//! [`Core::run_local`], one for a single running thread and one for
+//! two, which both replay steady-state loop iterations instead of
+//! re-interpreting them. All three take the register-only instruction
+//! semantics (ALU, FP, branch, `movi`, nop) from a single function over
+//! the thread's register file; each loop owns only its scheduling
+//! bookkeeping and its memory/store/membar/halt arms.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -62,8 +64,9 @@ pub const PHANTOM_OP: u8 = u8::MAX;
 /// per cycle it runs ahead.
 #[derive(Debug, Clone, Copy)]
 pub struct IssueRecord {
-    /// Cycle of the issue, as an offset from the local run's start
-    /// (a local run spans at most 2¹⁶ cycles).
+    /// Cycle of the issue, as an offset from the local run's origin
+    /// (the machine's segment start; a segment spans at most 2¹⁶
+    /// cycles).
     pub offset: u16,
     /// Dense opcode index ([`piton_arch::isa::Opcode::index`]), or
     /// [`PHANTOM_OP`] for a fall-off-the-end halt.
@@ -84,7 +87,7 @@ const _: () = assert!(std::mem::size_of::<IssueRecord>() == 16);
 /// barrier. Integer addition is exact and commutative, so per-core
 /// batch aggregation is bit-identical to the naive engine's per-cycle
 /// charging no matter how lanes interleave.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LocalCharges {
     /// `core_active_cycles` charged over the span.
     pub active: u64,
@@ -109,6 +112,83 @@ impl LocalCharges {
     /// Zeroes every field for buffer reuse.
     pub fn clear(&mut self) {
         *self = LocalCharges::default();
+    }
+
+    /// Adds `k` more copies of what accrued since `mark`, an earlier
+    /// snapshot of these charges: the integer side of replaying a loop
+    /// period `k` more times.
+    fn repeat_since(&mut self, mark: &LocalCharges, k: u64) {
+        let add = |cur: &mut u64, old: u64| *cur += k * (*cur - old);
+        add(&mut self.active, mark.active);
+        add(&mut self.mem_stall, mark.mem_stall);
+        add(&mut self.dual, mark.dual);
+        add(&mut self.drafted, mark.drafted);
+        add(&mut self.l1i, mark.l1i);
+        add(&mut self.sb_enqueues, mark.sb_enqueues);
+        for i in 0..Opcode::COUNT {
+            add(&mut self.issues[i], mark.issues[i]);
+            add(&mut self.occupancy[i], mark.occupancy[i]);
+        }
+    }
+}
+
+/// Where a [`Core::run_local`] loop last took a backward branch: the
+/// loop's `state` there — everything its next iteration depends on —
+/// and what the run had produced by then.
+struct LoopHead<S> {
+    state: S,
+    now: u64,
+    records: usize,
+    charges: LocalCharges,
+}
+
+impl<S: PartialEq> LoopHead<S> {
+    /// Steady-state loop replay, called at each taken backward branch
+    /// with the loop's `state` at `now`. A state equal to the one at
+    /// the previous call proves the period in between repeats verbatim,
+    /// so its records are copied once per whole period that fits before
+    /// `end`, each shifted one period later, and its integer charges
+    /// are added as many times. The `f64` activities stay one per
+    /// record, so the machine still folds them one by one in naive
+    /// order. A period containing a `membar`, whose occupancy reads the
+    /// drain-port clock, is left to the interpreter.
+    ///
+    /// Returns the cycles replayed (zero if none) and remembers `state`.
+    #[allow(clippy::cast_possible_truncation)]
+    fn replay(
+        head: &mut Option<Self>,
+        state: S,
+        now: u64,
+        end: u64,
+        records: &mut Vec<IssueRecord>,
+        charges: &mut LocalCharges,
+    ) -> u64 {
+        let mut replayed = 0;
+        if let Some(h) = head.as_ref().filter(|h| h.state == state) {
+            let period = now - h.now;
+            let k = (end - now) / period;
+            let membar = Opcode::Membar.index();
+            if k > 0 && charges.issues[membar] == h.charges.issues[membar] {
+                let body = h.records..records.len();
+                for j in 1..=k {
+                    let copy = records.len();
+                    records.extend_from_within(body.clone());
+                    let shift = (j * period) as u16;
+                    for r in &mut records[copy..] {
+                        r.offset += shift;
+                    }
+                }
+                charges.repeat_since(&h.charges, k);
+                replayed = k * period;
+            }
+        }
+        *head = Some(LoopHead {
+            state,
+            now: now + replayed,
+            records: records.len(),
+            charges: *charges,
+        });
+        replayed
     }
 }
 
@@ -585,24 +665,17 @@ impl Core {
         true
     }
 
-    /// Number of threads currently in the running state.
-    fn running_threads(&self) -> usize {
-        self.threads
-            .iter()
-            .filter(|t| t.state == ThreadState::Running)
-            .count()
-    }
-
     /// Batch-steps this core over `[start, end)` while its cycles stay
     /// *local* — touching only its own threads, registers and (empty)
     /// store buffer, never the shared memory system — and returns the
     /// first cycle it could not cover (its *horizon*).
     ///
     /// Order-free integer charges accrue into `charges`; each issue
-    /// appends an [`IssueRecord`] to `records` so the machine can fold
-    /// the order-sensitive operand-activity `f64`s, count issuing
-    /// cycles and emit `Retire` trace events in the naive engine's
-    /// global (cycle, core) order. The run stops:
+    /// appends an [`IssueRecord`] to `records`, its offset counted from
+    /// `origin`, so the machine can fold the order-sensitive
+    /// operand-activity `f64`s, count issuing cycles and emit `Retire`
+    /// trace events in the naive engine's global (cycle, core) order.
+    /// The run stops:
     ///
     /// * **before** a `ldx`/`casx` issue (horizon = that cycle, none of
     ///   that cycle's charges applied): the access must reach the
@@ -620,12 +693,17 @@ impl Core {
     /// state changes, so the active/memory-stall rates are constants of
     /// the span.
     ///
+    /// One running thread takes `run_local_single`, two take
+    /// `run_local_pair`. A core with more than two running
+    /// threads (not a Piton shape) has no local loop: the horizon is
+    /// `start` and the machine steps it live.
+    ///
     /// The caller must ensure the core is enabled, the store buffer is
-    /// empty and the span fits an [`IssueRecord`] offset;
+    /// empty and `[origin, end)` fits an [`IssueRecord`] offset;
     /// `Machine::run_dense_batched` guards all three.
-    #[allow(clippy::cast_possible_truncation)]
     pub fn run_local(
         &mut self,
+        origin: u64,
         start: u64,
         end: u64,
         records: &mut Vec<IssueRecord>,
@@ -636,152 +714,30 @@ impl Core {
             self.store_buffer.entries.is_empty(),
             "run_local with pending stores"
         );
-        debug_assert!(end - start <= 1 << 16, "span overflows the record offset");
-        // The saturated sweeps this engine exists for run one thread
-        // per core: a specialized loop keeps that thread's state in
-        // locals and skips the round-robin/dual/memory-wait scans
-        // (with one running thread, the issuing thread is never
-        // memory-waiting at its own issue cycle, nothing drafts after
-        // the first issue, and there is no dual-thread charge).
-        {
-            let mut running = self
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.state == ThreadState::Running);
-            if let (Some((only, _)), None) = (running.next(), running.next()) {
-                return self.run_local_single(only, start, end, records, charges);
+        debug_assert!(
+            origin <= start && end - origin <= 1 << 16,
+            "span overflows the record offset"
+        );
+        let mut running = self
+            .threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.state == ThreadState::Running)
+            .map(|(i, _)| i);
+        match (running.next(), running.next(), running.next()) {
+            (None, _, _) => end,
+            (Some(only), None, _) => {
+                self.run_local_single(only, origin, start, end, records, charges)
             }
+            (Some(_), Some(_), None) if self.threads.len() == 2 => {
+                self.run_local_pair(origin, start, end, records, charges)
+            }
+            _ => start,
         }
-        let n = self.threads.len();
-        let mut now = start;
-        while now < end {
-            let mut chosen = None;
-            for k in 0..n {
-                let idx = (self.next_thread + k) % n;
-                let t = &self.threads[idx];
-                if t.state == ThreadState::Running && t.busy_until <= now {
-                    chosen = Some(idx);
-                    break;
-                }
-            }
-            let mem_waiting = self
-                .threads
-                .iter()
-                .filter(|t| t.memory_waiting(now))
-                .count() as u64;
-            let Some(idx) = chosen else {
-                // Stall span: no thread can issue before the earliest
-                // `busy_until`, and no state changes until then, so
-                // both charge rates are frozen — bulk them and jump.
-                let Some(wake) = self.next_ready_at() else {
-                    return end; // every thread halted
-                };
-                let wake = wake.min(end);
-                let span = wake - now;
-                charges.active += span;
-                charges.mem_stall += span * mem_waiting;
-                now = wake;
-                continue;
-            };
-            let pc = self.threads[idx].pc;
-            let instr = self.threads[idx]
-                .program
-                .as_ref()
-                .expect("running thread has a program")
-                .instructions
-                .get(pc)
-                .copied();
-            if instr.is_some_and(|i| matches!(i.opcode, Opcode::Ldx | Opcode::Casx)) {
-                // Hand the whole cycle back before committing any of
-                // its charges: the machine redoes it via `step`.
-                return now;
-            }
-            // The issue slot of cycle `at` is consumed from here on.
-            let at = now;
-            now += 1;
-            charges.active += 1;
-            charges.mem_stall += mem_waiting;
-            if self.running_threads() >= 2 {
-                charges.dual += 1;
-            }
-            self.next_thread = (idx + 1) % n;
-            let mut record = IssueRecord {
-                offset: (at - start) as u16,
-                op: PHANTOM_OP,
-                thread: idx as u8,
-                pc: pc as u32,
-                activity: 0.0,
-            };
-            let Some(instr) = instr else {
-                // Fell off the end: an issuing step that fetches and
-                // records nothing, halting the thread.
-                self.last_issue = None;
-                self.threads[idx].state = ThreadState::Halted;
-                records.push(record);
-                continue;
-            };
-            let op = instr.opcode;
-            if let Some((prev_t, prev_pc, prev_op)) = self.last_issue {
-                if prev_t != idx && prev_pc == pc && prev_op == op {
-                    charges.drafted += 1;
-                }
-            }
-            self.last_issue = Some((idx, pc, op));
-            charges.l1i += 1;
-            record.op = op.index() as u8;
-
-            let t = &mut self.threads[idx];
-            t.retired += 1;
-            let (occupancy, activity, wait, target) = match op {
-                Opcode::Halt => {
-                    t.state = ThreadState::Halted;
-                    charges.issues[op.index()] += 1;
-                    charges.occupancy[op.index()] += 1;
-                    records.push(record);
-                    continue;
-                }
-                Opcode::Stx => {
-                    // The buffer was empty at entry and the run stops
-                    // after the first store, so it can never be full
-                    // here — no roll-back path in local mode.
-                    let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
-                    let value = t.read(instr.rs2);
-                    self.store_buffer.push(addr, value, at);
-                    charges.sb_enqueues += 1;
-                    (1, value_activity(value), WaitKind::Execute, None)
-                }
-                Opcode::Membar => {
-                    // Empty buffer: only the drain port's residual
-                    // busy time can hold the barrier.
-                    let held = self.store_buffer.drained_by(at) - at;
-                    (held.max(op.base_latency()), 0.0, WaitKind::StoreDrain, None)
-                }
-                _ => {
-                    let (activity, target) = t.execute_local(&instr);
-                    (op.base_latency(), activity, WaitKind::Execute, target)
-                }
-            };
-            let occupancy = occupancy.max(1);
-            charges.issues[op.index()] += 1;
-            charges.occupancy[op.index()] += occupancy;
-            record.activity = activity.clamp(0.0, 1.0);
-            records.push(record);
-            t.busy_until = at + occupancy;
-            t.wait = wait;
-            t.pc = target.unwrap_or(pc + 1);
-            if op == Opcode::Stx {
-                // From the next cycle on the pending drain is a
-                // memory-system mutation: hand back.
-                return now;
-            }
-        }
-        end
     }
 
-    /// [`Core::run_local`] specialized for exactly one running thread —
-    /// the shape of every saturated-phase sweep (Figures 13/14 run one
-    /// software thread per core). The thread's hot state (`pc`,
+    /// [`Core::run_local`] for exactly one running thread — the shape of
+    /// the 1 T/C sweeps (Figures 13/14). The thread's hot state (`pc`,
     /// `busy_until`, wait kind) lives in locals for the whole span and
     /// is flushed once on exit, and the invariants of the single-thread
     /// case delete the per-cycle bookkeeping wholesale: the issuing
@@ -791,10 +747,18 @@ impl Core {
     /// take the same value at every issue (written once at exit), and
     /// only the *first* issue can draft (against a sibling's final
     /// issue from before the span).
-    #[allow(clippy::cast_possible_truncation)]
+    ///
+    /// Steady-state loops are replayed, not re-interpreted
+    /// ([`LoopHead::replay`]): the state compared at each taken
+    /// backward branch is the head `pc`, the registers, the occupancy
+    /// left and its wait kind. Nothing else a local iteration reads can
+    /// change, and a replayed period never holds a drafted issue: only
+    /// the run's first issue drafts, and it precedes every branch.
+    #[allow(clippy::cast_possible_truncation, clippy::too_many_lines)]
     fn run_local_single(
         &mut self,
         idx: usize,
+        origin: u64,
         start: u64,
         end: u64,
         records: &mut Vec<IssueRecord>,
@@ -803,7 +767,7 @@ impl Core {
         let n = self.threads.len();
         let prog = self.threads[idx]
             .program
-            .clone()
+            .take()
             .expect("running thread has a program");
         let code = &prog.instructions;
         let t = &mut self.threads[idx];
@@ -816,11 +780,12 @@ impl Core {
         // the final per-cycle issue would have left them.
         let mut new_last: Option<Option<(usize, usize, Opcode)>> = None;
         let mut first = true;
+        let mut head = None;
         let mut now = start;
         let horizon = 'run: {
             while now < end {
                 if busy > now {
-                    // Stall span at frozen rates, as in the generic loop.
+                    // Stall span at frozen rates.
                     let wake = busy.min(end);
                     let span = wake - now;
                     charges.active += span;
@@ -831,7 +796,7 @@ impl Core {
                     continue;
                 }
                 let mut record = IssueRecord {
-                    offset: (now - start) as u16,
+                    offset: (now - origin) as u16,
                     op: PHANTOM_OP,
                     thread: idx as u8,
                     pc: pc as u32,
@@ -896,10 +861,24 @@ impl Core {
                 records.push(record);
                 busy = now + occupancy;
                 wait = kind;
-                pc = target.unwrap_or(pc + 1);
                 now += 1;
                 if op == Opcode::Stx {
+                    pc += 1;
                     break 'run now;
+                }
+                let Some(target) = target else {
+                    pc += 1;
+                    continue;
+                };
+                let backward = target <= pc;
+                pc = target;
+                if backward {
+                    let before = records.len();
+                    let state = (pc, t.regs, busy - now, wait);
+                    let replayed = LoopHead::replay(&mut head, state, now, end, records, charges);
+                    retired += (records.len() - before) as u64;
+                    now += replayed;
+                    busy += replayed;
                 }
             }
             end
@@ -908,10 +887,205 @@ impl Core {
         t.busy_until = busy;
         t.wait = wait;
         t.retired += retired;
+        t.program = Some(prog);
         if let Some(v) = new_last {
             self.last_issue = v;
             self.next_thread = (idx + 1) % n;
         }
+        horizon
+    }
+
+    /// [`Core::run_local`] for a two-thread core with both threads
+    /// running — the 2 T/C sweeps. Both threads' `pc`, `busy_until` and
+    /// wait kind live in locals, so the round-robin pick, the
+    /// dual-thread charge and the sibling's memory-wait charge are a
+    /// few compares instead of scans over the thread vector. A thread
+    /// that halts (or falls off the end) mid-span leaves its sibling
+    /// running here alone, exactly as [`Core::step`] would.
+    ///
+    /// Steady-state loops are replayed ([`LoopHead::replay`]) on the
+    /// pair's whole state: both threads' `pc`, registers, occupancy left
+    /// and wait kind, which are running, the round-robin pointer and
+    /// the last issue. The last issue decides drafting, so drafted
+    /// issues repeat with the period like everything else.
+    #[allow(clippy::cast_possible_truncation, clippy::too_many_lines)]
+    fn run_local_pair(
+        &mut self,
+        origin: u64,
+        start: u64,
+        end: u64,
+        records: &mut Vec<IssueRecord>,
+        charges: &mut LocalCharges,
+    ) -> u64 {
+        let Core {
+            threads,
+            store_buffer,
+            next_thread,
+            last_issue,
+            ..
+        } = self;
+        let [a, b] = &mut threads[..] else {
+            unreachable!("run_local_pair on a core without two threads")
+        };
+        let mut th = [a, b];
+        let progs = [
+            th[0].program.take().expect("running thread has a program"),
+            th[1].program.take().expect("running thread has a program"),
+        ];
+        let code = [&progs[0].instructions[..], &progs[1].instructions[..]];
+        let mut pc = [th[0].pc, th[1].pc];
+        let mut busy = [th[0].busy_until, th[1].busy_until];
+        let mut wait = [th[0].wait, th[1].wait];
+        let mut running = [true; 2];
+        let mut retired = [0u64; 2];
+        let mut next = *next_thread;
+        let mut last = *last_issue;
+        // One loop head per branching thread: the lockstep pair's state
+        // recurs at the same thread's branch, not at the sibling's.
+        let mut heads = [None, None];
+        let mut now = start;
+        let horizon = loop {
+            if now >= end {
+                break end;
+            }
+            let ready = |i: usize| running[i] && busy[i] <= now;
+            let idx = if ready(next) {
+                next
+            } else if ready(next ^ 1) {
+                next ^ 1
+            } else {
+                // Stall span: every running thread is occupied, so no
+                // state changes before the earliest wake-up.
+                let wake = match running {
+                    [true, true] => busy[0].min(busy[1]),
+                    [true, false] => busy[0],
+                    [false, true] => busy[1],
+                    [false, false] => break end,
+                };
+                let wake = wake.min(end);
+                let span = wake - now;
+                let mem_waiting = (0..2)
+                    .filter(|&i| running[i] && wait[i] == WaitKind::Memory)
+                    .count() as u64;
+                charges.active += span;
+                charges.mem_stall += span * mem_waiting;
+                now = wake;
+                continue;
+            };
+            let other = idx ^ 1;
+            let here = pc[idx];
+            let instr = code[idx].get(here);
+            if instr.is_some_and(|i| matches!(i.opcode, Opcode::Ldx | Opcode::Casx)) {
+                break now;
+            }
+            // The issue slot of cycle `at` is consumed from here on.
+            let at = now;
+            now += 1;
+            charges.active += 1;
+            charges.mem_stall +=
+                u64::from(running[other] && busy[other] > at && wait[other] == WaitKind::Memory);
+            charges.dual += u64::from(running[other]);
+            next = other;
+            let mut record = IssueRecord {
+                offset: (at - origin) as u16,
+                op: PHANTOM_OP,
+                thread: idx as u8,
+                pc: here as u32,
+                activity: 0.0,
+            };
+            let Some(instr) = instr else {
+                // Fell off the end: an issuing step that fetches and
+                // records nothing, halting the thread.
+                last = None;
+                running[idx] = false;
+                th[idx].state = ThreadState::Halted;
+                records.push(record);
+                continue;
+            };
+            let op = instr.opcode;
+            if let Some((prev_t, prev_pc, prev_op)) = last {
+                if prev_t != idx && prev_pc == here && prev_op == op {
+                    charges.drafted += 1;
+                }
+            }
+            last = Some((idx, here, op));
+            charges.l1i += 1;
+            record.op = op.index() as u8;
+            retired[idx] += 1;
+            let t = &mut th[idx];
+            let (occupancy, activity, kind, target) = match op {
+                Opcode::Halt => {
+                    running[idx] = false;
+                    t.state = ThreadState::Halted;
+                    charges.issues[op.index()] += 1;
+                    charges.occupancy[op.index()] += 1;
+                    records.push(record);
+                    continue;
+                }
+                Opcode::Stx => {
+                    // The buffer was empty at entry and the run stops
+                    // after the first store, so it can never be full
+                    // here — no roll-back path in local mode.
+                    let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
+                    let value = t.read(instr.rs2);
+                    store_buffer.push(addr, value, at);
+                    charges.sb_enqueues += 1;
+                    (1, value_activity(value), WaitKind::Execute, None)
+                }
+                Opcode::Membar => {
+                    let held = store_buffer.drained_by(at) - at;
+                    (held.max(op.base_latency()), 0.0, WaitKind::StoreDrain, None)
+                }
+                _ => {
+                    let (activity, target) = t.execute_local(instr);
+                    (op.base_latency(), activity, WaitKind::Execute, target)
+                }
+            };
+            let occupancy = occupancy.max(1);
+            charges.issues[op.index()] += 1;
+            charges.occupancy[op.index()] += occupancy;
+            record.activity = activity.clamp(0.0, 1.0);
+            records.push(record);
+            busy[idx] = at + occupancy;
+            wait[idx] = kind;
+            pc[idx] = target.unwrap_or(here + 1);
+            if op == Opcode::Stx {
+                // From the next cycle on the pending drain is a
+                // memory-system mutation: hand back.
+                break now;
+            }
+            if target.is_some_and(|t| t <= here) {
+                // Any occupancy already over is as good as none.
+                let ahead = |i: usize| {
+                    if running[i] {
+                        busy[i].saturating_sub(now)
+                    } else {
+                        0
+                    }
+                };
+                let regs = [th[0].regs, th[1].regs];
+                let state = (pc, regs, [ahead(0), ahead(1)], wait, running, next, last);
+                let before = records.len();
+                let replayed = LoopHead::replay(&mut heads[idx], state, now, end, records, charges);
+                for r in &records[before..] {
+                    retired[usize::from(r.thread)] += 1;
+                }
+                now += replayed;
+                for i in (0..2).filter(|&i| running[i]) {
+                    busy[i] += replayed;
+                }
+            }
+        };
+        let [p0, p1] = progs;
+        for (i, (t, p)) in th.into_iter().zip([p0, p1]).enumerate() {
+            t.pc = pc[i];
+            t.busy_until = busy[i];
+            t.wait = wait[i];
+            t.retired += retired[i];
+            t.program = Some(p);
+        }
+        *next_thread = next;
+        *last_issue = last;
         horizon
     }
 
@@ -1238,5 +1412,192 @@ mod tests {
         assert!(!core.any_running(), "deadlocked");
         assert_eq!(memsys.peek_mem(0x5040), 20, "lost updates under the lock");
         assert!(act.atomics >= 20);
+    }
+
+    /// Runs `core` ahead locally over `[start, end)` and a clone live,
+    /// one `step` per cycle, over the cycles the local run covered.
+    /// Asserts the two agree on every counter (the records' activities
+    /// folded in cycle order, as the machine does), on which cycles
+    /// issued, and on the whole core state. Returns the horizon.
+    fn assert_local_matches_step(core: Core, start: u64, end: u64) -> u64 {
+        let mut stepped = core.clone();
+        let mut local = core;
+        let mut records = Vec::new();
+        let mut charges = LocalCharges::default();
+        let horizon = local.run_local(start, start, end, &mut records, &mut charges);
+
+        let (mut memsys, mut act) = (
+            MemorySystem::new(&ChipConfig::piton()),
+            ActivityCounters::default(),
+        );
+        let issued: Vec<u64> = (start..horizon)
+            .filter(|&now| stepped.step(now, &mut memsys, &mut act))
+            .collect();
+
+        let mut folded = ActivityCounters {
+            core_active_cycles: charges.active,
+            mem_stall_cycles: charges.mem_stall,
+            dual_thread_cycles: charges.dual,
+            drafted_issues: charges.drafted,
+            l1i_accesses: charges.l1i,
+            sb_enqueues: charges.sb_enqueues,
+            issues: charges.issues,
+            occupancy_cycles: charges.occupancy,
+            ..ActivityCounters::default()
+        };
+        for r in records.iter().filter(|r| r.op != PHANTOM_OP) {
+            folded.operand_activity[usize::from(r.op)] += r.activity;
+        }
+        let offsets: Vec<u64> = records
+            .iter()
+            .map(|r| start + u64::from(r.offset))
+            .collect();
+        assert_eq!(offsets, issued, "issuing cycles");
+        assert_eq!(folded, act);
+        assert_eq!(format!("{local:?}"), format!("{stepped:?}"), "core state");
+        horizon
+    }
+
+    fn core_with(programs: &[Vec<Instruction>]) -> Core {
+        let mut core = Core::new(TileId::new(0), 2, 8);
+        for (thread, code) in programs.iter().enumerate() {
+            core.load_thread(thread, Arc::new(Program::from_instructions(code.clone())));
+        }
+        core
+    }
+
+    /// An endless loop whose registers never change: the shape both
+    /// local loops replay instead of re-interpreting.
+    fn steady_loop() -> Vec<Instruction> {
+        vec![
+            Instruction::movi(Reg::new(1), 0x5555),
+            Instruction::movi(Reg::new(2), 0x0F0F),
+            Instruction::alu(Opcode::Add, Reg::new(3), Reg::new(1), Reg::new(2)),
+            Instruction::alu(Opcode::Mulx, Reg::new(4), Reg::new(1), Reg::new(2)),
+            Instruction::alu(Opcode::And, Reg::new(3), Reg::new(1), Reg::new(2)),
+            Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 2),
+        ]
+    }
+
+    #[test]
+    fn two_thread_run_local_matches_step() {
+        // Lockstep copies of one loop draft each other's issues; loops
+        // of different lengths recur only together.
+        let tight = vec![
+            Instruction::movi(Reg::new(1), 3),
+            Instruction::alu(Opcode::Add, Reg::new(2), Reg::new(1), Reg::new(1)),
+            Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 1),
+        ];
+        for pair in [[steady_loop(), steady_loop()], [steady_loop(), tight]] {
+            let horizon = assert_local_matches_step(core_with(&pair), 0, 3_001);
+            assert_eq!(horizon, 3_001);
+        }
+        // A countdown that halts mid-span leaves its sibling running
+        // alone; a program without `halt` falls off the end.
+        let countdown = vec![
+            Instruction::movi(Reg::new(1), 40),
+            Instruction::movi(Reg::new(2), 1),
+            Instruction::alu(Opcode::Sub, Reg::new(1), Reg::new(1), Reg::new(2)),
+            Instruction::branch(Opcode::Bne, Reg::new(1), Reg::G0, 2),
+            Instruction::halt(),
+        ];
+        let short = vec![Instruction::nop(), Instruction::movi(Reg::new(5), 9)];
+        for pair in [
+            [steady_loop(), countdown.clone()],
+            [short.clone(), steady_loop()],
+        ] {
+            let horizon = assert_local_matches_step(core_with(&pair), 0, 2_000);
+            assert_eq!(horizon, 2_000);
+        }
+        let horizon = assert_local_matches_step(core_with(&[countdown, short]), 0, 2_000);
+        assert_eq!(horizon, 2_000, "both threads halt: the run covers the span");
+    }
+
+    #[test]
+    fn two_thread_run_local_stops_at_memory() {
+        let mut store = steady_loop();
+        store.insert(4, Instruction::stx(Reg::new(1), Reg::new(2), 0));
+        let load = vec![
+            Instruction::movi(Reg::new(1), 0x4000),
+            Instruction::nop(),
+            Instruction::ldx(Reg::new(2), Reg::new(1), 0),
+        ];
+        // Stops after the store (its drain is a memory-system effect)…
+        let horizon = assert_local_matches_step(core_with(&[store, steady_loop()]), 0, 1_000);
+        assert!(horizon < 1_000);
+        // …and before the load.
+        let horizon = assert_local_matches_step(core_with(&[steady_loop(), load]), 0, 1_000);
+        assert!(horizon < 1_000);
+    }
+
+    #[test]
+    fn three_running_threads_have_no_local_loop() {
+        let mut core = Core::new(TileId::new(0), 3, 8);
+        for thread in 0..3 {
+            core.load_thread(thread, Arc::new(Program::from_instructions(steady_loop())));
+        }
+        let mut records = Vec::new();
+        let horizon = core.run_local(5, 9, 100, &mut records, &mut LocalCharges::default());
+        assert_eq!(horizon, 9, "stepped live from the start");
+        assert!(records.is_empty());
+    }
+
+    #[test]
+    fn steady_loop_replay_matches_step() {
+        // Spans that end mid-period, on a period boundary and long
+        // after the first replay all fold to what stepping produces.
+        for end in [7, 40, 1_000, 1_024, 4_099] {
+            assert_local_matches_step(core_with(&[steady_loop()]), 0, end);
+        }
+    }
+
+    #[test]
+    fn loop_with_changing_counter_matches_step() {
+        // The counter feeds an ALU op, so a replayed period would
+        // repeat stale registers and stale operand activities.
+        let counting = vec![
+            Instruction::movi(Reg::new(1), 0),
+            Instruction::movi(Reg::new(2), 1),
+            Instruction::movi(Reg::new(4), 0x00FF),
+            Instruction::alu(Opcode::Add, Reg::new(1), Reg::new(1), Reg::new(2)),
+            Instruction::alu(Opcode::And, Reg::new(3), Reg::new(1), Reg::new(4)),
+            Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 3),
+        ];
+        for programs in [vec![counting.clone()], vec![counting, steady_loop()]] {
+            let mut core = core_with(&programs);
+            assert_local_matches_step(core.clone(), 0, 3_000);
+            let mut records = Vec::new();
+            core.run_local(0, 0, 3_000, &mut records, &mut LocalCharges::default());
+            assert!(core.reg(0, Reg::new(1)) > 300, "the counter ran");
+        }
+    }
+
+    #[test]
+    fn loop_with_membar_matches_step() {
+        // A cold store leaves the drain port busy for hundreds of
+        // cycles after the buffer empties. The first taken backward
+        // branch reaches the head before the `membar` has waited, so
+        // the second reaches it in the same state after a long wait
+        // that no later period repeats.
+        let code = vec![
+            Instruction::movi(Reg::new(1), 0x2000),
+            Instruction::stx(Reg::new(1), Reg::new(1), 0),
+            Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 5),
+            Instruction::membar(),
+            Instruction::nop(),
+            Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 3),
+        ];
+        let (mut core, mut memsys, mut act) = setup();
+        core.load_thread(0, Arc::new(Program::from_instructions(code)));
+        let mut now = 0;
+        while now < 2 || core.has_pending_stores() {
+            core.step(now, &mut memsys, &mut act);
+            now += 1;
+        }
+        assert!(
+            core.store_buffer.drained_by(now) > now + 100,
+            "drain port busy"
+        );
+        assert_local_matches_step(core, now, now + 2_000);
     }
 }

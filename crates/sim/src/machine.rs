@@ -268,7 +268,8 @@ pub struct EngineMetrics {
     pub batches: u64,
     /// High-water mark of deferred issues buffered by any one lane in
     /// any segment of a batch — the effect-buffer depth phase B
-    /// replays.
+    /// replays, counting the records of runs re-armed during phase B
+    /// (measured at the segment barrier).
     pub record_hwm: u64,
     /// Cycles driven by the reference naive engine.
     pub naive_cycles: u64,
@@ -303,9 +304,9 @@ const DENSE_BATCH_CYCLES: u64 = 4_096;
 /// them. A batch is worked off in segments so that a lane's effect
 /// buffer holds one segment's issues (16 KB), not a batch's — 1.6 MB
 /// across a 25-lane machine, a fifth of `reproduce`'s resident set.
-/// Long enough to amortize the per-segment lane setup; short enough
-/// that a core whose store buffer empties re-enters the fast local path
-/// soon.
+/// Long enough to amortize the per-segment lane setup. It does not
+/// bound how long a lane stays live: phase B re-arms a lane's local
+/// run as soon as its store buffer is empty after a live step.
 const DENSE_SEGMENT_CYCLES: u64 = 1_024;
 
 /// Reusable per-lane state of the batched dense engine: phase A's
@@ -363,7 +364,13 @@ fn run_lanes_ahead(
         buf.horizon = if core.has_pending_stores() {
             span.start
         } else {
-            core.run_local(span.start, span.end, &mut buf.records, &mut buf.charges)
+            core.run_local(
+                span.start,
+                span.start,
+                span.end,
+                &mut buf.records,
+                &mut buf.charges,
+            )
         };
     }
 }
@@ -795,6 +802,12 @@ impl Machine {
     ///   Trace events keep that order too: a replayed record emits its
     ///   `Retire` at its (cycle, tile) turn, between the live events of
     ///   the stepped lanes around it.
+    ///   After a lane's live step at cycle `c`, if its core's store
+    ///   buffer is empty the lane is *re-armed*: it runs ahead locally
+    ///   again over `(c, segment end)`. That touches only its own core,
+    ///   so it may run before the later lanes' cycle-`c` steps; its new
+    ///   records keep offsets from the segment start and fold at their
+    ///   (cycle, tile) turns like phase A's.
     ///   Zero-issue cycles fast-forward like the naive engine: local
     ///   lanes contribute their next record's cycle (equal to their
     ///   hidden `next_ready_at`, since a ready local thread always
@@ -847,10 +860,6 @@ impl Machine {
 
                 // Phase A: run store-buffer-empty lanes ahead locally.
                 run_lanes_ahead(&mut self.cores, &polled, &mut scratch, start..send);
-                for buf in &scratch[..polled.len()] {
-                    self.emetrics.record_hwm =
-                        self.emetrics.record_hwm.max(buf.records.len() as u64);
-                }
 
                 // Phase B: the sequential exact replay.
                 // When every lane covered the whole segment locally and
@@ -917,11 +926,19 @@ impl Machine {
                         }
                         for (buf, &k) in scratch.iter_mut().zip(&polled) {
                             if c >= buf.horizon {
-                                issued += u64::from(self.cores[k].step(
-                                    c,
-                                    &mut self.memsys,
-                                    &mut self.act,
-                                ));
+                                let core = &mut self.cores[k];
+                                issued += u64::from(core.step(c, &mut self.memsys, &mut self.act));
+                                // Re-arm: a lane whose buffer drained is
+                                // local again from the next cycle on.
+                                if c + 1 < send && core.is_enabled() && !core.has_pending_stores() {
+                                    buf.horizon = core.run_local(
+                                        start,
+                                        c + 1,
+                                        send,
+                                        &mut buf.records,
+                                        &mut buf.charges,
+                                    );
+                                }
                             } else if let Some(r) = buf.replay(rel, &mut self.act) {
                                 issued += 1;
                                 if trace_retire && r.op != PHANTOM_OP {
@@ -953,6 +970,8 @@ impl Machine {
                 // verify every effect buffer replayed to exhaustion.
                 for buf in &scratch[..polled.len()] {
                     debug_assert_eq!(buf.cursor, buf.records.len(), "unreplayed issue records");
+                    self.emetrics.record_hwm =
+                        self.emetrics.record_hwm.max(buf.records.len() as u64);
                     let ch = &buf.charges;
                     self.act.core_active_cycles += ch.active;
                     self.act.mem_stall_cycles += ch.mem_stall;

@@ -135,14 +135,14 @@ impl DirEntry {
         self.sharers |= Self::bit(tile);
     }
 
-    fn sharer_tiles(&self) -> impl Iterator<Item = TileId> + '_ {
-        let bits = self.sharers;
-        (0..25usize).filter_map(move |i| {
-            if bits & (1 << i) != 0 {
-                Some(TileId::new(i))
-            } else {
-                None
-            }
+    /// The tiles of a bitmap, in ascending tile order.
+    fn tiles(mut bits: u32) -> impl Iterator<Item = TileId> {
+        std::iter::from_fn(move || {
+            let i = bits.trailing_zeros();
+            (i < 32).then(|| {
+                bits &= bits - 1;
+                TileId::new(i as usize)
+            })
         })
     }
 }
@@ -210,16 +210,14 @@ impl MemorySystem {
         self.noc.mesh().route(a, b).latency_cycles()
     }
 
-    fn flit_payloads(addr: u64, value: u64, n: usize) -> Vec<u64> {
+    fn flit_payloads<const N: usize>(addr: u64, value: u64) -> [u64; N] {
         // Header carries the address; body flits carry value-derived
         // words so link switching tracks real data activity.
-        (0..n)
-            .map(|i| match i {
-                0 => addr,
-                1 => value,
-                _ => value.rotate_left(17 * i as u32) ^ addr,
-            })
-            .collect()
+        std::array::from_fn(|i| match i {
+            0 => addr,
+            1 => value,
+            _ => value.rotate_left(17 * i as u32) ^ addr,
+        })
     }
 
     /// Invalidates every L1/L1.5 copy of the 64 B line at `tile`
@@ -259,26 +257,20 @@ impl MemorySystem {
             return 0;
         };
         let mut worst = 0;
-        let victims: Vec<TileId> = entry
-            .sharer_tiles()
-            .chain(entry.owner)
-            .filter(|&t| Some(t) != keep)
-            .collect();
-        let mut seen = [false; 32];
-        for t in victims {
-            if seen[t.index()] {
-                continue;
-            }
-            seen[t.index()] = true;
-            let inv = Self::flit_payloads(l2_line, 0, INV_FLITS);
+        // Sharers in tile order, then an owner that is not also a
+        // sharer: the send order the NoC Hamming chains depend on.
+        let kept = keep.map_or(0, DirEntry::bit);
+        let sharers = entry.sharers & !kept;
+        let owner = entry.owner.map_or(0, DirEntry::bit) & !entry.sharers & !kept;
+        for t in DirEntry::tiles(sharers).chain(DirEntry::tiles(owner)) {
+            let inv = Self::flit_payloads::<INV_FLITS>(l2_line, 0);
             self.noc.send(NocId::Noc2, home, t, &inv, act);
             self.invalidate_tile_copies(t, l2_line, act);
-            let ack = Self::flit_payloads(l2_line, 0, ACK_FLITS);
+            let ack = Self::flit_payloads::<ACK_FLITS>(l2_line, 0);
             self.noc.send(NocId::Noc3, t, home, &ack, act);
             worst = worst.max(2 * self.route_cycles(home, t));
         }
         if let Some(e) = self.dir.get_mut(&l2_line) {
-            let kept = keep.map(DirEntry::bit).unwrap_or(0);
             e.sharers &= kept;
             if e.owner != keep {
                 e.owner = None;
@@ -338,9 +330,9 @@ impl MemorySystem {
         if !was_dirty {
             return 0;
         }
-        let fwd = Self::flit_payloads(l2_line, 0, INV_FLITS);
+        let fwd = Self::flit_payloads::<INV_FLITS>(l2_line, 0);
         self.noc.send(NocId::Noc2, home, owner, &fwd, act);
-        let data = Self::flit_payloads(l2_line, self.mem.read(l2_line), RESP_FLITS);
+        let data = Self::flit_payloads::<RESP_FLITS>(l2_line, self.mem.read(l2_line));
         self.noc.send(NocId::Noc3, owner, home, &data, act);
         act.l15_writebacks += 1;
         act.l2_writes += 1;
@@ -360,7 +352,7 @@ impl MemorySystem {
         }
         let l2_line = self.l2_line(line_addr);
         let home = self.home_slice(line_addr);
-        let data = Self::flit_payloads(line_addr, self.mem.read(line_addr), RESP_FLITS);
+        let data = Self::flit_payloads::<RESP_FLITS>(line_addr, self.mem.read(line_addr));
         self.noc.send(NocId::Noc1, tile, home, &data, act);
         act.l15_writebacks += 1;
         act.l2_writes += 1;
@@ -421,13 +413,9 @@ impl MemorySystem {
                 extra = extra.max(self.invalidate_sharers(home, l2_line, Some(tile), act));
             } else {
                 // A second reader demotes any Exclusive copy to Shared.
-                let others: Vec<TileId> = self
-                    .dir
-                    .get(&l2_line)
-                    .map(|e| e.sharer_tiles().filter(|&t| t != tile).collect())
-                    .unwrap_or_default();
+                let others = self.dir.get(&l2_line).map_or(0, |e| e.sharers) & !DirEntry::bit(tile);
                 let sub = self.cfg.l15.line_bytes;
-                for o in others {
+                for o in DirEntry::tiles(others) {
                     for k in 0..(self.cfg.l2.line_bytes / sub) {
                         let a = l2_line + k * sub;
                         if self.l15[o.index()].peek(a) == Some(LineState::Exclusive) {
@@ -514,12 +502,12 @@ impl MemorySystem {
         let home = self.home_slice(addr);
         let route = self.noc.mesh().route(tile, home);
         let rt = 2 * route.latency_cycles();
-        let req = Self::flit_payloads(addr, tile.index() as u64, REQ_FLITS);
+        let req = Self::flit_payloads::<REQ_FLITS>(addr, tile.index() as u64);
         self.noc.send(NocId::Noc1, tile, home, &req, act);
 
         let (home_latency, l2_hit) = self.access_home(tile, home, addr, false, now, act);
 
-        let resp = Self::flit_payloads(addr, value, RESP_FLITS);
+        let resp = Self::flit_payloads::<RESP_FLITS>(addr, value);
         self.noc.send(NocId::Noc3, home, tile, &resp, act);
 
         let entry = self
@@ -594,10 +582,10 @@ impl MemorySystem {
             let home = self.home_slice(addr);
             let route = self.noc.mesh().route(tile, home);
             let rt = 2 * route.latency_cycles();
-            let req = Self::flit_payloads(addr, value, REQ_FLITS);
+            let req = Self::flit_payloads::<REQ_FLITS>(addr, value);
             self.noc.send(NocId::Noc1, tile, home, &req, act);
             let (home_latency, _hit) = self.access_home(tile, home, addr, true, now, act);
-            let resp = Self::flit_payloads(addr, value, RESP_FLITS);
+            let resp = Self::flit_payloads::<RESP_FLITS>(addr, value);
             self.noc.send(NocId::Noc3, home, tile, &resp, act);
             self.fill_private(tile, addr, LineState::Modified, now, act);
             home_latency + rt
@@ -641,7 +629,7 @@ impl MemorySystem {
         let route = self.noc.mesh().route(tile, home);
         let rt = 2 * route.latency_cycles();
 
-        let req = Self::flit_payloads(addr, expected ^ new, REQ_FLITS);
+        let req = Self::flit_payloads::<REQ_FLITS>(addr, expected ^ new);
         self.noc.send(NocId::Noc1, tile, home, &req, act);
 
         // Atomics invalidate every private copy (including the
@@ -664,7 +652,7 @@ impl MemorySystem {
         let old = self.mem.compare_and_swap(addr, expected, new);
         act.mem_value_activity += value_activity(old);
 
-        let resp = Self::flit_payloads(addr, old, RESP_FLITS);
+        let resp = Self::flit_payloads::<RESP_FLITS>(addr, old);
         self.noc.send(NocId::Noc3, home, tile, &resp, act);
 
         (old, CAS_BASE_CYCLES + rt + inv_latency + miss_latency)

@@ -10,6 +10,10 @@
 //! Engine-mode events are masked out of every comparison: the two
 //! engines legitimately schedule themselves differently.
 //!
+//! The `*_microbenchmark_*` tests run the paper's Int, HP and Hist
+//! loops instead of random programs: the steady-state shapes the dense
+//! engine's local run-ahead is built to accelerate.
+//!
 //! The `golden_trace_*` tests additionally pin one representative
 //! program per experiment family byte-for-byte against committed JSONL
 //! fixtures in `tests/golden/` (`PITON_BLESS=1` regenerates).
@@ -22,6 +26,7 @@ use piton::obs::trace::{self, encode_jsonl, TraceSpec};
 use piton::sim::machine::{Machine, SwitchPattern};
 use piton::sim::program::Program;
 use piton::sim::testprog;
+use piton::workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 use proptest::prelude::*;
 
 mod common;
@@ -224,6 +229,110 @@ proptest! {
         // Observing must not perturb: a collector changes nothing the
         // engine does, down to its own scheduling diagnostics.
         prop_assert_eq!(traced.engine_metrics(), b);
+    }
+}
+
+// --- The paper's microbenchmarks: the loops the dense engine's ---
+// --- local run-ahead exists to accelerate.                      ---
+
+/// Chunk lengths of the microbenchmark legs: one that ends inside the
+/// first batch, several whole batches, one that ends mid-segment and
+/// a long stretch of steady state.
+const MICRO_CHUNKS: [u64; 4] = [1_000, 10_000, 3_333, 30_000];
+
+fn micro_machine(bench: Microbenchmark, tpc: ThreadsPerCore, cores: usize) -> Machine {
+    let mut m = machine();
+    load_microbenchmark(&mut m, bench, cores * tpc.count(), tpc, RunLength::Forever);
+    m
+}
+
+/// Figures 13/14's Int, HP and Hist at 1 and 2 threads per core on 1,
+/// 7 and 25 cores, run forever: `run` must match `run_naive` on every
+/// counter and on retirement. These are the shapes the one-thread loop
+/// replay, the two-thread loop and phase B's re-armed runs take.
+fn assert_microbenchmark_matches_naive(bench: Microbenchmark) {
+    for tpc in [ThreadsPerCore::One, ThreadsPerCore::Two] {
+        for cores in [1, 7, 25] {
+            let mut fast = micro_machine(bench, tpc, cores);
+            let mut naive = micro_machine(bench, tpc, cores);
+            for chunk in MICRO_CHUNKS {
+                fast.run(chunk);
+                naive.run_naive(chunk);
+            }
+            let point = format!("{} {} on {cores} cores", bench.label(), tpc.label());
+            assert_eq!(fast.counters(), naive.counters(), "{point}");
+            assert_eq!(fast.retired(), naive.retired(), "{point}");
+            if cores == 25 {
+                assert!(
+                    fast.engine_metrics().batched_cycles > 0,
+                    "{point} never reached the dense engine"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn int_microbenchmark_matches_naive_engine() {
+    assert_microbenchmark_matches_naive(Microbenchmark::Int);
+}
+
+#[test]
+fn hp_microbenchmark_matches_naive_engine() {
+    assert_microbenchmark_matches_naive(Microbenchmark::Hp);
+}
+
+#[test]
+fn hist_microbenchmark_matches_naive_engine() {
+    assert_microbenchmark_matches_naive(Microbenchmark::Hist);
+}
+
+/// HP mixes both local shapes — replayed compute loops and mixed
+/// threads whose lanes re-arm after every load — so its traced run
+/// must retire in the naive engine's (cycle, tile) order, with the
+/// engine-mode events masked, and publish the untraced run's counters
+/// and engine diagnostics.
+#[test]
+fn traced_hp_microbenchmark_retires_in_naive_order() {
+    const CAP: usize = 200_000;
+    let spec = TraceSpec::parse(&format!("retire,engine,cap={CAP}")).expect("static spec");
+    let chunks = &MICRO_CHUNKS[..3];
+    let retires = |events: Vec<piton::obs::TraceEvent>| -> Vec<piton::obs::TraceEvent> {
+        assert!(events.len() < CAP, "the ring dropped events");
+        events
+            .into_iter()
+            .filter(|e| !matches!(e, piton::obs::TraceEvent::Engine { .. }))
+            .collect()
+    };
+    for tpc in [ThreadsPerCore::One, ThreadsPerCore::Two] {
+        let (traced, fast_events) = trace::capture(&spec, || {
+            let mut m = micro_machine(Microbenchmark::Hp, tpc, 7);
+            for &chunk in chunks {
+                m.run(chunk);
+            }
+            m
+        });
+        let (_, naive_events) = trace::capture(&spec, || {
+            let mut m = micro_machine(Microbenchmark::Hp, tpc, 7);
+            for &chunk in chunks {
+                m.run_naive(chunk);
+            }
+        });
+        let mut untraced = micro_machine(Microbenchmark::Hp, tpc, 7);
+        for &chunk in chunks {
+            untraced.run(chunk);
+        }
+        assert!(
+            fast_events
+                .iter()
+                .any(|e| matches!(e, piton::obs::TraceEvent::Engine { .. })),
+            "the engine leg emitted nothing"
+        );
+        if let Some(d) = first_divergence(&retires(fast_events), &retires(naive_events)) {
+            panic!("HP {}: engines diverged\n{d}", tpc.label());
+        }
+        assert_eq!(traced.counters(), untraced.counters());
+        assert_eq!(traced.engine_metrics(), untraced.engine_metrics());
     }
 }
 
