@@ -44,6 +44,8 @@ pub const FREQ_STEPS: usize = 10;
 pub const CORE_STEPS: usize = 25;
 /// Workload-mix axis.
 pub const MIX_STEPS: usize = 20;
+/// Points in [`grid`]: one per (voltage, frequency, cores, mix).
+pub const GRID_POINTS: usize = VDD_STEPS * FREQ_STEPS * CORE_STEPS * MIX_STEPS;
 
 /// Workload mixes as `[int, hp, hist]` weights (each row sums to 1).
 /// The first three are the pure microbenchmarks — those rows are the
@@ -153,7 +155,7 @@ impl JournalPayload for DesignPoint {
 #[must_use]
 pub fn grid() -> Vec<GridPoint> {
     let tech = TechModel::ibm32soi();
-    let mut points = Vec::with_capacity(VDD_STEPS * FREQ_STEPS * CORE_STEPS * MIX_STEPS);
+    let mut points = Vec::with_capacity(GRID_POINTS);
     for vi in 0..VDD_STEPS {
         let vdd = Volts(0.80 + 0.02 * vi as f64);
         let fmax = tech.fmax(vdd);
@@ -449,7 +451,7 @@ mod tests {
     fn grid_has_the_advertised_shape() {
         let g = grid();
         assert_eq!(g.len(), 105_000);
-        assert_eq!(g.len(), VDD_STEPS * FREQ_STEPS * CORE_STEPS * MIX_STEPS);
+        assert_eq!(g.len(), GRID_POINTS);
         // Row-major order: the mix axis varies fastest.
         assert_eq!(g[0].mix, 0);
         assert_eq!(g[1].mix, 1);

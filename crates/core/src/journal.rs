@@ -36,14 +36,16 @@
 //! # Torn-write recovery
 //!
 //! Recovery trusts exactly the longest valid prefix: the first line
-//! that fails its checksum, fails to parse, carries a foreign key, or
-//! lacks its trailing newline marks the torn tail, which is truncated
+//! that fails its checksum, fails to parse, carries a foreign key, is
+//! not laid out as [`Journal::record`] writes it, or lacks its trailing
+//! newline marks the torn tail, which is truncated
 //! off (and counted in [`JournalStats::torn`]) — torn records are
 //! *recomputed, never trusted*. Appends are batched and fsync'd at
 //! sweep boundaries, plus immediately before an injected `crash=`
 //! abort so the crashed point itself survives.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -60,16 +62,22 @@ use crate::measure::WithError;
 /// The schema identifier in every journal header.
 pub const JOURNAL_SCHEMA: &str = "piton-journal/v1";
 
-/// FNV-1a 64-bit hash — the checksum framing every journal line and
-/// the content hash behind every record key.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash over `bytes`.
+fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a 64-bit hash — the checksum framing every journal line and
+/// the content hash behind every record key.
+#[must_use]
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_extend(FNV_OFFSET, bytes)
 }
 
 /// The run context spec shared by `reproduce --journal` and the
@@ -91,16 +99,26 @@ pub fn run_context(fidelity: &str, plan: Option<&FaultPlan>, backend: Backend) -
     )
 }
 
-/// The content-addressed key of one grid point under one context.
+/// The content-addressed key of one grid point under one context: the
+/// FNV-1a-64 of `section 0x1f decimal(index) 0x1f context`.
 #[must_use]
 pub fn point_key(context: &str, section: &str, index: usize) -> u64 {
-    let mut buf = Vec::with_capacity(context.len() + section.len() + 24);
-    buf.extend_from_slice(section.as_bytes());
-    buf.push(0x1f);
-    buf.extend_from_slice(index.to_string().as_bytes());
-    buf.push(0x1f);
-    buf.extend_from_slice(context.as_bytes());
-    fnv64(&buf)
+    let mut digits = [0u8; 20]; // u64::MAX has 20 decimal digits
+    let mut start = digits.len();
+    let mut rest = index;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let h = fnv64_extend(FNV_OFFSET, section.as_bytes());
+    let h = fnv64_extend(h, &[0x1f]);
+    let h = fnv64_extend(h, &digits[start..]);
+    let h = fnv64_extend(h, &[0x1f]);
+    fnv64_extend(h, context.as_bytes())
 }
 
 /// A sweep result that can ride in a journal record. Implementations
@@ -183,11 +201,34 @@ impl JournalPayload for WithError {
     }
 }
 
-/// One checksummed journal line (no trailing newline) — the framing
-/// shared by journal records and `piton-serve` response frames.
-#[must_use]
-pub fn frame_line(json: &str) -> String {
-    format!("{:016x} {json}", fnv64(json.as_bytes()))
+/// Appends one checksummed line, `<16-hex FNV-1a-64> <json>\n`, whose
+/// JSON text `write_json` appends in place — the framing shared by
+/// journal records and `piton-serve` response frames.
+pub fn push_frame_line(out: &mut String, write_json: impl FnOnce(&mut String)) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let start = out.len();
+    out.push_str("0000000000000000 ");
+    write_json(out);
+    let sum = fnv64(&out.as_bytes()[start + 17..]);
+    let mut hex = [0u8; 16];
+    for (i, digit) in hex.iter_mut().enumerate() {
+        *digit = HEX[(sum >> (60 - 4 * i) & 0xf) as usize];
+    }
+    out.replace_range(
+        start..start + 16,
+        std::str::from_utf8(&hex).expect("hex digits are ASCII"),
+    );
+    out.push('\n');
+}
+
+/// A record line's JSON up to its payload text:
+/// `{"key":K,"section":S,"index":I,"payload":`. [`Journal::record`]
+/// writes it and recovery checks it, so a record's payload text is
+/// exactly what lies between this head and the closing `}`.
+fn write_record_head(out: &mut String, key: u64, section: &str, index: usize) {
+    let _ = write!(out, "{{\"key\":{key},\"section\":");
+    json::write_escaped(out, section);
+    let _ = write!(out, ",\"index\":{index},\"payload\":");
 }
 
 /// Splits a framed line into its verified JSON text. `None` for any
@@ -207,12 +248,17 @@ pub fn unframe_line(line: &[u8]) -> Option<&str> {
 }
 
 /// A write-ahead result journal bound to one file and one context.
+///
+/// Completed points are held as their payload's canonical JSON text
+/// ([`Value::render`]) — the bytes their record line carries — so a
+/// lookup hands out stored text without allocating or re-rendering.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
     context: String,
     file: File,
-    entries: HashMap<(String, usize), Value>,
+    /// Payload text by section, then grid index.
+    entries: HashMap<String, HashMap<usize, Box<str>>>,
     stats: JournalStats,
 }
 
@@ -255,6 +301,7 @@ impl Journal {
         let mut valid_end = 0usize;
         let mut saw_header = false;
         let mut cursor = 0usize;
+        let mut head = String::new();
         while cursor < bytes.len() {
             let Some(nl) = bytes[cursor..].iter().position(|&b| b == b'\n') else {
                 break; // unterminated tail line: torn by definition
@@ -283,11 +330,10 @@ impl Journal {
                 }
                 saw_header = true;
             } else {
-                let (Some(key), Some(section), Some(index), Some(payload)) = (
+                let (Some(key), Some(section), Some(index)) = (
                     v.get("key").and_then(Value::as_u64),
                     v.get("section").and_then(Value::as_str),
                     v.get("index").and_then(Value::as_u64),
-                    v.get("payload"),
                 ) else {
                     break;
                 };
@@ -295,18 +341,26 @@ impl Journal {
                 if key != point_key(context, section, index) {
                     break; // foreign or corrupted key: never trust it
                 }
-                journal
-                    .entries
-                    .insert((section.to_owned(), index), payload.clone());
-                journal.stats.recovered += 1;
+                // Only a line laid out as `record` writes it — the head,
+                // one payload value, `}` — yields its payload's text;
+                // any other layout is foreign.
+                head.clear();
+                write_record_head(&mut head, key, section, index);
+                let Some(payload) = json
+                    .strip_prefix(head.as_str())
+                    .and_then(|rest| rest.strip_suffix('}'))
+                    .filter(|_| matches!(&v, Value::Object(fields) if fields.len() == 4))
+                else {
+                    break;
+                };
+                journal.insert(section, index, payload.into());
             }
             cursor += nl + 1;
             valid_end = cursor;
         }
         journal.stats.torn = (bytes.len() - valid_end) as u64;
-        // Torn recovery may have dropped complete records that
-        // followed the tear; the count reflects what survived.
-        journal.stats.recovered = journal.entries.len() as u64;
+        // Distinct points: a point recorded twice counts once.
+        journal.stats.recovered = journal.entries.values().map(HashMap::len).sum::<usize>() as u64;
 
         journal
             .file
@@ -330,15 +384,27 @@ impl Journal {
                 .field("context", Value::Str(context.to_owned()))
                 .build()
                 .render();
-            journal.write_line(&header)?;
+            journal.write_line(|out| out.push_str(&header))?;
             journal.sync()?;
         }
         Ok(journal)
     }
 
-    fn write_line(&mut self, json: &str) -> Result<(), PitonError> {
-        let mut line = frame_line(json);
-        line.push('\n');
+    fn insert(&mut self, section: &str, index: usize, payload: Box<str>) {
+        match self.entries.get_mut(section) {
+            Some(points) => {
+                points.insert(index, payload);
+            }
+            None => {
+                self.entries
+                    .insert(section.to_owned(), HashMap::from([(index, payload)]));
+            }
+        }
+    }
+
+    fn write_line(&mut self, write_json: impl FnOnce(&mut String)) -> Result<(), PitonError> {
+        let mut line = String::new();
+        push_frame_line(&mut line, write_json);
         self.file
             .write_all(line.as_bytes())
             .map_err(|e| PitonError::codec(format!("journal {}: append: {e}", self.path.display())))
@@ -364,20 +430,23 @@ impl Journal {
     }
 
     /// Whether a completed point is present, *without* counting a
-    /// serve (the serving layer uses this to avoid double-recording
-    /// points a concurrent identical request already appended).
+    /// serve (the serving layer uses this to find whether a request
+    /// misses at all, and to avoid double-recording points a concurrent
+    /// identical request already appended).
     #[must_use]
     pub fn contains(&self, section: &str, index: usize) -> bool {
-        self.entries.contains_key(&(section.to_owned(), index))
+        self.entries
+            .get(section)
+            .is_some_and(|points| points.contains_key(&index))
     }
 
-    /// Looks up a completed point, counting a successful hit as served.
-    pub fn serve(&mut self, section: &str, index: usize) -> Option<Value> {
-        let v = self.entries.get(&(section.to_owned(), index)).cloned();
-        if v.is_some() {
-            self.stats.served += 1;
-        }
-        v
+    /// Looks up a completed point's payload text — the canonical JSON
+    /// of the [`Value`] it was recorded with — counting a successful hit
+    /// as served.
+    pub fn serve(&mut self, section: &str, index: usize) -> Option<&str> {
+        let payload = self.entries.get(section)?.get(&index)?;
+        self.stats.served += 1;
+        Some(payload)
     }
 
     /// Appends one completed point as a write-ahead record. Not
@@ -393,19 +462,14 @@ impl Journal {
         index: usize,
         payload: &Value,
     ) -> Result<(), PitonError> {
-        let json = ObjectBuilder::new()
-            .field(
-                "key",
-                Value::Int(i128::from(point_key(&self.context, section, index))),
-            )
-            .field("section", Value::Str(section.to_owned()))
-            .field("index", Value::Int(index as i128))
-            .field("payload", payload.clone())
-            .build()
-            .render();
-        self.write_line(&json)?;
-        self.entries
-            .insert((section.to_owned(), index), payload.clone());
+        let key = point_key(&self.context, section, index);
+        let payload = payload.render();
+        self.write_line(|out| {
+            write_record_head(out, key, section, index);
+            out.push_str(&payload);
+            out.push('}');
+        })?;
+        self.insert(section, index, payload.into_boxed_str());
         self.stats.appended += 1;
         Ok(())
     }
@@ -436,6 +500,12 @@ mod tests {
         p
     }
 
+    /// A served point decoded as `T`.
+    fn served<T: JournalPayload>(j: &mut Journal, section: &str, index: usize) -> Option<T> {
+        let text = j.serve(section, index)?;
+        Some(T::from_value(&json::parse(text).unwrap()).unwrap())
+    }
+
     #[test]
     fn round_trips_records_across_reopen() {
         let path = temp_path("roundtrip");
@@ -461,14 +531,11 @@ mod tests {
         let mut j = Journal::open(&path, "ctx-a").unwrap();
         assert_eq!(j.stats().recovered, 3);
         assert_eq!(j.stats().torn, 0);
-        let w = WithError::from_value(&j.serve("epi", 0).unwrap()).unwrap();
+        let w: WithError = served(&mut j, "epi", 0).unwrap();
         assert_eq!((w.value, w.error), (1.25, 0.5));
-        let watts = Watts::from_value(&j.serve("noc", 3).unwrap()).unwrap();
+        let watts: Watts = served(&mut j, "noc", 3).unwrap();
         assert_eq!(watts.0, 0.123_456_789);
-        assert_eq!(
-            f64::from_value(&j.serve("scaling", 7).unwrap()).unwrap(),
-            2.5
-        );
+        assert_eq!(served::<f64>(&mut j, "scaling", 7), Some(2.5));
         assert!(j.serve("epi", 1).is_none());
         assert_eq!(j.stats().served, 3);
         let _ = std::fs::remove_file(&path);
@@ -504,7 +571,7 @@ mod tests {
             let k = j.stats().recovered as usize;
             assert_eq!(k, expected, "cut={cut}");
             for i in 0..k {
-                let v = f64::from_value(&j.serve("scaling", i).unwrap()).unwrap();
+                let v: f64 = served(&mut j, "scaling", i).unwrap();
                 assert_eq!(v, i as f64 * 0.25, "cut={cut}");
             }
             assert!(j.serve("scaling", k).is_none(), "cut={cut}");
@@ -535,7 +602,7 @@ mod tests {
         assert!(std::fs::metadata(&path).unwrap().len() > clean_len);
         let mut j = Journal::open(&path, "ctx").unwrap();
         assert_eq!(j.stats().recovered, 2);
-        assert_eq!(f64::from_value(&j.serve("epi", 1).unwrap()).unwrap(), 2.0);
+        assert_eq!(served::<f64>(&mut j, "epi", 1), Some(2.0));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -576,6 +643,55 @@ mod tests {
         assert_ne!(k, point_key("ctx2", "epi", 3));
         // Separator prevents ("ab", 1) colliding with ("a", "b1")-style smears.
         assert_ne!(point_key("c", "ab", 1), point_key("c", "a", 11));
+        // Keys are stored in journals and sent in frames: the layout
+        // they hash is fixed.
+        for index in [0, 7, 10, 99_999, usize::MAX] {
+            let text = format!("design_space\u{1f}{index}\u{1f}ctx");
+            assert_eq!(
+                point_key("ctx", "design_space", index),
+                fnv64(text.as_bytes())
+            );
+        }
+    }
+
+    #[test]
+    fn frame_lines_are_checksum_space_json_newline() {
+        for json in ["{}", "{\"frame\":\"bye\"}"] {
+            let mut line = "kept ".to_owned();
+            push_frame_line(&mut line, |out| out.push_str(json));
+            let sum = fnv64(json.as_bytes());
+            assert_eq!(line, format!("kept {sum:016x} {json}\n"));
+            assert_eq!(unframe_line(line[5..].trim_end().as_bytes()), Some(json));
+        }
+    }
+
+    #[test]
+    fn records_not_laid_out_as_record_writes_them_are_not_trusted() {
+        let path = temp_path("layout");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path, "ctx").unwrap();
+            j.record("noc", 0, &1.5f64.to_value()).unwrap();
+            j.sync().unwrap();
+        }
+        let clean = std::fs::read(&path).unwrap();
+        let key = point_key("ctx", "noc", 1);
+        for json in [
+            format!("{{\"section\":\"noc\",\"key\":{key},\"index\":1,\"payload\":2.5}}"),
+            format!("{{\"key\":{key},\"section\":\"noc\",\"index\":1,\"payload\":2.5,\"x\":1}}"),
+            format!("{{\"key\":{key},\"section\":\"noc\",\"index\":1}}"),
+        ] {
+            let mut bytes = clean.clone();
+            let mut line = String::new();
+            push_frame_line(&mut line, |out| out.push_str(&json));
+            bytes.extend_from_slice(line.as_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let mut j = Journal::open(&path, "ctx").unwrap();
+            assert_eq!(j.stats().recovered, 1, "{json}");
+            assert_eq!(j.stats().torn, line.len() as u64, "{json}");
+            assert_eq!(j.serve("noc", 0), Some("1.5"));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -621,7 +737,7 @@ mod tests {
                 let mut j = Journal::open(&path, "prop-ctx").unwrap();
                 prop_assert_eq!(j.stats().recovered as usize, expected);
                 for (i, &v) in values.iter().enumerate().take(expected) {
-                    let got = f64::from_value(&j.serve("noc", i).unwrap()).unwrap();
+                    let got: f64 = served(&mut j, "noc", i).unwrap();
                     prop_assert_eq!(got, v, "record {}", i);
                 }
                 prop_assert!(j.serve("noc", expected).is_none());

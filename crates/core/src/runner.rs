@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use piton_arch::error::PitonError;
 use piton_board::fault::FaultPlan;
 use piton_obs::trace::{JournalKind, TraceEvent};
-use piton_obs::{metrics, trace};
+use piton_obs::{json, metrics, trace};
 
 use crate::journal::{Journal, JournalPayload};
 
@@ -357,8 +357,8 @@ where
     let out = sweep(jobs, items, |idx, item| {
         if let Some(shared) = journal {
             let mut j = shared.lock().expect("journal lock");
-            if let Some(v) = j.serve(section, idx) {
-                if let Ok(t) = T::from_value(&v) {
+            if let Some(text) = j.serve(section, idx) {
+                if let Some(t) = json::parse(text).ok().and_then(|v| T::from_value(&v).ok()) {
                     trace::emit(TraceEvent::Journal {
                         section: section.to_owned(),
                         index: idx as u64,

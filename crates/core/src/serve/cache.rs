@@ -144,11 +144,9 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         let (a, stats) = cache.journal("ctx-a").unwrap();
         assert_eq!(stats.unwrap().recovered, 1);
-        let v = a.lock().unwrap().serve("noc", 0).unwrap();
-        assert_eq!(f64::from_value(&v).unwrap(), 1.5);
+        assert_eq!(a.lock().unwrap().serve("noc", 0), Some("1.5"));
         let (b, _) = cache.journal("ctx-b").unwrap();
-        let v = b.lock().unwrap().serve("noc", 0).unwrap();
-        assert_eq!(f64::from_value(&v).unwrap(), 2.5);
+        assert_eq!(b.lock().unwrap().serve("noc", 0), Some("2.5"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

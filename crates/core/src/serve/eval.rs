@@ -1,6 +1,7 @@
-//! Resolves a run request to a serveable section: the grid length, the
-//! derived cache context, and a per-point compute closure that is
-//! bit-identical to the full experiment sweep.
+//! Resolves a run request to a serveable section: the grid length and
+//! the derived cache context, plus — only when a point must be
+//! computed — a per-point compute closure that is bit-identical to the
+//! full experiment sweep.
 //!
 //! Three journal sections are serveable — the ones whose grids are
 //! pure functions of (index, context):
@@ -12,16 +13,19 @@
 //! | `design_space` | 105,000 V/f/cores/mix points | analytic | power/EPI/junction |
 //!
 //! The `design_space` section needs a calibrated analytic model. It
-//! depends on the request's fidelity alone, so the daemon computes it
-//! once per fidelity and keeps it in a map the [`super::Server`] owns.
+//! depends on the request's fidelity alone, so the daemon fits it on
+//! the first miss at each fidelity and keeps it in a map the
+//! [`super::Server`] owns. A request whose every point is cached never
+//! asks for a compute closure, so it never calibrates.
 
 use std::sync::Arc;
 
 use piton_arch::config::Backend;
 use piton_arch::error::PitonError;
+use piton_board::fault::FaultPlan;
 use piton_obs::json::Value;
 
-use super::Calibrations;
+use super::{Calibrations, ServeCounters};
 use crate::analytic::{self, Calibrated};
 use crate::experiments::{core_scaling, design_space, noc_energy};
 use crate::journal::{self, JournalPayload};
@@ -31,10 +35,19 @@ use crate::serve::request::{FidelitySpec, RunRequest};
 pub const SECTIONS: [&str; 3] = ["noc", "scaling", "design_space"];
 
 /// A per-point compute closure: (index, attempt) → journal payload.
-type PointFn = Box<dyn Fn(usize, u32) -> Result<Value, PitonError> + Send + Sync>;
+pub type PointFn = Box<dyn Fn(usize, u32) -> Result<Value, PitonError> + Send + Sync>;
+
+#[derive(Debug, Clone, Copy)]
+enum Section {
+    Noc,
+    Scaling,
+    DesignSpace,
+}
 
 /// A resolved section: everything the serving loop needs to answer a
-/// run request.
+/// run request from the cache, and what [`SectionEval::compute_fn`]
+/// needs to compute its misses.
+#[derive(Debug)]
 pub struct SectionEval {
     /// The cache-key context string this request resolved to.
     pub context: String,
@@ -42,28 +55,61 @@ pub struct SectionEval {
     pub backend: Backend,
     /// Grid length (requests index `0..len`).
     pub len: usize,
-    point: PointFn,
+    section: Section,
+    fidelity: FidelitySpec,
+    plan: Option<FaultPlan>,
 }
 
 impl SectionEval {
-    /// Computes one grid point (cache-miss path) on the given attempt,
-    /// already encoded as its journal payload.
+    /// The closure that computes one grid point (cache-miss path) on a
+    /// given attempt, already encoded as its journal payload. For
+    /// `design_space` this is where the analytic model is fitted, on
+    /// the first call at each fidelity; every fit counts in
+    /// `serve.calibrations`.
     ///
     /// # Errors
     ///
-    /// Propagates measurement and injected-sabotage failures.
-    pub fn compute(&self, index: usize, attempt: u32) -> Result<Value, PitonError> {
-        (self.point)(index, attempt)
-    }
-}
-
-impl std::fmt::Debug for SectionEval {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SectionEval")
-            .field("context", &self.context)
-            .field("backend", &self.backend)
-            .field("len", &self.len)
-            .finish_non_exhaustive()
+    /// Calibration failures for `design_space`. The closure itself
+    /// propagates measurement and injected-sabotage failures.
+    pub fn compute_fn(
+        &self,
+        calibrations: &Calibrations,
+        counters: &ServeCounters,
+    ) -> Result<PointFn, PitonError> {
+        let fidelity = self.fidelity.to_fidelity();
+        let plan = self.plan.clone();
+        Ok(match self.section {
+            Section::Noc => {
+                let grid = noc_energy::grid();
+                Box::new(move |idx, attempt| {
+                    noc_energy::compute_point(idx, &grid[idx], fidelity, plan.as_ref(), attempt)
+                        .map(|w| w.to_value())
+                })
+            }
+            Section::Scaling => {
+                let grid = core_scaling::grid();
+                Box::new(move |idx, attempt| {
+                    core_scaling::compute_point(idx, &grid[idx], fidelity, plan.as_ref(), attempt)
+                        .map(|w| w.to_value())
+                })
+            }
+            Section::DesignSpace => {
+                let cal = calibration_for(calibrations, &self.fidelity, counters)?;
+                let table = design_space::mix_table(&cal);
+                let grid = design_space::grid();
+                Box::new(move |idx, attempt| {
+                    design_space::compute_point(
+                        &cal,
+                        &table,
+                        idx,
+                        grid[idx],
+                        plan.as_ref(),
+                        attempt,
+                    )
+                    .map(|d| d.to_value())
+                })
+            }
+        })
     }
 }
 
@@ -74,6 +120,7 @@ impl std::fmt::Debug for SectionEval {
 fn calibration_for(
     calibrations: &Calibrations,
     spec: &FidelitySpec,
+    counters: &ServeCounters,
 ) -> Result<Arc<Calibrated>, PitonError> {
     let key = spec.render();
     if let Some(cal) = calibrations.lock().expect("calibration map lock").get(&key) {
@@ -82,6 +129,7 @@ fn calibration_for(
     // Calibrate outside the lock: it is expensive, and a concurrent
     // duplicate is benign — calibration is deterministic, so whichever
     // copy lands in the map serves identical numbers.
+    counters.calibrations(1);
     let cal = Arc::new(analytic::calibrate(spec.to_fidelity())?);
     Ok(Arc::clone(
         calibrations
@@ -92,17 +140,22 @@ fn calibration_for(
     ))
 }
 
-/// Resolves a run request against the section registry, calibrating
-/// `design_space` requests through the daemon's `calibrations` map.
+/// Resolves a run request against the section registry. Computes
+/// nothing: misses get their closure from [`SectionEval::compute_fn`].
 ///
 /// # Errors
 ///
 /// [`PitonError::Codec`] for an unknown section or a section/backend
-/// mismatch; calibration failures for `design_space`.
-pub fn resolve(req: &RunRequest, calibrations: &Calibrations) -> Result<SectionEval, PitonError> {
-    let natural = match req.section.as_str() {
-        "noc" | "scaling" => Backend::Cycle,
-        "design_space" => Backend::Analytic,
+/// mismatch.
+pub fn resolve(req: &RunRequest) -> Result<SectionEval, PitonError> {
+    let (section, natural, len) = match req.section.as_str() {
+        "noc" => (Section::Noc, Backend::Cycle, noc_energy::grid().len()),
+        "scaling" => (Section::Scaling, Backend::Cycle, core_scaling::grid().len()),
+        "design_space" => (
+            Section::DesignSpace,
+            Backend::Analytic,
+            design_space::GRID_POINTS,
+        ),
         other => {
             return Err(PitonError::codec(format!(
                 "unknown section {other:?} (serveable: {})",
@@ -119,57 +172,13 @@ pub fn resolve(req: &RunRequest, calibrations: &Calibrations) -> Result<SectionE
             backend.label()
         )));
     }
-    let fidelity = req.fidelity.to_fidelity();
-    let plan = req.fault.clone();
-    let context = journal::run_context(&req.fidelity.render(), plan.as_ref(), backend);
-
-    let (len, point): (usize, PointFn) = match req.section.as_str() {
-        "noc" => {
-            let grid = noc_energy::grid();
-            (
-                grid.len(),
-                Box::new(move |idx, attempt| {
-                    noc_energy::compute_point(idx, &grid[idx], fidelity, plan.as_ref(), attempt)
-                        .map(|w| w.to_value())
-                }),
-            )
-        }
-        "scaling" => {
-            let grid = core_scaling::grid();
-            (
-                grid.len(),
-                Box::new(move |idx, attempt| {
-                    core_scaling::compute_point(idx, &grid[idx], fidelity, plan.as_ref(), attempt)
-                        .map(|w| w.to_value())
-                }),
-            )
-        }
-        "design_space" => {
-            let cal = calibration_for(calibrations, &req.fidelity)?;
-            let table = design_space::mix_table(&cal);
-            let grid = design_space::grid();
-            (
-                grid.len(),
-                Box::new(move |idx, attempt| {
-                    design_space::compute_point(
-                        &cal,
-                        &table,
-                        idx,
-                        grid[idx],
-                        plan.as_ref(),
-                        attempt,
-                    )
-                    .map(|d| d.to_value())
-                }),
-            )
-        }
-        _ => unreachable!("section validated above"),
-    };
     Ok(SectionEval {
-        context,
+        context: journal::run_context(&req.fidelity.render(), req.fault.as_ref(), backend),
         backend,
         len,
-        point,
+        section,
+        fidelity: req.fidelity,
+        plan: req.fault.clone(),
     })
 }
 
@@ -180,7 +189,7 @@ mod tests {
 
     fn resolve_run(json: &str) -> Result<SectionEval, PitonError> {
         match Request::parse(json).unwrap() {
-            Request::Run(r) => resolve(&r, &Calibrations::default()),
+            Request::Run(r) => resolve(&r),
             other => panic!("expected a run request, got {other:?}"),
         }
     }
@@ -191,6 +200,8 @@ mod tests {
         assert_eq!((noc.backend, noc.len), (Backend::Cycle, 36));
         let scaling = resolve_run(r#"{"op":"run","section":"scaling"}"#).unwrap();
         assert_eq!((scaling.backend, scaling.len), (Backend::Cycle, 150));
+        let ds = resolve_run(r#"{"op":"run","section":"design_space"}"#).unwrap();
+        assert_eq!((ds.backend, ds.len), (Backend::Analytic, 105_000));
         assert!(noc.context.contains("backend=cycle"), "{}", noc.context);
         assert!(noc.context.contains("fidelity=quick"), "{}", noc.context);
     }
@@ -226,15 +237,19 @@ mod tests {
 
     #[test]
     fn computed_points_match_the_experiment_sweep_exactly() {
-        let eval =
-            resolve_run(r#"{"op":"run","section":"noc","fidelity":"s=2,c=500,w=2000"}"#).unwrap();
+        let counters = ServeCounters::default();
+        let compute = resolve_run(r#"{"op":"run","section":"noc","fidelity":"s=2,c=500,w=2000"}"#)
+            .unwrap()
+            .compute_fn(&Calibrations::default(), &counters)
+            .unwrap();
         let grid = noc_energy::grid();
         let fidelity = FidelitySpec::parse("s=2,c=500,w=2000")
             .unwrap()
             .to_fidelity();
         for idx in [0usize, 5, 17, 35] {
             let direct = noc_energy::compute_point(idx, &grid[idx], fidelity, None, 0).unwrap();
-            assert_eq!(eval.compute(idx, 0).unwrap(), direct.to_value(), "{idx}");
+            assert_eq!(compute(idx, 0).unwrap(), direct.to_value(), "{idx}");
         }
+        assert_eq!(counters.value("serve.calibrations"), 0);
     }
 }

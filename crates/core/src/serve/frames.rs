@@ -10,11 +10,30 @@
 //! a request served cold and the same request served warm produce
 //! **byte-identical** frame streams, which is the conformance suite's
 //! core assertion. Cache behavior is observed via `op: "metrics"`.
+//!
+//! A result frame has one layout, [`push_result_line`], which takes
+//! its payload as JSON text: the serving loop hands it the journal's
+//! stored bytes, [`Frame::encode`] the rendered [`Value`].
+
+use std::fmt::Write as _;
 
 use piton_arch::error::PitonError;
 use piton_obs::json::{self, ObjectBuilder, Value};
 
-use crate::journal::{frame_line, unframe_line};
+use crate::journal::{push_frame_line, unframe_line};
+
+/// Appends a result frame's wire line for a payload given as its JSON
+/// text. Both encoders use it, so a served point's bytes are the same
+/// whichever path made them.
+pub fn push_result_line(out: &mut String, section: &str, index: u64, key: u64, payload: &str) {
+    push_frame_line(out, |body| {
+        body.push_str("{\"frame\":\"result\",\"section\":");
+        json::write_escaped(body, section);
+        let _ = write!(body, ",\"index\":{index},\"key\":{key},\"payload\":");
+        body.push_str(payload);
+        body.push('}');
+    });
+}
 
 /// One permanently-failed grid point in a done frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,8 +192,16 @@ impl Frame {
     /// newline included).
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut line = frame_line(&self.to_value().render());
-        line.push('\n');
+        let mut line = String::new();
+        match self {
+            Self::Result {
+                section,
+                index,
+                key,
+                payload,
+            } => push_result_line(&mut line, section, *index, *key, &payload.render()),
+            _ => push_frame_line(&mut line, |body| body.push_str(&self.to_value().render())),
+        }
         line
     }
 

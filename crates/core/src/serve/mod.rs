@@ -19,6 +19,15 @@
 //!   compute misses via [`crate::runner::try_sweep`], append + fsync,
 //!   then stream — so a killed daemon loses at most one shard of work
 //!   and every completed shard is served from disk after restart.
+//! * **Cached points are stored bytes.** The journal holds each point's
+//!   payload as the JSON text its record carries; a result frame is laid
+//!   out around that text ([`frames::push_result_line`]) with no
+//!   decode or re-render. Only a request that misses resolves its
+//!   compute path, so an all-cached request — warm, or the first after
+//!   a restart — never calibrates.
+//! * **Buffered stream.** Frames go through one buffered writer per
+//!   connection, flushed after `hello`, after each shard (whose frames
+//!   are written only once its fsync returned), and after each reply.
 //! * **Crash points are durable-first.** A `crash=SECTION:IDX` fault
 //!   term aborts the daemon only *after* the shard that computed the
 //!   point is fsync'd, so a restart serves it from cache and the crash
@@ -34,7 +43,8 @@ pub mod frames;
 pub mod request;
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,6 +65,12 @@ use request::{Request, RunRequest};
 /// The manifest file the daemon writes into its cache directory on
 /// clean shutdown.
 pub const SERVE_MANIFEST_FILE: &str = "serve-manifest.json";
+
+/// The longest request line the daemon reads, newline included: far
+/// above any grid spec a client sends. A longer line gets an error
+/// frame and its connection is closed, so a client that never sends
+/// `\n` cannot grow the daemon without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -137,6 +153,7 @@ macro_rules! counters {
 
 counters! {
     cache_hits => "serve.cache_hits",
+    calibrations => "serve.calibrations",
     connections => "serve.connections",
     errors => "serve.errors",
     holes => "serve.holes",
@@ -146,8 +163,10 @@ counters! {
     torn => "serve.torn",
 }
 
-/// Fitted analytic models by rendered request fidelity (see
-/// [`eval::resolve`]).
+/// Fitted analytic models by rendered request fidelity. A model is
+/// fitted on the first `design_space` request at its fidelity that
+/// misses the cache (see [`eval::SectionEval::compute_fn`]), counted in
+/// `serve.calibrations`, and kept for the daemon's lifetime.
 type Calibrations = Mutex<HashMap<String, Arc<Calibrated>>>;
 
 /// Shared per-connection context.
@@ -378,12 +397,14 @@ fn serve_connection(stream: UnixStream, ctx: &ConnCtx) -> std::io::Result<()> {
     // the daemon past a shutdown request.
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
+    let mut writer = BufWriter::new(stream);
+    let mut line = Vec::new();
     loop {
-        // `read_line` keeps partial data in `line` across timeouts, so
-        // a request split over several reads reassembles intact.
-        match reader.read_line(&mut line) {
+        // `read_until` keeps partial data in `line` across timeouts, so
+        // a request split over several reads reassembles intact; `take`
+        // stops it at the line cap.
+        let budget = (MAX_REQUEST_LINE - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => return Ok(()),
             Ok(_) => {}
             Err(e)
@@ -401,7 +422,18 @@ fn serve_connection(stream: UnixStream, ctx: &ConnCtx) -> std::io::Result<()> {
             }
             Err(e) => return Err(e),
         }
-        let request = std::mem::take(&mut line);
+        if line.len() == MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            ctx.counters.errors(1);
+            write_frame(
+                &mut writer,
+                &Frame::Error {
+                    message: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                },
+            )?;
+            return writer.flush();
+        }
+        let request = String::from_utf8(std::mem::take(&mut line))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let line = request.trim_end_matches('\n');
         if line.trim().is_empty() {
             continue;
@@ -452,8 +484,15 @@ fn serve_connection(stream: UnixStream, ctx: &ConnCtx) -> std::io::Result<()> {
     }
 }
 
-fn handle_run(writer: &mut UnixStream, ctx: &ConnCtx, run: &RunRequest) -> Result<(), RunAbort> {
-    let eval = eval::resolve(run, &ctx.calibrations).map_err(RunAbort::Refused)?;
+/// Appends `text` to `buf`, returning where it landed.
+fn push_text(buf: &mut String, text: &str) -> Range<usize> {
+    let start = buf.len();
+    buf.push_str(text);
+    start..buf.len()
+}
+
+fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Result<(), RunAbort> {
+    let eval = eval::resolve(run).map_err(RunAbort::Refused)?;
     let indices = run.grid.resolve(eval.len).map_err(RunAbort::Refused)?;
     let (journal, opened) = ctx
         .cache
@@ -463,6 +502,18 @@ fn handle_run(writer: &mut UnixStream, ctx: &ConnCtx, run: &RunRequest) -> Resul
         ctx.counters.recovered(stats.recovered);
         ctx.counters.torn(stats.torn);
     }
+    // Only a miss needs the compute path, so only a miss calibrates: a
+    // request the cache holds whole never runs the cycle engine. A
+    // point cached now stays cached, so a shard can only miss what this
+    // scan saw missing.
+    let missing = {
+        let j = journal.lock().expect("cache journal lock");
+        indices.iter().any(|&idx| !j.contains(&run.section, idx))
+    };
+    let compute = missing
+        .then(|| eval.compute_fn(&ctx.calibrations, &ctx.counters))
+        .transpose()
+        .map_err(RunAbort::Refused)?;
     ctx.counters.requests(1);
     write_frame(
         writer,
@@ -474,30 +525,40 @@ fn handle_run(writer: &mut UnixStream, ctx: &ConnCtx, run: &RunRequest) -> Resul
         },
     )
     .map_err(RunAbort::Io)?;
+    writer.flush().map_err(RunAbort::Io)?;
 
     let mut holes: Vec<FrameHole> = Vec::new();
     let mut served = 0u64;
+    // Per shard: the payload texts of its ready points, and their
+    // result frames laid out for one write.
+    let mut texts = String::new();
+    let mut lines = String::new();
     for shard in indices.chunks(ctx.shard_points.max(1)) {
-        // Partition the shard against the cache under one lock hold.
-        let mut ready: Vec<(usize, piton_obs::json::Value)> = Vec::with_capacity(shard.len());
+        // Partition the shard against the cache under one lock hold,
+        // copying each hit's stored payload text out.
+        texts.clear();
+        let mut ready: Vec<(usize, Range<usize>)> = Vec::with_capacity(shard.len());
         let mut misses: Vec<usize> = Vec::new();
         {
             let mut j = journal.lock().expect("cache journal lock");
             for &idx in shard {
                 match j.serve(&run.section, idx) {
-                    Some(v) => ready.push((idx, v)),
+                    Some(text) => ready.push((idx, push_text(&mut texts, text))),
                     None => misses.push(idx),
                 }
             }
         }
         ctx.counters.cache_hits(ready.len() as u64);
         if !misses.is_empty() {
+            let compute = compute
+                .as_ref()
+                .expect("the scan before hello saw every miss");
             ctx.counters.points_computed(misses.len() as u64);
             let computed = runner::try_sweep(
                 ctx.jobs,
                 misses.clone(),
                 RetryPolicy::default(),
-                |_, &idx, attempt| eval.compute(idx, attempt),
+                |_, &idx, attempt| compute(idx, attempt),
             );
             // Append the fresh points and make the shard durable
             // before any frame (or any injected crash) references it.
@@ -520,7 +581,7 @@ fn handle_run(writer: &mut UnixStream, ctx: &ConnCtx, run: &RunRequest) -> Resul
                             {
                                 crash_at = Some(*idx);
                             }
-                            ready.push((*idx, v.clone()));
+                            ready.push((*idx, push_text(&mut texts, &v.render())));
                         }
                         Err(e) => holes.push(FrameHole {
                             index: *idx as u64,
@@ -540,19 +601,18 @@ fn handle_run(writer: &mut UnixStream, ctx: &ConnCtx, run: &RunRequest) -> Resul
             }
         }
         ready.sort_unstable_by_key(|(idx, _)| *idx);
-        for (idx, v) in &ready {
-            write_frame(
-                writer,
-                &Frame::Result {
-                    section: run.section.clone(),
-                    index: *idx as u64,
-                    key: point_key(&eval.context, &run.section, *idx),
-                    payload: v.clone(),
-                },
-            )
-            .map_err(RunAbort::Io)?;
-            served += 1;
+        lines.clear();
+        for (idx, text) in &ready {
+            frames::push_result_line(
+                &mut lines,
+                &run.section,
+                *idx as u64,
+                point_key(&eval.context, &run.section, *idx),
+                &texts[text.clone()],
+            );
         }
+        writer.write_all(lines.as_bytes()).map_err(RunAbort::Io)?;
+        served += ready.len() as u64;
         writer.flush().map_err(RunAbort::Io)?;
     }
     ctx.counters.holes(holes.len() as u64);
@@ -607,7 +667,7 @@ mod tests {
         c.cache_hits(3);
         c.requests(1);
         let snap = c.snapshot();
-        assert_eq!(snap.len(), 8);
+        assert_eq!(snap.len(), 9);
         let names: Vec<&str> = snap.iter().map(|(n, _)| n.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
@@ -637,7 +697,7 @@ mod tests {
         assert!(matches!(&frames[2], Frame::Error { .. }));
         assert!(matches!(&frames[3], Frame::Bye));
         let manifest = handle.stop().unwrap();
-        assert_eq!(manifest.counters.len(), 8);
+        assert_eq!(manifest.counters.len(), 9);
         // The shutdown path wrote the manifest and removed the socket.
         let on_disk = std::fs::read_to_string(cache_dir.join(SERVE_MANIFEST_FILE)).unwrap();
         assert_eq!(ServeManifest::from_json(&on_disk).unwrap(), manifest);

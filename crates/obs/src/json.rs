@@ -139,7 +139,9 @@ pub fn render_f64(v: f64) -> String {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, escaped exactly as
+/// [`Value::render`] escapes it.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -537,3 +537,126 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The byte path: stored payload text → journal → result frame.
+// ---------------------------------------------------------------------------
+
+use piton::arch::units::Watts;
+use piton::characterization::experiments::design_space::DesignPoint;
+use piton::characterization::journal::{push_frame_line, Journal, JournalPayload};
+use piton::characterization::measure::WithError;
+use piton::characterization::serve::frames::push_result_line;
+
+/// A float from a random word: often a special value (NaN, ±inf, −0.0,
+/// a subnormal), otherwise an arbitrary finite bit pattern, so every
+/// exponent and mantissa width shows up.
+fn float_from_word(w: u64) -> f64 {
+    match w % 8 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => f64::from_bits(w >> 12), // exponent bits zero: subnormal
+        _ => Some(f64::from_bits(w))
+            .filter(|f| f.is_finite())
+            .unwrap_or(1.5),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A result frame laid out around a payload's text is the frame
+    /// `Frame::encode` gives for the payload as a `Value`, byte for
+    /// byte the generic layout of the frame's `to_value`, and decodes
+    /// to a frame that re-encodes to the same bytes.
+    #[test]
+    fn result_frames_laid_out_from_payload_text_match_encode(
+        words in proptest::collection::vec(
+            (
+                proptest::strategy::any::<u64>(),
+                proptest::strategy::any::<u64>(),
+                proptest::strategy::any::<u64>(),
+                proptest::strategy::any::<u64>(),
+            ),
+            1..24,
+        ),
+    ) {
+        for &(a, b, index, key) in &words {
+            let payload = if index % 2 == 0 {
+                Value::Float(float_from_word(a))
+            } else {
+                DesignPoint {
+                    power_w: float_from_word(a),
+                    nj_per_inst: float_from_word(b),
+                    junction_c: float_from_word(a ^ b),
+                }
+                .to_value()
+            };
+            let mut laid = String::new();
+            push_result_line(&mut laid, "design_space", index, key, &payload.render());
+            let frame = Frame::Result {
+                section: "design_space".to_owned(),
+                index,
+                key,
+                payload,
+            };
+            prop_assert_eq!(&laid, &frame.encode());
+            let mut generic = String::new();
+            push_frame_line(&mut generic, |body| body.push_str(&frame.to_value().render()));
+            prop_assert_eq!(&laid, &generic);
+            prop_assert_eq!(&Frame::decode(laid.as_bytes()).unwrap().encode(), &laid);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A journal reopened after `record` serves, for every payload
+    /// type, exactly the text `Value::render` gives for what was
+    /// recorded — the text the serving loop puts on the wire.
+    #[test]
+    fn reopened_journals_serve_the_rendered_payload_text(
+        words in proptest::collection::vec(proptest::strategy::any::<u64>(), 3..40),
+    ) {
+        let floats: Vec<f64> = words.iter().map(|&w| float_from_word(w)).collect();
+        let payloads: Vec<(&str, Value)> = floats
+            .windows(3)
+            .enumerate()
+            .map(|(i, f)| match i % 4 {
+                0 => ("scaling", f[0].to_value()),
+                1 => ("noc", Watts(f[0]).to_value()),
+                2 => ("epi", WithError { value: f[0], error: f[1] }.to_value()),
+                _ => (
+                    "design_space",
+                    DesignPoint {
+                        power_w: f[0],
+                        nj_per_inst: f[1],
+                        junction_c: f[2],
+                    }
+                    .to_value(),
+                ),
+            })
+            .collect();
+        let path = std::env::temp_dir().join(format!(
+            "piton-obs-roundtrip-journal-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path, "ctx").unwrap();
+            for (i, (section, v)) in payloads.iter().enumerate() {
+                j.record(section, i, v).unwrap();
+            }
+            j.sync().unwrap();
+        }
+        let mut j = Journal::open(&path, "ctx").unwrap();
+        prop_assert_eq!(j.stats().recovered as usize, payloads.len());
+        for (i, (section, v)) in payloads.iter().enumerate() {
+            prop_assert_eq!(j.serve(section, i), Some(v.render().as_str()));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}

@@ -11,12 +11,15 @@
 //!   full miss;
 //! * overlapping grids hit exactly the intersection;
 //! * malformed requests produce a structured error frame and leave
-//!   the daemon serving;
+//!   the daemon serving; an over-long request line closes only its own
+//!   connection;
 //! * concurrent interleaved clients see exactly the responses serial
-//!   execution produces.
+//!   execution produces;
+//! * `design_space` calibrates on its first miss only — never for a
+//!   request the cache holds whole.
 //!
-//! Everything runs the `scaling` section at a tiny custom fidelity so
-//! the whole suite computes milliseconds of simulation, not minutes.
+//! Everything runs at a tiny custom fidelity so the whole suite
+//! computes milliseconds of simulation, not minutes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -39,9 +42,13 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn spawn_server(dir: &Path) -> ServerHandle {
+    spawn_server_sharded(dir, 4)
+}
+
+fn spawn_server_sharded(dir: &Path, shard_points: usize) -> ServerHandle {
     let config = ServerConfig::new(dir.join("serve.sock"), dir.join("cache"))
         .with_jobs(2)
-        .with_shard_points(4);
+        .with_shard_points(shard_points);
     Server::bind(config).expect("bind").spawn()
 }
 
@@ -300,5 +307,86 @@ fn cache_persists_across_daemon_restarts() {
     assert_eq!(cold_bytes, warm_bytes);
 
     second.stop().expect("clean stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn design_space_calibrates_on_the_first_miss_only() {
+    let dir = temp_dir("calibrate");
+    let req = run_request("design_space", "0-2999");
+
+    let first = spawn_server_sharded(&dir, 512);
+    let (cold_bytes, cold_frames) = roundtrip(first.socket(), &req);
+    assert_eq!(payloads(&cold_frames).len(), 3000);
+    assert_eq!(first.counters().value("serve.points_computed"), 3000);
+    assert_eq!(first.counters().value("serve.calibrations"), 1);
+    first.stop().expect("clean stop");
+
+    // A daemon restarted on the full cache answers byte-identically
+    // without fitting the model or computing a point.
+    let second = spawn_server_sharded(&dir, 512);
+    let (warm_bytes, _) = roundtrip(second.socket(), &req);
+    assert_eq!(cold_bytes, warm_bytes);
+    assert_eq!(second.counters().value("serve.points_computed"), 0);
+    assert_eq!(second.counters().value("serve.calibrations"), 0);
+
+    // Mixing cached and missing points calibrates once; the fitted
+    // model then serves later misses at the same fidelity.
+    for (grid, computed) in [("2990-3009", 10), ("3005-3020", 21)] {
+        let (_, frames) = roundtrip(second.socket(), &run_request("design_space", grid));
+        assert!(matches!(frames.last(), Some(Frame::Done { holes, .. }) if holes.is_empty()));
+        assert_eq!(
+            second.counters().value("serve.points_computed"),
+            computed,
+            "{grid}"
+        );
+        assert_eq!(second.counters().value("serve.calibrations"), 1, "{grid}");
+    }
+
+    second.stop().expect("clean stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_over_long_request_line_closes_only_its_connection() {
+    use piton::characterization::serve::MAX_REQUEST_LINE;
+
+    let dir = temp_dir("long-line");
+    let server = spawn_server(&dir);
+
+    let stream = UnixStream::connect(server.socket()).expect("connect");
+    // The daemon must answer, not wait for a newline that never comes.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..=MAX_REQUEST_LINE / chunk.len() + 1 {
+            // The daemon hangs up once the cap is passed.
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let (_, frames) = read_response(&mut reader);
+    assert!(
+        matches!(frames.as_slice(), [Frame::Error { message }] if message.contains("exceeds")),
+        "{frames:?}"
+    );
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "connection stays open: {rest:?}"
+    );
+    flood.join().unwrap();
+    assert_eq!(server.counters().value("serve.errors"), 1);
+
+    // Other connections are still served.
+    let (_, frames) = roundtrip(server.socket(), r#"{"op":"ping"}"#);
+    assert!(matches!(frames.as_slice(), [Frame::Pong { .. }]));
+
+    server.stop().expect("clean stop");
     let _ = std::fs::remove_dir_all(&dir);
 }
