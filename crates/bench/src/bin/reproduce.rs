@@ -47,17 +47,17 @@
 //! Backend selection (see `piton_core::analytic`): `--backend cycle`
 //! (the default; stdout is byte-identical to builds that predate the
 //! knob), `--backend analytic`, or `--backend both` — also settable
-//! via `PITON_BACKEND`. The analytic backend calibrates a closed-form
-//! power model against a battery of cycle-level probes, reproduces the
-//! power figures from three dot products per point, and finishes with
-//! the `design_space` mega-sweep the cycle engine could never run.
-//! `both` runs the full cycle flow *and* the analytic backend on the
-//! same grid and appends a per-figure analytic-vs-cycle error table;
-//! any figure over its committed error budget fails the run. The
-//! backend is part of the journal context, so a journal recorded under
-//! one backend refuses to resume under another. Analytic and `both`
-//! runs record the backend, fitted coefficients and fit residuals in
-//! the run manifest.
+//! via `PITON_BACKEND`. The analytic backend runs a library of
+//! cycle-level probes for their activity rates, charges them with the
+//! cycle engine's own per-event energies, reproduces the power figures
+//! from three dot products per point, and finishes with the
+//! `design_space` mega-sweep the cycle engine could never run. `both`
+//! runs the full cycle flow *and* the analytic backend on the same grid
+//! and appends a per-figure analytic-vs-cycle error table; any figure
+//! over its committed error budget fails the run. The backend (and,
+//! for analytic runs, the model's coefficient digest) is part of the
+//! journal context, so a journal recorded under one backend refuses to
+//! resume under another. The run manifest records the backend.
 //!
 //! Observability (see `piton_obs`): `--trace SPEC` (or `PITON_TRACE`)
 //! streams structured simulator events to a JSONL file — spec grammar
@@ -82,7 +82,7 @@ use piton_core::journal::{self, Journal};
 use piton_core::report::Hole;
 use piton_core::runner;
 use piton_core::GovernorConfig;
-use piton_obs::manifest::{CalibrationRecord, HoleRecord, RunManifest, SectionRecord};
+use piton_obs::manifest::{HoleRecord, RunManifest, SectionRecord};
 use piton_obs::metrics;
 use piton_obs::trace::{self, TraceSpec};
 use piton_sim::watchdog;
@@ -284,25 +284,21 @@ fn main() {
                 error: h.error.clone(),
             }));
         };
-        // Calibrate the analytic backend up front so the per-figure
+        // Build the analytic rate library up front so the per-figure
         // comparisons can ride along as each cycle result lands.
         let cal = if backend.runs_analytic() {
             let t_cal = Instant::now();
-            match analytic::calibrate(fidelity) {
+            match analytic::calibrate(fidelity, analytic::battery::probe_specs()) {
                 Ok(cal) => {
                     eprintln!(
-                        "reproduce: analytic model fitted against {} cycle-level probe(s) in {:.1?}",
-                        cal.report.probes,
+                        "reproduce: analytic rate library: {} cycle-level probe(s) in {:.1?}",
+                        cal.probes.len(),
                         t_cal.elapsed()
-                    );
-                    section(
-                        "Calibration — closed-form fit vs cycle-level probes",
-                        analytic::render_calibration(&cal),
                     );
                     Some(cal)
                 }
                 Err(e) => {
-                    eprintln!("reproduce: calibration failed: {e}");
+                    eprintln!("reproduce: rate library failed: {e}");
                     std::process::exit(2);
                 }
             }
@@ -463,9 +459,9 @@ fn main() {
                 compare::error_table(&comparisons),
             );
         }
-        (timings, holes, hole_records, cal, comparisons)
+        (timings, holes, hole_records, comparisons)
     };
-    let (timings, holes, hole_records, cal, comparisons) = match &trace_spec {
+    let (timings, holes, hole_records, comparisons) = match &trace_spec {
         Some(spec) => {
             let (out, written) = trace::to_file(spec, run);
             match written {
@@ -532,30 +528,6 @@ fn main() {
         journal: journal_stats,
         governor: (!governor_policy.is_off()).then(|| governor_policy.label().to_owned()),
         backend: (backend != Backend::Cycle).then(|| backend.label().to_owned()),
-        calibration: cal.as_ref().map(|cal| {
-            let mut coefficients = Vec::new();
-            for (names, pj) in [
-                (analytic::features::vdd_feature_names(), &cal.model.vdd_pj),
-                (analytic::features::vcs_feature_names(), &cal.model.vcs_pj),
-                (analytic::features::vio_feature_names(), &cal.model.vio_pj),
-            ] {
-                coefficients.extend(names.into_iter().zip(pj).map(|(n, &v)| (n, v)));
-            }
-            CalibrationRecord {
-                probes: cal.report.probes as u64,
-                residuals: ["VDD", "VCS", "VIO"]
-                    .iter()
-                    .zip(&cal.report.residuals)
-                    .map(|(name, r)| ((*name).to_owned(), r.max_rel, r.mean_rel))
-                    .collect(),
-                worst: cal
-                    .report
-                    .worst
-                    .clone()
-                    .map(|(probe, rail, rel)| (probe, rail.to_owned(), rel)),
-                coefficients,
-            }
-        }),
         total_wall_s: total.as_secs_f64(),
         sections: timings
             .iter()
@@ -584,7 +556,7 @@ fn main() {
     if !over_budget.is_empty() {
         for c in &over_budget {
             eprintln!(
-                "reproduce: {} exceeds its analytic error budget: max {:.3}% > {:.1}%",
+                "reproduce: {} exceeds its analytic error budget: max {:.3}% > {:.2}%",
                 c.figure,
                 c.max_rel() * 100.0,
                 c.budget * 100.0

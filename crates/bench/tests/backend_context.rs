@@ -74,6 +74,41 @@ fn cycle_journal_refuses_an_analytic_resume() {
     let _ = std::fs::remove_file(&manifest);
 }
 
+/// An analytic journal recorded under a context without the model's
+/// coefficient digest (what the least-squares refit wrote) must be
+/// refused on `--resume`, never served.
+#[test]
+fn analytic_journal_without_the_model_digest_refuses_a_resume() {
+    let journal = tmp("stale-model");
+    let manifest = tmp("stale-model-manifest.json");
+    let _ = std::fs::remove_file(&journal);
+    let stale = format!(
+        "piton/{}|fidelity=quick|effects=none|backend=analytic",
+        env!("CARGO_PKG_VERSION")
+    );
+    drop(piton_core::journal::Journal::open(&journal, &stale).expect("write stale journal"));
+
+    let refused = reproduce(&[
+        "--journal",
+        journal.to_str().unwrap(),
+        "--resume",
+        "--backend",
+        "analytic",
+        "--metrics",
+        manifest.to_str().unwrap(),
+    ]);
+    let err = stderr_text(&refused);
+    assert_eq!(refused.status.code(), Some(2), "stderr: {err}");
+    assert!(
+        err.contains("context mismatch") && err.contains("|model="),
+        "{err}"
+    );
+    assert!(refused.stdout.is_empty(), "no section may run");
+
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&manifest);
+}
+
 #[test]
 fn malformed_jobs_count_exits_2_before_running() {
     for jobs in [&["--jobs", "abc"][..], &["--jobs=abc"]] {

@@ -1,29 +1,26 @@
-//! The auto-calibration battery: a small set of cycle-level runs the
-//! closed-form coefficients are fitted against.
+//! The rate library: a small set of cycle-level runs whose activity
+//! rates the analytic predictors evaluate.
 //!
 //! Each probe replays one of the paper experiments' measurement idioms
 //! (the Figure 11 EPI tests on Chip #2, the Figure 12 invalidation
 //! traffic at a typical corner, the Figure 13/14 microbenchmarks on
-//! Chip #3, the Figure 17 thermal-study system) and records three
-//! things: the window's per-cycle activity rates, the operating point,
-//! and the measured *dynamic* rail power (measured total minus the
-//! closed-form leakage at that point). The fit then solves, per rail,
-//! for the nominal per-event energies that best explain every probe at
-//! once — and the same rate profiles double as the workload library the
-//! analytic predictors evaluate.
+//! Chip #3, the Figure 17 thermal-study system) and records the
+//! per-cycle activity rates of its warm-up and measurement windows plus
+//! the operating point and die corner. The per-event energies are not
+//! measured here: the model reads them from the calibration table.
 
+use piton_arch::config::ChipConfig;
 use piton_arch::error::PitonError;
 use piton_arch::isa::OperandPattern;
 use piton_arch::topology::{Mesh, TileId};
+use piton_arch::units::{Hertz, Volts};
 use piton_board::system::PitonSystem;
-use piton_power::calibration::least_squares_damped;
 use piton_power::model::{ChipCorner, OperatingPoint};
 use piton_sim::machine::SwitchPattern;
 use piton_workloads::epi::{epi_test, EpiCase};
 use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 
-use super::features::{self, Features};
-use super::model::AnalyticModel;
+use super::features::Features;
 use crate::experiments::Fidelity;
 use crate::runner;
 
@@ -40,16 +37,6 @@ pub const NOC_KNOTS: [usize; 4] = [0, 2, 5, 8];
 /// own x-axis — six points is small enough to probe directly).
 pub const FIG17_THREADS: [usize; 6] = [0, 10, 20, 30, 40, 50];
 
-/// Relative Tikhonov damping for the battery fit: tiny enough to leave
-/// well-conditioned coefficients untouched, large enough to keep
-/// physically collinear counters (a store and its buffer enqueue) from
-/// collapsing a pivot.
-const FIT_LAMBDA: f64 = 1e-9;
-/// Residual floor (W): disagreement on rails idling in the noise is
-/// not meaningful, so relative residuals are taken against at least
-/// this much dynamic power.
-pub const RESIDUAL_FLOOR_W: f64 = 0.005;
-
 /// What one probe exercises.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProbeKind {
@@ -65,40 +52,24 @@ pub enum ProbeKind {
     Fig17(usize),
 }
 
-impl ProbeKind {
-    /// Short label for fit diagnostics.
-    #[must_use]
-    pub fn label(self) -> String {
-        match self {
-            Self::Idle => "idle".to_owned(),
-            Self::Epi(case, pattern) => format!("epi {}/{pattern}", case.label()),
-            Self::Noc(pattern, hops) => format!("noc {} hop {hops}", pattern.label()),
-            Self::Micro(bench, tpc, cores) => {
-                format!("micro {} {} @ {cores}", bench.label(), tpc.label())
-            }
-            Self::Fig17(threads) => format!("fig17 {threads} threads"),
-        }
-    }
-}
-
-/// One completed cycle-level calibration run.
+/// One completed cycle-level probe: a rate-library entry.
 #[derive(Debug, Clone)]
 pub struct Probe {
     /// What was exercised.
     pub kind: ProbeKind,
+    /// Per-cycle activity rates over the warm-up window: the activity
+    /// (cold caches included) the bench settles the junction from.
+    pub warm: Features,
     /// Per-cycle activity rates over the measurement window.
     pub rates: Features,
     /// Operating point the window was measured at.
     pub op: OperatingPoint,
     /// Die corner of the probed system.
     pub corner: ChipCorner,
-    /// Measured dynamic rail power (W): measured total minus the
-    /// closed-form leakage at `op`.
-    pub dynamic_w: [f64; 3],
 }
 
-/// The probe list: idle + every Figure 11 cell + NoC pattern×knot +
-/// microbenchmark knots + the Figure 17 thread axis.
+/// The full rate library: idle + every Figure 11 cell + NoC
+/// pattern×knot + microbenchmark knots + the Figure 17 thread axis.
 #[must_use]
 pub fn probe_specs() -> Vec<ProbeKind> {
     let mut specs = vec![ProbeKind::Idle];
@@ -126,101 +97,37 @@ pub fn probe_specs() -> Vec<ProbeKind> {
     specs
 }
 
-/// Subtracts the closed-form leakage from a measured rail triple.
-fn dynamic_of(sys: &PitonSystem, measured: [f64; 3], op: OperatingPoint) -> [f64; 3] {
-    let leak = sys.power_model().static_power(op);
-    [
-        measured[0] - leak.vdd.0,
-        measured[1] - leak.vcs.0,
-        measured[2] - leak.vio.0,
-    ]
-}
-
-/// Measures one monitor window while tracking the activity delta it
-/// covers.
-fn measured_window(
+/// Per-cycle rates of the activity `run` drives on `sys`.
+fn rates_of(
     sys: &mut PitonSystem,
-    fidelity: Fidelity,
-) -> Result<(Features, OperatingPoint, [f64; 3]), PitonError> {
+    run: impl FnOnce(&mut PitonSystem) -> Result<(), PitonError>,
+) -> Result<Features, PitonError> {
     let before = sys.machine().counters().clone();
-    let m = sys.try_measure(fidelity.samples)?;
-    let delta = sys.machine().counters().delta_since(&before);
-    let op = sys.operating_point();
-    let dynamic = dynamic_of(sys, [m.vdd.mean.0, m.vcs.mean.0, m.vio.mean.0], op);
-    Ok((Features::rates(&delta), op, dynamic))
+    run(sys)?;
+    Ok(Features::rates(
+        &sys.machine().counters().delta_since(&before),
+    ))
 }
 
 fn run_probe(kind: ProbeKind, fidelity: Fidelity) -> Result<Probe, PitonError> {
-    match kind {
-        ProbeKind::Idle => {
-            let mut sys = PitonSystem::reference_chip_2();
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
-            sys.warm_up(fidelity.warmup_cycles);
-            let (rates, op, dynamic_w) = measured_window(&mut sys, fidelity)?;
-            Ok(Probe {
-                kind,
-                rates,
-                op,
-                corner: sys.power_model().corner(),
-                dynamic_w,
-            })
-        }
+    let window = fidelity.chunk_cycles * fidelity.samples as u64;
+    let mut sys = match kind {
+        ProbeKind::Idle => PitonSystem::reference_chip_2(),
         ProbeKind::Epi(case, pattern) => {
             let mut sys = PitonSystem::reference_chip_2();
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
             for t in 0..25 {
-                sys.machine_mut().load_thread(
-                    piton_arch::TileId::new(t),
-                    0,
-                    epi_test(case, pattern, t),
-                );
+                sys.machine_mut()
+                    .load_thread(TileId::new(t), 0, epi_test(case, pattern, t));
             }
-            sys.warm_up(fidelity.warmup_cycles);
-            let (rates, op, dynamic_w) = measured_window(&mut sys, fidelity)?;
-            Ok(Probe {
-                kind,
-                rates,
-                op,
-                corner: sys.power_model().corner(),
-                dynamic_w,
-            })
+            sys
         }
-        ProbeKind::Noc(pattern, hops) => {
-            // Mirrors the Figure 12 methodology: power computed from
-            // the model over the traffic window (noise-free), thermal
-            // state never advanced.
-            let mesh = Mesh::piton();
-            let dst = mesh
-                .tile_at_distance(TileId::new(0), hops)
-                .expect("5x5 mesh covers 0..=8 hops");
-            let mut sys = PitonSystem::new(
-                &piton_arch::config::ChipConfig::piton(),
-                ChipCorner::typical(),
-                0xA0 + hops as u64,
-            );
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
-            sys.machine_mut()
-                .run_invalidation_traffic(dst, pattern, fidelity.warmup_cycles / 4);
-            let before = sys.machine().counters().clone();
-            sys.machine_mut().run_invalidation_traffic(
-                dst,
-                pattern,
-                fidelity.chunk_cycles * fidelity.samples as u64,
-            );
-            let delta = sys.machine().counters().delta_since(&before);
-            let op = sys.operating_point();
-            let p = sys.power_model().power(&delta, op);
-            Ok(Probe {
-                kind,
-                rates: Features::rates(&delta),
-                op,
-                corner: sys.power_model().corner(),
-                dynamic_w: dynamic_of(&sys, [p.vdd.0, p.vcs.0, p.vio.0], op),
-            })
-        }
+        ProbeKind::Noc(_, hops) => PitonSystem::new(
+            &ChipConfig::piton(),
+            ChipCorner::typical(),
+            0xA0 + hops as u64,
+        ),
         ProbeKind::Micro(bench, tpc, cores) => {
             let mut sys = PitonSystem::reference_chip_3();
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
             load_microbenchmark(
                 sys.machine_mut(),
                 bench,
@@ -228,20 +135,11 @@ fn run_probe(kind: ProbeKind, fidelity: Fidelity) -> Result<Probe, PitonError> {
                 tpc,
                 RunLength::Forever,
             );
-            sys.warm_up(fidelity.warmup_cycles);
-            let (rates, op, dynamic_w) = measured_window(&mut sys, fidelity)?;
-            Ok(Probe {
-                kind,
-                rates,
-                op,
-                corner: sys.power_model().corner(),
-                dynamic_w,
-            })
+            sys
         }
         ProbeKind::Fig17(threads) => {
             // Mirrors the Figure 17 capture: same corner, 0.9 V /
-            // 100 MHz, activity delta over chunk × samples cycles with
-            // model-derived (noise-free) power.
+            // 100 MHz.
             let i = FIG17_THREADS
                 .iter()
                 .position(|&t| t == threads)
@@ -251,14 +149,9 @@ fn run_probe(kind: ProbeKind, fidelity: Fidelity) -> Result<Probe, PitonError> {
                 leakage: 0.95,
                 dynamic: 1.02,
             };
-            let mut sys = PitonSystem::new(
-                &piton_arch::config::ChipConfig::piton(),
-                corner,
-                0x17 + i as u64,
-            );
-            sys.set_vdd_tracked(piton_arch::units::Volts(0.9));
-            sys.set_frequency(piton_arch::units::Hertz::from_mhz(100.01));
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
+            let mut sys = PitonSystem::new(&ChipConfig::piton(), corner, 0x17 + i as u64);
+            sys.set_vdd_tracked(Volts(0.9));
+            sys.set_frequency(Hertz::from_mhz(100.01));
             if threads > 0 {
                 load_microbenchmark(
                     sys.machine_mut(),
@@ -268,139 +161,61 @@ fn run_probe(kind: ProbeKind, fidelity: Fidelity) -> Result<Probe, PitonError> {
                     RunLength::Forever,
                 );
             }
-            sys.warm_up(fidelity.warmup_cycles);
-            let before = sys.machine().counters().clone();
-            sys.machine_mut()
-                .run(fidelity.chunk_cycles * fidelity.samples as u64);
-            let delta = sys.machine().counters().delta_since(&before);
-            let op = sys.operating_point();
-            let p = sys.power_model().power(&delta, op);
-            Ok(Probe {
-                kind,
-                rates: Features::rates(&delta),
-                op,
-                corner,
-                dynamic_w: dynamic_of(&sys, [p.vdd.0, p.vcs.0, p.vio.0], op),
-            })
+            sys
         }
-    }
+    };
+    sys.set_chunk_cycles(fidelity.chunk_cycles);
+    let (warm, rates) = match kind {
+        ProbeKind::Noc(pattern, hops) => {
+            // Mirrors the Figure 12 methodology: the traffic warms the
+            // network itself, and the thermal state never advances.
+            let dst = Mesh::piton()
+                .tile_at_distance(TileId::new(0), hops)
+                .expect("5x5 mesh covers 0..=8 hops");
+            let mut traffic = |cycles| {
+                rates_of(&mut sys, |s| {
+                    s.machine_mut()
+                        .run_invalidation_traffic(dst, pattern, cycles);
+                    Ok(())
+                })
+            };
+            (traffic(fidelity.warmup_cycles / 4)?, traffic(window)?)
+        }
+        _ => {
+            let warm = rates_of(&mut sys, |s| {
+                s.warm_up(fidelity.warmup_cycles);
+                Ok(())
+            })?;
+            let rates = if matches!(kind, ProbeKind::Fig17(_)) {
+                // Figure 17 reads model power over a plain run.
+                rates_of(&mut sys, |s| {
+                    s.machine_mut().run(window);
+                    Ok(())
+                })?
+            } else {
+                rates_of(&mut sys, |s| s.try_measure(fidelity.samples).map(drop))?
+            };
+            (warm, rates)
+        }
+    };
+    Ok(Probe {
+        kind,
+        warm,
+        rates,
+        op: sys.operating_point(),
+        corner: sys.power_model().corner(),
+    })
 }
 
-/// Runs the whole battery across the fidelity's sweep workers.
+/// Runs the given probes across the fidelity's sweep workers, in
+/// order.
 ///
 /// # Errors
 ///
 /// Propagates the first probe failure (probes run fault-free, so this
 /// only surfaces engine-level deadline errors).
-pub fn run_battery(fidelity: Fidelity) -> Result<Vec<Probe>, PitonError> {
-    let specs = probe_specs();
+pub fn run_battery(fidelity: Fidelity, specs: Vec<ProbeKind>) -> Result<Vec<Probe>, PitonError> {
     runner::sweep(fidelity.jobs, specs, |_, kind| run_probe(kind, fidelity))
         .into_iter()
         .collect()
-}
-
-/// Per-rail fit quality over the battery.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RailResidual {
-    /// Largest relative residual across probes.
-    pub max_rel: f64,
-    /// Mean relative residual across probes.
-    pub mean_rel: f64,
-}
-
-/// The calibration outcome the run manifest records.
-#[derive(Debug, Clone)]
-pub struct FitReport {
-    /// Number of cycle-level probes fitted against.
-    pub probes: usize,
-    /// Residuals per rail, in `[vdd, vcs, vio]` order.
-    pub residuals: [RailResidual; 3],
-    /// The single worst probe: `(probe label, rail name, relative
-    /// residual)`.
-    pub worst: Option<(String, &'static str, f64)>,
-}
-
-/// Converts a probe's measured dynamic power (W) to nominal pJ/cycle on
-/// one rail — the target space the least-squares fit runs in.
-fn nominal_target_pj(probe: &Probe, scales: [f64; 3], rail: usize) -> f64 {
-    let f_hz = 1.0 / probe.op.freq.period().0;
-    probe.dynamic_w[rail] / (scales[rail] * f_hz) * 1e12
-}
-
-/// Fits the coefficient vectors against a battery of probes.
-///
-/// # Errors
-///
-/// [`PitonError::DegenerateFit`] if the battery cannot identify the
-/// active columns (fewer probes than active features, or a pivot
-/// collapse the damping cannot rescue).
-pub fn fit(probes: &[Probe]) -> Result<(AnalyticModel, FitReport), PitonError> {
-    // The damping below is meant to split energy across *aliased*
-    // columns, not to conjure coefficients out of repetition: a
-    // battery with fewer distinct rate profiles than VDD features is
-    // rank-deficient no matter how many probes it holds, and must be
-    // refused before the regularizer papers over it.
-    let mut distinct: Vec<&Features> = Vec::new();
-    for p in probes {
-        if !distinct.contains(&&p.rates) {
-            distinct.push(&p.rates);
-        }
-    }
-    if distinct.len() < features::VDD_FEATURES {
-        return Err(PitonError::DegenerateFit {
-            points: distinct.len(),
-            reason: "fewer distinct probe profiles than model coefficients",
-        });
-    }
-    // Voltage scales depend only on the shared technology curves, so
-    // any model instance computes them; the reference's coefficients
-    // are never consulted here.
-    let scaler = AnalyticModel::reference();
-    let per_rail = |rail: usize, rows: Vec<Vec<f64>>| -> Result<Vec<f64>, PitonError> {
-        let targets: Vec<f64> = probes
-            .iter()
-            .map(|p| nominal_target_pj(p, scaler.dynamic_scales(p.op, p.corner), rail))
-            .collect();
-        least_squares_damped(&rows, &targets, FIT_LAMBDA)
-    };
-    let vdd = per_rail(0, probes.iter().map(|p| p.rates.vdd.clone()).collect())?;
-    let vcs = per_rail(1, probes.iter().map(|p| p.rates.vcs.clone()).collect())?;
-    let vio = per_rail(2, probes.iter().map(|p| p.rates.vio.clone()).collect())?;
-    let model = AnalyticModel::fitted(vdd, vcs, vio);
-
-    // Residuals in the measured (watts) domain: how far each probe's
-    // predicted dynamic power lands from what the bench reported.
-    const RAILS: [&str; 3] = ["vdd", "vcs", "vio"];
-    let mut residuals = [RailResidual {
-        max_rel: 0.0,
-        mean_rel: 0.0,
-    }; 3];
-    let mut worst: Option<(String, &'static str, f64)> = None;
-    for (rail, name) in RAILS.iter().enumerate() {
-        let mut sum = 0.0;
-        for p in probes {
-            let scales = model.dynamic_scales(p.op, p.corner);
-            let f_hz = 1.0 / p.op.freq.period().0;
-            let nominal = model.dynamic_nominal_pj(&p.rates);
-            let pred = [nominal.0, nominal.1, nominal.2][rail] * scales[rail] * f_hz * 1e-12;
-            let rel =
-                (pred - p.dynamic_w[rail]).abs() / p.dynamic_w[rail].abs().max(RESIDUAL_FLOOR_W);
-            sum += rel;
-            if rel > residuals[rail].max_rel {
-                residuals[rail].max_rel = rel;
-            }
-            if worst.as_ref().is_none_or(|w| rel > w.2) {
-                worst = Some((p.kind.label(), name, rel));
-            }
-        }
-        residuals[rail].mean_rel = sum / probes.len().max(1) as f64;
-    }
-    Ok((
-        model,
-        FitReport {
-            probes: probes.len(),
-            residuals,
-            worst,
-        },
-    ))
 }

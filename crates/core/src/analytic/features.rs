@@ -4,16 +4,11 @@
 //! The closed-form model is linear in exactly the counters the cycle
 //! engine's [`piton_power::model::PowerModel`] charges, so an activity
 //! window flattens into three feature vectors (one per rail) and the
-//! model becomes three dot products. Keeping the layout explicit — one
-//! named slot per counter, opcode-indexed blocks for issues and operand
-//! activity — makes the fitted coefficient vector directly comparable
-//! to the hand-written [`piton_power::calibration::Calibration`] table.
-//!
-//! The store-buffer enqueue counter is carried as its own feature even
-//! though it is collinear with store issues over any realistic probe
-//! battery; the damped fit splits the shared energy across the aliased
-//! columns, which is invisible to in-span predictions (see
-//! [`piton_power::calibration::least_squares_damped`]).
+//! model becomes three dot products. The layout is explicit — one slot
+//! per counter, opcode-indexed blocks for issues and operand activity —
+//! and [`super::AnalyticModel::reference`] fills the matching
+//! coefficient slots from the [`piton_power::calibration::Calibration`]
+//! table.
 
 use piton_arch::isa::Opcode;
 use piton_sim::events::ActivityCounters;
@@ -36,81 +31,15 @@ const ISSUES_BASE: usize = 5;
 const ACTIVITY_BASE: usize = ISSUES_BASE + Opcode::COUNT;
 const TAIL_BASE: usize = ACTIVITY_BASE + Opcode::COUNT;
 
-const TAIL_NAMES: [&str; 11] = [
-    "l15_miss",
-    "invalidation",
-    "load_rollback",
-    "store_rollback",
-    "sb_enqueue",
-    "noc_flit_hop",
-    "noc_bit_switch",
-    "noc_coupling_switch",
-    "noc_route_compute",
-    "offchip_request",
-    "chip_bridge_flit",
-];
-
-const VCS_NAMES: [&str; VCS_FEATURES] = [
-    "clock",
-    "l1i_access",
-    "l1d_read",
-    "l1d_write",
-    "l15_read",
-    "l15_write",
-    "l15_writeback",
-    "l2_read",
-    "l2_write",
-    "dir_lookup",
-];
-
-const VIO_NAMES: [&str; VIO_FEATURES] = ["chip_bridge_flit", "io_transaction"];
-
-/// Stable human-readable names for the VDD feature slots (used when a
-/// fitted coefficient vector is recorded in the run manifest).
-#[must_use]
-pub fn vdd_feature_names() -> Vec<String> {
-    let mut names = vec![
-        "clock".to_owned(),
-        "active_core_cycle".to_owned(),
-        "mem_stall_cycle".to_owned(),
-        "dual_thread_cycle".to_owned(),
-        "drafted_issue".to_owned(),
-    ];
-    names.extend(
-        Opcode::ALL
-            .iter()
-            .map(|op| format!("issue.{}", op.mnemonic())),
-    );
-    names.extend(
-        Opcode::ALL
-            .iter()
-            .map(|op| format!("activity.{}", op.mnemonic())),
-    );
-    names.extend(TAIL_NAMES.iter().map(|&n| n.to_owned()));
-    names
-}
-
-/// Stable names for the VCS feature slots.
-#[must_use]
-pub fn vcs_feature_names() -> Vec<String> {
-    VCS_NAMES.iter().map(|&n| n.to_owned()).collect()
-}
-
-/// Stable names for the VIO feature slots.
-#[must_use]
-pub fn vio_feature_names() -> Vec<String> {
-    VIO_NAMES.iter().map(|&n| n.to_owned()).collect()
-}
-
 /// One activity window (or per-cycle rate profile) flattened into the
 /// three per-rail feature vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Features {
-    /// VDD-rail features, laid out per [`vdd_feature_names`].
+    /// VDD-rail features, laid out per [`Features::extract`].
     pub vdd: Vec<f64>,
-    /// VCS-rail features, laid out per [`vcs_feature_names`].
+    /// VCS-rail features.
     pub vcs: Vec<f64>,
-    /// VIO-rail features, laid out per [`vio_feature_names`].
+    /// VIO-rail features.
     pub vio: Vec<f64>,
 }
 
@@ -236,10 +165,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn layout_names_match_vector_widths() {
-        assert_eq!(vdd_feature_names().len(), VDD_FEATURES);
-        assert_eq!(vcs_feature_names().len(), VCS_FEATURES);
-        assert_eq!(vio_feature_names().len(), VIO_FEATURES);
+    fn layout_matches_vector_widths() {
         let z = Features::zero();
         assert_eq!(z.vdd.len(), VDD_FEATURES);
         assert_eq!(z.vcs.len(), VCS_FEATURES);
@@ -258,9 +184,8 @@ mod tests {
         assert_eq!(f.vdd[CYCLES], 1000.0);
         assert_eq!(f.vdd[ISSUES_BASE + Opcode::Add.index()], 2.0);
         assert!((f.vdd[ACTIVITY_BASE + Opcode::Add.index()] - 1.0).abs() < 1e-12);
-        let names = vdd_feature_names();
-        let sb = names.iter().position(|n| n == "sb_enqueue").unwrap();
-        assert_eq!(f.vdd[sb], 7.0);
+        assert_eq!(f.vdd[TAIL_BASE + 4], 7.0); // sb_enqueue
+
         assert_eq!(f.vio[1], 3.0);
         assert!((f.issue_rate() - 2.0).abs() < 1e-12);
     }

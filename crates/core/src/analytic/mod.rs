@@ -1,14 +1,16 @@
 //! The analytic fast-path backend: closed-form power predictions
-//! calibrated against — and checked against — the cycle engine.
+//! checked against the cycle engine.
 //!
 //! The cycle engine is the oracle: it simulates every core, cache and
-//! flit and reads power off the modelled rails. This module replays a
-//! small battery of cycle-level probes ([`battery`]), fits per-event
-//! energy coefficients to them by least squares, and then answers the
-//! same experimental questions with three dot products per evaluation
-//! ([`model`], [`predict`]). A conformance layer ([`compare`]) keeps
-//! the two backends honest by bounding the analytic error per figure
-//! against committed budgets.
+//! flit and reads power off the modelled rails. The analytic model
+//! ([`model`]) charges the same per-event energies, read straight from
+//! the calibration table, against per-cycle activity rates. Those rates
+//! are what is approximated: a small library of cycle-level probes
+//! ([`battery`]) measures them, and the predictors ([`predict`])
+//! interpolate between probes and answer the experimental questions
+//! with three dot products per evaluation. A conformance layer
+//! ([`compare`]) bounds the analytic error per figure against committed
+//! budgets.
 //!
 //! The payoff is scale: the `design_space` mega-sweep evaluates grids
 //! the cycle engine could never finish, while `--backend both` keeps a
@@ -20,7 +22,7 @@ pub mod features;
 pub mod model;
 pub mod predict;
 
-pub use battery::{FitReport, Probe, ProbeKind, RailResidual};
+pub use battery::{Probe, ProbeKind};
 pub use features::Features;
 pub use model::AnalyticModel;
 
@@ -31,18 +33,17 @@ use piton_workloads::epi::EpiCase;
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 
 use crate::experiments::Fidelity;
-use crate::report::Table;
 
-/// A fitted model together with the probe battery that produced it —
-/// the probes double as the workload rate library the predictors
-/// interpolate over.
+/// The model together with the rate library the predictors
+/// interpolate over. The figure predictors need the full
+/// [`battery::probe_specs`] library; the `design_space` sweep needs
+/// only its own `probe_specs`. Asking for a probe the library lacks
+/// panics.
 #[derive(Debug, Clone)]
 pub struct Calibrated {
-    /// The fitted closed-form model.
+    /// The closed-form model ([`AnalyticModel::reference`]).
     pub model: AnalyticModel,
-    /// Fit quality (recorded in the run manifest).
-    pub report: FitReport,
-    /// The cycle-level probes the fit ran against.
+    /// The cycle-level probes: the rate library.
     pub probes: Vec<Probe>,
 }
 
@@ -51,7 +52,7 @@ impl Calibrated {
         self.probes
             .iter()
             .find(|p| p.kind == kind)
-            .expect("probe battery covers every spec")
+            .expect("rate library holds the probe")
     }
 
     /// The Chip #2 idle probe.
@@ -84,9 +85,9 @@ impl Calibrated {
         self.find(ProbeKind::Fig17(threads))
     }
 
-    /// Rate profile of a microbenchmark configuration at an arbitrary
-    /// core count: piecewise-linear between the probed
-    /// [`battery::MICRO_KNOTS`], clamped at the ends.
+    /// Measurement-window rate profile of a microbenchmark
+    /// configuration at an arbitrary core count: piecewise-linear
+    /// between the probed [`battery::MICRO_KNOTS`], clamped at the ends.
     #[must_use]
     pub fn micro_rates_at(
         &self,
@@ -94,63 +95,53 @@ impl Calibrated {
         tpc: ThreadsPerCore,
         cores: f64,
     ) -> Features {
+        self.micro_lerp(bench, tpc, cores, |p| &p.rates)
+    }
+
+    /// [`Self::micro_rates_at`] over the warm-up windows.
+    #[must_use]
+    pub fn micro_warm_rates_at(
+        &self,
+        bench: Microbenchmark,
+        tpc: ThreadsPerCore,
+        cores: f64,
+    ) -> Features {
+        self.micro_lerp(bench, tpc, cores, |p| &p.warm)
+    }
+
+    fn micro_lerp(
+        &self,
+        bench: Microbenchmark,
+        tpc: ThreadsPerCore,
+        cores: f64,
+        pick: fn(&Probe) -> &Features,
+    ) -> Features {
         let knots = battery::MICRO_KNOTS;
         let first = knots[0];
         let last = knots[knots.len() - 1];
         if cores <= first as f64 {
-            return self.micro(bench, tpc, first).rates.clone();
+            return pick(self.micro(bench, tpc, first)).clone();
         }
         for w in knots.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             if cores <= hi as f64 {
                 let t = (cores - lo as f64) / (hi - lo) as f64;
-                return self
-                    .micro(bench, tpc, lo)
-                    .rates
-                    .lerp(&self.micro(bench, tpc, hi).rates, t);
+                return pick(self.micro(bench, tpc, lo)).lerp(pick(self.micro(bench, tpc, hi)), t);
             }
         }
-        self.micro(bench, tpc, last).rates.clone()
+        pick(self.micro(bench, tpc, last)).clone()
     }
 }
 
-/// Runs the probe battery at the given fidelity and fits the model.
+/// Runs the given probes at the given fidelity and pairs them with the
+/// reference model.
 ///
 /// # Errors
 ///
-/// Propagates probe failures and [`PitonError::DegenerateFit`] from
-/// the least-squares solve.
-pub fn calibrate(fidelity: Fidelity) -> Result<Calibrated, PitonError> {
-    let probes = battery::run_battery(fidelity)?;
-    let (model, report) = battery::fit(&probes)?;
+/// Propagates probe failures.
+pub fn calibrate(fidelity: Fidelity, specs: Vec<ProbeKind>) -> Result<Calibrated, PitonError> {
     Ok(Calibrated {
-        model,
-        report,
-        probes,
+        model: AnalyticModel::reference(),
+        probes: battery::run_battery(fidelity, specs)?,
     })
-}
-
-/// Renders the calibration section of an analytic/both report.
-#[must_use]
-pub fn render_calibration(cal: &Calibrated) -> String {
-    let mut t = Table::new("Calibration: closed-form fit vs cycle-level probes");
-    t.header(["Rail", "Max residual", "Mean residual"]);
-    for (name, r) in ["VDD", "VCS", "VIO"].iter().zip(&cal.report.residuals) {
-        t.row([
-            (*name).to_owned(),
-            format!("{:.3}%", r.max_rel * 100.0),
-            format!("{:.3}%", r.mean_rel * 100.0),
-        ]);
-    }
-    let worst = match &cal.report.worst {
-        Some((label, rail, rel)) => {
-            format!("worst probe: {label} ({rail}, {:.3}%)", rel * 100.0)
-        }
-        None => "worst probe: none".to_owned(),
-    };
-    format!(
-        "{}\nfitted against {} cycle-level probes; {worst}\n",
-        t.render(),
-        cal.report.probes
-    )
 }

@@ -22,12 +22,12 @@ const V_NOM_VDD: Volts = Volts(1.00);
 const V_NOM_VCS: Volts = Volts(1.05);
 const V_NOM_VIO: Volts = Volts(1.80);
 
-/// The calibrated closed-form model (corner-independent: the die corner
-/// is applied per evaluation, exactly as the cycle engine does).
+/// The closed-form model (corner-independent: the die corner is applied
+/// per evaluation, exactly as the cycle engine does).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticModel {
     /// Nominal VDD energy per feature unit (pJ), laid out per
-    /// [`features::vdd_feature_names`].
+    /// [`Features::extract`].
     pub vdd_pj: Vec<f64>,
     /// Nominal VCS energy per feature unit (pJ).
     pub vcs_pj: Vec<f64>,
@@ -41,34 +41,10 @@ pub struct AnalyticModel {
 }
 
 impl AnalyticModel {
-    /// Builds a model from fitted coefficient vectors, with the static
-    /// block taken from the hand calibration (leakage is not fitted —
-    /// it is already closed-form in both engines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vector length disagrees with the feature layout.
-    #[must_use]
-    pub fn fitted(vdd_pj: Vec<f64>, vcs_pj: Vec<f64>, vio_pj: Vec<f64>) -> Self {
-        assert_eq!(vdd_pj.len(), features::VDD_FEATURES);
-        assert_eq!(vcs_pj.len(), features::VCS_FEATURES);
-        assert_eq!(vio_pj.len(), features::VIO_FEATURES);
-        let c = Calibration::piton_hpca18();
-        Self {
-            vdd_pj,
-            vcs_pj,
-            vio_pj,
-            static_mw: [c.static_vdd_mw, c.static_vcs_mw, c.static_vio_mw],
-            static_t0_c: c.static_calibration_temp_c,
-            tech: TechModel::ibm32soi(),
-        }
-    }
-
-    /// The reference model: coefficient vectors copied straight out of
-    /// [`Calibration::piton_hpca18`]. Predictions from this model match
-    /// the cycle engine's power law exactly on any activity window, so
-    /// it anchors the property tests and the calibrate→predict
-    /// round-trip.
+    /// The model: coefficient vectors copied straight out of
+    /// [`Calibration::piton_hpca18`], the table the cycle engine's
+    /// power model charges. Predictions match the cycle engine's power
+    /// law exactly on any activity window.
     #[must_use]
     pub fn reference() -> Self {
         let c = Calibration::piton_hpca18();
@@ -97,20 +73,42 @@ impl AnalyticModel {
         ];
         let tail_base = features::VDD_FEATURES - tail.len();
         vdd[tail_base..].copy_from_slice(&tail);
-        let vcs = vec![
-            c.clock_vcs_pj_per_cycle,
-            c.l1i_pj,
-            c.l1d_read_pj,
-            c.l1d_write_pj,
-            c.l15_read_pj,
-            c.l15_write_pj,
-            c.l15_writeback_pj,
-            c.l2_read_pj,
-            c.l2_write_pj,
-            c.dir_pj,
-        ];
-        let vio = vec![c.bridge_flit_vio_pj, c.io_transaction_pj];
-        Self::fitted(vdd, vcs, vio)
+        Self {
+            vdd_pj: vdd,
+            vcs_pj: vec![
+                c.clock_vcs_pj_per_cycle,
+                c.l1i_pj,
+                c.l1d_read_pj,
+                c.l1d_write_pj,
+                c.l15_read_pj,
+                c.l15_write_pj,
+                c.l15_writeback_pj,
+                c.l2_read_pj,
+                c.l2_write_pj,
+                c.dir_pj,
+            ],
+            vio_pj: vec![c.bridge_flit_vio_pj, c.io_transaction_pj],
+            static_mw: [c.static_vdd_mw, c.static_vcs_mw, c.static_vio_mw],
+            static_t0_c: c.static_calibration_temp_c,
+            tech: TechModel::ibm32soi(),
+        }
+    }
+
+    /// FNV-1a digest of every coefficient's bits: the model's identity
+    /// in the analytic journal context, so results cached under one
+    /// coefficient table are never served under another.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        let bytes: Vec<u8> = self
+            .vdd_pj
+            .iter()
+            .chain(&self.vcs_pj)
+            .chain(&self.vio_pj)
+            .chain(&self.static_mw)
+            .chain([&self.static_t0_c])
+            .flat_map(|c| c.to_bits().to_le_bytes())
+            .collect();
+        crate::journal::fnv64(&bytes)
     }
 
     /// Nominal dynamic energy of a feature vector, per rail (pJ per
@@ -164,8 +162,7 @@ impl AnalyticModel {
     }
 
     /// The per-rail dynamic voltage scales at an operating point and
-    /// corner (used when converting measured dynamic power back to
-    /// nominal energy during calibration).
+    /// corner.
     #[must_use]
     pub fn dynamic_scales(&self, op: OperatingPoint, corner: ChipCorner) -> [f64; 3] {
         [
@@ -258,6 +255,91 @@ mod tests {
                 let got_static = analytic.static_power(op, corner);
                 assert!(
                     (want_static.total_with_io().0 - got_static.total_with_io().0).abs() < 1e-12
+                );
+            }
+        }
+    }
+
+    /// Every charged counter, alone in a 1 000-cycle window, costs the
+    /// same dynamic energy on both backends: a swapped or sign-flipped
+    /// feature slot (the drafted-issue credit included) cannot hide
+    /// behind the other counters.
+    #[test]
+    fn every_feature_slot_matches_the_cycle_power_model() {
+        use piton_arch::isa::Opcode;
+        type Set = fn(&mut ActivityCounters);
+        let mut windows: Vec<(String, ActivityCounters)> = Vec::new();
+        let counters: [(&str, Set); 26] = [
+            ("cycles", |_| {}),
+            ("core_active_cycles", |a| a.core_active_cycles = 700),
+            ("mem_stall_cycles", |a| a.mem_stall_cycles = 700),
+            ("dual_thread_cycles", |a| a.dual_thread_cycles = 700),
+            ("drafted_issues", |a| a.drafted_issues = 700),
+            ("l15_misses", |a| a.l15_misses = 700),
+            ("invalidations", |a| a.invalidations = 700),
+            ("load_rollbacks", |a| a.load_rollbacks = 700),
+            ("store_rollbacks", |a| a.store_rollbacks = 700),
+            ("sb_enqueues", |a| a.sb_enqueues = 700),
+            ("noc_flit_hops", |a| a.noc_flit_hops = 700),
+            ("noc_bit_switches", |a| a.noc_bit_switches = 700),
+            ("noc_coupling_switches", |a| a.noc_coupling_switches = 700),
+            ("noc_route_computes", |a| a.noc_route_computes = 700),
+            ("offchip_requests", |a| a.offchip_requests = 700),
+            ("chip_bridge_flits", |a| a.chip_bridge_flits = 700),
+            ("l1i_accesses", |a| a.l1i_accesses = 700),
+            ("l1d_reads", |a| a.l1d_reads = 700),
+            ("l1d_writes", |a| a.l1d_writes = 700),
+            ("l15_reads", |a| a.l15_reads = 700),
+            ("l15_writes", |a| a.l15_writes = 700),
+            ("l15_writebacks", |a| a.l15_writebacks = 700),
+            ("l2_reads", |a| a.l2_reads = 700),
+            ("l2_writes", |a| a.l2_writes = 700),
+            ("dir_lookups", |a| a.dir_lookups = 700),
+            ("io_transactions", |a| a.io_transactions = 700),
+        ];
+        for (name, set) in counters {
+            let mut a = ActivityCounters::new();
+            a.cycles = 1_000;
+            set(&mut a);
+            windows.push((name.to_owned(), a));
+        }
+        for op in Opcode::ALL {
+            let mut a = ActivityCounters::new();
+            a.cycles = 1_000;
+            a.issues[op.index()] = 700;
+            windows.push((format!("issues.{}", op.mnemonic()), a.clone()));
+            // The cycle model charges operand activity only alongside
+            // issues of the same opcode.
+            a.operand_activity[op.index()] = 350.0;
+            windows.push((format!("activity.{}", op.mnemonic()), a));
+        }
+
+        // Together the windows reach every feature slot.
+        let mut reached = Features::zero();
+        for (_, a) in &windows {
+            reached.add_scaled(&Features::extract(a), 1.0);
+        }
+        for v in reached.vdd.iter().chain(&reached.vcs).chain(&reached.vio) {
+            assert!(*v > 0.0, "a feature slot no window sets: {reached:?}");
+        }
+
+        let corner = ChipCorner::typical();
+        let cycle = PowerModel::new(Calibration::piton_hpca18(), TechModel::ibm32soi(), corner);
+        let analytic = AnalyticModel::reference();
+        let op = OperatingPoint::table_iii().with_junction(25.0);
+        let leak = cycle.static_power(op);
+        for (name, a) in &windows {
+            let want = cycle.power(a, op);
+            let got = analytic.power(&Features::rates(a), op, corner);
+            for (rail, w, g, l) in [
+                ("vdd", want.vdd.0, got.vdd.0, leak.vdd.0),
+                ("vcs", want.vcs.0, got.vcs.0, leak.vcs.0),
+                ("vio", want.vio.0, got.vio.0, leak.vio.0),
+            ] {
+                let (w, g) = (w - l, g - l);
+                assert!(
+                    (w - g).abs() <= 1e-12 * w.abs(),
+                    "{name} on {rail}: cycle {w} W vs analytic {g} W"
                 );
             }
         }

@@ -2,10 +2,11 @@
 //!
 //! Each predictor mirrors its cycle-level experiment's methodology step
 //! for step — the same EPI/EPF formulas, the same trendline fits, the
-//! same warm-up thermal convention — but evaluates the calibrated
-//! closed-form model over rate profiles instead of simulating windows.
-//! That keeps every disagreement between the backends attributable to
-//! the model itself (fit residuals, rate interpolation) rather than to
+//! same warm-up thermal convention — but evaluates the closed-form
+//! model over rate profiles instead of simulating windows. The model
+//! charges the cycle engine's own coefficients, so every disagreement
+//! between the backends comes from the rate library (interpolation
+//! between probes, probe-to-experiment noise) rather than from
 //! divergent bookkeeping.
 
 use piton_arch::isa::OperandPattern;
@@ -28,11 +29,14 @@ use crate::report::{Table, ANALYTIC_MARK};
 /// temperature, the virtual bench default).
 const AMBIENT_C: f64 = 20.0;
 
-/// Power at the warmed-up junction: the analytic mirror of
-/// [`piton_board::system::PitonSystem::warm_up`]'s damped leakage
-/// fixed point (90 % of total-with-IO heating the package).
+/// Power of the measurement-window `rates` at the warmed-up junction:
+/// the analytic mirror of
+/// [`piton_board::system::PitonSystem::warm_up`]'s leakage fixed point
+/// (90 % of total-with-IO heating the package), which the bench solves
+/// from the warm-up window's activity `warm`.
 fn settled(
     cal: &Calibrated,
+    warm: &Features,
     rates: &Features,
     op0: OperatingPoint,
     corner: ChipCorner,
@@ -41,7 +45,7 @@ fn settled(
     let (t_eq, _) = thermal.equilibrium(
         |t| {
             cal.model
-                .power(rates, op0.with_junction(t), corner)
+                .power(warm, op0.with_junction(t), corner)
                 .total_with_io()
                 * 0.9
         },
@@ -93,7 +97,8 @@ pub fn table_v(cal: &Calibrated) -> (f64, f64) {
         .static_power(op.with_junction(t_static), corner)
         .total()
         .0;
-    let idle_w = settled(cal, &cal.idle().rates, op, corner).total().0;
+    let idle = cal.idle();
+    let idle_w = settled(cal, &idle.warm, &idle.rates, op, corner).total().0;
     (static_w, idle_w)
 }
 
@@ -119,6 +124,7 @@ pub struct StaticIdleStep {
 pub fn static_idle(cal: &Calibrated) -> Vec<StaticIdleStep> {
     let vf = vf_sweep::run_with_jobs(1);
     let chips = [NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3];
+    let idle_probe = cal.idle();
     vf.chip(NamedChip::Chip2)
         .points
         .iter()
@@ -135,7 +141,7 @@ pub fn static_idle(cal: &Calibrated) -> Vec<StaticIdleStep> {
                 // The cycle bench reads static power *before* warm-up,
                 // at the fresh system's ambient junction.
                 let s = cal.model.static_power(op, corner);
-                let idle = settled(cal, &cal.idle().rates, op, corner);
+                let idle = settled(cal, &idle_probe.warm, &idle_probe.rates, op, corner);
                 acc[0] += s.vdd.0;
                 acc[1] += s.vcs.0;
                 acc[2] += (idle.vdd.0 - s.vdd.0).max(0.0);
@@ -158,14 +164,21 @@ pub fn static_idle(cal: &Calibrated) -> Vec<StaticIdleStep> {
 pub fn epi(cal: &Calibrated) -> Vec<(String, OperandPattern, f64)> {
     let corner = NamedChip::Chip2.corner();
     let idle_probe = cal.idle();
-    let idle_w = settled(cal, &idle_probe.rates, idle_probe.op, corner).total();
+    let idle_w = settled(
+        cal,
+        &idle_probe.warm,
+        &idle_probe.rates,
+        idle_probe.op,
+        corner,
+    )
+    .total();
     let f = idle_probe.op.freq;
     let nop_probe = cal.epi(
         EpiCase::Plain(piton_arch::isa::Opcode::Nop),
         OperandPattern::Random,
     );
     let nop_epi = epi_pj(
-        settled(cal, &nop_probe.rates, nop_probe.op, corner).total(),
+        settled(cal, &nop_probe.warm, &nop_probe.rates, nop_probe.op, corner).total(),
         idle_w,
         f,
         1,
@@ -179,7 +192,7 @@ pub fn epi(cal: &Calibrated) -> Vec<(String, OperandPattern, f64)> {
         };
         for &pattern in patterns {
             let probe = cal.epi(case, pattern);
-            let p = settled(cal, &probe.rates, probe.op, corner).total();
+            let p = settled(cal, &probe.warm, &probe.rates, probe.op, corner).total();
             let mut e = epi_pj(p, idle_w, f, case.opcode().base_latency());
             if case == EpiCase::Store(StoreVariant::NotFull) {
                 e -= STX_DRAIN_NOPS as f64 * nop_epi;
@@ -228,7 +241,8 @@ pub fn noc(cal: &Calibrated) -> Vec<NocSeries> {
 #[must_use]
 pub fn chip3_idle_w(cal: &Calibrated) -> f64 {
     let op = OperatingPoint::table_iii().with_junction(AMBIENT_C);
-    settled(cal, &cal.idle().rates, op, NamedChip::Chip3.corner())
+    let idle = cal.idle();
+    settled(cal, &idle.warm, &idle.rates, op, NamedChip::Chip3.corner())
         .total()
         .0
 }
@@ -242,9 +256,10 @@ pub fn micro_power_w(
     tpc: ThreadsPerCore,
     cores: f64,
 ) -> f64 {
+    let warm = cal.micro_warm_rates_at(bench, tpc, cores);
     let rates = cal.micro_rates_at(bench, tpc, cores);
     let op = cal.micro(bench, tpc, super::battery::MICRO_KNOTS[0]).op;
-    settled(cal, &rates, op, NamedChip::Chip3.corner())
+    settled(cal, &warm, &rates, op, NamedChip::Chip3.corner())
         .total()
         .0
 }

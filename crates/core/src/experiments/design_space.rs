@@ -5,10 +5,14 @@
 //! counts × 20 workload mixes — 105,000 operating points, three orders
 //! of magnitude more than any figure in the paper. Each point solves
 //! the same warm-up thermal fixed point the cycle bench uses (90 % of
-//! total-with-IO power heating a heatsink-plus-fan package from a
-//! 20 °C ambient), so a cycle-level spot check of any point lands on
-//! the same junction temperature. Only the analytic backend can finish
-//! this grid; the cycle engine verifies a 27-point corner sample.
+//! total-with-IO power of the warm-up activity heating a
+//! heatsink-plus-fan package from a 20 °C ambient), so a cycle-level
+//! spot check of any point lands on the same junction temperature.
+//! Only the analytic backend can finish this grid; the cycle engine
+//! verifies a 27-point corner sample.
+//!
+//! The sweep reads only the 1 T/C microbenchmark probes
+//! ([`probe_specs`]), so a point depends on those 21 probes alone.
 //!
 //! The sweep runs through the journaled runner under the
 //! `"design_space"` section, so it inherits crash-resume and the
@@ -28,8 +32,9 @@ use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, Thr
 use piton_board::fault::{self, FaultPlan};
 use piton_obs::json::{ObjectBuilder, Value};
 
+use crate::analytic::battery::MICRO_KNOTS;
 use crate::analytic::compare::FigureComparison;
-use crate::analytic::{Calibrated, Features};
+use crate::analytic::{Calibrated, Features, ProbeKind};
 use crate::journal::{Journal, JournalPayload};
 use crate::report::{Hole, Table, ANALYTIC_MARK, HOLE_MARK};
 use crate::runner;
@@ -189,26 +194,56 @@ pub struct DesignSpaceResult {
     pub holes: Vec<Hole>,
 }
 
-/// Per-(mix, cores) precomputation: nominal dynamic pJ/cycle per rail
-/// plus the mix's IPC. The 500 combinations cover the whole grid, so
-/// the 105,000-point sweep never re-derives a rate profile. Build it
-/// once per calibration and share it across [`compute_point`] calls.
+/// The probes the sweep reads: every microbenchmark at 1 T/C on each
+/// core-count knot.
 #[must_use]
-pub fn mix_table(cal: &Calibrated) -> Vec<((f64, f64, f64), f64)> {
+pub fn probe_specs() -> Vec<ProbeKind> {
+    Microbenchmark::ALL
+        .into_iter()
+        .flat_map(|bench| {
+            MICRO_KNOTS
+                .iter()
+                .map(move |&cores| ProbeKind::Micro(bench, ThreadsPerCore::One, cores))
+        })
+        .collect()
+}
+
+/// One (mix, cores) entry of [`mix_table`].
+#[derive(Debug, Clone, Copy)]
+pub struct MixRow {
+    /// Nominal dynamic pJ/cycle per rail over the measurement window.
+    pub nominal_pj: (f64, f64, f64),
+    /// Nominal dynamic pJ/cycle per rail over the warm-up window, which
+    /// settles the junction.
+    pub warm_pj: (f64, f64, f64),
+    /// Instructions per cycle over the measurement window.
+    pub ipc: f64,
+}
+
+/// Per-(mix, cores) precomputation. The 500 combinations cover the
+/// whole grid, so the 105,000-point sweep never re-derives a rate
+/// profile. Build it once per calibration and share it across
+/// [`compute_point`] calls.
+#[must_use]
+pub fn mix_table(cal: &Calibrated) -> Vec<MixRow> {
     let benches = Microbenchmark::ALL;
     let mut table = Vec::with_capacity(MIX_STEPS * CORE_STEPS);
     for mix in MIXES.iter().take(MIX_STEPS) {
         for cores in 1..=CORE_STEPS {
+            let mut warm = Features::zero();
             let mut rates = Features::zero();
             for (w, bench) in mix.iter().zip(benches) {
                 if *w > 0.0 {
-                    rates.add_scaled(
-                        &cal.micro_rates_at(bench, ThreadsPerCore::One, cores as f64),
-                        *w,
-                    );
+                    let tpc = ThreadsPerCore::One;
+                    warm.add_scaled(&cal.micro_warm_rates_at(bench, tpc, cores as f64), *w);
+                    rates.add_scaled(&cal.micro_rates_at(bench, tpc, cores as f64), *w);
                 }
             }
-            table.push((cal.model.dynamic_nominal_pj(&rates), rates.issue_rate()));
+            table.push(MixRow {
+                nominal_pj: cal.model.dynamic_nominal_pj(&rates),
+                warm_pj: cal.model.dynamic_nominal_pj(&warm),
+                ipc: rates.issue_rate(),
+            });
         }
     }
     table
@@ -217,10 +252,10 @@ pub fn mix_table(cal: &Calibrated) -> Vec<((f64, f64, f64), f64)> {
 /// Ambient of the thermal fixed point (matches the cycle bench).
 const AMBIENT_C: f64 = 20.0;
 
-/// Evaluates one grid point against precomputed nominal energies: the
-/// dynamic rail powers are junction-independent, so the warm-up fixed
-/// point only iterates the leakage term.
-fn evaluate(cal: &Calibrated, nominal_pj: (f64, f64, f64), ipc: f64, p: GridPoint) -> DesignPoint {
+/// Evaluates one grid point against a precomputed mix row: the dynamic
+/// rail powers are junction-independent, so the warm-up fixed point
+/// only iterates the leakage term.
+fn evaluate(cal: &Calibrated, row: MixRow, p: GridPoint) -> DesignPoint {
     let corner = NamedChip::Chip3.corner();
     let op0 = OperatingPoint::table_iii()
         .with_vdd_tracked(p.vdd)
@@ -228,24 +263,25 @@ fn evaluate(cal: &Calibrated, nominal_pj: (f64, f64, f64), ipc: f64, p: GridPoin
         .with_junction(AMBIENT_C);
     let f_hz = 1.0 / p.freq.period().0;
     let scales = cal.model.dynamic_scales(op0, corner);
-    let dyn_rails = RailPower {
-        vdd: Watts(nominal_pj.0 * scales[0] * f_hz * 1e-12),
-        vcs: Watts(nominal_pj.1 * scales[1] * f_hz * 1e-12),
-        vio: Watts(nominal_pj.2 * scales[2] * f_hz * 1e-12),
+    let dynamic = |pj: (f64, f64, f64)| RailPower {
+        vdd: Watts(pj.0 * scales[0] * f_hz * 1e-12),
+        vcs: Watts(pj.1 * scales[1] * f_hz * 1e-12),
+        vio: Watts(pj.2 * scales[2] * f_hz * 1e-12),
     };
+    let warm_w = dynamic(row.warm_pj).total_with_io();
     let thermal = ThermalModel::new(Cooling::HeatsinkFan, AMBIENT_C);
     let (junction_c, _) = thermal.equilibrium(
         |t| {
             let leak = cal.model.static_power(op0.with_junction(t), corner);
-            (dyn_rails.total_with_io() + leak.total_with_io()) * 0.9
+            (warm_w + leak.total_with_io()) * 0.9
         },
         120.0,
     );
     let leak = cal
         .model
         .static_power(op0.with_junction(junction_c), corner);
-    let power_w = (dyn_rails.total() + leak.total()).0;
-    let nj_per_inst = power_w / (ipc * f_hz) * 1e9;
+    let power_w = (dynamic(row.nominal_pj).total() + leak.total()).0;
+    let nj_per_inst = power_w / (row.ipc * f_hz) * 1e9;
     DesignPoint {
         power_w,
         nj_per_inst,
@@ -264,7 +300,7 @@ fn evaluate(cal: &Calibrated, nominal_pj: (f64, f64, f64), ipc: f64, p: GridPoin
 /// Propagates injected sabotage failures from the fault plan.
 pub fn compute_point(
     cal: &Calibrated,
-    table: &[((f64, f64, f64), f64)],
+    table: &[MixRow],
     index: usize,
     p: GridPoint,
     plan: Option<&FaultPlan>,
@@ -273,8 +309,11 @@ pub fn compute_point(
     if let Some(plan) = plan {
         fault::sabotage_gate(plan, "design_space", index, attempt)?;
     }
-    let (nominal, ipc) = table[(p.mix * CORE_STEPS) + (p.cores - 1)];
-    Ok(evaluate(cal, nominal, ipc, p))
+    Ok(evaluate(
+        cal,
+        table[(p.mix * CORE_STEPS) + (p.cores - 1)],
+        p,
+    ))
 }
 
 /// Runs the mega-sweep with the analytic backend under an optional
@@ -431,8 +470,7 @@ pub fn cycle_oracle(cal: &Calibrated, fidelity: Fidelity) -> FigureComparison {
             cores,
             mix,
         };
-        let (nominal, ipc) = table[(mix * CORE_STEPS) + (cores - 1)];
-        let analytic = evaluate(cal, nominal, ipc, p);
+        let analytic = evaluate(cal, table[(mix * CORE_STEPS) + (cores - 1)], p);
         (p.label(), cycle_w, analytic.power_w)
     });
     FigureComparison::from_points(

@@ -26,7 +26,8 @@
 //! ```
 //!
 //! The header pins the *context* — experiment fidelity, fault-plan
-//! effects, governor, code version — and every record's `key` is the
+//! effects, backend, code version and, for analytic runs, the model's
+//! coefficient digest — and every record's `key` is the
 //! 64-bit content hash of (section, index, context), so a journal can
 //! never leak results into a run configured differently. `--jobs` is
 //! deliberately **not** part of the context: results are
@@ -87,16 +88,23 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// are jobs-invariant), as are crash points (they decide when the
 /// process dies, never what it computes). The backend is included
 /// unconditionally: a cycle journal must never be served to an
-/// analytic run or vice versa.
+/// analytic run or vice versa. A backend that runs the analytic model
+/// also records the model's coefficient digest, so a coefficient change
+/// never serves results of the old table.
 #[must_use]
 pub fn run_context(fidelity: &str, plan: Option<&FaultPlan>, backend: Backend) -> String {
-    format!(
+    let mut context = format!(
         "piton/{}|fidelity={fidelity}|effects={}|backend={}",
         env!("CARGO_PKG_VERSION"),
         plan.and_then(FaultPlan::render_effects)
             .unwrap_or_else(|| "none".to_owned()),
         backend.label()
-    )
+    );
+    if backend.runs_analytic() {
+        let digest = crate::analytic::AnalyticModel::reference().digest();
+        let _ = write!(context, "|model={digest:016x}");
+    }
+    context
 }
 
 /// The content-addressed key of one grid point under one context: the

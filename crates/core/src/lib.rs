@@ -12,8 +12,9 @@
 //!   shapes, with paper-versus-measured deviation columns;
 //! * [`journal`] — the write-ahead result journal behind durable,
 //!   crash-resumable sweeps (`reproduce --journal/--resume`);
-//! * [`analytic`] — the closed-form fast-path backend, calibrated
-//!   against and conformance-checked against the cycle engine;
+//! * [`analytic`] — the closed-form fast-path backend: the cycle
+//!   engine's coefficients over a library of probed activity rates,
+//!   conformance-checked against the cycle engine;
 //! * [`serve`] — the `piton-serve` daemon core: experiment requests
 //!   over a Unix socket, answered from a persistent content-addressed
 //!   result cache.

@@ -2,7 +2,8 @@
 //! write-ahead journal file per context.
 //!
 //! Every run request resolves to a context string (code version,
-//! fidelity, fault effects, backend — see [`crate::journal::run_context`])
+//! fidelity, fault effects, backend and, for analytic sections, the
+//! model digest — see [`crate::journal::run_context`])
 //! and is cached in `ctx-<fnv64(context)>.journal` inside the cache
 //! directory. Each file is a plain `piton-journal/v1` journal, so it
 //! inherits the journal's guarantees wholesale: longest-valid-prefix

@@ -12,11 +12,14 @@
 //! | `scaling` | 3 benches × 2 T/C × 25 cores = 150 | cycle | watts (f64) |
 //! | `design_space` | 105,000 V/f/cores/mix points | analytic | power/EPI/junction |
 //!
-//! The `design_space` section needs a calibrated analytic model. It
-//! depends on the request's fidelity alone, so the daemon fits it on
-//! the first miss at each fidelity and keeps it in a map the
+//! The `design_space` section needs the analytic model's rate library:
+//! the 21 probes [`design_space::probe_specs`] names, which depend on
+//! the request's fidelity alone. The daemon runs them on the first miss
+//! at each fidelity and keeps the result in a map the
 //! [`super::Server`] owns. A request whose every point is cached never
-//! asks for a compute closure, so it never calibrates.
+//! asks for a compute closure, so it never calibrates. A served point
+//! is bit-identical to the one `reproduce` computes from the full
+//! library, because the sweep reads only those 21 probes.
 
 use std::sync::Arc;
 
@@ -63,8 +66,8 @@ pub struct SectionEval {
 impl SectionEval {
     /// The closure that computes one grid point (cache-miss path) on a
     /// given attempt, already encoded as its journal payload. For
-    /// `design_space` this is where the analytic model is fitted, on
-    /// the first call at each fidelity; every fit counts in
+    /// `design_space` this is where the rate library is built, on the
+    /// first call at each fidelity; every build counts in
     /// `serve.calibrations`.
     ///
     /// # Errors
@@ -113,10 +116,10 @@ impl SectionEval {
     }
 }
 
-/// The calibration at fidelity `spec`, computed on first use and kept in
-/// the daemon's `calibrations` map. The map is keyed by the fidelity
-/// alone because calibration reads nothing else: the probe battery runs
-/// fault-free, so every fault plan at one fidelity shares a model.
+/// The `design_space` rate library at fidelity `spec`, built on first
+/// use and kept in the daemon's `calibrations` map. The map is keyed by
+/// the fidelity alone because the probes read nothing else: they run
+/// fault-free, so every fault plan at one fidelity shares a library.
 fn calibration_for(
     calibrations: &Calibrations,
     spec: &FidelitySpec,
@@ -130,7 +133,10 @@ fn calibration_for(
     // duplicate is benign — calibration is deterministic, so whichever
     // copy lands in the map serves identical numbers.
     counters.calibrations(1);
-    let cal = Arc::new(analytic::calibrate(spec.to_fidelity())?);
+    let cal = Arc::new(analytic::calibrate(
+        spec.to_fidelity(),
+        design_space::probe_specs(),
+    )?);
     Ok(Arc::clone(
         calibrations
             .lock()

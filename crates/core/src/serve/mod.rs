@@ -163,9 +163,10 @@ counters! {
     torn => "serve.torn",
 }
 
-/// Fitted analytic models by rendered request fidelity. A model is
-/// fitted on the first `design_space` request at its fidelity that
-/// misses the cache (see [`eval::SectionEval::compute_fn`]), counted in
+/// `design_space` rate libraries by rendered request fidelity. A
+/// library is built on the first `design_space` request at its
+/// fidelity that misses the cache (see
+/// [`eval::SectionEval::compute_fn`]), counted in
 /// `serve.calibrations`, and kept for the daemon's lifetime.
 type Calibrations = Mutex<HashMap<String, Arc<Calibrated>>>;
 

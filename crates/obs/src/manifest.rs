@@ -15,12 +15,6 @@
 //!                                        // only present when a backend was chosen
 //!   "journal": { "served": n, "appended": n, "recovered": n, "torn": n },
 //!                                        // only present on --journal runs
-//!   "calibration": {                     // only present on analytic/both runs
-//!     "probes": n,
-//!     "residuals": [ { "rail": "...", "max_rel": f, "mean_rel": f } ],
-//!     "worst": { "probe": "...", "rail": "...", "rel": f },   // omitted when empty
-//!     "coefficients": [ { "name": "...", "pj": f } ]
-//!   },
 //!   "total_wall_s": <f64>,
 //!   "sections": [
 //!     { "title": "...", "wall_s": f, "busy_s": f, "sweeps": n, "points": n }
@@ -126,21 +120,6 @@ pub struct HoleRecord {
     pub error: String,
 }
 
-/// Auto-calibration record of an analytic-backend run: fit quality and
-/// the fitted coefficient vector, so a manifest is enough to audit (or
-/// reconstruct) the closed-form model that produced the numbers.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CalibrationRecord {
-    /// Number of cycle-level probes fitted against.
-    pub probes: u64,
-    /// Per-rail fit residuals: `(rail, max relative, mean relative)`.
-    pub residuals: Vec<(String, f64, f64)>,
-    /// The single worst probe: `(probe label, rail, relative residual)`.
-    pub worst: Option<(String, String, f64)>,
-    /// Fitted nominal energies: `(rail-qualified feature name, pJ)`.
-    pub coefficients: Vec<(String, f64)>,
-}
-
 /// Result-journal accounting for a durable (`--journal`) run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalStats {
@@ -176,9 +155,6 @@ pub struct RunManifest {
     /// Result-journal accounting, when the run was durable. Omitted
     /// when `None` for the same byte-compatibility reason.
     pub journal: Option<JournalStats>,
-    /// Auto-calibration record, when the analytic backend ran. Omitted
-    /// when `None`.
-    pub calibration: Option<CalibrationRecord>,
     pub total_wall_s: f64,
     pub sections: Vec<SectionRecord>,
     pub holes: Vec<HoleRecord>,
@@ -245,48 +221,6 @@ impl RunManifest {
                     .field("recovered", Value::Int(i128::from(j.recovered)))
                     .field("torn", Value::Int(i128::from(j.torn)))
                     .build(),
-            );
-        }
-        if let Some(c) = &self.calibration {
-            let residuals = Value::Array(
-                c.residuals
-                    .iter()
-                    .map(|(rail, max_rel, mean_rel)| {
-                        ObjectBuilder::new()
-                            .field("rail", Value::Str(rail.clone()))
-                            .field("max_rel", Value::Float(*max_rel))
-                            .field("mean_rel", Value::Float(*mean_rel))
-                            .build()
-                    })
-                    .collect(),
-            );
-            let coefficients = Value::Array(
-                c.coefficients
-                    .iter()
-                    .map(|(name, pj)| {
-                        ObjectBuilder::new()
-                            .field("name", Value::Str(name.clone()))
-                            .field("pj", Value::Float(*pj))
-                            .build()
-                    })
-                    .collect(),
-            );
-            let mut cb = ObjectBuilder::new()
-                .field("probes", Value::Int(i128::from(c.probes)))
-                .field("residuals", residuals);
-            if let Some((probe, rail, rel)) = &c.worst {
-                cb = cb.field(
-                    "worst",
-                    ObjectBuilder::new()
-                        .field("probe", Value::Str(probe.clone()))
-                        .field("rail", Value::Str(rail.clone()))
-                        .field("rel", Value::Float(*rel))
-                        .build(),
-                );
-            }
-            builder = builder.field(
-                "calibration",
-                cb.field("coefficients", coefficients).build(),
             );
         }
         let doc = builder
@@ -421,68 +355,6 @@ impl RunManifest {
                 None | Some(Value::Null) => None,
                 Some(Value::Str(s)) => Some(s.clone()),
                 Some(_) => return Err("'backend' must be a string".to_owned()),
-            },
-            calibration: match v.get("calibration") {
-                None | Some(Value::Null) => None,
-                Some(c) => {
-                    let mut record = CalibrationRecord {
-                        probes: c
-                            .get("probes")
-                            .and_then(Value::as_u64)
-                            .ok_or("calibration missing 'probes'")?,
-                        ..CalibrationRecord::default()
-                    };
-                    for r in c
-                        .get("residuals")
-                        .and_then(Value::as_array)
-                        .ok_or("calibration missing 'residuals'")?
-                    {
-                        record.residuals.push((
-                            r.get("rail")
-                                .and_then(Value::as_str)
-                                .ok_or("residual missing 'rail'")?
-                                .to_owned(),
-                            r.get("max_rel")
-                                .and_then(Value::as_f64)
-                                .ok_or("residual missing 'max_rel'")?,
-                            r.get("mean_rel")
-                                .and_then(Value::as_f64)
-                                .ok_or("residual missing 'mean_rel'")?,
-                        ));
-                    }
-                    record.worst = match c.get("worst") {
-                        None | Some(Value::Null) => None,
-                        Some(w) => Some((
-                            w.get("probe")
-                                .and_then(Value::as_str)
-                                .ok_or("worst missing 'probe'")?
-                                .to_owned(),
-                            w.get("rail")
-                                .and_then(Value::as_str)
-                                .ok_or("worst missing 'rail'")?
-                                .to_owned(),
-                            w.get("rel")
-                                .and_then(Value::as_f64)
-                                .ok_or("worst missing 'rel'")?,
-                        )),
-                    };
-                    for k in c
-                        .get("coefficients")
-                        .and_then(Value::as_array)
-                        .ok_or("calibration missing 'coefficients'")?
-                    {
-                        record.coefficients.push((
-                            k.get("name")
-                                .and_then(Value::as_str)
-                                .ok_or("coefficient missing 'name'")?
-                                .to_owned(),
-                            k.get("pj")
-                                .and_then(Value::as_f64)
-                                .ok_or("coefficient missing 'pj'")?,
-                        ));
-                    }
-                    Some(record)
-                }
             },
             journal: match v.get("journal") {
                 None | Some(Value::Null) => None,
@@ -727,7 +599,6 @@ mod tests {
             governor: None,
             backend: None,
             journal: None,
-            calibration: None,
             total_wall_s: 12.25,
             sections: vec![SectionRecord {
                 title: "Figure 11: EPI".to_owned(),
@@ -843,42 +714,6 @@ mod tests {
         // the deterministic projection too.
         assert!(on.deterministic_json().contains("\"backend\":\"both\""));
         assert_ne!(off.deterministic_json(), on.deterministic_json());
-    }
-
-    #[test]
-    fn calibration_record_round_trips_and_is_omitted_when_absent() {
-        let off = sample();
-        assert!(
-            !off.to_json().contains("calibration"),
-            "cycle-only manifests must not mention calibration"
-        );
-        let on = RunManifest {
-            calibration: Some(CalibrationRecord {
-                probes: 111,
-                residuals: vec![
-                    ("VDD".to_owned(), 0.00137, 0.00021),
-                    ("VCS".to_owned(), 0.01074, 0.00188),
-                    ("VIO".to_owned(), 0.01667, 0.00354),
-                ],
-                worst: Some(("idle".to_owned(), "VIO".to_owned(), 0.01667)),
-                coefficients: vec![
-                    ("vdd.core_active".to_owned(), 112.5),
-                    ("vcs.l2_read".to_owned(), 38.25),
-                ],
-            }),
-            ..sample()
-        };
-        let doc = on.to_json();
-        assert!(doc.contains("\"calibration\":{\"probes\":111"), "{doc}");
-        assert_eq!(RunManifest::from_json(&doc).unwrap(), on);
-        // Fit quality is diagnostic, not part of the logical result.
-        assert_eq!(off.deterministic_json(), on.deterministic_json());
-        // An absent worst probe is simply omitted.
-        let mut no_worst = on.clone();
-        no_worst.calibration.as_mut().unwrap().worst = None;
-        let doc = no_worst.to_json();
-        assert!(!doc.contains("worst"), "{doc}");
-        assert_eq!(RunManifest::from_json(&doc).unwrap(), no_worst);
     }
 
     #[test]

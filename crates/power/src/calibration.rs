@@ -22,7 +22,6 @@
 //!   (≈ 3.58 pJ/hop NSW fixed cost, ≈ 0.205 pJ per switched bit,
 //!   a small coupling adder for FSWA).
 
-use piton_arch::error::PitonError;
 use piton_arch::isa::Opcode;
 use serde::{Deserialize, Serialize};
 
@@ -224,138 +223,6 @@ impl Default for Calibration {
     }
 }
 
-/// Ordinary least squares over arbitrary feature rows: finds `x`
-/// minimising `‖A·x − b‖²` via column-scaled normal equations and
-/// Gaussian elimination with partial pivoting.
-///
-/// Columns that are identically zero across every row carry no
-/// information; they are pruned before the solve and come back with a
-/// zero coefficient. Rank-deficient inputs — fewer rows than active
-/// columns, or a pivot collapse from linearly dependent columns — fail
-/// with [`PitonError::DegenerateFit`], mirroring the contract of
-/// [`crate::vf`]'s trendline fits.
-///
-/// # Errors
-///
-/// [`PitonError::DegenerateFit`] as above; the `points` field carries
-/// the row count that proved insufficient.
-pub fn least_squares(rows: &[Vec<f64>], targets: &[f64]) -> Result<Vec<f64>, PitonError> {
-    least_squares_damped(rows, targets, 0.0)
-}
-
-/// [`least_squares`] with Tikhonov damping `λ · trace(AᵀA)/n` added to
-/// the normal-equation diagonal.
-///
-/// A tiny relative `lambda` (e.g. `1e-9`) keeps the solve well-posed
-/// when physical counters are collinear over the probe battery (a store
-/// and its buffer enqueue, say): the minimiser splits the shared energy
-/// across the aliased columns, which leaves every in-span prediction
-/// unchanged. `lambda = 0.0` is the undamped solve, where true rank
-/// deficiency is reported instead of regularised away.
-///
-/// # Errors
-///
-/// [`PitonError::DegenerateFit`] on rank-deficient inputs (see
-/// [`least_squares`]).
-// In-place elimination reads one row of `g` while mutating another, so
-// the index loops cannot become iterators without `split_at_mut` noise.
-#[allow(clippy::needless_range_loop)]
-pub fn least_squares_damped(
-    rows: &[Vec<f64>],
-    targets: &[f64],
-    lambda: f64,
-) -> Result<Vec<f64>, PitonError> {
-    assert_eq!(rows.len(), targets.len(), "one target per feature row");
-    let width = rows.first().map_or(0, Vec::len);
-    assert!(rows.iter().all(|r| r.len() == width), "ragged feature rows");
-    // Prune columns with no support: they are unobservable and would
-    // otherwise make every fit degenerate.
-    let active: Vec<usize> = (0..width)
-        .filter(|&j| rows.iter().any(|r| r[j] != 0.0))
-        .collect();
-    let n = active.len();
-    if n == 0 {
-        return Ok(vec![0.0; width]);
-    }
-    if rows.len() < n {
-        return Err(PitonError::DegenerateFit {
-            points: rows.len(),
-            reason: "fewer rows than active columns",
-        });
-    }
-    // Scale each active column to unit infinity-norm so the pivot
-    // threshold is meaningful across wildly different counter ranges.
-    let scale: Vec<f64> = active
-        .iter()
-        .map(|&j| {
-            rows.iter()
-                .map(|r| r[j].abs())
-                .fold(0.0_f64, f64::max)
-                .recip()
-        })
-        .collect();
-    // Normal equations on the scaled system: G = AᵀA, rhs = Aᵀb.
-    let mut g = vec![vec![0.0_f64; n]; n];
-    let mut rhs = vec![0.0_f64; n];
-    for (row, &b) in rows.iter().zip(targets) {
-        for (p, &jp) in active.iter().enumerate() {
-            let ap = row[jp] * scale[p];
-            rhs[p] += ap * b;
-            for (q, &jq) in active.iter().enumerate().skip(p) {
-                g[p][q] += ap * row[jq] * scale[q];
-            }
-        }
-    }
-    for p in 0..n {
-        for q in 0..p {
-            g[p][q] = g[q][p];
-        }
-    }
-    if lambda > 0.0 {
-        let damp = lambda * (0..n).map(|p| g[p][p]).sum::<f64>() / n as f64;
-        for (p, row) in g.iter_mut().enumerate() {
-            row[p] += damp;
-        }
-    }
-    // Gaussian elimination with partial pivoting.
-    let mut x = rhs;
-    for col in 0..n {
-        let (pivot_row, pivot) = (col..n)
-            .map(|r| (r, g[r][col].abs()))
-            .fold((col, -1.0), |acc, c| if c.1 > acc.1 { c } else { acc });
-        if pivot < 1e-12 {
-            return Err(PitonError::DegenerateFit {
-                points: rows.len(),
-                reason: "linearly dependent feature columns",
-            });
-        }
-        g.swap(col, pivot_row);
-        x.swap(col, pivot_row);
-        for r in col + 1..n {
-            let f = g[r][col] / g[col][col];
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..n {
-                g[r][c] -= f * g[col][c];
-            }
-            x[r] -= f * x[col];
-        }
-    }
-    for col in (0..n).rev() {
-        for r in col + 1..n {
-            x[col] -= g[col][r] * x[r];
-        }
-        x[col] /= g[col][col];
-    }
-    // Undo the column scaling and scatter back over pruned columns.
-    let mut out = vec![0.0_f64; width];
-    for (p, &j) in active.iter().enumerate() {
-        out[j] = x[p] * scale[p];
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,59 +295,5 @@ mod tests {
         // FSWA: slightly above FSW.
         let fswa = fsw + 63.0 * c.noc_coupling_pj;
         assert!(fswa > fsw && fswa < fsw + 1.0);
-    }
-
-    #[test]
-    fn least_squares_recovers_planted_coefficients() {
-        // y = 2·a + 0.5·b − 3·c over a deterministic grid.
-        let mut rows = Vec::new();
-        let mut targets = Vec::new();
-        for i in 0..12_u32 {
-            let a = f64::from(i % 4);
-            let b = f64::from(i / 4) * 10.0;
-            let c = f64::from(i % 3) * 0.1;
-            rows.push(vec![a, b, c]);
-            targets.push(2.0 * a + 0.5 * b - 3.0 * c);
-        }
-        let x = least_squares(&rows, &targets).expect("well-posed fit");
-        assert!((x[0] - 2.0).abs() < 1e-9, "{x:?}");
-        assert!((x[1] - 0.5).abs() < 1e-9, "{x:?}");
-        assert!((x[2] + 3.0).abs() < 1e-9, "{x:?}");
-    }
-
-    #[test]
-    fn least_squares_prunes_dead_columns() {
-        let rows = vec![
-            vec![1.0, 0.0, 2.0],
-            vec![2.0, 0.0, 1.0],
-            vec![3.0, 0.0, 5.0],
-        ];
-        let targets = vec![7.0, 8.0, 16.0];
-        let x = least_squares(&rows, &targets).expect("dead column is pruned");
-        assert_eq!(x[1], 0.0);
-        assert_eq!(x.len(), 3);
-        // All-zero matrix: nothing to fit, all-zero coefficients.
-        let zero = least_squares(&[vec![0.0, 0.0]], &[0.0]).unwrap();
-        assert_eq!(zero, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn least_squares_reports_rank_deficiency() {
-        // Two active columns, one row.
-        let under = least_squares(&[vec![1.0, 2.0]], &[3.0]);
-        assert!(matches!(
-            under,
-            Err(PitonError::DegenerateFit { points: 1, .. })
-        ));
-        // Exactly collinear columns collapse a pivot…
-        let rows = vec![vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]];
-        let collinear = least_squares(&rows, &[1.0, 2.0, 3.0]);
-        assert!(matches!(collinear, Err(PitonError::DegenerateFit { .. })));
-        // …while a damped solve stays well-posed and in-span accurate.
-        let x = least_squares_damped(&rows, &[1.0, 2.0, 3.0], 1e-9).unwrap();
-        let predict = |r: &[f64]| r[0] * x[0] + r[1] * x[1];
-        for (r, want) in rows.iter().zip([1.0, 2.0, 3.0]) {
-            assert!((predict(r) - want).abs() < 1e-6);
-        }
     }
 }

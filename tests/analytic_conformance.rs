@@ -4,17 +4,18 @@
 //! (`piton::characterization::analytic::compare::budget_for`) at quick
 //! fidelity.
 //!
-//! One calibration is shared across the whole binary (the probe
-//! battery is the expensive part), and each figure gets its own test
-//! so a regression names the figure — and its first worst point — in
-//! the failure message.
+//! One rate library is shared across the whole binary (the probes are
+//! the expensive part), and each figure gets its own test so a
+//! regression names the figure — and its first worst point — in the
+//! failure message.
 
 use std::sync::OnceLock;
 
-use piton::characterization::analytic::{self, compare, Calibrated};
+use piton::characterization::analytic::{self, battery, compare, AnalyticModel, Calibrated};
 use piton::characterization::experiments::{
     core_scaling, design_space, epi, mt_vs_mc, noc_energy, static_idle, thermal, Fidelity,
 };
+use piton::characterization::journal::JournalPayload;
 
 mod common;
 
@@ -23,11 +24,12 @@ const QUICK_CORES: [usize; 7] = [1, 5, 9, 13, 17, 21, 25];
 /// The `reproduce quick` thread grid (Figure 14).
 const QUICK_THREADS: [usize; 3] = [8, 16, 24];
 
-/// One calibration for the whole test binary.
+/// One full rate library for the whole test binary.
 fn calibrated() -> &'static Calibrated {
     static CAL: OnceLock<Calibrated> = OnceLock::new();
     CAL.get_or_init(|| {
-        analytic::calibrate(Fidelity::quick()).expect("calibration at quick fidelity")
+        analytic::calibrate(Fidelity::quick(), battery::probe_specs())
+            .expect("rate library at quick fidelity")
     })
 }
 
@@ -50,18 +52,35 @@ fn assert_within_budget(c: &compare::FigureComparison) {
 }
 
 #[test]
-fn calibration_fit_is_healthy() {
+fn calibration_reads_the_reference_coefficients() {
     let cal = calibrated();
-    assert_eq!(cal.report.probes, cal.probes.len());
-    for r in &cal.report.residuals {
-        assert!(
-            r.max_rel < 0.05,
-            "a rail fit residual blew past 5%: {:?}",
-            cal.report.residuals
+    assert_eq!(cal.model, AnalyticModel::reference());
+    assert_eq!(cal.probes.len(), battery::probe_specs().len());
+}
+
+/// `piton-serve` builds only the probes `design_space` reads; its
+/// points must be the bytes `reproduce` computes from the full library.
+#[test]
+fn design_space_points_from_its_own_probes_match_the_full_library() {
+    let own = analytic::calibrate(Fidelity::quick(), design_space::probe_specs())
+        .expect("design_space probes at quick fidelity");
+    assert_eq!(own.probes.len(), 21);
+    let full = calibrated();
+    let (own_table, full_table) = (design_space::mix_table(&own), design_space::mix_table(full));
+    let grid = design_space::grid();
+    for index in (0..grid.len()).step_by(997).chain([grid.len() - 1]) {
+        let point = |cal, table: &[design_space::MixRow]| {
+            design_space::compute_point(cal, table, index, grid[index], None, 0)
+                .expect("fault-free point")
+                .to_value()
+                .render()
+        };
+        assert_eq!(
+            point(&own, &own_table),
+            point(full, &full_table),
+            "index {index}"
         );
-        assert!(r.mean_rel <= r.max_rel);
     }
-    assert!(cal.report.worst.is_some());
 }
 
 #[test]

@@ -44,16 +44,6 @@ pub mod pinned {
     pub const GOVERNOR_VDD: f64 = 0.8;
     /// See [`GOVERNOR_T_LIMIT`] (the `PllLadder::piton` base step).
     pub const GOVERNOR_START_MHZ: f64 = 50.0;
-    /// `model_properties`: the analytic calibrate→predict round trip
-    /// at identity scale with a pure +2.5 pJ shift on every
-    /// coefficient — a fit that re-normalized coefficients (instead of
-    /// recovering the plant) still matches the unshifted reference
-    /// here, so only genuine recovery passes.
-    pub const ANALYTIC_PLANT_SCALE: f64 = 1.0;
-    /// See [`ANALYTIC_PLANT_SCALE`].
-    pub const ANALYTIC_PLANT_SHIFT_PJ: f64 = 2.5;
-    /// See [`ANALYTIC_PLANT_SCALE`] (xorshift seed for the probe rates).
-    pub const ANALYTIC_PLANT_SEED: u64 = 0xA11C;
 }
 
 /// Path of a committed golden fixture.

@@ -231,7 +231,6 @@ fn thermal_camera_cooldown_matches_a_raw_rc_integration() {
 
 // --- Analytic fast-path model properties -------------------------------
 
-use piton::characterization::analytic::battery::{self, Probe, ProbeKind};
 use piton::characterization::analytic::features::{self, Features};
 use piton::characterization::analytic::AnalyticModel;
 use piton::power::OperatingPoint;
@@ -262,90 +261,6 @@ fn rate_profile() -> impl Strategy<Value = Features> {
             f.vdd[features::DRAFTED] = 0.0;
             f
         })
-}
-
-/// Synthesizes `n` calibration probes whose measured dynamic power is
-/// generated *by the planted model* — rates from a seeded xorshift so
-/// the battery has full column support.
-fn synthetic_probes(planted: &AnalyticModel, n: usize, seed: u64) -> Vec<Probe> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        // xorshift64*: deterministic, dependency-free driver noise.
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let corner = ChipCorner::typical();
-    (0..n)
-        .map(|i| {
-            let mut rates = Features::zero();
-            for x in rates
-                .vdd
-                .iter_mut()
-                .chain(&mut rates.vcs)
-                .chain(&mut rates.vio)
-            {
-                *x = 2.0 * next();
-            }
-            rates.vdd[features::CYCLES] = 1.0;
-            // A small drafted-issue rate keeps the column observable
-            // without ever driving the (clamped) VDD sum negative.
-            rates.vdd[features::DRAFTED] = 0.1 * next();
-            let op =
-                OperatingPoint::table_iii().with_vdd_tracked(Volts(0.85 + 0.05 * (i % 7) as f64));
-            let (pj_vdd, pj_vcs, pj_vio) = planted.dynamic_nominal_pj(&rates);
-            let scales = planted.dynamic_scales(op, corner);
-            let f_hz = 1.0 / op.freq.period().0;
-            Probe {
-                kind: ProbeKind::Idle,
-                rates,
-                op,
-                corner,
-                dynamic_w: [
-                    pj_vdd * scales[0] * f_hz * 1e-12,
-                    pj_vcs * scales[1] * f_hz * 1e-12,
-                    pj_vio * scales[2] * f_hz * 1e-12,
-                ],
-            }
-        })
-        .collect()
-}
-
-/// Plants a perturbed reference model, fits against probes the plant
-/// generated, and asserts the fit recovers every coefficient.
-fn assert_fit_recovers_planted(scale: f64, shift_pj: f64, seed: u64) {
-    let reference = AnalyticModel::reference();
-    let perturb = |v: &[f64]| -> Vec<f64> { v.iter().map(|c| c * scale + shift_pj).collect() };
-    let planted = AnalyticModel::fitted(
-        perturb(&reference.vdd_pj),
-        perturb(&reference.vcs_pj),
-        perturb(&reference.vio_pj),
-    );
-    let probes = synthetic_probes(&planted, 96, seed);
-    let (fitted, report) = battery::fit(&probes).expect("full-support battery fits");
-    for (rail, (got, want)) in [
-        (&fitted.vdd_pj, &planted.vdd_pj),
-        (&fitted.vcs_pj, &planted.vcs_pj),
-        (&fitted.vio_pj, &planted.vio_pj),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            // The tiny Tikhonov damping (`FIT_LAMBDA`) biases weakly
-            // observed columns by a few 1e-3 absolute; a fit that
-            // re-normalized or swapped coefficients misses by orders
-            // of magnitude more than this.
-            assert!(
-                (g - w).abs() <= 5e-3 * (w.abs() + 1.0),
-                "rail {rail} coefficient {i}: fitted {g} vs planted {w}"
-            );
-        }
-    }
-    for r in &report.residuals {
-        assert!(r.max_rel < 1e-6, "noise-free fit left residuals: {r:?}");
-    }
 }
 
 proptest! {
@@ -425,43 +340,4 @@ proptest! {
         }
     }
 
-    /// Calibrate→predict round trip: fitting against probes generated
-    /// by a planted model recovers the planted coefficients.
-    #[test]
-    fn analytic_fit_recovers_a_planted_model(
-        scale in 0.5f64..1.5,
-        shift_pj in 0.0f64..5.0,
-        seed in 1u64..1_000,
-    ) {
-        assert_fit_recovers_planted(scale, shift_pj, seed);
-    }
-}
-
-/// Replays the pinned round-trip input (see `tests/common`): identity
-/// scale with a pure shift, where a fit that silently re-normalizes
-/// coefficients would still match the reference but not the plant.
-#[test]
-fn analytic_fit_round_trip_pinned_replay() {
-    assert_fit_recovers_planted(
-        common::pinned::ANALYTIC_PLANT_SCALE,
-        common::pinned::ANALYTIC_PLANT_SHIFT_PJ,
-        common::pinned::ANALYTIC_PLANT_SEED,
-    );
-}
-
-/// A rank-deficient battery — every probe sees the same rate profile —
-/// must be refused as a degenerate fit, not silently regularized into
-/// an arbitrary coefficient split.
-#[test]
-fn analytic_fit_refuses_a_rank_deficient_battery() {
-    let planted = AnalyticModel::reference();
-    let one = synthetic_probes(&planted, 1, common::pinned::ANALYTIC_PLANT_SEED)
-        .pop()
-        .unwrap();
-    let copies: Vec<Probe> = (0..96).map(|_| one.clone()).collect();
-    let err = battery::fit(&copies).expect_err("identical probes cannot identify 68 coefficients");
-    assert!(
-        matches!(err, piton::arch::error::PitonError::DegenerateFit { .. }),
-        "{err:?}"
-    );
 }

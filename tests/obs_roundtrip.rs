@@ -10,9 +10,7 @@
 use proptest::prelude::*;
 
 use piton::board::fault::{Brownout, CrashPoint, FaultPlan, Sabotage, SabotageKind};
-use piton::obs::manifest::{
-    CalibrationRecord, HoleRecord, JournalStats, RunManifest, SectionRecord,
-};
+use piton::obs::manifest::{HoleRecord, JournalStats, RunManifest, SectionRecord};
 use piton::obs::metrics::Histogram;
 use piton::obs::trace::{
     decode_jsonl, encode_jsonl, CacheKind, CacheLevel, EngineMode, TraceEvent,
@@ -216,19 +214,6 @@ proptest! {
                 recovered: jobs as u64,
                 torn: u64::from(with_fault),
             }),
-            calibration: (jobs % 4 == 0).then(|| CalibrationRecord {
-                probes: 100 + jobs as u64,
-                residuals: vec![
-                    ("VDD".to_owned(), wall.1 / 1e4, wall.1 / 2e4),
-                    ("VCS".to_owned(), wall.0 / 1e4, wall.0 / 2e4),
-                ],
-                worst: (with_fault == 1)
-                    .then(|| ("idle".to_owned(), "VIO".to_owned(), wall.1 / 1e4)),
-                coefficients: vec![
-                    ("vdd.core_active".to_owned(), wall.0),
-                    ("vcs.l2_read".to_owned(), wall.1),
-                ],
-            }),
             total_wall_s: wall.0,
             sections: vec![SectionRecord {
                 title: "Figure 11 — energy per instruction".to_owned(),
@@ -278,12 +263,6 @@ fn dense_manifest() -> RunManifest {
             appended: 20,
             recovered: 104,
             torn: 69,
-        }),
-        calibration: Some(CalibrationRecord {
-            probes: 111,
-            residuals: vec![("VDD".to_owned(), 0.0014, 0.0001)],
-            worst: Some(("idle".to_owned(), "vio".to_owned(), 0.0167)),
-            coefficients: vec![("vdd.clock".to_owned(), 42.5)],
         }),
         total_wall_s: 3.25,
         sections: vec![SectionRecord {

@@ -16,7 +16,8 @@
 //! * concurrent interleaved clients see exactly the responses serial
 //!   execution produces;
 //! * `design_space` calibrates on its first miss only — never for a
-//!   request the cache holds whole.
+//!   request the cache holds whole — and never serves a file cached
+//!   under another analytic model.
 //!
 //! Everything runs at a tiny custom fidelity so the whole suite
 //! computes milliseconds of simulation, not minutes.
@@ -25,6 +26,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
+use piton::characterization::experiments::design_space::DesignPoint;
+use piton::characterization::journal::{Journal, JournalPayload};
+use piton::characterization::serve::cache::context_file_name;
 use piton::characterization::serve::frames::Frame;
 use piton::characterization::serve::{Server, ServerConfig, ServerHandle};
 
@@ -344,6 +348,43 @@ fn design_space_calibrates_on_the_first_miss_only() {
     }
 
     second.stop().expect("clean stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The analytic context names the model's coefficient digest. A cache
+/// file written under the context string of a model without one (the
+/// least-squares refit's) is never opened, so its numbers never reach
+/// a client.
+#[test]
+fn design_space_misses_a_cache_recorded_without_the_model_digest() {
+    let dir = temp_dir("stale-model");
+    let stale = format!(
+        "piton/{}|fidelity={FIDELITY}|effects=none|backend=analytic",
+        env!("CARGO_PKG_VERSION")
+    );
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let planted = DesignPoint {
+        power_w: 1.5,
+        nj_per_inst: 2.5,
+        junction_c: 30.0,
+    };
+    let mut journal = Journal::open(&cache.join(context_file_name(&stale)), &stale).unwrap();
+    journal
+        .record("design_space", 0, &planted.to_value())
+        .unwrap();
+    journal.sync().unwrap();
+    drop(journal);
+
+    let server = spawn_server(&dir);
+    let (_, frames) = roundtrip(server.socket(), &run_request("design_space", "0"));
+    assert_eq!(server.counters().value("serve.cache_hits"), 0);
+    assert_eq!(server.counters().value("serve.points_computed"), 1);
+    let served = payloads(&frames);
+    assert_eq!(served.len(), 1);
+    assert_ne!(served[0].1, planted.to_value().render());
+
+    server.stop().expect("clean stop");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
