@@ -245,7 +245,7 @@ impl Opcode {
 
     /// The mnemonic as printed in the paper's figures.
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub const fn mnemonic(self) -> &'static str {
         match self {
             Opcode::Nop => "nop",
             Opcode::And => "and",

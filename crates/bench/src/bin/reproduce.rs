@@ -49,13 +49,13 @@
 //! knob), `--backend analytic`, or `--backend both` — also settable
 //! via `PITON_BACKEND`. The analytic backend runs a library of
 //! cycle-level probes for their activity rates, charges them with the
-//! cycle engine's own per-event energies, reproduces the power figures
-//! from three dot products per point, and finishes with the
+//! cycle engine's own power law, reproduces the power figures from one
+//! term-table sum per point, and finishes with the
 //! `design_space` mega-sweep the cycle engine could never run. `both`
 //! runs the full cycle flow *and* the analytic backend on the same grid
 //! and appends a per-figure analytic-vs-cycle error table; any figure
 //! over its committed error budget fails the run. The backend (and,
-//! for analytic runs, the model's coefficient digest) is part of the
+//! for analytic runs, the model's law digest) is part of the
 //! journal context, so a journal recorded under one backend refuses to
 //! resume under another. The run manifest records the backend.
 //!

@@ -32,7 +32,9 @@ use piton_arch::units::{Hertz, Joules, Seconds, Volts, Watts};
 use piton_obs::{metrics, trace};
 use piton_power::governor::Governor;
 use piton_power::model::{OperatingPoint, PowerModel, RailPower};
-use piton_power::thermal::{Cooling, ThermalModel, ThermalStep};
+use piton_power::thermal::{
+    Cooling, ThermalModel, ThermalStep, EQUILIBRIUM_CAP_C, HEATING_SHARE, ROOM_AMBIENT_C,
+};
 use piton_power::{Calibration, ChipCorner, TechModel};
 use piton_sim::machine::Machine;
 use serde::{Deserialize, Serialize};
@@ -166,7 +168,7 @@ impl PitonSystem {
             machine: Machine::new(cfg),
             model: PowerModel::new(Calibration::piton_hpca18(), TechModel::ibm32soi(), corner),
             rails: PowerRails::table_iii(),
-            thermal: ThermalModel::new(Cooling::HeatsinkFan, 20.0),
+            thermal: ThermalModel::new(Cooling::HeatsinkFan, ROOM_AMBIENT_C),
             freq: Hertz::from_mhz(500.05),
             chunk_cycles: DEFAULT_CHUNK_CYCLES,
             mon_vdd: MonitorChannel::piton_board(seed),
@@ -357,16 +359,11 @@ impl PitonSystem {
         // Settle at the leakage-aware fixed point: power depends on
         // junction temperature, which depends on power.
         let op0 = self.operating_point();
-        let (t_eq, _) = self.thermal.equilibrium(
-            |t| {
-                self.model
-                    .power(&delta, op0.with_junction(t))
-                    .total_with_io()
-                    * 0.9
-            },
-            120.0,
-        );
-        self.thermal.settle_to_junction(t_eq);
+        self.thermal.settle_warm_junction(|t| {
+            self.model
+                .power(&delta, op0.with_junction(t))
+                .total_with_io()
+        });
     }
 
     /// Collects a measurement window of `samples` monitor polls while
@@ -413,7 +410,7 @@ impl PitonSystem {
                 Some(b) => self.chunk_power_browned(b.factor),
                 None => self.chunk_power(),
             };
-            self.thermal.step(p.total_with_io() * 0.9, dt);
+            self.thermal.step(p.total_with_io() * HEATING_SHARE, dt);
             if faulty {
                 let svdd = self.mon_vdd.sample_with_retry(p.vdd, &mut quality);
                 let svcs = self.mon_vcs.sample_with_retry(p.vcs, &mut quality);
@@ -471,15 +468,11 @@ impl PitonSystem {
     /// activity at all, leakage at the thermal equilibrium.
     pub fn measure_static_power(&mut self) -> Measured {
         let op_cold = self.operating_point();
-        let (t_eq, _) = self.thermal.equilibrium(
-            |t| {
-                self.model
-                    .static_power(op_cold.with_junction(t))
-                    .total_with_io()
-            },
-            120.0,
-        );
-        let p = self.model.static_power(op_cold.with_junction(t_eq)).total();
+        let leak = |t| self.model.static_power(op_cold.with_junction(t));
+        let (t_eq, _) = self
+            .thermal
+            .equilibrium(|t| leak(t).total_with_io(), EQUILIBRIUM_CAP_C);
+        let p = leak(t_eq).total();
         let mut w = MeasurementWindow::new();
         for _ in 0..64 {
             w.push(self.mon_vdd.sample(p));
@@ -508,7 +501,7 @@ impl PitonSystem {
             let t = self.freq.period() * delta.cycles as f64;
             energy += p.total() * t;
             power_time += p.total() * t;
-            self.thermal.step(p.total_with_io() * 0.9, t);
+            self.thermal.step(p.total_with_io() * HEATING_SHARE, t);
         }
         let cycles = self.machine.now() - start_cycle;
         let elapsed = self.freq.period() * cycles as f64;

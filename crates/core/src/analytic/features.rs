@@ -1,41 +1,33 @@
-//! Per-rail feature vectors: the linear-algebra view of an activity
-//! window.
+//! Per-rail slot vectors: an activity window, or a per-cycle rate
+//! profile, laid out as the power law reads it.
 //!
-//! The closed-form model is linear in exactly the counters the cycle
-//! engine's [`piton_power::model::PowerModel`] charges, so an activity
-//! window flattens into three feature vectors (one per rail) and the
-//! model becomes three dot products. The layout is explicit — one slot
-//! per counter, opcode-indexed blocks for issues and operand activity —
-//! and [`super::AnalyticModel::reference`] fills the matching
-//! coefficient slots from the [`piton_power::calibration::Calibration`]
-//! table.
+//! The layout is not written here: each vector holds the slots of
+//! [`piton_power::energy::TERMS`] on its rail, in table order, so
+//! [`piton_power::model::PowerModel::dynamic_nominal_pj`] sums a rate
+//! profile exactly as it sums a simulated window.
 
-use piton_arch::isa::Opcode;
+use piton_power::energy::{self, Charge, Rail, SLOTS, TERMS};
 use piton_sim::events::ActivityCounters;
 
 /// Number of VDD-rail features.
-pub const VDD_FEATURES: usize = 16 + 2 * Opcode::COUNT;
+pub const VDD_FEATURES: usize = SLOTS[0];
 /// Number of VCS-rail features.
-pub const VCS_FEATURES: usize = 10;
+pub const VCS_FEATURES: usize = SLOTS[1];
 /// Number of VIO-rail features.
-pub const VIO_FEATURES: usize = 2;
+pub const VIO_FEATURES: usize = SLOTS[2];
 
-/// Index of the window-cycle feature in the VDD and VCS vectors (the
-/// clock-tree column; also the normalizer when converting counts to
-/// per-cycle rates).
-pub const CYCLES: usize = 0;
+/// Index of the window-cycle feature in the VDD vector (the clock-tree
+/// term).
+pub const CYCLES: usize = energy::slot(Rail::Vdd, "cycles");
 /// Index of the drafted-issue feature in the VDD vector (the one
-/// negative coefficient: Execution Drafting *saves* front-end energy).
-pub const DRAFTED: usize = 4;
-const ISSUES_BASE: usize = 5;
-const ACTIVITY_BASE: usize = ISSUES_BASE + Opcode::COUNT;
-const TAIL_BASE: usize = ACTIVITY_BASE + Opcode::COUNT;
+/// credit: Execution Drafting *saves* front-end energy).
+pub const DRAFTED: usize = energy::slot(Rail::Vdd, "drafted_issues");
 
 /// One activity window (or per-cycle rate profile) flattened into the
 /// three per-rail feature vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Features {
-    /// VDD-rail features, laid out per [`Features::extract`].
+    /// VDD-rail features, laid out per [`TERMS`].
     pub vdd: Vec<f64>,
     /// VCS-rail features.
     pub vcs: Vec<f64>,
@@ -58,46 +50,15 @@ impl Features {
     /// vectors (same counts, different shape).
     #[must_use]
     pub fn extract(a: &ActivityCounters) -> Self {
-        let mut vdd = vec![0.0_f64; VDD_FEATURES];
-        vdd[CYCLES] = a.cycles as f64;
-        vdd[1] = a.core_active_cycles as f64;
-        vdd[2] = a.mem_stall_cycles as f64;
-        vdd[3] = a.dual_thread_cycles as f64;
-        vdd[DRAFTED] = a.drafted_issues as f64;
-        for op in Opcode::ALL {
-            let i = op.index();
-            vdd[ISSUES_BASE + i] = a.issues[i] as f64;
-            vdd[ACTIVITY_BASE + i] = a.operand_activity[i];
-        }
-        let tail = [
-            a.l15_misses as f64,
-            a.invalidations as f64,
-            a.load_rollbacks as f64,
-            a.store_rollbacks as f64,
-            a.sb_enqueues as f64,
-            a.noc_flit_hops as f64,
-            a.noc_bit_switches as f64,
-            a.noc_coupling_switches as f64,
-            a.noc_route_computes as f64,
-            a.offchip_requests as f64,
-            a.chip_bridge_flits as f64,
-        ];
-        vdd[TAIL_BASE..].copy_from_slice(&tail);
+        let mut f = Self::zero();
+        energy::read_slots(a, [&mut f.vdd, &mut f.vcs, &mut f.vio]);
+        f
+    }
 
-        let vcs = vec![
-            a.cycles as f64,
-            a.l1i_accesses as f64,
-            a.l1d_reads as f64,
-            a.l1d_writes as f64,
-            a.l15_reads as f64,
-            a.l15_writes as f64,
-            a.l15_writebacks as f64,
-            a.l2_reads as f64,
-            a.l2_writes as f64,
-            a.dir_lookups as f64,
-        ];
-        let vio = vec![a.chip_bridge_flits as f64, a.io_transactions as f64];
-        Self { vdd, vcs, vio }
+    /// The three vectors, in the order the power law takes them.
+    #[must_use]
+    pub fn rails(&self) -> [&[f64]; 3] {
+        [&self.vdd, &self.vcs, &self.vio]
     }
 
     /// Per-cycle rate profile of a window: every feature divided by the
@@ -154,14 +115,18 @@ impl Features {
     /// features) — IPC when `self` holds per-cycle rates.
     #[must_use]
     pub fn issue_rate(&self) -> f64 {
-        self.vdd[ISSUES_BASE..ISSUES_BASE + Opcode::COUNT]
+        TERMS
             .iter()
+            .filter(|t| matches!(t.charge, Charge::Issue(_)))
+            .map(|t| self.vdd[t.slot])
             .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use piton_arch::isa::Opcode;
+
     use super::*;
 
     #[test]
@@ -182,11 +147,10 @@ mod tests {
         a.io_transactions = 3;
         let f = Features::extract(&a);
         assert_eq!(f.vdd[CYCLES], 1000.0);
-        assert_eq!(f.vdd[ISSUES_BASE + Opcode::Add.index()], 2.0);
-        assert!((f.vdd[ACTIVITY_BASE + Opcode::Add.index()] - 1.0).abs() < 1e-12);
-        assert_eq!(f.vdd[TAIL_BASE + 4], 7.0); // sb_enqueue
-
-        assert_eq!(f.vio[1], 3.0);
+        assert_eq!(f.vcs[energy::slot(Rail::Vcs, "cycles")], 1000.0);
+        assert_eq!(f.vdd[energy::slot(Rail::Vdd, "sb_enqueues")], 7.0);
+        assert_eq!(f.vio[energy::slot(Rail::Vio, "io_transactions")], 3.0);
+        assert_eq!(f.vdd.iter().filter(|&&v| v != 0.0).count(), 4);
         assert!((f.issue_rate() - 2.0).abs() < 1e-12);
     }
 
@@ -195,14 +159,15 @@ mod tests {
         let mut a = ActivityCounters::new();
         a.cycles = 200;
         a.l1d_reads = 100;
+        let reads = energy::slot(Rail::Vcs, "l1d_reads");
         let r = Features::rates(&a);
         assert_eq!(r.vdd[CYCLES], 1.0);
-        assert_eq!(r.vcs[2], 0.5);
+        assert_eq!(r.vcs[reads], 0.5);
         let mut mix = Features::zero();
         mix.add_scaled(&r, 0.5);
         mix.add_scaled(&r, 0.5);
         assert_eq!(mix, r);
         let mid = r.lerp(&Features::zero(), 0.5);
-        assert_eq!(mid.vcs[2], 0.25);
+        assert_eq!(mid.vcs[reads], 0.25);
     }
 }

@@ -3,12 +3,12 @@
 //!
 //! The cycle engine is the oracle: it simulates every core, cache and
 //! flit and reads power off the modelled rails. The analytic model
-//! ([`model`]) charges the same per-event energies, read straight from
-//! the calibration table, against per-cycle activity rates. Those rates
-//! are what is approximated: a small library of cycle-level probes
-//! ([`battery`]) measures them, and the predictors ([`predict`])
-//! interpolate between probes and answer the experimental questions
-//! with three dot products per evaluation. A conformance layer
+//! ([`model`]) runs the cycle engine's own power law — the same term
+//! table, voltage scaling and leakage code — on per-cycle activity
+//! rates. Those rates are what is approximated: a small library of
+//! cycle-level probes ([`battery`]) measures them, and the predictors
+//! ([`predict`]) interpolate between probes and answer the experimental
+//! questions with one table sum per evaluation. A conformance layer
 //! ([`compare`]) bounds the analytic error per figure against committed
 //! budgets.
 //!

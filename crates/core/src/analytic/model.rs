@@ -1,181 +1,101 @@
-//! The closed-form power model: three coefficient vectors plus the
-//! shared technology curves.
+//! The closed-form power model: the cycle engine's own power law over
+//! per-cycle rate profiles.
 //!
-//! [`AnalyticModel::power`] mirrors the cycle engine's
-//! [`piton_power::model::PowerModel::power`] term for term — nominal
-//! per-event energies scaled by the alpha-power voltage law and the
-//! die's process corner, leakage from the same exponential
-//! temperature/voltage curves — but takes a *per-cycle rate profile*
-//! instead of a simulated window, so one evaluation is three dot
-//! products and a handful of exponentials instead of thousands of
-//! simulated cycles.
+//! [`AnalyticModel`] holds a nominal [`PowerModel`] and calls its code:
+//! the term table ([`piton_power::energy::TERMS`]) sums a rate profile
+//! into pJ per cycle, which is voltage- and corner-scaled and spread
+//! over one clock period exactly as a simulated window is over its
+//! cycles, and leakage comes from the same curves at the die corner of
+//! each evaluation. One evaluation is a table sum and a handful of
+//! exponentials instead of thousands of simulated cycles.
 
-use piton_arch::units::{Volts, Watts};
-use piton_power::calibration::Calibration;
-use piton_power::model::{ChipCorner, OperatingPoint, RailPower};
-use piton_power::tech::TechModel;
-use piton_power::thermal::T_CLAMP_C;
+use std::fmt::Write as _;
 
-use super::features::{self, Features};
+use piton_power::energy::{Term, TERMS};
+use piton_power::model::{ChipCorner, OperatingPoint, PowerModel, RailPower};
 
-const V_NOM_VDD: Volts = Volts(1.00);
-const V_NOM_VCS: Volts = Volts(1.05);
-const V_NOM_VIO: Volts = Volts(1.80);
+use super::features::Features;
 
 /// The closed-form model (corner-independent: the die corner is applied
 /// per evaluation, exactly as the cycle engine does).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticModel {
-    /// Nominal VDD energy per feature unit (pJ), laid out per
-    /// [`Features::extract`].
-    pub vdd_pj: Vec<f64>,
-    /// Nominal VCS energy per feature unit (pJ).
-    pub vcs_pj: Vec<f64>,
-    /// Nominal VIO energy per feature unit (pJ).
-    pub vio_pj: Vec<f64>,
-    /// Static rail power at the calibration temperature (mW).
-    pub static_mw: [f64; 3],
-    /// Leakage calibration temperature (°C).
-    pub static_t0_c: f64,
-    tech: TechModel,
+    law: PowerModel,
 }
 
 impl AnalyticModel {
-    /// The model: coefficient vectors copied straight out of
-    /// [`Calibration::piton_hpca18`], the table the cycle engine's
-    /// power model charges. Predictions match the cycle engine's power
-    /// law exactly on any activity window.
+    /// The model: the nominal cycle-engine power model, charging
+    /// [`piton_power::calibration::Calibration::piton_hpca18`].
+    /// Predictions match the cycle engine on any activity window.
     #[must_use]
     pub fn reference() -> Self {
-        let c = Calibration::piton_hpca18();
-        let mut vdd = vec![0.0_f64; features::VDD_FEATURES];
-        vdd[0] = c.clock_vdd_pj_per_cycle;
-        vdd[1] = c.active_core_pj_per_cycle;
-        vdd[2] = c.stall_pj_per_cycle;
-        vdd[3] = c.dual_thread_pj_per_cycle;
-        vdd[features::DRAFTED] = -c.execd_saving_pj;
-        for (i, e) in c.instr.iter().enumerate() {
-            vdd[5 + i] = e.base_pj;
-            vdd[5 + piton_arch::isa::Opcode::COUNT + i] = e.value_pj;
-        }
-        let tail = [
-            c.l15_miss_pj,
-            c.invalidation_pj,
-            c.load_rollback_pj,
-            c.store_rollback_pj,
-            c.sb_enqueue_pj,
-            c.noc_flit_hop_pj,
-            c.noc_bit_switch_pj,
-            c.noc_coupling_pj,
-            c.noc_route_pj,
-            c.offchip_request_pj,
-            c.bridge_flit_vdd_pj,
-        ];
-        let tail_base = features::VDD_FEATURES - tail.len();
-        vdd[tail_base..].copy_from_slice(&tail);
         Self {
-            vdd_pj: vdd,
-            vcs_pj: vec![
-                c.clock_vcs_pj_per_cycle,
-                c.l1i_pj,
-                c.l1d_read_pj,
-                c.l1d_write_pj,
-                c.l15_read_pj,
-                c.l15_write_pj,
-                c.l15_writeback_pj,
-                c.l2_read_pj,
-                c.l2_write_pj,
-                c.dir_pj,
-            ],
-            vio_pj: vec![c.bridge_flit_vio_pj, c.io_transaction_pj],
-            static_mw: [c.static_vdd_mw, c.static_vcs_mw, c.static_vio_mw],
-            static_t0_c: c.static_calibration_temp_c,
-            tech: TechModel::ibm32soi(),
+            law: PowerModel::nominal(),
         }
     }
 
-    /// FNV-1a digest of every coefficient's bits: the model's identity
-    /// in the analytic journal context, so results cached under one
-    /// coefficient table are never served under another.
+    /// FNV-1a digest of the law: each term's name, rail and coefficient
+    /// bits in table order, then the leakage constants. It is the
+    /// model's identity in the analytic journal context, so results
+    /// cached under one law (coefficients *or* summation order) are
+    /// never served under another.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let bytes: Vec<u8> = self
-            .vdd_pj
-            .iter()
-            .chain(&self.vcs_pj)
-            .chain(&self.vio_pj)
-            .chain(&self.static_mw)
-            .chain([&self.static_t0_c])
-            .flat_map(|c| c.to_bits().to_le_bytes())
-            .collect();
-        crate::journal::fnv64(&bytes)
+        digest_of(&self.law, &TERMS)
     }
 
     /// Nominal dynamic energy of a feature vector, per rail (pJ per
-    /// feature-unit — pJ/cycle when given a rate profile). The VDD sum
-    /// is clamped at zero so the drafted-issue saving can never drive
-    /// energy negative, mirroring the cycle model's clamp.
+    /// feature-unit — pJ/cycle when given a rate profile): the cycle
+    /// model's term-table sum, drafted-issue clamp included.
     #[must_use]
     pub fn dynamic_nominal_pj(&self, f: &Features) -> (f64, f64, f64) {
-        let dot = |c: &[f64], x: &[f64]| c.iter().zip(x).map(|(a, b)| a * b).sum::<f64>();
-        (
-            dot(&self.vdd_pj, &f.vdd).max(0.0),
-            dot(&self.vcs_pj, &f.vcs),
-            dot(&self.vio_pj, &f.vio),
-        )
+        self.law.dynamic_nominal_pj(f.rails())
     }
 
-    /// Static (leakage) power at an operating point and corner — the
-    /// same exponential curves as the cycle engine's
-    /// [`piton_power::model::PowerModel::static_power`].
+    /// The cycle engine's power model this one evaluates: its leakage,
+    /// voltage and corner scaling take the corner as an argument.
     #[must_use]
-    pub fn static_power(&self, op: OperatingPoint, corner: ChipCorner) -> RailPower {
-        let t_scale = self
-            .tech
-            .leakage_temperature_scale(op.junction_c.min(T_CLAMP_C), self.static_t0_c)
-            * corner.leakage;
-        let vdd_scale = self.tech.leakage_voltage_scale(op.vdd, V_NOM_VDD);
-        let vcs_scale = self.tech.leakage_voltage_scale(op.vcs, V_NOM_VCS);
-        RailPower {
-            vdd: Watts::from_mw(self.static_mw[0] * vdd_scale * t_scale),
-            vcs: Watts::from_mw(self.static_mw[1] * vcs_scale * t_scale),
-            vio: Watts::from_mw(self.static_mw[2]),
-        }
+    pub fn law(&self) -> &PowerModel {
+        &self.law
     }
 
     /// Total rail power of a per-cycle rate profile at an operating
-    /// point and corner: dynamic dot products voltage-scaled and spread
-    /// over the cycle time, plus leakage.
+    /// point and corner: the rates' energy per cycle spread over one
+    /// clock period, plus leakage.
     #[must_use]
     pub fn power(&self, rates: &Features, op: OperatingPoint, corner: ChipCorner) -> RailPower {
-        let (vdd_pj, vcs_pj, vio_pj) = self.dynamic_nominal_pj(rates);
-        let f_hz = 1.0 / op.freq.period().0;
-        let vdd_scale = self.tech.dynamic_scale(op.vdd, V_NOM_VDD) * corner.dynamic;
-        let vcs_scale = self.tech.dynamic_scale(op.vcs, V_NOM_VCS) * corner.dynamic;
-        let vio_scale = self.tech.dynamic_scale(op.vio, V_NOM_VIO);
-        let leak = self.static_power(op, corner);
-        RailPower {
-            vdd: Watts(vdd_pj * vdd_scale * f_hz * 1e-12) + leak.vdd,
-            vcs: Watts(vcs_pj * vcs_scale * f_hz * 1e-12) + leak.vcs,
-            vio: Watts(vio_pj * vio_scale * f_hz * 1e-12) + leak.vio,
-        }
+        let pj_per_cycle = self.dynamic_nominal_pj(rates);
+        self.law
+            .dynamic_power(pj_per_cycle, op.freq.period(), op, corner)
+            + self.law.static_power_at(op, corner)
     }
+}
 
-    /// The per-rail dynamic voltage scales at an operating point and
-    /// corner.
-    #[must_use]
-    pub fn dynamic_scales(&self, op: OperatingPoint, corner: ChipCorner) -> [f64; 3] {
-        [
-            self.tech.dynamic_scale(op.vdd, V_NOM_VDD) * corner.dynamic,
-            self.tech.dynamic_scale(op.vcs, V_NOM_VCS) * corner.dynamic,
-            self.tech.dynamic_scale(op.vio, V_NOM_VIO),
-        ]
+fn digest_of(law: &PowerModel, terms: &[Term]) -> u64 {
+    let c = law.calibration();
+    let mut text = String::new();
+    for t in terms {
+        let bits = t.coefficients(c).map(f64::to_bits);
+        let _ = write!(text, "{}/{:?}/{bits:x?};", t.name, t.rail);
     }
+    let leakage = [
+        c.static_vdd_mw,
+        c.static_vcs_mw,
+        c.static_vio_mw,
+        c.static_calibration_temp_c,
+        law.tech().leakage_gamma,
+        law.tech().leakage_t_k,
+    ];
+    let _ = write!(text, "{:x?}", leakage.map(f64::to_bits));
+    crate::journal::fnv64(text.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
-    use piton_power::model::PowerModel;
+    use piton_arch::units::Volts;
+    use piton_power::calibration::Calibration;
+    use piton_power::energy::Charge;
+    use piton_power::tech::TechModel;
     use piton_sim::events::ActivityCounters;
 
     use super::*;
@@ -252,7 +172,7 @@ mod tests {
                     );
                 }
                 let want_static = cycle.static_power(op);
-                let got_static = analytic.static_power(op, corner);
+                let got_static = analytic.law().static_power_at(op, corner);
                 assert!(
                     (want_static.total_with_io().0 - got_static.total_with_io().0).abs() < 1e-12
                 );
@@ -260,88 +180,80 @@ mod tests {
         }
     }
 
-    /// Every charged counter, alone in a 1 000-cycle window, costs the
-    /// same dynamic energy on both backends: a swapped or sign-flipped
-    /// feature slot (the drafted-issue credit included) cannot hide
-    /// behind the other counters.
-    #[test]
-    fn every_feature_slot_matches_the_cycle_power_model() {
-        use piton_arch::isa::Opcode;
-        type Set = fn(&mut ActivityCounters);
-        let mut windows: Vec<(String, ActivityCounters)> = Vec::new();
-        let counters: [(&str, Set); 26] = [
-            ("cycles", |_| {}),
-            ("core_active_cycles", |a| a.core_active_cycles = 700),
-            ("mem_stall_cycles", |a| a.mem_stall_cycles = 700),
-            ("dual_thread_cycles", |a| a.dual_thread_cycles = 700),
-            ("drafted_issues", |a| a.drafted_issues = 700),
-            ("l15_misses", |a| a.l15_misses = 700),
-            ("invalidations", |a| a.invalidations = 700),
-            ("load_rollbacks", |a| a.load_rollbacks = 700),
-            ("store_rollbacks", |a| a.store_rollbacks = 700),
-            ("sb_enqueues", |a| a.sb_enqueues = 700),
-            ("noc_flit_hops", |a| a.noc_flit_hops = 700),
-            ("noc_bit_switches", |a| a.noc_bit_switches = 700),
-            ("noc_coupling_switches", |a| a.noc_coupling_switches = 700),
-            ("noc_route_computes", |a| a.noc_route_computes = 700),
-            ("offchip_requests", |a| a.offchip_requests = 700),
-            ("chip_bridge_flits", |a| a.chip_bridge_flits = 700),
-            ("l1i_accesses", |a| a.l1i_accesses = 700),
-            ("l1d_reads", |a| a.l1d_reads = 700),
-            ("l1d_writes", |a| a.l1d_writes = 700),
-            ("l15_reads", |a| a.l15_reads = 700),
-            ("l15_writes", |a| a.l15_writes = 700),
-            ("l15_writebacks", |a| a.l15_writebacks = 700),
-            ("l2_reads", |a| a.l2_reads = 700),
-            ("l2_writes", |a| a.l2_writes = 700),
-            ("dir_lookups", |a| a.dir_lookups = 700),
-            ("io_transactions", |a| a.io_transactions = 700),
-        ];
-        for (name, set) in counters {
-            let mut a = ActivityCounters::new();
-            a.cycles = 1_000;
-            set(&mut a);
-            windows.push((name.to_owned(), a));
-        }
-        for op in Opcode::ALL {
-            let mut a = ActivityCounters::new();
-            a.cycles = 1_000;
-            a.issues[op.index()] = 700;
-            windows.push((format!("issues.{}", op.mnemonic()), a.clone()));
-            // The cycle model charges operand activity only alongside
-            // issues of the same opcode.
-            a.operand_activity[op.index()] = 350.0;
-            windows.push((format!("activity.{}", op.mnemonic()), a));
-        }
-
-        // Together the windows reach every feature slot.
-        let mut reached = Features::zero();
-        for (_, a) in &windows {
-            reached.add_scaled(&Features::extract(a), 1.0);
-        }
-        for v in reached.vdd.iter().chain(&reached.vcs).chain(&reached.vio) {
-            assert!(*v > 0.0, "a feature slot no window sets: {reached:?}");
-        }
-
+    /// Per-rail dynamic watts of both backends on one window: the cycle
+    /// model's, then the analytic model's on the window's rates.
+    fn dynamic_both(a: &ActivityCounters) -> [(f64, f64); 3] {
         let corner = ChipCorner::typical();
-        let cycle = PowerModel::new(Calibration::piton_hpca18(), TechModel::ibm32soi(), corner);
+        let cycle = PowerModel::nominal();
         let analytic = AnalyticModel::reference();
         let op = OperatingPoint::table_iii().with_junction(25.0);
         let leak = cycle.static_power(op);
-        for (name, a) in &windows {
-            let want = cycle.power(a, op);
-            let got = analytic.power(&Features::rates(a), op, corner);
-            for (rail, w, g, l) in [
-                ("vdd", want.vdd.0, got.vdd.0, leak.vdd.0),
-                ("vcs", want.vcs.0, got.vcs.0, leak.vcs.0),
-                ("vio", want.vio.0, got.vio.0, leak.vio.0),
-            ] {
-                let (w, g) = (w - l, g - l);
+        let want = cycle.power(a, op);
+        let got = analytic.power(&Features::rates(a), op, corner);
+        [
+            (want.vdd.0 - leak.vdd.0, got.vdd.0 - leak.vdd.0),
+            (want.vcs.0 - leak.vcs.0, got.vcs.0 - leak.vcs.0),
+            (want.vio.0 - leak.vio.0, got.vio.0 - leak.vio.0),
+        ]
+    }
+
+    /// Every term of the table, alone in a 1 000-cycle window, costs the
+    /// same dynamic energy on both backends: a swapped or sign-flipped
+    /// slot (the drafted-issue credit included) cannot hide behind the
+    /// other counters.
+    #[test]
+    fn every_feature_slot_matches_the_cycle_power_model() {
+        let mut reached = Features::zero();
+        for term in &TERMS {
+            let mut a = ActivityCounters::new();
+            a.cycles = 1_000;
+            match term.charge {
+                Charge::Issue(op) => {
+                    a.issues[op.index()] = 700;
+                    a.operand_activity[op.index()] = 350.0;
+                }
+                Charge::Event(c) | Charge::Credit(c) => *(c.cell)(&mut a) = 700,
+            }
+            reached.add_scaled(&Features::extract(&a), 1.0);
+            for (rail, (w, g)) in ["vdd", "vcs", "vio"].into_iter().zip(dynamic_both(&a)) {
                 assert!(
                     (w - g).abs() <= 1e-12 * w.abs(),
-                    "{name} on {rail}: cycle {w} W vs analytic {g} W"
+                    "{} on {rail}: cycle {w} W vs analytic {g} W",
+                    term.name
                 );
             }
         }
+        // Together the windows reach every slot.
+        for v in reached.vdd.iter().chain(&reached.vcs).chain(&reached.vio) {
+            assert!(*v > 0.0, "a slot no term sets: {reached:?}");
+        }
+    }
+
+    /// The drafted-issue credit clamps the VDD sum where the cycle model
+    /// clamps it — after the core terms, before the memory and NoC
+    /// terms — so a credit larger than the core terms still leaves the
+    /// L1.5 miss energy charged.
+    #[test]
+    fn drafted_credit_clamps_at_the_cycle_models_position() {
+        let mut a = ActivityCounters::new();
+        a.cycles = 1_000;
+        a.drafted_issues = 1_000_000;
+        a.l15_misses = 500;
+        let [(w, g), (wc, gc), (wi, gi)] = dynamic_both(&a);
+        assert!((w - 0.150).abs() < 1e-3, "cycle VDD dynamic {w} W");
+        for (w, g) in [(w, g), (wc, gc), (wi, gi)] {
+            assert!((w - g).abs() <= 1e-12, "cycle {w} W vs analytic {g} W");
+        }
+    }
+
+    #[test]
+    fn reordering_two_terms_changes_the_digest() {
+        let law = PowerModel::nominal();
+        let mut swapped = TERMS;
+        let reads = TERMS.iter().position(|t| t.name == "l1d_reads");
+        let reads = reads.expect("the table charges L1D reads");
+        swapped.swap(reads, reads + 1);
+        assert_eq!(digest_of(&law, &TERMS), AnalyticModel::reference().digest());
+        assert_ne!(digest_of(&law, &swapped), digest_of(&law, &TERMS));
     }
 }

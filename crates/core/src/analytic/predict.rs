@@ -13,7 +13,7 @@ use piton_arch::isa::OperandPattern;
 use piton_arch::units::Hertz;
 use piton_board::population::NamedChip;
 use piton_power::model::{ChipCorner, OperatingPoint, RailPower};
-use piton_power::thermal::{Cooling, ThermalModel};
+use piton_power::thermal::{Cooling, ThermalModel, EQUILIBRIUM_CAP_C, ROOM_AMBIENT_C};
 use piton_sim::machine::SwitchPattern;
 use piton_workloads::epi::{EpiCase, StoreVariant, STX_DRAIN_NOPS};
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
@@ -21,19 +21,14 @@ use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 use super::battery::NOC_KNOTS;
 use super::features::Features;
 use super::Calibrated;
+use crate::experiments::thermal::bare_package_rig;
 use crate::experiments::vf_sweep;
 use crate::measure::{epf_pj, epi_pj, linear_fit};
 use crate::report::{Table, ANALYTIC_MARK};
 
-/// Ambient temperature of every thermal mirror (§IV-J room
-/// temperature, the virtual bench default).
-const AMBIENT_C: f64 = 20.0;
-
 /// Power of the measurement-window `rates` at the warmed-up junction:
-/// the analytic mirror of
-/// [`piton_board::system::PitonSystem::warm_up`]'s leakage fixed point
-/// (90 % of total-with-IO heating the package), which the bench solves
-/// from the warm-up window's activity `warm`.
+/// the junction settles from the warm-up window's activity `warm` as
+/// in [`piton_board::system::PitonSystem::warm_up`].
 fn settled(
     cal: &Calibrated,
     warm: &Features,
@@ -41,16 +36,11 @@ fn settled(
     op0: OperatingPoint,
     corner: ChipCorner,
 ) -> RailPower {
-    let thermal = ThermalModel::new(Cooling::HeatsinkFan, AMBIENT_C);
-    let (t_eq, _) = thermal.equilibrium(
-        |t| {
-            cal.model
-                .power(warm, op0.with_junction(t), corner)
-                .total_with_io()
-                * 0.9
-        },
-        120.0,
-    );
+    let t_eq = ThermalModel::new(Cooling::HeatsinkFan, ROOM_AMBIENT_C).settle_warm_junction(|t| {
+        cal.model
+            .power(warm, op0.with_junction(t), corner)
+            .total_with_io()
+    });
     cal.model.power(rates, op0.with_junction(t_eq), corner)
 }
 
@@ -80,23 +70,13 @@ fn noc_rates_at(knots: &[(f64, &Features)], hops: f64) -> Features {
 #[must_use]
 pub fn table_v(cal: &Calibrated) -> (f64, f64) {
     let corner = NamedChip::Chip2.corner();
-    let op = OperatingPoint::table_iii().with_junction(AMBIENT_C);
+    let op = OperatingPoint::table_iii().with_junction(ROOM_AMBIENT_C);
     // Static: leakage-only self-heating fixed point, mirroring
     // `measure_static_power` (which warms from the fresh junction).
-    let thermal = ThermalModel::new(Cooling::HeatsinkFan, AMBIENT_C);
-    let (t_static, _) = thermal.equilibrium(
-        |t| {
-            cal.model
-                .static_power(op.with_junction(t), corner)
-                .total_with_io()
-        },
-        120.0,
-    );
-    let static_w = cal
-        .model
-        .static_power(op.with_junction(t_static), corner)
-        .total()
-        .0;
+    let leak = |t| cal.model.law().static_power_at(op.with_junction(t), corner);
+    let thermal = ThermalModel::new(Cooling::HeatsinkFan, ROOM_AMBIENT_C);
+    let (t_static, _) = thermal.equilibrium(|t| leak(t).total_with_io(), EQUILIBRIUM_CAP_C);
+    let static_w = leak(t_static).total().0;
     let idle = cal.idle();
     let idle_w = settled(cal, &idle.warm, &idle.rates, op, corner).total().0;
     (static_w, idle_w)
@@ -137,10 +117,10 @@ pub fn static_idle(cal: &Calibrated) -> Vec<StaticIdleStep> {
                 let op = OperatingPoint::table_iii()
                     .with_vdd_tracked(p.vdd)
                     .with_freq(freq)
-                    .with_junction(AMBIENT_C);
+                    .with_junction(ROOM_AMBIENT_C);
                 // The cycle bench reads static power *before* warm-up,
                 // at the fresh system's ambient junction.
-                let s = cal.model.static_power(op, corner);
+                let s = cal.model.law().static_power_at(op, corner);
                 let idle = settled(cal, &idle_probe.warm, &idle_probe.rates, op, corner);
                 acc[0] += s.vdd.0;
                 acc[1] += s.vcs.0;
@@ -240,7 +220,7 @@ pub fn noc(cal: &Calibrated) -> Vec<NocSeries> {
 /// mirror shared by the Figure 13/14 predictors.
 #[must_use]
 pub fn chip3_idle_w(cal: &Calibrated) -> f64 {
-    let op = OperatingPoint::table_iii().with_junction(AMBIENT_C);
+    let op = OperatingPoint::table_iii().with_junction(ROOM_AMBIENT_C);
     let idle = cal.idle();
     settled(cal, &idle.warm, &idle.rates, op, NamedChip::Chip3.corner())
         .total()
@@ -317,15 +297,14 @@ pub fn thermal(cal: &Calibrated) -> Vec<(usize, f64, f64, f64)> {
     for &threads in &super::battery::FIG17_THREADS {
         let probe = cal.fig17(threads);
         for &eff in &fan_steps {
-            let thermal =
-                ThermalModel::new(Cooling::BarePackageFan { effectiveness: eff }, AMBIENT_C);
+            let thermal = bare_package_rig(eff);
             let (junction, power) = thermal.equilibrium(
                 |t| {
                     cal.model
                         .power(&probe.rates, probe.op.with_junction(t), probe.corner)
                         .total()
                 },
-                120.0,
+                EQUILIBRIUM_CAP_C,
             );
             let surface = junction - power.0 * Cooling::HeatsinkFan.r_junction_surface();
             points.push((threads, eff, power.0, surface));

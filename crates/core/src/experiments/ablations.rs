@@ -24,12 +24,14 @@
 
 use piton_arch::config::{ChipConfig, SliceMapping};
 use piton_arch::topology::TileId;
+use piton_power::energy::{Rail, TERMS};
 use piton_sim::events::ActivityCounters;
 use piton_sim::machine::SwitchPattern;
 use piton_sim::memsys::MemorySystem;
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::analytic::Features;
 use crate::report::Table;
 use crate::runner;
 
@@ -249,17 +251,20 @@ pub fn noc_energy_split(fidelity: Fidelity) -> Vec<NocSplitRow> {
             pattern,
             fidelity.chunk_cycles * fidelity.samples as u64,
         );
-        let act = m.counters();
-        let hops = act.noc_flit_hops as f64;
-        let router =
-            calib.noc_flit_hop_pj + calib.noc_route_pj * act.noc_route_computes as f64 / hops;
-        let wire = (calib.noc_bit_switch_pj * act.noc_bit_switches as f64
-            + calib.noc_coupling_pj * act.noc_coupling_switches as f64)
-            / hops;
+        let act = Features::extract(m.counters());
+        // The named VDD terms' charges, per flit-hop.
+        let per_hop = |names: [&str; 2]| {
+            TERMS
+                .iter()
+                .filter(|t| t.rail == Rail::Vdd && names.contains(&t.name))
+                .map(|t| t.pj(&act.vdd[t.slot..], t.coefficients(&calib)))
+                .sum::<f64>()
+                / m.counters().noc_flit_hops as f64
+        };
         NocSplitRow {
             pattern: pattern.label().to_owned(),
-            router_pj: router,
-            wire_pj: wire,
+            router_pj: per_hop(["noc_flit_hops", "noc_route_computes"]),
+            wire_pj: per_hop(["noc_bit_switches", "noc_coupling_switches"]),
         }
     })
 }

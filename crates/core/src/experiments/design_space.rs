@@ -21,12 +21,12 @@
 use std::sync::Mutex;
 
 use piton_arch::error::PitonError;
-use piton_arch::units::{Hertz, Volts, Watts};
+use piton_arch::units::{Hertz, Volts};
 use piton_board::population::NamedChip;
 use piton_board::system::PitonSystem;
-use piton_power::model::{OperatingPoint, RailPower};
+use piton_power::model::OperatingPoint;
 use piton_power::tech::TechModel;
-use piton_power::thermal::{Cooling, ThermalModel};
+use piton_power::thermal::{Cooling, ThermalModel, ROOM_AMBIENT_C};
 use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 
 use piton_board::fault::{self, FaultPlan};
@@ -249,9 +249,6 @@ pub fn mix_table(cal: &Calibrated) -> Vec<MixRow> {
     table
 }
 
-/// Ambient of the thermal fixed point (matches the cycle bench).
-const AMBIENT_C: f64 = 20.0;
-
 /// Evaluates one grid point against a precomputed mix row: the dynamic
 /// rail powers are junction-independent, so the warm-up fixed point
 /// only iterates the leakage term.
@@ -260,28 +257,15 @@ fn evaluate(cal: &Calibrated, row: MixRow, p: GridPoint) -> DesignPoint {
     let op0 = OperatingPoint::table_iii()
         .with_vdd_tracked(p.vdd)
         .with_freq(p.freq)
-        .with_junction(AMBIENT_C);
-    let f_hz = 1.0 / p.freq.period().0;
-    let scales = cal.model.dynamic_scales(op0, corner);
-    let dynamic = |pj: (f64, f64, f64)| RailPower {
-        vdd: Watts(pj.0 * scales[0] * f_hz * 1e-12),
-        vcs: Watts(pj.1 * scales[1] * f_hz * 1e-12),
-        vio: Watts(pj.2 * scales[2] * f_hz * 1e-12),
-    };
+        .with_junction(ROOM_AMBIENT_C);
+    let law = cal.model.law();
+    let dynamic = |pj_per_cycle| law.dynamic_power(pj_per_cycle, p.freq.period(), op0, corner);
+    let leak = |t| law.static_power_at(op0.with_junction(t), corner);
     let warm_w = dynamic(row.warm_pj).total_with_io();
-    let thermal = ThermalModel::new(Cooling::HeatsinkFan, AMBIENT_C);
-    let (junction_c, _) = thermal.equilibrium(
-        |t| {
-            let leak = cal.model.static_power(op0.with_junction(t), corner);
-            (warm_w + leak.total_with_io()) * 0.9
-        },
-        120.0,
-    );
-    let leak = cal
-        .model
-        .static_power(op0.with_junction(junction_c), corner);
-    let power_w = (dynamic(row.nominal_pj).total() + leak.total()).0;
-    let nj_per_inst = power_w / (row.ipc * f_hz) * 1e9;
+    let junction_c = ThermalModel::new(Cooling::HeatsinkFan, ROOM_AMBIENT_C)
+        .settle_warm_junction(|t| warm_w + leak(t).total_with_io());
+    let power_w = (dynamic(row.nominal_pj).total() + leak(junction_c).total()).0;
+    let nj_per_inst = power_w / (row.ipc * p.freq.0) * 1e9;
     DesignPoint {
         power_w,
         nj_per_inst,

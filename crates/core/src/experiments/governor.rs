@@ -24,14 +24,14 @@ use piton_board::population::NamedChip;
 use piton_board::system::PitonSystem;
 use piton_power::governor::{Governor, GovernorConfig};
 use piton_power::model::PowerModel;
-use piton_power::thermal::{Cooling, ThermalModel};
+use piton_power::thermal::ROOM_AMBIENT_C;
 use piton_power::vf::VfSolver;
 use piton_power::{Calibration, TechModel};
 use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 use piton_workloads::thermal_app::{load_two_phase, Schedule};
 use serde::{Deserialize, Serialize};
 
-use super::thermal::{ScheduleTrace, SchedulingSample};
+use super::thermal::{bare_package_rig, ScheduleTrace, SchedulingSample};
 use super::Fidelity;
 use crate::report::Table;
 use crate::runner;
@@ -53,7 +53,7 @@ fn solver_for(chip: NamedChip) -> VfSolver {
             TechModel::ibm32soi(),
             chip.corner(),
         ),
-        20.0,
+        ROOM_AMBIENT_C,
     )
 }
 
@@ -267,12 +267,11 @@ pub fn run_hysteresis(samples: usize, dt_seconds: f64, fidelity: Fidelity) -> Hy
             // warm-up — warming up at the default clock would settle
             // the bare-package rig far above the Figure 18 regime.
             sys.set_frequency(piton_arch::units::Hertz::from_mhz(100.01));
-            *sys.thermal_mut() =
-                ThermalModel::new(Cooling::BarePackageFan { effectiveness: 0.5 }, 20.0);
+            *sys.thermal_mut() = bare_package_rig(0.5);
             let phase_iters = (fidelity.chunk_cycles / 4).max(200) as u32;
             load_two_phase(sys.machine_mut(), schedule, phase_iters);
             sys.warm_up(fidelity.warmup_cycles / 4);
-            let solver = VfSolver::new(sys.power_model().clone(), 20.0);
+            let solver = VfSolver::new(sys.power_model().clone(), ROOM_AMBIENT_C);
             let mut gov = Governor::new(
                 GovernorConfig::ThrottleOnBoot,
                 solver,

@@ -15,7 +15,7 @@
 
 use piton_arch::units::{Hertz, Volts, Watts};
 use piton_board::system::PitonSystem;
-use piton_power::thermal::{Cooling, ThermalModel, ThermalStep};
+use piton_power::thermal::{Cooling, ThermalModel, ThermalStep, EQUILIBRIUM_CAP_C, ROOM_AMBIENT_C};
 use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 use piton_workloads::thermal_app::{load_two_phase, Schedule};
 use serde::{Deserialize, Serialize};
@@ -24,6 +24,12 @@ use super::Fidelity;
 use crate::report::Table;
 
 /// The §IV-J operating point: 100.01 MHz, 0.9 V VDD, 0.95 V VCS.
+/// The §IV-J rig: heat sink removed, the fan at `effectiveness` on the
+/// bare package, in a room-temperature lab.
+pub(crate) fn bare_package_rig(effectiveness: f64) -> ThermalModel {
+    ThermalModel::new(Cooling::BarePackageFan { effectiveness }, ROOM_AMBIENT_C)
+}
+
 fn thermal_study_system(seed: u64) -> PitonSystem {
     // A fourth chip, "not presented in this paper thus far": slightly
     // leaky mid corner.
@@ -85,11 +91,13 @@ pub fn run_thermal_power(fidelity: Fidelity) -> ThermalPowerResult {
         let delta = sys.machine().counters().delta_since(&before);
 
         for &eff in &fan_steps {
-            let thermal = ThermalModel::new(Cooling::BarePackageFan { effectiveness: eff }, 20.0);
+            let thermal = bare_package_rig(eff);
             let model = sys.power_model().clone();
             let op0 = sys.operating_point();
-            let (junction, power) =
-                thermal.equilibrium(|t| model.power(&delta, op0.with_junction(t)).total(), 120.0);
+            let (junction, power) = thermal.equilibrium(
+                |t| model.power(&delta, op0.with_junction(t)).total(),
+                EQUILIBRIUM_CAP_C,
+            );
             // Surface = junction − P × R_js.
             let surface = junction - power.0 * Cooling::HeatsinkFan.r_junction_surface();
             points.push(ThermalPoint {
@@ -211,8 +219,7 @@ pub fn run_scheduling(samples: usize, dt_seconds: f64, fidelity: Fidelity) -> Sc
         .map(|schedule| {
             let mut sys = thermal_study_system(0x18);
             sys.set_chunk_cycles(fidelity.chunk_cycles);
-            *sys.thermal_mut() =
-                ThermalModel::new(Cooling::BarePackageFan { effectiveness: 0.5 }, 20.0);
+            *sys.thermal_mut() = bare_package_rig(0.5);
             // Phase length ≈ four sampling chunks so phases span
             // multiple thermal steps.
             let phase_iters = (fidelity.chunk_cycles / 4).max(200) as u32;

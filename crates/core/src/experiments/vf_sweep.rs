@@ -8,6 +8,7 @@
 
 use piton_board::population::NamedChip;
 use piton_power::model::PowerModel;
+use piton_power::thermal::ROOM_AMBIENT_C;
 use piton_power::vf::{VfPoint, VfSolver};
 use piton_power::{Calibration, TechModel};
 use serde::{Deserialize, Serialize};
@@ -67,7 +68,7 @@ pub fn run_with_jobs(jobs: usize) -> VfSweepResult {
                 TechModel::ibm32soi(),
                 chip.corner(),
             );
-            let solver = VfSolver::new(model, 20.0);
+            let solver = VfSolver::new(model, ROOM_AMBIENT_C);
             ChipSweep {
                 chip,
                 points: solver.sweep(),

@@ -27,7 +27,7 @@
 //!
 //! The header pins the *context* — experiment fidelity, fault-plan
 //! effects, backend, code version and, for analytic runs, the model's
-//! coefficient digest — and every record's `key` is the
+//! law digest — and every record's `key` is the
 //! 64-bit content hash of (section, index, context), so a journal can
 //! never leak results into a run configured differently. `--jobs` is
 //! deliberately **not** part of the context: results are
@@ -89,8 +89,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// process dies, never what it computes). The backend is included
 /// unconditionally: a cycle journal must never be served to an
 /// analytic run or vice versa. A backend that runs the analytic model
-/// also records the model's coefficient digest, so a coefficient change
-/// never serves results of the old table.
+/// also records the model's law digest, so a change of a coefficient or
+/// of the summation order never serves results of the old law.
 #[must_use]
 pub fn run_context(fidelity: &str, plan: Option<&FaultPlan>, backend: Backend) -> String {
     let mut context = format!(

@@ -1,7 +1,9 @@
 //! Calibrated per-event energies.
 //!
-//! The power model multiplies simulator activity counters by the
-//! coefficients in [`Calibration`]. All values are picojoules at the
+//! The power model charges simulator activity counters against the
+//! coefficients in [`Calibration`]; the term table
+//! ([`crate::energy::TERMS`]) says which counter each one multiplies,
+//! and is the only reader of the per-event energies. All values are picojoules at the
 //! nominal supplies of Table III (1.0 V VDD / 1.05 V VCS) and are scaled
 //! quadratically with voltage at other operating points.
 //!
@@ -34,14 +36,6 @@ pub struct InstrEnergy {
     /// Additional energy at all-ones operands, in pJ (scaled by the
     /// activity factor in between).
     pub value_pj: f64,
-}
-
-impl InstrEnergy {
-    /// Energy for a given operand-activity factor.
-    #[must_use]
-    pub fn at(self, activity: f64) -> f64 {
-        self.base_pj + self.value_pj * activity
-    }
 }
 
 /// The full coefficient table of the power model. All energies in pJ at
@@ -207,14 +201,6 @@ impl Calibration {
             static_calibration_temp_c: 25.0,
         }
     }
-
-    /// Model EPI of one instruction class at a given operand activity,
-    /// including the instruction fetch — the quantity the Figure 11
-    /// experiment should report for non-memory instructions.
-    #[must_use]
-    pub fn model_epi_pj(&self, op: Opcode, activity: f64) -> f64 {
-        self.instr[op.index()].at(activity) + self.l1i_pj
-    }
 }
 
 impl Default for Calibration {
@@ -226,6 +212,17 @@ impl Default for Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Calibration {
+        /// Model EPI of one instruction class at a given operand
+        /// activity, including the instruction fetch — the quantity the
+        /// Figure 11 experiment should report for non-memory
+        /// instructions.
+        fn model_epi_pj(&self, op: Opcode, activity: f64) -> f64 {
+            let e = self.instr[op.index()];
+            e.base_pj + e.value_pj * activity + self.l1i_pj
+        }
+    }
 
     #[test]
     fn idle_clock_energy_is_consistent_with_table_v() {

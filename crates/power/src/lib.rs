@@ -1,16 +1,19 @@
 //! Power, energy, leakage, thermal and voltage/frequency models for the
 //! Piton manycore, calibrated to the HPCA'18 silicon measurements.
 //!
-//! The crate layers four models:
+//! The crate layers these models:
 //!
 //! * [`tech`] — 32 nm SOI scaling laws (V² dynamic energy, alpha-power
 //!   delay, exponential leakage-versus-temperature);
 //! * [`calibration`] — per-event energy coefficients fitted to the
 //!   paper's published numbers (Table V idle/static, Figure 11 EPI,
 //!   Table VII memory energy, Figure 12 NoC trendlines);
-//! * [`model`] — [`model::PowerModel`], which converts a simulator
-//!   activity window into the three rail powers (VDD/VCS/VIO) at any
-//!   operating point, per die process corner;
+//! * [`energy`] — the term table: each per-event charge as (rail,
+//!   counter, coefficient), in summation order;
+//! * [`model`] — [`model::PowerModel`], which sums that table over a
+//!   simulator activity window (or the analytic twin's rates) into the
+//!   three rail powers (VDD/VCS/VIO) at any operating point, per die
+//!   process corner;
 //! * [`thermal`] and [`vf`] — the package/cooling RC network and the
 //!   maximum-frequency solver that together reproduce Figure 9's
 //!   thermal roll-off and §IV-J's power/temperature feedback.
@@ -34,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod calibration;
+pub mod energy;
 pub mod governor;
 pub mod model;
 pub mod tech;

@@ -25,13 +25,17 @@
 //! ```
 
 use piton_arch::config::MeasurementDefaults;
-use piton_arch::isa::Opcode;
 use piton_arch::units::{Hertz, Joules, Seconds, Volts, Watts};
 use piton_sim::events::ActivityCounters;
 use serde::{Deserialize, Serialize};
 
 use crate::calibration::Calibration;
+use crate::energy::{self, Charge, SLOTS};
 use crate::tech::TechModel;
+
+/// The supplies (VDD, VCS, VIO) the calibrated energies and leakage are
+/// quoted at: Table III.
+const V_NOMINAL: [Volts; 3] = [Volts(1.0), Volts(1.05), Volts(1.8)];
 
 /// The electrical/thermal operating point of a measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -145,12 +149,25 @@ impl RailPower {
     }
 }
 
+impl std::ops::Add for RailPower {
+    type Output = Self;
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            vdd: self.vdd + rhs.vdd,
+            vcs: self.vcs + rhs.vcs,
+            vio: self.vio + rhs.vio,
+        }
+    }
+}
+
 /// The calibrated chip power model for one die.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerModel {
     calib: Calibration,
     tech: TechModel,
     corner: ChipCorner,
+    /// Each [`energy::TERMS`] entry's coefficients, read from `calib`.
+    coefficients: [[f64; 2]; energy::TERMS.len()],
 }
 
 impl PowerModel {
@@ -158,6 +175,7 @@ impl PowerModel {
     #[must_use]
     pub fn new(calib: Calibration, tech: TechModel, corner: ChipCorner) -> Self {
         Self {
+            coefficients: energy::TERMS.map(|t| t.coefficients(&calib)),
             calib,
             tech,
             corner,
@@ -192,55 +210,22 @@ impl PowerModel {
         self.corner
     }
 
-    /// Dynamic energy consumed by an activity window, split by rail, at
-    /// nominal voltage (pJ).
-    fn dynamic_energy_nominal_pj(&self, a: &ActivityCounters) -> (f64, f64, f64) {
-        let c = &self.calib;
-        let mut vdd = 0.0;
-
-        for op in Opcode::ALL {
-            let i = op.index();
-            let n = a.issues[i] as f64;
-            if n > 0.0 {
-                vdd += n * c.instr[i].base_pj + a.operand_activity[i] * c.instr[i].value_pj;
-            }
+    /// The dynamic-energy law: nominal energy (pJ) per rail of a window
+    /// laid out in the per-rail [`energy::TERMS`] slots (VDD, VCS, VIO),
+    /// summed term by term in table order. The cycle engine passes
+    /// counts, the analytic twin per-cycle rates.
+    #[must_use]
+    pub fn dynamic_nominal_pj(&self, slots: [&[f64]; 3]) -> (f64, f64, f64) {
+        let mut pj = [0.0; 3];
+        for (t, &k) in energy::TERMS.iter().zip(&self.coefficients) {
+            let e = t.pj(&slots[t.rail as usize][t.slot..], k);
+            let sum = &mut pj[t.rail as usize];
+            *sum = match t.charge {
+                Charge::Credit(_) => (*sum - e).max(0.0),
+                Charge::Issue(_) | Charge::Event(_) => *sum + e,
+            };
         }
-        vdd += a.cycles as f64 * c.clock_vdd_pj_per_cycle;
-        vdd += a.core_active_cycles as f64 * c.active_core_pj_per_cycle;
-        vdd += a.mem_stall_cycles as f64 * c.stall_pj_per_cycle;
-        vdd += a.dual_thread_cycles as f64 * c.dual_thread_pj_per_cycle;
-        // Execution Drafting shares the front end; clamp so pathological
-        // coefficient choices can never produce negative energy.
-        vdd = (vdd - a.drafted_issues as f64 * c.execd_saving_pj).max(0.0);
-        vdd += a.l15_misses as f64 * c.l15_miss_pj;
-        vdd += a.invalidations as f64 * c.invalidation_pj;
-        vdd += a.load_rollbacks as f64 * c.load_rollback_pj;
-        vdd += a.store_rollbacks as f64 * c.store_rollback_pj;
-        vdd += a.sb_enqueues as f64 * c.sb_enqueue_pj;
-        vdd += a.noc_flit_hops as f64 * c.noc_flit_hop_pj;
-        vdd += a.noc_bit_switches as f64 * c.noc_bit_switch_pj;
-        vdd += a.noc_coupling_switches as f64 * c.noc_coupling_pj;
-        vdd += a.noc_route_computes as f64 * c.noc_route_pj;
-        vdd += a.offchip_requests as f64 * c.offchip_request_pj;
-        vdd += a.chip_bridge_flits as f64 * c.bridge_flit_vdd_pj;
-
-        let mut vcs = 0.0;
-        vcs += a.cycles as f64 * c.clock_vcs_pj_per_cycle;
-        vcs += a.l1i_accesses as f64 * c.l1i_pj;
-        vcs += a.l1d_reads as f64 * c.l1d_read_pj;
-        vcs += a.l1d_writes as f64 * c.l1d_write_pj;
-        vcs += a.l15_reads as f64 * c.l15_read_pj;
-        vcs += a.l15_writes as f64 * c.l15_write_pj;
-        vcs += a.l15_writebacks as f64 * c.l15_writeback_pj;
-        vcs += a.l2_reads as f64 * c.l2_read_pj;
-        vcs += a.l2_writes as f64 * c.l2_write_pj;
-        vcs += a.dir_lookups as f64 * c.dir_pj;
-
-        let mut vio = 0.0;
-        vio += a.chip_bridge_flits as f64 * c.bridge_flit_vio_pj;
-        vio += a.io_transactions as f64 * c.io_transaction_pj;
-
-        (vdd, vcs, vio)
+        (pj[0], pj[1], pj[2])
     }
 
     /// Static (leakage) power at an operating point.
@@ -250,17 +235,45 @@ impl PowerModel {
     /// diverge.
     #[must_use]
     pub fn static_power(&self, op: OperatingPoint) -> RailPower {
+        self.static_power_at(op, self.corner)
+    }
+
+    /// [`Self::static_power`] of a die at another process corner.
+    #[must_use]
+    pub fn static_power_at(&self, op: OperatingPoint, corner: ChipCorner) -> RailPower {
         let c = &self.calib;
         let t_scale = self.tech.leakage_temperature_scale(
             op.junction_c.min(crate::thermal::T_CLAMP_C),
             c.static_calibration_temp_c,
-        ) * self.corner.leakage;
-        let vdd_scale = self.tech.leakage_voltage_scale(op.vdd, Volts(1.0));
-        let vcs_scale = self.tech.leakage_voltage_scale(op.vcs, Volts(1.05));
+        ) * corner.leakage;
+        let vdd_scale = self.tech.leakage_voltage_scale(op.vdd, V_NOMINAL[0]);
+        let vcs_scale = self.tech.leakage_voltage_scale(op.vcs, V_NOMINAL[1]);
         RailPower {
             vdd: Watts::from_mw(c.static_vdd_mw * vdd_scale * t_scale),
             vcs: Watts::from_mw(c.static_vcs_mw * vcs_scale * t_scale),
             vio: Watts::from_mw(c.static_vio_mw),
+        }
+    }
+
+    /// Dynamic rail power of the nominal energies `pj` (VDD, VCS, VIO)
+    /// spent over `window` at an operating point, on a die at `corner`:
+    /// voltage-scaled from the nominal supplies, VDD and VCS also by the
+    /// corner's dynamic multiplier.
+    #[must_use]
+    pub fn dynamic_power(
+        &self,
+        pj: (f64, f64, f64),
+        window: Seconds,
+        op: OperatingPoint,
+        corner: ChipCorner,
+    ) -> RailPower {
+        let vdd_scale = self.tech.dynamic_scale(op.vdd, V_NOMINAL[0]) * corner.dynamic;
+        let vcs_scale = self.tech.dynamic_scale(op.vcs, V_NOMINAL[1]) * corner.dynamic;
+        let vio_scale = self.tech.dynamic_scale(op.vio, V_NOMINAL[2]);
+        RailPower {
+            vdd: Joules::from_pj(pj.0 * vdd_scale) / window,
+            vcs: Joules::from_pj(pj.1 * vcs_scale) / window,
+            vio: Joules::from_pj(pj.2 * vio_scale) / window,
         }
     }
 
@@ -275,31 +288,11 @@ impl PowerModel {
     #[must_use]
     pub fn power(&self, a: &ActivityCounters, op: OperatingPoint) -> RailPower {
         assert!(a.cycles > 0, "empty activity window");
-        let (vdd_pj, vcs_pj, vio_pj) = self.dynamic_energy_nominal_pj(a);
+        let mut slots = ([0.0; SLOTS[0]], [0.0; SLOTS[1]], [0.0; SLOTS[2]]);
+        energy::read_slots(a, [&mut slots.0, &mut slots.1, &mut slots.2]);
+        let pj = self.dynamic_nominal_pj([&slots.0, &slots.1, &slots.2]);
         let window: Seconds = op.freq.period() * a.cycles as f64;
-
-        let vdd_scale = self.tech.dynamic_scale(op.vdd, Volts(1.0)) * self.corner.dynamic;
-        let vcs_scale = self.tech.dynamic_scale(op.vcs, Volts(1.05)) * self.corner.dynamic;
-        let vio_scale = self.tech.dynamic_scale(op.vio, Volts(1.8));
-
-        let dyn_power = RailPower {
-            vdd: Joules::from_pj(vdd_pj * vdd_scale) / window,
-            vcs: Joules::from_pj(vcs_pj * vcs_scale) / window,
-            vio: Joules::from_pj(vio_pj * vio_scale) / window,
-        };
-        let leak = self.static_power(op);
-        RailPower {
-            vdd: dyn_power.vdd + leak.vdd,
-            vcs: dyn_power.vcs + leak.vcs,
-            vio: dyn_power.vio + leak.vio,
-        }
-    }
-
-    /// Total chip energy (VDD + VCS) of a window — power × window time.
-    #[must_use]
-    pub fn energy(&self, a: &ActivityCounters, op: OperatingPoint) -> Joules {
-        let window: Seconds = op.freq.period() * a.cycles as f64;
-        self.power(a, op).total() * window
+        self.dynamic_power(pj, window, op, self.corner) + self.static_power(op)
     }
 }
 
@@ -311,6 +304,8 @@ impl Default for PowerModel {
 
 #[cfg(test)]
 mod tests {
+    use piton_arch::isa::Opcode;
+
     use super::*;
 
     fn idle_window(cycles: u64) -> ActivityCounters {

@@ -36,6 +36,18 @@ use serde::{Deserialize, Serialize};
 /// infinity.
 pub const T_CLAMP_C: f64 = 125.0;
 
+/// Room temperature of the virtual bench (°C; Table III, §IV-J).
+pub const ROOM_AMBIENT_C: f64 = 20.0;
+
+/// Share of the chip's total rail power (VIO included) that heats the
+/// package; the rest leaves through the board.
+pub const HEATING_SHARE: f64 = 0.9;
+
+/// Where the bench's equilibrium solves give up: a leakage loop still
+/// climbing at this junction temperature is thermal runaway and is
+/// reported here.
+pub const EQUILIBRIUM_CAP_C: f64 = 120.0;
+
 /// Cooling configuration of the test setup.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Cooling {
@@ -215,6 +227,20 @@ impl ThermalModel {
         }
         (t, power_at(t))
     }
+
+    /// Settles the model at the leakage-aware fixed point of a warm-up
+    /// window — `power_at(t_junction)` is the chip's total rail power
+    /// (VIO included), of which [`HEATING_SHARE`] heats the package —
+    /// and returns the junction temperature (capped at
+    /// [`EQUILIBRIUM_CAP_C`]).
+    pub fn settle_warm_junction<F>(&mut self, power_at: F) -> f64
+    where
+        F: Fn(f64) -> Watts,
+    {
+        let (t_j, _) = self.equilibrium(|t| power_at(t) * HEATING_SHARE, EQUILIBRIUM_CAP_C);
+        self.settle_to_junction(t_j);
+        t_j
+    }
 }
 
 /// Fixed-timestep integrator over a [`ThermalModel`] — the single
@@ -331,6 +357,21 @@ mod tests {
         // Steady state at the fixed point is self-consistent.
         let (j, _) = t.steady_state(p);
         assert!((j - tj).abs() < 0.5);
+    }
+
+    #[test]
+    fn warm_settle_heats_with_the_share_and_settles_the_profile() {
+        let power = |t: f64| Watts(2.0 + 0.01 * (t - ROOM_AMBIENT_C));
+        let mut m = ThermalModel::new(Cooling::HeatsinkFan, ROOM_AMBIENT_C);
+        let t_j = m.settle_warm_junction(power);
+        let (want, _) = m.equilibrium(|t| power(t) * HEATING_SHARE, EQUILIBRIUM_CAP_C);
+        assert_eq!(t_j, want);
+        let mut settled = ThermalModel::new(Cooling::HeatsinkFan, ROOM_AMBIENT_C);
+        settled.settle_to_junction(want);
+        assert_eq!(m, settled);
+
+        let runaway = |t: f64| Watts(((t - ROOM_AMBIENT_C) / 5.0).exp());
+        assert_eq!(m.settle_warm_junction(runaway), EQUILIBRIUM_CAP_C);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use piton_sim::events::ActivityCounters;
 use serde::{Deserialize, Serialize};
 
 use crate::model::{OperatingPoint, PowerModel};
-use crate::thermal::{Cooling, ThermalModel};
+use crate::thermal::{Cooling, ThermalModel, EQUILIBRIUM_CAP_C};
 
 /// Maximum junction temperature at which the stability workload (a
 /// Linux boot) still passes.
@@ -235,7 +235,7 @@ impl VfSolver {
     pub fn equilibrium_junction(&self, vdd: Volts, f: Hertz) -> f64 {
         let (t_j, _) = self
             .thermal
-            .equilibrium(|t| self.boot_power(vdd, f, t), 120.0);
+            .equilibrium(|t| self.boot_power(vdd, f, t), EQUILIBRIUM_CAP_C);
         t_j
     }
 
