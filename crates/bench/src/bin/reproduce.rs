@@ -48,16 +48,18 @@
 //! (the default; stdout is byte-identical to builds that predate the
 //! knob), `--backend analytic`, or `--backend both` — also settable
 //! via `PITON_BACKEND`. The analytic backend runs a library of
-//! cycle-level probes for their activity rates, charges them with the
-//! cycle engine's own power law, reproduces the power figures from one
-//! term-table sum per point, and finishes with the
-//! `design_space` mega-sweep the cycle engine could never run. `both`
-//! runs the full cycle flow *and* the analytic backend on the same grid
-//! and appends a per-figure analytic-vs-cycle error table; any figure
-//! over its committed error budget fails the run. The backend (and,
-//! for analytic runs, the model's law digest) is part of the
-//! journal context, so a journal recorded under one backend refuses to
-//! resume under another. The run manifest records the backend.
+//! cycle-level probes for their activity rates and answers the power
+//! experiments' bench measurements from them with the cycle engine's
+//! own power law (`piton_core::analytic::AnalyticBench`); each power
+//! figure renders through its own table, titled `(analytic)`, and the
+//! run finishes with the `design_space` mega-sweep the cycle engine
+//! could never run. `both` runs the full cycle flow and each power
+//! experiment once more on the analytic bench — without the journal or
+//! the fault plan — and appends a per-figure analytic-vs-cycle error
+//! table; any figure over its committed error budget fails the run. The
+//! backend (and, for analytic runs, the model's law digest) is part of
+//! the journal context, so a journal recorded under one backend refuses
+//! to resume under another. The run manifest records the backend.
 //!
 //! Observability (see `piton_obs`): `--trace SPEC` (or `PITON_TRACE`)
 //! streams structured simulator events to a JSONL file — spec grammar
@@ -73,7 +75,14 @@ use std::time::{Duration, Instant};
 
 use piton_bench::flag_value;
 use piton_board::fault::FaultPlan;
-use piton_core::analytic::{self, compare, predict};
+use piton_core::analytic::{self, compare, AnalyticBench};
+use piton_core::bench::{Bench, CycleBench};
+use piton_core::experiments::core_scaling::CoreScalingResult;
+use piton_core::experiments::epi::EpiResult;
+use piton_core::experiments::mt_vs_mc::MtMcResult;
+use piton_core::experiments::noc_energy::NocEnergyResult;
+use piton_core::experiments::static_idle::StaticIdleResult;
+use piton_core::experiments::thermal::ThermalPowerResult;
 use piton_core::experiments::{
     ablations, area, core_scaling, design_space, epi, governor, mem_latency, memory_energy,
     mt_vs_mc, noc_energy, specint, static_idle, thermal, vf_sweep, yield_stats, Backend, Fidelity,
@@ -89,7 +98,7 @@ use piton_sim::watchdog;
 
 /// Wall/busy timing of one reproduced section.
 struct SectionTiming {
-    title: &'static str,
+    title: String,
     wall: Duration,
     stats: runner::SweepStats,
 }
@@ -107,6 +116,54 @@ fn parse_or_exit<T, E: std::fmt::Display>(
             std::process::exit(2);
         })
     })
+}
+
+/// Runs the bench-driven experiments once per selected backend: the
+/// cycle pass with the run's fault plan and journal, the analytic pass
+/// with neither, so it never serves, appends or crashes on a record of
+/// the cycle run.
+struct Passes<'a> {
+    cycle: bool,
+    analytic: Option<&'a AnalyticBench<'a>>,
+    plan: Option<&'a FaultPlan>,
+    journal: Option<&'a Mutex<Journal>>,
+}
+
+impl Passes<'_> {
+    fn run<R>(
+        &self,
+        run: impl Fn(&dyn Bench, Option<&FaultPlan>, Option<&Mutex<Journal>>) -> R,
+    ) -> Results<R> {
+        Results {
+            cycle: self
+                .cycle
+                .then(|| run(&CycleBench, self.plan, self.journal)),
+            analytic: self.analytic.map(|bench| run(bench, None, None)),
+        }
+    }
+}
+
+/// One experiment's result per backend.
+struct Results<R> {
+    cycle: Option<R>,
+    analytic: Option<R>,
+}
+
+impl<R> Results<R> {
+    /// The analytic-vs-cycle diff, when both backends ran.
+    fn compare<C>(&self, diff: impl Fn(&R, &R) -> C) -> Option<C> {
+        Some(diff(self.cycle.as_ref()?, self.analytic.as_ref()?))
+    }
+
+    /// The section's title and body: the cycle result when there is
+    /// one, else the analytic result under a marked title.
+    fn shown(&self, title: &str, render: impl Fn(&R) -> String) -> (String, String) {
+        match (&self.cycle, &self.analytic) {
+            (Some(r), _) => (title.to_owned(), render(r)),
+            (None, Some(r)) => (format!("{title} (analytic)"), render(r)),
+            (None, None) => unreachable!("every backend runs cycle, analytic or both"),
+        }
+    }
 }
 
 fn main() {
@@ -253,7 +310,7 @@ fn main() {
     // trace file.
     let run = || {
         let mut timings: Vec<SectionTiming> = Vec::new();
-        let mut section = |title: &'static str, body: String| {
+        let mut section = |title: &str, body: String| {
             println!("\n# {title}\n");
             println!("{body}");
             // `body` was produced before entry; charge the elapsed time
@@ -261,7 +318,11 @@ fn main() {
             let wall = t0.elapsed() - timings.iter().map(|t| t.wall).sum::<Duration>();
             let stats = runner::take_stats();
             eprintln!("[{:7.1?}] {title} done", t0.elapsed());
-            timings.push(SectionTiming { title, wall, stats });
+            timings.push(SectionTiming {
+                title: title.to_owned(),
+                wall,
+                stats,
+            });
         };
 
         section(
@@ -284,8 +345,8 @@ fn main() {
                 error: h.error.clone(),
             }));
         };
-        // Build the analytic rate library up front so the per-figure
-        // comparisons can ride along as each cycle result lands.
+        // Build the analytic rate library up front so each power figure
+        // can run on both benches as its section comes up.
         let cal = if backend.runs_analytic() {
             let t_cal = Instant::now();
             match analytic::calibrate(fidelity, analytic::battery::probe_specs()) {
@@ -306,68 +367,90 @@ fn main() {
             None
         };
         let mut comparisons: Vec<compare::FigureComparison> = Vec::new();
-        let mut fig13_wall: Option<Duration> = None;
-        if backend.runs_cycle() {
-            let static_result = static_idle::run(fidelity);
-            if let Some(cal) = &cal {
-                comparisons.extend(compare::compare_static_idle(&static_result, cal));
-            }
-            section(
-                "Figure 10 + Table V — static and idle power",
-                static_result.render(),
-            );
-            let epi_result = epi::run(fidelity, plan, journal);
-            holes += epi_result.holes.len();
-            record_holes(&mut hole_records, &epi_result.holes);
-            write_csv("figure11_epi.csv", epi_result.to_csv());
-            if let Some(cal) = &cal {
-                comparisons.push(compare::compare_epi(&epi_result, cal));
-            }
-            section(
-                "Figure 11 + Table VI — energy per instruction",
-                epi_result.render(),
-            );
+        let cycle = backend.runs_cycle();
+        let analytic_bench = cal.as_ref().map(AnalyticBench::new);
+        let passes = Passes {
+            cycle,
+            analytic: analytic_bench.as_ref(),
+            plan,
+            journal,
+        };
+
+        let static_result = passes.run(|bench, _, _| static_idle::run(bench, fidelity));
+        comparisons.extend(
+            static_result
+                .compare(compare::compare_static_idle)
+                .into_iter()
+                .flatten(),
+        );
+        let (title, body) = static_result.shown(
+            "Figure 10 + Table V — static and idle power",
+            StaticIdleResult::render,
+        );
+        section(&title, body);
+        let epi_result =
+            passes.run(|bench, plan, journal| epi::run(bench, fidelity, plan, journal));
+        if let Some(r) = &epi_result.cycle {
+            holes += r.holes.len();
+            record_holes(&mut hole_records, &r.holes);
+            write_csv("figure11_epi.csv", r.to_csv());
+        }
+        comparisons.extend(epi_result.compare(compare::compare_epi));
+        let (title, body) = epi_result.shown(
+            "Figure 11 + Table VI — energy per instruction",
+            EpiResult::render,
+        );
+        section(&title, body);
+        if cycle {
             let mem_result = memory_energy::run(fidelity);
             write_csv("table7_memory_energy.csv", mem_result.to_csv());
             section("Table VII — memory system energy", mem_result.render());
-            let noc_result = noc_energy::run(fidelity, plan, journal);
-            holes += noc_result.holes.len();
-            record_holes(&mut hole_records, &noc_result.holes);
-            write_csv("figure12_noc_epf.csv", noc_result.to_csv());
-            if let Some(cal) = &cal {
-                comparisons.push(compare::compare_noc(&noc_result, cal));
-            }
-            section("Figure 12 — NoC energy per flit", noc_result.render());
-            let cores: Vec<usize> = if quick {
-                vec![1, 5, 9, 13, 17, 21, 25]
-            } else {
-                (1..=25).collect()
-            };
-            let t_fig13 = Instant::now();
-            let scaling_result = core_scaling::run_with_cores(&cores, fidelity, plan, journal);
-            fig13_wall = Some(t_fig13.elapsed());
-            holes += scaling_result.holes.len();
-            record_holes(&mut hole_records, &scaling_result.holes);
-            if let Some(cal) = &cal {
-                comparisons.push(compare::compare_core_scaling(&scaling_result, cal));
-            }
-            section(
-                "Figure 13 — power scaling with core count",
-                scaling_result.render(),
-            );
-            let threads: Vec<usize> = if quick {
-                vec![8, 16, 24]
-            } else {
-                (1..=12).map(|k| 2 * k).collect()
-            };
-            let mt_result = mt_vs_mc::run_with_threads(&threads, fidelity);
-            if let Some(cal) = &cal {
-                comparisons.push(compare::compare_mt_vs_mc(&mt_result, cal));
-            }
-            section(
-                "Figure 14 — multithreading versus multicore",
-                mt_result.render(),
-            );
+        }
+        let noc_result =
+            passes.run(|bench, plan, journal| noc_energy::run(bench, fidelity, plan, journal));
+        if let Some(r) = &noc_result.cycle {
+            holes += r.holes.len();
+            record_holes(&mut hole_records, &r.holes);
+            write_csv("figure12_noc_epf.csv", r.to_csv());
+        }
+        comparisons.extend(noc_result.compare(compare::compare_noc));
+        let (title, body) =
+            noc_result.shown("Figure 12 — NoC energy per flit", NocEnergyResult::render);
+        section(&title, body);
+        let cores: Vec<usize> = if quick {
+            vec![1, 5, 9, 13, 17, 21, 25]
+        } else {
+            (1..=25).collect()
+        };
+        let t_fig13 = Instant::now();
+        let scaling_result = passes.run(|bench, plan, journal| {
+            core_scaling::run_with_cores(bench, &cores, fidelity, plan, journal)
+        });
+        let fig13_wall = cycle.then(|| t_fig13.elapsed());
+        if let Some(r) = &scaling_result.cycle {
+            holes += r.holes.len();
+            record_holes(&mut hole_records, &r.holes);
+        }
+        comparisons.extend(scaling_result.compare(compare::compare_core_scaling));
+        let (title, body) = scaling_result.shown(
+            "Figure 13 — power scaling with core count",
+            CoreScalingResult::render,
+        );
+        section(&title, body);
+        let threads: Vec<usize> = if quick {
+            vec![8, 16, 24]
+        } else {
+            (1..=12).map(|k| 2 * k).collect()
+        };
+        let mt_result =
+            passes.run(|bench, _, _| mt_vs_mc::run_with_threads(bench, &threads, fidelity));
+        comparisons.extend(mt_result.compare(compare::compare_mt_vs_mc));
+        let (title, body) = mt_result.shown(
+            "Figure 14 — multithreading versus multicore",
+            MtMcResult::render,
+        );
+        section(&title, body);
+        if cycle {
             section(
                 "Table VIII — system specifications",
                 specint::SpecResult::render_table_viii(),
@@ -386,14 +469,15 @@ fn main() {
                 "Figure 16 — gcc-166 power time series",
                 specint::run_timeseries(if quick { 48 } else { 256 }, fidelity).render(),
             );
-            let thermal_result = thermal::run_thermal_power(fidelity);
-            if let Some(cal) = &cal {
-                comparisons.push(compare::compare_thermal(&thermal_result, cal));
-            }
-            section(
-                "Figure 17 — power versus temperature",
-                thermal_result.render(),
-            );
+        }
+        let thermal_result = passes.run(|bench, _, _| thermal::run_thermal_power(bench, fidelity));
+        comparisons.extend(thermal_result.compare(compare::compare_thermal));
+        let (title, body) = thermal_result.shown(
+            "Figure 17 — power versus temperature",
+            ThermalPowerResult::render,
+        );
+        section(&title, body);
+        if cycle {
             section(
                 "Figure 18 — scheduling and thermal hysteresis",
                 thermal::run_scheduling(if quick { 64 } else { 180 }, 1.0, fidelity).render(),
@@ -423,12 +507,6 @@ fn main() {
                     ablations::execution_drafting(fidelity).render(),
                 ),
             );
-        } else if let Some(cal) = &cal {
-            // Analytic-only: closed-form reproductions of the power
-            // figures (timing/functional studies have no fast path).
-            for (title, body) in predict::render_analytic_sections(cal) {
-                section(title, body);
-            }
         }
         if let Some(cal) = &cal {
             let t_ds = Instant::now();
@@ -532,7 +610,7 @@ fn main() {
         sections: timings
             .iter()
             .map(|t| SectionRecord {
-                title: t.title.to_owned(),
+                title: t.title.clone(),
                 wall_s: t.wall.as_secs_f64(),
                 busy_s: t.stats.busy.as_secs_f64(),
                 sweeps: t.stats.sweeps as u64,

@@ -4,7 +4,10 @@
 //! A `--resume` under a different backend must be refused outright —
 //! exit status 2 and a context-mismatch diagnostic — before any grid
 //! point is recomputed or trusted. Malformed flag values get the same
-//! exit status 2 before any section runs.
+//! exit status 2 before any section runs. Under `--backend both` the
+//! journal and the fault plan belong to the cycle run alone: the
+//! analytic pass neither serves nor appends records and never fires a
+//! crash point.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -104,6 +107,91 @@ fn analytic_journal_without_the_model_digest_refuses_a_resume() {
         "{err}"
     );
     assert!(refused.stdout.is_empty(), "no section may run");
+
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&manifest);
+}
+
+/// The `reproduce quick --backend both` stdout, pinned byte for byte.
+const BOTH_GOLDEN: &str = include_str!("../../../tests/golden/reproduce_quick_both.txt");
+
+/// The `(served, appended)` counts of the run's closing journal line.
+fn journal_counts(out: &Output) -> (u64, u64) {
+    let err = stderr_text(out);
+    let line = err
+        .lines()
+        .find_map(|l| l.strip_prefix("reproduce: journal: "))
+        .unwrap_or_else(|| panic!("no journal summary: {err}"));
+    let count = |unit: &str| {
+        line.split(", ")
+            .find_map(|part| part.strip_suffix(unit))
+            .and_then(|n| n.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {unit:?} count in {line:?}"))
+    };
+    (count(" served"), count(" appended"))
+}
+
+#[test]
+fn both_backends_journal_the_cycle_run_only() {
+    let journal = tmp("both-journal");
+    let manifest = tmp("both-manifest.json");
+    let _ = std::fs::remove_file(&journal);
+    let (j, m) = (journal.to_str().unwrap(), manifest.to_str().unwrap());
+
+    let first = reproduce(&["--backend", "both", "--journal", j, "--metrics", m]);
+    assert!(first.status.success(), "{}", stderr_text(&first));
+    // 46 EPI + 36 NoC + 42 scaling cycle points and the 105 000
+    // design-space points: the analytic figure passes append nothing.
+    assert_eq!(journal_counts(&first), (0, 105_124));
+    assert!(
+        first.stdout == BOTH_GOLDEN.as_bytes(),
+        "stdout left the golden"
+    );
+
+    let resumed = reproduce(&[
+        "--backend",
+        "both",
+        "--journal",
+        j,
+        "--resume",
+        "--metrics",
+        m,
+    ]);
+    assert!(resumed.status.success(), "{}", stderr_text(&resumed));
+    assert_eq!(journal_counts(&resumed), (105_124, 0));
+    assert!(resumed.stdout == first.stdout, "resumed stdout differs");
+
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&manifest);
+}
+
+#[test]
+fn both_backends_crash_on_the_cycle_run_only_and_resume_identically() {
+    let journal = tmp("both-crash");
+    let manifest = tmp("both-crash-manifest.json");
+    let _ = std::fs::remove_file(&journal);
+    let (j, m) = (journal.to_str().unwrap(), manifest.to_str().unwrap());
+    let plan = "--fault-plan=crash=scaling:5";
+
+    let crashed = reproduce(&["--backend", "both", "--journal", j, plan, "--metrics", m]);
+    assert!(!crashed.status.success(), "the crash point must fire");
+    assert!(stderr_text(&crashed).contains("injected crash at scaling:5"));
+
+    let resumed = reproduce(&[
+        "--backend",
+        "both",
+        "--journal",
+        j,
+        "--resume",
+        plan,
+        "--metrics",
+        m,
+    ]);
+    assert!(resumed.status.success(), "{}", stderr_text(&resumed));
+    assert!(
+        resumed.stdout == BOTH_GOLDEN.as_bytes(),
+        "resumed stdout left the golden"
+    );
 
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&manifest);

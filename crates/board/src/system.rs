@@ -32,9 +32,7 @@ use piton_arch::units::{Hertz, Joules, Seconds, Volts, Watts};
 use piton_obs::{metrics, trace};
 use piton_power::governor::Governor;
 use piton_power::model::{OperatingPoint, PowerModel, RailPower};
-use piton_power::thermal::{
-    Cooling, ThermalModel, ThermalStep, EQUILIBRIUM_CAP_C, HEATING_SHARE, ROOM_AMBIENT_C,
-};
+use piton_power::thermal::{Cooling, ThermalModel, ThermalStep, HEATING_SHARE, ROOM_AMBIENT_C};
 use piton_power::{Calibration, ChipCorner, TechModel};
 use piton_sim::machine::Machine;
 use serde::{Deserialize, Serialize};
@@ -468,11 +466,10 @@ impl PitonSystem {
     /// activity at all, leakage at the thermal equilibrium.
     pub fn measure_static_power(&mut self) -> Measured {
         let op_cold = self.operating_point();
-        let leak = |t| self.model.static_power(op_cold.with_junction(t));
-        let (t_eq, _) = self
+        let p = self
             .thermal
-            .equilibrium(|t| leak(t).total_with_io(), EQUILIBRIUM_CAP_C);
-        let p = leak(t_eq).total();
+            .static_equilibrium(|t| self.model.static_power(op_cold.with_junction(t)))
+            .total();
         let mut w = MeasurementWindow::new();
         for _ in 0..64 {
             w.push(self.mon_vdd.sample(p));

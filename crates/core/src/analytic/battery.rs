@@ -1,26 +1,28 @@
 //! The rate library: a small set of cycle-level runs whose activity
-//! rates the analytic predictors evaluate.
+//! rates the analytic bench evaluates.
 //!
-//! Each probe replays one of the paper experiments' measurement idioms
-//! (the Figure 11 EPI tests on Chip #2, the Figure 12 invalidation
-//! traffic at a typical corner, the Figure 13/14 microbenchmarks on
-//! Chip #3, the Figure 17 thermal-study system) and records the
-//! per-cycle activity rates of its warm-up and measurement windows plus
-//! the operating point and die corner. The per-event energies are not
-//! measured here: the model reads them from the calibration table.
+//! Each probe builds its system through [`CycleBench::system`] — the
+//! same rig and workload setup the cycle bench measures (the Figure 11
+//! EPI tests and idle on Chip #2, the Figure 12 invalidation traffic at
+//! a typical corner, the Figure 13/14 microbenchmarks on Chip #3, the
+//! Figure 17 thermal-study rig) — and records the per-cycle activity
+//! rates of its warm-up and measurement windows. The per-event energies
+//! are not measured here: the model reads them from the calibration
+//! table.
 
-use piton_arch::config::ChipConfig;
 use piton_arch::error::PitonError;
 use piton_arch::isa::OperandPattern;
 use piton_arch::topology::{Mesh, TileId};
-use piton_arch::units::{Hertz, Volts};
+use piton_board::population::NamedChip;
 use piton_board::system::PitonSystem;
-use piton_power::model::{ChipCorner, OperatingPoint};
+use piton_power::model::ChipCorner;
 use piton_sim::machine::SwitchPattern;
-use piton_workloads::epi::{epi_test, EpiCase};
-use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
+use piton_workloads::epi::EpiCase;
+use piton_workloads::micro::{Microbenchmark, RunLength, ThreadsPerCore};
 
 use super::features::Features;
+use crate::bench::{CycleBench, ProbeKind, Rig};
+use crate::experiments::thermal::{fig17_rig, FIG17_THREADS};
 use crate::experiments::Fidelity;
 use crate::runner;
 
@@ -33,24 +35,6 @@ pub const MICRO_KNOTS: [usize; 7] = [1, 5, 9, 13, 17, 21, 25];
 /// fits over them extend the profile to the full 0..=8 hop axis. Hop 0
 /// is probed directly — it anchors the EPF baseline.
 pub const NOC_KNOTS: [usize; 4] = [0, 2, 5, 8];
-/// Thread counts of the Figure 17 thermal-study probes (the figure's
-/// own x-axis — six points is small enough to probe directly).
-pub const FIG17_THREADS: [usize; 6] = [0, 10, 20, 30, 40, 50];
-
-/// What one probe exercises.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProbeKind {
-    /// Chip #2 idle (clocks running, threads parked).
-    Idle,
-    /// One Figure 11 assembly test on all 25 cores of Chip #2.
-    Epi(EpiCase, OperandPattern),
-    /// Figure 12 invalidation traffic at one hop distance.
-    Noc(SwitchPattern, usize),
-    /// One microbenchmark configuration on Chip #3.
-    Micro(Microbenchmark, ThreadsPerCore, usize),
-    /// The Figure 17 thermal-study workload at one thread count.
-    Fig17(usize),
-}
 
 /// One completed cycle-level probe: a rate-library entry.
 #[derive(Debug, Clone)]
@@ -62,10 +46,6 @@ pub struct Probe {
     pub warm: Features,
     /// Per-cycle activity rates over the measurement window.
     pub rates: Features,
-    /// Operating point the window was measured at.
-    pub op: OperatingPoint,
-    /// Die corner of the probed system.
-    pub corner: ChipCorner,
 }
 
 /// The full rate library: idle + every Figure 11 cell + NoC
@@ -109,62 +89,21 @@ fn rates_of(
     ))
 }
 
+/// The rig each probe runs on: the Figure 11 tests and idle on Chip #2,
+/// the microbenchmarks on Chip #3, the Figure 17 workload on its
+/// thermal-study rig, and the NoC traffic on a typical die.
+fn rig_of(kind: ProbeKind) -> Rig {
+    match kind {
+        ProbeKind::Idle | ProbeKind::Epi(..) => Rig::chip(NamedChip::Chip2),
+        ProbeKind::Noc(_, hops) => Rig::new(ChipCorner::typical(), 0xA0 + hops as u64),
+        ProbeKind::Micro(..) => Rig::chip(NamedChip::Chip3),
+        ProbeKind::Fig17(threads) => fig17_rig(threads),
+    }
+}
+
 fn run_probe(kind: ProbeKind, fidelity: Fidelity) -> Result<Probe, PitonError> {
     let window = fidelity.chunk_cycles * fidelity.samples as u64;
-    let mut sys = match kind {
-        ProbeKind::Idle => PitonSystem::reference_chip_2(),
-        ProbeKind::Epi(case, pattern) => {
-            let mut sys = PitonSystem::reference_chip_2();
-            for t in 0..25 {
-                sys.machine_mut()
-                    .load_thread(TileId::new(t), 0, epi_test(case, pattern, t));
-            }
-            sys
-        }
-        ProbeKind::Noc(_, hops) => PitonSystem::new(
-            &ChipConfig::piton(),
-            ChipCorner::typical(),
-            0xA0 + hops as u64,
-        ),
-        ProbeKind::Micro(bench, tpc, cores) => {
-            let mut sys = PitonSystem::reference_chip_3();
-            load_microbenchmark(
-                sys.machine_mut(),
-                bench,
-                cores * tpc.count(),
-                tpc,
-                RunLength::Forever,
-            );
-            sys
-        }
-        ProbeKind::Fig17(threads) => {
-            // Mirrors the Figure 17 capture: same corner, 0.9 V /
-            // 100 MHz.
-            let i = FIG17_THREADS
-                .iter()
-                .position(|&t| t == threads)
-                .expect("thread count from FIG17_THREADS");
-            let corner = ChipCorner {
-                speed: 1.01,
-                leakage: 0.95,
-                dynamic: 1.02,
-            };
-            let mut sys = PitonSystem::new(&ChipConfig::piton(), corner, 0x17 + i as u64);
-            sys.set_vdd_tracked(Volts(0.9));
-            sys.set_frequency(Hertz::from_mhz(100.01));
-            if threads > 0 {
-                load_microbenchmark(
-                    sys.machine_mut(),
-                    Microbenchmark::Hp,
-                    threads,
-                    ThreadsPerCore::Two,
-                    RunLength::Forever,
-                );
-            }
-            sys
-        }
-    };
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
+    let mut sys = CycleBench::system(&rig_of(kind), kind, RunLength::Forever, fidelity);
     let (warm, rates) = match kind {
         ProbeKind::Noc(pattern, hops) => {
             // Mirrors the Figure 12 methodology: the traffic warms the
@@ -198,13 +137,7 @@ fn run_probe(kind: ProbeKind, fidelity: Fidelity) -> Result<Probe, PitonError> {
             (warm, rates)
         }
     };
-    Ok(Probe {
-        kind,
-        warm,
-        rates,
-        op: sys.operating_point(),
-        corner: sys.power_model().corner(),
-    })
+    Ok(Probe { kind, warm, rates })
 }
 
 /// Runs the given probes across the fidelity's sweep workers, in

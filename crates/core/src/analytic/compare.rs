@@ -1,17 +1,17 @@
 //! Analytic-vs-cycle conformance: per-figure error tables against the
 //! cycle engine treated as the oracle.
 //!
-//! Every comparison walks the *cycle* result (so fault holes simply
-//! drop out of the comparison), predicts the same quantity from the
-//! closed-form model, and records the relative error against a
-//! committed per-figure budget. Both backends charge the same
+//! Each experiment runs once per backend, and every comparison diffs
+//! the two results of the same type. It walks the *cycle* result (so
+//! fault holes simply drop out of the comparison), looks up the same
+//! quantity in the analytic result, and records the relative error
+//! against a committed per-figure budget. Both backends charge the same
 //! coefficients, so the error is the rate library's alone
 //! (interpolation between probes, probe-to-experiment noise). Each
 //! budget sits a small multiple above the largest error measured at
 //! quick and full fidelity (EXPERIMENTS.md lists both): tight enough to
 //! catch methodology drift between the backends.
 
-use super::{predict, Calibrated};
 use crate::experiments::core_scaling::CoreScalingResult;
 use crate::experiments::epi::EpiResult;
 use crate::experiments::mt_vs_mc::MtMcResult;
@@ -138,51 +138,42 @@ impl FigureComparison {
 
 /// Figure 10 + Table V: static and idle rail power per voltage step.
 #[must_use]
-pub fn compare_static_idle(cycle: &StaticIdleResult, cal: &Calibrated) -> Vec<FigureComparison> {
+pub fn compare_static_idle(
+    cycle: &StaticIdleResult,
+    analytic: &StaticIdleResult,
+) -> Vec<FigureComparison> {
     let mut fig10 = FigureComparison::new("figure_10");
-    let predicted = predict::static_idle(cal);
-    for (c, a) in cycle.points.iter().zip(&predicted) {
+    for (c, a) in cycle.points.iter().zip(&analytic.points) {
         let v = c.vdd.0;
         for (metric, cw, aw) in [
-            ("static_vdd", c.static_vdd.0, a.static_vdd),
-            ("static_vcs", c.static_vcs.0, a.static_vcs),
-            ("dynamic_vdd", c.dynamic_vdd.0, a.dynamic_vdd),
-            ("dynamic_vcs", c.dynamic_vcs.0, a.dynamic_vcs),
+            ("static_vdd", c.static_vdd, a.static_vdd),
+            ("static_vcs", c.static_vcs, a.static_vcs),
+            ("dynamic_vdd", c.dynamic_vdd, a.dynamic_vdd),
+            ("dynamic_vcs", c.dynamic_vcs, a.dynamic_vcs),
         ] {
-            fig10.push(format!("{v:.2} V {metric}"), cw, aw, FLOOR_W);
+            fig10.push(format!("{v:.2} V {metric}"), cw.0, aw.0, FLOOR_W);
         }
     }
     let mut tv = FigureComparison::new("table_v");
-    let (static_w, idle_w) = predict::table_v(cal);
-    tv.push(
-        "static".to_owned(),
-        cycle.table_v_static.0,
-        static_w,
-        FLOOR_W,
-    );
-    tv.push("idle".to_owned(), cycle.table_v_idle.0, idle_w, FLOOR_W);
+    for (label, c, a) in [
+        ("static", cycle.table_v_static, analytic.table_v_static),
+        ("idle", cycle.table_v_idle, analytic.table_v_idle),
+    ] {
+        tv.push(label.to_owned(), c.0, a.0, FLOOR_W);
+    }
     vec![fig10, tv]
 }
 
 /// Figure 11: EPI per instruction case and operand pattern.
 #[must_use]
-pub fn compare_epi(cycle: &EpiResult, cal: &Calibrated) -> FigureComparison {
+pub fn compare_epi(cycle: &EpiResult, analytic: &EpiResult) -> FigureComparison {
     let mut cmp = FigureComparison::new("figure_11");
-    let predicted = predict::epi(cal);
     for row in &cycle.rows {
         for (pattern, measured) in &row.epi_pj {
-            let Some((_, _, a)) = predicted
-                .iter()
-                .find(|(label, p, _)| *label == row.label && p == pattern)
-            else {
-                continue;
-            };
-            cmp.push(
-                format!("{} {pattern}", row.label),
-                measured.value,
-                *a,
-                FLOOR_PJ,
-            );
+            if let Some(a) = analytic.row(&row.label).and_then(|r| r.at(*pattern)) {
+                let label = format!("{} {pattern}", row.label);
+                cmp.push(label, measured.value, a.value, FLOOR_PJ);
+            }
         }
     }
     cmp
@@ -190,24 +181,16 @@ pub fn compare_epi(cycle: &EpiResult, cal: &Calibrated) -> FigureComparison {
 
 /// Figure 12: NoC pJ/hop trendlines and the 8-hop EPF endpoints.
 #[must_use]
-pub fn compare_noc(cycle: &NocEnergyResult, cal: &Calibrated) -> FigureComparison {
+pub fn compare_noc(cycle: &NocEnergyResult, analytic: &NocEnergyResult) -> FigureComparison {
     let mut cmp = FigureComparison::new("figure_12");
-    let predicted = predict::noc(cal);
     for series in &cycle.series {
-        let Some((_, points, slope)) = predicted.iter().find(|(p, _, _)| *p == series.pattern)
-        else {
+        let Some(a) = analytic.series_for(&series.pattern) else {
             continue;
         };
-        cmp.push(
-            format!("{} pJ/hop", series.pattern),
-            series.pj_per_hop,
-            *slope,
-            FLOOR_PJ,
-        );
-        if let (Some(&(8, c8)), Some(&(8, a8))) = (
-            series.points.iter().find(|p| p.0 == 8),
-            points.iter().find(|p| p.0 == 8),
-        ) {
+        let label = format!("{} pJ/hop", series.pattern);
+        cmp.push(label, series.pj_per_hop, a.pj_per_hop, FLOOR_PJ);
+        let at8 = |points: &[(usize, f64)]| points.iter().find(|p| p.0 == 8).map(|p| p.1);
+        if let (Some(c8), Some(a8)) = (at8(&series.points), at8(&a.points)) {
             cmp.push(format!("{} epf@8", series.pattern), c8, a8, FLOOR_PJ);
         }
     }
@@ -217,37 +200,29 @@ pub fn compare_noc(cycle: &NocEnergyResult, cal: &Calibrated) -> FigureCompariso
 /// Figure 13: full-chip watts per measured core count plus the fitted
 /// mW/core slopes and the chip idle.
 #[must_use]
-pub fn compare_core_scaling(cycle: &CoreScalingResult, cal: &Calibrated) -> FigureComparison {
+pub fn compare_core_scaling(
+    cycle: &CoreScalingResult,
+    analytic: &CoreScalingResult,
+) -> FigureComparison {
     let mut cmp = FigureComparison::new("figure_13");
     cmp.push(
         "chip3 idle".to_owned(),
         cycle.idle.0,
-        predict::chip3_idle_w(cal),
+        analytic.idle.0,
         FLOOR_W,
     );
     for series in &cycle.series {
         let name = format!("{} {}", series.bench.label(), series.tpc.label());
+        let a = analytic.series_for(series.bench, series.tpc);
         for &(cores, watts) in &series.points {
-            let a = predict::micro_power_w(cal, series.bench, series.tpc, cores as f64);
-            cmp.push(format!("{name} @{cores}"), watts, a, FLOOR_W);
+            if let Some(&(_, aw)) = a.points.iter().find(|p| p.0 == cores) {
+                cmp.push(format!("{name} @{cores}"), watts, aw, FLOOR_W);
+            }
         }
-        let fit: Vec<(f64, f64)> = series
-            .points
-            .iter()
-            .map(|&(c, _)| {
-                (
-                    c as f64,
-                    predict::micro_power_w(cal, series.bench, series.tpc, c as f64),
-                )
-            })
-            .collect();
-        if let Ok((_, slope)) = crate::measure::linear_fit(&fit) {
-            cmp.push(
-                format!("{name} mW/core"),
-                series.mw_per_core,
-                slope * 1e3,
-                1.0,
-            );
+        // A trendline with fewer than two surviving points is a hole.
+        if series.points.len() >= 2 {
+            let label = format!("{name} mW/core");
+            cmp.push(label, series.mw_per_core, a.mw_per_core, 1.0);
         }
     }
     cmp
@@ -255,15 +230,22 @@ pub fn compare_core_scaling(cycle: &CoreScalingResult, cal: &Calibrated) -> Figu
 
 /// Figure 14: steady-state total power per (benchmark, threads, T/C).
 #[must_use]
-pub fn compare_mt_vs_mc(cycle: &MtMcResult, cal: &Calibrated) -> FigureComparison {
+pub fn compare_mt_vs_mc(cycle: &MtMcResult, analytic: &MtMcResult) -> FigureComparison {
     let mut cmp = FigureComparison::new("figure_14");
     for series in &cycle.series {
+        let a = analytic.series_for(series.bench);
         for p in &series.points {
-            let a = predict::micro_power_w(cal, series.bench, p.tpc, p.active_cores as f64);
+            let Some(ap) = a
+                .points
+                .iter()
+                .find(|q| q.threads == p.threads && q.tpc == p.tpc)
+            else {
+                continue;
+            };
             cmp.push(
                 format!("{} {}T {}", series.bench.label(), p.threads, p.tpc.label()),
                 p.total_power.0,
-                a,
+                ap.total_power.0,
                 FLOOR_W,
             );
         }
@@ -273,18 +255,25 @@ pub fn compare_mt_vs_mc(cycle: &MtMcResult, cal: &Calibrated) -> FigureCompariso
 
 /// Figure 17: equilibrium power and surface temperature per point.
 #[must_use]
-pub fn compare_thermal(cycle: &ThermalPowerResult, cal: &Calibrated) -> FigureComparison {
+pub fn compare_thermal(
+    cycle: &ThermalPowerResult,
+    analytic: &ThermalPowerResult,
+) -> FigureComparison {
     let mut cmp = FigureComparison::new("figure_17");
-    let predicted = predict::thermal(cal);
     for p in &cycle.points {
-        let Some(&(_, _, a_power, a_surface)) = predicted.iter().find(|&&(threads, eff, _, _)| {
-            threads == p.threads && (eff - p.fan_effectiveness).abs() < 1e-9
+        let Some(a) = analytic.points.iter().find(|a| {
+            a.threads == p.threads && (a.fan_effectiveness - p.fan_effectiveness).abs() < 1e-9
         }) else {
             continue;
         };
         let label = format!("{}T fan {:.1}", p.threads, p.fan_effectiveness);
-        cmp.push(format!("{label} power"), p.power.0, a_power, FLOOR_W);
-        cmp.push(format!("{label} surface"), p.surface_c, a_surface, FLOOR_C);
+        cmp.push(format!("{label} power"), p.power.0, a.power.0, FLOOR_W);
+        cmp.push(
+            format!("{label} surface"),
+            p.surface_c,
+            a.surface_c,
+            FLOOR_C,
+        );
     }
     cmp
 }
@@ -325,35 +314,6 @@ pub fn error_table(comparisons: &[FigureComparison]) -> String {
         ]);
     }
     t.render()
-}
-
-/// Which experiment modules the analytic backend covers versus leaves
-/// to the cycle engine alone (timing and functional studies have no
-/// power-model fast path).
-#[must_use]
-pub fn coverage() -> (Vec<&'static str>, Vec<&'static str>) {
-    (
-        vec![
-            "static_idle",
-            "epi",
-            "noc_energy",
-            "core_scaling",
-            "mt_vs_mc",
-            "thermal (figure 17)",
-            "design_space",
-        ],
-        vec![
-            "vf_sweep (already closed-form, shared by both backends)",
-            "yield_stats (no power content)",
-            "area (no power content)",
-            "memory_energy (derived table, no steady-state sweep)",
-            "specint (timing-driven phase traces)",
-            "mem_latency (pure timing)",
-            "thermal (figure 18 scheduling transient)",
-            "governor (closed-loop control transients)",
-            "ablations (design-choice deltas need the cycle engine)",
-        ],
-    )
 }
 
 #[cfg(test)]

@@ -10,11 +10,12 @@ use std::sync::Mutex;
 use piton_arch::error::PitonError;
 use piton_arch::units::Watts;
 use piton_board::fault::{self, FaultPlan};
-use piton_board::system::PitonSystem;
-use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
+use piton_board::population::NamedChip;
+use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::bench::{Bench, ProbeKind, Rig};
 use crate::journal::Journal;
 use crate::measure::linear_fit;
 use crate::report::{render_holes, Hole, Table, HOLE_MARK};
@@ -84,69 +85,49 @@ pub fn grid() -> Vec<(Microbenchmark, ThreadsPerCore, usize)> {
     grid_with_cores(&cores)
 }
 
-/// Computes one Figure 13 grid point exactly as the [`run_with_cores`]
-/// sweep does — same index-derived seed, same sabotage gate — so a
-/// result computed here is bit-identical to one journaled by a full
-/// run under the same context.
+/// Computes one Figure 13 grid point on `bench` exactly as the
+/// [`run_with_cores`] sweep does — same index-derived seed, same
+/// sabotage gate — so a result computed here is bit-identical to one
+/// journaled by a full run under the same context.
 ///
 /// # Errors
 ///
 /// Propagates injected sabotage failures and measurement errors.
 pub fn compute_point(
+    bench: &dyn Bench,
     index: usize,
     point: &(Microbenchmark, ThreadsPerCore, usize),
     fidelity: Fidelity,
     plan: Option<&FaultPlan>,
     attempt: u32,
 ) -> Result<f64, PitonError> {
-    let &(bench, tpc, cores) = point;
+    let &(micro, tpc, cores) = point;
     if let Some(plan) = plan {
         fault::sabotage_gate(plan, "scaling", index, attempt)?;
     }
-    measure_point(
-        bench,
-        cores,
-        tpc,
-        fidelity,
-        plan,
-        ((index as u64) << 32) ^ u64::from(attempt),
-    )
-}
-
-fn measure_point(
-    bench: Microbenchmark,
-    cores: usize,
-    tpc: ThreadsPerCore,
-    fidelity: Fidelity,
-    plan: Option<&FaultPlan>,
-    seed: u64,
-) -> Result<f64, PitonError> {
-    let mut sys = PitonSystem::reference_chip_3();
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    if let Some(plan) = plan {
-        let mut plan = plan.clone();
-        plan.seed ^= seed;
-        sys.inject_faults(&plan);
-    }
-    let threads = cores * tpc.count();
-    load_microbenchmark(sys.machine_mut(), bench, threads, tpc, RunLength::Forever);
-    sys.warm_up(fidelity.warmup_cycles);
-    Ok(sys.try_measure(fidelity.samples)?.total.mean.0)
+    let seed = ((index as u64) << 32) ^ u64::from(attempt);
+    let work = ProbeKind::Micro(micro, tpc, cores);
+    let rig = Rig::chip(NamedChip::Chip3);
+    Ok(bench
+        .measure(&rig, work, fidelity, plan.map(|p| (p, seed)))?
+        .total
+        .mean
+        .0)
 }
 
 /// Runs the Figure 13 sweep over the given core counts (the harness
-/// sweeps 1..=25; tests use fewer points) under an optional fault plan,
-/// serving and recording points through an optional result journal.
+/// sweeps 1..=25; tests use fewer points) on `bench` under an optional
+/// fault plan, serving and recording points through an optional result
+/// journal.
 #[must_use]
 pub fn run_with_cores(
+    bench: &dyn Bench,
     core_counts: &[usize],
     fidelity: Fidelity,
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> CoreScalingResult {
-    let mut idle_sys = PitonSystem::reference_chip_3();
-    idle_sys.set_chunk_cycles(fidelity.chunk_cycles);
-    let idle = idle_sys.measure_idle_power().mean;
+    let idle = bench.idle_power(&Rig::chip(NamedChip::Chip3), fidelity);
 
     // 3 benchmarks × 2 T/C × core counts, all independent systems.
     let grid = grid_with_cores(core_counts);
@@ -157,7 +138,7 @@ pub fn run_with_cores(
         "scaling",
         plan,
         journal,
-        |index, point, attempt| compute_point(index, point, fidelity, plan, attempt),
+        |index, point, attempt| compute_point(bench, index, point, fidelity, plan, attempt),
     );
 
     let mut holes: Vec<Hole> = grid
@@ -209,15 +190,16 @@ pub fn run_with_cores(
     }
 }
 
-/// Runs the full 1..=25-core sweep.
+/// Runs the full 1..=25-core sweep on `bench`.
 #[must_use]
 pub fn run(
+    bench: &dyn Bench,
     fidelity: Fidelity,
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> CoreScalingResult {
     let cores: Vec<usize> = (1..=25).collect();
-    run_with_cores(&cores, fidelity, plan, journal)
+    run_with_cores(bench, &cores, fidelity, plan, journal)
 }
 
 impl CoreScalingResult {
@@ -283,9 +265,11 @@ impl CoreScalingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::CycleBench;
 
     fn result() -> CoreScalingResult {
-        run_with_cores(&[1, 5, 9, 13, 17, 21, 25], Fidelity::quick(), None, None)
+        let cores = [1, 5, 9, 13, 17, 21, 25];
+        run_with_cores(&CycleBench, &cores, Fidelity::quick(), None, None)
     }
 
     #[test]

@@ -23,18 +23,18 @@ use std::sync::Mutex;
 use piton_arch::error::PitonError;
 use piton_arch::units::{Hertz, Volts};
 use piton_board::population::NamedChip;
-use piton_board::system::PitonSystem;
 use piton_power::model::OperatingPoint;
 use piton_power::tech::TechModel;
 use piton_power::thermal::{Cooling, ThermalModel, ROOM_AMBIENT_C};
-use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
+use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 
 use piton_board::fault::{self, FaultPlan};
 use piton_obs::json::{ObjectBuilder, Value};
 
 use crate::analytic::battery::MICRO_KNOTS;
 use crate::analytic::compare::FigureComparison;
-use crate::analytic::{Calibrated, Features, ProbeKind};
+use crate::analytic::{Calibrated, Features};
+use crate::bench::{Bench, CycleBench, ProbeKind, Rig};
 use crate::journal::{Journal, JournalPayload};
 use crate::report::{Hole, Table, ANALYTIC_MARK, HOLE_MARK};
 use crate::runner;
@@ -432,21 +432,15 @@ pub fn cycle_oracle(cal: &Calibrated, fidelity: Fidelity) -> FigureComparison {
         .collect();
     let table = mix_table(cal);
     let compared = runner::sweep(fidelity.jobs, sample, |_, (mix, cores, vdd)| {
-        let bench = Microbenchmark::ALL[mix];
         let freq = tech.fmax(Volts(vdd));
-        let mut sys = PitonSystem::reference_chip_3();
-        sys.set_chunk_cycles(fidelity.chunk_cycles);
-        sys.set_vdd_tracked(Volts(vdd));
-        sys.set_frequency(freq);
-        load_microbenchmark(
-            sys.machine_mut(),
-            bench,
-            cores,
-            ThreadsPerCore::One,
-            RunLength::Forever,
-        );
-        sys.warm_up(fidelity.warmup_cycles);
-        let cycle_w = sys.measure(fidelity.samples).total.mean.0;
+        let rig = Rig::chip(NamedChip::Chip3).at(Volts(vdd), freq);
+        let work = ProbeKind::Micro(Microbenchmark::ALL[mix], ThreadsPerCore::One, cores);
+        let cycle_w = CycleBench
+            .measure(&rig, work, fidelity, None)
+            .expect("fault-free window")
+            .total
+            .mean
+            .0;
         let p = GridPoint {
             vdd: Volts(vdd),
             freq_frac: 1.0,

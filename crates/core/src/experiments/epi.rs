@@ -11,12 +11,14 @@ use std::sync::Mutex;
 
 use piton_arch::error::PitonError;
 use piton_arch::isa::{Opcode, OperandPattern};
+use piton_arch::units::Watts;
 use piton_board::fault::{self, FaultPlan};
-use piton_board::system::PitonSystem;
-use piton_workloads::epi::{epi_test, EpiCase, StoreVariant, STX_DRAIN_NOPS};
+use piton_board::population::NamedChip;
+use piton_workloads::epi::{EpiCase, StoreVariant, STX_DRAIN_NOPS};
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::bench::{Bench, ProbeKind, Rig};
 use crate::journal::Journal;
 use crate::measure::{epi_with_error, WithError};
 use crate::report::{render_holes, Hole, Table, HOLE_MARK};
@@ -76,37 +78,28 @@ fn point_label(case: EpiCase, pattern: OperandPattern) -> String {
     format!("{}/{}", case.label(), pattern)
 }
 
+/// The §IV-E rig: every EPI test and its idle baseline run on Chip #2.
+fn rig() -> Rig {
+    Rig::chip(NamedChip::Chip2)
+}
+
 fn measure_case(
+    bench: &dyn Bench,
     case: EpiCase,
     pattern: OperandPattern,
     idle: (f64, f64),
     fidelity: Fidelity,
     nop_epi: Option<f64>,
-    plan: Option<&FaultPlan>,
-    seed: u64,
+    faults: Option<(&FaultPlan, u64)>,
 ) -> Result<WithError, PitonError> {
-    let mut sys = PitonSystem::reference_chip_2();
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    if let Some(plan) = plan {
-        let mut plan = plan.clone();
-        plan.seed ^= seed;
-        sys.inject_faults(&plan);
-    }
-    for t in 0..25 {
-        let p = epi_test(case, pattern, t);
-        sys.machine_mut()
-            .load_thread(piton_arch::TileId::new(t), 0, p);
-    }
-    sys.warm_up(fidelity.warmup_cycles);
-    let m = sys.try_measure(fidelity.samples)?;
-    let f = sys.frequency();
+    let m = bench.measure(&rig(), ProbeKind::Epi(case, pattern), fidelity, faults)?;
     let latency = case.opcode().base_latency();
     let mut epi = epi_with_error(
         m.total.mean,
         m.total.stddev,
-        piton_arch::units::Watts(idle.0),
-        piton_arch::units::Watts(idle.1),
-        f,
+        Watts(idle.0),
+        Watts(idle.1),
+        rig().op().freq,
         latency,
     );
     if case == EpiCase::Store(StoreVariant::NotFull) {
@@ -119,33 +112,33 @@ fn measure_case(
 }
 
 /// Runs a chosen subset of cases (tests use a few; the harness runs all)
-/// under an optional fault plan, serving and recording points through an
-/// optional result journal.
+/// on `bench` under an optional fault plan, serving and recording
+/// points through an optional result journal.
 #[must_use]
 pub fn run_cases(
+    bench: &dyn Bench,
     cases: &[EpiCase],
     fidelity: Fidelity,
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> EpiResult {
     // Idle baseline.
-    let mut sys = PitonSystem::reference_chip_2();
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    sys.warm_up(fidelity.warmup_cycles);
-    let idle_m = sys.measure(fidelity.samples);
+    let idle_m = bench
+        .measure(&rig(), ProbeKind::Idle, fidelity, None)
+        .expect("fault-free idle window");
     let idle = (idle_m.total.mean.0, idle_m.total.stddev.0);
 
     // nop EPI first (needed by the stx (NF) subtraction); baselines are
     // always measured fault-free so one glitchy window cannot poison
     // every row of the table.
     let nop_epi = measure_case(
+        bench,
         EpiCase::Plain(Opcode::Nop),
         OperandPattern::Random,
         idle,
         fidelity,
         None,
         None,
-        0,
     )
     .expect("fault-free baseline measurement cannot fail");
 
@@ -178,13 +171,13 @@ pub fn run_cases(
                 Ok(nop_epi)
             } else {
                 measure_case(
+                    bench,
                     case,
                     pattern,
                     idle,
                     fidelity,
                     Some(nop_epi.value),
-                    plan,
-                    attempt_seed(index, attempt),
+                    plan.map(|p| (p, attempt_seed(index, attempt))),
                 )
             }
         },
@@ -219,14 +212,15 @@ pub fn run_cases(
     }
 }
 
-/// Runs the full Figure 11 sweep.
+/// Runs the full Figure 11 sweep on `bench`.
 #[must_use]
 pub fn run(
+    bench: &dyn Bench,
     fidelity: Fidelity,
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> EpiResult {
-    run_cases(&EpiCase::figure_11(), fidelity, plan, journal)
+    run_cases(bench, &EpiCase::figure_11(), fidelity, plan, journal)
 }
 
 impl EpiResult {
@@ -309,9 +303,11 @@ impl EpiResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::CycleBench;
 
     fn quick_cases() -> EpiResult {
         run_cases(
+            &CycleBench,
             &[
                 EpiCase::Plain(Opcode::Nop),
                 EpiCase::Plain(Opcode::Add),

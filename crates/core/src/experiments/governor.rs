@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use super::thermal::{bare_package_rig, ScheduleTrace, SchedulingSample};
 use super::Fidelity;
+use crate::bench::Rig;
 use crate::report::Table;
 use crate::runner;
 
@@ -251,22 +252,15 @@ pub struct HysteresisResult {
 /// the loop starting from the paper's 100.01 MHz operating point.
 #[must_use]
 pub fn run_hysteresis(samples: usize, dt_seconds: f64, fidelity: Fidelity) -> HysteresisResult {
-    let corner = piton_power::ChipCorner {
-        speed: 1.01,
-        leakage: 0.95,
-        dynamic: 1.02,
-    };
     let traces = runner::sweep(
         fidelity.jobs,
         vec![Schedule::Synchronized, Schedule::Interleaved],
         move |_, schedule| {
-            let mut sys = PitonSystem::new(&ChipConfig::piton(), corner, 0x18);
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
-            sys.set_vdd_tracked(Volts(0.9));
             // Same operating point as the open-loop study, *before*
             // warm-up — warming up at the default clock would settle
             // the bare-package rig far above the Figure 18 regime.
-            sys.set_frequency(piton_arch::units::Hertz::from_mhz(100.01));
+            let mut sys = Rig::thermal_study(0x18).system();
+            sys.set_chunk_cycles(fidelity.chunk_cycles);
             *sys.thermal_mut() = bare_package_rig(0.5);
             let phase_iters = (fidelity.chunk_cycles / 4).max(200) as u32;
             load_two_phase(sys.machine_mut(), schedule, phase_iters);

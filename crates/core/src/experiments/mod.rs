@@ -18,7 +18,12 @@
 //! | [`design_space`] | beyond the paper — analytic VDD × f × cores × mix mega-sweep |
 //!
 //! Every experiment takes a [`Fidelity`] so tests can run scaled-down
-//! versions of the same code path the full harness uses. The four
+//! versions of the same code path the full harness uses. The power
+//! experiments ([`static_idle`], [`epi`], [`noc_energy`],
+//! [`core_scaling`], [`mt_vs_mc`] and Figure 17 of [`thermal`]) also
+//! take the [`crate::bench::Bench`] that answers their measurements, so
+//! each runs unchanged on the cycle engine or the analytic backend. The
+//! four
 //! durable sweeps ([`epi`], [`noc_energy`], [`core_scaling`],
 //! [`design_space`]) also borrow an optional fault plan and result
 //! journal from their caller. Beyond the paper's artifacts,

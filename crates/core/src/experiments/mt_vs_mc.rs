@@ -7,14 +7,16 @@
 //! are split into an *active* portion and the idle portion charged for
 //! the number of active cores (full-chip idle divided by 25, times
 //! active cores) — so multicore is charged double the idle power of
-//! multithreading.
+//! multithreading. A bench that cannot time a run (the analytic one)
+//! reports time and energy as [`Unsupported`].
 
 use piton_arch::units::{Joules, Seconds, Watts};
-use piton_board::system::PitonSystem;
-use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
+use piton_board::population::NamedChip;
+use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::bench::{Bench, ProbeKind, Rig, Unsupported};
 use crate::report::Table;
 use crate::runner;
 
@@ -34,19 +36,22 @@ pub struct MtMcPoint {
     /// Power above full-chip idle (the "active power").
     pub active_power: Watts,
     /// Execution time of the fixed-iteration variant.
-    pub exec_time: Seconds,
+    pub exec_time: Result<Seconds, Unsupported>,
     /// Active energy (active power × time).
-    pub active_energy: Joules,
+    pub active_energy: Result<Joules, Unsupported>,
     /// Active-cores idle energy (active idle power × time).
-    pub idle_energy: Joules,
+    pub idle_energy: Result<Joules, Unsupported>,
 }
 
 impl MtMcPoint {
     /// Total attributed energy (active + active-cores idle), the
     /// quantity Figure 14's stacked bars sum to.
-    #[must_use]
-    pub fn total_energy(&self) -> Joules {
-        self.active_energy + self.idle_energy
+    ///
+    /// # Errors
+    ///
+    /// [`Unsupported`] where the bench could not time the run.
+    pub fn total_energy(&self) -> Result<Joules, Unsupported> {
+        Ok(self.active_energy? + self.idle_energy?)
     }
 }
 
@@ -81,32 +86,30 @@ fn iterations(bench: Microbenchmark, fidelity: Fidelity) -> u32 {
 }
 
 fn measure_point(
-    bench: Microbenchmark,
+    bench: &dyn Bench,
+    micro: Microbenchmark,
     threads: usize,
     tpc: ThreadsPerCore,
     chip_idle: Watts,
     fidelity: Fidelity,
 ) -> MtMcPoint {
-    // Steady-state power with the infinite variant.
-    let mut sys = PitonSystem::reference_chip_3();
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    let active_cores =
-        load_microbenchmark(sys.machine_mut(), bench, threads, tpc, RunLength::Forever);
-    sys.warm_up(fidelity.warmup_cycles);
-    let total_power = sys.measure(fidelity.samples).total.mean;
-
-    // Execution time with the fixed-iteration variant.
-    let mut timed = PitonSystem::reference_chip_3();
-    timed.set_chunk_cycles(fidelity.chunk_cycles);
-    load_microbenchmark(
-        timed.machine_mut(),
-        bench,
-        threads,
-        tpc,
-        RunLength::Iterations(iterations(bench, fidelity)),
+    assert_eq!(
+        threads % tpc.count(),
+        0,
+        "{threads} threads at {}",
+        tpc.label()
     );
-    let run = timed.run_measured(400_000_000);
-    assert!(run.completed, "{} did not finish", bench.label());
+    let active_cores = threads / tpc.count();
+    let rig = Rig::chip(NamedChip::Chip3);
+    let work = ProbeKind::Micro(micro, tpc, active_cores);
+    // Steady-state power with the infinite variant, execution time with
+    // the fixed-iteration one.
+    let total_power = bench
+        .measure(&rig, work, fidelity, None)
+        .expect("fault-free window")
+        .total
+        .mean;
+    let exec_time = bench.run_time(&rig, work, iterations(micro, fidelity), fidelity);
 
     let active_idle_power = chip_idle * (active_cores as f64 / 25.0);
     let active_power = (total_power - chip_idle).max(Watts::ZERO);
@@ -117,19 +120,21 @@ fn measure_point(
         total_power,
         active_idle_power,
         active_power,
-        exec_time: run.elapsed,
-        active_energy: active_power * run.elapsed,
-        idle_energy: active_idle_power * run.elapsed,
+        exec_time,
+        active_energy: exec_time.map(|t| active_power * t),
+        idle_energy: exec_time.map(|t| active_idle_power * t),
     }
 }
 
 /// Runs the Figure 14 sweep over the given thread counts (the harness
-/// uses 2..=24 even counts).
+/// uses 2..=24 even counts) on `bench`.
 #[must_use]
-pub fn run_with_threads(thread_counts: &[usize], fidelity: Fidelity) -> MtMcResult {
-    let mut idle_sys = PitonSystem::reference_chip_3();
-    idle_sys.set_chunk_cycles(fidelity.chunk_cycles);
-    let chip_idle = idle_sys.measure_idle_power().mean;
+pub fn run_with_threads(
+    bench: &dyn Bench,
+    thread_counts: &[usize],
+    fidelity: Fidelity,
+) -> MtMcResult {
+    let chip_idle = bench.idle_power(&Rig::chip(NamedChip::Chip3), fidelity);
 
     // 3 benchmarks × thread counts × 2 T/C; the shared chip-idle
     // baseline was measured once above and is copied into every point.
@@ -143,8 +148,8 @@ pub fn run_with_threads(thread_counts: &[usize], fidelity: Fidelity) -> MtMcResu
             })
         })
         .collect();
-    let points = runner::sweep(fidelity.jobs, grid, |_, (bench, threads, tpc)| {
-        measure_point(bench, threads, tpc, chip_idle, fidelity)
+    let points = runner::sweep(fidelity.jobs, grid, |_, (micro, threads, tpc)| {
+        measure_point(bench, micro, threads, tpc, chip_idle, fidelity)
     });
 
     let per_bench = thread_counts.len() * 2;
@@ -159,11 +164,11 @@ pub fn run_with_threads(thread_counts: &[usize], fidelity: Fidelity) -> MtMcResu
     MtMcResult { series, chip_idle }
 }
 
-/// Runs the full sweep (thread counts 2, 4, …, 24).
+/// Runs the full sweep (thread counts 2, 4, …, 24) on `bench`.
 #[must_use]
-pub fn run(fidelity: Fidelity) -> MtMcResult {
+pub fn run(bench: &dyn Bench, fidelity: Fidelity) -> MtMcResult {
     let threads: Vec<usize> = (1..=12).map(|k| 2 * k).collect();
-    run_with_threads(&threads, fidelity)
+    run_with_threads(bench, &threads, fidelity)
 }
 
 impl MtMcResult {
@@ -195,6 +200,9 @@ impl MtMcResult {
                 "Active E (J)",
                 "Idle E (J)",
             ]);
+            let timed = |cell: Result<f64, Unsupported>, text: fn(f64) -> String| {
+                cell.map_or_else(|_| "unsupported".to_owned(), text)
+            };
             for p in &s.points {
                 t.row([
                     p.threads.to_string(),
@@ -202,9 +210,9 @@ impl MtMcResult {
                     p.active_cores.to_string(),
                     format!("{:.3}", p.active_power.0),
                     format!("{:.3}", p.active_idle_power.0),
-                    format!("{:.3}", p.exec_time.0 * 1e3),
-                    format!("{:.6}", p.active_energy.0),
-                    format!("{:.6}", p.idle_energy.0),
+                    timed(p.exec_time.map(|t| t.0 * 1e3), |ms| format!("{ms:.3}")),
+                    timed(p.active_energy.map(|e| e.0), |j| format!("{j:.6}")),
+                    timed(p.idle_energy.map(|e| e.0), |j| format!("{j:.6}")),
                 ]);
             }
             out.push_str(&t.render());
@@ -217,9 +225,10 @@ impl MtMcResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::CycleBench;
 
     fn result() -> MtMcResult {
-        run_with_threads(&[8, 16], Fidelity::quick())
+        run_with_threads(&CycleBench, &[8, 16], Fidelity::quick())
     }
 
     fn pick(
@@ -261,14 +270,14 @@ mod tests {
                 mc.total_power
             );
             assert!(
-                mt.total_energy().0 > mc.total_energy().0,
+                mt.total_energy().unwrap().0 > mc.total_energy().unwrap().0,
                 "{}: MT energy {} !> MC energy {}",
                 bench.label(),
-                mt.total_energy().0,
-                mc.total_energy().0
+                mt.total_energy().unwrap().0,
+                mc.total_energy().unwrap().0
             );
             // Execution-time ratio ≈ 2 (little overlap).
-            let ratio = mt.exec_time.0 / mc.exec_time.0;
+            let ratio = mt.exec_time.unwrap().0 / mc.exec_time.unwrap().0;
             assert!(
                 (1.5..=2.3).contains(&ratio),
                 "{}: ratio {ratio}",
@@ -284,14 +293,14 @@ mod tests {
         let mc = pick(&r, Microbenchmark::Hist, 16, ThreadsPerCore::One);
         let mt = pick(&r, Microbenchmark::Hist, 16, ThreadsPerCore::Two);
         // Execution times are similar (lots of overlap)...
-        let ratio = mt.exec_time.0 / mc.exec_time.0;
+        let ratio = mt.exec_time.unwrap().0 / mc.exec_time.unwrap().0;
         assert!(ratio < 1.7, "Hist MT/MC time ratio {ratio}");
         // ...so the double idle charge makes multicore lose.
         assert!(
-            mt.total_energy().0 < mc.total_energy().0 * 1.05,
+            mt.total_energy().unwrap().0 < mc.total_energy().unwrap().0 * 1.05,
             "Hist: MT {} vs MC {}",
-            mt.total_energy().0,
-            mc.total_energy().0
+            mt.total_energy().unwrap().0,
+            mc.total_energy().unwrap().0
         );
     }
 
@@ -301,6 +310,7 @@ mod tests {
         let e = |bench, threads| {
             pick(&r, bench, threads, ThreadsPerCore::One)
                 .total_energy()
+                .unwrap()
                 .0
         };
         // Int/HP double total work when threads double.

@@ -11,14 +11,14 @@
 use std::sync::Mutex;
 
 use piton_arch::error::PitonError;
-use piton_arch::topology::TileId;
-use piton_arch::units::Watts;
+use piton_arch::units::{Hertz, Watts};
 use piton_board::fault::{self, FaultPlan};
-use piton_board::system::PitonSystem;
+use piton_power::ChipCorner;
 use piton_sim::machine::SwitchPattern;
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::bench::{Bench, Rig};
 use crate::journal::Journal;
 use crate::measure::{epf_pj, linear_fit};
 use crate::report::{render_holes, Hole, Table, HOLE_MARK};
@@ -57,29 +57,6 @@ pub fn paper_reference() -> Vec<(&'static str, f64)> {
     ]
 }
 
-fn measure_power(pattern: SwitchPattern, dst: TileId, fidelity: Fidelity, seed: u64) -> Watts {
-    let mut sys = PitonSystem::new(
-        &piton_arch::config::ChipConfig::piton(),
-        piton_power::ChipCorner::typical(),
-        seed,
-    );
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    // Drive traffic continuously; sample power per chunk of traffic.
-    let mut window = piton_board::monitor::MeasurementWindow::new();
-    // Warm the link wire state.
-    sys.machine_mut()
-        .run_invalidation_traffic(dst, pattern, fidelity.warmup_cycles / 4);
-    for _ in 0..fidelity.samples {
-        let before = sys.machine().counters().clone();
-        sys.machine_mut()
-            .run_invalidation_traffic(dst, pattern, fidelity.chunk_cycles);
-        let delta = sys.machine().counters().delta_since(&before);
-        let p = sys.power_model().power(&delta, sys.operating_point());
-        window.push(p.total());
-    }
-    window.mean().expect("traffic window is never empty")
-}
-
 /// Figure 12 cell label, shared by the sweep and the hole trailer.
 fn point_label(pattern: SwitchPattern, hops: usize) -> String {
     format!("{} hop {hops}", pattern.label())
@@ -97,15 +74,16 @@ pub fn grid() -> Vec<(usize, SwitchPattern, usize)> {
         .collect()
 }
 
-/// Computes one Figure 12 grid point exactly as the [`run`] sweep does
-/// — same per-pattern seed, same sabotage gate — so a result computed
-/// here is bit-identical to one journaled by a full run under the same
-/// context.
+/// Computes one Figure 12 grid point on `bench` exactly as the [`run`]
+/// sweep does — same per-pattern seed, same sabotage gate — so a result
+/// computed here is bit-identical to one journaled by a full run under
+/// the same context.
 ///
 /// # Errors
 ///
 /// Propagates injected sabotage failures from the fault plan.
 pub fn compute_point(
+    bench: &dyn Bench,
     index: usize,
     point: &(usize, SwitchPattern, usize),
     fidelity: Fidelity,
@@ -116,21 +94,20 @@ pub fn compute_point(
     if let Some(plan) = plan {
         fault::sabotage_gate(plan, "noc", index, attempt)?;
     }
-    let dst = piton_arch::topology::Mesh::piton()
-        .tile_at_distance(TileId::new(0), hops)
-        .expect("5x5 mesh covers 0..=8 hops");
-    Ok(measure_power(pattern, dst, fidelity, 0xE0 + i as u64))
+    let rig = Rig::new(ChipCorner::typical(), 0xE0 + i as u64);
+    Ok(bench.traffic_power(&rig, pattern, hops, fidelity))
 }
 
-/// Runs the Figure 12 sweep under an optional fault plan, serving and
-/// recording points through an optional result journal.
+/// Runs the Figure 12 sweep on `bench` under an optional fault plan,
+/// serving and recording points through an optional result journal.
 #[must_use]
 pub fn run(
+    bench: &dyn Bench,
     fidelity: Fidelity,
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> NocEnergyResult {
-    let f = piton_arch::units::Hertz::from_mhz(500.05);
+    let f = Hertz::from_mhz(500.05);
     // Every point an isolated system; hop 0 is the pattern's baseline
     // power the others subtract.
     let powers = runner::try_sweep_journaled(
@@ -140,7 +117,7 @@ pub fn run(
         "noc",
         plan,
         journal,
-        |index, point, attempt| compute_point(index, point, fidelity, plan, attempt),
+        |index, point, attempt| compute_point(bench, index, point, fidelity, plan, attempt),
     );
 
     let mut holes = Vec::new();
@@ -272,9 +249,10 @@ impl NocEnergyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::CycleBench;
 
     fn result() -> NocEnergyResult {
-        run(Fidelity::quick(), None, None)
+        run(&CycleBench, Fidelity::quick(), None, None)
     }
 
     #[test]

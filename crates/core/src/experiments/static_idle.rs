@@ -10,10 +10,10 @@
 
 use piton_arch::units::{Hertz, Volts, Watts};
 use piton_board::population::NamedChip;
-use piton_board::system::PitonSystem;
 use serde::{Deserialize, Serialize};
 
 use super::{vf_sweep, Fidelity};
+use crate::bench::{Bench, ProbeKind, Rig};
 use crate::report::Table;
 use crate::runner;
 
@@ -66,26 +66,17 @@ pub fn paper_table_v() -> (Watts, Watts) {
 }
 
 fn measure_chip(
+    bench: &dyn Bench,
     chip: NamedChip,
     vdd: Volts,
     freq: Hertz,
     fidelity: Fidelity,
 ) -> (Watts, Watts, Watts, Watts) {
-    let mut sys = PitonSystem::new(
-        &piton_arch::config::ChipConfig::piton(),
-        chip.corner(),
-        0xF10 + chip as u64,
-    );
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    sys.set_vdd_tracked(vdd);
-    sys.set_frequency(freq);
-
-    let s = {
-        let op = sys.operating_point();
-        sys.power_model().static_power(op)
-    };
-    sys.warm_up(fidelity.warmup_cycles);
-    let idle = sys.measure(fidelity.samples);
+    let rig = Rig::new(chip.corner(), 0xF10 + chip as u64).at(vdd, freq);
+    let s = bench.static_power(&rig);
+    let idle = bench
+        .measure(&rig, ProbeKind::Idle, fidelity, None)
+        .expect("fault-free idle window");
     (
         s.vdd,
         s.vcs,
@@ -94,9 +85,9 @@ fn measure_chip(
     )
 }
 
-/// Runs the Figure 10 sweep and the Table V defaults.
+/// Runs the Figure 10 sweep and the Table V defaults on `bench`.
 #[must_use]
-pub fn run(fidelity: Fidelity) -> StaticIdleResult {
+pub fn run(bench: &dyn Bench, fidelity: Fidelity) -> StaticIdleResult {
     let vf = vf_sweep::run_with_jobs(fidelity.jobs);
     // 9 voltage steps × 3 chips, averaged per step after the sweep.
     let grid: Vec<(Volts, Hertz, NamedChip)> = vf
@@ -112,7 +103,7 @@ pub fn run(fidelity: Fidelity) -> StaticIdleResult {
         })
         .collect();
     let measured = runner::sweep(fidelity.jobs, grid.clone(), |_, (vdd, freq, chip)| {
-        measure_chip(chip, vdd, freq, fidelity)
+        measure_chip(bench, chip, vdd, freq, fidelity)
     });
 
     let points = grid
@@ -138,10 +129,7 @@ pub fn run(fidelity: Fidelity) -> StaticIdleResult {
         .collect();
 
     // Table V: Chip #2 at the Table III defaults.
-    let mut sys = PitonSystem::reference_chip_2();
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    let table_v_static = sys.measure_static_power().mean;
-    let table_v_idle = sys.measure_idle_power().mean;
+    let (table_v_static, table_v_idle) = bench.table_v(&Rig::chip(NamedChip::Chip2), fidelity);
 
     StaticIdleResult {
         points,
@@ -189,10 +177,11 @@ impl StaticIdleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::CycleBench;
 
     #[test]
     fn table_v_defaults_match_paper() {
-        let r = run(Fidelity::quick());
+        let r = run(&CycleBench, Fidelity::quick());
         let (paper_static, paper_idle) = paper_table_v();
         assert!(
             (r.table_v_static.as_mw() - paper_static.as_mw()).abs() < 30.0,
@@ -208,7 +197,7 @@ mod tests {
 
     #[test]
     fn power_rises_superlinearly_with_voltage() {
-        let r = run(Fidelity::quick());
+        let r = run(&CycleBench, Fidelity::quick());
         let first = &r.points[0]; // 0.8 V
         let nominal = &r.points[4]; // 1.0 V
         let last = &r.points[7]; // 1.15 V (1.2 V is throttled)
@@ -222,7 +211,7 @@ mod tests {
 
     #[test]
     fn sram_and_core_rails_both_contribute() {
-        let r = run(Fidelity::quick());
+        let r = run(&CycleBench, Fidelity::quick());
         for p in &r.points {
             assert!(p.static_vdd.0 > 0.0 && p.static_vcs.0 > 0.0);
             assert!(p.dynamic_vdd.0 > 0.0 && p.dynamic_vcs.0 > 0.0);
@@ -233,7 +222,7 @@ mod tests {
 
     #[test]
     fn render_has_nine_rows() {
-        let r = run(Fidelity::quick());
+        let r = run(&CycleBench, Fidelity::quick());
         assert_eq!(r.points.len(), 9);
         assert!(r.render().contains("Table V"));
     }

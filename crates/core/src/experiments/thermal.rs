@@ -13,35 +13,33 @@
 //!   temperature are logged over time, exposing the hysteresis loop and
 //!   the lower average temperature of the balanced schedule.
 
-use piton_arch::units::{Hertz, Volts, Watts};
-use piton_board::system::PitonSystem;
+use piton_arch::units::Watts;
 use piton_power::thermal::{Cooling, ThermalModel, ThermalStep, EQUILIBRIUM_CAP_C, ROOM_AMBIENT_C};
-use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 use piton_workloads::thermal_app::{load_two_phase, Schedule};
 use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
+use crate::bench::{Bench, ProbeKind, Rig};
 use crate::report::Table;
 
-/// The §IV-J operating point: 100.01 MHz, 0.9 V VDD, 0.95 V VCS.
-/// The §IV-J rig: heat sink removed, the fan at `effectiveness` on the
-/// bare package, in a room-temperature lab.
+/// The §IV-J cooling: heat sink removed, the fan at `effectiveness` on
+/// the bare package, in a room-temperature lab.
 pub(crate) fn bare_package_rig(effectiveness: f64) -> ThermalModel {
     ThermalModel::new(Cooling::BarePackageFan { effectiveness }, ROOM_AMBIENT_C)
 }
 
-fn thermal_study_system(seed: u64) -> PitonSystem {
-    // A fourth chip, "not presented in this paper thus far": slightly
-    // leaky mid corner.
-    let corner = piton_power::ChipCorner {
-        speed: 1.01,
-        leakage: 0.95,
-        dynamic: 1.02,
-    };
-    let mut sys = PitonSystem::new(&piton_arch::config::ChipConfig::piton(), corner, seed);
-    sys.set_vdd_tracked(Volts(0.9));
-    sys.set_frequency(Hertz::from_mhz(100.01));
-    sys
+/// Active HP threads of the Figure 17 series.
+pub const FIG17_THREADS: [usize; 6] = [0, 10, 20, 30, 40, 50];
+
+/// The thermal-study rig of one Figure 17 series (each series has its
+/// own monitor seed).
+#[must_use]
+pub fn fig17_rig(threads: usize) -> Rig {
+    let i = FIG17_THREADS
+        .iter()
+        .position(|&t| t == threads)
+        .expect("thread count from FIG17_THREADS");
+    Rig::thermal_study(0x17 + i as u64)
 }
 
 /// One Figure 17 point.
@@ -64,40 +62,18 @@ pub struct ThermalPowerResult {
     pub points: Vec<ThermalPoint>,
 }
 
-/// Runs the Figure 17 sweep: thread counts × fan effectiveness.
+/// Runs the Figure 17 sweep on `bench`: thread counts × fan
+/// effectiveness.
 #[must_use]
-pub fn run_thermal_power(fidelity: Fidelity) -> ThermalPowerResult {
-    let thread_counts = [0usize, 10, 20, 30, 40, 50];
+pub fn run_thermal_power(bench: &dyn Bench, fidelity: Fidelity) -> ThermalPowerResult {
     let fan_steps = [1.0, 0.8, 0.6, 0.4, 0.2, 0.0];
     let mut points = Vec::new();
-    for (i, &threads) in thread_counts.iter().enumerate() {
+    for threads in FIG17_THREADS {
         // Capture the workload's activity once (it does not depend on
         // temperature), then solve the fixed point per fan angle.
-        let mut sys = thermal_study_system(0x17 + i as u64);
-        sys.set_chunk_cycles(fidelity.chunk_cycles);
-        if threads > 0 {
-            load_microbenchmark(
-                sys.machine_mut(),
-                Microbenchmark::Hp,
-                threads,
-                ThreadsPerCore::Two,
-                RunLength::Forever,
-            );
-        }
-        sys.warm_up(fidelity.warmup_cycles);
-        let before = sys.machine().counters().clone();
-        sys.machine_mut()
-            .run(fidelity.chunk_cycles * fidelity.samples as u64);
-        let delta = sys.machine().counters().delta_since(&before);
-
+        let power_at = bench.window(&fig17_rig(threads), ProbeKind::Fig17(threads), fidelity);
         for &eff in &fan_steps {
-            let thermal = bare_package_rig(eff);
-            let model = sys.power_model().clone();
-            let op0 = sys.operating_point();
-            let (junction, power) = thermal.equilibrium(
-                |t| model.power(&delta, op0.with_junction(t)).total(),
-                EQUILIBRIUM_CAP_C,
-            );
+            let (junction, power) = bare_package_rig(eff).equilibrium(&power_at, EQUILIBRIUM_CAP_C);
             // Surface = junction − P × R_js.
             let surface = junction - power.0 * Cooling::HeatsinkFan.r_junction_surface();
             points.push(ThermalPoint {
@@ -217,7 +193,7 @@ pub fn run_scheduling(samples: usize, dt_seconds: f64, fidelity: Fidelity) -> Sc
     let traces = [Schedule::Synchronized, Schedule::Interleaved]
         .into_iter()
         .map(|schedule| {
-            let mut sys = thermal_study_system(0x18);
+            let mut sys = Rig::thermal_study(0x18).system();
             sys.set_chunk_cycles(fidelity.chunk_cycles);
             *sys.thermal_mut() = bare_package_rig(0.5);
             // Phase length ≈ four sampling chunks so phases span
@@ -296,10 +272,11 @@ impl SchedulingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::CycleBench;
 
     #[test]
     fn power_rises_exponentially_with_temperature() {
-        let r = run_thermal_power(Fidelity::quick());
+        let r = run_thermal_power(&CycleBench, Fidelity::quick());
         // For the 50-thread series, power at the hottest point must
         // exceed the coolest by a leakage-driven margin, convex upward.
         let pts = r.for_threads(50);
@@ -317,7 +294,7 @@ mod tests {
 
     #[test]
     fn temperatures_span_the_figure_17_band() {
-        let r = run_thermal_power(Fidelity::quick());
+        let r = run_thermal_power(&CycleBench, Fidelity::quick());
         let all_temps: Vec<f64> = r.points.iter().map(|p| p.surface_c).collect();
         let min = all_temps.iter().copied().fold(f64::MAX, f64::min);
         let max = all_temps.iter().copied().fold(f64::MIN, f64::max);
@@ -328,7 +305,7 @@ mod tests {
 
     #[test]
     fn more_threads_more_power() {
-        let r = run_thermal_power(Fidelity::quick());
+        let r = run_thermal_power(&CycleBench, Fidelity::quick());
         let at = |threads: usize| r.for_threads(threads)[0].power.0;
         assert!(at(50) > at(20));
         assert!(at(20) > at(0));
@@ -368,7 +345,7 @@ mod tests {
 
     #[test]
     fn renders_mention_both_figures() {
-        assert!(run_thermal_power(Fidelity::quick())
+        assert!(run_thermal_power(&CycleBench, Fidelity::quick())
             .render()
             .contains("Figure 17"));
         let s = run_scheduling(16, 1.0, Fidelity::quick()).render();

@@ -6,6 +6,8 @@
 //!
 //! * [`measure`] — the EPI and EPF formulas, error propagation,
 //!   per-operation energy and trendline fitting;
+//! * [`bench`](mod@bench) — the bench's measurement calls the power experiments
+//!   make, answered by the cycle engine or the analytic backend;
 //! * [`experiments`] — one module per table/figure (see the module
 //!   docs for the full index);
 //! * [`report`] — plain-text rendering in the paper's row/column
@@ -14,7 +16,8 @@
 //!   crash-resumable sweeps (`reproduce --journal/--resume`);
 //! * [`analytic`] — the closed-form fast-path backend: the cycle
 //!   engine's coefficients over a library of probed activity rates,
-//!   conformance-checked against the cycle engine;
+//!   answering the same bench calls and conformance-checked against
+//!   the cycle engine;
 //! * [`serve`] — the `piton-serve` daemon core: experiment requests
 //!   over a Unix socket, answered from a persistent content-addressed
 //!   result cache.
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
+pub mod bench;
 pub mod experiments;
 pub mod journal;
 pub mod measure;

@@ -30,6 +30,7 @@ use piton_obs::json::Value;
 
 use super::{Calibrations, ServeCounters};
 use crate::analytic::{self, Calibrated};
+use crate::bench::CycleBench;
 use crate::experiments::{core_scaling, design_space, noc_energy};
 use crate::journal::{self, JournalPayload};
 use crate::serve::request::{FidelitySpec, RunRequest};
@@ -85,15 +86,29 @@ impl SectionEval {
             Section::Noc => {
                 let grid = noc_energy::grid();
                 Box::new(move |idx, attempt| {
-                    noc_energy::compute_point(idx, &grid[idx], fidelity, plan.as_ref(), attempt)
-                        .map(|w| w.to_value())
+                    noc_energy::compute_point(
+                        &CycleBench,
+                        idx,
+                        &grid[idx],
+                        fidelity,
+                        plan.as_ref(),
+                        attempt,
+                    )
+                    .map(|w| w.to_value())
                 })
             }
             Section::Scaling => {
                 let grid = core_scaling::grid();
                 Box::new(move |idx, attempt| {
-                    core_scaling::compute_point(idx, &grid[idx], fidelity, plan.as_ref(), attempt)
-                        .map(|w| w.to_value())
+                    core_scaling::compute_point(
+                        &CycleBench,
+                        idx,
+                        &grid[idx],
+                        fidelity,
+                        plan.as_ref(),
+                        attempt,
+                    )
+                    .map(|w| w.to_value())
                 })
             }
             Section::DesignSpace => {
@@ -253,7 +268,8 @@ mod tests {
             .unwrap()
             .to_fidelity();
         for idx in [0usize, 5, 17, 35] {
-            let direct = noc_energy::compute_point(idx, &grid[idx], fidelity, None, 0).unwrap();
+            let direct =
+                noc_energy::compute_point(&CycleBench, idx, &grid[idx], fidelity, None, 0).unwrap();
             assert_eq!(compute(idx, 0).unwrap(), direct.to_value(), "{idx}");
         }
         assert_eq!(counters.value("serve.calibrations"), 0);

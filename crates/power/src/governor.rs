@@ -404,14 +404,13 @@ fn decide(
     }
 }
 
-/// The step-by-step reference controller, compiled in for tests and the
-/// `naive-engine` feature exactly like `Machine::run_naive`: same
-/// semantics as [`Governor`], independently re-derived — capability
-/// indices by linear ladder scan instead of the closed-form floor, the
+/// The step-by-step reference controller, a test oracle like
+/// `Machine::run_naive`: same semantics as [`Governor`], independently
+/// re-derived — capability indices by linear ladder scan instead of the closed-form floor, the
 /// frontier grid walked in descending order with a mirrored tie-break.
 /// The determinism property test locksteps the two and requires equal
 /// decisions at every step.
-#[cfg(any(test, feature = "naive-engine"))]
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct Reference {
     policy: GovernorConfig,
@@ -421,7 +420,6 @@ pub struct Reference {
     ceiling: u32,
 }
 
-#[cfg(any(test, feature = "naive-engine"))]
 impl Reference {
     /// Mirror of [`Governor::new`].
     ///

@@ -30,6 +30,8 @@
 use piton_arch::units::{Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
+use crate::model::RailPower;
+
 /// Physical ceiling of the model: beyond this the real part would have
 /// shut down (or desoldered itself); the transient clamps here so
 /// unstable operating points saturate instead of running away to
@@ -240,6 +242,19 @@ impl ThermalModel {
         let (t_j, _) = self.equilibrium(|t| power_at(t) * HEATING_SHARE, EQUILIBRIUM_CAP_C);
         self.settle_to_junction(t_j);
         t_j
+    }
+
+    /// The leakage-only fixed point with clocks grounded (Table V's
+    /// static reading): `leak_at(t_junction)` is the chip's rail
+    /// leakage, all of it (VIO included) heating the package. Returns
+    /// the leakage at the equilibrium junction (capped at
+    /// [`EQUILIBRIUM_CAP_C`]); the model's own state is untouched.
+    pub fn static_equilibrium<F>(&self, leak_at: F) -> RailPower
+    where
+        F: Fn(f64) -> RailPower,
+    {
+        let (t_j, _) = self.equilibrium(|t| leak_at(t).total_with_io(), EQUILIBRIUM_CAP_C);
+        leak_at(t_j)
     }
 }
 

@@ -16,9 +16,9 @@
 //! the old all-stalled-only fast-forward to the common partially-idle
 //! case (e.g. the single-tile EPI tests, where 24 of 25 cores are idle)
 //! while remaining counter-for-counter identical to the naive
-//! step-everything engine, which is kept as [`Machine::run_naive`]
-//! behind `cfg(any(test, feature = "naive-engine"))` and pinned by an
-//! equivalence property test.
+//! step-everything engine, which is kept as the hidden
+//! [`Machine::run_naive`] oracle and pinned by an equivalence property
+//! test.
 //!
 //! When most live cores issue most cycles the calendar buys nothing,
 //! and the loop hands over to the one dense mode, a batched two-phase
@@ -1000,9 +1000,9 @@ impl Machine {
     /// The seed engine: polls every core every cycle, fast-forwarding
     /// only when *no* core can issue. Kept as the reference
     /// implementation the event-driven [`Machine::run`] is equivalence-
-    /// tested against (and for `--features naive-engine` benchmarking);
+    /// tested against (by the differential suites and `trace_diff`);
     /// both produce identical counters, cycle for cycle.
-    #[cfg(any(test, feature = "naive-engine"))]
+    #[doc(hidden)]
     pub fn run_naive(&mut self, cycles: u64) {
         let end = self.now + cycles;
         self.emetrics.naive_cycles += cycles;

@@ -312,15 +312,14 @@ pub struct SendPlan {
 
 /// The seed NoC implementation, with `HashMap`-backed link state. Kept
 /// as the reference the flat-array [`NocFabric`] is equivalence-tested
-/// against (and for `--features naive-engine` benchmarking).
-#[cfg(any(test, feature = "naive-engine"))]
+/// against.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct ReferenceNocFabric {
     mesh: Mesh,
     link_state: [std::collections::HashMap<(TileId, TileId), u64>; 3],
 }
 
-#[cfg(any(test, feature = "naive-engine"))]
 impl ReferenceNocFabric {
     /// Creates an idle reference fabric over a mesh.
     #[must_use]

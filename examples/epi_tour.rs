@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example epi_tour`
 
 use piton::arch::isa::{Opcode, OperandPattern};
+use piton::characterization::bench::CycleBench;
 use piton::characterization::experiments::{epi, Fidelity};
 use piton::workloads::epi::EpiCase;
 
@@ -21,7 +22,7 @@ fn main() {
         EpiCase::Load,
     ];
     println!("Measuring EPI on 25 cores (this runs the full methodology)...\n");
-    let result = epi::run_cases(&cases, Fidelity::quick(), None, None);
+    let result = epi::run_cases(&CycleBench, &cases, Fidelity::quick(), None, None);
     println!("{}", result.render());
 
     let add = result

@@ -7,11 +7,12 @@
 //!
 //! Run with: `cargo run --release --example noc_probe`
 
+use piton::characterization::bench::CycleBench;
 use piton::characterization::experiments::{noc_energy, Fidelity};
 
 fn main() {
     println!("Sweeping NoC dummy-packet traffic over 0..=8 hops × 4 patterns...\n");
-    let result = noc_energy::run(Fidelity::quick(), None, None);
+    let result = noc_energy::run(&CycleBench, Fidelity::quick(), None, None);
     println!("{}", result.render());
 
     let hsw = result.series_for("HSW").expect("HSW series");

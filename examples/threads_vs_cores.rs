@@ -7,12 +7,13 @@
 //!
 //! Run with: `cargo run --release --example threads_vs_cores`
 
+use piton::characterization::bench::CycleBench;
 use piton::characterization::experiments::{mt_vs_mc, Fidelity};
 use piton::workloads::micro::{Microbenchmark, ThreadsPerCore};
 
 fn main() {
     println!("Measuring 16 threads as multicore (1 T/C) and multithreading (2 T/C)...\n");
-    let result = mt_vs_mc::run_with_threads(&[16], Fidelity::quick());
+    let result = mt_vs_mc::run_with_threads(&CycleBench, &[16], Fidelity::quick());
     println!("{}", result.render());
 
     for bench in [Microbenchmark::Int, Microbenchmark::Hist] {
@@ -27,7 +28,9 @@ fn main() {
             .iter()
             .find(|p| p.tpc == ThreadsPerCore::Two)
             .unwrap();
-        let winner = if mt.total_energy().0 < mc.total_energy().0 {
+        // The cycle bench times every run.
+        let (mt_j, mc_j) = (mt.total_energy().unwrap().0, mc.total_energy().unwrap().0);
+        let winner = if mt_j < mc_j {
             "multithreading"
         } else {
             "multicore"
@@ -35,8 +38,8 @@ fn main() {
         println!(
             "{:4}: MT {:.1} µJ vs MC {:.1} µJ  →  {winner} is more energy efficient",
             bench.label(),
-            mt.total_energy().0 * 1e6,
-            mc.total_energy().0 * 1e6,
+            mt_j * 1e6,
+            mc_j * 1e6,
         );
     }
     println!("\n§IV-H2: integer-bound code favors multicore; workloads with");

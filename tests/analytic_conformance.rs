@@ -1,6 +1,6 @@
 //! Conformance suite for the analytic fast-path backend: the cycle
-//! engine is the oracle, and every figure the analytic backend can
-//! reproduce must land within its committed relative-error budget
+//! engine is the oracle, and every power figure, run once on each
+//! bench, must land within its committed relative-error budget
 //! (`piton::characterization::analytic::compare::budget_for`) at quick
 //! fidelity.
 //!
@@ -11,7 +11,10 @@
 
 use std::sync::OnceLock;
 
-use piton::characterization::analytic::{self, battery, compare, AnalyticModel, Calibrated};
+use piton::characterization::analytic::{
+    self, battery, compare, AnalyticBench, AnalyticModel, Calibrated,
+};
+use piton::characterization::bench::{Bench, CycleBench};
 use piton::characterization::experiments::{
     core_scaling, design_space, epi, mt_vs_mc, noc_energy, static_idle, thermal, Fidelity,
 };
@@ -83,42 +86,59 @@ fn design_space_points_from_its_own_probes_match_the_full_library() {
     }
 }
 
+/// The analytic bench over the shared rate library.
+fn analytic() -> AnalyticBench<'static> {
+    AnalyticBench::new(calibrated())
+}
+
 #[test]
 fn figure_10_and_table_v_within_budget() {
-    let cycle = static_idle::run(Fidelity::quick());
-    for c in compare::compare_static_idle(&cycle, calibrated()) {
+    let run = |bench: &dyn Bench| static_idle::run(bench, Fidelity::quick());
+    for c in compare::compare_static_idle(&run(&CycleBench), &run(&analytic())) {
         assert_within_budget(&c);
     }
 }
 
 #[test]
 fn figure_11_within_budget() {
-    let cycle = epi::run(Fidelity::quick(), None, None);
-    assert_within_budget(&compare::compare_epi(&cycle, calibrated()));
+    let run = |bench: &dyn Bench| epi::run(bench, Fidelity::quick(), None, None);
+    assert_within_budget(&compare::compare_epi(&run(&CycleBench), &run(&analytic())));
 }
 
 #[test]
 fn figure_12_within_budget() {
-    let cycle = noc_energy::run(Fidelity::quick(), None, None);
-    assert_within_budget(&compare::compare_noc(&cycle, calibrated()));
+    let run = |bench: &dyn Bench| noc_energy::run(bench, Fidelity::quick(), None, None);
+    assert_within_budget(&compare::compare_noc(&run(&CycleBench), &run(&analytic())));
 }
 
 #[test]
 fn figure_13_within_budget() {
-    let cycle = core_scaling::run_with_cores(&QUICK_CORES, Fidelity::quick(), None, None);
-    assert_within_budget(&compare::compare_core_scaling(&cycle, calibrated()));
+    let run = |bench: &dyn Bench| {
+        core_scaling::run_with_cores(bench, &QUICK_CORES, Fidelity::quick(), None, None)
+    };
+    assert_within_budget(&compare::compare_core_scaling(
+        &run(&CycleBench),
+        &run(&analytic()),
+    ));
 }
 
 #[test]
 fn figure_14_within_budget() {
-    let cycle = mt_vs_mc::run_with_threads(&QUICK_THREADS, Fidelity::quick());
-    assert_within_budget(&compare::compare_mt_vs_mc(&cycle, calibrated()));
+    let run =
+        |bench: &dyn Bench| mt_vs_mc::run_with_threads(bench, &QUICK_THREADS, Fidelity::quick());
+    assert_within_budget(&compare::compare_mt_vs_mc(
+        &run(&CycleBench),
+        &run(&analytic()),
+    ));
 }
 
 #[test]
 fn figure_17_within_budget() {
-    let cycle = thermal::run_thermal_power(Fidelity::quick());
-    assert_within_budget(&compare::compare_thermal(&cycle, calibrated()));
+    let run = |bench: &dyn Bench| thermal::run_thermal_power(bench, Fidelity::quick());
+    assert_within_budget(&compare::compare_thermal(
+        &run(&CycleBench),
+        &run(&analytic()),
+    ));
 }
 
 #[test]
@@ -135,44 +155,4 @@ fn design_space_snapshot() {
     assert!(r.holes.is_empty(), "fault-free sweep left holes");
     assert_eq!(r.evaluated(), r.grid.len());
     common::assert_matches_golden("design_space.txt", &r.render());
-}
-
-/// Every experiment module is classified as either covered by the
-/// analytic backend or deliberately cycle-only — a new module must be
-/// placed in one of the two lists.
-#[test]
-fn coverage_classifies_every_experiment_module() {
-    const MODULES: [&str; 15] = [
-        "ablations",
-        "area",
-        "core_scaling",
-        "design_space",
-        "epi",
-        "governor",
-        "mem_latency",
-        "memory_energy",
-        "mt_vs_mc",
-        "noc_energy",
-        "specint",
-        "static_idle",
-        "thermal",
-        "vf_sweep",
-        "yield_stats",
-    ];
-    let (covered, uncovered) = compare::coverage();
-    let base = |s: &str| s.split([' ', '(']).next().unwrap().to_owned();
-    let classified: std::collections::BTreeSet<String> =
-        covered.iter().chain(&uncovered).map(|s| base(s)).collect();
-    for m in MODULES {
-        assert!(
-            classified.contains(m),
-            "experiment module {m:?} is neither covered nor cycle-only in compare::coverage()"
-        );
-    }
-    for c in classified {
-        assert!(
-            MODULES.contains(&c.as_str()),
-            "coverage() names {c:?}, which is not an experiment module"
-        );
-    }
 }

@@ -3,6 +3,7 @@
 
 use piton::arch::units::{Volts, Watts};
 use piton::board::system::PitonSystem;
+use piton::characterization::bench::CycleBench;
 use piton::characterization::experiments::{ablations, Fidelity};
 use piton::characterization::report::Table;
 use piton::power::vf::PllLadder;
@@ -62,6 +63,7 @@ fn execution_drafting_saves_at_full_scale_too() {
 fn csv_and_render_agree_on_row_counts() {
     use piton::characterization::experiments::noc_energy;
     let r = noc_energy::run(
+        &CycleBench,
         Fidelity {
             samples: 4,
             chunk_cycles: 1_000,

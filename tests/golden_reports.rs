@@ -11,6 +11,7 @@
 //! git diff tests/golden/   # review what changed
 //! ```
 
+use piton::characterization::bench::CycleBench;
 use piton::characterization::experiments::{
     core_scaling, epi, governor, mt_vs_mc, noc_energy, specint, yield_stats, Fidelity,
 };
@@ -37,21 +38,21 @@ fn table_ix_specint() {
 
 #[test]
 fn figure_11_energy_per_instruction() {
-    let r = epi::run(Fidelity::quick(), None, None);
+    let r = epi::run(&CycleBench, Fidelity::quick(), None, None);
     assert!(r.holes.is_empty(), "unexpected holes: {:?}", r.holes);
     common::assert_matches_golden("figure11_epi.txt", &r.render());
 }
 
 #[test]
 fn figure_12_noc_energy_per_flit() {
-    let r = noc_energy::run(Fidelity::quick(), None, None);
+    let r = noc_energy::run(&CycleBench, Fidelity::quick(), None, None);
     assert!(r.holes.is_empty(), "unexpected holes: {:?}", r.holes);
     common::assert_matches_golden("figure12_noc.txt", &r.render());
 }
 
 #[test]
 fn figure_13_power_scaling() {
-    let r = core_scaling::run_with_cores(&QUICK_CORES, Fidelity::quick(), None, None);
+    let r = core_scaling::run_with_cores(&CycleBench, &QUICK_CORES, Fidelity::quick(), None, None);
     assert!(r.holes.is_empty(), "unexpected holes: {:?}", r.holes);
     common::assert_matches_golden("figure13_scaling.txt", &r.render());
 }
@@ -60,7 +61,7 @@ fn figure_13_power_scaling() {
 fn figure_14_mt_vs_mc() {
     common::assert_matches_golden(
         "figure14_mt_mc.txt",
-        &mt_vs_mc::run_with_threads(&QUICK_THREADS, Fidelity::quick()).render(),
+        &mt_vs_mc::run_with_threads(&CycleBench, &QUICK_THREADS, Fidelity::quick()).render(),
     );
 }
 

@@ -7,6 +7,7 @@ use piton::arch::isa::Opcode;
 use piton::arch::units::Volts;
 use piton::board::population::{ChipPopulation, NamedChip};
 use piton::board::system::PitonSystem;
+use piton::characterization::bench::CycleBench;
 use piton::characterization::experiments::{mem_latency, noc_energy, vf_sweep, Fidelity};
 use piton::sim::chipset::round_trip_cycles;
 
@@ -68,7 +69,7 @@ fn figure_9_shape_three_chips() {
 
 #[test]
 fn figure_12_trendlines() {
-    let r = noc_energy::run(Fidelity::quick(), None, None);
+    let r = noc_energy::run(&CycleBench, Fidelity::quick(), None, None);
     for (label, paper) in noc_energy::paper_reference() {
         let measured = r.series_for(label).unwrap().pj_per_hop;
         let dev = (measured - paper).abs() / paper;
@@ -82,6 +83,7 @@ fn epi_formula_three_adds_per_load_through_the_full_stack() {
     use piton::workloads::epi::EpiCase;
 
     let r = epi::run_cases(
+        &CycleBench,
         &[EpiCase::Plain(Opcode::Add), EpiCase::Load],
         Fidelity::quick(),
         None,

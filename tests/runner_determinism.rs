@@ -7,6 +7,7 @@
 use std::sync::Mutex;
 
 use piton::board::fault::FaultPlan;
+use piton::characterization::bench::CycleBench;
 use piton::characterization::experiments::{core_scaling, epi, noc_energy, Fidelity};
 use piton::characterization::journal::Journal;
 use piton::obs::metrics;
@@ -25,16 +26,16 @@ fn tiny(jobs: usize) -> Fidelity {
 
 #[test]
 fn noc_energy_is_byte_identical_across_jobs_levels() {
-    let serial = noc_energy::run(tiny(1), None, None);
-    let parallel = noc_energy::run(tiny(4), None, None);
+    let serial = noc_energy::run(&CycleBench, tiny(1), None, None);
+    let parallel = noc_energy::run(&CycleBench, tiny(4), None, None);
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
 #[test]
 fn epi_is_byte_identical_across_jobs_levels() {
-    let serial = epi::run(tiny(1), None, None);
-    let parallel = epi::run(tiny(8), None, None);
+    let serial = epi::run(&CycleBench, tiny(1), None, None);
+    let parallel = epi::run(&CycleBench, tiny(8), None, None);
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
@@ -42,8 +43,8 @@ fn epi_is_byte_identical_across_jobs_levels() {
 #[test]
 fn core_scaling_is_byte_identical_across_jobs_levels() {
     let cores = [1usize, 9, 25];
-    let serial = core_scaling::run_with_cores(&cores, tiny(1), None, None);
-    let parallel = core_scaling::run_with_cores(&cores, tiny(3), None, None);
+    let serial = core_scaling::run_with_cores(&CycleBench, &cores, tiny(1), None, None);
+    let parallel = core_scaling::run_with_cores(&CycleBench, &cores, tiny(3), None, None);
     assert_eq!(serial.render(), parallel.render());
 }
 
@@ -53,13 +54,13 @@ fn core_scaling_is_byte_identical_across_jobs_levels() {
 /// journal-free run, at a different jobs level than the original.
 #[test]
 fn resume_from_any_completed_prefix_is_byte_identical() {
-    let baseline = noc_energy::run(tiny(1), None, None).render();
+    let baseline = noc_energy::run(&CycleBench, tiny(1), None, None).render();
 
     let mut path = std::env::temp_dir();
     path.push(format!("piton-determinism-journal-{}", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let journal = Mutex::new(Journal::open(&path, "determinism-ctx").unwrap());
-    let journaled = noc_energy::run(tiny(4), None, Some(&journal));
+    let journaled = noc_energy::run(&CycleBench, tiny(4), None, Some(&journal));
     assert_eq!(journaled.render(), baseline);
     let stats = journal.lock().unwrap().stats();
     assert_eq!(stats.appended, 4 * 9, "every noc grid point journaled");
@@ -76,7 +77,7 @@ fn resume_from_any_completed_prefix_is_byte_identical() {
         ));
         std::fs::write(&partial, &full[..cut]).unwrap();
         let journal = Mutex::new(Journal::open(&partial, "determinism-ctx").unwrap());
-        let resumed = noc_energy::run(tiny(1), None, Some(&journal));
+        let resumed = noc_energy::run(&CycleBench, tiny(1), None, Some(&journal));
         assert_eq!(resumed.render(), baseline, "cut={cut}");
         let stats = journal.lock().unwrap().stats();
         assert_eq!(
@@ -99,7 +100,7 @@ fn two_runs_in_one_process_observe_disjointly() {
     let plan = FaultPlan::parse("flaky=noc:3,flaky=noc:8").unwrap();
     let counted = || {
         metrics::enable();
-        let run = noc_energy::run(tiny(2), Some(&plan), None);
+        let run = noc_energy::run(&CycleBench, tiny(2), Some(&plan), None);
         assert!(run.holes.is_empty());
         metrics::snapshot().counters
     };
@@ -118,7 +119,9 @@ fn two_runs_in_one_process_observe_disjointly() {
         let mut path = std::env::temp_dir();
         path.push(format!("piton-disjoint-{}-{tag}.jsonl", std::process::id()));
         let spec = TraceSpec::parse(&format!("noc,out={}", path.display())).unwrap();
-        let (_, written) = trace::to_file(&spec, || noc_energy::run(tiny(jobs), None, None));
+        let (_, written) = trace::to_file(&spec, || {
+            noc_energy::run(&CycleBench, tiny(jobs), None, None)
+        });
         let lines = written.expect("trace file written").0;
         let doc = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -150,8 +153,8 @@ fn two_runs_in_one_process_observe_disjointly() {
 #[test]
 fn injected_kill_holes_identically_at_every_jobs_level() {
     let plan = FaultPlan::parse("seed=7,kill=epi:3").unwrap();
-    let serial = epi::run(tiny(1), Some(&plan), None);
-    let parallel = epi::run(tiny(8), Some(&plan), None);
+    let serial = epi::run(&CycleBench, tiny(1), Some(&plan), None);
+    let parallel = epi::run(&CycleBench, tiny(8), Some(&plan), None);
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(serial.holes.len(), 1);
     assert_eq!(serial.holes[0].attempts, 3);
@@ -159,7 +162,7 @@ fn injected_kill_holes_identically_at_every_jobs_level() {
 
     // The kill plan injects no monitor faults, so all surviving lines
     // must match the fault-free output byte for byte.
-    let clean = epi::run(tiny(1), None, None).render();
+    let clean = epi::run(&CycleBench, tiny(1), None, None).render();
     let clean_lines: std::collections::HashSet<&str> = clean.lines().collect();
     for line in serial.render().lines() {
         assert!(
@@ -181,14 +184,14 @@ fn journaled_fault_holes_are_never_journaled() {
     let _ = std::fs::remove_file(&path);
 
     let journal = Mutex::new(Journal::open(&path, "holes-ctx").unwrap());
-    let first = noc_energy::run(tiny(2), Some(&plan), Some(&journal));
+    let first = noc_energy::run(&CycleBench, tiny(2), Some(&plan), Some(&journal));
     let stats = journal.into_inner().unwrap().stats();
     assert_eq!((stats.appended, stats.served), (35, 0));
     assert_eq!(first.holes.len(), 1);
     assert_eq!(first.holes[0].index, 5);
 
     let journal = Mutex::new(Journal::open(&path, "holes-ctx").unwrap());
-    let resumed = noc_energy::run(tiny(1), Some(&plan), Some(&journal));
+    let resumed = noc_energy::run(&CycleBench, tiny(1), Some(&plan), Some(&journal));
     let stats = journal.into_inner().unwrap().stats();
     assert_eq!((stats.recovered, stats.served, stats.appended), (35, 35, 0));
     assert_eq!(resumed.holes, first.holes);
