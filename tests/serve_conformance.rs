@@ -12,7 +12,8 @@
 //! * overlapping grids hit exactly the intersection;
 //! * malformed requests produce a structured error frame and leave
 //!   the daemon serving; an over-long request line closes only its own
-//!   connection;
+//!   connection, and one just under the cap — a long string or deep
+//!   nesting — is answered promptly;
 //! * concurrent interleaved clients see exactly the responses serial
 //!   execution produces;
 //! * `design_space` calibrates on its first miss only — never for a
@@ -383,6 +384,58 @@ fn design_space_misses_a_cache_recorded_without_the_model_digest() {
     let served = payloads(&frames);
     assert_eq!(served.len(), 1);
     assert_ne!(served[0].1, planted.to_value().render());
+
+    server.stop().expect("clean stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_line_just_under_the_cap_is_parsed_promptly() {
+    use piton::characterization::serve::MAX_REQUEST_LINE;
+
+    let dir = temp_dir("cap-line");
+    let server = spawn_server(&dir);
+
+    let stream = UnixStream::connect(server.socket()).expect("connect");
+    // The cap bounds CPU as well as memory: parsing the line must take
+    // well under this timeout, not minutes.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let (head, tail) = (r#"{"op":"ping","id":""#, "\"}\n");
+    let mut line = head.to_owned();
+    while line.len() + tail.len() + 16 < MAX_REQUEST_LINE {
+        line.push_str(r#"é \"ab\\"#);
+    }
+    while line.len() + tail.len() < MAX_REQUEST_LINE - 1 {
+        line.push('x');
+    }
+    line.push_str(tail);
+    assert_eq!(line.len(), MAX_REQUEST_LINE - 1);
+    writer.write_all(line.as_bytes()).unwrap();
+    let (_, frames) = read_response(&mut reader);
+    assert!(
+        matches!(frames.as_slice(), [Frame::Pong { .. }]),
+        "{frames:?}"
+    );
+
+    // Nesting that fills the line is refused, not a stack overflow.
+    let mut deep = "[".repeat(MAX_REQUEST_LINE - 1);
+    deep.push('\n');
+    writer.write_all(deep.as_bytes()).unwrap();
+    let (_, frames) = read_response(&mut reader);
+    assert!(
+        matches!(frames.as_slice(), [Frame::Error { message }] if message.contains("nesting")),
+        "{frames:?}"
+    );
+
+    // The same connection keeps serving.
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let (_, frames) = read_response(&mut reader);
+    assert!(matches!(frames.as_slice(), [Frame::Pong { .. }]));
+    assert_eq!(server.counters().value("serve.errors"), 1);
 
     server.stop().expect("clean stop");
     let _ = std::fs::remove_dir_all(&dir);
