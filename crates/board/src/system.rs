@@ -483,7 +483,6 @@ impl PitonSystem {
     pub fn run_measured(&mut self, max_cycles: u64) -> WorkloadRun {
         let start_cycle = self.machine.now();
         let mut energy = Joules(0.0);
-        let mut power_time = Joules(0.0);
         while self.machine.any_running() && self.machine.now() - start_cycle < max_cycles {
             let before = self.machine.counters().clone();
             let chunk = self
@@ -497,7 +496,6 @@ impl PitonSystem {
             let p = self.model.power(&delta, self.operating_point());
             let t = self.freq.period() * delta.cycles as f64;
             energy += p.total() * t;
-            power_time += p.total() * t;
             self.thermal.step(p.total_with_io() * HEATING_SHARE, t);
         }
         let cycles = self.machine.now() - start_cycle;
@@ -506,7 +504,7 @@ impl PitonSystem {
             elapsed,
             energy,
             mean_power: if elapsed.0 > 0.0 {
-                power_time / elapsed
+                energy / elapsed
             } else {
                 Watts(0.0)
             },

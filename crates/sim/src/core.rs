@@ -26,6 +26,14 @@
 //! semantics (ALU, FP, branch, `movi`, nop) from a single function over
 //! the thread's register file; each loop owns only its scheduling
 //! bookkeeping and its memory/store/membar/halt arms.
+//!
+//! The local loops also run through the memory accesses that touch
+//! only lines the tile owns: an `ldx` that hits the L1 on a line the
+//! L1.5 holds Modified or Exclusive, and a store-buffer drain to such a
+//! line. They read the memory system without changing it and log each
+//! such access as a [`MemOp`]; the machine applies the log at each
+//! access's (cycle, tile) turn after checking that the live path would
+//! take it the same way, and rewinds the lane when it would not.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -34,8 +42,10 @@ use piton_arch::isa::{Instruction, Opcode, Reg};
 use piton_arch::topology::TileId;
 use piton_obs::trace::{self, TraceEvent, SUB_RETIRE};
 
-use crate::events::{datapath_activity, value_activity, ActivityCounters};
-use crate::memsys::MemorySystem;
+use crate::events::{
+    activity_of_code, datapath_activity_code, value_activity, value_activity_code, ActivityCounters,
+};
+use crate::memsys::{MemorySystem, L1_HIT_CYCLES, STORE_DRAIN_CYCLES};
 use crate::program::Program;
 
 /// Pipeline-flush penalty of a store roll-back, in cycles (refill a
@@ -46,41 +56,84 @@ pub const ROLLBACK_PENALTY_CYCLES: u64 = 8;
 /// issue slot was consumed (the machine must count the cycle as
 /// issuing) but no instruction was fetched, so nothing folds into the
 /// per-opcode counters and nothing retires.
-pub const PHANTOM_OP: u8 = u8::MAX;
+pub const PHANTOM_OP: u8 = 0x1F;
+
+/// Hardware threads an [`IssueRecord`] can name; a core running a
+/// thread beyond them is stepped live.
+const RECORD_THREADS: usize = 8;
+
+/// Program length an [`IssueRecord`] can address; a core running a
+/// longer program is stepped live. Programs fit the 16 KB L1I, so no
+/// workload comes near it.
+const RECORD_PCS: usize = u16::MAX as usize;
 
 /// One instruction issue deferred by [`Core::run_local`].
 ///
 /// Everything *order-sensitive* about an issue travels here: the
 /// per-opcode operand-activity accumulation is the one `f64` the
 /// engines must fold in the naive engine's global (cycle, core) order,
-/// since floating-point addition does not associate, and `thread`/`pc`
-/// are what the machine's ordered replay needs to emit the issue's
-/// `Retire` trace event at its (cycle, tile) turn. Order-free `u64`
-/// tallies travel in [`LocalCharges`] instead and fold at the replay
-/// barrier in any order.
+/// since floating-point addition does not associate, and the thread
+/// and `pc` are what the machine's ordered replay needs to emit the
+/// issue's `Retire` trace event at its (cycle, tile) turn. Order-free
+/// `u64` tallies travel in [`LocalCharges`] instead and fold at the
+/// replay barrier in any order.
 ///
 /// Filled unconditionally — the local run never asks whether anyone is
-/// tracing — and kept at 16 bytes: a saturated lane buffers one record
-/// per cycle it runs ahead.
+/// tracing — and kept at 6 bytes: a saturated lane buffers one record
+/// per cycle it runs ahead. The activity travels as its one-byte code
+/// ([`crate::events::activity_of_code`]).
 #[derive(Debug, Clone, Copy)]
 pub struct IssueRecord {
     /// Cycle of the issue, as an offset from the local run's origin
     /// (the machine's segment start; a segment spans at most 2¹⁶
     /// cycles).
     pub offset: u16,
-    /// Dense opcode index ([`piton_arch::isa::Opcode::index`]), or
-    /// [`PHANTOM_OP`] for a fall-off-the-end halt.
-    pub op: u8,
-    /// Hardware thread that issued.
-    pub thread: u8,
-    /// Program counter of the issued instruction.
-    pub pc: u32,
-    /// Operand-value activity of the issue (what `record_issue` would
-    /// have added to `operand_activity`), already clamped to `[0, 1]`.
-    pub activity: f64,
+    /// Dense opcode index ([`piton_arch::isa::Opcode::index`]) in the
+    /// low five bits, or [`PHANTOM_OP`] for a fall-off-the-end halt;
+    /// the issuing hardware thread in the high three.
+    tag: u8,
+    /// Operand-value activity code of the issue: what `record_issue`
+    /// would have added to `operand_activity`.
+    pub activity: u8,
+    /// Program counter of the issued instruction ([`Core::run_local`]
+    /// runs only programs short enough for it).
+    pub pc: u16,
 }
 
-const _: () = assert!(std::mem::size_of::<IssueRecord>() == 16);
+const _: () = assert!(std::mem::size_of::<IssueRecord>() == 6);
+const _: () = assert!(Opcode::COUNT <= PHANTOM_OP as usize);
+
+impl IssueRecord {
+    /// A phantom issue (no opcode yet) of `thread` at `pc`.
+    #[allow(clippy::cast_possible_truncation)]
+    fn new(offset: u16, thread: usize, pc: usize) -> Self {
+        debug_assert!(thread < RECORD_THREADS);
+        Self {
+            offset,
+            tag: (thread as u8) << 5 | PHANTOM_OP,
+            activity: 0,
+            pc: pc as u16,
+        }
+    }
+
+    #[allow(clippy::cast_possible_truncation)]
+    fn set_op(&mut self, op: Opcode) {
+        self.tag = self.tag & !PHANTOM_OP | op.index() as u8;
+    }
+
+    /// The issued opcode's dense index, `None` for a phantom issue.
+    #[must_use]
+    pub fn op(&self) -> Option<usize> {
+        let op = self.tag & PHANTOM_OP;
+        (op != PHANTOM_OP).then_some(usize::from(op))
+    }
+
+    /// The hardware thread that issued.
+    #[must_use]
+    pub fn thread(&self) -> usize {
+        usize::from(self.tag >> 5)
+    }
+}
 
 /// Order-free activity accumulated by [`Core::run_local`] over a local
 /// span, folded into the machine's [`ActivityCounters`] at the replay
@@ -118,19 +171,405 @@ impl LocalCharges {
     /// snapshot of these charges: the integer side of replaying a loop
     /// period `k` more times.
     fn repeat_since(&mut self, mark: &LocalCharges, k: u64) {
-        let add = |cur: &mut u64, old: u64| *cur += k * (*cur - old);
-        add(&mut self.active, mark.active);
-        add(&mut self.mem_stall, mark.mem_stall);
-        add(&mut self.dual, mark.dual);
-        add(&mut self.drafted, mark.drafted);
-        add(&mut self.l1i, mark.l1i);
-        add(&mut self.sb_enqueues, mark.sb_enqueues);
+        let (now, old) = (self.scalars(), mark.scalars());
+        self.add_scalars(std::array::from_fn(|i| now[i] - old[i]), k);
         for i in 0..Opcode::COUNT {
-            add(&mut self.issues[i], mark.issues[i]);
-            add(&mut self.occupancy[i], mark.occupancy[i]);
+            self.issues[i] += k * (self.issues[i] - mark.issues[i]);
+            self.occupancy[i] += k * (self.occupancy[i] - mark.occupancy[i]);
+        }
+    }
+
+    /// The charges other than the per-opcode ones.
+    fn scalars(&self) -> [u64; 6] {
+        [
+            self.active,
+            self.mem_stall,
+            self.dual,
+            self.drafted,
+            self.l1i,
+            self.sb_enqueues,
+        ]
+    }
+
+    /// Adds `k` times `delta` to the charges [`LocalCharges::scalars`]
+    /// lists.
+    fn add_scalars(&mut self, delta: [u64; 6], k: u64) {
+        let cur = [
+            &mut self.active,
+            &mut self.mem_stall,
+            &mut self.dual,
+            &mut self.drafted,
+            &mut self.l1i,
+            &mut self.sb_enqueues,
+        ];
+        for (c, d) in cur.into_iter().zip(delta) {
+            *c += k * d;
         }
     }
 }
+
+/// One owned-line memory access a [`Core::run_local`] took off the
+/// live path, in the order the machine applies them. 24 bytes: the
+/// kind rides in the top bits of the cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemOp {
+    /// [`MemOp::at`] below [`MemOp::KIND_SHIFT`], the kind above.
+    at_kind: u64,
+    /// The address accessed.
+    pub addr: u64,
+    /// The value the load read, or the value the drain writes.
+    pub value: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<MemOp>() == 24);
+
+/// The kind of a [`MemOp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemOpKind {
+    /// An `ldx` that hit the L1.
+    Load,
+    /// A store-buffer drain to an owned line. `silent` when it writes
+    /// the value the lane already saw there, so it changes nothing any
+    /// later load of the lane reads.
+    Drain {
+        /// The drain leaves the lane's view of memory unchanged.
+        silent: bool,
+    },
+}
+
+impl MemOp {
+    const KIND_SHIFT: u32 = 62;
+
+    fn new(at: u64, addr: u64, value: u64, kind: MemOpKind) -> Self {
+        debug_assert!(at >> Self::KIND_SHIFT == 0, "cycle overflows a MemOp");
+        let code = match kind {
+            MemOpKind::Load => 0,
+            MemOpKind::Drain { silent: true } => 1,
+            MemOpKind::Drain { silent: false } => 2,
+        };
+        Self {
+            at_kind: at | code << Self::KIND_SHIFT,
+            addr,
+            value,
+        }
+    }
+
+    /// The issue cycle of a load; the start cycle of a drain (the
+    /// `now` that [`MemorySystem::store_drain`] takes).
+    #[must_use]
+    pub fn at(&self) -> u64 {
+        self.at_kind & ((1 << Self::KIND_SHIFT) - 1)
+    }
+
+    /// What kind of access this is.
+    #[must_use]
+    pub fn kind(&self) -> MemOpKind {
+        match self.at_kind >> Self::KIND_SHIFT {
+            0 => MemOpKind::Load,
+            1 => MemOpKind::Drain { silent: true },
+            _ => MemOpKind::Drain { silent: false },
+        }
+    }
+
+    /// Whether this is a load.
+    #[must_use]
+    pub fn is_load(&self) -> bool {
+        self.at_kind >> Self::KIND_SHIFT == 0
+    }
+
+    /// First cycle at which the live path would make this access: a
+    /// load at its issue, a drain at the first step after its start
+    /// (what `StoreBuffer::advance` does).
+    #[must_use]
+    pub fn due(&self) -> u64 {
+        self.at() + u64::from(!self.is_load())
+    }
+}
+
+/// A lane's log of owned accesses over one segment, and the values its
+/// logged drains leave behind as the lane sees them. The model has no
+/// store-to-load forwarding, so a later load of the lane reads memory
+/// overlaid with those drains, which reach memory only when the
+/// machine applies them.
+#[derive(Debug, Clone, Default)]
+pub struct MemLog {
+    ops: Vec<MemOp>,
+    /// `(word, value)` of the last logged drain to each word.
+    overlay: Vec<(u64, u64)>,
+    /// What the lane's two-thread runs learned about its loops, kept
+    /// from run to run ([`PairCache`]); emptying the log keeps it.
+    pair: Option<Box<PairCache>>,
+}
+
+impl MemLog {
+    /// The logged accesses, in application order.
+    #[must_use]
+    pub fn ops(&self) -> &[MemOp] {
+        &self.ops
+    }
+
+    /// Empties the log for buffer reuse.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+        self.overlay.clear();
+    }
+
+    /// Drops every access from `len` on.
+    pub fn truncate(&mut self, len: usize) {
+        self.ops.truncate(len);
+        self.overlay.clear();
+        for i in 0..self.ops.len() {
+            let op = self.ops[i];
+            if !op.is_load() {
+                self.note_drain(op.addr, op.value);
+            }
+        }
+    }
+
+    /// The value the lane reads at `addr`.
+    fn view(&self, memsys: &MemorySystem, addr: u64) -> u64 {
+        let word = addr >> 3;
+        self.overlay
+            .iter()
+            .find(|&&(w, _)| w == word)
+            .map_or_else(|| memsys.peek_mem(addr), |&(_, v)| v)
+    }
+
+    fn note_drain(&mut self, addr: u64, value: u64) {
+        let word = addr >> 3;
+        match self.overlay.iter_mut().find(|(w, _)| *w == word) {
+            Some(slot) => slot.1 = value,
+            None => self.overlay.push((word, value)),
+        }
+    }
+}
+
+/// Accesses one local run may log. A run that would log more stops
+/// there and goes live, so a lane's log stays a few kilobytes however
+/// long its segment.
+const LOG_CAP: usize = 160;
+
+/// The memory side of a [`Core::run_local`]: the memory system it may
+/// read and the lane's [`MemLog`] it writes.
+///
+/// A *recording* run checks each access against the memory system and
+/// logs it. A *redo* run re-executes a rewound lane: it takes the
+/// accesses from the log, never from the memory system, which has moved
+/// on since they were logged, and goes no further than the one whose
+/// check failed.
+pub struct LocalMem<'a> {
+    memsys: &'a MemorySystem,
+    log: &'a mut MemLog,
+    /// Recording only: where the run saves its state just before it
+    /// could first log an access, until it has.
+    mark: Option<&'a mut RunMark>,
+    /// Next access index; the log's length while recording.
+    pos: usize,
+    /// Redo only: the failing access, which the run must not take.
+    stop: Option<usize>,
+    /// Redo only: `stop` is a drain, so the store buffer holds from
+    /// here on.
+    held: bool,
+    /// Drains logged so far that changed the lane's view of memory.
+    loud: u64,
+}
+
+impl<'a> LocalMem<'a> {
+    /// A recording run appending to `log`. Before it first logs an
+    /// access, the run saves into `mark` the point a redo restarts
+    /// from.
+    pub fn record(memsys: &'a MemorySystem, log: &'a mut MemLog, mark: &'a mut RunMark) -> Self {
+        let pos = log.ops.len();
+        Self {
+            memsys,
+            log,
+            mark: Some(mark),
+            pos,
+            stop: None,
+            held: false,
+            loud: 0,
+        }
+    }
+
+    /// A redo run taking the accesses `from..stop` of `log`.
+    pub fn redo(memsys: &'a MemorySystem, log: &'a mut MemLog, from: usize, stop: usize) -> Self {
+        debug_assert!(from <= stop && stop <= log.ops.len());
+        Self {
+            memsys,
+            log,
+            mark: None,
+            pos: from,
+            stop: Some(stop),
+            held: false,
+            loud: 0,
+        }
+    }
+
+    /// Saves the run's state at the top of its cycle `now` into the
+    /// mark, if this run has not yet: `threads` are the running
+    /// threads' contexts, `last` the `(next_thread, last_issue)` pair.
+    #[allow(clippy::too_many_arguments)]
+    fn mark(
+        &mut self,
+        now: u64,
+        threads: &[(usize, ThreadMark)],
+        sb: &StoreBuffer,
+        last: (usize, Option<(usize, usize, Opcode)>),
+        charges: &LocalCharges,
+        records: usize,
+    ) {
+        if let Some(m) = self.mark.take() {
+            let c = &mut m.core;
+            c.threads.clear();
+            c.threads.extend_from_slice(threads);
+            c.entries.clear();
+            c.entries.extend(sb.entries.iter().copied());
+            c.drain_free_at = sb.drain_free_at;
+            (c.next_thread, c.last_issue) = last;
+            m.charges = *charges;
+            m.records = records;
+            m.ops = self.pos;
+            m.from = now;
+        }
+    }
+
+    /// Whether the run can take an `ldx` of `addr` off the live path:
+    /// it hits the L1 on a line the L1.5 owns (a redo: it comes before
+    /// the failing access).
+    fn takes_load(&self, tile: TileId, addr: u64) -> bool {
+        match self.stop {
+            Some(stop) => self.pos < stop,
+            None => {
+                self.has_room() && self.memsys.owns(tile, addr) && self.memsys.l1_holds(tile, addr)
+            }
+        }
+    }
+
+    /// Whether a recording run may log another access.
+    fn has_room(&self) -> bool {
+        self.log.ops.len() < LOG_CAP
+    }
+
+    /// Takes an `ldx` of `addr` issued at `now` that
+    /// [`LocalMem::takes_load`] admitted, and returns its value.
+    fn load(&mut self, addr: u64, now: u64) -> u64 {
+        if self.stop.is_some() {
+            let op = self.log.ops[self.pos];
+            debug_assert!(op.is_load() && op.addr == addr && op.at() == now);
+            self.pos += 1;
+            return op.value;
+        }
+        let value = self.log.view(self.memsys, addr);
+        self.log
+            .ops
+            .push(MemOp::new(now, addr, value, MemOpKind::Load));
+        self.pos += 1;
+        value
+    }
+
+    /// Whether the run can take a drain to `addr` off the live path:
+    /// the L1.5 owns its line (a redo: it comes before the failing
+    /// access).
+    fn takes_drain(&self, tile: TileId, addr: u64) -> bool {
+        match self.stop {
+            Some(stop) => self.pos < stop,
+            None => self.has_room() && self.memsys.owns(tile, addr),
+        }
+    }
+
+    /// A drain of `value` to `addr` starting at `start`: whether it was
+    /// taken. A redo that reaches its failing drain holds the buffer
+    /// instead.
+    fn drain(&mut self, tile: TileId, addr: u64, value: u64, start: u64) -> bool {
+        if let Some(stop) = self.stop {
+            if self.pos == stop {
+                self.held = true;
+                return false;
+            }
+            debug_assert!({
+                let op = self.log.ops[self.pos];
+                !op.is_load() && op.addr == addr && op.at() == start
+            });
+            self.pos += 1;
+            return true;
+        }
+        if !self.takes_drain(tile, addr) {
+            return false;
+        }
+        let silent = self.log.view(self.memsys, addr) == value;
+        self.loud += u64::from(!silent);
+        self.log.note_drain(addr, value);
+        self.log
+            .ops
+            .push(MemOp::new(start, addr, value, MemOpKind::Drain { silent }));
+        self.pos += 1;
+        true
+    }
+
+    /// Logs again a load an earlier iteration of the run logged: same
+    /// address, and the same value while no drain has changed memory
+    /// since.
+    fn relog_load(&mut self, now: u64, addr: u64, value: u64) {
+        debug_assert!(self.stop.is_none(), "relog_load in a redo");
+        self.log
+            .ops
+            .push(MemOp::new(now, addr, value, MemOpKind::Load));
+        self.pos += 1;
+    }
+
+    /// Logs `k` copies of a [`PairCycle`]'s accesses, the `j`-th
+    /// shifted to start `j * period` cycles after `base`, and returns
+    /// the largest `k` the log allows ([`LOG_CAP`]).
+    fn append_cycle(&mut self, ops: &[MemOp], base: u64, k: u64, period: u64) -> u64 {
+        debug_assert!(self.stop.is_none(), "append_cycle in a redo");
+        let k = if ops.is_empty() {
+            k
+        } else {
+            k.min(LOG_CAP.saturating_sub(self.log.ops.len()) as u64 / ops.len() as u64)
+        };
+        for j in 0..k {
+            let shift = base + j * period;
+            self.log.ops.extend(ops.iter().map(|op| MemOp {
+                at_kind: op.at_kind + shift,
+                ..*op
+            }));
+        }
+        self.pos = self.log.ops.len();
+        k
+    }
+
+    /// Logs `k` more copies of the accesses `body`, the `j`-th shifted
+    /// `j * period` cycles later (a redo steps over them instead).
+    /// Returns the largest `k` the log allows: a redo never replays
+    /// past its failing access, a recording never past [`LOG_CAP`].
+    fn repeat(&mut self, body: std::ops::Range<usize>, k: u64, period: u64) -> u64 {
+        let n = body.len() as u64;
+        if n == 0 {
+            return k;
+        }
+        if let Some(stop) = self.stop {
+            let k = k.min((stop - self.pos) as u64 / n);
+            self.pos += (k * n) as usize;
+            return k;
+        }
+        let k = k.min(LOG_CAP.saturating_sub(self.log.ops.len()) as u64 / n);
+        for j in 1..=k {
+            let copy = self.log.ops.len();
+            self.log.ops.extend_from_within(body.clone());
+            for op in &mut self.log.ops[copy..] {
+                op.at_kind += j * period;
+            }
+        }
+        self.pos = self.log.ops.len();
+        k
+    }
+}
+
+/// Consecutive loop heads that may fail to recur before a
+/// [`Core::run_local`] stops looking for a period: a loop whose
+/// registers change every iteration (a countdown) never recurs, and the
+/// lookup is not free.
+const HEAD_MISSES: u32 = 8;
 
 /// Where a [`Core::run_local`] loop last took a backward branch: the
 /// loop's `state` there — everything its next iteration depends on —
@@ -139,57 +578,388 @@ struct LoopHead<S> {
     state: S,
     now: u64,
     records: usize,
+    ops: usize,
     charges: LocalCharges,
 }
 
-impl<S: PartialEq> LoopHead<S> {
-    /// Steady-state loop replay, called at each taken backward branch
-    /// with the loop's `state` at `now`. A state equal to the one at
-    /// the previous call proves the period in between repeats verbatim,
-    /// so its records are copied once per whole period that fits before
-    /// `end`, each shifted one period later, and its integer charges
-    /// are added as many times. The `f64` activities stay one per
-    /// record, so the machine still folds them one by one in naive
-    /// order. A period containing a `membar`, whose occupancy reads the
-    /// drain-port clock, is left to the interpreter.
+/// A loop's last [`LoopHead`], and how many heads in a row have failed
+/// to recur.
+struct LoopHeads<S> {
+    last: Option<LoopHead<S>>,
+    misses: u32,
+}
+
+impl<S: PartialEq> LoopHeads<S> {
+    fn new() -> Self {
+        Self {
+            last: None,
+            misses: 0,
+        }
+    }
+
+    /// Whether the loop still looks for a period.
+    fn looking(&self) -> bool {
+        self.misses < HEAD_MISSES
+    }
+
+    /// Steady-state loop replay, called at a taken backward branch with
+    /// the loop's `state` at `now`, store buffer empty. A state equal
+    /// to the one at the previous call proves the period in between
+    /// repeats verbatim, so its records are copied once per whole
+    /// period that fits before `end`, each shifted one period later,
+    /// and its integer charges are added as many times. The `f64`
+    /// activities stay one per record, so the machine still folds them
+    /// one by one in naive order. A period's logged accesses repeat with
+    /// it when every drain in it is silent: then memory does not change
+    /// under the loop, so each load reads the same value again. A
+    /// period containing a `membar`, whose occupancy reads the
+    /// drain-port clock, or a drain that changes memory is left to the
+    /// interpreter.
     ///
     /// Returns the cycles replayed (zero if none) and remembers `state`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(clippy::cast_possible_truncation, clippy::too_many_arguments)]
     fn replay(
-        head: &mut Option<Self>,
+        &mut self,
         state: S,
         now: u64,
         end: u64,
         records: &mut Vec<IssueRecord>,
         charges: &mut LocalCharges,
+        mem: &mut LocalMem<'_>,
+        sb: &mut StoreBuffer,
     ) -> u64 {
         let mut replayed = 0;
-        if let Some(h) = head.as_ref().filter(|h| h.state == state) {
-            let period = now - h.now;
-            let k = (end - now) / period;
-            let membar = Opcode::Membar.index();
-            if k > 0 && charges.issues[membar] == h.charges.issues[membar] {
-                let body = h.records..records.len();
-                for j in 1..=k {
-                    let copy = records.len();
-                    records.extend_from_within(body.clone());
-                    let shift = (j * period) as u16;
-                    for r in &mut records[copy..] {
-                        r.offset += shift;
+        match self.last.as_ref().filter(|h| h.state == state) {
+            None => self.misses += 1,
+            Some(h) => {
+                self.misses = 0;
+                let period = now - h.now;
+                let membar = Opcode::Membar.index();
+                let ops = h.ops..mem.pos;
+                let body = &mem.log.ops[ops.clone()];
+                let drains = body.iter().any(|op| !op.is_load());
+                let repeats = charges.issues[membar] == h.charges.issues[membar]
+                    && body
+                        .iter()
+                        .all(|op| op.kind() != MemOpKind::Drain { silent: false });
+                let k = if repeats {
+                    mem.repeat(ops, (end - now) / period, period)
+                } else {
+                    0
+                };
+                if k > 0 {
+                    let body = h.records..records.len();
+                    for j in 1..=k {
+                        let copy = records.len();
+                        records.extend_from_within(body.clone());
+                        let shift = (j * period) as u16;
+                        for r in &mut records[copy..] {
+                            r.offset += shift;
+                        }
+                    }
+                    charges.repeat_since(&h.charges, k);
+                    replayed = k * period;
+                    if drains {
+                        // The last drain moved on with the copies.
+                        sb.drain_free_at += replayed;
                     }
                 }
-                charges.repeat_since(&h.charges, k);
-                replayed = k * period;
             }
         }
-        *head = Some(LoopHead {
+        self.last = Some(LoopHead {
             state,
             now: now + replayed,
             records: records.len(),
+            ops: mem.pos,
             charges: *charges,
         });
         replayed
     }
+}
+
+/// One issue of a [`ThreadLoop`] iteration: everything about it that
+/// does not depend on when it issues.
+#[derive(Debug, Clone, Copy)]
+struct LoopStep {
+    pc: usize,
+    op: Opcode,
+    occupancy: u64,
+    wait: WaitKind,
+    /// Operand activity code.
+    activity: u8,
+    access: LoopAccess,
+}
+
+/// The memory side of a [`LoopStep`].
+#[derive(Debug, Clone, Copy)]
+enum LoopAccess {
+    None,
+    Load { addr: u64, value: u64 },
+    Store { addr: u64, value: u64 },
+}
+
+/// One thread's steady loop inside a [`Core::run_local`] pair: the
+/// issues of one iteration, recorded from a taken backward branch to
+/// the next, and proven to repeat when the thread comes back to the
+/// same `pc` with the same registers while memory has not changed under
+/// it. Two threads whose loops differ in length recur *together* only
+/// after hundreds of cycles (HP's compute and mixed kinds), but each
+/// thread's own loop repeats every iteration: the pair then issues from
+/// both loops' steps, and only the schedule between them — which thread
+/// issues when, and the charges that depend on it — is computed cycle
+/// by cycle.
+#[derive(Debug, Clone, Default)]
+struct ThreadLoop {
+    /// The iteration's top: its `pc`, the registers there and the
+    /// run's loud-drain count when it was reached.
+    head: Option<(usize, [u64; Reg::COUNT], u64)>,
+    steps: Vec<LoopStep>,
+    /// Nothing in the recording so far depends on timing (`membar`).
+    clean: bool,
+    /// The recording is a whole iteration that repeats.
+    proven: bool,
+}
+
+impl ThreadLoop {
+    /// Records one issue of the thread while an iteration is being
+    /// recorded.
+    fn record(&mut self, step: LoopStep) {
+        if self.head.is_some() && !self.proven {
+            self.clean &= step.op != Opcode::Membar;
+            self.steps.push(step);
+        }
+    }
+
+    /// The thread took a backward branch to `pc` with `regs`: proves
+    /// the recorded iteration if it ends where it began, or starts
+    /// recording a new one.
+    fn branch(&mut self, pc: usize, regs: &[u64; Reg::COUNT], loud: u64) {
+        let repeats = self.clean
+            && self
+                .head
+                .as_ref()
+                .is_some_and(|(p, r, l)| *p == pc && r == regs && *l == loud);
+        if repeats {
+            self.proven = true;
+        } else {
+            self.head = Some((pc, *regs, loud));
+            self.steps.clear();
+            self.clean = true;
+            self.proven = false;
+        }
+    }
+
+    /// Forgets the recording, keeping its buffer.
+    fn reset(&mut self) {
+        self.head = None;
+        self.steps.clear();
+        self.clean = false;
+        self.proven = false;
+    }
+
+    /// Position in the iteration of the step at `pc`.
+    fn position(&self, pc: usize) -> Option<usize> {
+        self.steps.iter().position(|s| s.pc == pc)
+    }
+
+    /// Whether `thread` stands where this proven loop puts a thread at
+    /// its `pc`: the registers there are the ones the loop's steps
+    /// would leave.
+    fn holds(&self, thread: &Thread, code: &[Instruction]) -> bool {
+        let Some(at) = self.position(thread.pc).filter(|_| self.proven) else {
+            return false;
+        };
+        let mut probe = Thread::new();
+        self.restore(&mut probe, code, at);
+        probe.regs == thread.regs
+    }
+
+    /// Sets `thread`'s registers to where `steps[..at]` of an iteration
+    /// leave them — the registers at the top, then the register effect
+    /// of each step — and returns the `pc` of the next step.
+    fn restore(&self, thread: &mut Thread, code: &[Instruction], at: usize) -> usize {
+        let (top, regs, _) = self.head.expect("a proven loop has a head");
+        thread.regs = regs;
+        for step in &self.steps[..at] {
+            let instr = &code[step.pc];
+            match (instr.opcode, step.access) {
+                (Opcode::Ldx, LoopAccess::Load { value, .. }) => thread.write(instr.rd, value),
+                (Opcode::Stx | Opcode::Membar, _) => {}
+                _ => {
+                    thread.execute_local(instr);
+                }
+            }
+        }
+        self.steps.get(at).map_or(top, |s| s.pc)
+    }
+}
+
+/// Store-buffer entries a [`PairPhase`] can hold.
+const PHASE_ENTRIES: usize = 4;
+
+/// The state of a pair running from two proven [`ThreadLoop`]s, at the
+/// top of a cycle, relative to that cycle: where each thread is in its
+/// loop (which fixes its registers), how long each stays occupied and
+/// on what, the round-robin pointer, the last issue (drafting), and the
+/// store buffer. Two cycles with equal phases issue the same schedule
+/// from there on, so the span between them repeats.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PairPhase {
+    cursor: [usize; 2],
+    ahead: [u64; 2],
+    wait: [WaitKind; 2],
+    next: usize,
+    last: Option<(usize, usize, Opcode)>,
+    free: u64,
+    entries: [(u64, u64, u64); PHASE_ENTRIES],
+}
+
+impl PairPhase {
+    /// The phase at the top of cycle `now`, or `None` when the store
+    /// buffer holds more than [`PHASE_ENTRIES`] entries.
+    fn of(
+        cursor: [usize; 2],
+        busy: [u64; 2],
+        wait: [WaitKind; 2],
+        next: usize,
+        last: Option<(usize, usize, Opcode)>,
+        sb: &StoreBuffer,
+        now: u64,
+    ) -> Option<Self> {
+        if sb.entries.len() > PHASE_ENTRIES {
+            return None;
+        }
+        // Unused slots read as an entry enqueued at `now + 1`, which no
+        // real entry can be.
+        let mut entries = [(0, 0, u64::MAX); PHASE_ENTRIES];
+        for (slot, e) in entries.iter_mut().zip(&sb.entries) {
+            *slot = (e.addr, e.value, now - e.enqueued_at);
+        }
+        Some(Self {
+            cursor,
+            ahead: busy.map(|b| b.saturating_sub(now)),
+            wait,
+            next,
+            last,
+            free: sb.drain_free_at.saturating_sub(now),
+            entries,
+        })
+    }
+}
+
+/// What a two-thread lane's runs learn about its loops, kept from one
+/// local run to the next so that a later run need not prove them
+/// again: each thread's proven loop, and a schedule period found by an
+/// earlier run, which a later run replays as soon as the pair comes
+/// round to its phase. Any use is checked first: a thread must stand
+/// where its loop says (`pc` and registers), and every access replayed
+/// from the period is still checked by the machine at its turn.
+#[derive(Debug, Clone, Default)]
+pub struct PairCache {
+    /// The threads' programs the loops were recorded from.
+    programs: Option<[Arc<Program>; 2]>,
+    loops: [ThreadLoop; 2],
+    cycle: Option<PairCycle>,
+}
+
+/// One period of a pair's schedule, from a [`PairPhase`] back to it.
+#[derive(Debug, Clone)]
+struct PairCycle {
+    phase: PairPhase,
+    period: u64,
+    /// The period's records, offsets counted from its start.
+    records: Vec<IssueRecord>,
+    /// The period's logged accesses, cycles counted from its start.
+    ops: Vec<MemOp>,
+    /// What [`LocalCharges::scalars`] gained over the period.
+    scalars: [u64; 6],
+    /// Issues of each thread over the period: whole iterations.
+    issued: [u64; 2],
+    /// The period drains stores (the drain port moves with it).
+    drains: bool,
+}
+
+impl PairCycle {
+    /// The period between two rounds of a run with equal phases, `h`
+    /// and `at`, whose `body` (records, accesses) lies in between.
+    #[allow(clippy::cast_possible_truncation)]
+    fn between(
+        phase: PairPhase,
+        h: &PairMark,
+        at: &PairMark,
+        origin: u64,
+        body: (&[IssueRecord], &[MemOp]),
+    ) -> Self {
+        let base = (h.now - origin) as u16;
+        Self {
+            phase,
+            period: at.now - h.now,
+            records: body
+                .0
+                .iter()
+                .map(|r| IssueRecord {
+                    offset: r.offset - base,
+                    ..*r
+                })
+                .collect(),
+            ops: body
+                .1
+                .iter()
+                .map(|op| MemOp {
+                    at_kind: op.at_kind - h.now,
+                    ..*op
+                })
+                .collect(),
+            scalars: std::array::from_fn(|i| at.scalars[i] - h.scalars[i]),
+            issued: [at.retired[0] - h.retired[0], at.retired[1] - h.retired[1]],
+            drains: body.1.iter().any(|op| !op.is_load()),
+        }
+    }
+
+    /// Replays up to `k` periods from cycle `now` (offsets from
+    /// `origin`): their records, accesses and charges, each thread
+    /// running whole iterations of its loop in `loops`. Returns the
+    /// cycles replayed, zero when the log has no room for a period.
+    #[allow(clippy::cast_possible_truncation, clippy::too_many_arguments)]
+    fn replay(
+        &self,
+        loops: &[ThreadLoop; 2],
+        k: u64,
+        (now, origin): (u64, u64),
+        mem: &mut LocalMem<'_>,
+        records: &mut Vec<IssueRecord>,
+        charges: &mut LocalCharges,
+        retired: &mut [u64; 2],
+    ) -> u64 {
+        let k = mem.append_cycle(&self.ops, now, k, self.period);
+        for j in 0..k {
+            let base = (now - origin + j * self.period) as u16;
+            records.extend(self.records.iter().map(|r| IssueRecord {
+                offset: base + r.offset,
+                ..*r
+            }));
+        }
+        charges.add_scalars(self.scalars, k);
+        for ((l, &issued), done) in loops.iter().zip(&self.issued).zip(retired) {
+            let turns = k * issued / l.steps.len() as u64;
+            for step in &l.steps {
+                charges.issues[step.op.index()] += turns;
+                charges.occupancy[step.op.index()] += turns * step.occupancy;
+            }
+            *done += k * issued;
+        }
+        k * self.period
+    }
+}
+
+/// What a pair run had produced when it reached a [`PairPhase`].
+struct PairMark {
+    now: u64,
+    records: usize,
+    ops: usize,
+    /// [`LocalCharges::scalars`] then.
+    scalars: [u64; 6],
+    retired: [u64; 2],
 }
 
 /// Execution state of one hardware thread.
@@ -273,13 +1043,13 @@ impl Thread {
     /// local run-ahead loops call it, each keeping only its own
     /// scheduling bookkeeping and its memory/store/membar/halt arms.
     #[inline(always)]
-    fn execute_local(&mut self, instr: &Instruction) -> (f64, Option<usize>) {
+    fn execute_local(&mut self, instr: &Instruction) -> (u8, Option<usize>) {
         let op = instr.opcode;
         match op {
-            Opcode::Nop => (0.0, None),
+            Opcode::Nop => (0, None),
             Opcode::Movi => {
                 self.write(instr.rd, instr.imm as u64);
-                (0.0, None)
+                (0, None)
             }
             Opcode::And | Opcode::Add | Opcode::Sub | Opcode::Mulx | Opcode::Sdivx => {
                 let a = self.read(instr.rs1);
@@ -299,7 +1069,7 @@ impl Thread {
                     _ => unreachable!(),
                 };
                 self.write(instr.rd, r);
-                (datapath_activity(a, b, r), None)
+                (datapath_activity_code(a, b, r), None)
             }
             Opcode::Faddd | Opcode::Fmuld | Opcode::Fdivd => {
                 let a = f64::from_bits(self.read(instr.rs1));
@@ -312,7 +1082,7 @@ impl Thread {
                 };
                 let bits = r.to_bits();
                 self.write(instr.rd, bits);
-                (datapath_activity(a.to_bits(), b.to_bits(), bits), None)
+                (datapath_activity_code(a.to_bits(), b.to_bits(), bits), None)
             }
             Opcode::Fadds | Opcode::Fmuls | Opcode::Fdivs => {
                 let a = f32::from_bits(self.read(instr.rs1) as u32);
@@ -326,7 +1096,7 @@ impl Thread {
                 let bits = u64::from(r.to_bits());
                 self.write(instr.rd, bits);
                 let activity =
-                    datapath_activity(u64::from(a.to_bits()), u64::from(b.to_bits()), bits);
+                    datapath_activity_code(u64::from(a.to_bits()), u64::from(b.to_bits()), bits);
                 (activity, None)
             }
             Opcode::Beq | Opcode::Bne => {
@@ -334,7 +1104,7 @@ impl Thread {
                 let b = self.read(instr.rs2);
                 let taken = (op == Opcode::Beq) == (a == b);
                 (
-                    datapath_activity(a, b, u64::from(taken)),
+                    datapath_activity_code(a, b, u64::from(taken)),
                     taken.then(|| instr.branch_target()),
                 )
             }
@@ -414,6 +1184,42 @@ impl StoreBuffer {
         }
     }
 
+    /// [`StoreBuffer::advance`] for a local run: takes every drain that
+    /// starts before `now` through `mem` instead of the memory system.
+    /// Returns `false` when the head drain must reach the memory system
+    /// live (its line is not owned); a redo that reaches its failing
+    /// drain holds the buffer instead.
+    fn drain_local(&mut self, tile: TileId, now: u64, mem: &mut LocalMem<'_>) -> bool {
+        while let Some(head) = self.entries.front().copied() {
+            let start = self.drain_free_at.max(head.enqueued_at);
+            if start >= now || mem.held {
+                break;
+            }
+            if !mem.drain(tile, head.addr, head.value, start) {
+                return mem.held;
+            }
+            self.drain_free_at = start + STORE_DRAIN_CYCLES;
+            self.entries.pop_front();
+        }
+        true
+    }
+
+    /// The address of the head drain if it starts before `now` and the
+    /// buffer is not held: [`StoreBuffer::drain_local`] has work.
+    fn due_head(&self, now: u64, mem: &LocalMem<'_>) -> Option<u64> {
+        let head = self.entries.front().filter(|_| !mem.held)?;
+        (self.drain_free_at.max(head.enqueued_at) < now).then_some(head.addr)
+    }
+
+    /// The next cycle at which [`StoreBuffer::drain_local`] has work: a
+    /// local run's stall spans end there.
+    fn next_local_drain(&self, mem: &LocalMem<'_>) -> u64 {
+        match self.entries.front() {
+            Some(head) if !mem.held => self.drain_free_at.max(head.enqueued_at) + 1,
+            _ => u64::MAX,
+        }
+    }
+
     fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
@@ -436,6 +1242,44 @@ impl StoreBuffer {
         }
         t
     }
+}
+
+/// The per-thread part of a [`CoreMark`]: a [`Thread`] without its
+/// program, which a local run never changes.
+#[derive(Debug, Clone, Copy)]
+struct ThreadMark {
+    regs: [u64; Reg::COUNT],
+    pc: usize,
+    busy_until: u64,
+    wait: WaitKind,
+    state: ThreadState,
+    retired: u64,
+}
+
+/// The part of a [`Core`] a local run changes, as it stood at one of
+/// the run's cycles.
+#[derive(Debug, Clone, Default)]
+struct CoreMark {
+    /// The running threads, by index; the others do not change.
+    threads: Vec<(usize, ThreadMark)>,
+    entries: Vec<StoreEntry>,
+    drain_free_at: u64,
+    next_thread: usize,
+    last_issue: Option<(usize, usize, Opcode)>,
+}
+
+/// Where a recording [`Core::run_local`] stood just before it could
+/// first log an access: the point a rewound lane restores
+/// ([`Core::restore`]) and redoes the run from.
+#[derive(Debug, Clone, Default)]
+pub struct RunMark {
+    core: CoreMark,
+    /// The lane's charges, record count and log length then.
+    pub(crate) charges: LocalCharges,
+    pub(crate) records: usize,
+    pub(crate) ops: usize,
+    /// The cycle the redo starts at.
+    pub(crate) from: u64,
 }
 
 /// One Piton core: two hardware threads, a store buffer, and issue logic.
@@ -562,6 +1406,18 @@ impl Core {
         !self.store_buffer.entries.is_empty()
     }
 
+    /// Whether a local run could take the store buffer's next drain:
+    /// the buffer is empty or its head's line is owned. A run whose
+    /// head drain must go live stops within a few cycles, so the
+    /// machine keeps such a core on the live path instead.
+    #[must_use]
+    pub fn drains_locally(&self, memsys: &MemorySystem) -> bool {
+        self.store_buffer
+            .entries
+            .front()
+            .is_none_or(|e| memsys.owns(self.tile, e.addr))
+    }
+
     /// Number of running threads held by a memory-system wait at `now`
     /// (the machine's fast-forward path charges these per skipped
     /// cycle).
@@ -666,27 +1522,33 @@ impl Core {
     }
 
     /// Batch-steps this core over `[start, end)` while its cycles stay
-    /// *local* — touching only its own threads, registers and (empty)
-    /// store buffer, never the shared memory system — and returns the
-    /// first cycle it could not cover (its *horizon*).
+    /// *local* — touching only its own threads, registers and store
+    /// buffer, and reading, never changing, the shared memory system —
+    /// and returns the first cycle it could not cover (its *horizon*).
     ///
     /// Order-free integer charges accrue into `charges`; each issue
     /// appends an [`IssueRecord`] to `records`, its offset counted from
     /// `origin`, so the machine can fold the order-sensitive
     /// operand-activity `f64`s, count issuing cycles and emit `Retire`
     /// trace events in the naive engine's global (cycle, core) order.
-    /// The run stops:
+    /// Each owned access goes into `mem`'s log: an `ldx` that hits the
+    /// L1 on a line the L1.5 holds Modified or Exclusive (3 cycles; the
+    /// value is memory overlaid with the run's own logged drains), and a
+    /// store-buffer drain to such a line (10 cycles), taken when the
+    /// buffer would drain it. The machine applies the log through the
+    /// real memory system at each access's turn. The run stops
+    /// **before** (horizon = that cycle, none of its charges applied):
     ///
-    /// * **before** a `ldx`/`casx` issue (horizon = that cycle, none of
-    ///   that cycle's charges applied): the access must reach the
-    ///   memory system through a real [`Core::step`] in global core
-    ///   order;
-    /// * **after** an `stx` (horizon = cycle + 1): the push itself is
-    ///   local, but the enqueued drain makes the following cycle's
-    ///   buffer advance a memory-system mutation;
-    /// * at `end`, or when every thread has halted (horizon = `end`;
-    ///   remaining cycles charge nothing, exactly like a [`Core::step`]
-    ///   of a fully-halted core).
+    /// * a `casx`, or an `ldx` that is not an owned L1 hit;
+    /// * an `stx` that finds the store buffer full (the roll-back);
+    /// * a drain to a line the L1.5 does not own, at the first cycle
+    ///   after the drain's start;
+    /// * an access that would overfill the log ([`LOG_CAP`]);
+    ///
+    /// and at `end`, or when every thread has halted (horizon = `end`;
+    /// remaining cycles charge nothing, exactly like a [`Core::step`] of
+    /// a fully-halted core) — unless stores are still buffered, when
+    /// the horizon is the cycle after the halt.
     ///
     /// Stall spans are bulk-charged at frozen rates, mirroring the
     /// machine's fast-forward: while no thread can issue, no thread
@@ -695,25 +1557,23 @@ impl Core {
     ///
     /// One running thread takes `run_local_single`, two take
     /// `run_local_pair`. A core with more than two running
-    /// threads (not a Piton shape) has no local loop: the horizon is
-    /// `start` and the machine steps it live.
+    /// threads (not a Piton shape), or running a program longer than
+    /// an [`IssueRecord`] can address, has no local loop: the horizon
+    /// is `start` and the machine steps it live.
     ///
-    /// The caller must ensure the core is enabled, the store buffer is
-    /// empty and `[origin, end)` fits an [`IssueRecord`] offset;
-    /// `Machine::run_dense_batched` guards all three.
+    /// The caller must ensure the core is enabled and `[origin, end)`
+    /// fits an [`IssueRecord`] offset; `Machine::run_dense_batched`
+    /// guards both.
     pub fn run_local(
         &mut self,
         origin: u64,
         start: u64,
         end: u64,
+        mem: &mut LocalMem<'_>,
         records: &mut Vec<IssueRecord>,
         charges: &mut LocalCharges,
     ) -> u64 {
         debug_assert!(self.enabled, "run_local on a fused-off core");
-        debug_assert!(
-            self.store_buffer.entries.is_empty(),
-            "run_local with pending stores"
-        );
         debug_assert!(
             origin <= start && end - origin <= 1 << 16,
             "span overflows the record offset"
@@ -724,16 +1584,73 @@ impl Core {
             .enumerate()
             .filter(|(_, t)| t.state == ThreadState::Running)
             .map(|(i, _)| i);
+        let long = |t: &Thread| {
+            t.program
+                .as_ref()
+                .is_some_and(|p| p.instructions.len() > RECORD_PCS)
+        };
+        if self.threads.iter().any(long) {
+            return start;
+        }
         match (running.next(), running.next(), running.next()) {
-            (None, _, _) => end,
-            (Some(only), None, _) => {
-                self.run_local_single(only, origin, start, end, records, charges)
+            (None, _, _) if self.store_buffer.entries.is_empty() => end,
+            (Some(only), None, _) if only < RECORD_THREADS => {
+                self.run_local_single(only, origin, start, end, mem, records, charges)
             }
             (Some(_), Some(_), None) if self.threads.len() == 2 => {
-                self.run_local_pair(origin, start, end, records, charges)
+                self.run_local_pair(origin, start, end, mem, records, charges)
             }
             _ => start,
         }
+    }
+
+    /// Ends a redo at `now`, the cycle of its failing access: takes the
+    /// logged drains before that access that are due by `now`, which
+    /// the machine has already applied at this turn.
+    pub fn finish_redo(&mut self, now: u64, mem: &mut LocalMem<'_>) {
+        debug_assert!(mem.stop.is_some(), "finish_redo after a recording run");
+        self.store_buffer.drain_local(self.tile, now, mem);
+        debug_assert_eq!(mem.pos, mem.stop.unwrap_or(mem.pos), "redo left accesses");
+    }
+
+    /// Puts logged drains the machine has not applied back at the front
+    /// of the store buffer, for the live path to drain. Each goes back
+    /// with its start as its enqueue time and the port free at the
+    /// first start, which makes every later start, drain and `membar`
+    /// wait exactly what it was.
+    pub fn unlog_drains(&mut self, ops: &[MemOp]) {
+        let sb = &mut self.store_buffer;
+        for op in ops.iter().rev() {
+            debug_assert!(!op.is_load(), "unapplied load");
+            sb.entries.push_front(StoreEntry {
+                addr: op.addr,
+                value: op.value,
+                enqueued_at: op.at(),
+            });
+        }
+        if let Some(first) = ops.first() {
+            sb.drain_free_at = first.at();
+        }
+        debug_assert!(sb.entries.len() <= sb.capacity, "store buffer overfilled");
+    }
+
+    /// Restores the state a recording run saved in `mark`.
+    pub fn restore(&mut self, mark: &RunMark) {
+        let m = &mark.core;
+        for &(i, t) in &m.threads {
+            let thread = &mut self.threads[i];
+            thread.regs = t.regs;
+            thread.pc = t.pc;
+            thread.busy_until = t.busy_until;
+            thread.wait = t.wait;
+            thread.state = t.state;
+            thread.retired = t.retired;
+        }
+        self.store_buffer.entries.clear();
+        self.store_buffer.entries.extend(m.entries.iter().copied());
+        self.store_buffer.drain_free_at = m.drain_free_at;
+        self.next_thread = m.next_thread;
+        self.last_issue = m.last_issue;
     }
 
     /// [`Core::run_local`] for exactly one running thread — the shape of
@@ -749,27 +1666,35 @@ impl Core {
     /// issue from before the span).
     ///
     /// Steady-state loops are replayed, not re-interpreted
-    /// ([`LoopHead::replay`]): the state compared at each taken
-    /// backward branch is the head `pc`, the registers, the occupancy
-    /// left and its wait kind. Nothing else a local iteration reads can
+    /// ([`LoopHeads::replay`]) at taken backward branches that find the
+    /// store buffer empty: the state compared is the head `pc`, the
+    /// registers, the occupancy left, its wait kind and how long the
+    /// drain port stays busy. Nothing else a local iteration reads can
     /// change, and a replayed period never holds a drafted issue: only
     /// the run's first issue drafts, and it precedes every branch.
-    #[allow(clippy::cast_possible_truncation, clippy::too_many_lines)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::too_many_lines,
+        clippy::too_many_arguments
+    )]
     fn run_local_single(
         &mut self,
         idx: usize,
         origin: u64,
         start: u64,
         end: u64,
+        mem: &mut LocalMem<'_>,
         records: &mut Vec<IssueRecord>,
         charges: &mut LocalCharges,
     ) -> u64 {
         let n = self.threads.len();
+        let tile = self.tile;
         let prog = self.threads[idx]
             .program
             .take()
             .expect("running thread has a program");
         let code = &prog.instructions;
+        let sb = &mut self.store_buffer;
         let t = &mut self.threads[idx];
         let mut pc = t.pc;
         let mut busy = t.busy_until;
@@ -780,13 +1705,42 @@ impl Core {
         // the final per-cycle issue would have left them.
         let mut new_last: Option<Option<(usize, usize, Opcode)>> = None;
         let mut first = true;
-        let mut head = None;
+        let mut heads = LoopHeads::new();
         let mut now = start;
+        // Saves the state at the top of cycle `now` before the run's
+        // first logged access.
+        macro_rules! mark {
+            () => {
+                if mem.mark.is_some() {
+                    let thread = ThreadMark {
+                        regs: t.regs,
+                        pc,
+                        busy_until: busy,
+                        wait,
+                        state: t.state,
+                        retired: t.retired + retired,
+                    };
+                    let last = match new_last {
+                        Some(v) => ((idx + 1) % n, v),
+                        None => (self.next_thread, self.last_issue),
+                    };
+                    mem.mark(now, &[(idx, thread)], sb, last, charges, records.len());
+                }
+            };
+        }
         let horizon = 'run: {
             while now < end {
+                if let Some(addr) = sb.due_head(now, mem) {
+                    if mem.takes_drain(tile, addr) {
+                        mark!();
+                    }
+                    if !sb.drain_local(tile, now, mem) {
+                        break 'run now;
+                    }
+                }
                 if busy > now {
                     // Stall span at frozen rates.
-                    let wake = busy.min(end);
+                    let wake = busy.min(end).min(sb.next_local_drain(mem));
                     let span = wake - now;
                     charges.active += span;
                     if wait == WaitKind::Memory {
@@ -795,13 +1749,15 @@ impl Core {
                     now = wake;
                     continue;
                 }
-                let mut record = IssueRecord {
-                    offset: (now - origin) as u16,
-                    op: PHANTOM_OP,
-                    thread: idx as u8,
-                    pc: pc as u32,
-                    activity: 0.0,
+                // After a halt the buffer still drains live.
+                let halted = |sb: &StoreBuffer| {
+                    if sb.entries.is_empty() {
+                        end
+                    } else {
+                        now + 1
+                    }
                 };
+                let mut record = IssueRecord::new((now - origin) as u16, idx, pc);
                 let Some(instr) = code.get(pc) else {
                     // Fell off the end: phantom issue, then every
                     // remaining cycle charges nothing.
@@ -809,12 +1765,22 @@ impl Core {
                     new_last = Some(None);
                     t.state = ThreadState::Halted;
                     records.push(record);
-                    break 'run end;
+                    break 'run halted(sb);
                 };
                 let op = instr.opcode;
-                if matches!(op, Opcode::Ldx | Opcode::Casx) {
-                    break 'run now;
-                }
+                let loaded = match op {
+                    Opcode::Casx => break 'run now,
+                    Opcode::Stx if sb.is_full() => break 'run now,
+                    Opcode::Ldx => {
+                        let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
+                        if !mem.takes_load(tile, addr) {
+                            break 'run now;
+                        }
+                        mark!();
+                        mem.load(addr, now)
+                    }
+                    _ => 0,
+                };
                 charges.active += 1;
                 if first {
                     if let Some((prev_t, prev_pc, prev_op)) = self.last_issue {
@@ -826,7 +1792,7 @@ impl Core {
                 }
                 new_last = Some(Some((idx, pc, op)));
                 charges.l1i += 1;
-                record.op = op.index() as u8;
+                record.set_op(op);
                 retired += 1;
                 let (occupancy, activity, kind, target) = match op {
                     Opcode::Halt => {
@@ -834,20 +1800,23 @@ impl Core {
                         charges.issues[op.index()] += 1;
                         charges.occupancy[op.index()] += 1;
                         records.push(record);
-                        break 'run end;
+                        break 'run halted(sb);
+                    }
+                    Opcode::Ldx => {
+                        t.write(instr.rd, loaded);
+                        let activity = value_activity_code(loaded);
+                        (L1_HIT_CYCLES, activity, WaitKind::Memory, None)
                     }
                     Opcode::Stx => {
                         let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
                         let value = t.read(instr.rs2);
-                        self.store_buffer.push(addr, value, now);
+                        sb.push(addr, value, now);
                         charges.sb_enqueues += 1;
-                        (1, value_activity(value), WaitKind::Execute, None)
+                        (1, value_activity_code(value), WaitKind::Execute, None)
                     }
                     Opcode::Membar => {
-                        // Empty buffer: only residual drain-port busy
-                        // time can hold the barrier.
-                        let held = self.store_buffer.drained_by(now) - now;
-                        (held.max(op.base_latency()), 0.0, WaitKind::StoreDrain, None)
+                        let held = sb.drained_by(now) - now;
+                        (held.max(op.base_latency()), 0, WaitKind::StoreDrain, None)
                     }
                     _ => {
                         let (activity, target) = t.execute_local(instr);
@@ -857,25 +1826,22 @@ impl Core {
                 let occupancy = occupancy.max(1);
                 charges.issues[op.index()] += 1;
                 charges.occupancy[op.index()] += occupancy;
-                record.activity = activity.clamp(0.0, 1.0);
+                record.activity = activity;
                 records.push(record);
                 busy = now + occupancy;
                 wait = kind;
                 now += 1;
-                if op == Opcode::Stx {
-                    pc += 1;
-                    break 'run now;
-                }
                 let Some(target) = target else {
                     pc += 1;
                     continue;
                 };
                 let backward = target <= pc;
                 pc = target;
-                if backward {
+                if backward && sb.entries.is_empty() && heads.looking() {
                     let before = records.len();
-                    let state = (pc, t.regs, busy - now, wait);
-                    let replayed = LoopHead::replay(&mut head, state, now, end, records, charges);
+                    let free = sb.drain_free_at.saturating_sub(now);
+                    let state = (pc, t.regs, busy - now, wait, free);
+                    let replayed = heads.replay(state, now, end, records, charges, mem, sb);
                     retired += (records.len() - before) as u64;
                     now += replayed;
                     busy += replayed;
@@ -903,27 +1869,37 @@ impl Core {
     /// that halts (or falls off the end) mid-span leaves its sibling
     /// running here alone, exactly as [`Core::step`] would.
     ///
-    /// Steady-state loops are replayed ([`LoopHead::replay`]) on the
-    /// pair's whole state: both threads' `pc`, registers, occupancy left
-    /// and wait kind, which are running, the round-robin pointer and
-    /// the last issue. The last issue decides drafting, so drafted
-    /// issues repeat with the period like everything else.
+    /// Steady-state loops are not re-interpreted. Each thread's own
+    /// loop is recorded from one taken backward branch to the next and
+    /// proven when it comes back to the same `pc` and registers
+    /// ([`ThreadLoop`]). Once both are proven, the pair issues from
+    /// their steps and computes only the schedule between them; and
+    /// whenever the schedule's whole state ([`PairPhase`]: where each
+    /// thread is in its loop, occupancy left and wait kinds, the
+    /// round-robin pointer, the last issue — which decides drafting —
+    /// and the store buffer) comes round, the span in between is
+    /// replayed like a loop period: its records and logged accesses
+    /// copied, its integer charges multiplied. The proven loops and the
+    /// period are kept in the lane's [`PairCache`] from run to run.
     #[allow(clippy::cast_possible_truncation, clippy::too_many_lines)]
     fn run_local_pair(
         &mut self,
         origin: u64,
         start: u64,
         end: u64,
+        mem: &mut LocalMem<'_>,
         records: &mut Vec<IssueRecord>,
         charges: &mut LocalCharges,
     ) -> u64 {
         let Core {
+            tile,
             threads,
-            store_buffer,
+            store_buffer: sb,
             next_thread,
             last_issue,
             ..
         } = self;
+        let tile = *tile;
         let [a, b] = &mut threads[..] else {
             unreachable!("run_local_pair on a core without two threads")
         };
@@ -940,13 +1916,207 @@ impl Core {
         let mut retired = [0u64; 2];
         let mut next = *next_thread;
         let mut last = *last_issue;
-        // One loop head per branching thread: the lockstep pair's state
-        // recurs at the same thread's branch, not at the sibling's.
-        let mut heads = [None, None];
+        // The loops the lane's earlier runs proved, if its threads still
+        // stand where those loops put them; a redo starts afresh.
+        let mut cache = mem.log.pair.take().unwrap_or_default();
+        let same = cache
+            .programs
+            .as_ref()
+            .is_some_and(|p| Arc::ptr_eq(&p[0], &progs[0]) && Arc::ptr_eq(&p[1], &progs[1]));
+        if mem.stop.is_none() && same && (0..2).all(|i| cache.loops[i].holds(th[i], code[i])) {
+            for l in &mut cache.loops {
+                if let Some(head) = &mut l.head {
+                    head.2 = mem.loud;
+                }
+            }
+        } else {
+            if !same {
+                cache.programs = Some([Arc::clone(&progs[0]), Arc::clone(&progs[1])]);
+            }
+            cache.loops.iter_mut().for_each(ThreadLoop::reset);
+            cache.cycle = None;
+        }
+        let mut try_steady = true;
         let mut now = start;
+        // Saves the state at the top of cycle `now` before the run's
+        // first logged access.
+        macro_rules! mark {
+            () => {
+                if mem.mark.is_some() {
+                    let thread = |i: usize| {
+                        let t = ThreadMark {
+                            regs: th[i].regs,
+                            pc: pc[i],
+                            busy_until: busy[i],
+                            wait: wait[i],
+                            state: th[i].state,
+                            retired: th[i].retired + retired[i],
+                        };
+                        (i, t)
+                    };
+                    let threads = [thread(0), thread(1)];
+                    mem.mark(now, &threads, sb, (next, last), charges, records.len());
+                }
+            };
+        }
         let horizon = loop {
             if now >= end {
                 break end;
+            }
+            if let Some(addr) = sb.due_head(now, mem) {
+                if mem.takes_drain(tile, addr) {
+                    mark!();
+                }
+                if !sb.drain_local(tile, now, mem) {
+                    break now;
+                }
+            }
+            if std::mem::take(&mut try_steady) {
+                let loops = &cache.loops;
+                let steady = |l: &ThreadLoop| l.proven && l.head.is_some_and(|h| h.2 == mem.loud);
+                let cursor = [loops[0].position(pc[0]), loops[1].position(pc[1])];
+                if let (true, [Some(c0), Some(c1)]) = (
+                    mem.stop.is_none() && running == [true, true] && loops.iter().all(steady),
+                    cursor,
+                ) {
+                    // Both loops proven: issue from their steps, computing
+                    // only the schedule, until the span ends or a step
+                    // needs the interpreter (a full buffer or log, a drain
+                    // to take live, a drain that changes memory under the
+                    // loops).
+                    mark!();
+                    let mut cursor = [c0, c1];
+                    let loud = mem.loud;
+                    // The pair's state each time thread 0's loop comes
+                    // round, and what the run had produced by then: once
+                    // it recurs, the schedule in between repeats too.
+                    let mut rounds: Vec<(PairPhase, PairMark)> = Vec::new();
+                    let mut round = false;
+                    while now < end {
+                        let drained = sb.entries.is_empty() || sb.drain_local(tile, now, mem);
+                        if !drained || mem.loud != loud {
+                            break;
+                        }
+                        if std::mem::take(&mut round) {
+                            if let Some(phase) =
+                                PairPhase::of(cursor, busy, wait, next, last, sb, now)
+                            {
+                                let at = PairMark {
+                                    now,
+                                    records: records.len(),
+                                    ops: mem.pos,
+                                    scalars: charges.scalars(),
+                                    retired,
+                                };
+                                let known = cache.cycle.as_ref().is_some_and(|c| c.phase == phase);
+                                if let Some((_, h)) =
+                                    rounds.iter().find(|(p, _)| *p == phase).filter(|_| !known)
+                                {
+                                    // A period: keep it for this run and
+                                    // the lane's later ones.
+                                    let body = (
+                                        &records[h.records..at.records],
+                                        &mem.log.ops[h.ops..at.ops],
+                                    );
+                                    cache.cycle =
+                                        Some(PairCycle::between(phase, h, &at, origin, body));
+                                }
+                                if let Some(cy) = cache.cycle.as_ref().filter(|c| c.phase == phase)
+                                {
+                                    let k = (end - now) / cy.period;
+                                    let shift = cy.replay(
+                                        &cache.loops,
+                                        k,
+                                        (now, origin),
+                                        mem,
+                                        records,
+                                        charges,
+                                        &mut retired,
+                                    );
+                                    if shift > 0 {
+                                        now += shift;
+                                        for b in &mut busy {
+                                            *b += shift;
+                                        }
+                                        for e in &mut sb.entries {
+                                            e.enqueued_at += shift;
+                                        }
+                                        if cy.drains {
+                                            sb.drain_free_at += shift;
+                                        }
+                                        rounds.clear();
+                                        continue;
+                                    }
+                                }
+                                rounds.push((phase, at));
+                            }
+                        }
+                        let idx = if busy[next] <= now {
+                            next
+                        } else if busy[next ^ 1] <= now {
+                            next ^ 1
+                        } else {
+                            let wake = busy[0].min(busy[1]).min(end).min(sb.next_local_drain(mem));
+                            let span = wake - now;
+                            let mem_waiting =
+                                wait.iter().filter(|&&w| w == WaitKind::Memory).count();
+                            charges.active += span;
+                            charges.mem_stall += span * mem_waiting as u64;
+                            now = wake;
+                            continue;
+                        };
+                        let steps = &cache.loops[idx].steps;
+                        let step = &steps[cursor[idx]];
+                        match step.access {
+                            LoopAccess::Store { .. } if sb.is_full() => break,
+                            LoopAccess::Load { .. } if !mem.has_room() => break,
+                            _ => {}
+                        }
+                        let other = idx ^ 1;
+                        charges.active += 1;
+                        charges.mem_stall +=
+                            u64::from(busy[other] > now && wait[other] == WaitKind::Memory);
+                        charges.dual += 1;
+                        if last.is_some_and(|(t, p, o)| t == other && p == step.pc && o == step.op)
+                        {
+                            charges.drafted += 1;
+                        }
+                        last = Some((idx, step.pc, step.op));
+                        next = other;
+                        charges.l1i += 1;
+                        charges.issues[step.op.index()] += 1;
+                        charges.occupancy[step.op.index()] += step.occupancy;
+                        match step.access {
+                            LoopAccess::None => {}
+                            LoopAccess::Load { addr, value } => mem.relog_load(now, addr, value),
+                            LoopAccess::Store { addr, value } => {
+                                sb.push(addr, value, now);
+                                charges.sb_enqueues += 1;
+                            }
+                        }
+                        let mut record = IssueRecord::new((now - origin) as u16, idx, step.pc);
+                        record.set_op(step.op);
+                        record.activity = step.activity;
+                        records.push(record);
+                        retired[idx] += 1;
+                        busy[idx] = now + step.occupancy;
+                        wait[idx] = step.wait;
+                        cursor[idx] += 1;
+                        if cursor[idx] == steps.len() {
+                            cursor[idx] = 0;
+                            round = idx == 0;
+                        }
+                        now += 1;
+                    }
+                    for i in 0..2 {
+                        pc[i] = cache.loops[i].restore(th[i], code[i], cursor[i]);
+                    }
+                    if mem.loud != loud {
+                        cache.loops.iter_mut().for_each(ThreadLoop::reset);
+                        cache.cycle = None;
+                    }
+                    continue;
+                }
             }
             let ready = |i: usize| running[i] && busy[i] <= now;
             let idx = if ready(next) {
@@ -960,9 +2130,11 @@ impl Core {
                     [true, true] => busy[0].min(busy[1]),
                     [true, false] => busy[0],
                     [false, true] => busy[1],
-                    [false, false] => break end,
+                    // Both halted: buffered stores still drain live.
+                    [false, false] if sb.entries.is_empty() => break end,
+                    [false, false] => break now,
                 };
-                let wake = wake.min(end);
+                let wake = wake.min(end).min(sb.next_local_drain(mem));
                 let span = wake - now;
                 let mem_waiting = (0..2)
                     .filter(|&i| running[i] && wait[i] == WaitKind::Memory)
@@ -975,9 +2147,22 @@ impl Core {
             let other = idx ^ 1;
             let here = pc[idx];
             let instr = code[idx].get(here);
-            if instr.is_some_and(|i| matches!(i.opcode, Opcode::Ldx | Opcode::Casx)) {
-                break now;
-            }
+            let mut access = LoopAccess::None;
+            let loaded = match instr {
+                Some(i) if i.opcode == Opcode::Casx => break now,
+                Some(i) if i.opcode == Opcode::Stx && sb.is_full() => break now,
+                Some(i) if i.opcode == Opcode::Ldx => {
+                    let addr = th[idx].read(i.rs1).wrapping_add(i.imm as u64);
+                    if !mem.takes_load(tile, addr) {
+                        break now;
+                    }
+                    mark!();
+                    let value = mem.load(addr, now);
+                    access = LoopAccess::Load { addr, value };
+                    value
+                }
+                _ => 0,
+            };
             // The issue slot of cycle `at` is consumed from here on.
             let at = now;
             now += 1;
@@ -986,13 +2171,7 @@ impl Core {
                 u64::from(running[other] && busy[other] > at && wait[other] == WaitKind::Memory);
             charges.dual += u64::from(running[other]);
             next = other;
-            let mut record = IssueRecord {
-                offset: (at - origin) as u16,
-                op: PHANTOM_OP,
-                thread: idx as u8,
-                pc: here as u32,
-                activity: 0.0,
-            };
+            let mut record = IssueRecord::new((at - origin) as u16, idx, here);
             let Some(instr) = instr else {
                 // Fell off the end: an issuing step that fetches and
                 // records nothing, halting the thread.
@@ -1010,7 +2189,7 @@ impl Core {
             }
             last = Some((idx, here, op));
             charges.l1i += 1;
-            record.op = op.index() as u8;
+            record.set_op(op);
             retired[idx] += 1;
             let t = &mut th[idx];
             let (occupancy, activity, kind, target) = match op {
@@ -1022,19 +2201,22 @@ impl Core {
                     records.push(record);
                     continue;
                 }
+                Opcode::Ldx => {
+                    t.write(instr.rd, loaded);
+                    let activity = value_activity_code(loaded);
+                    (L1_HIT_CYCLES, activity, WaitKind::Memory, None)
+                }
                 Opcode::Stx => {
-                    // The buffer was empty at entry and the run stops
-                    // after the first store, so it can never be full
-                    // here — no roll-back path in local mode.
                     let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
                     let value = t.read(instr.rs2);
-                    store_buffer.push(addr, value, at);
+                    sb.push(addr, value, at);
                     charges.sb_enqueues += 1;
-                    (1, value_activity(value), WaitKind::Execute, None)
+                    access = LoopAccess::Store { addr, value };
+                    (1, value_activity_code(value), WaitKind::Execute, None)
                 }
                 Opcode::Membar => {
-                    let held = store_buffer.drained_by(at) - at;
-                    (held.max(op.base_latency()), 0.0, WaitKind::StoreDrain, None)
+                    let held = sb.drained_by(at) - at;
+                    (held.max(op.base_latency()), 0, WaitKind::StoreDrain, None)
                 }
                 _ => {
                     let (activity, target) = t.execute_local(instr);
@@ -1044,38 +2226,29 @@ impl Core {
             let occupancy = occupancy.max(1);
             charges.issues[op.index()] += 1;
             charges.occupancy[op.index()] += occupancy;
-            record.activity = activity.clamp(0.0, 1.0);
+            record.activity = activity;
             records.push(record);
+            cache.loops[idx].record(LoopStep {
+                pc: here,
+                op,
+                occupancy,
+                wait: kind,
+                activity: record.activity,
+                access,
+            });
             busy[idx] = at + occupancy;
             wait[idx] = kind;
             pc[idx] = target.unwrap_or(here + 1);
-            if op == Opcode::Stx {
-                // From the next cycle on the pending drain is a
-                // memory-system mutation: hand back.
-                break now;
+            if target.is_none_or(|t| t > here) {
+                continue;
             }
-            if target.is_some_and(|t| t <= here) {
-                // Any occupancy already over is as good as none.
-                let ahead = |i: usize| {
-                    if running[i] {
-                        busy[i].saturating_sub(now)
-                    } else {
-                        0
-                    }
-                };
-                let regs = [th[0].regs, th[1].regs];
-                let state = (pc, regs, [ahead(0), ahead(1)], wait, running, next, last);
-                let before = records.len();
-                let replayed = LoopHead::replay(&mut heads[idx], state, now, end, records, charges);
-                for r in &records[before..] {
-                    retired[usize::from(r.thread)] += 1;
-                }
-                now += replayed;
-                for i in (0..2).filter(|&i| running[i]) {
-                    busy[i] += replayed;
-                }
+            cache.loops[idx].branch(pc[idx], &th[idx].regs, mem.loud);
+            if !cache.loops[idx].proven {
+                cache.cycle = None;
             }
+            try_steady = true;
         };
+        mem.log.pair = Some(cache);
         let [p0, p1] = progs;
         for (i, (t, p)) in th.into_iter().zip([p0, p1]).enumerate() {
             t.pc = pc[i];
@@ -1156,6 +2329,7 @@ impl Core {
             }
             _ => {
                 let (activity, target) = t.execute_local(&instr);
+                let activity = activity_of_code(activity);
                 self.finish(idx, now, op.base_latency(), op, activity, target, act);
             }
         }
@@ -1414,26 +2588,44 @@ mod tests {
         assert!(act.atomics >= 20);
     }
 
-    /// Runs `core` ahead locally over `[start, end)` and a clone live,
-    /// one `step` per cycle, over the cycles the local run covered.
-    /// Asserts the two agree on every counter (the records' activities
-    /// folded in cycle order, as the machine does), on which cycles
-    /// issued, and on the whole core state. Returns the horizon.
+    /// [`assert_local_matches_step_on`] over a cold memory system.
     fn assert_local_matches_step(core: Core, start: u64, end: u64) -> u64 {
+        let sys = MemorySystem::new(&ChipConfig::piton());
+        assert_local_matches_step_on(core, &sys, start, end)
+    }
+
+    /// Runs `core` ahead locally over `[start, end)` against `sys` and a
+    /// clone live, one `step` per cycle on a copy of `sys`, over the
+    /// cycles the local run covered. The local run's logged accesses
+    /// are applied to a second copy as the machine applies them when
+    /// every cycle is processed, and the ones due at or after the
+    /// horizon go back to the store buffer. Asserts the two agree on
+    /// every counter (the records' activities folded in cycle order, as
+    /// the machine does) and on which cycles issued, then steps both on
+    /// live and asserts they stay in step, down to the whole core state.
+    /// Returns the horizon.
+    fn assert_local_matches_step_on(core: Core, sys: &MemorySystem, start: u64, end: u64) -> u64 {
+        let tile = core.tile();
         let mut stepped = core.clone();
         let mut local = core;
         let mut records = Vec::new();
         let mut charges = LocalCharges::default();
-        let horizon = local.run_local(start, start, end, &mut records, &mut charges);
-
-        let (mut memsys, mut act) = (
-            MemorySystem::new(&ChipConfig::piton()),
-            ActivityCounters::default(),
+        let mut log = MemLog::default();
+        let horizon = local.run_local(
+            start,
+            start,
+            end,
+            &mut LocalMem::record(sys, &mut log, &mut RunMark::default()),
+            &mut records,
+            &mut charges,
         );
+
+        let (mut live_sys, mut act) = (sys.clone(), ActivityCounters::default());
         let issued: Vec<u64> = (start..horizon)
-            .filter(|&now| stepped.step(now, &mut memsys, &mut act))
+            .filter(|&now| stepped.step(now, &mut live_sys, &mut act))
             .collect();
 
+        let mut local_sys = sys.clone();
         let mut folded = ActivityCounters {
             core_active_cycles: charges.active,
             mem_stall_cycles: charges.mem_stall,
@@ -1445,8 +2637,21 @@ mod tests {
             occupancy_cycles: charges.occupancy,
             ..ActivityCounters::default()
         };
-        for r in records.iter().filter(|r| r.op != PHANTOM_OP) {
-            folded.operand_activity[usize::from(r.op)] += r.activity;
+        let due = log.ops().iter().take_while(|op| op.due() < horizon).count();
+        for op in &log.ops()[..due] {
+            if op.is_load() {
+                let out = local_sys.load(tile, op.addr, op.at(), &mut folded);
+                assert_eq!((out.value, out.latency), (op.value, L1_HIT_CYCLES));
+            } else {
+                let latency = local_sys.store_drain(tile, op.addr, op.value, op.at(), &mut folded);
+                assert_eq!(latency, STORE_DRAIN_CYCLES);
+            }
+        }
+        local.unlog_drains(&log.ops()[due..]);
+        for r in &records {
+            if let Some(op) = r.op() {
+                folded.operand_activity[op] += activity_of_code(r.activity);
+            }
         }
         let offsets: Vec<u64> = records
             .iter()
@@ -1454,6 +2659,12 @@ mod tests {
             .collect();
         assert_eq!(offsets, issued, "issuing cycles");
         assert_eq!(folded, act);
+
+        for now in horizon..horizon + 200 {
+            local.step(now, &mut local_sys, &mut folded);
+            stepped.step(now, &mut live_sys, &mut act);
+        }
+        assert_eq!(folded, act, "after the horizon");
         assert_eq!(format!("{local:?}"), format!("{stepped:?}"), "core state");
         horizon
     }
@@ -1522,12 +2733,106 @@ mod tests {
             Instruction::nop(),
             Instruction::ldx(Reg::new(2), Reg::new(1), 0),
         ];
-        // Stops after the store (its drain is a memory-system effect)…
+        // Stops after the store, at its drain to a line not owned…
         let horizon = assert_local_matches_step(core_with(&[store, steady_loop()]), 0, 1_000);
         assert!(horizon < 1_000);
-        // …and before the load.
+        // …and before the load that misses the L1.
         let horizon = assert_local_matches_step(core_with(&[steady_loop(), load]), 0, 1_000);
         assert!(horizon < 1_000);
+    }
+
+    /// An HP-style mixed loop over one line: ALU work, two loads and a
+    /// store, slow enough that two copies never fill the store buffer.
+    fn owned_loop(base: i64) -> Vec<Instruction> {
+        let mut code = vec![
+            Instruction::movi(Reg::new(1), base),
+            Instruction::movi(Reg::new(2), 0x0F0F),
+        ];
+        for _ in 0..12 {
+            code.push(Instruction::alu(
+                Opcode::Add,
+                Reg::new(3),
+                Reg::new(2),
+                Reg::new(2),
+            ));
+        }
+        code.extend([
+            Instruction::ldx(Reg::new(4), Reg::new(1), 0),
+            Instruction::alu(Opcode::And, Reg::new(3), Reg::new(4), Reg::new(2)),
+            Instruction::ldx(Reg::new(5), Reg::new(1), 8),
+            Instruction::stx(Reg::new(2), Reg::new(1), 0),
+            Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 2),
+        ]);
+        code
+    }
+
+    /// A memory system where tile 0 owns the lines at 0x4000 and 0x5000
+    /// and holds them in its L1, their first words still 7.
+    fn owned_lines() -> MemorySystem {
+        let mut sys = MemorySystem::new(&ChipConfig::piton());
+        let mut act = ActivityCounters::default();
+        for base in [0x4000, 0x5000] {
+            sys.store_drain(TileId::new(0), base, 7, 0, &mut act);
+            assert!(sys.owns(TileId::new(0), base) && sys.l1_holds(TileId::new(0), base));
+        }
+        sys
+    }
+
+    #[test]
+    fn owned_accesses_run_locally() {
+        let sys = owned_lines();
+        // One thread, two threads on two lines, and a loop next to it.
+        for programs in [
+            vec![owned_loop(0x4000)],
+            vec![owned_loop(0x4000), owned_loop(0x5000)],
+            vec![steady_loop(), owned_loop(0x5000)],
+        ] {
+            for (start, end) in [(0, 800), (5, 605), (100, 113)] {
+                let horizon = assert_local_matches_step_on(core_with(&programs), &sys, start, end);
+                assert_eq!(horizon, end, "owned accesses never end the run");
+            }
+        }
+    }
+
+    #[test]
+    fn owned_loop_replays_once_its_stores_are_silent() {
+        // The first store changes the word from 7; every later one
+        // rewrites it, so the loop replays from then on.
+        let sys = owned_lines();
+        let mut core = core_with(&[owned_loop(0x4000)]);
+        let mut log = MemLog::default();
+        let mut records = Vec::new();
+        let horizon = core.run_local(
+            0,
+            0,
+            1_000,
+            &mut LocalMem::record(&sys, &mut log, &mut RunMark::default()),
+            &mut records,
+            &mut LocalCharges::default(),
+        );
+        assert_eq!(horizon, 1_000);
+        let loud = log
+            .ops()
+            .iter()
+            .filter(|op| op.kind() == MemOpKind::Drain { silent: false })
+            .count();
+        assert_eq!(loud, 1);
+        assert!(log.ops().len() > 100, "{} accesses", log.ops().len());
+    }
+
+    #[test]
+    fn foreign_owner_ends_the_run_at_the_access() {
+        // Another tile owns the line: the first load is not local.
+        let mut sys = MemorySystem::new(&ChipConfig::piton());
+        sys.store_drain(
+            TileId::new(3),
+            0x4000,
+            7,
+            0,
+            &mut ActivityCounters::default(),
+        );
+        let horizon = assert_local_matches_step_on(core_with(&[owned_loop(0x4000)]), &sys, 0, 500);
+        assert_eq!(horizon, 14, "stops before the first ldx");
     }
 
     #[test]
@@ -1537,7 +2842,15 @@ mod tests {
             core.load_thread(thread, Arc::new(Program::from_instructions(steady_loop())));
         }
         let mut records = Vec::new();
-        let horizon = core.run_local(5, 9, 100, &mut records, &mut LocalCharges::default());
+        let sys = MemorySystem::new(&ChipConfig::piton());
+        let horizon = core.run_local(
+            5,
+            9,
+            100,
+            &mut LocalMem::record(&sys, &mut MemLog::default(), &mut RunMark::default()),
+            &mut records,
+            &mut LocalCharges::default(),
+        );
         assert_eq!(horizon, 9, "stepped live from the start");
         assert!(records.is_empty());
     }
@@ -1567,7 +2880,15 @@ mod tests {
             let mut core = core_with(&programs);
             assert_local_matches_step(core.clone(), 0, 3_000);
             let mut records = Vec::new();
-            core.run_local(0, 0, 3_000, &mut records, &mut LocalCharges::default());
+            let sys = MemorySystem::new(&ChipConfig::piton());
+            core.run_local(
+                0,
+                0,
+                3_000,
+                &mut LocalMem::record(&sys, &mut MemLog::default(), &mut RunMark::default()),
+                &mut records,
+                &mut LocalCharges::default(),
+            );
             assert!(core.reg(0, Reg::new(1)) > 300, "the counter ran");
         }
     }

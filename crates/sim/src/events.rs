@@ -226,9 +226,72 @@ pub fn datapath_activity(a: u64, b: u64, result: u64) -> f64 {
     (value_activity(a) + value_activity(b) + value_activity(result)) / 3.0
 }
 
+/// [`datapath_activity`] as a one-byte *code*: the set bits of the
+/// three words it averages, `0..=192`. [`activity_of_code`] turns it
+/// back into the same `f64`, bit for bit: the three per-word fractions
+/// are multiples of 1/64 that add without rounding, so the average is
+/// the code over 64, divided by three once.
+#[must_use]
+pub fn datapath_activity_code(a: u64, b: u64, result: u64) -> u8 {
+    // At most 192: fits.
+    #[allow(clippy::cast_possible_truncation)]
+    let code = (a.count_ones() + b.count_ones() + result.count_ones()) as u8;
+    code
+}
+
+/// [`value_activity`] as a code: three times the set bits, since a
+/// fraction over 64 divides by three exactly back into itself.
+#[must_use]
+pub fn value_activity_code(value: u64) -> u8 {
+    // At most 192: fits.
+    #[allow(clippy::cast_possible_truncation)]
+    let code = (3 * value.count_ones()) as u8;
+    code
+}
+
+/// The activity an activity code stands for (see
+/// [`datapath_activity_code`]).
+#[must_use]
+pub fn activity_of_code(code: u8) -> f64 {
+    ACTIVITY_OF_CODE[usize::from(code)]
+}
+
+/// [`activity_of_code`]'s table: code `s` is `s / 64 / 3`.
+static ACTIVITY_OF_CODE: [f64; 256] = {
+    let mut table = [0.0; 256];
+    let mut s = 0;
+    while s < 256 {
+        table[s] = s as f64 / 64.0 / 3.0;
+        s += 1;
+    }
+    table
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn activity_codes_round_trip_exactly() {
+        for p in 0..=64u32 {
+            let word = if p == 64 { u64::MAX } else { (1u64 << p) - 1 };
+            assert_eq!(
+                activity_of_code(value_activity_code(word)).to_bits(),
+                value_activity(word).to_bits()
+            );
+            for q in 0..=64u32 {
+                let b = if q == 64 { u64::MAX } else { (1u64 << q) - 1 };
+                for r in 0..=64u32 {
+                    let c = if r == 64 { u64::MAX } else { (1u64 << r) - 1 };
+                    assert_eq!(
+                        activity_of_code(datapath_activity_code(word, b, c)).to_bits(),
+                        datapath_activity(word, b, c).to_bits(),
+                        "{p} {q} {r}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn value_activity_extremes() {

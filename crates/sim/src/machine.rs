@@ -22,9 +22,11 @@
 //!
 //! When most live cores issue most cycles the calendar buys nothing,
 //! and the loop hands over to the one dense mode, a batched two-phase
-//! engine (see `run_dense_batched`): lanes run ahead locally, then one
-//! ordered replay folds their deferred effects — and emits their
-//! `Retire` trace events — in the naive engine's (cycle, tile) order.
+//! engine (see `run_dense_batched`): lanes run ahead locally — through
+//! L1 hits and store drains on lines their tile owns — then one ordered
+//! replay folds their deferred effects, applies their logged accesses
+//! and emits their `Retire` trace events in the naive engine's
+//! (cycle, tile) order.
 //! So there is one fast path and one oracle, and which mode runs
 //! depends on the machine's state alone: tracing changes what is
 //! emitted, never what is executed.
@@ -63,8 +65,10 @@ use piton_arch::topology::TileId;
 use piton_obs::metrics::{self, Histogram};
 use piton_obs::trace::{self, EngineMode, TraceEvent, SUB_RETIRE};
 
-use crate::core::{emit_retire, Core, IssueRecord, LocalCharges, WaitKind, PHANTOM_OP};
-use crate::events::ActivityCounters;
+use crate::core::{
+    emit_retire, Core, IssueRecord, LocalCharges, LocalMem, MemLog, MemOp, RunMark, WaitKind,
+};
+use crate::events::{activity_of_code, ActivityCounters};
 use crate::memsys::MemorySystem;
 use crate::noc::NocId;
 use crate::program::Program;
@@ -273,6 +277,10 @@ pub struct EngineMetrics {
     pub record_hwm: u64,
     /// Cycles driven by the reference naive engine.
     pub naive_cycles: u64,
+    /// Lanes of the batched dense mode rewound because a logged owned
+    /// access failed its check at its turn (another tile changed the
+    /// line or the value first).
+    pub rewinds: u64,
     /// Mode handovers (calendar ↔ dense) within `run` calls.
     pub handovers: u64,
     /// Histogram of cores issuing per serviced cycle (recorded only
@@ -292,6 +300,7 @@ struct PublishedMarks {
     batched_cycles: u64,
     batches: u64,
     naive_cycles: u64,
+    rewinds: u64,
     handovers: u64,
 }
 
@@ -302,17 +311,19 @@ const DENSE_BATCH_CYCLES: u64 = 4_096;
 
 /// Cycles of a batch that phase A runs ahead before phase B replays
 /// them. A batch is worked off in segments so that a lane's effect
-/// buffer holds one segment's issues (16 KB), not a batch's — 1.6 MB
-/// across a 25-lane machine, a fifth of `reproduce`'s resident set.
-/// Long enough to amortize the per-segment lane setup. It does not
-/// bound how long a lane stays live: phase B re-arms a lane's local
-/// run as soon as its store buffer is empty after a live step.
-const DENSE_SEGMENT_CYCLES: u64 = 1_024;
+/// buffer holds one segment's issues (12 KB of 6-byte records), not a
+/// batch's. Long enough to amortize the per-segment lane setup and for
+/// a two-thread lane's schedule to come round within one segment
+/// (HP's recurs every 843 cycles). It does not bound how long a lane
+/// stays live: phase B re-arms a lane's local run after each live
+/// step.
+const DENSE_SEGMENT_CYCLES: u64 = 2_048;
 
 /// Reusable per-lane state of the batched dense engine: phase A's
-/// output (the lane's *effect buffer* of deferred issues plus its
-/// order-free charge aggregates) and phase B's replay cursor. Kept on
-/// the machine so the batch loop does not reallocate.
+/// output (the lane's *effect buffer* of deferred issues, its log of
+/// owned memory accesses and its order-free charge aggregates) and
+/// phase B's replay cursors. Kept on the machine so the batch loop does
+/// not reallocate.
 #[derive(Debug, Clone, Default)]
 struct LaneBuf {
     /// First cycle phase A could not cover locally (== the batch start
@@ -324,9 +335,139 @@ struct LaneBuf {
     records: Vec<IssueRecord>,
     /// Order-free charges of the local span.
     charges: LocalCharges,
+    /// Owned accesses of the local span, in application order.
+    mem: MemLog,
+    /// Next unapplied access (phase B).
+    mem_cursor: usize,
+    /// The cycle that access is due at (`u64::MAX` when none is
+    /// pending).
+    next_due: u64,
+    /// Where the latest local run that logged an access can be
+    /// rewound to.
+    mark: Box<RunMark>,
 }
 
 impl LaneBuf {
+    /// Empties the buffers for a new segment.
+    fn clear(&mut self) {
+        self.cursor = 0;
+        self.records.clear();
+        self.charges.clear();
+        self.mem.clear();
+        self.mem_cursor = 0;
+        self.next_due = u64::MAX;
+    }
+
+    /// Re-reads when the next pending access is due.
+    fn refresh_due(&mut self) {
+        self.next_due = self
+            .mem
+            .ops()
+            .get(self.mem_cursor)
+            .map_or(u64::MAX, MemOp::due);
+    }
+
+    /// Runs `core` ahead locally over `[from, end)`, offsets counted
+    /// from `origin`.
+    fn run_ahead(
+        &mut self,
+        core: &mut Core,
+        memsys: &MemorySystem,
+        origin: u64,
+        from: u64,
+        end: u64,
+    ) {
+        let mut mem = LocalMem::record(memsys, &mut self.mem, &mut self.mark);
+        self.horizon = core.run_local(
+            origin,
+            from,
+            end,
+            &mut mem,
+            &mut self.records,
+            &mut self.charges,
+        );
+        self.refresh_due();
+    }
+
+    /// Applies the lane's logged accesses due at its cycle-`c` turn
+    /// through the real memory system, each only after checking that
+    /// the live path would take it the same way: a load still hits the
+    /// L1 and memory still holds the value read, a drain's line is
+    /// still owned. Returns `false` at the first that fails, unapplied.
+    fn apply_due(
+        &mut self,
+        tile: TileId,
+        c: u64,
+        memsys: &mut MemorySystem,
+        act: &mut ActivityCounters,
+    ) -> bool {
+        while let Some(&op) = self.mem.ops().get(self.mem_cursor) {
+            if op.due() > c {
+                break;
+            }
+            if op.is_load() {
+                debug_assert_eq!(op.at(), c, "load applied off its issue cycle");
+                if !(memsys.l1_holds(tile, op.addr) && memsys.peek_mem(op.addr) == op.value) {
+                    return false;
+                }
+                let _out = memsys.load(tile, op.addr, c, act);
+                debug_assert_eq!(
+                    (_out.value, _out.latency),
+                    (op.value, crate::memsys::L1_HIT_CYCLES)
+                );
+            } else {
+                if !memsys.owns(tile, op.addr) {
+                    return false;
+                }
+                let _latency = memsys.store_drain(tile, op.addr, op.value, op.at(), act);
+                debug_assert_eq!(_latency, crate::memsys::STORE_DRAIN_CYCLES);
+            }
+            self.mem_cursor += 1;
+        }
+        self.refresh_due();
+        true
+    }
+
+    /// Rewinds the lane to cycle `c`, where its access at `mem_cursor`
+    /// failed its check: restores the state its latest local run saved
+    /// before its first logged access and redoes the run from there up
+    /// to `c`, taking every earlier access from the log. The lane is
+    /// stepped live from `c` on.
+    #[cold]
+    fn rewind(&mut self, core: &mut Core, memsys: &MemorySystem, origin: u64, c: u64) {
+        core.restore(&self.mark);
+        self.charges = self.mark.charges;
+        self.records.truncate(self.mark.records);
+        let stop = self.mem_cursor;
+        let mut mem = LocalMem::redo(memsys, &mut self.mem, self.mark.ops, stop);
+        let horizon = core.run_local(
+            origin,
+            self.mark.from,
+            c,
+            &mut mem,
+            &mut self.records,
+            &mut self.charges,
+        );
+        core.finish_redo(c, &mut mem);
+        debug_assert_eq!(horizon, c, "redo stopped short");
+        debug_assert_eq!(self.cursor, self.records.len(), "redo records");
+        self.mem.truncate(stop);
+        self.refresh_due();
+        self.horizon = c;
+    }
+
+    /// The lane goes live (or the segment ends): hands the logged
+    /// drains whose turn has not come back to `core`'s store buffer and
+    /// empties the log, whose other accesses are all applied.
+    fn unlog_pending(&mut self, core: &mut Core) {
+        if self.mem_cursor < self.mem.ops().len() {
+            core.unlog_drains(&self.mem.ops()[self.mem_cursor..]);
+        }
+        self.mem.clear();
+        self.mem_cursor = 0;
+        self.next_due = u64::MAX;
+    }
+
     /// Phase B's turn of this lane at batch-relative cycle `rel` while
     /// the lane is inside its local span: if its next deferred issue
     /// falls on this cycle, folds the issue's operand activity and
@@ -338,40 +479,27 @@ impl LaneBuf {
             return None;
         }
         self.cursor += 1;
-        if r.op != PHANTOM_OP {
-            act.operand_activity[usize::from(r.op)] += r.activity;
+        if let Some(op) = r.op() {
+            act.operand_activity[op] += activity_of_code(r.activity);
         }
         Some(r)
     }
 }
 
-/// Phase A of one segment: every polled core whose store buffer is
-/// empty runs ahead locally over `span`, filling its lane's effect
-/// buffer, charges and horizon; cores with drains in flight get a
-/// horizon at the span's start (stepped throughout). `scratch` holds one
-/// buffer per polled core, in the same order.
+/// Phase A of one segment: every polled core runs ahead locally over
+/// `span`, filling its lane's effect buffer, memory log, charges and
+/// horizon. `scratch` holds one buffer per polled core, in the same
+/// order.
 fn run_lanes_ahead(
     cores: &mut [Core],
+    memsys: &MemorySystem,
     polled: &[usize],
     scratch: &mut [LaneBuf],
     span: std::ops::Range<u64>,
 ) {
     for (&k, buf) in polled.iter().zip(scratch) {
-        let core = &mut cores[k];
-        buf.cursor = 0;
-        buf.records.clear();
-        buf.charges.clear();
-        buf.horizon = if core.has_pending_stores() {
-            span.start
-        } else {
-            core.run_local(
-                span.start,
-                span.start,
-                span.end,
-                &mut buf.records,
-                &mut buf.charges,
-            )
-        };
+        buf.clear();
+        buf.run_ahead(&mut cores[k], memsys, span.start, span.start, span.end);
     }
 }
 
@@ -785,12 +913,14 @@ impl Machine {
     /// its cycles off in segments of [`DENSE_SEGMENT_CYCLES`], two
     /// phases per segment:
     ///
-    /// * **Phase A** — every polled core whose store buffer is empty
-    ///   runs ahead *locally* ([`Core::run_local`]): ALU/FP/branch
-    ///   cycles touch nothing shared, so order-free integer charges
-    ///   aggregate per lane and each issue's order-sensitive residue is
-    ///   deferred into the lane's effect buffer. A lane stops at its
-    ///   *horizon* — the first memory-system access. Phase A has no
+    /// * **Phase A** — every polled core runs ahead *locally*
+    ///   ([`Core::run_local`]): ALU/FP/branch cycles touch nothing
+    ///   shared, so order-free integer charges aggregate per lane and
+    ///   each issue's order-sensitive residue is deferred into the
+    ///   lane's effect buffer. L1 hits and store drains on lines the
+    ///   tile owns are taken too, against a shared borrow of the memory
+    ///   system, and logged. A lane stops at its *horizon* — the first
+    ///   access that must reach the memory system live. Phase A has no
     ///   effects outside its own lane.
     /// * **Phase B** — the one sequential pass that owns the shared
     ///   memory system: cycles ascend, and within each cycle the lanes
@@ -799,15 +929,28 @@ impl Machine {
     ///   [`Core::step`] at and beyond it — which is exactly the naive
     ///   engine's global mutation sequence, so every NoC Hamming chain
     ///   and `f64` accumulation folds in the same order, bit for bit.
+    ///   A logged access is applied at the turn where a live step would
+    ///   make it (a load at its issue, a drain at the lane's first
+    ///   processed cycle after its start) through the real
+    ///   [`MemorySystem::load`] or [`MemorySystem::store_drain`], once
+    ///   a check shows the live path would take it the same way: the
+    ///   L1 still hits and memory still holds the value read, or the
+    ///   line is still owned. When another tile got there first the
+    ///   check fails and the lane is *rewound*: it restores the state
+    ///   its run saved before its first logged access, redoes the run
+    ///   up to this cycle taking the earlier accesses from the log, and
+    ///   is stepped live from here (`engine.rewinds`).
     ///   Trace events keep that order too: a replayed record emits its
     ///   `Retire` at its (cycle, tile) turn, between the live events of
     ///   the stepped lanes around it.
-    ///   After a lane's live step at cycle `c`, if its core's store
-    ///   buffer is empty the lane is *re-armed*: it runs ahead locally
-    ///   again over `(c, segment end)`. That touches only its own core,
-    ///   so it may run before the later lanes' cycle-`c` steps; its new
-    ///   records keep offsets from the segment start and fold at their
-    ///   (cycle, tile) turns like phase A's.
+    ///   After a lane's live step at cycle `c` it is *re-armed*: it
+    ///   runs ahead locally again over `(c, segment end)`, unless its
+    ///   next drain must go live anyway. That touches only its own
+    ///   core, so it may run before the later lanes' cycle-`c` steps;
+    ///   its new records keep offsets from the segment start and fold
+    ///   at their (cycle, tile) turns like phase A's. Logged drains
+    ///   whose turn falls at or after the lane's horizon, or beyond the
+    ///   segment, go back to its store buffer for the live path.
     ///   Zero-issue cycles fast-forward like the naive engine: local
     ///   lanes contribute their next record's cycle (equal to their
     ///   hidden `next_ready_at`, since a ready local thread always
@@ -858,17 +1001,25 @@ impl Machine {
                 let start = self.now;
                 let send = (start + DENSE_SEGMENT_CYCLES).min(bend);
 
-                // Phase A: run store-buffer-empty lanes ahead locally.
-                run_lanes_ahead(&mut self.cores, &polled, &mut scratch, start..send);
+                // Phase A: run every lane ahead locally.
+                run_lanes_ahead(
+                    &mut self.cores,
+                    &self.memsys,
+                    &polled,
+                    &mut scratch,
+                    start..send,
+                );
 
                 // Phase B: the sequential exact replay.
-                // When every lane covered the whole segment locally and
-                // no `Retire` events are wanted, the replay is a pure
-                // record merge: no horizon checks, no core access,
-                // nothing to emit — just each lane's next record
-                // against the cycle.
-                let merge_only =
-                    !trace_retire && scratch[..polled.len()].iter().all(|b| b.horizon == send);
+                // When every lane covered the whole segment locally
+                // without a memory access and no `Retire` events are
+                // wanted, the replay is a pure record merge: no horizon
+                // checks, no core access, nothing to emit — just each
+                // lane's next record against the cycle.
+                let merge_only = !trace_retire
+                    && scratch[..polled.len()]
+                        .iter()
+                        .all(|b| b.horizon == send && b.mem.ops().is_empty());
                 let mut c = start;
                 while c < send {
                     if idle {
@@ -883,16 +1034,20 @@ impl Machine {
                         let mut next = send;
                         let mut running: u64 = 0;
                         let mut mem_waiting: u64 = 0;
+                        let mut dry = false;
                         for (buf, &k) in scratch.iter().zip(&polled) {
                             if c < buf.horizon {
                                 if let Some(r) = buf.records.get(buf.cursor) {
                                     next = next.min(start + u64::from(r.offset));
-                                } else if let Some(t) = self.cores[k].next_ready_at() {
-                                    debug_assert!(
-                                        t >= buf.horizon,
-                                        "local lane wakes inside its span"
-                                    );
-                                    next = next.min(t);
+                                } else {
+                                    dry = true;
+                                    if let Some(t) = self.cores[k].next_ready_at() {
+                                        debug_assert!(
+                                            t >= buf.horizon,
+                                            "local lane wakes inside its span"
+                                        );
+                                        next = next.min(t);
+                                    }
                                 }
                             } else {
                                 running += u64::from(self.cores[k].any_running());
@@ -904,6 +1059,23 @@ impl Machine {
                         }
                         if next > c {
                             let skipped = next - c;
+                            if dry {
+                                // A run that stopped mid-stall, at a
+                                // drain it could not take, leaves the
+                                // rest of the jump to be charged here.
+                                for (buf, &k) in scratch.iter().zip(&polled) {
+                                    if (c + 1..next).contains(&buf.horizon)
+                                        && buf.cursor == buf.records.len()
+                                    {
+                                        let core = &self.cores[k];
+                                        let live = next - buf.horizon;
+                                        self.act.core_active_cycles +=
+                                            live * u64::from(core.any_running());
+                                        self.act.mem_stall_cycles +=
+                                            live * core.memory_waiting_threads(buf.horizon);
+                                    }
+                                }
+                            }
                             self.act.cycles += skipped;
                             self.act.core_active_cycles += skipped * running;
                             self.act.mem_stall_cycles += skipped * mem_waiting;
@@ -925,28 +1097,35 @@ impl Machine {
                             trace::set_cycle(c);
                         }
                         for (buf, &k) in scratch.iter_mut().zip(&polled) {
+                            let tile = TileId::new(k);
+                            if c >= buf.next_due
+                                && c < buf.horizon
+                                && !buf.apply_due(tile, c, &mut self.memsys, &mut self.act)
+                            {
+                                buf.rewind(&mut self.cores[k], &self.memsys, start, c);
+                                self.emetrics.rewinds += 1;
+                            }
                             if c >= buf.horizon {
                                 let core = &mut self.cores[k];
+                                buf.unlog_pending(core);
                                 issued += u64::from(core.step(c, &mut self.memsys, &mut self.act));
-                                // Re-arm: a lane whose buffer drained is
-                                // local again from the next cycle on.
-                                if c + 1 < send && core.is_enabled() && !core.has_pending_stores() {
-                                    buf.horizon = core.run_local(
-                                        start,
-                                        c + 1,
-                                        send,
-                                        &mut buf.records,
-                                        &mut buf.charges,
-                                    );
+                                // Re-arm: the lane is local again from
+                                // the next cycle on, unless its next
+                                // drain must go live anyway.
+                                if c + 1 < send
+                                    && core.is_enabled()
+                                    && core.drains_locally(&self.memsys)
+                                {
+                                    buf.run_ahead(core, &self.memsys, start, c + 1, send);
                                 }
                             } else if let Some(r) = buf.replay(rel, &mut self.act) {
                                 issued += 1;
-                                if trace_retire && r.op != PHANTOM_OP {
+                                if let Some(op) = r.op().filter(|_| trace_retire) {
                                     emit_retire(
                                         c,
-                                        TileId::new(k),
-                                        usize::from(r.thread),
-                                        Opcode::ALL[usize::from(r.op)],
+                                        tile,
+                                        r.thread(),
+                                        Opcode::ALL[op],
                                         u64::from(r.pc),
                                     );
                                 }
@@ -966,10 +1145,13 @@ impl Machine {
                 self.now = c;
 
                 // The barrier: fold the order-free phase-A aggregates
-                // (all exact integers, so fold order is free) and
-                // verify every effect buffer replayed to exhaustion.
-                for buf in &scratch[..polled.len()] {
+                // (all exact integers, so fold order is free), verify
+                // every effect buffer replayed to exhaustion and hand
+                // the drains whose turn lies beyond the segment back to
+                // their store buffers.
+                for (buf, &k) in scratch.iter_mut().zip(&polled) {
                     debug_assert_eq!(buf.cursor, buf.records.len(), "unreplayed issue records");
+                    buf.unlog_pending(&mut self.cores[k]);
                     self.emetrics.record_hwm =
                         self.emetrics.record_hwm.max(buf.records.len() as u64);
                     let ch = &buf.charges;
@@ -1104,6 +1286,7 @@ impl Machine {
         publish("batched_cycles", m.batched_cycles, &mut w.batched_cycles);
         publish("batches", m.batches, &mut w.batches);
         publish("naive_cycles", m.naive_cycles, &mut w.naive_cycles);
+        publish("rewinds", m.rewinds, &mut w.rewinds);
         publish("handovers", m.handovers, &mut w.handovers);
         if m.record_hwm > 0 {
             // A watermark, not a flow: last-write-wins gauge (the
@@ -1440,8 +1623,8 @@ mod tests {
 
     /// Segment ends are invisible: 25 tiles in lockstep on back-to-back
     /// divides issue for one cycle and then stall together for 72, a
-    /// rhythm whose fast-forward jumps straddle every segment end of
-    /// the batch. With all 25 cores polled, equal step counts mean the
+    /// rhythm whose fast-forward jumps straddle the segment ends of the
+    /// batch. With all 25 cores polled, equal step counts mean the
     /// batched engine processed exactly the naive engine's cycles.
     #[test]
     fn segment_ends_add_no_processed_cycles() {
@@ -1459,7 +1642,7 @@ mod tests {
         naive.run_naive(4_000);
         let m = batched.engine_metrics();
         assert_eq!(m.batches, 1);
-        assert!(m.batched_cycles > 3 * DENSE_SEGMENT_CYCLES);
+        assert!(m.batched_cycles > DENSE_BATCH_CYCLES - DENSE_SEGMENT_CYCLES);
         assert_eq!(batched.engine_steps(), naive.engine_steps());
         assert_eq!(batched.counters(), naive.counters());
     }
@@ -1658,7 +1841,7 @@ mod tests {
 
     mod engine_equivalence {
         use super::*;
-        use crate::testprog::decode_program;
+        use crate::testprog::{decode_program, owned_placement};
         use proptest::prelude::*;
 
         /// Re-runs both engines with retire/cache/noc tracing and
@@ -1690,87 +1873,170 @@ mod tests {
             }
         }
 
+        /// The equivalence property's configuration, which its last case
+        /// reads to know it is the last.
+        fn equivalence_config() -> ProptestConfig {
+            ProptestConfig::with_cases(24)
+        }
+
+        /// Cycles an owned-placement case runs after its drawn chunks:
+        /// long enough for slot 0's store to land mid-run.
+        const OWNED_TAIL: u64 = 3_000;
+
+        thread_local! {
+            /// `(cases seen, owned cases that rewound)` of the running
+            /// equivalence property.
+            static CASES: std::cell::Cell<(u32, u32)> = const { std::cell::Cell::new((0, 0)) };
+        }
+
+        /// Runs `build`'s machine through both engines in `chunks` and
+        /// asserts they agree on the clock, retirement and every
+        /// counter (`f64` fields bitwise; a mismatch is localized via
+        /// the trace differential), and that the engine diagnostics
+        /// publish exactly once. Returns the fast engine's diagnostics.
+        fn assert_engines_agree(build: impl Fn() -> Machine, chunks: &[u64]) -> EngineMetrics {
+            let mut event = build();
+            let mut naive = build();
+            // Identical chunking for both engines: chunk boundaries
+            // are observable (they cut fast-forward windows), so they
+            // must cut both engines in the same places.
+            for &chunk in chunks {
+                event.run(chunk);
+                naive.run_naive(chunk);
+            }
+            assert_eq!(event.now(), naive.now());
+            assert_eq!(event.retired(), naive.retired());
+            assert!(event.engine_steps() <= naive.engine_steps());
+            if event.counters() != naive.counters() {
+                assert_eq!(
+                    event.counters(),
+                    naive.counters(),
+                    "engines diverged; {}",
+                    divergence_context(build, chunks)
+                );
+            }
+            // The diagnostic counters promote into the metrics
+            // registry exactly once (delta-published watermarks), so
+            // the skip behavior asserted above is visible to the
+            // observability layer too. A fresh thread records into a
+            // registry of its own, so the counts are exact.
+            let em = event.engine_metrics();
+            let expected: std::collections::BTreeMap<String, u64> = [
+                ("steps", em.steps),
+                ("calendar_pops", em.calendar_pops),
+                ("calendar_stale_pops", em.calendar_stale_pops),
+                ("event_cycles", em.event_cycles),
+                ("batched_cycles", em.batched_cycles),
+                ("batches", em.batches),
+                ("naive_cycles", em.naive_cycles),
+                ("rewinds", em.rewinds),
+                ("handovers", em.handovers),
+            ]
+            .into_iter()
+            .filter(|&(_, v)| v > 0)
+            .map(|(k, v)| (format!("engine.{k}"), v))
+            .collect();
+            let (published, again) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    piton_obs::metrics::enable();
+                    event.publish_metrics();
+                    let published = piton_obs::metrics::snapshot();
+                    // Re-publishing must be a no-op (watermarks consumed).
+                    event.publish_metrics();
+                    (published, piton_obs::metrics::snapshot())
+                })
+                .join()
+                .expect("publishing thread")
+            });
+            assert_eq!(&published.counters, &expected);
+            assert_eq!(published, again);
+            // Batch accounting publishes coherently: every batched
+            // cycle belongs to a batch, and a batch implies cycles.
+            assert!(
+                em.batches == 0 || em.batched_cycles > 0,
+                "batches without batched cycles"
+            );
+            em
+        }
+
+        /// Slot 2's lane runs ahead on its owned line, and slot 0, on
+        /// another tile, stores into that line mid-segment. The lane
+        /// must be rewound to its first access that fails its check,
+        /// and both engines must still agree on every counter and on
+        /// the retire, cache and NoC trace.
+        #[test]
+        fn foreign_store_rewinds_a_lane_that_ran_ahead() {
+            let seeds = [0x5EED];
+            let build = || {
+                let mut m = machine();
+                for (tile, thread, program) in owned_placement(&seeds, 3, 1_500) {
+                    m.load_thread(TileId::new(tile), thread, program);
+                }
+                m
+            };
+            let chunks = [2_500, 3_000];
+            let em = assert_engines_agree(build, &chunks);
+            assert!(em.rewinds >= 1, "no lane was rewound");
+            let spec = piton_obs::trace::TraceSpec::parse("retire,cache,noc").expect("static spec");
+            let traced = |naive: bool| {
+                piton_obs::trace::capture(&spec, || {
+                    let mut m = build();
+                    for &chunk in &chunks {
+                        if naive {
+                            m.run_naive(chunk);
+                        } else {
+                            m.run(chunk);
+                        }
+                    }
+                })
+                .1
+            };
+            let (fast, naive) = (traced(false), traced(true));
+            assert!(fast.len() > 1_000, "{} events", fast.len());
+            assert!(fast == naive, "traces diverge");
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
+            #![proptest_config(equivalence_config())]
+            /// Random programs, or (`owned`) lanes looping on owned lines
+            /// with one foreign store among them: the fast engine agrees
+            /// with the naive one, and at least one owned case rewinds.
             #[test]
             fn event_engine_matches_naive_engine(
                 seeds in proptest::collection::vec(proptest::strategy::any::<u64>(), 2..8),
                 placement in proptest::collection::vec((0usize..25, 0usize..2), 1..9),
                 chunks in proptest::collection::vec(50u64..4_000, 1..6),
+                owned in 0u8..2,
             ) {
+                let owned = owned == 1;
                 let build = || {
                     let mut m = machine();
-                    for (slot, &(tile, thread)) in placement.iter().enumerate() {
-                        m.load_thread(
-                            TileId::new(tile),
-                            thread,
-                            decode_program(&seeds, slot),
-                        );
+                    if owned {
+                        for (tile, thread, program) in owned_placement(&seeds, placement.len(), 1_500) {
+                            m.load_thread(TileId::new(tile), thread, program);
+                        }
+                    } else {
+                        for (slot, &(tile, thread)) in placement.iter().enumerate() {
+                            m.load_thread(
+                                TileId::new(tile),
+                                thread,
+                                decode_program(&seeds, slot),
+                            );
+                        }
                     }
                     m
                 };
-                let mut event = build();
-                let mut naive = build();
-                // Identical chunking for both engines: chunk boundaries
-                // are observable (they cut fast-forward windows), so they
-                // must cut both engines in the same places.
-                for &chunk in &chunks {
-                    event.run(chunk);
-                    naive.run_naive(chunk);
+                let mut chunks = chunks;
+                if owned {
+                    chunks.push(OWNED_TAIL);
                 }
-                prop_assert_eq!(event.now(), naive.now());
-                prop_assert_eq!(event.retired(), naive.retired());
-                prop_assert!(event.engine_steps() <= naive.engine_steps());
-                // Full counter equality, f64 fields bitwise included —
-                // on mismatch, localize it via the trace differential.
-                if event.counters() != naive.counters() {
-                    prop_assert_eq!(
-                        event.counters(),
-                        naive.counters(),
-                        "engines diverged; {}",
-                        divergence_context(build, &chunks)
-                    );
+                let em = assert_engines_agree(build, &chunks);
+                let (seen, rewound) = CASES.get();
+                let (seen, rewound) = (seen + 1, rewound + u32::from(owned && em.rewinds > 0));
+                CASES.set((seen, rewound));
+                if seen == equivalence_config().effective_cases() {
+                    prop_assert!(rewound > 0, "no generated case rewound a lane");
                 }
-                // The diagnostic counters promote into the metrics
-                // registry exactly once (delta-published watermarks), so
-                // the skip behavior asserted above is visible to the
-                // observability layer too. A fresh thread records into a
-                // registry of its own, so the counts are exact.
-                let em = event.engine_metrics();
-                let expected: std::collections::BTreeMap<String, u64> = [
-                    ("steps", em.steps),
-                    ("calendar_pops", em.calendar_pops),
-                    ("calendar_stale_pops", em.calendar_stale_pops),
-                    ("event_cycles", em.event_cycles),
-                    ("batched_cycles", em.batched_cycles),
-                    ("batches", em.batches),
-                    ("naive_cycles", em.naive_cycles),
-                    ("handovers", em.handovers),
-                ]
-                .into_iter()
-                .filter(|&(_, v)| v > 0)
-                .map(|(k, v)| (format!("engine.{k}"), v))
-                .collect();
-                let (published, again) = std::thread::scope(|s| {
-                    s.spawn(|| {
-                        piton_obs::metrics::enable();
-                        event.publish_metrics();
-                        let published = piton_obs::metrics::snapshot();
-                        // Re-publishing must be a no-op (watermarks consumed).
-                        event.publish_metrics();
-                        (published, piton_obs::metrics::snapshot())
-                    })
-                    .join()
-                    .expect("publishing thread")
-                });
-                prop_assert_eq!(&published.counters, &expected);
-                prop_assert_eq!(published, again);
-                // Batch accounting publishes coherently: every batched
-                // cycle belongs to a batch, and a batch implies cycles.
-                prop_assert!(
-                    em.batches == 0 || em.batched_cycles > 0,
-                    "batches without batched cycles"
-                );
             }
 
             /// Table IV degraded parts: under ANY faulty-core mask the

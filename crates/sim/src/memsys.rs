@@ -32,10 +32,16 @@
 //! activity sums it accumulates depend on the *order* of transactions.
 //! Every engine in [`crate::machine`] must drive it in the canonical
 //! order — ascending cycle, then ascending tile index within a cycle.
-//! The batched dense engine defers core-issued transactions into
-//! per-lane effect buffers during local run-ahead and replays them here
-//! in exactly that order at the batch barrier, which is why its results
-//! stay bit-identical to the naive engine's.
+//! The batched dense engine's local run-ahead only *reads* it: an L1
+//! hit or a store drain on a line the tile's L1.5 owns is taken ahead
+//! of time against a shared borrow and logged. Its ordered replay then
+//! checks each logged access at its (cycle, tile) turn — the L1 still
+//! hits and memory still holds the value read, or the L1.5 still owns
+//! the line — before making the real [`MemorySystem::load`] or
+//! [`MemorySystem::store_drain`] call here. A failed check rewinds that
+//! lane to the access, which then takes the live path. So every call
+//! still arrives in the canonical order, and the results stay
+//! bit-identical to the naive engine's.
 
 use piton_arch::config::{ChipConfig, SliceMapping};
 use piton_arch::topology::TileId;
@@ -377,13 +383,10 @@ impl MemorySystem {
     ) {
         let l15_line = addr & !(self.cfg.l15.line_bytes - 1);
         if let Some(victim) = self.l15[tile.index()].insert(l15_line, state, now) {
+            // A clean victim leaves silently: the protocol tolerates
+            // its stale directory sharer bit.
             if victim.state.is_dirty() {
                 self.writeback_l15_victim(tile, victim.line_addr, act);
-            } else if let Some(e) = self.dir.get_mut(&self.l2_line(victim.line_addr)) {
-                // Silent clean eviction; drop sharer lazily if no other
-                // subline of the 64B line remains (cheap approximation:
-                // leave it — the protocol tolerates stale sharers).
-                let _ = e;
             }
         }
         let l1_line = addr & !(self.cfg.l1d.line_bytes - 1);
@@ -453,6 +456,23 @@ impl MemorySystem {
 
     fn l1_5_probe_home(&mut self, home: TileId, l2_line: u64, now: u64) -> bool {
         self.l2[home.index()].lookup(l2_line, now).is_some()
+    }
+
+    /// Whether `tile`'s L1 holds `addr`: a load of it now is a 3-cycle
+    /// hit that changes nothing but LRU stamps and counters.
+    #[must_use]
+    pub fn l1_holds(&self, tile: TileId, addr: u64) -> bool {
+        self.l1d[tile.index()].peek(addr).is_some()
+    }
+
+    /// Whether `tile`'s L1.5 holds the line of `addr` Modified or
+    /// Exclusive: a store drain to it now is a 10-cycle local write.
+    #[must_use]
+    pub fn owns(&self, tile: TileId, addr: u64) -> bool {
+        matches!(
+            self.l15[tile.index()].peek(addr),
+            Some(LineState::Modified | LineState::Exclusive)
+        )
     }
 
     /// Performs a 64-bit load from `tile` at cycle `now`.

@@ -90,6 +90,85 @@ pub fn placement(seeds: &[u64], n_slots: usize) -> Vec<(usize, usize, Program)> 
         .collect()
 }
 
+/// Base of the private lines [`owned_placement`] gives its slots: one
+/// 64 B line per slot, 0x1040 apart so they spread over L1 sets and L2
+/// slices.
+const OWNED_BASE: u64 = 0x500_0000;
+
+/// The private line of owned-placement slot `slot`.
+fn owned_line(slot: usize) -> u64 {
+    OWNED_BASE + slot as u64 * 0x1040
+}
+
+/// The steady loop of an owned-placement slot on `line`: ALU work, two
+/// loads and a store, all to a line the slot's tile owns once the
+/// prologue's store and `membar` have run.
+fn owned_loop(asm: &mut Vec<Instruction>, line: u64, pattern: i64, alu: usize) {
+    let r = Reg::new;
+    asm.extend([
+        Instruction::movi(r(1), line as i64),
+        Instruction::movi(r(2), pattern),
+        Instruction::stx(r(2), r(1), 0),
+        Instruction::membar(),
+    ]);
+    let top = asm.len();
+    for k in 0..alu {
+        let op = if k % 2 == 0 { Opcode::Add } else { Opcode::And };
+        asm.push(Instruction::alu(op, r(3), r(2), r(2)));
+    }
+    asm.extend([
+        Instruction::ldx(r(4), r(1), 0),
+        Instruction::alu(Opcode::And, r(3), r(4), r(2)),
+        Instruction::ldx(r(5), r(1), 8),
+        Instruction::stx(r(2), r(1), 0),
+        Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, top),
+    ]);
+}
+
+/// A placement where every slot loops on a private line its tile owns
+/// — L1 hits and store drains the dense engine takes off the live path
+/// — except that slot 0 first waits a seed-chosen number of cycles
+/// (up to about `max_wait`), then stores into slot 2's line: a foreign
+/// store that lands while slot 2's lane has run ahead on that line.
+///
+/// Slots pair up on tiles (slots `2k` and `2k + 1` share a core, so the
+/// two-thread loop runs too), and pairs sit on distinct tiles, so slot
+/// 0's store is always foreign to slot 2. At least three slots are
+/// placed. Returns `(tile, thread, program)` triples.
+#[must_use]
+pub fn owned_placement(
+    seeds: &[u64],
+    n_slots: usize,
+    max_wait: u64,
+) -> Vec<(usize, usize, Program)> {
+    let base = mix(seeds[0], 0, 1) as usize % 25;
+    (0..n_slots.max(3))
+        .map(|slot| {
+            let word = mix(seeds[slot % seeds.len()], slot, 2);
+            let pattern = (word >> 8) as i64 & 0xFFFF | 1;
+            let alu = 2 + word as usize % 12;
+            let mut code = Vec::new();
+            if slot == 0 {
+                // Two-instruction countdown: about four cycles a turn.
+                let turns = 1 + (mix(seeds[0], 0, 3) % max_wait.max(4)) / 4;
+                let r = Reg::new;
+                code.extend([
+                    Instruction::movi(r(6), turns as i64),
+                    Instruction::movi(r(7), 1),
+                    Instruction::movi(r(8), owned_line(2) as i64),
+                    Instruction::movi(r(9), !pattern),
+                    Instruction::alu(Opcode::Sub, r(6), r(6), r(7)),
+                    Instruction::branch(Opcode::Bne, r(6), Reg::G0, 4),
+                    Instruction::stx(r(9), r(8), 0),
+                ]);
+            }
+            owned_loop(&mut code, owned_line(slot), pattern, alu);
+            let tile = (base + 7 * (slot / 2)) % 25;
+            (tile, slot % 2, Program::from_instructions(code))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

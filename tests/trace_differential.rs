@@ -247,12 +247,14 @@ fn micro_machine(bench: Microbenchmark, tpc: ThreadsPerCore, cores: usize) -> Ma
 }
 
 /// Figures 13/14's Int, HP and Hist at 1 and 2 threads per core on 1,
-/// 7 and 25 cores, run forever: `run` must match `run_naive` on every
-/// counter and on retirement. These are the shapes the one-thread loop
-/// replay, the two-thread loop and phase B's re-armed runs take.
+/// 7, 13 and 25 cores, run forever: `run` must match `run_naive` on
+/// every counter and on retirement. These are the shapes the one-thread
+/// loop replay, the two-thread loop (and its per-thread loops), the
+/// owned memory accesses and phase B's re-armed runs take. Int and HP
+/// touch only lines their tiles own, so no lane is ever rewound.
 fn assert_microbenchmark_matches_naive(bench: Microbenchmark) {
     for tpc in [ThreadsPerCore::One, ThreadsPerCore::Two] {
-        for cores in [1, 7, 25] {
+        for cores in [1, 7, 13, 25] {
             let mut fast = micro_machine(bench, tpc, cores);
             let mut naive = micro_machine(bench, tpc, cores);
             for chunk in MICRO_CHUNKS {
@@ -267,6 +269,9 @@ fn assert_microbenchmark_matches_naive(bench: Microbenchmark) {
                     fast.engine_metrics().batched_cycles > 0,
                     "{point} never reached the dense engine"
                 );
+            }
+            if bench != Microbenchmark::Hist {
+                assert_eq!(fast.engine_metrics().rewinds, 0, "{point}");
             }
         }
     }
@@ -288,7 +293,7 @@ fn hist_microbenchmark_matches_naive_engine() {
 }
 
 /// HP mixes both local shapes — replayed compute loops and mixed
-/// threads whose lanes re-arm after every load — so its traced run
+/// threads whose owned loads and drains phase B applies — so its traced run
 /// must retire in the naive engine's (cycle, tile) order, with the
 /// engine-mode events masked, and publish the untraced run's counters
 /// and engine diagnostics.
