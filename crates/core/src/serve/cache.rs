@@ -1,16 +1,21 @@
 //! The daemon's persistent, content-addressed result cache: one
-//! write-ahead journal file per context.
+//! journal file per context.
 //!
 //! Every run request resolves to a context string (code version,
 //! fidelity, fault effects, backend and, for analytic sections, the
 //! model digest — see [`crate::journal::run_context`])
 //! and is cached in `ctx-<fnv64(context)>.journal` inside the cache
-//! directory. Each file is a plain `piton-journal/v1` journal, so it
+//! directory. Each file is a [`Journal`]: points computed while the
+//! daemon runs are appended as `piton-journal/v1` write-ahead records,
+//! and a clean shutdown compacts every file that gained records into a
+//! `piton-snapshot/v1` snapshot ([`ResultCache::compact`]), which the
+//! next daemon indexes without parsing a payload. Either way a file
 //! inherits the journal's guarantees wholesale: longest-valid-prefix
-//! recovery after a crash, torn tails truncated and counted, and a
-//! refusal to open a file recorded under a different context (which is
-//! also what turns an astronomically-unlikely file-name hash collision
-//! into a loud error instead of silent cross-context serving).
+//! recovery after a crash, point by point inside a snapshot, torn tails
+//! truncated and counted, and a refusal to open a file recorded under a
+//! different context (which is also what turns an astronomically-unlikely
+//! file-name hash collision into a loud error instead of silent
+//! cross-context serving).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -80,6 +85,25 @@ impl ResultCache {
         let shared = Arc::new(Mutex::new(journal));
         map.insert(context.to_owned(), Arc::clone(&shared));
         Ok((shared, Some(stats)))
+    }
+
+    /// Compacts the file of every context opened so far
+    /// ([`Journal::compact`]): the clean-shutdown step, once no
+    /// connection can append any more.
+    ///
+    /// # Errors
+    ///
+    /// The first [`PitonError::Codec`] a compaction returned; every
+    /// file is still tried, and each one that failed stays as it was.
+    pub fn compact(&self) -> Result<(), PitonError> {
+        let map = self.journals.lock().expect("cache journal map lock");
+        let mut first_error = None;
+        for journal in map.values() {
+            if let Err(e) = journal.lock().expect("cache journal lock").compact() {
+                first_error.get_or_insert(e);
+            }
+        }
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Every context opened so far as `(context, file name, stats)`,

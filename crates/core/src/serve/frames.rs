@@ -403,6 +403,18 @@ mod tests {
     }
 
     #[test]
+    fn an_upper_cased_checksum_is_refused() {
+        let line = samples()[0].encode();
+        let letter = line[..16]
+            .bytes()
+            .position(|b| b.is_ascii_lowercase())
+            .expect("the checksum has a hex letter");
+        let mut upper = line.into_bytes();
+        upper[letter].make_ascii_uppercase();
+        assert!(Frame::decode(&upper).is_err());
+    }
+
+    #[test]
     fn absent_id_is_omitted_not_null() {
         let f = Frame::Hello {
             id: None,

@@ -32,6 +32,11 @@
 //!   term aborts the daemon only *after* the shard that computed the
 //!   point is fsync'd, so a restart serves it from cache and the crash
 //!   never re-fires — the deterministic hook the crash suite uses.
+//! * **Clean shutdowns compact.** Once its connections are joined,
+//!   [`Server::run`] rewrites every cache file that gained records as a
+//!   checksummed snapshot of its points, so a restarted daemon recovers
+//!   them without parsing. A killed daemon skips this; its files stay
+//!   write-ahead journals and recover as such.
 //! * **Failures are holes, not poison.** A point that fails every
 //!   attempt is reported in the done frame and *not* cached; a
 //!   malformed request gets an error frame and the connection (and
@@ -267,13 +272,16 @@ impl Server {
 
     /// Runs the accept loop until shutdown (via a `shutdown` request or
     /// the [`Server::shutdown_handle`]), then drains connections,
-    /// writes [`SERVE_MANIFEST_FILE`] into the cache directory and
-    /// removes the socket file.
+    /// compacts every cache file that gained records
+    /// ([`ResultCache::compact`]), writes [`SERVE_MANIFEST_FILE`] into
+    /// the cache directory and removes the socket file.
     ///
     /// # Errors
     ///
     /// [`PitonError::Codec`] when the final manifest cannot be
-    /// written; accept errors on individual connections are absorbed.
+    /// written; accept errors on individual connections are absorbed,
+    /// and so is a failed compaction (reported on stderr), which
+    /// leaves its file as it was.
     pub fn run(self) -> Result<ServeManifest, PitonError> {
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
@@ -312,6 +320,11 @@ impl Server {
         }
         for h in handles {
             let _ = h.join();
+        }
+        // Nothing can append any more: fold this run's records into
+        // snapshots, which the next daemon indexes without parsing.
+        if let Err(e) = self.cache.compact() {
+            eprintln!("piton-serve: {e}");
         }
         let manifest = self.manifest();
         let path = self.cache.dir().join(SERVE_MANIFEST_FILE);
