@@ -33,14 +33,13 @@
 //! Durable runs (see `piton_core::journal`): `--journal PATH` (or
 //! `PITON_JOURNAL`) appends every completed grid point of the
 //! journaled sweep sections (`epi`, `noc`, `scaling`) to a write-ahead
-//! `piton-journal/v1` file, fsync'd at sweep boundaries; a run that
-//! completes compacts the file into a `piton-snapshot/v1` snapshot of
-//! its points, which the next `--resume` indexes without parsing. Adding
+//! `piton-journal/v2` file of checksummed point lines, fsync'd at sweep
+//! boundaries, which the next `--resume` indexes without parsing. Adding
 //! `--resume` serves completed points from an existing journal and
 //! recomputes only the missing ones — the stdout, tables and
 //! deterministic manifest projection are byte-identical to an
 //! uninterrupted run at any `--jobs` level. Torn or truncated trailing
-//! records are detected by checksum, discarded and recomputed, never
+//! lines are detected by checksum, discarded and recomputed, never
 //! trusted. Deterministic crash injection for the recovery harness:
 //! a `crash=SECTION:IDX` fault-plan entry hard-aborts the process when
 //! that grid point completes, strictly *after* its record is durably
@@ -583,16 +582,10 @@ fn main() {
         total_busy.as_secs_f64() / total.as_secs_f64()
     );
 
-    // The run is complete: fold its records into a snapshot. Drain the
-    // journal accounting into the metrics registry (before the snapshot
-    // below) and the manifest's journal block.
+    // Drain the journal accounting into the metrics registry (before the
+    // snapshot below) and the manifest's journal block.
     let journal_stats = journal.map(|j| {
-        let mut j = j.lock().expect("journal lock");
-        if let Err(e) = j.compact() {
-            // The write-ahead file stays as it was, and still resumes.
-            eprintln!("reproduce: {e}");
-        }
-        let stats = j.stats();
+        let stats = j.lock().expect("journal lock").stats();
         metrics::counter_add("journal.served", stats.served);
         metrics::counter_add("journal.appended", stats.appended);
         metrics::counter_add("journal.recovered", stats.recovered);

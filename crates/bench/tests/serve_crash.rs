@@ -3,8 +3,10 @@
 //! an external SIGKILL — restarted over the same cache directory, and
 //! re-asked the same question. Completed shards must be served from
 //! cache (never recomputed), the warm client transcript must be
-//! byte-identical to a golden never-crashed daemon's, and a hand-torn
-//! cache-file tail must be detected, counted and recomputed.
+//! byte-identical to a golden never-crashed daemon's, a daemon killed
+//! after answering must leave the cache file a clean shutdown leaves,
+//! and a hand-torn cache-file tail must be detected, counted and
+//! recomputed.
 //!
 //! Client transcripts (one JSON frame body per line) are the
 //! comparison unit: the daemon's frames carry no cache-state-dependent
@@ -270,6 +272,66 @@ fn sigkill_mid_request_loses_nothing_durable() {
 
     let _ = std::fs::remove_dir_all(&golden_dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_killed_daemon_leaves_the_file_a_clean_shutdown_does() {
+    // The same request under two daemons: one stops cleanly, the other
+    // is SIGKILLed once its client has read the `done` frame.
+    let clean_dir = fresh_dir("kill-eq-clean");
+    let clean = Daemon::start(&clean_dir, "cold");
+    let cold_out = clean.client(&[&run_request("0-9", None)]);
+    assert!(cold_out.status.success(), "{}", stderr(&cold_out));
+    clean.shutdown();
+
+    let kill_dir = fresh_dir("kill-eq-kill");
+    let mut victim = Daemon::start(&kill_dir, "cold");
+    let victim_out = victim.client(&[&run_request("0-9", None)]);
+    assert!(victim_out.status.success(), "{}", stderr(&victim_out));
+    assert_eq!(cold_out.stdout, victim_out.stdout);
+    victim.child.kill().expect("SIGKILL daemon");
+    let _ = victim.child.wait();
+
+    let clean_bytes = std::fs::read(cache_file(&clean_dir)).expect("read clean cache file");
+    let killed_bytes = std::fs::read(cache_file(&kill_dir)).expect("read killed cache file");
+    assert!(
+        clean_bytes == killed_bytes,
+        "a killed daemon's cache file must equal the clean-shutdown one"
+    );
+    let header = clean_bytes
+        .split(|&b| b == b'\n')
+        .next()
+        .expect("header line");
+    let header = json::parse(std::str::from_utf8(&header[17..]).expect("utf-8 header"))
+        .expect("header parses");
+    assert_eq!(
+        header.get("schema").and_then(Value::as_str),
+        Some("piton-journal/v2")
+    );
+
+    // A restart from either file recovers every point and answers
+    // with the cold bytes.
+    for dir in [&clean_dir, &kill_dir] {
+        let warm = Daemon::start(dir, "restart");
+        let warm_out = warm.client(&[&run_request("0-9", None)]);
+        assert!(warm_out.status.success(), "{}", stderr(&warm_out));
+        assert_eq!(cold_out.stdout, warm_out.stdout, "{}", dir.display());
+        assert_eq!(warm.counter("serve.recovered"), 10, "{}", dir.display());
+        assert_eq!(
+            warm.counter("serve.points_computed"),
+            0,
+            "{}",
+            dir.display()
+        );
+        assert_eq!(warm.counter("serve.torn"), 0, "{}", dir.display());
+        warm.shutdown();
+        // With nothing appended, the restart leaves the file alone.
+        let after = std::fs::read(cache_file(dir)).expect("read cache file");
+        assert!(after == clean_bytes, "{}", dir.display());
+    }
+
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&kill_dir);
 }
 
 #[test]

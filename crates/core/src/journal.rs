@@ -15,48 +15,47 @@
 //! A journal belongs to whoever opened it (`reproduce`, a test, the
 //! serve cache) and is lent to sweeps as `Option<&Mutex<Journal>>`.
 //!
-//! # File formats
+//! # File format
 //!
-//! Every line is framed as `<16 lowercase hex digits> <text>\n`, the
-//! digits being an FNV-1a-64 checksum; no text holds a newline. The
-//! first line is a header naming the file's schema and context.
+//! One schema, `piton-journal/v2`. Every line ends in a newline, holds
+//! no other, and starts with 16 lowercase hex digits — an FNV-1a-64
+//! checksum — and a space. The first line is a header naming the schema
+//! and the context. Two kinds of line follow it:
 //!
-//! **`piton-journal/v1`**, the write-ahead form: every later line is a
-//! record, and each line's checksum covers its JSON text.
+//! * a *run* line `{"section":S,"first":I}` names the section and index
+//!   of the point line after it;
+//! * a *point* line is one point's payload JSON, and takes the next
+//!   index of its run.
 //!
-//! ```text
-//! f33c08cbdbd51271 {"schema":"piton-journal/v1","context":"<context spec>"}
-//! 68b329da9893e340 {"key":1234,"section":"epi","index":0,"payload":{...}}
-//! ...
-//! ```
-//!
-//! **`piton-snapshot/v1`**, the compacted form [`Journal::compact`]
-//! writes: every point once, in (section, index) order, sections sorted
-//! by their bytes. A *run* line `{"section":S,"first":I}` (checksummed
-//! like a record) names the section and index of the point line after
-//! it; each further point line takes the next index, and a gap in the
-//! indices starts a new run. A point line's text is its payload's JSON,
-//! and its checksum is the FNV-1a-64 of `context 0x1f section 0x1f
+//! The checksum of the header and of a run line covers its JSON text. A
+//! point line's checksum is the FNV-1a-64 of `context 0x1f section 0x1f
 //! decimal(index) 0x1f payload`, so each point is bound to its context,
-//! section and index without spelling them out. Points recorded after
-//! compaction follow as ordinary `piton-journal/v1` record lines: the
-//! write-ahead record stays the only append path.
+//! section and index without spelling them out.
 //!
 //! ```text
-//! 0b4e51f5d2a1c7e6 {"schema":"piton-snapshot/v1","context":"<context spec>"}
+//! 0b4e51f5d2a1c7e6 {"schema":"piton-journal/v2","context":"<context spec>"}
 //! 9a71c3d0e25b8f44 {"section":"design_space","first":0}
 //! 52c8e0a1f7b39d16 {"power_w":1.9,...}
 //! 1f0d9be2c4a87e35 {"power_w":1.9,...}
-//! 68b329da9893e340 {"key":1234,"section":"noc","index":7,"payload":2.5}
+//! 3c5a0e9d7b21f468 {"section":"noc","first":7}
+//! 68b329da9893e340 2.5
 //! ```
 //!
-//! A reader that knows only `piton-journal/v1` meets an unknown schema
-//! in the header and restarts the file; it never serves from it.
+//! [`Journal::record`] appends a run line only when its point is not the
+//! next index of the run the file ends in, then the point line: points
+//! appended in ascending index order share one run line, and an
+//! out-of-order or repeated point costs one more. A later line for the
+//! same point replaces the earlier one. Nothing rewrites the file, so a
+//! killed process leaves the same bytes a clean exit does.
+//!
+//! A file of any other schema — the `piton-journal/v1` record lines and
+//! `piton-snapshot/v1` snapshots of earlier builds among them — meets an
+//! unknown schema in its header and is restarted; it is never served
+//! from.
 //!
 //! The header pins the *context* — experiment fidelity, fault-plan
 //! effects, backend, code version and, for analytic runs, the model's
-//! law digest — and every record's `key` is the
-//! 64-bit content hash of (section, index, context), so a journal can
+//! law digest — and every point's checksum covers it, so a journal can
 //! never leak results into a run configured differently. `--jobs` is
 //! deliberately **not** part of the context: results are
 //! jobs-invariant, so a journal written at `--jobs 4` serves a
@@ -68,26 +67,17 @@
 //! line that fails its checksum, lacks its trailing newline or is not
 //! laid out as this module writes it marks the torn tail, which is
 //! truncated off (and counted in [`JournalStats::torn`]) — torn points
-//! are *recomputed, never trusted*. Every point of a compacted file has
-//! a line and a checksum of its own, so a tear or a flipped bit there
-//! costs exactly the points from the damaged one on, as in a record
-//! tail. Appends are batched and fsync'd at sweep boundaries, plus
-//! immediately before an injected `crash=` abort so the crashed point
-//! itself survives. Compaction writes a temporary file beside the
-//! journal, fsyncs it, renames it over the journal and fsyncs the
-//! directory, so a killed process leaves the old file or the new one,
-//! never a mix.
+//! are *recomputed, never trusted*. Every point has a line and a
+//! checksum of its own, so a tear or a flipped bit costs exactly the
+//! points from the damaged line on. Recovery ends in the run the kept
+//! prefix ends in, and the next append continues that run. Appends are
+//! batched and fsync'd at sweep boundaries, plus immediately before an
+//! injected `crash=` abort so the crashed point itself survives.
 //!
-//! Only the header line is parsed whole. A record line's key digits,
-//! section token and index digits are read off the fixed layout
-//! `{"key":K,"section":S,"index":I,"payload":P}`; the key must equal
-//! [`point_key`] of that section and index; the line must start with
-//! exactly the head `record` would write for them, so non-canonical
-//! digits or escapes are foreign; and `P` must pass [`json::parse`] —
-//! the one JSON grammar, with no second validator. A run line is read
-//! the same way and must be exactly the one compaction writes. A
-//! compacted point is trusted on its checksum: compaction only writes
-//! text that passed those checks or came from [`Journal::record`].
+//! Only the header line is parsed whole. A run line's section token and
+//! index digits are read off its fixed layout, and the line must be
+//! exactly the one [`Journal::record`] writes for them, so non-canonical
+//! digits or escapes are foreign. A point is trusted on its checksum.
 //!
 //! # In memory
 //!
@@ -113,11 +103,8 @@ use piton_obs::manifest::JournalStats;
 
 use crate::measure::WithError;
 
-/// The schema identifier in a write-ahead journal's header.
-pub const JOURNAL_SCHEMA: &str = "piton-journal/v1";
-
-/// The schema identifier in a compacted journal's header.
-pub const SNAPSHOT_SCHEMA: &str = "piton-snapshot/v1";
+/// The schema identifier in a journal's header.
+pub const JOURNAL_SCHEMA: &str = "piton-journal/v2";
 
 /// A section's dense index table covers the indices below this: far
 /// above any grid (`design_space` has 105 000 points), yet small enough
@@ -150,7 +137,7 @@ fn fnv64_line(mut h: u64, bytes: &[u8]) -> Option<(u64, usize)> {
 }
 
 /// FNV-1a 64-bit hash — the checksum framing every journal line and
-/// the content hash behind every record key.
+/// the content hash behind every point key.
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_extend(FNV_OFFSET, bytes)
@@ -209,7 +196,7 @@ pub fn point_key(context: &str, section: &str, index: usize) -> u64 {
     fnv64_extend(h, context.as_bytes())
 }
 
-/// A sweep result that can ride in a journal record. Implementations
+/// A sweep result that can ride in a journal point line. Implementations
 /// must round-trip *exactly* (the JSON writer renders `f64` in
 /// shortest-round-trip form, so bit-exactness holds for finite values
 /// and the tagged string forms cover the rest).
@@ -319,7 +306,7 @@ fn read_hex(digits: &[u8]) -> Option<u64> {
 
 /// Appends one checksummed line, `<16-hex FNV-1a-64> <json>\n`, whose
 /// JSON text `write_json` appends in place — the framing shared by
-/// journal records and `piton-serve` response frames.
+/// journal headers and run lines and `piton-serve` response frames.
 pub fn push_frame_line(out: &mut String, write_json: impl FnOnce(&mut String)) {
     let start = out.len();
     out.push_str("0000000000000000 ");
@@ -332,32 +319,33 @@ pub fn push_frame_line(out: &mut String, write_json: impl FnOnce(&mut String)) {
     out.push('\n');
 }
 
-/// Splits a line into its checksum and text, unverified. `None` when
-/// it is not framed: no separator, or a checksum not spelled as
-/// [`push_frame_line`] writes it.
-fn split_frame(line: &[u8]) -> Option<(u64, &[u8])> {
-    if line.len() < 18 || line[16] != b' ' {
-        return None;
-    }
-    Some((read_hex(&line[..16])?, &line[17..]))
-}
-
 /// Splits a framed line into its verified JSON text. `None` for any
 /// framing violation: missing separator, a checksum that is not 16
 /// lowercase hex digits, mismatch.
 #[must_use]
 pub fn unframe_line(line: &[u8]) -> Option<&str> {
-    let (sum, json) = split_frame(line)?;
-    if fnv64(json) != sum {
+    if line.len() < 18 || line[16] != b' ' {
+        return None;
+    }
+    let json = &line[17..];
+    if fnv64(json) != read_hex(&line[..16])? {
         return None;
     }
     std::str::from_utf8(json).ok()
 }
 
+/// The verified JSON text of the framed line at the front of `bytes`,
+/// and the line's length with its newline. `None` for an unterminated
+/// line, which is torn by definition, or any framing violation.
+fn framed_line(bytes: &[u8]) -> Option<(&str, usize)> {
+    let nl = bytes.iter().position(|&b| b == b'\n')?;
+    Some((unframe_line(&bytes[..nl])?, nl + 1))
+}
+
 /// A header line's JSON: the schema and the context it pins.
-fn header_json(schema: &str, context: &str) -> String {
+fn header_json(context: &str) -> String {
     ObjectBuilder::new()
-        .field("schema", Value::Str(schema.to_owned()))
+        .field("schema", Value::Str(JOURNAL_SCHEMA.to_owned()))
         .field("context", Value::Str(context.to_owned()))
         .build()
         .render()
@@ -400,35 +388,7 @@ fn string_token(s: &str) -> Option<(Cow<'_, str>, &str)> {
     Some((text, rest))
 }
 
-/// A record line's JSON up to its payload text:
-/// `{"key":K,"section":S,"index":I,"payload":`. [`Journal::record`]
-/// writes it and recovery checks it, so a record's payload text is
-/// exactly what lies between this head and the closing `}`.
-fn write_record_head(out: &mut String, key: u64, section: &str, index: usize) {
-    let mut digits = [0u8; 20];
-    out.push_str("{\"key\":");
-    out.push_str(decimal(key, &mut digits));
-    out.push_str(",\"section\":");
-    json::write_escaped(out, section);
-    out.push_str(",\"index\":");
-    out.push_str(decimal(index as u64, &mut digits));
-    out.push_str(",\"payload\":");
-}
-
-/// Reads the key, section and index off a record line's JSON by the
-/// layout [`write_record_head`] writes, without building values: the
-/// key's digits, the section's string token, the index's digits. `None`
-/// when the line does not start that way. The caller still holds the
-/// line against the canonical head, so non-canonical digits or escapes
-/// that read back to the same fields are caught there.
-fn record_fields(json: &str) -> Option<(u64, Cow<'_, str>, usize)> {
-    let (key, rest) = leading_digits(json.strip_prefix("{\"key\":")?)?;
-    let (section, rest) = string_token(rest.strip_prefix(",\"section\":")?)?;
-    let (index, _) = leading_digits(rest.strip_prefix(",\"index\":")?)?;
-    Some((key, section, usize::try_from(index).ok()?))
-}
-
-/// A compacted file's run line JSON: `{"section":S,"first":I}`.
+/// A run line's JSON: `{"section":S,"first":I}`.
 fn write_run_line(out: &mut String, section: &str, first: usize) {
     let mut digits = [0u8; 20];
     out.push_str("{\"section\":");
@@ -448,7 +408,7 @@ fn run_fields(json: &str) -> Option<(Cow<'_, str>, usize)> {
 }
 
 /// The FNV-1a-64 state after `context 0x1f section 0x1f`, where every
-/// compacted point checksum of that section starts.
+/// point checksum of that section starts.
 fn point_seed(context: &str, section: &str) -> u64 {
     let h = fnv64_extend(FNV_OFFSET, context.as_bytes());
     let h = fnv64_extend(h, &[0x1f]);
@@ -457,11 +417,21 @@ fn point_seed(context: &str, section: &str) -> u64 {
 }
 
 /// `seed` ([`point_seed`]) continued over `decimal(index) 0x1f`: a
-/// compacted point line's checksum before its payload.
+/// point line's checksum before its payload.
 fn point_prefix(seed: u64, index: usize) -> u64 {
     let mut digits = [0u8; 20];
     let h = fnv64_extend(seed, decimal(index as u64, &mut digits).as_bytes());
     fnv64_extend(h, &[0x1f])
+}
+
+/// Appends the point line of `payload` at `index` of a section whose
+/// [`point_seed`] is `seed`.
+fn push_point_line(out: &mut String, seed: u64, index: usize, payload: &str) {
+    let sum = fnv64_extend(point_prefix(seed, index), payload.as_bytes());
+    out.push_str(std::str::from_utf8(&hex_digits(sum)).expect("hex digits are ASCII"));
+    out.push(' ');
+    out.push_str(payload);
+    out.push('\n');
 }
 
 /// One section's completed points: their payload texts back to back in
@@ -505,20 +475,8 @@ impl Section {
     }
 }
 
-/// Where a line is read during recovery.
-#[derive(Debug, Clone, Copy)]
-enum Region {
-    /// The header line.
-    Header,
-    /// A compacted file's points, inside the given run once a run line
-    /// has started one.
-    Points(Option<Run>),
-    /// Record lines, to the end of the file.
-    Records,
-}
-
-/// A run of compacted points: its section, the section's
-/// [`point_seed`], and the index of its next point.
+/// A run of points: its section, the section's [`point_seed`], and the
+/// index of its next point.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     slot: usize,
@@ -529,8 +487,8 @@ struct Run {
 /// A write-ahead result journal bound to one file and one context.
 ///
 /// Completed points are held as their payload's canonical JSON text
-/// ([`Value::render`]) — the bytes their record or point line carries —
-/// so a lookup hands out stored text without allocating or re-rendering.
+/// ([`Value::render`]) — the bytes their point line carries — so a
+/// lookup hands out stored text without allocating or re-rendering.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -538,9 +496,10 @@ pub struct Journal {
     file: File,
     /// Completed points, one entry per section.
     sections: Vec<Section>,
-    /// Whether the file holds record lines: what [`Journal::compact`]
-    /// folds into a snapshot.
-    has_records: bool,
+    /// The run the file ends in, which the next append continues when
+    /// its point is that run's next index; `None` before the first run
+    /// line.
+    tail: Option<Run>,
     stats: JournalStats,
 }
 
@@ -551,12 +510,9 @@ impl Journal {
     /// prefix is trusted, the torn tail (if any) is truncated off and
     /// counted. A file whose header is torn, missing or of an unknown
     /// schema is restarted from scratch — there is nothing trustworthy
-    /// to keep. A compacted file's points are verified by their
-    /// checksums and indexed as they stand; a record line is read by
-    /// its fixed layout rather than parsed into values: key, section
-    /// and index come off the head, the head must be byte-for-byte the
-    /// one [`Journal::record`] writes, and only the payload text goes
-    /// through [`json::parse`]. A point recorded twice counts once.
+    /// to keep. Run lines are read by their fixed layout and points are
+    /// verified by their checksums; no payload is parsed. A point with
+    /// several lines counts once and holds the payload of its last.
     ///
     /// # Errors
     ///
@@ -583,7 +539,7 @@ impl Journal {
             context: context.to_owned(),
             file,
             sections: Vec::new(),
-            has_records: false,
+            tail: None,
             stats: JournalStats::default(),
         };
         let valid_end = journal.recover(&bytes)?;
@@ -601,46 +557,73 @@ impl Journal {
             .map_err(|e| io("seek", e))?;
         if valid_end == 0 {
             // Fresh file (or no valid header): restart it.
-            let header = header_json(JOURNAL_SCHEMA, context);
-            journal.write_line(|out| out.push_str(&header))?;
+            let mut header = String::new();
+            push_frame_line(&mut header, |out| {
+                out.push_str(&header_json(context));
+            });
+            journal.append(&header)?;
             journal.sync()?;
         }
         Ok(journal)
     }
 
-    /// Indexes the longest valid prefix of `bytes` — header, compacted
-    /// points, record lines — and returns where it ends: 0 when there
-    /// is no valid header, which also leaves nothing indexed.
+    /// Indexes the longest valid prefix of `bytes` — the header, then
+    /// run and point lines — and returns where it ends: 0 when there is
+    /// no valid header, which also leaves nothing indexed. The journal's
+    /// tail is left at the run the prefix ends in.
     fn recover(&mut self, bytes: &[u8]) -> Result<usize, PitonError> {
-        let mut region = Region::Header;
-        let mut head = String::new();
-        let mut valid_end = 0;
+        let Some(mut valid_end) = self.header(bytes)? else {
+            return Ok(0);
+        };
+        let mut canonical = String::new();
+        let mut tail = None;
         loop {
             let rest = &bytes[valid_end..];
-            // Most lines of a compacted file are the next point of the
-            // current run.
-            if let Region::Points(Some(run)) = region {
+            // Most lines are the next point of the current run.
+            if let Some(run) = tail {
                 if let Some(len) = self.point_line(run, rest) {
-                    let next = run.next + 1;
-                    region = Region::Points(Some(Run { next, ..run }));
+                    tail = Some(Run {
+                        next: run.next + 1,
+                        ..run
+                    });
                     valid_end += len;
                     continue;
                 }
             }
-            // An unterminated tail line is torn by definition.
-            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+            let Some((run, len)) = self.run_line(rest, &mut canonical) else {
                 break;
             };
-            let Some((sum, text)) = split_frame(&rest[..nl]) else {
-                break;
-            };
-            match self.read_line(region, sum, text, &mut head)? {
-                Some(next) => region = next,
-                None => break,
-            }
-            valid_end += nl + 1;
+            tail = Some(run);
+            valid_end += len;
         }
+        self.tail = tail;
         Ok(valid_end)
+    }
+
+    /// Reads the header line at the front of `bytes`: its length, or
+    /// `None` when it is torn, malformed or of another schema.
+    fn header(&self, bytes: &[u8]) -> Result<Option<usize>, PitonError> {
+        let Some((json, len)) = framed_line(bytes) else {
+            return Ok(None);
+        };
+        let Ok(v) = json::parse(json) else {
+            return Ok(None);
+        };
+        if v.get("schema").and_then(Value::as_str) != Some(JOURNAL_SCHEMA) {
+            return Ok(None);
+        }
+        let Some(ctx) = v.get("context").and_then(Value::as_str) else {
+            return Ok(None);
+        };
+        if ctx != self.context {
+            return Err(PitonError::codec(format!(
+                "journal {}: context mismatch: file was recorded under {ctx:?}, \
+                 this run is {:?}",
+                self.path.display(),
+                self.context
+            )));
+        }
+        Ok(Some(len))
     }
 
     /// Reads the next point of `run` off the front of `rest` into its
@@ -666,102 +649,23 @@ impl Journal {
         Some(17 + len + 1)
     }
 
-    /// Reads one framed line other than a run's next point, found in
-    /// `region`: the region the next line is read in, or `None` when
-    /// this line is not valid there.
-    fn read_line(
-        &mut self,
-        region: Region,
-        sum: u64,
-        text: &[u8],
-        head: &mut String,
-    ) -> Result<Option<Region>, PitonError> {
-        // These lines' checksums cover their JSON text.
-        if fnv64(text) != sum {
-            return Ok(None);
-        }
-        let Ok(json) = std::str::from_utf8(text) else {
-            return Ok(None);
-        };
-        Ok(match region {
-            Region::Header => self.header(json)?,
-            Region::Points(_) => match self.run_line(json, head) {
-                Some(run) => Some(Region::Points(Some(run))),
-                None => self.record_line(json, head).then_some(Region::Records),
-            },
-            Region::Records => self.record_line(json, head).then_some(Region::Records),
-        })
-    }
-
-    /// Reads the header: the region its schema's body starts in, or
-    /// `None` for an unknown schema or a malformed header.
-    fn header(&self, json: &str) -> Result<Option<Region>, PitonError> {
-        let Ok(v) = json::parse(json) else {
-            return Ok(None);
-        };
-        let region = match v.get("schema").and_then(Value::as_str) {
-            Some(JOURNAL_SCHEMA) => Region::Records,
-            Some(SNAPSHOT_SCHEMA) => Region::Points(None),
-            _ => return Ok(None),
-        };
-        let Some(ctx) = v.get("context").and_then(Value::as_str) else {
-            return Ok(None);
-        };
-        if ctx != self.context {
-            return Err(PitonError::codec(format!(
-                "journal {}: context mismatch: file was recorded under {ctx:?}, \
-                 this run is {:?}",
-                self.path.display(),
-                self.context
-            )));
-        }
-        Ok(Some(region))
-    }
-
-    /// Reads a compacted file's run line: the run it starts, or `None`
-    /// when the line is not one laid out as compaction writes it.
-    fn run_line(&mut self, json: &str, head: &mut String) -> Option<Run> {
+    /// Reads the run line at the front of `rest`: the run it starts and
+    /// the line's length, or `None` when the line is not exactly one
+    /// [`write_run_line`] writes.
+    fn run_line(&mut self, rest: &[u8], canonical: &mut String) -> Option<(Run, usize)> {
+        let (json, len) = framed_line(rest)?;
         let (section, first) = run_fields(json)?;
-        head.clear();
-        write_run_line(head, &section, first);
-        if json != head.as_str() {
+        canonical.clear();
+        write_run_line(canonical, &section, first);
+        if json != canonical.as_str() {
             return None;
         }
-        Some(Run {
+        let run = Run {
             slot: self.slot(&section),
             seed: point_seed(&self.context, &section),
             next: first,
-        })
-    }
-
-    /// Reads a record line into the index; `false` when it is not one
-    /// laid out as [`Journal::record`] writes it.
-    fn record_line(&mut self, json: &str, head: &mut String) -> bool {
-        let Some((key, section, index)) = record_fields(json) else {
-            return false;
         };
-        if key != point_key(&self.context, &section, index) {
-            return false; // foreign or corrupted key: never trust it
-        }
-        // Only a line laid out as `record` writes it — the canonical
-        // head, one JSON document, `}` — yields its payload's text; any
-        // other layout is foreign.
-        head.clear();
-        write_record_head(head, key, &section, index);
-        let Some(payload) = json
-            .strip_prefix(head.as_str())
-            .and_then(|rest| rest.strip_suffix('}'))
-            .filter(|payload| json::parse(payload).is_ok())
-        else {
-            return false;
-        };
-        let slot = self.slot(&section);
-        if !self.sections[slot].fits(index, payload) {
-            return false;
-        }
-        self.sections[slot].insert(index, payload);
-        self.has_records = true;
-        true
+        Some((run, len))
     }
 
     /// The position of section `name` in [`Journal::sections`], added
@@ -780,11 +684,9 @@ impl Journal {
         }
     }
 
-    fn write_line(&mut self, write_json: impl FnOnce(&mut String)) -> Result<(), PitonError> {
-        let mut line = String::new();
-        push_frame_line(&mut line, write_json);
+    fn append(&mut self, lines: &str) -> Result<(), PitonError> {
         self.file
-            .write_all(line.as_bytes())
+            .write_all(lines.as_bytes())
             .map_err(|e| PitonError::codec(format!("journal {}: append: {e}", self.path.display())))
     }
 
@@ -831,8 +733,9 @@ impl Journal {
         Some(payload)
     }
 
-    /// Appends one completed point as a write-ahead record. Not
-    /// fsync'd — call [`Journal::sync`] at the batch boundary (and
+    /// Appends one completed point: a run line when the point is not
+    /// the next index of the run the file ends in, then its point line.
+    /// Not fsync'd — call [`Journal::sync`] at the batch boundary (and
     /// before any deliberate abort).
     ///
     /// # Errors
@@ -854,19 +757,30 @@ impl Journal {
                 self.path.display()
             )));
         }
-        let key = point_key(&self.context, section, index);
-        self.write_line(|out| {
-            write_record_head(out, key, section, index);
-            out.push_str(&payload);
-            out.push('}');
-        })?;
+        let mut lines = String::new();
+        let run = match self.tail {
+            Some(run) if run.slot == slot && run.next == index => run,
+            _ => {
+                push_frame_line(&mut lines, |out| write_run_line(out, section, index));
+                Run {
+                    slot,
+                    seed: point_seed(&self.context, section),
+                    next: index,
+                }
+            }
+        };
+        push_point_line(&mut lines, run.seed, index, &payload);
+        self.append(&lines)?;
         self.sections[slot].insert(index, &payload);
-        self.has_records = true;
+        self.tail = Some(Run {
+            next: index + 1,
+            ..run
+        });
         self.stats.appended += 1;
         Ok(())
     }
 
-    /// Forces every appended record onto disk (the batch boundary).
+    /// Forces every appended line onto disk (the batch boundary).
     ///
     /// # Errors
     ///
@@ -875,95 +789,6 @@ impl Journal {
         self.file
             .sync_data()
             .map_err(|e| PitonError::codec(format!("journal {}: sync: {e}", self.path.display())))
-    }
-
-    /// Rewrites the file as a `piton-snapshot/v1` journal of every
-    /// point it holds, when it holds record lines; a file already
-    /// compacted with nothing recorded since is left alone. Returns
-    /// whether the file was rewritten.
-    ///
-    /// The snapshot is streamed to a temporary file beside the journal
-    /// (its name with `.compacting` appended), fsync'd, renamed over the
-    /// journal, and the directory fsync'd: a crash at any moment leaves
-    /// the old file or the new one. The bytes depend only on the
-    /// context and the points, never on the order they were recorded
-    /// in. Later records append to the new file. Compaction is always
-    /// an explicit call, never a side effect of dropping the journal.
-    ///
-    /// # Errors
-    ///
-    /// [`PitonError::Codec`] when writing, syncing or renaming fails;
-    /// the journal's file is then the old one, whole.
-    pub fn compact(&mut self) -> Result<bool, PitonError> {
-        if !self.has_records {
-            return Ok(false);
-        }
-        let mut name = self.path.file_name().unwrap_or_default().to_os_string();
-        name.push(".compacting");
-        let temp = self.path.with_file_name(name);
-        let dir = match self.path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => dir,
-            _ => Path::new("."),
-        };
-        let written = File::create(&temp).and_then(|mut file| {
-            self.write_snapshot(&mut file)?;
-            file.sync_all()?;
-            std::fs::rename(&temp, &self.path)?;
-            File::open(dir)?.sync_all()?;
-            Ok(file)
-        });
-        match written {
-            Ok(file) => {
-                self.file = file;
-                self.has_records = false;
-                Ok(true)
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&temp);
-                Err(PitonError::codec(format!(
-                    "journal {}: compact: {e}",
-                    self.path.display()
-                )))
-            }
-        }
-    }
-
-    /// Streams the snapshot of every point to `out` in 64 KiB chunks:
-    /// the header, then each section (sorted by name) as runs of
-    /// consecutive indices.
-    fn write_snapshot(&self, out: &mut impl Write) -> std::io::Result<()> {
-        const CHUNK: usize = 1 << 16;
-        let mut buf = String::with_capacity(2 * CHUNK);
-        push_frame_line(&mut buf, |line| {
-            line.push_str(&header_json(SNAPSHOT_SCHEMA, &self.context));
-        });
-        let mut sections: Vec<&Section> = self.sections.iter().collect();
-        sections.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        for section in sections {
-            let seed = point_seed(&self.context, &section.name);
-            let mut next = None;
-            for index in 0..section.spans.len() {
-                let Some(payload) = section.get(index) else {
-                    continue;
-                };
-                if next != Some(index) {
-                    push_frame_line(&mut buf, |line| {
-                        write_run_line(line, &section.name, index);
-                    });
-                }
-                let sum = fnv64_extend(point_prefix(seed, index), payload.as_bytes());
-                buf.push_str(std::str::from_utf8(&hex_digits(sum)).expect("hex digits are ASCII"));
-                buf.push(' ');
-                buf.push_str(payload);
-                buf.push('\n');
-                next = Some(index + 1);
-                if buf.len() >= CHUNK {
-                    out.write_all(buf.as_bytes())?;
-                    buf.clear();
-                }
-            }
-        }
-        out.write_all(buf.as_bytes())
     }
 }
 
@@ -985,6 +810,31 @@ mod tests {
     fn served<T: JournalPayload>(j: &mut Journal, section: &str, index: usize) -> Option<T> {
         let text = j.serve(section, index)?;
         Some(T::from_value(&json::parse(text).unwrap()).unwrap())
+    }
+
+    /// `json` framed under its own checksum, spelled out.
+    fn framed(json: &str) -> String {
+        format!("{:016x} {json}\n", fnv64(json.as_bytes()))
+    }
+
+    /// The header line of a journal for `context`, spelled out.
+    fn header_line(context: &str) -> String {
+        framed(&format!(
+            "{{\"schema\":\"piton-journal/v2\",\"context\":\"{context}\"}}"
+        ))
+    }
+
+    /// The run line of a plain `section` starting at `first`, spelled
+    /// out.
+    fn run_line(section: &str, first: usize) -> String {
+        framed(&format!("{{\"section\":\"{section}\",\"first\":{first}}}"))
+    }
+
+    /// The point line of `payload` at `section:index` under `context`,
+    /// spelled out.
+    fn point_line(context: &str, section: &str, index: usize, payload: &str) -> String {
+        let bound = format!("{context}\u{1f}{section}\u{1f}{index}\u{1f}{payload}");
+        format!("{:016x} {payload}\n", fnv64(bound.as_bytes()))
     }
 
     #[test]
@@ -1023,6 +873,178 @@ mod tests {
     }
 
     #[test]
+    fn ascending_appends_write_the_header_one_run_line_per_gap_then_points() {
+        const CTX: &str = "ascending-ctx";
+        let path = temp_path("ascending");
+        let _ = std::fs::remove_file(&path);
+        let points = [
+            ("noc", 0, 0.5),
+            ("noc", 1, 1.5),
+            ("noc", 2, 2.5),
+            ("noc", 5, 5.5),
+            ("noc", 6, 6.5),
+            ("scaling", 0, 7.5),
+        ];
+        {
+            let mut j = Journal::open(&path, CTX).unwrap();
+            for (section, index, v) in points {
+                j.record(section, index, &v.to_value()).unwrap();
+            }
+            j.sync().unwrap();
+        }
+        let point = |section: &str, index: usize, v: f64| {
+            point_line(CTX, section, index, &v.to_value().render())
+        };
+        let want = [
+            header_line(CTX),
+            run_line("noc", 0),
+            point("noc", 0, 0.5),
+            point("noc", 1, 1.5),
+            point("noc", 2, 2.5),
+            run_line("noc", 5),
+            point("noc", 5, 5.5),
+            point("noc", 6, 6.5),
+            run_line("scaling", 0),
+            point("scaling", 0, 7.5),
+        ]
+        .concat();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        let mut j = Journal::open(&path, CTX).unwrap();
+        assert_eq!(j.stats().recovered, 6);
+        assert_eq!(j.stats().torn, 0);
+        for (section, index, v) in points {
+            assert_eq!(served::<f64>(&mut j, section, index), Some(v));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_gap_or_an_index_at_or_below_the_tail_adds_exactly_one_run_line() {
+        const CTX: &str = "tail-ctx";
+        let path = temp_path("tail");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::open(&path, CTX).unwrap();
+        j.record("noc", 3, &0.5f64.to_value()).unwrap();
+        // (section, index, whether a run line comes first), each after
+        // the one before it.
+        for (section, index, run) in [
+            ("noc", 4, false), // the tail's next index
+            ("noc", 4, true),  // at the tail
+            ("noc", 2, true),  // below it
+            ("noc", 3, false),
+            ("noc", 9, true), // a gap
+            ("noc", 10, false),
+            ("epi", 11, true), // the next index, of another section
+        ] {
+            let before = std::fs::metadata(&path).unwrap().len() as usize;
+            let v = index as f64 + 0.25;
+            j.record(section, index, &v.to_value()).unwrap();
+            let added = std::fs::read_to_string(&path).unwrap()[before..].to_owned();
+            let mut want = String::new();
+            if run {
+                want.push_str(&run_line(section, index));
+            }
+            want.push_str(&point_line(CTX, section, index, &v.to_value().render()));
+            assert_eq!(added, want, "{section}:{index}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_repeated_point_serves_its_later_payload_after_reopen() {
+        let path = temp_path("repeat");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path, "ctx").unwrap();
+            j.record("noc", 0, &1.5f64.to_value()).unwrap();
+            j.record("noc", 1, &2.5f64.to_value()).unwrap();
+            j.record("noc", 0, &3.5f64.to_value()).unwrap();
+            j.sync().unwrap();
+        }
+        {
+            let mut j = Journal::open(&path, "ctx").unwrap();
+            assert_eq!(j.stats().recovered, 2);
+            assert_eq!(j.serve("noc", 0), Some("3.5"));
+            assert_eq!(j.serve("noc", 1), Some("2.5"));
+            // Once more, continuing the run recovery ended in.
+            j.record("noc", 1, &4.5f64.to_value()).unwrap();
+            j.sync().unwrap();
+        }
+        let mut j = Journal::open(&path, "ctx").unwrap();
+        assert_eq!(j.stats().recovered, 2);
+        assert_eq!(j.stats().torn, 0);
+        assert_eq!(j.serve("noc", 0), Some("3.5"));
+        assert_eq!(j.serve("noc", 1), Some("4.5"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn appending_the_first_lost_index_after_a_cut_mid_run_writes_no_run_line() {
+        const CTX: &str = "cut-ctx";
+        let path = temp_path("cut-run");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path, CTX).unwrap();
+            for i in 0..5usize {
+                j.record("noc", i, &(i as f64 + 0.5).to_value()).unwrap();
+            }
+            j.sync().unwrap();
+        }
+        let whole = std::fs::read_to_string(&path).unwrap();
+        let lost: Vec<String> = (3..5usize)
+            .map(|i| point_line(CTX, "noc", i, &(i as f64 + 0.5).to_value().render()))
+            .collect();
+        // Cut inside point 3's line: points 0-2 and their run stay.
+        let cut = whole.len() - lost[1].len() - 3;
+        std::fs::write(&path, &whole.as_bytes()[..cut]).unwrap();
+        let mut j = Journal::open(&path, CTX).unwrap();
+        assert_eq!(j.stats().recovered, 3);
+        assert_eq!(j.stats().torn as usize, lost[0].len() - 3);
+        for (i, line) in (3..5usize).zip(&lost) {
+            let before = std::fs::metadata(&path).unwrap().len() as usize;
+            j.record("noc", i, &(i as f64 + 0.5).to_value()).unwrap();
+            let added = std::fs::read_to_string(&path).unwrap()[before..].to_owned();
+            assert_eq!(&added, line, "noc:{i}");
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), whole);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A `piton-journal/v1` file of records, as builds before this
+    /// layout wrote it: `noc` 0 and 1 under the context `old-ctx`.
+    const V1_FILE: &str = concat!(
+        "4ed1356ea425d3e0 {\"schema\":\"piton-journal/v1\",\"context\":\"old-ctx\"}\n",
+        "ea50174fb45c10d3 {\"key\":16676036298523884806,\"section\":\"noc\",\"index\":0,\"payload\":1.5}\n",
+        "c7f50b4396068667 {\"key\":6775257370581777581,\"section\":\"noc\",\"index\":1,\"payload\":2.5}\n",
+    );
+
+    /// The same two points in the `piton-snapshot/v1` file those builds
+    /// compacted it into.
+    const SNAPSHOT_V1_FILE: &str = concat!(
+        "c6b7a8e72dbeb8a5 {\"schema\":\"piton-snapshot/v1\",\"context\":\"old-ctx\"}\n",
+        "e94ba96603580038 {\"section\":\"noc\",\"first\":0}\n",
+        "4ce70614f2382a4b 1.5\n",
+        "bce18d03d95280d9 2.5\n",
+    );
+
+    #[test]
+    fn files_of_the_older_layouts_restart_with_a_fresh_header() {
+        let path = temp_path("older");
+        for old in [V1_FILE, SNAPSHOT_V1_FILE] {
+            std::fs::write(&path, old).unwrap();
+            let mut j = Journal::open(&path, "old-ctx").unwrap();
+            assert_eq!(j.stats().recovered, 0);
+            assert_eq!(j.stats().torn, old.len() as u64);
+            assert_eq!(j.serve("noc", 0), None);
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                header_line("old-ctx")
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn truncated_tail_recovers_exactly_the_complete_prefix() {
         let path = temp_path("torn");
         let _ = std::fs::remove_file(&path);
@@ -1040,15 +1062,15 @@ mod tests {
             .enumerate()
             .filter_map(|(i, &b)| (b == b'\n').then_some(i + 1))
             .collect();
-        assert_eq!(line_ends.len(), 9); // header + 8 records
-                                        // Truncate at every byte offset: recovery must always yield
-                                        // exactly the complete-record prefix — never a panic, never a
-                                        // bogus value, never a dropped complete record.
+        assert_eq!(line_ends.len(), 10); // header + run line + 8 points
+                                         // Truncate at every byte offset: recovery must always yield
+                                         // exactly the complete-point prefix — never a panic, never a
+                                         // bogus value, never a dropped complete point.
         for cut in 0..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let mut j = Journal::open(&path, "ctx").unwrap();
             let whole_lines = line_ends.iter().filter(|&&e| e <= cut).count();
-            let expected = whole_lines.saturating_sub(1); // minus header
+            let expected = whole_lines.saturating_sub(2); // minus header and run line
             let k = j.stats().recovered as usize;
             assert_eq!(k, expected, "cut={cut}");
             for i in 0..k {
@@ -1090,21 +1112,15 @@ mod tests {
     #[test]
     fn context_mismatch_is_refused() {
         let path = temp_path("ctx-mismatch");
-        // Under a record-line header and under a compacted one.
-        for compact in [false, true] {
-            let _ = std::fs::remove_file(&path);
-            {
-                let mut j = Journal::open(&path, "quick|fault=none").unwrap();
-                j.record("epi", 0, &1.0f64.to_value()).unwrap();
-                j.sync().unwrap();
-                if compact {
-                    assert!(j.compact().unwrap());
-                }
-            }
-            let err = Journal::open(&path, "full|fault=none").unwrap_err();
-            assert!(matches!(err, PitonError::Codec { .. }), "{err:?}");
-            assert!(err.to_string().contains("context mismatch"), "{err}");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path, "quick|fault=none").unwrap();
+            j.record("epi", 0, &1.0f64.to_value()).unwrap();
+            j.sync().unwrap();
         }
+        let err = Journal::open(&path, "full|fault=none").unwrap_err();
+        assert!(matches!(err, PitonError::Codec { .. }), "{err:?}");
+        assert!(err.to_string().contains("context mismatch"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1130,8 +1146,7 @@ mod tests {
         assert_ne!(k, point_key("ctx2", "epi", 3));
         // Separator prevents ("ab", 1) colliding with ("a", "b1")-style smears.
         assert_ne!(point_key("c", "ab", 1), point_key("c", "a", 11));
-        // Keys are stored in journals and sent in frames: the layout
-        // they hash is fixed.
+        // Keys are sent in frames: the layout they hash is fixed.
         for index in [0, 7, 10, 99_999, usize::MAX] {
             let text = format!("design_space\u{1f}{index}\u{1f}ctx");
             assert_eq!(
@@ -1152,86 +1167,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_not_laid_out_as_record_writes_them_are_not_trusted() {
-        let path = temp_path("layout");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut j = Journal::open(&path, "ctx").unwrap();
-            j.record("noc", 0, &1.5f64.to_value()).unwrap();
-            j.sync().unwrap();
-        }
-        let clean = std::fs::read(&path).unwrap();
-        let key = point_key("ctx", "noc", 1);
-        for json in [
-            format!("{{\"section\":\"noc\",\"key\":{key},\"index\":1,\"payload\":2.5}}"),
-            format!("{{\"key\":{key},\"section\":\"noc\",\"index\":1,\"payload\":2.5,\"x\":1}}"),
-            format!("{{\"key\":{key},\"section\":\"noc\",\"index\":1}}"),
-        ] {
-            let mut bytes = clean.clone();
-            let mut line = String::new();
-            push_frame_line(&mut line, |out| out.push_str(&json));
-            bytes.extend_from_slice(line.as_bytes());
-            std::fs::write(&path, &bytes).unwrap();
-            let mut j = Journal::open(&path, "ctx").unwrap();
-            assert_eq!(j.stats().recovered, 1, "{json}");
-            assert_eq!(j.stats().torn, line.len() as u64, "{json}");
-            assert_eq!(j.serve("noc", 0), Some("1.5"));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// The parse-based record check, the oracle the layout reader is
-    /// held against: parse the whole line, take `key`, `section` and
-    /// `index` from the value, and require the exact head `record`
-    /// writes, one payload value, `}` and exactly four fields.
-    fn parsed_record(context: &str, json: &str) -> Option<(String, usize, String)> {
-        let v = json::parse(json).ok()?;
-        let key = v.get("key").and_then(Value::as_u64)?;
-        let section = v.get("section").and_then(Value::as_str)?;
-        let index = v.get("index").and_then(Value::as_u64)? as usize;
-        if key != point_key(context, section, index) {
-            return None;
-        }
-        let mut head = String::new();
-        write_record_head(&mut head, key, section, index);
-        let payload = json
-            .strip_prefix(head.as_str())
-            .and_then(|rest| rest.strip_suffix('}'))
-            .filter(|_| matches!(&v, Value::Object(fields) if fields.len() == 4))?;
-        Some((section.to_owned(), index, payload.to_owned()))
-    }
-
-    /// A record line's JSON text as `record` writes it.
-    fn record_json(context: &str, section: &str, index: usize, payload: &str) -> String {
-        let mut json = String::new();
-        write_record_head(
-            &mut json,
-            point_key(context, section, index),
-            section,
-            index,
-        );
-        json.push_str(payload);
-        json.push('}');
-        json
-    }
-
-    /// Replaces a record line's key digits with the key of the section
-    /// and index the whole line parses to, so that a mutation of the
-    /// section or index meets the layout check rather than the key
-    /// check. `None` when the line has no such fields or key digits.
-    fn rekeyed(context: &str, json: &str) -> Option<String> {
+    /// The parse-based run-line check, the oracle the layout reader is
+    /// held against: parse the whole line, take `section` and `first`
+    /// from the value, and require exactly the line [`write_run_line`]
+    /// writes for them.
+    fn parsed_run(json: &str) -> Option<(String, usize)> {
         let v = json::parse(json).ok()?;
         let section = v.get("section").and_then(Value::as_str)?;
-        let index = v.get("index").and_then(Value::as_u64)? as usize;
-        let rest = json.strip_prefix("{\"key\":")?;
-        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-        let key = point_key(context, section, index);
-        Some(format!("{{\"key\":{key}{}", &rest[digits..]))
+        let first = usize::try_from(v.get("first").and_then(Value::as_u64)?).ok()?;
+        let mut canonical = String::new();
+        write_run_line(&mut canonical, section, first);
+        (canonical == json).then(|| (section.to_owned(), first))
     }
 
     #[test]
-    fn layout_reader_decides_every_mutated_record_as_the_parse_oracle() {
+    fn layout_reader_decides_every_mutated_run_line_as_the_parse_oracle() {
         const CTX: &str = "layout-ctx";
         let path = temp_path("differential");
         let _ = std::fs::remove_file(&path);
@@ -1242,21 +1192,24 @@ mod tests {
             j.sync().unwrap();
         }
         let clean = std::fs::read(&path).unwrap();
-        let lines = [
-            record_json(CTX, "noc", 1, "2.5"),
-            record_json(CTX, "epi", 12, r#"{"v":1.25,"e":-0.5}"#),
-            record_json(CTX, "q\"b\\s\nt", 3, "[1,2e3]"),
-            record_json(CTX, "dé\u{1F980}", 40, r#""x""#),
+        let runs = [
+            ("noc", 2),
+            ("epi", 12),
+            ("q\"b\\s\nt", 3),
+            ("dé\u{1F980}", 40),
+            ("design_space", 104_999),
+            ("scaling", 0),
         ];
         let subs = [
             "\"", "\\", "{", "}", ",", ":", " ", "0", "9", "-", ".", "e", "a", "é",
         ];
         let (mut checked, mut trusted) = (0usize, 0usize);
-        for line in &lines {
+        for (section, first) in runs {
+            let mut line = String::new();
+            write_run_line(&mut line, section, first);
             let bytes = line.as_bytes();
             for at in 0..=bytes.len() {
                 for sub in subs {
-                    let mut variants = Vec::new();
                     for replace in [true, false] {
                         if replace && at == bytes.len() {
                             continue;
@@ -1265,34 +1218,42 @@ mod tests {
                         let mutated = [&bytes[..at], sub.as_bytes(), tail].concat();
                         // A substitution inside a multibyte character
                         // leaves no UTF-8, which framing alone refuses.
-                        let Ok(mutated) = String::from_utf8(mutated) else {
+                        let Ok(json) = String::from_utf8(mutated) else {
                             continue;
                         };
-                        variants.extend(rekeyed(CTX, &mutated));
-                        variants.push(mutated);
-                    }
-                    for json in variants {
-                        let mut framed = String::new();
-                        push_frame_line(&mut framed, |out| out.push_str(&json));
+                        // After the line, a point of the run the oracle
+                        // reads, or else of the unmutated run: a line
+                        // the reader wrongly trusts shows in what it
+                        // keeps.
+                        let oracle = parsed_run(&json);
+                        let (point_section, point_index) = oracle
+                            .clone()
+                            .unwrap_or_else(|| (section.to_owned(), first));
+                        let framed_run = framed(&json);
+                        let point = point_line(CTX, &point_section, point_index, "7.5");
                         let mut file = clean.clone();
-                        file.extend_from_slice(framed.as_bytes());
+                        file.extend_from_slice(framed_run.as_bytes());
+                        file.extend_from_slice(point.as_bytes());
                         std::fs::write(&path, &file).unwrap();
                         let mut j = Journal::open(&path, CTX).unwrap();
-                        match parsed_record(CTX, &json) {
-                            Some((section, index, payload)) => {
+                        let stats = j.stats();
+                        match oracle {
+                            Some((section, index)) => {
                                 let fresh = !(section == "noc" && index < 2);
-                                assert_eq!(j.stats().recovered, 2 + u64::from(fresh), "{json}");
-                                assert_eq!(j.stats().torn, 0, "{json}");
-                                assert_eq!(j.serve(&section, index), Some(payload.as_str()));
-                                if fresh {
-                                    assert_eq!(j.serve("noc", 0), Some("1.5"), "{json}");
-                                    assert_eq!(j.serve("noc", 1), Some("2.5"), "{json}");
+                                assert_eq!(stats.recovered, 2 + u64::from(fresh), "{json}");
+                                assert_eq!(stats.torn, 0, "{json}");
+                                assert_eq!(j.serve(&section, index), Some("7.5"), "{json}");
+                                for (i, v) in [(0, "1.5"), (1, "2.5")] {
+                                    if fresh || index != i {
+                                        assert_eq!(j.serve("noc", i), Some(v), "{json}");
+                                    }
                                 }
                                 trusted += 1;
                             }
                             None => {
-                                assert_eq!(j.stats().recovered, 2, "{json}");
-                                assert_eq!(j.stats().torn, framed.len() as u64, "{json}");
+                                assert_eq!(stats.recovered, 2, "{json}");
+                                let torn = framed_run.len() + point.len();
+                                assert_eq!(stats.torn, torn as u64, "{json}");
                                 assert_eq!(j.serve("noc", 0), Some("1.5"), "{json}");
                                 assert_eq!(j.serve("noc", 1), Some("2.5"), "{json}");
                             }
@@ -1309,11 +1270,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Five records in four sections, whose names hold `"`, `\\` and
-    /// `é`; one payload is NaN and one index is the last of the
-    /// `design_space` grid.
-    fn damage_records() -> [(&'static str, usize, Value); 5] {
+    /// The damage file's appends: five points in four sections, whose
+    /// names hold `"`, `\\` and `é`; one payload is NaN and one index
+    /// is the last of the `design_space` grid. `epi` 0 comes after
+    /// `epi` 1, which is then recorded again, so run lines sit mid-file.
+    fn damage_appends() -> [(&'static str, usize, Value); 6] {
         [
+            ("noc", 3, 0.75f64.to_value()),
+            ("epi", 1, (-2.0f64).to_value()),
             (
                 "epi",
                 0,
@@ -1323,153 +1287,107 @@ mod tests {
                 }
                 .to_value(),
             ),
-            ("noc", 3, 0.75f64.to_value()),
+            ("epi", 1, 4.5f64.to_value()),
             ("dé\"s\\", 7, f64::NAN.to_value()),
-            ("epi", 1, (-2.0f64).to_value()),
             ("design_space", 104_999, 3.5e-9f64.to_value()),
         ]
     }
 
-    #[test]
-    fn a_flipped_bit_anywhere_loses_exactly_its_line() {
-        const CTX: &str = "flip-ctx";
-        let path = temp_path("bitflip");
-        let _ = std::fs::remove_file(&path);
-        let records = damage_records();
-        {
-            let mut j = Journal::open(&path, CTX).unwrap();
-            for (section, index, payload) in &records {
-                j.record(section, *index, payload).unwrap();
-            }
-            j.sync().unwrap();
-        }
-        let clean = std::fs::read(&path).unwrap();
-        let header_end = clean.iter().position(|&b| b == b'\n').unwrap() + 1;
-        let fresh_header = clean[..header_end].to_vec();
-        for at in 0..clean.len() {
-            // The line the damaged byte belongs to (its newline included).
-            let line = clean[..at].iter().filter(|&&b| b == b'\n').count();
-            let line_start = clean[..at]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |i| i + 1);
-            for bit in 0..8 {
-                let mut damaged = clean.clone();
-                damaged[at] ^= 1 << bit;
-                std::fs::write(&path, &damaged).unwrap();
-                let mut j = Journal::open(&path, CTX).unwrap();
-                let kept = line.saturating_sub(1);
-                assert_eq!(j.stats().recovered as usize, kept, "at={at} bit={bit}");
-                for (n, (section, index, payload)) in records.iter().enumerate() {
-                    let want = payload.render();
-                    let got = j.serve(section, *index);
-                    if n < kept {
-                        assert_eq!(got, Some(want.as_str()), "at={at} bit={bit}");
-                    } else {
-                        assert_eq!(got, None, "at={at} bit={bit}");
-                    }
-                }
-                // The file is cut where the damaged line starts; a hit
-                // header restarts it with a fresh one.
-                let on_disk = std::fs::read(&path).unwrap();
-                let want = if line == 0 {
-                    &fresh_header
-                } else {
-                    &clean[..line_start]
-                };
-                assert_eq!(on_disk, want, "at={at} bit={bit}");
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Records `records` into a fresh journal at `path`, compacts it and
-    /// returns the compacted bytes.
-    fn compacted(path: &Path, context: &str, records: &[(&str, usize, Value)]) -> Vec<u8> {
+    /// Records [`damage_appends`] into a fresh journal at `path`. Returns
+    /// the file's bytes and, per line, where it ends and which append's
+    /// point it holds (`None` for the header and run lines).
+    fn damage_file(path: &Path, context: &str) -> (Vec<u8>, Vec<(usize, Option<usize>)>) {
         let _ = std::fs::remove_file(path);
         let mut j = Journal::open(path, context).unwrap();
-        for (section, index, payload) in records {
+        let mut lines = vec![(std::fs::metadata(path).unwrap().len() as usize, None)];
+        for (n, (section, index, payload)) in damage_appends().iter().enumerate() {
             j.record(section, *index, payload).unwrap();
+            let bytes = std::fs::read(path).unwrap();
+            let start = lines.last().unwrap().0;
+            let added: Vec<usize> = bytes[start..]
+                .split_inclusive(|&b| b == b'\n')
+                .map(<[u8]>::len)
+                .collect();
+            for (k, len) in added.iter().enumerate() {
+                let end = lines.last().unwrap().0 + len;
+                lines.push((end, (k + 1 == added.len()).then_some(n)));
+            }
         }
         j.sync().unwrap();
-        assert!(j.compact().unwrap());
-        std::fs::read(path).unwrap()
-    }
-
-    /// The header a restarted file gets for `context`.
-    fn fresh_header(context: &str) -> Vec<u8> {
-        let mut line = String::new();
-        push_frame_line(&mut line, |out| {
-            out.push_str(&header_json(JOURNAL_SCHEMA, context));
-        });
-        line.into_bytes()
+        let bytes = std::fs::read(path).unwrap();
+        // A run line before every append but the repeat of `epi` 1.
+        assert_eq!(lines.len(), 1 + 5 + 6);
+        assert_eq!(lines.last().unwrap().0, bytes.len());
+        (bytes, lines)
     }
 
     /// Opens the journal at `path` and checks that it holds exactly the
-    /// first `kept` of `points` (in file order) and that the file now
-    /// reads `on_disk`.
+    /// points of the first `kept` lines of the damage file (`lines`),
+    /// each with the payload of its last line there, and that the file
+    /// now reads `on_disk`.
     fn assert_kept(
         path: &Path,
         context: &str,
-        points: &[&(&str, usize, Value)],
+        lines: &[(usize, Option<usize>)],
         kept: usize,
         on_disk: &[u8],
         what: &str,
     ) {
+        let appends = damage_appends();
+        let mut want: Vec<((&str, usize), String)> = Vec::new();
+        for &(_, n) in &lines[..kept] {
+            let Some(n) = n else { continue };
+            let (section, index, payload) = &appends[n];
+            want.retain(|(point, _)| *point != (*section, *index));
+            want.push(((section, *index), payload.render()));
+        }
         let mut j = Journal::open(path, context).unwrap();
-        assert_eq!(j.stats().recovered as usize, kept, "{what}");
-        for (n, (section, index, payload)) in points.iter().enumerate() {
-            let want = payload.render();
-            let want = (n < kept).then_some(want.as_str());
-            assert_eq!(j.serve(section, *index), want, "{what}: point {n}");
+        assert_eq!(j.stats().recovered as usize, want.len(), "{what}");
+        for (section, index, _) in &appends {
+            let expected = want
+                .iter()
+                .find(|(point, _)| *point == (*section, *index))
+                .map(|(_, payload)| payload.as_str());
+            assert_eq!(
+                j.serve(section, *index),
+                expected,
+                "{what}: {section}:{index}"
+            );
         }
         assert_eq!(std::fs::read(path).unwrap(), on_disk, "{what}");
     }
 
     #[test]
-    fn a_compacted_file_keeps_exactly_the_points_before_its_first_damage() {
-        const CTX: &str = "snap-ctx";
-        let path = temp_path("snap-damage");
-        let records = damage_records();
-        let clean = compacted(&path, CTX, &records);
-        assert!(clean[17..].starts_with(b"{\"schema\":\"piton-snapshot/v1\""));
-        let mut points: Vec<&(&str, usize, Value)> = records.iter().collect();
-        points.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        // Each line's end, and how many points the file holds up to it.
-        let mut ends = Vec::new();
-        let mut points_through = Vec::new();
-        for (n, line) in clean.split_inclusive(|&b| b == b'\n').enumerate() {
-            let is_point = n > 0 && !line[17..].starts_with(b"{\"section\":");
-            let before = points_through.last().copied().unwrap_or(0);
-            ends.push(ends.last().copied().unwrap_or(0) + line.len());
-            points_through.push(before + usize::from(is_point));
-        }
-        assert_eq!(points_through.last(), Some(&5));
-        assert_eq!(ends.last(), Some(&clean.len()));
-        // The lines before line `n` survive, with their points; a
-        // damaged header restarts the file with a fresh one.
-        let header = fresh_header(CTX);
-        let expect = |n: usize| -> (usize, Vec<u8>) {
-            match n {
-                0 => (0, header.clone()),
-                n => (points_through[n - 1], clean[..ends[n - 1]].to_vec()),
-            }
-        };
+    fn a_cut_anywhere_keeps_exactly_the_points_of_the_whole_lines_before_it() {
+        const CTX: &str = "cut-ctx";
+        let path = temp_path("cut-damage");
+        let (clean, lines) = damage_file(&path, CTX);
         for cut in 0..=clean.len() {
             std::fs::write(&path, &clean[..cut]).unwrap();
-            let whole = ends.iter().filter(|&&end| end <= cut).count();
-            let (kept, on_disk) = expect(whole);
-            assert_kept(&path, CTX, &points, kept, &on_disk, &format!("cut={cut}"));
+            let whole = lines.iter().filter(|&&(end, _)| end <= cut).count();
+            // A cut header restarts the file with a fresh one.
+            let on_disk = &clean[..lines[whole.max(1) - 1].0];
+            assert_kept(&path, CTX, &lines, whole, on_disk, &format!("cut={cut}"));
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_flipped_bit_anywhere_loses_exactly_its_line_and_the_lines_after() {
+        const CTX: &str = "flip-ctx";
+        let path = temp_path("bitflip");
+        let (clean, lines) = damage_file(&path, CTX);
         for at in 0..clean.len() {
-            let line = ends.iter().filter(|&&end| end <= at).count();
-            let (kept, on_disk) = expect(line);
+            // The lines wholly before the damaged byte survive; a hit
+            // header restarts the file with a fresh one.
+            let line = lines.iter().filter(|&&(end, _)| end <= at).count();
+            let on_disk = &clean[..lines[line.max(1) - 1].0];
             for bit in 0..8 {
                 let mut damaged = clean.clone();
                 damaged[at] ^= 1 << bit;
                 std::fs::write(&path, &damaged).unwrap();
                 let what = format!("at={at} bit={bit}");
-                assert_kept(&path, CTX, &points, kept, &on_disk, &what);
+                assert_kept(&path, CTX, &lines, line, on_disk, &what);
                 let torn = Journal::open(&path, CTX).unwrap().stats().torn;
                 assert_eq!(torn, 0, "{what}: the damage was cut off once");
             }
@@ -1478,68 +1396,51 @@ mod tests {
     }
 
     #[test]
-    fn a_cut_compacted_file_serves_its_kept_points_and_later_appends() {
-        const CTX: &str = "snap-append";
-        let path = temp_path("snap-append");
-        let records = damage_records();
-        let clean = compacted(&path, CTX, &records);
-        let header_end = clean.iter().position(|&b| b == b'\n').unwrap() + 1;
-        for cut in header_end..=clean.len() {
+    fn a_cut_file_serves_its_kept_points_and_later_appends() {
+        const CTX: &str = "cut-append";
+        let path = temp_path("cut-append");
+        let whole_path = temp_path("cut-append-whole");
+        let (clean, lines) = damage_file(&path, CTX);
+        let appends = damage_appends();
+        let extra = ("epi", 2, 4.5f64.to_value());
+        // A journal that recorded every append, then the extra point.
+        let whole = {
+            let (_, _) = damage_file(&whole_path, CTX);
+            let mut j = Journal::open(&whole_path, CTX).unwrap();
+            j.record(extra.0, extra.1, &extra.2).unwrap();
+            j.sync().unwrap();
+            std::fs::read(&whole_path).unwrap()
+        };
+        for cut in 0..=clean.len() {
             std::fs::write(&path, &clean[..cut]).unwrap();
+            // The appends whose point line is whole survive the cut.
+            let kept = lines
+                .iter()
+                .filter(|&&(end, n)| end <= cut && n.is_some())
+                .count();
             {
-                // Re-record the lost points, and one new one.
+                // Append the lost points again, then the extra one.
                 let mut j = Journal::open(&path, CTX).unwrap();
-                for (section, index, payload) in &records {
-                    if !j.contains(section, *index) {
-                        j.record(section, *index, payload).unwrap();
-                    }
+                for (section, index, payload) in appends[kept..].iter().chain([&extra]) {
+                    j.record(section, *index, payload).unwrap();
                 }
-                j.record("epi", 2, &4.5f64.to_value()).unwrap();
                 j.sync().unwrap();
             }
             let mut j = Journal::open(&path, CTX).unwrap();
             assert_eq!(j.stats().torn, 0, "cut={cut}");
-            assert_eq!(j.stats().recovered as usize, records.len() + 1, "cut={cut}");
-            for (section, index, payload) in &records {
+            assert_eq!(j.stats().recovered, 6, "cut={cut}");
+            for n in [0, 2, 3, 4, 5] {
+                let (section, index, payload) = &appends[n];
                 let want = payload.render();
                 assert_eq!(j.serve(section, *index), Some(want.as_str()), "cut={cut}");
             }
             assert_eq!(j.serve("epi", 2), Some("4.5"), "cut={cut}");
-            // Folding the appends in again compacts to the bytes of a
-            // journal that recorded all six points at once.
-            assert!(j.compact().unwrap(), "cut={cut}");
-            drop(j);
-            let mut all = records.to_vec();
-            all.push(("epi", 2, 4.5f64.to_value()));
-            let whole = compacted(&temp_path("snap-append-whole"), CTX, &all);
+            // The appends continue the kept file exactly as the
+            // uninterrupted journal went on.
             assert_eq!(std::fs::read(&path).unwrap(), whole, "cut={cut}");
         }
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(temp_path("snap-append-whole"));
-    }
-
-    #[test]
-    fn the_same_points_compact_to_the_same_bytes() {
-        const CTX: &str = "snap-same";
-        let records = damage_records();
-        let forward = compacted(&temp_path("snap-forward"), CTX, &records);
-        // Another order, with a point recorded twice.
-        let mut shuffled: Vec<(&str, usize, Value)> = records.iter().rev().cloned().collect();
-        shuffled.push(records[2].clone());
-        let backward = compacted(&temp_path("snap-backward"), CTX, &shuffled);
-        assert_eq!(forward, backward);
-        // A compacted file with nothing recorded since stays as it is.
-        let path = temp_path("snap-backward");
-        let mut j = Journal::open(&path, CTX).unwrap();
-        assert_eq!(j.stats().recovered as usize, records.len());
-        assert!(!j.compact().unwrap());
-        assert_eq!(std::fs::read(&path).unwrap(), forward);
-        // Compaction leaves no file but the journal behind.
-        let mut temp = path.clone().into_os_string();
-        temp.push(".compacting");
-        assert!(!Path::new(&temp).exists());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(temp_path("snap-forward"));
+        let _ = std::fs::remove_file(&whole_path);
     }
 
     #[test]
@@ -1570,9 +1471,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
-            /// Append N records, tear the file at a random byte
-            /// offset: recovery yields exactly the records whose whole
-            /// line survived, each with its exact payload.
+            /// Append N points, tear the file at a random byte offset:
+            /// recovery yields exactly the points whose whole line
+            /// survived, each with its exact payload.
             #[test]
             fn torn_tail_recovery_is_exactly_the_complete_prefix(
                 raw in proptest::collection::vec(proptest::strategy::any::<u64>(), 1..24),
@@ -1593,12 +1494,12 @@ mod tests {
                 let cut = (cut_seed % (full.len() as u64 + 1)) as usize;
                 std::fs::write(&path, &full[..cut]).unwrap();
                 let whole_lines = full[..cut].iter().filter(|&&b| b == b'\n').count();
-                let expected = whole_lines.saturating_sub(1); // header line
+                let expected = whole_lines.saturating_sub(2); // header and run line
                 let mut j = Journal::open(&path, "prop-ctx").unwrap();
                 prop_assert_eq!(j.stats().recovered as usize, expected);
                 for (i, &v) in values.iter().enumerate().take(expected) {
                     let got: f64 = served(&mut j, "noc", i).unwrap();
-                    prop_assert_eq!(got, v, "record {}", i);
+                    prop_assert_eq!(got, v, "point {}", i);
                 }
                 prop_assert!(j.serve("noc", expected).is_none());
                 let _ = std::fs::remove_file(&path);

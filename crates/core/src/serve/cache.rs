@@ -6,14 +6,13 @@
 //! model digest — see [`crate::journal::run_context`])
 //! and is cached in `ctx-<fnv64(context)>.journal` inside the cache
 //! directory. Each file is a [`Journal`]: points computed while the
-//! daemon runs are appended as `piton-journal/v1` write-ahead records,
-//! and a clean shutdown compacts every file that gained records into a
-//! `piton-snapshot/v1` snapshot ([`ResultCache::compact`]), which the
-//! next daemon indexes without parsing a payload. Either way a file
-//! inherits the journal's guarantees wholesale: longest-valid-prefix
-//! recovery after a crash, point by point inside a snapshot, torn tails
-//! truncated and counted, and a refusal to open a file recorded under a
-//! different context (which is also what turns an astronomically-unlikely
+//! daemon runs are appended as checksummed point lines, which the next
+//! daemon indexes without parsing a payload, and no shutdown step
+//! rewrites them — a killed daemon leaves the file a clean one does. A
+//! file inherits the journal's guarantees wholesale: longest-valid-prefix
+//! recovery after a crash, point by point, torn tails truncated and
+//! counted, and a refusal to open a file recorded under a different
+//! context (which is also what turns an astronomically-unlikely
 //! file-name hash collision into a loud error instead of silent
 //! cross-context serving).
 
@@ -65,7 +64,7 @@ impl ResultCache {
     /// The shared journal for `context`, opening — and crash-recovering
     /// — its file on first use. Returns `Some(stats)` exactly when this
     /// call opened the file, so the caller can account the recovery
-    /// (recovered records, torn bytes) once.
+    /// (recovered points, torn bytes) once.
     ///
     /// # Errors
     ///
@@ -85,25 +84,6 @@ impl ResultCache {
         let shared = Arc::new(Mutex::new(journal));
         map.insert(context.to_owned(), Arc::clone(&shared));
         Ok((shared, Some(stats)))
-    }
-
-    /// Compacts the file of every context opened so far
-    /// ([`Journal::compact`]): the clean-shutdown step, once no
-    /// connection can append any more.
-    ///
-    /// # Errors
-    ///
-    /// The first [`PitonError::Codec`] a compaction returned; every
-    /// file is still tried, and each one that failed stays as it was.
-    pub fn compact(&self) -> Result<(), PitonError> {
-        let map = self.journals.lock().expect("cache journal map lock");
-        let mut first_error = None;
-        for journal in map.values() {
-            if let Err(e) = journal.lock().expect("cache journal lock").compact() {
-                first_error.get_or_insert(e);
-            }
-        }
-        first_error.map_or(Ok(()), Err)
     }
 
     /// Every context opened so far as `(context, file name, stats)`,

@@ -16,9 +16,6 @@
 //!   nesting — is answered promptly;
 //! * concurrent interleaved clients see exactly the responses serial
 //!   execution produces;
-//! * a clean shutdown compacts the cache into a `piton-snapshot/v1`
-//!   file that a restarted daemon serves from byte-identically, and a
-//!   shutdown with nothing appended leaves it as it is;
 //! * `design_space` calibrates on its first miss only — never for a
 //!   request the cache holds whole — and never serves a file cached
 //!   under another analytic model.
@@ -31,11 +28,10 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use piton::characterization::experiments::design_space::DesignPoint;
-use piton::characterization::journal::{Journal, JournalPayload, SNAPSHOT_SCHEMA};
+use piton::characterization::journal::{Journal, JournalPayload};
 use piton::characterization::serve::cache::context_file_name;
 use piton::characterization::serve::frames::Frame;
 use piton::characterization::serve::{Server, ServerConfig, ServerHandle};
-use piton::obs::json;
 
 /// Tiny custom fidelity used by every request in this suite.
 const FIDELITY: &str = "s=2,c=500,w=2000";
@@ -316,48 +312,6 @@ fn cache_persists_across_daemon_restarts() {
     assert_eq!(cold_bytes, warm_bytes);
 
     second.stop().expect("clean stop");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The one cache file of a cache directory that served one context.
-fn only_cache_file(dir: &Path) -> std::path::PathBuf {
-    let files: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("cache"))
-        .expect("cache dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "journal"))
-        .collect();
-    assert_eq!(files.len(), 1, "{files:?}");
-    files[0].clone()
-}
-
-#[test]
-fn a_clean_shutdown_compacts_and_a_restart_serves_the_snapshot() {
-    let dir = temp_dir("compact");
-    let req = run_request("scaling", "0-9");
-
-    let first = spawn_server(&dir);
-    let (cold_bytes, _) = roundtrip(first.socket(), &req);
-    first.stop().expect("clean stop");
-    let file = only_cache_file(&dir);
-    let compacted = std::fs::read(&file).unwrap();
-    let header = compacted.split(|&b| b == b'\n').next().unwrap();
-    let header = json::parse(std::str::from_utf8(&header[17..]).unwrap()).unwrap();
-    assert_eq!(
-        header.get("schema").and_then(json::Value::as_str),
-        Some(SNAPSHOT_SCHEMA)
-    );
-
-    // The restarted daemon recovers every point from the snapshot and
-    // answers with the cold bytes.
-    let second = spawn_server(&dir);
-    let (restart_bytes, _) = roundtrip(second.socket(), &req);
-    assert_eq!(second.counters().value("serve.recovered"), 10);
-    assert_eq!(second.counters().value("serve.points_computed"), 0);
-    assert_eq!(second.counters().value("serve.torn"), 0);
-    assert_eq!(cold_bytes, restart_bytes);
-    // With nothing appended, its shutdown leaves the file alone.
-    second.stop().expect("clean stop");
-    assert_eq!(std::fs::read(&file).unwrap(), compacted);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
