@@ -32,9 +32,13 @@
 //!
 //! Durable runs (see `piton_core::journal`): `--journal PATH` (or
 //! `PITON_JOURNAL`) appends every completed grid point of the
-//! journaled sweep sections (`epi`, `noc`, `scaling`) to a write-ahead
-//! `piton-journal/v2` file of checksummed point lines, fsync'd at sweep
-//! boundaries, which the next `--resume` indexes without parsing. Adding
+//! journaled sweep sections (`epi`, `noc`, `scaling`, and
+//! `design_space` under the analytic backend) to a write-ahead
+//! `piton-journal/v3` file of checksummed point lines. Each sweep
+//! appends a computed point as soon as every earlier point of the sweep
+//! is done, so the file grows in index order, and fsyncs once when it
+//! ends; the file is the one `piton-serve` writes for the same points
+//! and the next `--resume` indexes it without parsing. Adding
 //! `--resume` serves completed points from an existing journal and
 //! recomputes only the missing ones — the stdout, tables and
 //! deterministic manifest projection are byte-identical to an
@@ -42,8 +46,8 @@
 //! lines are detected by checksum, discarded and recomputed, never
 //! trusted. Deterministic crash injection for the recovery harness:
 //! a `crash=SECTION:IDX` fault-plan entry hard-aborts the process when
-//! that grid point completes, strictly *after* its record is durably
-//! on disk.
+//! the sweep that computed that grid point ends, strictly *after* its
+//! record is durably on disk.
 //!
 //! Backend selection (see `piton_core::analytic`): `--backend cycle`
 //! (the default; stdout is byte-identical to builds that predate the

@@ -171,11 +171,11 @@ fn both_backends_crash_on_the_cycle_run_only_and_resume_identically() {
     let manifest = tmp("both-crash-manifest.json");
     let _ = std::fs::remove_file(&journal);
     let (j, m) = (journal.to_str().unwrap(), manifest.to_str().unwrap());
-    let plan = "--fault-plan=crash=scaling:5";
+    let plan = "--fault-plan=crash=scaling:20";
 
     let crashed = reproduce(&["--backend", "both", "--journal", j, plan, "--metrics", m]);
     assert!(!crashed.status.success(), "the crash point must fire");
-    assert!(stderr_text(&crashed).contains("injected crash at scaling:5"));
+    assert!(stderr_text(&crashed).contains("injected crash at scaling:20"));
 
     let resumed = reproduce(&[
         "--backend",

@@ -8,6 +8,11 @@
 //! and a hand-torn cache-file tail must be detected, counted and
 //! recomputed.
 //!
+//! `reproduce --journal` writes the same file the daemon does: a quick
+//! run's journal serves the daemon's requests at quick fidelity under
+//! the same point indices, and both write byte-identical files for one
+//! configuration.
+//!
 //! Client transcripts (one JSON frame body per line) are the
 //! comparison unit: the daemon's frames carry no cache-state-dependent
 //! fields, so any two daemons answering the same request must produce
@@ -17,10 +22,14 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use piton_arch::config::Backend;
+use piton_core::journal::run_context;
+use piton_core::serve::cache::context_file_name;
 use piton_obs::json::{self, Value};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_piton-serve");
 const CLIENT: &str = env!("CARGO_BIN_EXE_piton-client");
+const REPRODUCE: &str = env!("CARGO_BIN_EXE_reproduce");
 
 /// Tiny custom fidelity — milliseconds per grid point.
 const FIDELITY: &str = "s=2,c=500,w=2000";
@@ -39,6 +48,11 @@ impl Daemon {
     /// Starts `piton-serve` over `cache` with 4-point shards, stderr
     /// captured to a file for post-mortem assertions.
     fn start(dir: &Path, tag: &str) -> Self {
+        Self::start_sharded(dir, tag, "4")
+    }
+
+    /// [`Daemon::start`] with `shard` points per shard.
+    fn start_sharded(dir: &Path, tag: &str, shard: &str) -> Self {
         let socket = dir.join(format!("{tag}.sock"));
         let stderr_file = dir.join(format!("{tag}.stderr"));
         let child = Command::new(SERVE)
@@ -50,7 +64,7 @@ impl Daemon {
                 "--jobs",
                 "2",
                 "--shard",
-                "4",
+                shard,
             ])
             .stdout(Stdio::null())
             .stderr(Stdio::from(
@@ -306,7 +320,7 @@ fn a_killed_daemon_leaves_the_file_a_clean_shutdown_does() {
         .expect("header parses");
     assert_eq!(
         header.get("schema").and_then(Value::as_str),
-        Some("piton-journal/v2")
+        Some("piton-journal/v3")
     );
 
     // A restart from either file recovers every point and answers
@@ -401,6 +415,102 @@ fn malformed_requests_leave_the_daemon_serving() {
     assert_eq!(daemon.counter("serve.errors"), 2);
     assert_eq!(daemon.counter("serve.points_computed"), 4);
     daemon.shutdown();
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `reproduce quick` with extra args, its run manifest kept in
+/// `dir`, and asserts that it succeeded.
+fn reproduce_quick(dir: &Path, extra: &[&str]) {
+    let manifest = dir.join("reproduce-manifest.json");
+    let out = Command::new(REPRODUCE)
+        .args([
+            "quick",
+            "--jobs",
+            "2",
+            "--metrics",
+            manifest.to_str().unwrap(),
+        ])
+        .args(extra)
+        .output()
+        .expect("spawn reproduce");
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
+fn a_reproduce_journal_serves_scaling_points_by_their_grid_index() {
+    // `reproduce quick` journals Figure 13 at 7 core counts, each point
+    // under its index in the 150-point grid the daemon addresses.
+    let dir = fresh_dir("shared-index");
+    let journal = dir.join("quick.journal");
+    reproduce_quick(&dir, &["--journal", journal.to_str().unwrap()]);
+    std::fs::create_dir_all(dir.join("cache")).expect("create cache dir");
+    let context = run_context("quick", None, Backend::Cycle);
+    std::fs::copy(
+        &journal,
+        dir.join("cache").join(context_file_name(&context)),
+    )
+    .expect("copy the journal into the cache");
+
+    // Int 1 T/C at 1 and 21 cores, HP 1 T/C and Hist 2 T/C at 25 cores.
+    let request = r#"{"op":"run","section":"scaling","grid":"0,20,74,149","fidelity":"quick"}"#;
+    let warm = Daemon::start(&dir, "warm");
+    let warm_out = warm.client(&[request]);
+    assert!(warm_out.status.success(), "{}", stderr(&warm_out));
+    assert_eq!(
+        warm.counter("serve.points_computed"),
+        0,
+        "all four are quick points"
+    );
+    assert_eq!(warm.counter("serve.cache_hits"), 4);
+    warm.shutdown();
+
+    let cold_dir = fresh_dir("shared-index-cold");
+    let cold = Daemon::start(&cold_dir, "cold");
+    let cold_out = cold.client(&[request]);
+    assert!(cold_out.status.success(), "{}", stderr(&cold_out));
+    assert_eq!(cold.counter("serve.points_computed"), 4);
+    cold.shutdown();
+    assert_eq!(
+        cold_out.stdout, warm_out.stdout,
+        "a served point must be the point a cold daemon computes"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&cold_dir);
+}
+
+#[test]
+fn reproduce_and_the_daemon_write_one_file_for_one_configuration() {
+    // The analytic quick run journals the whole design space; a cold
+    // daemon asked for the same grid at the same fidelity writes the
+    // same file, at any jobs level and shard size.
+    let dir = fresh_dir("one-file");
+    let journal = dir.join("analytic.journal");
+    reproduce_quick(
+        &dir,
+        &[
+            "--backend",
+            "analytic",
+            "--journal",
+            journal.to_str().unwrap(),
+        ],
+    );
+    let daemon = Daemon::start_sharded(&dir, "cold", "512");
+    let out = daemon
+        .client(&[r#"{"op":"run","section":"design_space","grid":"all","fidelity":"quick"}"#]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(daemon.counter("serve.points_computed"), 105_000);
+    daemon.shutdown();
+
+    let ours = std::fs::read(&journal).expect("read reproduce journal");
+    let theirs = std::fs::read(cache_file(&dir)).expect("read daemon cache file");
+    assert!(
+        ours == theirs,
+        "reproduce and piton-serve must write the same bytes ({} vs {} B)",
+        ours.len(),
+        theirs.len()
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

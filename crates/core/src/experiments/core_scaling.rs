@@ -63,26 +63,21 @@ fn point_label(bench: Microbenchmark, tpc: ThreadsPerCore, cores: usize) -> Stri
     format!("{} {} @ {cores} cores", bench.label(), tpc.label())
 }
 
-/// The Figure 13 grid over the given core counts, in sweep order:
-/// 3 benchmarks × 2 T/C × cores as `(bench, tpc, cores)`.
+/// The canonical full-chip Figure 13 grid, 150 points: 3 benchmarks ×
+/// 2 T/C × 1..=25 cores as `(bench, tpc, cores)`, so point
+/// `(bench, tpc, cores)` sits at `bench·50 + (T/C − 1)·25 + (cores − 1)`.
+/// Its index is the point's journal index, sabotage index and seed in
+/// every sweep, and the index the serve layer addresses.
 #[must_use]
-pub fn grid_with_cores(core_counts: &[usize]) -> Vec<(Microbenchmark, ThreadsPerCore, usize)> {
+pub fn grid() -> Vec<(Microbenchmark, ThreadsPerCore, usize)> {
     Microbenchmark::ALL
         .into_iter()
         .flat_map(|bench| {
             [ThreadsPerCore::One, ThreadsPerCore::Two]
                 .into_iter()
-                .flat_map(move |tpc| core_counts.iter().map(move |&c| (bench, tpc, c)))
+                .flat_map(move |tpc| (1..=25).map(move |cores| (bench, tpc, cores)))
         })
         .collect()
-}
-
-/// The canonical full-chip Figure 13 grid (1..=25 cores, 150 points) —
-/// the grid the serve layer addresses by index.
-#[must_use]
-pub fn grid() -> Vec<(Microbenchmark, ThreadsPerCore, usize)> {
-    let cores: Vec<usize> = (1..=25).collect();
-    grid_with_cores(&cores)
 }
 
 /// Computes one Figure 13 grid point on `bench` exactly as the
@@ -118,7 +113,9 @@ pub fn compute_point(
 /// Runs the Figure 13 sweep over the given core counts (the harness
 /// sweeps 1..=25; tests use fewer points) on `bench` under an optional
 /// fault plan, serving and recording points through an optional result
-/// journal.
+/// journal. Each point keeps its canonical [`grid`] index, so a journal
+/// of any core subset serves the same points a full run or a serve
+/// request does.
 #[must_use]
 pub fn run_with_cores(
     bench: &dyn Bench,
@@ -129,37 +126,41 @@ pub fn run_with_cores(
 ) -> CoreScalingResult {
     let idle = bench.idle_power(&Rig::chip(NamedChip::Chip3), fidelity);
 
-    // 3 benchmarks × 2 T/C × core counts, all independent systems.
-    let grid = grid_with_cores(core_counts);
+    // The canonical grid's points at the requested core counts, each
+    // under its canonical index; all independent systems.
+    let points: Vec<(usize, (Microbenchmark, ThreadsPerCore, usize))> = grid()
+        .into_iter()
+        .enumerate()
+        .filter(|(_, (_, _, cores))| core_counts.contains(cores))
+        .collect();
     let watts = runner::try_sweep_journaled(
         fidelity.jobs,
-        grid.clone(),
-        runner::RetryPolicy::default(),
+        points.clone(),
         "scaling",
         plan,
         journal,
         |index, point, attempt| compute_point(bench, index, point, fidelity, plan, attempt),
     );
 
-    let mut holes: Vec<Hole> = grid
+    let mut holes: Vec<Hole> = points
         .iter()
         .zip(&watts)
-        .filter_map(|(&(bench, tpc, cores), r)| {
+        .filter_map(|(&(_, (bench, tpc, cores)), r)| {
             r.as_ref()
                 .err()
                 .map(|e| Hole::from_point("scaling", point_label(bench, tpc, cores), e))
         })
         .collect();
-    let series = Microbenchmark::ALL
-        .into_iter()
-        .flat_map(|bench| [ThreadsPerCore::One, ThreadsPerCore::Two].map(|tpc| (bench, tpc)))
-        .zip(watts.chunks(core_counts.len()))
-        .map(|((bench, tpc), chunk)| {
-            let points: Vec<(usize, f64)> = core_counts
+    let per_series = points.len() / 6;
+    let series = points
+        .chunks(per_series)
+        .zip(watts.chunks(per_series))
+        .map(|(grid, chunk)| {
+            let (_, (bench, tpc, _)) = grid[0];
+            let points: Vec<(usize, f64)> = grid
                 .iter()
-                .copied()
-                .zip(chunk.iter())
-                .filter_map(|(c, r)| r.as_ref().ok().map(|&w| (c, w)))
+                .zip(chunk)
+                .filter_map(|(&(_, (_, _, c)), r)| r.as_ref().ok().map(|&w| (c, w)))
                 .collect();
             let fit: Vec<(f64, f64)> = points.iter().map(|&(c, w)| (c as f64, w)).collect();
             let slope_w = match linear_fit(&fit) {

@@ -314,8 +314,7 @@ pub fn run(
     let table = mix_table(cal);
     let out = runner::try_sweep_journaled(
         fidelity.jobs,
-        grid.clone(),
-        runner::RetryPolicy::default(),
+        grid.iter().copied().enumerate().collect(),
         "design_space",
         plan,
         journal,

@@ -158,8 +158,7 @@ pub fn run_cases(
         .collect();
     let measured = runner::try_sweep_journaled(
         fidelity.jobs,
-        grid.clone(),
-        runner::RetryPolicy::default(),
+        grid.iter().copied().enumerate().collect(),
         "epi",
         plan,
         journal,

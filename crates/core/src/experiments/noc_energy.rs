@@ -112,8 +112,7 @@ pub fn run(
     // power the others subtract.
     let powers = runner::try_sweep_journaled(
         fidelity.jobs,
-        grid(),
-        runner::RetryPolicy::default(),
+        grid().into_iter().enumerate().collect(),
         "noc",
         plan,
         journal,

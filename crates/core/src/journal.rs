@@ -1,14 +1,15 @@
 //! Write-ahead, content-addressed result journal — the durability
-//! layer under `runner::try_sweep_journaled` and the `piton-serve`
+//! layer under `runner::try_sweep_journaled`, the one sweep that serves
+//! and commits points for `reproduce --journal` and the `piton-serve`
 //! result cache.
 //!
 //! The paper's characterization campaign is days of measurement across
 //! thousands of grid points; a killed process used to throw away every
-//! completed point. A [`Journal`] makes sweep results durable: every
-//! completed grid point is appended to its file as a self-checksummed
-//! record *before* the run proceeds, so a crashed run relaunched with
-//! `--resume` serves completed points from disk and recomputes only the
-//! missing ones. Because every sweep is already byte-deterministic at
+//! completed point. A [`Journal`] makes sweep results durable: the grid
+//! points a sweep completes are appended to its file as self-checksummed
+//! records, in index order, *before* the run proceeds, so a crashed run
+//! relaunched with `--resume` serves completed points from disk and
+//! recomputes only the missing ones. Because every sweep is already byte-deterministic at
 //! any `--jobs` level, a resumed run's output is **byte-identical** to
 //! an uninterrupted one.
 //!
@@ -17,7 +18,7 @@
 //!
 //! # File format
 //!
-//! One schema, `piton-journal/v2`. Every line ends in a newline, holds
+//! One schema, `piton-journal/v3`. Every line ends in a newline, holds
 //! no other, and starts with 16 lowercase hex digits — an FNV-1a-64
 //! checksum — and a space. The first line is a header naming the schema
 //! and the context. Two kinds of line follow it:
@@ -33,7 +34,7 @@
 //! section and index without spelling them out.
 //!
 //! ```text
-//! 0b4e51f5d2a1c7e6 {"schema":"piton-journal/v2","context":"<context spec>"}
+//! 0b4e51f5d2a1c7e6 {"schema":"piton-journal/v3","context":"<context spec>"}
 //! 9a71c3d0e25b8f44 {"section":"design_space","first":0}
 //! 52c8e0a1f7b39d16 {"power_w":1.9,...}
 //! 1f0d9be2c4a87e35 {"power_w":1.9,...}
@@ -51,7 +52,10 @@
 //! A file of any other schema — the `piton-journal/v1` record lines and
 //! `piton-snapshot/v1` snapshots of earlier builds among them — meets an
 //! unknown schema in its header and is restarted; it is never served
-//! from.
+//! from. `piton-journal/v2` files share this layout but not its index
+//! space: `reproduce` wrote Figure 13's quick points under their
+//! position in the 7-core subset, where v3 uses the canonical grid
+//! index, so they restart too.
 //!
 //! The header pins the *context* — experiment fidelity, fault-plan
 //! effects, backend, code version and, for analytic runs, the model's
@@ -70,9 +74,11 @@
 //! are *recomputed, never trusted*. Every point has a line and a
 //! checksum of its own, so a tear or a flipped bit costs exactly the
 //! points from the damaged line on. Recovery ends in the run the kept
-//! prefix ends in, and the next append continues that run. Appends are
-//! batched and fsync'd at sweep boundaries, plus immediately before an
-//! injected `crash=` abort so the crashed point itself survives.
+//! prefix ends in, and the next append continues that run. A sweep
+//! appends each computed point as soon as every earlier point of the
+//! sweep is done, and fsyncs once when it ends; an injected `crash=`
+//! abort fires only after that fsync, so the crashed point itself
+//! survives.
 //!
 //! Only the header line is parsed whole. A run line's section token and
 //! index digits are read off its fixed layout, and the line must be
@@ -104,7 +110,7 @@ use piton_obs::manifest::JournalStats;
 use crate::measure::WithError;
 
 /// The schema identifier in a journal's header.
-pub const JOURNAL_SCHEMA: &str = "piton-journal/v2";
+pub const JOURNAL_SCHEMA: &str = "piton-journal/v3";
 
 /// A section's dense index table covers the indices below this: far
 /// above any grid (`design_space` has 105 000 points), yet small enough
@@ -209,6 +215,21 @@ pub trait JournalPayload: Sized {
     ///
     /// [`PitonError::Codec`] when the value has the wrong shape.
     fn from_value(v: &Value) -> Result<Self, PitonError>;
+
+    /// The payload's point-line text: its value's canonical JSON.
+    fn to_text(&self) -> String {
+        self.to_value().render()
+    }
+
+    /// Decodes a point-line text written by [`JournalPayload::to_text`].
+    ///
+    /// # Errors
+    ///
+    /// [`PitonError::Codec`] when the text is not JSON of the right
+    /// shape.
+    fn from_text(text: &str) -> Result<Self, PitonError> {
+        Self::from_value(&json::parse(text).map_err(PitonError::codec)?)
+    }
 }
 
 fn f64_to_value(v: f64) -> Value {
@@ -696,13 +717,6 @@ impl Journal {
         &self.context
     }
 
-    /// The content-addressed key of a grid point under this journal's
-    /// context.
-    #[must_use]
-    pub fn key_for(&self, section: &str, index: usize) -> u64 {
-        point_key(&self.context, section, index)
-    }
-
     /// The recovered/served/appended/torn accounting so far.
     #[must_use]
     pub fn stats(&self) -> JournalStats {
@@ -733,25 +747,40 @@ impl Journal {
         Some(payload)
     }
 
-    /// Appends one completed point: a run line when the point is not
-    /// the next index of the run the file ends in, then its point line.
-    /// Not fsync'd — call [`Journal::sync`] at the batch boundary (and
-    /// before any deliberate abort).
+    /// Appends one completed point: [`Journal::record_text`] of the
+    /// value's canonical JSON.
     ///
     /// # Errors
     ///
-    /// [`PitonError::Codec`] when the write fails, or when the point
-    /// does not fit its section's table: an index of 2^24 or more, or a
-    /// section past 4 GiB of payload text.
+    /// As [`Journal::record_text`].
     pub fn record(
         &mut self,
         section: &str,
         index: usize,
         payload: &Value,
     ) -> Result<(), PitonError> {
-        let payload = payload.render();
+        self.record_text(section, index, &payload.render())
+    }
+
+    /// Appends one completed point's payload text — the canonical JSON
+    /// ([`Value::render`]) of its value, stored as given: a run line
+    /// when the point is not the next index of the run the file ends
+    /// in, then its point line. Not fsync'd — call [`Journal::sync`] at
+    /// the batch boundary (and before any deliberate abort).
+    ///
+    /// # Errors
+    ///
+    /// [`PitonError::Codec`] when the write fails, or when the point
+    /// does not fit its section's table: an index of 2^24 or more, or a
+    /// section past 4 GiB of payload text.
+    pub fn record_text(
+        &mut self,
+        section: &str,
+        index: usize,
+        payload: &str,
+    ) -> Result<(), PitonError> {
         let slot = self.slot(section);
-        if !self.sections[slot].fits(index, &payload) {
+        if !self.sections[slot].fits(index, payload) {
             return Err(PitonError::codec(format!(
                 "journal {}: point {section}:{index} does not fit the section's table",
                 self.path.display()
@@ -769,9 +798,9 @@ impl Journal {
                 }
             }
         };
-        push_point_line(&mut lines, run.seed, index, &payload);
+        push_point_line(&mut lines, run.seed, index, payload);
         self.append(&lines)?;
-        self.sections[slot].insert(index, &payload);
+        self.sections[slot].insert(index, payload);
         self.tail = Some(Run {
             next: index + 1,
             ..run
@@ -820,7 +849,7 @@ mod tests {
     /// The header line of a journal for `context`, spelled out.
     fn header_line(context: &str) -> String {
         framed(&format!(
-            "{{\"schema\":\"piton-journal/v2\",\"context\":\"{context}\"}}"
+            "{{\"schema\":\"piton-journal/v3\",\"context\":\"{context}\"}}"
         ))
     }
 
@@ -1027,18 +1056,37 @@ mod tests {
         "bce18d03d95280d9 2.5\n",
     );
 
+    /// The head of a `piton-journal/v2` file that `reproduce quick
+    /// --journal` wrote: its `scaling` points 0-4 are positions in
+    /// Figure 13's 7-core subset (point 4 is Int 1 T/C on 17 cores),
+    /// not canonical grid indices (where 4 is Int 1 T/C on 5 cores).
+    const V2_QUICK_FILE: &str = concat!(
+        "8353dfd4b9080f7c {\"schema\":\"piton-journal/v2\",\"context\":\"piton/0.1.0|fidelity=quick|effects=none|backend=cycle\"}\n",
+        "a8e90c6e8f5b0f75 {\"section\":\"scaling\",\"first\":0}\n",
+        "36b836178eaf7dda 1.93675\n",
+        "a730b40f6113c614 2.12175\n",
+        "dec2b803fcbf944a 2.3076666666666665\n",
+        "1d1138d9b56b0594 2.4943750000000002\n",
+        "f4d2d3b62a36b659 2.6820833333333334\n",
+    );
+
     #[test]
     fn files_of_the_older_layouts_restart_with_a_fresh_header() {
         let path = temp_path("older");
-        for old in [V1_FILE, SNAPSHOT_V1_FILE] {
+        let quick = run_context("quick", None, Backend::Cycle);
+        for (old, context, section) in [
+            (V1_FILE, "old-ctx", "noc"),
+            (SNAPSHOT_V1_FILE, "old-ctx", "noc"),
+            (V2_QUICK_FILE, quick.as_str(), "scaling"),
+        ] {
             std::fs::write(&path, old).unwrap();
-            let mut j = Journal::open(&path, "old-ctx").unwrap();
-            assert_eq!(j.stats().recovered, 0);
-            assert_eq!(j.stats().torn, old.len() as u64);
-            assert_eq!(j.serve("noc", 0), None);
+            let mut j = Journal::open(&path, context).unwrap();
+            assert_eq!(j.stats().recovered, 0, "{context}");
+            assert_eq!(j.stats().torn, old.len() as u64, "{context}");
+            assert_eq!(j.serve(section, 0), None);
             assert_eq!(
                 std::fs::read_to_string(&path).unwrap(),
-                header_line("old-ctx")
+                header_line(context)
             );
         }
         let _ = std::fs::remove_file(&path);

@@ -10,11 +10,18 @@
 //! dependencies) and collects results **in index order**, so the output
 //! is byte-identical to the serial run at any jobs level.
 //!
+//! [`try_sweep`] adds per-point fault isolation and retries, and
+//! [`try_sweep_journaled`] makes a sweep durable: it is the one code
+//! path that serves, computes, commits, fsyncs and crash-aborts a
+//! journaled point, for `reproduce --journal` and for every
+//! `piton-serve` shard alike.
+//!
 //! Workers enter the calling thread's [`piton_obs::Scope`], so their
 //! trace events and metrics reach the run that called the sweep.
-//! Wall-clock and per-point busy time are accumulated in the calling
-//! thread's tally, which the `reproduce` binary drains per section
-//! ([`take_stats`]) to report the achieved speedup.
+//! Wall-clock and busy time (per point on workers, the whole loop when
+//! inline) are accumulated in the calling thread's tally, which the
+//! `reproduce` binary drains per section ([`take_stats`]) to report the
+//! achieved speedup.
 //!
 //! # Examples
 //!
@@ -32,9 +39,9 @@ use std::time::{Duration, Instant};
 use piton_arch::error::PitonError;
 use piton_board::fault::FaultPlan;
 use piton_obs::trace::{JournalKind, TraceEvent};
-use piton_obs::{json, metrics, trace};
+use piton_obs::{metrics, trace};
 
-use crate::journal::{Journal, JournalPayload};
+use crate::journal::{point_key, Journal, JournalPayload};
 
 pub use piton_obs::manifest::SweepStats;
 
@@ -70,18 +77,17 @@ where
     let t_sweep = Instant::now();
 
     if workers <= 1 {
-        let mut busy = Duration::ZERO;
+        // Inline, the one thread is busy for the whole sweep, so busy
+        // time is the wall time (speedup 1.00); timing each point would
+        // put two clock reads on every warm cache hit a serve shard
+        // streams.
         let out: Vec<T> = items
             .into_iter()
             .enumerate()
-            .map(|(i, item)| {
-                let t0 = Instant::now();
-                let r = f(i, item);
-                busy += t0.elapsed();
-                r
-            })
+            .map(|(i, item)| f(i, item))
             .collect();
-        SweepStats::record(n, busy, t_sweep.elapsed());
+        let wall = t_sweep.elapsed();
+        SweepStats::record(n, wall, wall);
         return out;
     }
 
@@ -322,28 +328,40 @@ fn note_point_metrics(attempt: u32, holed: bool) {
     }
 }
 
-/// Journal-backed [`try_sweep`]: the durable, crash-resumable sweep.
+/// Journal-backed [`try_sweep`]: the one durable, crash-resumable
+/// sweep, behind `reproduce --journal` and every `piton-serve` shard.
 ///
-/// With a journal, every grid point already present in the
-/// write-ahead [`Journal`] is **served** from it —
-/// skipping the closure, and with it every sabotage gate and retry —
-/// while freshly computed points are **appended** before the sweep
-/// proceeds. Payload round-trips are exact, so a resumed sweep's
-/// output is byte-identical to an uninterrupted one at any jobs level.
-/// Appends are batched: the journal is fsync'd once at the end of the
-/// sweep (and immediately before an injected crash).
+/// Items arrive as `(grid index, item)` in ascending index order. The
+/// grid index is the point's journal index, the index `f` sees (its
+/// sabotage gate and seed) and [`PointError::index`]. One call runs in
+/// three steps:
 ///
-/// A `crash=SECTION:IDX` entry in the fault plan hard-aborts the
-/// process when that point completes on the *compute* path — strictly
-/// after its record is durably on disk — so the `--resume` relaunch
-/// serves the point from the journal and the crash never re-fires.
+/// 1. **Partition.** Under one lock hold on the calling thread, every
+///    point the journal holds is served from it
+///    ([`JournalPayload::from_text`]), skipping `f` and with it every
+///    sabotage gate and retry.
+/// 2. **Compute.** The misses run as in [`try_sweep`] (default
+///    [`RetryPolicy`]) on up to `jobs` workers, one per miss at most,
+///    with the lock released.
+/// 3. **Commit.** A computed point is appended as soon as every point
+///    before it in the call has finished, so the file grows in index
+///    order while the sweep runs and a killed process keeps every point
+///    appended so far. A point the journal already holds (a concurrent
+///    request may have recorded it) is skipped. When the sweep ends the
+///    journal is fsync'd once; when an append or the fsync fails, every
+///    point the call computed becomes a hole. Only then, when a
+///    computed point is a `crash=SECTION:IDX` point of the plan, the
+///    process aborts, so a relaunch serves that point and the crash
+///    never re-fires. Without a journal a crash point aborts after the
+///    sweep.
 ///
-/// With `journal = None` and a plan without crash points this behaves
-/// exactly like [`try_sweep`].
+/// Payload round-trips are exact and the journal file grows in index
+/// order, so a resumed sweep's output — and the file — are
+/// byte-identical to an uninterrupted one at any jobs level. The call
+/// counts as one [`sweep`] of all its items, hits included.
 pub fn try_sweep_journaled<I, T, F>(
     jobs: usize,
-    items: Vec<I>,
-    policy: RetryPolicy,
+    items: Vec<(usize, I)>,
     section: &str,
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
@@ -354,68 +372,147 @@ where
     T: Send + JournalPayload,
     F: Fn(usize, &I, u32) -> Result<T, PitonError> + Sync,
 {
-    let out = sweep(jobs, items, |idx, item| {
-        if let Some(shared) = journal {
-            let mut j = shared.lock().expect("journal lock");
-            if let Some(text) = j.serve(section, idx) {
-                if let Some(t) = json::parse(text).ok().and_then(|v| T::from_value(&v).ok()) {
-                    trace::emit(TraceEvent::Journal {
-                        section: section.to_owned(),
-                        index: idx as u64,
-                        kind: JournalKind::Serve,
-                        key: j.key_for(section, idx),
-                    });
-                    return Ok(t);
-                }
-                // A checksummed record that no longer decodes as `T`
-                // means the payload type changed under an unchanged
-                // context string; recompute rather than trust it.
-            }
-        }
-        let (attempt, out) = run_point(idx, &item, policy, &f);
-        note_point_metrics(attempt, out.is_err());
-        if let Ok(v) = &out {
-            if let Some(shared) = journal {
-                let mut j = shared.lock().expect("journal lock");
-                if let Err(e) = j.record(section, idx, &v.to_value()) {
-                    // A result we cannot make durable must not be
-                    // reported as completed: better a visible hole.
-                    return Err(PointError {
-                        index: idx,
-                        attempts: attempt + 1,
-                        failure: PointFailure::Failed(e),
-                    });
-                }
-                trace::emit(TraceEvent::Journal {
-                    section: section.to_owned(),
-                    index: idx as u64,
-                    kind: JournalKind::Append,
-                    key: j.key_for(section, idx),
+    // Partition: a hit carries its served payload, a miss its item.
+    let mut misses = 0;
+    let points: Vec<(usize, Result<T, I>)> = {
+        let mut j = journal.map(|j| j.lock().expect("journal lock"));
+        items
+            .into_iter()
+            .map(|(idx, item)| {
+                // A stored point that no longer decodes as `T` means the
+                // payload type changed under an unchanged context
+                // string; recompute rather than trust it.
+                let hit = j.as_deref_mut().and_then(|j| {
+                    let t = T::from_text(j.serve(section, idx)?).ok()?;
+                    trace_journal(j, section, idx, JournalKind::Serve);
+                    Some(t)
                 });
-                if plan.is_some_and(|p| p.crash_for(section, idx)) {
-                    // Durability first: the crashed point's record must
-                    // reach disk so the resumed run serves it.
-                    if let Err(e) = j.sync() {
-                        eprintln!("piton: journal sync before injected crash failed: {e}");
-                    }
-                    eprintln!("piton: injected crash at {section}:{idx}");
-                    std::process::abort();
-                }
-            } else if plan.is_some_and(|p| p.crash_for(section, idx)) {
-                eprintln!("piton: injected crash at {section}:{idx}");
-                std::process::abort();
-            }
+                misses += usize::from(hit.is_none());
+                (idx, hit.ok_or(item))
+            })
+            .collect()
+    };
+
+    // Compute, on no more workers than there are misses, so an all-hit
+    // call runs inline, and commit as the points finish.
+    let commit = journal.filter(|_| misses > 0).map(|journal| {
+        Mutex::new(Commit {
+            journal,
+            section,
+            ready: points
+                .iter()
+                .map(|(_, p)| p.is_ok().then_some(None))
+                .collect(),
+            next: 0,
+            committed: Vec::new(),
+            failed: None,
+        })
+    });
+    let crash = AtomicUsize::new(usize::MAX);
+    let mut out = sweep(jobs.min(misses), points, |pos, (idx, point)| {
+        let item = match point {
+            Ok(hit) => return Ok(hit),
+            Err(item) => item,
+        };
+        let (attempt, out) = run_point(idx, &item, RetryPolicy::default(), &f);
+        note_point_metrics(attempt, out.is_err());
+        if out.is_ok() && plan.is_some_and(|p| p.crash_for(section, idx)) {
+            crash.fetch_min(idx, Ordering::Relaxed);
+        }
+        if let Some(commit) = &commit {
+            let point = out.as_ref().ok().map(|v| (idx, attempt + 1, v.to_text()));
+            commit.lock().expect("commit lock").finish(pos, point);
         }
         out
     });
-    if let Some(shared) = journal {
-        // The batch boundary: everything this sweep appended becomes
-        // durable in one fsync.
-        if let Err(e) = shared.lock().expect("journal lock").sync() {
-            eprintln!("piton: journal sync at sweep end failed: {e}");
+
+    // Sync, and trace the appends on the calling thread (workers trace
+    // to rings of their own). A result we cannot make durable must not
+    // be reported as completed: when an append or the fsync failed,
+    // every point this call computed becomes a hole, and no crash point
+    // fires.
+    if let Some(commit) = commit {
+        let commit = commit.into_inner().expect("commit lock");
+        let mut j = commit.journal.lock().expect("journal lock");
+        for &(_, index, _, appended) in &commit.committed {
+            if appended {
+                trace_journal(&j, section, index, JournalKind::Append);
+            }
+        }
+        if let Err(e) = commit.failed.map_or_else(|| j.sync(), Err) {
+            for (pos, index, attempts, _) in commit.committed {
+                out[pos] = Err(PointError {
+                    index,
+                    attempts,
+                    failure: PointFailure::Failed(e.clone()),
+                });
+            }
+            return out;
         }
     }
+    let crash = crash.into_inner();
+    if crash != usize::MAX {
+        eprintln!("piton: injected crash at {section}:{crash}");
+        std::process::abort();
+    }
     out
+}
+
+/// The in-order commit of one journaled sweep: points finish in any
+/// order, and each computed point is appended once every point before
+/// it (by position in the call) has finished.
+struct Commit<'a> {
+    journal: &'a Mutex<Journal>,
+    section: &'a str,
+    /// Per position: `None` while the point runs, then its grid index,
+    /// attempt count and text when it was computed, until committed.
+    ready: Vec<Option<Option<(usize, u32, String)>>>,
+    /// The first position not yet committed.
+    next: usize,
+    /// `(position, grid index, attempts, appended)` of every computed
+    /// point committed so far, in index order; a point the journal
+    /// already held (a concurrent request recorded it) is not appended.
+    committed: Vec<(usize, usize, u32, bool)>,
+    /// The first failed append; nothing is appended after it.
+    failed: Option<PitonError>,
+}
+
+impl Commit<'_> {
+    /// Marks the point at `pos` finished, then commits the finished
+    /// points from the first uncommitted position on, in order.
+    fn finish(&mut self, pos: usize, point: Option<(usize, u32, String)>) {
+        self.ready[pos] = Some(point);
+        let mut journal = None;
+        while let Some(Some(slot)) = self.ready.get_mut(self.next) {
+            let pos = self.next;
+            self.next += 1;
+            let Some((index, attempts, text)) = slot.take() else {
+                continue;
+            };
+            let j = journal.get_or_insert_with(|| self.journal.lock().expect("journal lock"));
+            let mut appended = self.failed.is_none() && !j.contains(self.section, index);
+            if appended {
+                if let Err(e) = j.record_text(self.section, index, &text) {
+                    self.failed = Some(e);
+                    appended = false;
+                }
+            }
+            self.committed.push((pos, index, attempts, appended));
+        }
+    }
+}
+
+/// Emits a journal trace event, built only when this thread's collector
+/// keeps journal events.
+fn trace_journal(j: &Journal, section: &str, index: usize, kind: JournalKind) {
+    if trace::wants(trace::SUB_JOURNAL) {
+        trace::emit(TraceEvent::Journal {
+            section: section.to_owned(),
+            index: index as u64,
+            kind,
+            key: point_key(j.context(), section, index),
+        });
+    }
 }
 
 /// The number of worker threads to use when the caller doesn't say:
@@ -609,45 +706,35 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(12));
     }
 
-    #[test]
-    fn journaled_sweep_appends_then_serves_without_recompute() {
-        use std::sync::atomic::AtomicUsize;
-
+    fn temp_journal(tag: &str) -> (std::path::PathBuf, Mutex<Journal>) {
         let mut path = std::env::temp_dir();
         path.push(format!(
-            "piton-runner-journal-{}-{:?}",
+            "piton-runner-journal-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_file(&path);
         let journal = Mutex::new(Journal::open(&path, "runner-test-ctx").unwrap());
+        (path, journal)
+    }
+
+    fn indexed(grid: impl IntoIterator<Item = u64>) -> Vec<(usize, u64)> {
+        grid.into_iter().map(|x| (x as usize, x)).collect()
+    }
+
+    #[test]
+    fn journaled_sweep_appends_then_serves_without_recompute() {
+        let (path, journal) = temp_journal("serve");
         let calls = AtomicUsize::new(0);
         let f = |_: usize, &x: &u64, _: u32| {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok(x as f64 * 0.5)
         };
-        let grid: Vec<u64> = (0..6).collect();
-        let first = try_sweep_journaled(
-            2,
-            grid.clone(),
-            RetryPolicy::default(),
-            "scaling",
-            None,
-            Some(&journal),
-            f,
-        );
+        let first = try_sweep_journaled(2, indexed(0..6), "scaling", None, Some(&journal), f);
         assert_eq!(calls.load(Ordering::Relaxed), 6);
         // Same journal again: every point is served, none recomputed,
         // results byte-identical at a different jobs level.
-        let second = try_sweep_journaled(
-            1,
-            grid,
-            RetryPolicy::default(),
-            "scaling",
-            None,
-            Some(&journal),
-            f,
-        );
+        let second = try_sweep_journaled(1, indexed(0..6), "scaling", None, Some(&journal), f);
         assert_eq!(calls.load(Ordering::Relaxed), 6);
         let unwrap = |v: Vec<Result<f64, PointError>>| -> Vec<f64> {
             v.into_iter().map(Result::unwrap).collect()
@@ -670,11 +757,150 @@ mod tests {
             }
             Ok(x as f64 + f64::from(attempt))
         };
-        let grid: Vec<u64> = (0..8).collect();
-        let plain = try_sweep(4, grid.clone(), RetryPolicy::default(), f);
-        let journaled =
-            try_sweep_journaled(4, grid, RetryPolicy::default(), "scaling", None, None, f);
+        let plain = try_sweep(4, (0..8).collect(), RetryPolicy::default(), f);
+        let journaled = try_sweep_journaled(4, indexed(0..8), "scaling", None, None, f);
         assert_eq!(plain, journaled);
+    }
+
+    #[test]
+    fn journaled_sweep_sees_grid_indices_and_holes_by_them() {
+        // A sparse selection: the closure, the hole and the journal all
+        // speak the grid index, not the position in the selection.
+        let (path, journal) = temp_journal("sparse");
+        let out = try_sweep_journaled(
+            2,
+            indexed([3, 20, 74]),
+            "scaling",
+            None,
+            Some(&journal),
+            |idx, &x, _| {
+                assert_eq!(idx as u64, x);
+                assert!(idx != 20, "point 20 dies");
+                Ok(x as f64)
+            },
+        );
+        assert_eq!(out[0], Ok(3.0));
+        assert_eq!(out[1].as_ref().unwrap_err().index, 20);
+        assert_eq!(out[2], Ok(74.0));
+        let j = journal.lock().unwrap();
+        assert!(j.contains("scaling", 3) && j.contains("scaling", 74));
+        assert!(!j.contains("scaling", 20), "a hole is never journaled");
+        drop(j);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journaled_files_are_the_same_bytes_at_every_jobs_level() {
+        // Early points sleep longest, so at jobs 4 they finish last; the
+        // commit still appends in index order.
+        let sweep_at = |jobs| {
+            let (path, journal) = temp_journal(&format!("jobs{jobs}"));
+            let _ = try_sweep_journaled(
+                jobs,
+                indexed(0..12),
+                "noc",
+                None,
+                Some(&journal),
+                |i, &x, _| {
+                    std::thread::sleep(Duration::from_millis(12 - i as u64));
+                    Ok(x as f64 * 0.25)
+                },
+            );
+            drop(journal);
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            bytes
+        };
+        assert_eq!(sweep_at(1), sweep_at(4));
+    }
+
+    #[test]
+    fn a_process_killed_mid_sweep_keeps_the_points_appended_before() {
+        // Point 3 snapshots the file as a SIGKILL there would leave it:
+        // the points before it are already appended, unsynced.
+        let (path, journal) = temp_journal("killed");
+        let snapshot = path.with_extension("killed");
+        let out = try_sweep_journaled(1, indexed(0..6), "noc", None, Some(&journal), |i, &x, _| {
+            if i == 3 {
+                std::fs::copy(&path, &snapshot).unwrap();
+            }
+            Ok(x as f64)
+        });
+        assert!(out.iter().all(Result::is_ok));
+        let killed = Journal::open(&snapshot, "runner-test-ctx").unwrap();
+        assert_eq!(killed.stats().recovered, 3, "points 0-2 survive the kill");
+        assert_eq!(killed.stats().torn, 0);
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&snapshot);
+    }
+
+    #[test]
+    fn a_point_recorded_mid_sweep_is_not_appended_twice() {
+        // The closure records point 2 itself, as a concurrent request on
+        // the same journal would between partition and commit.
+        let (path, journal) = temp_journal("concurrent");
+        let out = try_sweep_journaled(2, indexed(0..5), "noc", None, Some(&journal), |i, &x, _| {
+            if i == 2 {
+                journal
+                    .lock()
+                    .unwrap()
+                    .record("noc", 2, &(x as f64).to_value())
+                    .unwrap();
+            }
+            Ok(x as f64)
+        });
+        assert!(out.iter().all(Result::is_ok));
+        let by_closure = 1;
+        let stats = journal.lock().unwrap().stats();
+        assert_eq!(stats.appended - by_closure, 5 - 1, "every miss but point 2");
+        drop(journal);
+        let reopened = Journal::open(&path, "runner-test-ctx").unwrap();
+        assert_eq!(reopened.stats().recovered, 5, "each point once");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_trace_appends_cold_points_in_order_and_serves_warm_hits() {
+        let (path, journal) = temp_journal("trace");
+        let spec = trace::TraceSpec::parse("journal").unwrap();
+        let run = || {
+            try_sweep_journaled(
+                3,
+                indexed([1, 4, 5, 9]),
+                "epi",
+                None,
+                Some(&journal),
+                |i, &x, _| {
+                    std::thread::sleep(Duration::from_millis(10 - i as u64));
+                    Ok(x as f64)
+                },
+            )
+        };
+        let kinds = |events: Vec<TraceEvent>| -> Vec<(u64, JournalKind)> {
+            events
+                .into_iter()
+                .map(|e| match e {
+                    TraceEvent::Journal {
+                        section,
+                        index,
+                        kind,
+                        key,
+                    } => {
+                        assert_eq!(section, "epi");
+                        assert_eq!(key, point_key("runner-test-ctx", "epi", index as usize));
+                        (index, kind)
+                    }
+                    other => panic!("not a journal event: {other:?}"),
+                })
+                .collect()
+        };
+        let (_, cold) = trace::capture(&spec, run);
+        let (_, warm) = trace::capture(&spec, run);
+        let order = [1, 4, 5, 9];
+        assert_eq!(kinds(cold), order.map(|i| (i, JournalKind::Append)));
+        assert_eq!(kinds(warm), order.map(|i| (i, JournalKind::Serve)));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use piton_arch::config::Backend;
 use piton_arch::error::PitonError;
 use piton_board::fault::FaultPlan;
-use piton_obs::json::Value;
+use piton_obs::json::{self, Value};
 
 use super::{Calibrations, ServeCounters};
 use crate::analytic::{self, Calibrated};
@@ -39,7 +39,31 @@ use crate::serve::request::{FidelitySpec, RunRequest};
 pub const SECTIONS: [&str; 3] = ["noc", "scaling", "design_space"];
 
 /// A per-point compute closure: (index, attempt) → journal payload.
-pub type PointFn = Box<dyn Fn(usize, u32) -> Result<Value, PitonError> + Send + Sync>;
+pub type PointFn = Box<dyn Fn(usize, u32) -> Result<PayloadText, PitonError> + Send + Sync>;
+
+/// A journal payload held as its point-line text: a cached point is
+/// served as the stored bytes and a computed one is rendered once, so
+/// neither is parsed or re-rendered on its way to a result frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PayloadText(pub String);
+
+impl JournalPayload for PayloadText {
+    fn to_value(&self) -> Value {
+        json::parse(&self.0).expect("payload text is the JSON it was rendered as")
+    }
+
+    fn from_value(v: &Value) -> Result<Self, PitonError> {
+        Ok(Self(v.render()))
+    }
+
+    fn to_text(&self) -> String {
+        self.0.clone()
+    }
+
+    fn from_text(text: &str) -> Result<Self, PitonError> {
+        Ok(Self(text.to_owned()))
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Section {
@@ -94,7 +118,7 @@ impl SectionEval {
                         plan.as_ref(),
                         attempt,
                     )
-                    .map(|w| w.to_value())
+                    .map(|w| PayloadText(w.to_text()))
                 })
             }
             Section::Scaling => {
@@ -108,7 +132,7 @@ impl SectionEval {
                         plan.as_ref(),
                         attempt,
                     )
-                    .map(|w| w.to_value())
+                    .map(|w| PayloadText(w.to_text()))
                 })
             }
             Section::DesignSpace => {
@@ -124,7 +148,7 @@ impl SectionEval {
                         plan.as_ref(),
                         attempt,
                     )
-                    .map(|d| d.to_value())
+                    .map(|d| PayloadText(d.to_text()))
                 })
             }
         })
@@ -270,7 +294,7 @@ mod tests {
         for idx in [0usize, 5, 17, 35] {
             let direct =
                 noc_energy::compute_point(&CycleBench, idx, &grid[idx], fidelity, None, 0).unwrap();
-            assert_eq!(compute(idx, 0).unwrap(), direct.to_value(), "{idx}");
+            assert_eq!(compute(idx, 0).unwrap().0, direct.to_text(), "{idx}");
         }
         assert_eq!(counters.value("serve.calibrations"), 0);
     }

@@ -15,23 +15,28 @@
 //!   produces the same bytes. Hit/miss behavior is observable only via
 //!   the `serve.*` counters (`op: "metrics"`).
 //! * **Sharded population.** Large selections are processed in shards
-//!   of [`ServerConfig::shard_points`]: partition against the cache,
-//!   compute misses via [`crate::runner::try_sweep`], append + fsync,
-//!   then stream — so a killed daemon loses at most one shard of work
-//!   and every completed shard is served from disk after restart.
+//!   of [`ServerConfig::shard_points`]. Each shard is one
+//!   [`crate::runner::try_sweep_journaled`] call — the sweep
+//!   `reproduce --journal` runs: serve what the cache holds, compute
+//!   the misses, append them in index order as they finish, fsync —
+//!   and is streamed after it returns. A killed daemon keeps every point
+//!   appended so far, a restart serves them from disk, and a cache file
+//!   holds the bytes `reproduce` writes for the same points.
 //! * **Cached points are stored bytes.** The journal holds each point's
-//!   payload as the JSON text its point line carries; a result frame is
-//!   laid out around that text ([`frames::push_result_line`]) with no
-//!   decode or re-render. Only a request that misses resolves its
-//!   compute path, so an all-cached request — warm, or the first after
-//!   a restart — never calibrates.
+//!   payload as the JSON text its point line carries; a shard serves it
+//!   as an [`eval::PayloadText`] and a result frame is laid out around
+//!   that text ([`frames::push_result_line`]) with no decode or
+//!   re-render. Only a request that misses resolves its compute path,
+//!   so an all-cached request — warm, or the first after a restart —
+//!   never calibrates.
 //! * **Buffered stream.** Frames go through one buffered writer per
 //!   connection, flushed after `hello`, after each shard (whose frames
 //!   are written only once its fsync returned), and after each reply.
 //! * **Crash points are durable-first.** A `crash=SECTION:IDX` fault
 //!   term aborts the daemon only *after* the shard that computed the
-//!   point is fsync'd, so a restart serves it from cache and the crash
-//!   never re-fires — the deterministic hook the crash suite uses.
+//!   point is fsync'd — the journaled sweep's one crash rule — so a
+//!   restart serves it from cache and the crash never re-fires: the
+//!   deterministic hook the crash suite uses.
 //! * **Shutdown rewrites no cache file.** A daemon SIGKILLed between
 //!   requests leaves the bytes a cleanly stopped one does, and a
 //!   restarted daemon recovers them without parsing.
@@ -47,7 +52,6 @@ pub mod request;
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,7 +63,7 @@ use piton_obs::manifest::{ServeContextRecord, ServeManifest};
 
 use crate::analytic::Calibrated;
 use crate::journal::point_key;
-use crate::runner::{self, RetryPolicy};
+use crate::runner;
 
 use cache::ResultCache;
 use frames::{Frame, FrameHole};
@@ -488,13 +492,6 @@ fn serve_connection(stream: UnixStream, ctx: &ConnCtx) -> std::io::Result<()> {
     }
 }
 
-/// Appends `text` to `buf`, returning where it landed.
-fn push_text(buf: &mut String, text: &str) -> Range<usize> {
-    let start = buf.len();
-    buf.push_str(text);
-    start..buf.len()
-}
-
 fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Result<(), RunAbort> {
     let eval = eval::resolve(run).map_err(RunAbort::Refused)?;
     let indices = run.grid.resolve(eval.len).map_err(RunAbort::Refused)?;
@@ -532,91 +529,49 @@ fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Resul
     writer.flush().map_err(RunAbort::Io)?;
 
     let mut holes: Vec<FrameHole> = Vec::new();
-    let mut served = 0u64;
-    // Per shard: the payload texts of its ready points, and their
-    // result frames laid out for one write.
-    let mut texts = String::new();
+    // Per shard: its result frames laid out for one write.
     let mut lines = String::new();
     for shard in indices.chunks(ctx.shard_points.max(1)) {
-        // Partition the shard against the cache under one lock hold,
-        // copying each hit's stored payload text out.
-        texts.clear();
-        let mut ready: Vec<(usize, Range<usize>)> = Vec::with_capacity(shard.len());
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut j = journal.lock().expect("cache journal lock");
-            for &idx in shard {
-                match j.serve(&run.section, idx) {
-                    Some(text) => ready.push((idx, push_text(&mut texts, text))),
-                    None => misses.push(idx),
+        // Serve, compute, append and fsync the shard as one journaled
+        // sweep before any frame (or any injected crash) references it.
+        let computed = AtomicU64::new(0);
+        let out = runner::try_sweep_journaled(
+            ctx.jobs,
+            shard.iter().map(|&idx| (idx, ())).collect(),
+            &run.section,
+            run.fault.as_ref(),
+            Some(&journal),
+            |idx, (), attempt| {
+                if attempt == 0 {
+                    computed.fetch_add(1, Ordering::Relaxed);
                 }
-            }
-        }
-        ctx.counters.cache_hits(ready.len() as u64);
-        if !misses.is_empty() {
-            let compute = compute
-                .as_ref()
-                .expect("the scan before hello saw every miss");
-            ctx.counters.points_computed(misses.len() as u64);
-            let computed = runner::try_sweep(
-                ctx.jobs,
-                misses.clone(),
-                RetryPolicy::default(),
-                |_, &idx, attempt| compute(idx, attempt),
-            );
-            // Append the fresh points and make the shard durable
-            // before any frame (or any injected crash) references it.
-            let mut crash_at: Option<usize> = None;
-            {
-                let mut j = journal.lock().expect("cache journal lock");
-                for (idx, out) in misses.iter().zip(&computed) {
-                    match out {
-                        Ok(v) => {
-                            // A concurrent identical request may have
-                            // recorded this point between our partition
-                            // and now; never write a duplicate record.
-                            if !j.contains(&run.section, *idx) {
-                                j.record(&run.section, *idx, v).map_err(RunAbort::Refused)?;
-                            }
-                            if run
-                                .fault
-                                .as_ref()
-                                .is_some_and(|p| p.crash_for(&run.section, *idx))
-                            {
-                                crash_at = Some(*idx);
-                            }
-                            ready.push((*idx, push_text(&mut texts, &v.render())));
-                        }
-                        Err(e) => holes.push(FrameHole {
-                            index: *idx as u64,
-                            attempts: e.attempts,
-                            error: e.failure.to_string(),
-                        }),
-                    }
-                }
-                j.sync().map_err(RunAbort::Refused)?;
-            }
-            if let Some(idx) = crash_at {
-                // Durability first (sync above): the restarted daemon
-                // serves this point from cache, so the crash fires at
-                // most once per cold compute.
-                eprintln!("piton-serve: injected crash at {}:{idx}", run.section);
-                std::process::abort();
-            }
-        }
-        ready.sort_unstable_by_key(|(idx, _)| *idx);
+                let compute = compute
+                    .as_ref()
+                    .expect("the scan before hello saw every miss");
+                compute(idx, attempt)
+            },
+        );
+        let computed = computed.into_inner();
+        ctx.counters.points_computed(computed);
+        ctx.counters.cache_hits(shard.len() as u64 - computed);
         lines.clear();
-        for (idx, text) in &ready {
-            frames::push_result_line(
-                &mut lines,
-                &run.section,
-                *idx as u64,
-                point_key(&eval.context, &run.section, *idx),
-                &texts[text.clone()],
-            );
+        for (&idx, point) in shard.iter().zip(&out) {
+            match point {
+                Ok(text) => frames::push_result_line(
+                    &mut lines,
+                    &run.section,
+                    idx as u64,
+                    point_key(&eval.context, &run.section, idx),
+                    &text.0,
+                ),
+                Err(e) => holes.push(FrameHole {
+                    index: idx as u64,
+                    attempts: e.attempts,
+                    error: e.failure.to_string(),
+                }),
+            }
         }
         writer.write_all(lines.as_bytes()).map_err(RunAbort::Io)?;
-        served += ready.len() as u64;
         writer.flush().map_err(RunAbort::Io)?;
     }
     ctx.counters.holes(holes.len() as u64);
@@ -625,7 +580,7 @@ fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Resul
         &Frame::Done {
             id: run.id.clone(),
             section: run.section.clone(),
-            points: served,
+            points: (indices.len() - holes.len()) as u64,
             holes,
         },
     )
