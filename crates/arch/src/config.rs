@@ -18,13 +18,11 @@
 //! assert!((defaults.core_clock.as_mhz() - 500.05).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::Mesh;
 use crate::units::{Hertz, Volts};
 
 /// Geometry of one cache in the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -82,7 +80,7 @@ impl CacheConfig {
 /// to the low, middle, or high order address bits through software". The
 /// memory-system energy experiment uses this to steer loads at a local or
 /// a remote L2 slice.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SliceMapping {
     /// Address bits just above the line offset (the default).
     #[default]
@@ -94,7 +92,7 @@ pub enum SliceMapping {
 }
 
 /// The complete architectural parameter set of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     /// Process name (informational).
     pub process: String,
@@ -198,7 +196,7 @@ impl Default for ChipConfig {
 }
 
 /// Interface frequencies of the experimental system (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemFrequencies {
     /// Gateway FPGA ↔ Piton link.
     pub gateway_to_piton: Hertz,
@@ -242,7 +240,7 @@ impl Default for SystemFrequencies {
 ///
 /// Every study in §IV runs at this operating point at room temperature
 /// unless it states otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementDefaults {
     /// Core supply voltage.
     pub vdd: Volts,
@@ -288,7 +286,7 @@ impl Default for MeasurementDefaults {
 /// virtual bench (the historical, oracle path); the analytic backend
 /// evaluates a closed-form model calibrated against cycle-level runs;
 /// `Both` runs the two on the same grid and reports their disagreement.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Cycle-level simulation through the virtual bench (default).
     #[default]

@@ -25,15 +25,13 @@
 //! assert!(PitonError::transient("supply glitch").is_transient());
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Every recoverable failure the reproduction can report.
 ///
 /// Variants carry plain data so the type can live in the bottom crate
 /// of the workspace; richer layer-local reports (e.g. the simulator's
 /// `HangReport`) convert into it via `From`, preserving their rendered
 /// detail in the payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PitonError {
     /// A statistic was requested of an empty measurement window (every
     /// sample was dropped or rejected).
@@ -91,13 +89,6 @@ pub enum PitonError {
         /// What failed to decode and why.
         what: String,
     },
-    /// A grid point exceeded its per-attempt deadline budget (see the
-    /// runner's `RetryPolicy::timeout`) — transient, since a retry gets
-    /// a fresh budget.
-    DeadlineExceeded {
-        /// What was being computed when the budget ran out.
-        what: String,
-    },
 }
 
 impl PitonError {
@@ -119,23 +110,12 @@ impl PitonError {
         PitonError::Codec { what: what.into() }
     }
 
-    /// Shorthand for a blown per-attempt deadline budget.
-    #[must_use]
-    pub fn deadline(what: impl Into<String>) -> Self {
-        PitonError::DeadlineExceeded { what: what.into() }
-    }
-
     /// Whether a retry (with a fresh per-point seed) can plausibly
     /// succeed. The sweep runner only re-runs grid points whose failure
     /// is transient.
     #[must_use]
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            PitonError::Transient { .. }
-                | PitonError::Hang { .. }
-                | PitonError::DeadlineExceeded { .. }
-        )
+        matches!(self, PitonError::Transient { .. } | PitonError::Hang { .. })
     }
 }
 
@@ -157,9 +137,6 @@ impl std::fmt::Display for PitonError {
             PitonError::Disabled { what } => write!(f, "disabled resource: {what}"),
             PitonError::BadPlan { what } => write!(f, "bad fault plan: {what}"),
             PitonError::Codec { what } => write!(f, "codec error: {what}"),
-            PitonError::DeadlineExceeded { what } => {
-                write!(f, "deadline exceeded: {what}")
-            }
         }
     }
 }
@@ -174,7 +151,6 @@ mod tests {
     fn transience_classification() {
         assert!(PitonError::transient("x").is_transient());
         assert!(PitonError::Hang { detail: "y".into() }.is_transient());
-        assert!(PitonError::deadline("warm-up").is_transient());
         assert!(!PitonError::injected("x").is_transient());
         assert!(!PitonError::codec("torn record").is_transient());
         assert!(!PitonError::EmptyWindow { context: "idle" }.is_transient());

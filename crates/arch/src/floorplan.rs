@@ -21,10 +21,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Hierarchy level of an area breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// Whole chip (total 35.97552 mm²).
     Chip,
@@ -58,7 +56,7 @@ impl fmt::Display for Level {
 }
 
 /// One named block with its summed cell area.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaBlock {
     /// Block name as labelled in Figure 8.
     pub name: String,
@@ -67,7 +65,7 @@ pub struct AreaBlock {
 }
 
 /// An area breakdown at one hierarchy level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaBreakdown {
     level: Level,
     blocks: Vec<AreaBlock>,

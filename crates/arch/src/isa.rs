@@ -20,15 +20,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Architectural integer or floating-point register index.
 ///
 /// Register 0 of the integer file is hardwired to zero (`%g0`), as in
 /// SPARC.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {
@@ -63,7 +59,7 @@ impl fmt::Display for Reg {
 }
 
 /// Broad instruction class, matching the grouping of Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrClass {
     /// 64-bit integer ALU operations.
     Integer,
@@ -94,7 +90,7 @@ impl fmt::Display for InstrClass {
 }
 
 /// Operation code of the simulated instruction set.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// No operation.
     #[default]
@@ -225,22 +221,10 @@ impl Opcode {
         )
     }
 
-    /// Whether this opcode accesses the data memory system.
-    #[must_use]
-    pub fn is_memory(self) -> bool {
-        matches!(self, Opcode::Ldx | Opcode::Stx | Opcode::Casx)
-    }
-
     /// Whether this opcode is a conditional branch.
     #[must_use]
     pub fn is_branch(self) -> bool {
         matches!(self, Opcode::Beq | Opcode::Bne)
-    }
-
-    /// Whether this opcode uses the floating-point unit.
-    #[must_use]
-    pub fn is_fp(self) -> bool {
-        matches!(self.class(), InstrClass::FpDouble | InstrClass::FpSingle)
     }
 
     /// The mnemonic as printed in the paper's figures.
@@ -282,7 +266,7 @@ impl fmt::Display for Opcode {
 /// The encoding is deliberately uniform (a compound struct rather than an
 /// enum of shapes) because the simulator's decode stage treats all
 /// instructions identically; unused fields are zero.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Instruction {
     /// Operation.
     pub opcode: Opcode,
@@ -437,7 +421,7 @@ impl fmt::Display for Instruction {
 /// "Minimum" drives all datapath bits to zero, "maximum" to the all-ones
 /// 64-bit pattern, and "random" to uniformly random values — the three
 /// series the paper reports for every instruction with input operands.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperandPattern {
     /// All operand bits zero.
     Minimum,

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod deadline;
 pub mod error;
 pub mod floorplan;
 pub mod isa;

@@ -21,15 +21,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a tile on the chip, in row-major order.
 ///
 /// Tile 0 is the north-west corner and also hosts the chip-bridge
 /// connection to the off-chip chipset.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(usize);
 
 impl TileId {
@@ -59,9 +55,7 @@ impl From<usize> for TileId {
 }
 
 /// An (x, y) mesh coordinate; x grows eastwards, y grows southwards.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Coord {
     /// Column (0 = west edge).
     pub x: usize,
@@ -90,7 +84,7 @@ impl fmt::Display for Coord {
 }
 
 /// Geometry of one dimension-ordered route through the mesh.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Route {
     /// Number of router-to-router hops (Manhattan distance).
     pub hops: usize,
@@ -119,7 +113,7 @@ impl Route {
 }
 
 /// Physical center-to-center distance between adjacent tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TilePitch {
     /// X-direction pitch in millimetres.
     pub x_mm: f64,
@@ -143,7 +137,7 @@ impl Default for TilePitch {
 }
 
 /// A rectangular 2D mesh of tiles with dimension-ordered (XY) routing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mesh {
     width: usize,
     height: usize,

@@ -23,12 +23,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -187,12 +185,6 @@ impl Volts {
     pub fn from_mv(mv: f64) -> Self {
         Self(mv / 1e3)
     }
-
-    /// Returns the value in millivolts.
-    #[must_use]
-    pub fn as_mv(self) -> f64 {
-        self.0 * 1e3
-    }
 }
 
 impl Hertz {
@@ -240,18 +232,6 @@ impl Joules {
     #[must_use]
     pub fn from_pj(pj: f64) -> Self {
         Self(pj / 1e12)
-    }
-
-    /// Creates an energy from nanojoules.
-    #[must_use]
-    pub fn from_nj(nj: f64) -> Self {
-        Self(nj / 1e9)
-    }
-
-    /// Returns the value in picojoules.
-    #[must_use]
-    pub fn as_pj(self) -> f64 {
-        self.0 * 1e12
     }
 
     /// Returns the value in nanojoules.

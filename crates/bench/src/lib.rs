@@ -1,5 +1,5 @@
 //! Shared plumbing for the command-line binaries (`reproduce`,
-//! `piton-serve`, `piton-client`, `trace_diff`).
+//! `piton-serve`, `piton-client`).
 //!
 //! The yardstick for speed is the repo benchmark under `benchmark/`;
 //! this crate only holds what the binaries have in common.

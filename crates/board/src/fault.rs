@@ -41,7 +41,6 @@ use piton_arch::error::PitonError;
 use piton_arch::units::Watts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Bounded retries per monitor sample before it is declared lost.
 pub const MAX_SAMPLE_RETRIES: u32 = 3;
@@ -49,7 +48,7 @@ pub const MAX_SAMPLE_RETRIES: u32 = 3;
 /// A supply brownout: for `samples` consecutive monitor samples
 /// starting at `start_sample`, VDD and VCS sag to `factor` of their
 /// programmed setpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Brownout {
     /// First affected sample index within each measurement window.
     pub start_sample: usize,
@@ -68,7 +67,7 @@ impl Brownout {
 }
 
 /// How a sabotaged grid point fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SabotageKind {
     /// The point panics on every attempt — a permanent hole.
     Kill,
@@ -81,7 +80,7 @@ pub enum SabotageKind {
 }
 
 /// One sabotaged grid point of a named experiment sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sabotage {
     /// Sweep section tag (e.g. `"epi"`, `"noc"`, `"scaling"`).
     pub section: String,
@@ -95,7 +94,7 @@ pub struct Sabotage {
 /// after the named grid point completes (and, when a result journal is
 /// active, after its record is durably on disk). Exercises the
 /// crash/resume path end to end.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashPoint {
     /// Sweep section tag (e.g. `"epi"`, `"noc"`, `"scaling"`).
     pub section: String,
@@ -109,7 +108,7 @@ pub struct CrashPoint {
 pub const KNOWN_SECTIONS: &[&str] = &["epi", "noc", "scaling"];
 
 /// A complete, deterministic fault-injection plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed all fault streams derive from.
     pub seed: u64,

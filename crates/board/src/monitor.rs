@@ -24,12 +24,11 @@
 
 use crate::fault::{FaultPlan, FaultState, SampleFault, MAX_SAMPLE_RETRIES};
 use piton_arch::error::PitonError;
-use piton_arch::units::{Ohms, Seconds, Watts};
+use piton_arch::units::{Seconds, Watts};
 use piton_obs::metrics;
 use piton_obs::trace::{self, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Monitor poll rate in hertz (§III-A: "approximately 17Hz").
 pub const POLL_HZ: f64 = 17.0;
@@ -44,11 +43,10 @@ pub fn window_duration(samples: usize) -> Seconds {
     Seconds(samples as f64 / POLL_HZ)
 }
 
-/// One I²C-monitored rail channel: a sense resistor plus the monitor's
-/// noise and quantization.
+/// One I²C-monitored rail channel: the monitor's noise and
+/// quantization across its sense resistor.
 #[derive(Debug, Clone)]
 pub struct MonitorChannel {
-    sense: Ohms,
     /// Additive Gaussian noise floor in watts.
     noise_floor_w: f64,
     /// Proportional noise (fraction of reading).
@@ -73,7 +71,6 @@ impl MonitorChannel {
     #[must_use]
     pub fn piton_board(seed: u64) -> Self {
         Self {
-            sense: Ohms(0.002),
             noise_floor_w: 1.5e-3,
             noise_fraction: 5.0e-4,
             lsb_w: 0.5e-3,
@@ -83,12 +80,6 @@ impl MonitorChannel {
             last: None,
             samples: 0,
         }
-    }
-
-    /// The sense resistor value.
-    #[must_use]
-    pub fn sense_resistance(&self) -> Ohms {
-        self.sense
     }
 
     /// Attaches a fault plan: subsequent [`Self::sample_with_retry`]
@@ -221,7 +212,7 @@ fn publish_quality_delta(before: &Quality, after: &Quality) {
 /// Bench-side health report of one measurement window: how many samples
 /// survived, and what the fault-handling machinery had to do to get
 /// them.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Quality {
     /// Samples that made it into the window (including stuck/glitched
     /// ones later subject to outlier rejection).
@@ -239,16 +230,6 @@ pub struct Quality {
 }
 
 impl Quality {
-    /// Merges another report into this one (e.g. across rails).
-    pub fn absorb(&mut self, other: &Quality) {
-        self.kept += other.kept;
-        self.dropped += other.dropped;
-        self.retried += other.retried;
-        self.stuck += other.stuck;
-        self.glitched += other.glitched;
-        self.rejected += other.rejected;
-    }
-
     /// Whether any fault handling fired at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -271,7 +252,7 @@ impl std::fmt::Display for Quality {
 }
 
 /// A collected window of power samples with the paper's statistics.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct MeasurementWindow {
     samples: Vec<Watts>,
 }
@@ -416,7 +397,7 @@ impl Extend<Watts> for MeasurementWindow {
 
 /// A mean ± standard-deviation result, the unit every experiment
 /// reports.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Measured {
     /// Mean over the window.
     pub mean: Watts,

@@ -20,10 +20,9 @@ use piton_arch::error::PitonError;
 use piton_power::model::ChipCorner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Health classification of one tested die (Table IV rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChipStatus {
     /// Stable operation.
     Good,
@@ -80,7 +79,7 @@ impl ChipStatus {
 }
 
 /// One physical die.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Die {
     /// Die serial (position in the population).
     pub serial: u32,
@@ -126,7 +125,7 @@ impl Die {
 }
 
 /// The named reference chips of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NamedChip {
     /// Fast but leaky; thermally limited at high VDD (Figure 9).
     Chip1,
@@ -163,7 +162,7 @@ impl NamedChip {
 }
 
 /// Empirical defect rates of the Table IV test campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefectRates {
     /// P(deterministically bad SRAM cells).
     pub sram_bad: f64,
@@ -293,7 +292,7 @@ impl ChipPopulation {
 }
 
 /// Yield counts per class (the Table IV numbers).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct YieldCounts {
     /// Stable, fully functional.
     pub good: u32,

@@ -19,10 +19,9 @@
 //! ```
 
 use piton_arch::units::{Amps, Ohms, Volts};
-use serde::{Deserialize, Serialize};
 
 /// One bench power supply channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchSupply {
     setpoint: Volts,
     remote_sense: bool,
@@ -83,7 +82,7 @@ impl BenchSupply {
 }
 
 /// The three supply channels of the test board.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerRails {
     /// Core rail.
     pub vdd: BenchSupply,

@@ -35,7 +35,6 @@ use piton_power::model::{OperatingPoint, PowerModel, RailPower};
 use piton_power::thermal::{Cooling, ThermalModel, ThermalStep, HEATING_SHARE, ROOM_AMBIENT_C};
 use piton_power::{Calibration, ChipCorner, TechModel};
 use piton_sim::machine::Machine;
-use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
 use crate::monitor::{window_duration, Measured, MeasurementWindow, MonitorChannel, Quality};
@@ -46,7 +45,7 @@ use crate::supply::PowerRails;
 pub const DEFAULT_CHUNK_CYCLES: u64 = 10_000;
 
 /// A three-rail measurement result.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RailMeasurement {
     /// Core rail.
     pub vdd: Measured,
@@ -62,7 +61,7 @@ pub struct RailMeasurement {
 }
 
 /// Result of running a finite workload to completion under measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadRun {
     /// Execution time (cycles / core clock).
     pub elapsed: Seconds,
@@ -78,7 +77,7 @@ pub struct WorkloadRun {
 
 /// One control step of a governed run: the closed loop's state after
 /// the governor's decision took effect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GovernedSample {
     /// Wall time at the end of the step (s).
     pub time_s: f64,
@@ -98,7 +97,7 @@ pub struct GovernedSample {
 }
 
 /// Result of driving the machine under a closed-loop governor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GovernedRun {
     /// Per-control-step trajectory.
     pub samples: Vec<GovernedSample>,
@@ -336,19 +335,14 @@ impl PitonSystem {
     /// steady state the paper requires before sampling), settling the
     /// thermal state to the resulting power.
     ///
-    /// Cooperates with the runner's per-attempt deadline budget
-    /// (`piton_arch::deadline`): once the budget is blown the warm-up
-    /// stops early — the subsequent measurement call then fails the
-    /// deadline check, so the point degrades into a retry or a hole
-    /// instead of stalling the sweep. Without an armed deadline the
-    /// chunked run is cycle-for-cycle identical to a single run call.
+    /// Runs in 1 000-cycle steps. The simulated result is the same as
+    /// one run call, but the engine's batch and handover boundaries
+    /// (the `engine.batches` and `engine.handovers` counters) follow
+    /// the steps.
     pub fn warm_up(&mut self, cycles: u64) {
         let before = self.machine.counters().clone();
         let mut remaining = cycles;
         while remaining > 0 {
-            if piton_arch::deadline::exceeded() {
-                break;
-            }
             let step = remaining.min(1_000);
             self.machine.run(step);
             remaining -= step;
@@ -388,8 +382,7 @@ impl PitonSystem {
     /// # Errors
     ///
     /// [`PitonError::EmptyWindow`] if every sample of some rail was
-    /// dropped, or the transient [`PitonError::DeadlineExceeded`] if
-    /// the runner's per-attempt budget expires mid-window.
+    /// dropped.
     pub fn try_measure(&mut self, samples: usize) -> Result<RailMeasurement, PitonError> {
         let dt = Seconds(window_duration(samples).0 / samples as f64);
         let mut w_vdd = MeasurementWindow::new();
@@ -403,7 +396,6 @@ impl PitonSystem {
             .is_some_and(|p| p.has_monitor_faults() || p.brownout.is_some());
         let brownout = self.fault.as_ref().and_then(|p| p.brownout);
         for i in 0..samples {
-            piton_arch::deadline::check("measurement window")?;
             let p = match brownout.filter(|b| b.covers(i)) {
                 Some(b) => self.chunk_power_browned(b.factor),
                 None => self.chunk_power(),
@@ -447,11 +439,6 @@ impl PitonSystem {
                 quality,
             })
         }
-    }
-
-    /// Measures the default 128-sample window.
-    pub fn measure_default(&mut self) -> RailMeasurement {
-        self.measure(crate::monitor::DEFAULT_SAMPLES)
     }
 
     /// Idle power (clocks running, all threads idle) — the Table V

@@ -145,8 +145,8 @@ fn run_probe(kind: ProbeKind, fidelity: Fidelity) -> Result<Probe, PitonError> {
 ///
 /// # Errors
 ///
-/// Propagates the first probe failure (probes run fault-free, so this
-/// only surfaces engine-level deadline errors).
+/// Propagates the first probe failure (probes run fault-free, so a
+/// failure means a measurement window came back empty).
 pub fn run_battery(fidelity: Fidelity, specs: Vec<ProbeKind>) -> Result<Vec<Probe>, PitonError> {
     runner::sweep(fidelity.jobs, specs, |_, kind| run_probe(kind, fidelity))
         .into_iter()

@@ -169,8 +169,7 @@ pub trait Bench: Sync {
     ///
     /// # Errors
     ///
-    /// Whatever the window loses to the fault plan or the runner's
-    /// deadline.
+    /// Whatever the window loses to the fault plan.
     fn measure(
         &self,
         rig: &Rig,

@@ -28,7 +28,6 @@ use piton_power::energy::{Rail, TERMS};
 use piton_sim::events::ActivityCounters;
 use piton_sim::machine::SwitchPattern;
 use piton_sim::memsys::MemorySystem;
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::analytic::Features;
@@ -37,7 +36,7 @@ use crate::runner;
 
 /// Result of the slice-mapping ablation: how many distinct home slices
 /// the Table VII "local L2" address set touches under each mapping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SliceMappingAblation {
     /// `(mapping, distinct home slices, all local to tile0)` rows.
     pub rows: Vec<(String, usize, bool)>,
@@ -81,7 +80,7 @@ impl SliceMappingAblation {
 }
 
 /// One row of the store-buffer-depth ablation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StoreBufferPoint {
     /// Store-buffer entries.
     pub entries: u32,
@@ -138,7 +137,7 @@ pub fn render_store_buffer(points: &[StoreBufferPoint]) -> String {
 }
 
 /// One point of the dual-thread-overhead sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OverheadPoint {
     /// Thread-switching overhead in pJ per dual-threaded issue cycle.
     pub overhead_pj: f64,
@@ -228,7 +227,7 @@ pub fn render_overhead(points: &[OverheadPoint]) -> String {
 }
 
 /// Energy split of one switching pattern's per-flit-hop cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NocSplitRow {
     /// Pattern label.
     pub pattern: String,
@@ -288,7 +287,7 @@ pub fn render_noc_split(rows: &[NocSplitRow]) -> String {
 /// Result of the Execution-Drafting ablation: chip power with the two
 /// threads of every core running *identical* code (maximum drafting)
 /// versus *offset* code (no drafting).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExecDraftingResult {
     /// Power with identical (draftable) thread pairs.
     pub drafted_w: f64,

@@ -5,12 +5,11 @@
 //! checks completeness.
 
 use piton_arch::floorplan::{figure_8, AreaBreakdown, Level};
-use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 
 /// One rendered panel of Figure 8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AreaPanel {
     /// Hierarchy level.
     pub level: Level,
@@ -21,7 +20,7 @@ pub struct AreaPanel {
 }
 
 /// All three panels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AreaResult {
     /// Chip, tile and core panels.
     pub panels: Vec<AreaPanel>,

@@ -12,7 +12,6 @@ use piton_arch::units::Watts;
 use piton_board::fault::{self, FaultPlan};
 use piton_board::population::NamedChip;
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::bench::{Bench, ProbeKind, Rig};
@@ -22,7 +21,7 @@ use crate::report::{render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
 
 /// One (benchmark, T/C) power-versus-cores series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingSeries {
     /// Which microbenchmark.
     pub bench: Microbenchmark,
@@ -35,7 +34,7 @@ pub struct ScalingSeries {
 }
 
 /// The Figure 13 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreScalingResult {
     /// Six series (3 benchmarks × 2 T/C configs).
     pub series: Vec<ScalingSeries>,

@@ -15,7 +15,6 @@ use piton_arch::units::Watts;
 use piton_board::fault::{self, FaultPlan};
 use piton_board::population::NamedChip;
 use piton_workloads::epi::{EpiCase, StoreVariant, STX_DRAIN_NOPS};
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::bench::{Bench, ProbeKind, Rig};
@@ -25,7 +24,7 @@ use crate::report::{render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
 
 /// EPI of one case under each operand pattern (pJ).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpiRow {
     /// Figure 11 x-axis label.
     pub label: String,
@@ -48,7 +47,7 @@ impl EpiRow {
 }
 
 /// The Figure 11 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpiResult {
     /// One row per Figure 11 case.
     pub rows: Vec<EpiRow>,

@@ -29,7 +29,6 @@ use piton_power::vf::VfSolver;
 use piton_power::{Calibration, TechModel};
 use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 use piton_workloads::thermal_app::{load_two_phase, Schedule};
-use serde::{Deserialize, Serialize};
 
 use super::thermal::{bare_package_rig, ScheduleTrace, SchedulingSample};
 use super::Fidelity;
@@ -65,7 +64,7 @@ fn settle_steps(fidelity: Fidelity) -> usize {
 }
 
 /// One VDD point of the closed-loop throttle boundary.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BoundaryPoint {
     /// Socket-pin core voltage.
     pub vdd: Volts,
@@ -81,7 +80,7 @@ pub struct BoundaryPoint {
 }
 
 /// One chip's boundary sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChipBoundary {
     /// Which die.
     pub chip: NamedChip,
@@ -90,7 +89,7 @@ pub struct ChipBoundary {
 }
 
 /// The closed-loop Figure 9 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThrottleBoundaryResult {
     /// Per-chip sweeps.
     pub chips: Vec<ChipBoundary>,
@@ -228,7 +227,7 @@ impl ThrottleBoundaryResult {
 }
 
 /// One schedule's closed-loop Figure 18 trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GovernedScheduleTrace {
     /// The power/temperature time series, in the open-loop trace shape
     /// so the hysteresis metrics are shared.
@@ -240,7 +239,7 @@ pub struct GovernedScheduleTrace {
 }
 
 /// The closed-loop Figure 18 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HysteresisResult {
     /// Synchronized and interleaved traces.
     pub traces: Vec<GovernedScheduleTrace>,
@@ -339,7 +338,7 @@ impl HysteresisResult {
 }
 
 /// One policy × chip race of the energy-frontier study.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FrontierRow {
     /// The policy that drove the run.
     pub policy: GovernorConfig,
@@ -358,7 +357,7 @@ pub struct FrontierRow {
 }
 
 /// The energy-frontier study (no paper analogue).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyFrontierResult {
     /// All policy × chip rows, policies major.
     pub rows: Vec<FrontierRow>,

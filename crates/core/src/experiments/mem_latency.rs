@@ -11,12 +11,11 @@ use piton_arch::units::Seconds;
 use piton_sim::chipset::{figure15_segments, PathSegment};
 use piton_sim::events::ActivityCounters;
 use piton_sim::memsys::MemorySystem;
-use serde::Serialize;
 
 use crate::report::Table;
 
 /// The Figure 15 reproduction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemLatencyResult {
     /// Per-component path segments.
     pub segments: Vec<PathSegment>,

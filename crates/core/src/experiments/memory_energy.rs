@@ -18,14 +18,13 @@ use piton_board::system::PitonSystem;
 use piton_sim::events::ActivityCounters;
 use piton_sim::memsys::MemorySystem;
 use piton_workloads::memwalk::{ldx_walker, scenario_addresses, MemScenario};
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::measure::WithError;
 use crate::report::Table;
 
 /// One Table VII row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemEnergyRow {
     /// Scenario label as printed in Table VII.
     pub label: String,
@@ -36,7 +35,7 @@ pub struct MemEnergyRow {
 }
 
 /// The Table VII dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemEnergyResult {
     /// The five scenario rows.
     pub rows: Vec<MemEnergyRow>,

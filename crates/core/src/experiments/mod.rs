@@ -48,12 +48,11 @@ pub mod vf_sweep;
 pub mod yield_stats;
 
 pub use piton_arch::config::Backend;
-use serde::{Deserialize, Serialize};
 
 /// Measurement effort knob: how many monitor samples back each reported
 /// number and how many simulated cycles back each sample. A plain value:
 /// fault plans and result journals are passed beside it by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fidelity {
     /// Monitor samples per measurement window (the paper uses 128).
     pub samples: usize,

@@ -13,7 +13,6 @@
 use piton_arch::units::{Joules, Seconds, Watts};
 use piton_board::population::NamedChip;
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::bench::{Bench, ProbeKind, Rig, Unsupported};
@@ -21,7 +20,7 @@ use crate::report::Table;
 use crate::runner;
 
 /// One (benchmark, threads, T/C) measurement.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MtMcPoint {
     /// Thread count.
     pub threads: usize,
@@ -56,7 +55,7 @@ impl MtMcPoint {
 }
 
 /// One benchmark's sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MtMcSeries {
     /// Which microbenchmark.
     pub bench: Microbenchmark,
@@ -65,7 +64,7 @@ pub struct MtMcSeries {
 }
 
 /// The Figure 14 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MtMcResult {
     /// Per-benchmark series.
     pub series: Vec<MtMcSeries>,

@@ -15,7 +15,6 @@ use piton_arch::units::{Hertz, Watts};
 use piton_board::fault::{self, FaultPlan};
 use piton_power::ChipCorner;
 use piton_sim::machine::SwitchPattern;
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::bench::{Bench, Rig};
@@ -25,7 +24,7 @@ use crate::report::{render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
 
 /// EPF series for one switching pattern.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PatternSeries {
     /// Payload pattern.
     pub pattern: String,
@@ -37,7 +36,7 @@ pub struct PatternSeries {
 }
 
 /// The Figure 12 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NocEnergyResult {
     /// One series per switching pattern.
     pub series: Vec<PatternSeries>,

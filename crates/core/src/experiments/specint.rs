@@ -13,14 +13,13 @@ use piton_arch::topology::TileId;
 use piton_arch::units::{Hertz, Joules, Seconds, Watts};
 use piton_board::system::PitonSystem;
 use piton_workloads::spec::{spec_kernel, table_ix_benchmarks, SpecBenchmark, T2000Model};
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::report::Table;
 use crate::runner;
 
 /// One Table IX row as reproduced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpecRow {
     /// Benchmark/input label.
     pub name: String,
@@ -41,7 +40,7 @@ pub struct SpecRow {
 }
 
 /// The Table IX dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpecResult {
     /// One row per benchmark/input pair.
     pub rows: Vec<SpecRow>,
@@ -223,7 +222,7 @@ impl SpecResult {
 }
 
 /// Figure 16 — power time series per rail over a full `gcc-166` run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeriesResult {
     /// `(emulated seconds, core mW, sram mW, io mW)` samples.
     pub samples: Vec<(f64, f64, f64, f64)>,

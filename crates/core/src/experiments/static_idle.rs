@@ -10,7 +10,6 @@
 
 use piton_arch::units::{Hertz, Volts, Watts};
 use piton_board::population::NamedChip;
-use serde::{Deserialize, Serialize};
 
 use super::{vf_sweep, Fidelity};
 use crate::bench::{Bench, ProbeKind, Rig};
@@ -18,7 +17,7 @@ use crate::report::Table;
 use crate::runner;
 
 /// One voltage/frequency point of Figure 10 (three-chip average).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StaticIdlePoint {
     /// Core voltage.
     pub vdd: Volts,
@@ -49,7 +48,7 @@ impl StaticIdlePoint {
 }
 
 /// The Figure 10 sweep plus the Table V defaults.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StaticIdleResult {
     /// One point per voltage step.
     pub points: Vec<StaticIdlePoint>,

@@ -16,7 +16,6 @@
 use piton_arch::units::Watts;
 use piton_power::thermal::{Cooling, ThermalModel, ThermalStep, EQUILIBRIUM_CAP_C, ROOM_AMBIENT_C};
 use piton_workloads::thermal_app::{load_two_phase, Schedule};
-use serde::{Deserialize, Serialize};
 
 use super::Fidelity;
 use crate::bench::{Bench, ProbeKind, Rig};
@@ -43,7 +42,7 @@ pub fn fig17_rig(threads: usize) -> Rig {
 }
 
 /// One Figure 17 point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThermalPoint {
     /// Active threads.
     pub threads: usize,
@@ -56,7 +55,7 @@ pub struct ThermalPoint {
 }
 
 /// The Figure 17 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThermalPowerResult {
     /// Points grouped by thread count, each swept over fan angles.
     pub points: Vec<ThermalPoint>,
@@ -117,7 +116,7 @@ impl ThermalPowerResult {
 }
 
 /// One logged instant of the Figure 18 run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SchedulingSample {
     /// Seconds since the run started.
     pub time_s: f64,
@@ -128,7 +127,7 @@ pub struct SchedulingSample {
 }
 
 /// One schedule's trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScheduleTrace {
     /// Which schedule.
     pub schedule: Schedule,
@@ -179,7 +178,7 @@ impl ScheduleTrace {
 }
 
 /// The Figure 18 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchedulingResult {
     /// Synchronized and interleaved traces.
     pub traces: Vec<ScheduleTrace>,

@@ -11,13 +11,12 @@ use piton_power::model::PowerModel;
 use piton_power::thermal::ROOM_AMBIENT_C;
 use piton_power::vf::{VfPoint, VfSolver};
 use piton_power::{Calibration, TechModel};
-use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 use crate::runner;
 
 /// One chip's sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChipSweep {
     /// Which die.
     pub chip: NamedChip,
@@ -26,7 +25,7 @@ pub struct ChipSweep {
 }
 
 /// The Figure 9 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VfSweepResult {
     /// Per-chip sweeps.
     pub chips: Vec<ChipSweep>,

@@ -6,12 +6,11 @@
 //! bad (supply shorts).
 
 use piton_board::population::{ChipPopulation, ChipStatus, YieldCounts};
-use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 
 /// Table IV as measured on the synthetic population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct YieldResult {
     /// Dies received from the wafer run.
     pub total_dies: usize,

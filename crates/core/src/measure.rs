@@ -21,7 +21,6 @@
 
 use piton_arch::error::PitonError;
 use piton_arch::units::{Hertz, Joules, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Core count of the EPI methodology.
 pub const EPI_CORES: f64 = 25.0;
@@ -33,7 +32,7 @@ pub const EPF_PATTERN_FLITS: f64 = 7.0;
 
 /// A value with a propagated standard deviation, as every measurement
 /// in the paper is reported.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct WithError {
     /// Mean value.
     pub value: f64,

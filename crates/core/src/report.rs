@@ -8,8 +8,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::runner::PointError;
 
 /// A simple monospace table builder.
@@ -156,7 +154,7 @@ impl std::fmt::Display for Table {
 /// A sweep grid point that failed permanently (every retry exhausted or
 /// a non-transient error) and is rendered as an explicit hole rather
 /// than silently dropped.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hole {
     /// Sweep section tag (`"epi"`, `"noc"`, `"scaling"`).
     pub section: String,

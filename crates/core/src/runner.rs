@@ -149,42 +149,17 @@ where
 }
 
 /// Retry policy of a fault-isolated sweep: how many attempts each grid
-/// point gets before its failure becomes a hole, how long each attempt
-/// may run, and how long to pause between retries.
+/// point gets before its failure becomes a hole. Retries run at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per point (first try included).
     pub max_attempts: u32,
-    /// Per-attempt deadline budget. Each attempt arms the cooperative
-    /// [`piton_arch::deadline`] for this long, so a wedged measurement
-    /// surfaces as a *transient* [`PitonError::DeadlineExceeded`]
-    /// (polled by warm-up, sampling and the hang watchdog) and the
-    /// retry gets a fresh budget. `None` leaves attempts unbudgeted.
-    pub timeout: Option<Duration>,
-    /// Pause before the first retry, doubling on every further retry
-    /// (exponential backoff, saturating). [`Duration::ZERO`] retries
-    /// immediately.
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            timeout: None,
-            backoff: Duration::ZERO,
-        }
+        Self { max_attempts: 3 }
     }
-}
-
-/// Sleeps before retry number `retry` (1-based): `base * 2^(retry-1)`,
-/// saturating. A zero base skips the pause entirely.
-fn backoff_pause(base: Duration, retry: u32) {
-    if base.is_zero() {
-        return;
-    }
-    let factor = 1u32 << (retry - 1).min(16);
-    std::thread::sleep(base.saturating_mul(factor));
 }
 
 /// How a grid point ultimately failed.
@@ -268,9 +243,8 @@ where
     })
 }
 
-/// One grid point's attempt loop: panic isolation, per-attempt deadline
-/// budget, transient retry with exponential backoff. Returns the final
-/// attempt number alongside the outcome.
+/// One grid point's attempt loop: panic isolation and transient retry.
+/// Returns the final attempt number alongside the outcome.
 fn run_point<I, T>(
     idx: usize,
     item: &I,
@@ -280,18 +254,13 @@ fn run_point<I, T>(
     let max_attempts = policy.max_attempts.max(1);
     let mut attempt = 0;
     let out = loop {
-        if let Some(timeout) = policy.timeout {
-            piton_arch::deadline::arm(Instant::now() + timeout);
-        }
         let tried =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(idx, item, attempt)));
-        piton_arch::deadline::disarm();
         match tried {
             Ok(Ok(v)) => break Ok(v),
             Ok(Err(e)) => {
                 if e.is_transient() && attempt + 1 < max_attempts {
                     attempt += 1;
-                    backoff_pause(policy.backoff, attempt);
                     continue;
                 }
                 break Err(PointError {
@@ -303,7 +272,6 @@ fn run_point<I, T>(
             Err(payload) => {
                 if attempt + 1 < max_attempts {
                     attempt += 1;
-                    backoff_pause(policy.backoff, attempt);
                     continue;
                 }
                 break Err(PointError {
@@ -619,10 +587,7 @@ mod tests {
         let out = try_sweep(
             1,
             vec![0u64],
-            RetryPolicy {
-                max_attempts: 5,
-                ..RetryPolicy::default()
-            },
+            RetryPolicy { max_attempts: 5 },
             |_, _, attempt| {
                 assert_eq!(attempt, 0, "deterministic failures must not retry");
                 Err::<u64, _>(PitonError::injected("dead point"))
@@ -655,55 +620,6 @@ mod tests {
             )
         };
         assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn deadline_budget_turns_a_wedged_point_into_a_transient_failure() {
-        // The point cooperatively polls the deadline (as warm-up and
-        // sampling do); an over-budget attempt fails transiently and
-        // each retry gets a fresh budget it also blows.
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            timeout: Some(Duration::from_millis(2)),
-            backoff: Duration::ZERO,
-        };
-        let out = try_sweep(1, vec![0u64], policy, |_, _, _| {
-            std::thread::sleep(Duration::from_millis(5));
-            piton_arch::deadline::check("wedged measurement")?;
-            Ok(1u64)
-        });
-        let e = out[0].as_ref().unwrap_err();
-        assert_eq!(e.attempts, 2);
-        assert!(
-            matches!(
-                &e.failure,
-                PointFailure::Failed(PitonError::DeadlineExceeded { .. })
-            ),
-            "{e}"
-        );
-        // The budget is per attempt: a fast point under the same
-        // policy never trips it.
-        let ok = try_sweep(1, vec![7u64], policy, |_, &x, _| {
-            piton_arch::deadline::check("fast point")?;
-            Ok(x)
-        });
-        assert_eq!(*ok[0].as_ref().unwrap(), 7);
-    }
-
-    #[test]
-    fn backoff_doubles_between_retries() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            timeout: None,
-            backoff: Duration::from_millis(4),
-        };
-        let t0 = Instant::now();
-        let out = try_sweep(1, vec![0u64], policy, |_, _, _| {
-            Err::<u64, _>(PitonError::transient("always flaky"))
-        });
-        assert!(out[0].is_err());
-        // Two retries: 4 ms + 8 ms of pause at minimum.
-        assert!(t0.elapsed() >= Duration::from_millis(12));
     }
 
     fn temp_journal(tag: &str) -> (std::path::PathBuf, Mutex<Journal>) {

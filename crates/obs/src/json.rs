@@ -1,9 +1,8 @@
 //! Minimal JSON value model, writer, and recursive-descent parser.
 //!
-//! The vendored `serde` is a no-op API stand-in (no registry access in
-//! the build environment), so every machine-readable artifact in this
-//! workspace is written by hand. This module centralizes the one piece
-//! that must be *read back* as well: trace JSONL lines and run
+//! Every machine-readable artifact in this workspace is written by
+//! hand, with no serialization framework. This module centralizes the
+//! one piece that must be *read back* as well: trace JSONL lines and run
 //! manifests. Integers and floats are kept distinct (`i128` vs `f64`)
 //! so `u64` cycle stamps round-trip exactly.
 //!

@@ -16,10 +16,10 @@
 //!   emits alongside its tables: per-section wall/busy time, sweep and
 //!   retry tallies, holes, and a metrics snapshot.
 //! * [`diff`] — first-divergence alignment of two event streams, the
-//!   core of the golden-trace differential harness (`trace_diff`).
-//! * [`json`] — the minimal JSON reader/writer everything above shares
-//!   (the vendored `serde` is an offline API stand-in and performs no
-//!   serialization; see `vendor/serde/src/lib.rs`).
+//!   core of the golden-trace differential harness
+//!   (`tests/trace_differential.rs`).
+//! * [`json`] — the minimal JSON reader/writer everything above shares;
+//!   every machine-readable artifact is encoded and decoded here.
 //!
 //! Nothing here is process-wide. A run observes itself from its own
 //! thread — [`metrics::enable`], [`trace::to_file`] or

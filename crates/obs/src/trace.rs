@@ -815,7 +815,7 @@ pub fn emit(event: TraceEvent) {
 
 /// Runs `body` with a fresh in-memory collector on this thread and
 /// returns `(body result, captured events)`. The primary capture entry
-/// point for tests and `trace_diff`. Sweep workers do not inherit it.
+/// point for tests. Sweep workers do not inherit it.
 pub fn capture<T>(spec: &TraceSpec, body: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
     let (out, col) = scoped(Some(Collector::new(spec, None)), body);
     let mut col = col.expect("the collector this scope installed");

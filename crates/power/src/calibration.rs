@@ -25,11 +25,10 @@
 //!   a small coupling adder for FSWA).
 
 use piton_arch::isa::Opcode;
-use serde::{Deserialize, Serialize};
 
 /// Per-opcode energy: a fixed base plus a term proportional to the
 /// operand-value activity factor in `[0, 1]`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct InstrEnergy {
     /// Energy at all-zero operands, in pJ.
     pub base_pj: f64,
@@ -40,7 +39,7 @@ pub struct InstrEnergy {
 
 /// The full coefficient table of the power model. All energies in pJ at
 /// nominal voltage; all rails referenced to Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Per-opcode issue energies (indexed by [`Opcode::index`]); VDD.
     pub instr: [InstrEnergy; Opcode::COUNT],

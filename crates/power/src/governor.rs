@@ -31,7 +31,6 @@
 
 use piton_arch::units::{Hertz, Volts};
 use piton_sim::events::ActivityCounters;
-use serde::{Deserialize, Serialize};
 
 use crate::model::OperatingPoint;
 use crate::vf::{PllLadder, VfSolver, T_JUNCTION_LIMIT_C};
@@ -50,7 +49,7 @@ pub const FRONTIER_SWITCH_MARGIN: f64 = 0.02;
 
 /// Governor policy knob (`reproduce --governor`). `Off` (the default)
 /// keeps every historical code path byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GovernorConfig {
     /// No governor: open-loop operation, exactly as before this module
     /// existed.
@@ -117,7 +116,7 @@ impl std::fmt::Display for GovernorConfig {
 
 /// One control decision: the operating point to hold for the next
 /// control step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingChoice {
     /// Core rail setpoint (VCS tracks at +0.05 V).
     pub vdd: Volts,
@@ -129,7 +128,7 @@ pub struct OperatingChoice {
 }
 
 /// Lifetime accounting of one governor instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorStats {
     /// Control steps taken.
     pub steps: u64,

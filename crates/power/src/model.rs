@@ -27,7 +27,6 @@
 use piton_arch::config::MeasurementDefaults;
 use piton_arch::units::{Hertz, Joules, Seconds, Volts, Watts};
 use piton_sim::events::ActivityCounters;
-use serde::{Deserialize, Serialize};
 
 use crate::calibration::Calibration;
 use crate::energy::{self, Charge, SLOTS};
@@ -38,7 +37,7 @@ use crate::tech::TechModel;
 const V_NOMINAL: [Volts; 3] = [Volts(1.0), Volts(1.05), Volts(1.8)];
 
 /// The electrical/thermal operating point of a measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Core supply at the socket pins.
     pub vdd: Volts,
@@ -93,7 +92,7 @@ impl OperatingPoint {
 
 /// Process corner of one physical die: multipliers applied on top of the
 /// nominal model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipCorner {
     /// Transistor speed multiplier (fast chips boot Linux at higher
     /// frequencies).
@@ -124,7 +123,7 @@ impl Default for ChipCorner {
 
 /// Power broken down by supply rail — what the board's three sense
 /// resistors report.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RailPower {
     /// Core-logic rail.
     pub vdd: Watts,
@@ -161,7 +160,7 @@ impl std::ops::Add for RailPower {
 }
 
 /// The calibrated chip power model for one die.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     calib: Calibration,
     tech: TechModel,

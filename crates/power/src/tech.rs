@@ -25,10 +25,9 @@
 //! ```
 
 use piton_arch::units::{Hertz, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Process-level constants of the IBM 32 nm SOI technology model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechModel {
     /// Effective threshold voltage for the alpha-power delay law.
     pub v_threshold: Volts,

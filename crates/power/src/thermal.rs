@@ -28,7 +28,6 @@
 //! ```
 
 use piton_arch::units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::model::RailPower;
 
@@ -51,7 +50,7 @@ pub const HEATING_SHARE: f64 = 0.9;
 pub const EQUILIBRIUM_CAP_C: f64 = 120.0;
 
 /// Cooling configuration of the test setup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cooling {
     /// The §III-C stock heat sink with aluminium spacers plus the 44 cfm
     /// case fan (the default for every study except §IV-J).
@@ -100,7 +99,7 @@ impl Cooling {
 }
 
 /// The two-node transient thermal model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalModel {
     cooling: Cooling,
     ambient_c: f64,
@@ -127,12 +126,6 @@ impl ThermalModel {
     #[must_use]
     pub fn cooling(&self) -> Cooling {
         self.cooling
-    }
-
-    /// Replaces the cooling configuration (e.g. adjusting the fan angle
-    /// mid-experiment), preserving current temperatures.
-    pub fn set_cooling(&mut self, cooling: Cooling) {
-        self.cooling = cooling;
     }
 
     /// Ambient temperature in °C.
@@ -263,7 +256,7 @@ impl ThermalModel {
 /// and the closed-loop governor advance the RC model, so every consumer
 /// integrates the exact same transient (no hand-rolled Euler steps to
 /// drift apart).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalStep {
     dt: Seconds,
 }

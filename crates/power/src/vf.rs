@@ -21,7 +21,6 @@
 
 use piton_arch::units::{Hertz, Volts, Watts};
 use piton_sim::events::ActivityCounters;
-use serde::{Deserialize, Serialize};
 
 use crate::model::{OperatingPoint, PowerModel};
 use crate::thermal::{Cooling, ThermalModel, EQUILIBRIUM_CAP_C};
@@ -39,7 +38,7 @@ pub const FREQ_TEMP_DERATE_PER_C: f64 = 8.0e-4;
 pub const R_SUPPLY_OHMS: f64 = 0.008;
 
 /// One point of the Figure 9 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfPoint {
     /// Socket-pin core voltage.
     pub vdd: Volts,
@@ -56,7 +55,7 @@ pub struct VfPoint {
 
 /// The PLL frequency ladder: a geometric grid of achievable core clocks
 /// (discretized reference clock × integer dividers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PllLadder {
     base: Hertz,
     ratio: f64,

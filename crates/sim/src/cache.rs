@@ -20,12 +20,9 @@
 //! ```
 
 use piton_arch::config::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// MESI state of a cache line.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LineState {
     /// Not present.
     #[default]
@@ -53,7 +50,7 @@ impl LineState {
 }
 
 /// A line evicted to make room for a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// Line-aligned address of the victim.
     pub line_addr: u64,
@@ -61,7 +58,7 @@ pub struct Evicted {
     pub state: LineState,
 }
 
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 struct Way {
     tag: u64,
     state: LineState,
@@ -69,7 +66,7 @@ struct Way {
 }
 
 /// A set-associative tag array with LRU replacement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     line_shift: u32,

@@ -20,12 +20,10 @@
 //! assert_eq!(total, 395); // "~395 Total Round Trip Cycles = ~790ns"
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::events::ActivityCounters;
 
 /// One component of the memory round trip (Figure 15).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathSegment {
     /// Component name as labelled in Figure 15.
     pub component: &'static str,
@@ -116,7 +114,7 @@ pub fn round_trip_cycles() -> u64 {
 }
 
 /// The blocking off-chip memory channel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryPath {
     /// Cycle at which the channel next becomes free.
     free_at: u64,

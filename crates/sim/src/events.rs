@@ -24,13 +24,12 @@
 //! ```
 
 use piton_arch::isa::Opcode;
-use serde::{Deserialize, Serialize};
 
 /// Dense per-event activity counters for a measurement window.
 ///
 /// All counters are cumulative; take [`ActivityCounters::delta_since`] to
 /// obtain the activity of a window.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ActivityCounters {
     /// Chip cycles elapsed.
     pub cycles: u64,

@@ -49,7 +49,6 @@ pub mod fastmap;
 pub mod machine;
 pub mod mem;
 pub mod memsys;
-pub mod mitts;
 pub mod noc;
 pub mod program;
 pub mod testprog;

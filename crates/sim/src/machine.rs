@@ -600,11 +600,6 @@ impl Machine {
         &self.memsys
     }
 
-    /// Mutable memory-system access (program loaders, experiments).
-    pub fn memsys_mut(&mut self) -> &mut MemorySystem {
-        &mut self.memsys
-    }
-
     /// A core by tile (test inspection).
     #[must_use]
     pub fn core(&self, tile: TileId) -> &Core {
@@ -647,11 +642,6 @@ impl Machine {
         for (i, core) in self.cores.iter_mut().enumerate() {
             core.set_enabled(mask & (1 << i) == 0);
         }
-    }
-
-    /// Fuses a single core on or off.
-    pub fn set_core_enabled(&mut self, tile: TileId, enabled: bool) {
-        self.cores[tile.index()].set_enabled(enabled);
     }
 
     /// Number of fused-off cores.
@@ -1182,7 +1172,7 @@ impl Machine {
     /// The seed engine: polls every core every cycle, fast-forwarding
     /// only when *no* core can issue. Kept as the reference
     /// implementation the event-driven [`Machine::run`] is equivalence-
-    /// tested against (by the differential suites and `trace_diff`);
+    /// tested against (by the differential suites in `tests/`);
     /// both produce identical counters, cycle for cycle.
     #[doc(hidden)]
     pub fn run_naive(&mut self, cycles: u64) {
@@ -1303,7 +1293,8 @@ impl Machine {
     /// Test-only scheduler fault injection: delays every ready-calendar
     /// wakeup by `skew` cycles, desynchronizing the event-driven engine
     /// from [`Machine::run_naive`] without touching the naive path —
-    /// the deliberate divergence the `trace_diff` harness must localize.
+    /// the deliberate divergence `tests/trace_differential.rs` must
+    /// localize.
     /// Zero restores exact equivalence.
     #[doc(hidden)]
     pub fn set_calendar_skew(&mut self, skew: u64) {
@@ -1340,10 +1331,6 @@ impl Machine {
     /// progress checks follows `PITON_WATCHDOG_CHUNK` (see
     /// [`crate::watchdog`]): retirement is unaffected, but the clock
     /// coasts to the next chunk boundary after the last thread halts.
-    /// The loop also polls the runner's per-attempt
-    /// deadline budget (`piton_arch::deadline`), reporting a timeout
-    /// hang when the budget is blown so a wedged grid point degrades
-    /// into a retry or a hole.
     ///
     /// # Errors
     ///
@@ -1364,9 +1351,6 @@ impl Machine {
         let mut last_retired = self.retired();
         let mut progress_at = self.now;
         while self.any_running() && self.now < end {
-            if piton_arch::deadline::exceeded() {
-                return Err(self.hang_report(HangKind::Timeout, window));
-            }
             let chunk = step.min(window).min(end - self.now);
             self.run(chunk);
             let retired = self.retired();
@@ -1812,19 +1796,6 @@ mod tests {
         let mut m = machine();
         m.load_thread(TileId::new(0), 0, count_loop(100));
         assert!(m.run_until_halted_guarded(100_000).is_ok());
-    }
-
-    #[test]
-    fn blown_deadline_fires_the_watchdog_as_a_timeout() {
-        use std::time::{Duration, Instant};
-        piton_arch::deadline::arm(Instant::now() - Duration::from_millis(1));
-        let mut m = machine();
-        m.load_thread(TileId::new(0), 0, count_loop(100));
-        let report = m.run_until_halted_watched(100_000, 1_000).unwrap_err();
-        piton_arch::deadline::disarm();
-        assert_eq!(report.kind, HangKind::Timeout);
-        let err: PitonError = report.into();
-        assert!(err.is_transient());
     }
 
     #[test]

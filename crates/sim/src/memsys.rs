@@ -46,7 +46,6 @@
 use piton_arch::config::{ChipConfig, SliceMapping};
 use piton_arch::topology::TileId;
 use piton_obs::trace::{self, CacheKind, CacheLevel, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{LineState, SetAssocCache};
 use crate::chipset::MemoryPath;
@@ -93,7 +92,7 @@ fn trace_cache(cycle: u64, tile: TileId, level: CacheLevel, kind: CacheKind, add
 }
 
 /// Where a load was serviced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HitLevel {
     /// L1 data cache hit.
     L1,
@@ -113,7 +112,7 @@ pub enum HitLevel {
 }
 
 /// Result of a load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadOutcome {
     /// The 64-bit value read.
     pub value: u64,
@@ -124,7 +123,7 @@ pub struct LoadOutcome {
 }
 
 /// Directory entry for one 64 B L2 line.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct DirEntry {
     /// Bitmap of tiles with the line in their L1.5.
     sharers: u32,

@@ -43,12 +43,11 @@
 
 use piton_arch::topology::{Mesh, TileId};
 use piton_obs::trace::{self, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::events::ActivityCounters;
 
 /// Which physical network a message travels on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NocId {
     /// Requests (L1.5 → L2).
     Noc1,

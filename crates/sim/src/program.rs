@@ -5,10 +5,9 @@
 //! the test loader would have written to DRAM before releasing resets.
 
 use piton_arch::isa::Instruction;
-use serde::{Deserialize, Serialize};
 
 /// An executable image for one hardware thread.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Program {
     /// Decoded instruction stream; the PC indexes this vector.
     pub instructions: Vec<Instruction>,

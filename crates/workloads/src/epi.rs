@@ -199,20 +199,6 @@ pub fn epi_test(case: EpiCase, pattern: OperandPattern, tile_index: usize) -> Pr
     asm.assemble()
 }
 
-/// The reference loop used to subtract the drain-`nop` energy from the
-/// `stx (NF)` measurement: the same loop shape with only the `nop`s.
-#[must_use]
-pub fn stx_nf_nop_reference(tile_index: usize) -> Program {
-    let mut asm = Assembler::new();
-    asm.movi(ADDR, tile_data_base(tile_index) as i64);
-    asm.label("loop");
-    for _ in 0..UNROLL {
-        asm.nops(STX_DRAIN_NOPS);
-    }
-    asm.jump("loop");
-    asm.assemble()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

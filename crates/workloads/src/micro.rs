@@ -22,12 +22,11 @@ use piton_arch::isa::{Opcode, Reg};
 use piton_arch::topology::TileId;
 use piton_sim::machine::Machine;
 use piton_sim::program::Program;
-use serde::{Deserialize, Serialize};
 
 use crate::asm::Assembler;
 
 /// Threads-per-core configuration of §IV-H.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreadsPerCore {
     /// Multicore: one thread on each active core.
     One,
@@ -56,7 +55,7 @@ impl ThreadsPerCore {
 }
 
 /// How many loop iterations a workload runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunLength {
     /// Infinite loop (steady-state power measurement).
     Forever,
@@ -123,7 +122,7 @@ pub fn int_program(length: RunLength) -> Program {
 }
 
 /// The two HP thread kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HpKind {
     /// Pure integer computation.
     Compute,
@@ -284,7 +283,7 @@ pub fn hist_program(tid: usize, nthreads: usize, length: RunLength) -> Program {
 }
 
 /// The three microbenchmarks of §IV-H.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Microbenchmark {
     /// Integer switching loop.
     Int,

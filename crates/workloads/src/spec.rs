@@ -18,13 +18,12 @@
 
 use piton_arch::isa::{Opcode, Reg};
 use piton_sim::program::Program;
-use serde::{Deserialize, Serialize};
 
 use crate::asm::Assembler;
 
 /// Instruction-mix and locality profile of one benchmark, as counts per
 /// 100 dynamic instructions, plus system-level activity rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecProfile {
     /// 1-cycle integer ALU instructions per 100.
     pub int_pct: f64,
@@ -66,7 +65,7 @@ impl SpecProfile {
 }
 
 /// One Table IX row: a benchmark/input pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecBenchmark {
     /// Benchmark/input label as printed in Table IX.
     pub name: &'static str,
@@ -376,7 +375,7 @@ pub fn spec_kernel(profile: &SpecProfile) -> Program {
 /// Analytic UltraSPARC T1 / Sun Fire T2000 performance model
 /// (Table VIII column 1): same core and L1s as Piton, 1 GHz clock,
 /// 3 MB L2 at 20–24 ns, 108 ns average memory latency, 64-bit DDR2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct T2000Model {
     /// Core clock in MHz.
     pub freq_mhz: f64,
@@ -424,7 +423,7 @@ impl Default for T2000Model {
 }
 
 /// One row of the Table VIII system comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemSpecRow {
     /// Parameter name.
     pub parameter: &'static str,

@@ -17,12 +17,11 @@ use piton_arch::isa::{Opcode, Reg};
 use piton_arch::topology::TileId;
 use piton_sim::machine::Machine;
 use piton_sim::program::Program;
-use serde::{Deserialize, Serialize};
 
 use crate::asm::Assembler;
 
 /// Scheduling strategy of the two-phase study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Schedule {
     /// All threads phase-aligned.
     Synchronized,

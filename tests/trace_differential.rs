@@ -3,9 +3,18 @@
 //! (`Machine::run_naive`) must produce *identical* structured trace
 //! streams over randomized programs — and when they don't, the
 //! differential must localize the first divergent event to a cycle and
-//! a tile, which is how an engine-equivalence failure gets bisected
-//! (see `trace_diff --desync=N` for the interactive version of the
-//! same harness).
+//! a tile, which is how an engine-equivalence failure gets bisected.
+//!
+//! To bisect by hand, edit the seeds, slots and chunks that
+//! `engines_produce_identical_traces_on_randomized_programs` passes to
+//! [`differential`] and run
+//!
+//! ```text
+//! cargo test --release --test trace_differential -- --nocapture
+//! ```
+//!
+//! Each seed pool prints its event count; a divergence panics with the
+//! first divergent event and context from both streams.
 //!
 //! Engine-mode events are masked out of every comparison: the two
 //! engines legitimately schedule themselves differently.
@@ -97,6 +106,7 @@ fn engines_produce_identical_traces_on_randomized_programs() {
         if let Some(d) = first_divergence(&event, &naive) {
             panic!("seed pool {pool}: engines diverged\n{d}");
         }
+        println!("seed pool {pool}: {} identical events", event.len());
     }
 }
 
