@@ -4,12 +4,11 @@
 //! tested chips are partially or fully dead (Table IV), the ≈ 17 Hz I²C
 //! monitors glitch often enough that every reported number is a
 //! 128-sample mean (§III-A), and multi-minute measurement campaigns
-//! survive hung runs and browning-out supplies. [`PitonError`] is the
-//! single currency every layer of the reproduction uses to report those
-//! failures instead of panicking: the board crate returns it from
-//! measurement statistics, the simulator converts hang reports into it,
-//! and the sweep runner wraps it per grid point so one bad point never
-//! aborts a whole section.
+//! survive browning-out supplies. [`PitonError`] is the single currency
+//! every layer of the reproduction uses to report those failures
+//! instead of panicking: the board crate returns it from measurement
+//! statistics, and the sweep runner wraps it per grid point so one bad
+//! point never aborts a whole section.
 //!
 //! # Examples
 //!
@@ -28,9 +27,7 @@
 /// Every recoverable failure the reproduction can report.
 ///
 /// Variants carry plain data so the type can live in the bottom crate
-/// of the workspace; richer layer-local reports (e.g. the simulator's
-/// `HangReport`) convert into it via `From`, preserving their rendered
-/// detail in the payload.
+/// of the workspace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PitonError {
     /// A statistic was requested of an empty measurement window (every
@@ -64,12 +61,6 @@ pub enum PitonError {
     Injected {
         /// What was injected.
         what: String,
-    },
-    /// The simulated machine stopped making progress (see the sim
-    /// crate's `HangReport` for the structured original).
-    Hang {
-        /// Rendered hang diagnosis.
-        detail: String,
     },
     /// An operation targeted a disabled resource (e.g. loading a
     /// program onto a fused-off core).
@@ -115,7 +106,7 @@ impl PitonError {
     /// is transient.
     #[must_use]
     pub fn is_transient(&self) -> bool {
-        matches!(self, PitonError::Transient { .. } | PitonError::Hang { .. })
+        matches!(self, PitonError::Transient { .. })
     }
 }
 
@@ -133,7 +124,6 @@ impl std::fmt::Display for PitonError {
             }
             PitonError::Transient { what } => write!(f, "transient fault: {what}"),
             PitonError::Injected { what } => write!(f, "injected fault: {what}"),
-            PitonError::Hang { detail } => write!(f, "machine hang: {detail}"),
             PitonError::Disabled { what } => write!(f, "disabled resource: {what}"),
             PitonError::BadPlan { what } => write!(f, "bad fault plan: {what}"),
             PitonError::Codec { what } => write!(f, "codec error: {what}"),
@@ -150,7 +140,6 @@ mod tests {
     #[test]
     fn transience_classification() {
         assert!(PitonError::transient("x").is_transient());
-        assert!(PitonError::Hang { detail: "y".into() }.is_transient());
         assert!(!PitonError::injected("x").is_transient());
         assert!(!PitonError::codec("torn record").is_transient());
         assert!(!PitonError::EmptyWindow { context: "idle" }.is_transient());

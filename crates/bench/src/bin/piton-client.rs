@@ -91,9 +91,7 @@ fn main() {
         }
         i += 1;
     }
-    let socket = socket
-        .or_else(|| std::env::var("PITON_SERVE_SOCKET").ok())
-        .unwrap_or_else(|| usage());
+    let socket = socket.unwrap_or_else(|| usage());
     if requests.is_empty() {
         usage();
     }

@@ -12,16 +12,16 @@
 //! piton-serve --socket PATH --cache-dir DIR [--jobs N] [--shard N]
 //! ```
 //!
-//! Every flag accepts `--flag VALUE` or `--flag=VALUE`, with
-//! environment fallbacks `PITON_SERVE_SOCKET`, `PITON_SERVE_CACHE`,
-//! `PITON_JOBS` and `PITON_SERVE_SHARD`. The daemon prints one
-//! `listening` line to stderr once the socket is bound (scripts wait
-//! for it), runs until a `{"op":"shutdown"}` request arrives, then
-//! writes `serve-manifest.json` into the cache directory, removes the
-//! socket and prints a counter summary. Exit status: 0 on clean
-//! shutdown, 1 on serve failures, 2 on usage errors.
+//! Every flag accepts `--flag VALUE` or `--flag=VALUE`; no environment
+//! variable sets one, and any other argument exits 2 before the socket
+//! is bound, naming it. The daemon prints one `listening` line to
+//! stderr once the socket is bound (scripts wait for it), runs until a
+//! `{"op":"shutdown"}` request arrives, then writes
+//! `serve-manifest.json` into the cache directory, removes the socket
+//! and prints a counter summary. Exit status: 0 on clean shutdown, 1 on
+//! serve failures, 2 on usage errors.
 
-use piton_bench::flag_value;
+use piton_bench::{flag_value, unknown_arg};
 use piton_core::runner;
 use piton_core::serve::{Server, ServerConfig};
 
@@ -32,11 +32,15 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str, env: &str| flag_value(&args, name, Some(env));
-    let Some(socket) = flag("socket", "PITON_SERVE_SOCKET") else {
+    if let Some(a) = unknown_arg(&args, &["socket", "cache-dir", "jobs", "shard"], &[]) {
+        eprintln!("piton-serve: unknown argument {a:?}");
+        usage();
+    }
+    let flag = |name: &str| flag_value(&args, name);
+    let Some(socket) = flag("socket") else {
         usage()
     };
-    let Some(cache_dir) = flag("cache-dir", "PITON_SERVE_CACHE") else {
+    let Some(cache_dir) = flag("cache-dir") else {
         usage()
     };
     let parse_count = |spec: Option<String>, what: &str| -> Option<usize> {
@@ -48,9 +52,8 @@ fn main() {
             }
         })
     };
-    let jobs =
-        parse_count(flag("jobs", "PITON_JOBS"), "--jobs").unwrap_or_else(runner::default_jobs);
-    let shard = parse_count(flag("shard", "PITON_SERVE_SHARD"), "--shard").unwrap_or(512);
+    let jobs = parse_count(flag("jobs"), "--jobs").unwrap_or_else(runner::default_jobs);
+    let shard = parse_count(flag("shard"), "--shard").unwrap_or(512);
 
     let config = ServerConfig::new(&socket, &cache_dir)
         .with_jobs(jobs)

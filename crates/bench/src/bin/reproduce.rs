@@ -10,75 +10,76 @@
 //! cargo run --release -p piton-bench --bin reproduce -- --jobs 8  # sweep worker threads
 //! ```
 //!
+//! A run is its command line: no environment variable changes it. Every
+//! flag takes `--flag VALUE` or `--flag=VALUE`; any argument other than
+//! the ones below exits 2 before anything runs, naming it.
+//!
 //! Sweep parallelism defaults to the machine's available cores and can
-//! be overridden with `--jobs N` (or the `PITON_JOBS` environment
-//! variable). Results are byte-identical at every jobs level; a
-//! per-section speedup table is printed to stderr at the end.
+//! be overridden with `--jobs N`. Results are byte-identical at every
+//! jobs level; a per-section speedup table is printed to stderr at the
+//! end.
 //!
 //! Fault injection (see `piton_board::fault`) is enabled with
-//! `--fault-plan=SPEC`, the `PITON_FAULT_PLAN` environment variable
-//! (same spec syntax), or `PITON_FAULT_SEED=N` (a bare seed with
-//! default monitor-fault rates). Grid points that fail permanently are
+//! `--fault-plan=SPEC` (`--fault-plan=seed=N,drop=0.03,stuck=0.02,glitch=0.02`
+//! gives moderate monitor faults). Grid points that fail permanently are
 //! rendered as explicitly-marked holes and the process exits nonzero so
 //! a partially-failed reproduction cannot pass silently.
 //!
 //! The closed-loop DVFS/thermal governor family (see
 //! `piton_core::experiments::governor`) is off by default — the stdout
 //! of an ungoverned run is byte-identical to builds that predate the
-//! governor. `--governor=POLICY` (or `PITON_GOVERNOR`), with POLICY one
-//! of `throttle-on-boot`, `race-to-halt` or `energy-frontier`, appends
-//! the closed-loop Figure 9/18 reproductions and the energy-frontier
-//! race, and records the policy in the run manifest.
+//! governor. `--governor=POLICY`, with POLICY one of
+//! `throttle-on-boot`, `race-to-halt` or `energy-frontier`, appends the
+//! closed-loop Figure 9/18 reproductions and the energy-frontier race,
+//! and records the policy in the run manifest.
 //!
-//! Durable runs (see `piton_core::journal`): `--journal PATH` (or
-//! `PITON_JOURNAL`) appends every completed grid point of the
-//! journaled sweep sections (`epi`, `noc`, `scaling`, and
-//! `design_space` under the analytic backend) to a write-ahead
-//! `piton-journal/v3` file of checksummed point lines. Each sweep
-//! appends a computed point as soon as every earlier point of the sweep
-//! is done, so the file grows in index order, and fsyncs once when it
-//! ends; the file is the one `piton-serve` writes for the same points
-//! and the next `--resume` indexes it without parsing. Adding
-//! `--resume` serves completed points from an existing journal and
-//! recomputes only the missing ones — the stdout, tables and
+//! Durable runs (see `piton_core::journal`): `--journal PATH` appends
+//! every completed grid point of the journaled sweep sections (`epi`,
+//! `noc`, `scaling`, and `design_space` under the analytic backend) to
+//! a write-ahead `piton-journal/v3` file of checksummed point lines.
+//! Each sweep appends a computed point as soon as every earlier point
+//! of the sweep is done, so the file grows in index order, and fsyncs
+//! once when it ends; the file is the one `piton-serve` writes for the
+//! same points and the next `--resume` indexes it without parsing.
+//! Adding `--resume` serves completed points from an existing journal
+//! and recomputes only the missing ones — the stdout, tables and
 //! deterministic manifest projection are byte-identical to an
 //! uninterrupted run at any `--jobs` level. Torn or truncated trailing
 //! lines are detected by checksum, discarded and recomputed, never
-//! trusted. Deterministic crash injection for the recovery harness:
-//! a `crash=SECTION:IDX` fault-plan entry hard-aborts the process when
+//! trusted. Deterministic crash injection for the recovery harness: a
+//! `crash=SECTION:IDX` fault-plan entry hard-aborts the process when
 //! the sweep that computed that grid point ends, strictly *after* its
 //! record is durably on disk.
 //!
 //! Backend selection (see `piton_core::analytic`): `--backend cycle`
 //! (the default; stdout is byte-identical to builds that predate the
-//! knob), `--backend analytic`, or `--backend both` — also settable
-//! via `PITON_BACKEND`. The analytic backend runs a library of
-//! cycle-level probes for their activity rates and answers the power
-//! experiments' bench measurements from them with the cycle engine's
-//! own power law (`piton_core::analytic::AnalyticBench`); each power
-//! figure renders through its own table, titled `(analytic)`, and the
-//! run finishes with the `design_space` mega-sweep the cycle engine
-//! could never run. `both` runs the full cycle flow and each power
-//! experiment once more on the analytic bench — without the journal or
-//! the fault plan — and appends a per-figure analytic-vs-cycle error
-//! table; any figure over its committed error budget fails the run. The
-//! backend (and, for analytic runs, the model's law digest) is part of
-//! the journal context, so a journal recorded under one backend refuses
-//! to resume under another. The run manifest records the backend.
+//! knob), `--backend analytic`, or `--backend both`. The analytic
+//! backend runs a library of cycle-level probes for their activity
+//! rates and answers the power experiments' bench measurements from
+//! them with the cycle engine's own power law
+//! (`piton_core::analytic::AnalyticBench`); each power figure renders
+//! through its own table, titled `(analytic)`, and the run finishes
+//! with the `design_space` mega-sweep the cycle engine could never run.
+//! `both` runs the full cycle flow and each power experiment once more
+//! on the analytic bench — without the journal or the fault plan — and
+//! appends a per-figure analytic-vs-cycle error table; any figure over
+//! its committed error budget fails the run. The backend (and, for
+//! analytic runs, the model's law digest) is part of the journal
+//! context, so a journal recorded under one backend refuses to resume
+//! under another. The run manifest records the backend.
 //!
-//! Observability (see `piton_obs`): `--trace SPEC` (or `PITON_TRACE`)
-//! streams structured simulator events to a JSONL file — spec grammar
-//! in `piton_obs::trace::TraceSpec` — and every invocation writes a
-//! `piton-run-manifest/v1` run manifest (section timings, sweep
-//! holes, and the full metrics-registry snapshot) to
-//! `piton-run-manifest.json`, overridable with `--metrics PATH` or
-//! `PITON_METRICS`. Neither touches stdout: the rendered tables stay
-//! byte-identical with and without them.
+//! Observability (see `piton_obs`): `--trace SPEC` streams structured
+//! simulator events to a JSONL file — spec grammar in
+//! `piton_obs::trace::TraceSpec` — and every invocation writes a
+//! `piton-run-manifest/v1` run manifest (section timings, sweep holes,
+//! and the full metrics-registry snapshot) to `piton-run-manifest.json`,
+//! overridable with `--metrics PATH`. Neither touches stdout: the
+//! rendered tables stay byte-identical with and without them.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use piton_bench::flag_value;
+use piton_bench::{flag_value, unknown_arg};
 use piton_board::fault::FaultPlan;
 use piton_core::analytic::{self, compare, AnalyticBench};
 use piton_core::bench::{Bench, CycleBench};
@@ -99,7 +100,6 @@ use piton_core::GovernorConfig;
 use piton_obs::manifest::{HoleRecord, RunManifest, SectionRecord};
 use piton_obs::metrics;
 use piton_obs::trace::{self, TraceSpec};
-use piton_sim::watchdog;
 
 /// Wall/busy timing of one reproduced section.
 struct SectionTiming {
@@ -171,76 +171,58 @@ impl<R> Results<R> {
     }
 }
 
+/// The flags that take a value.
+const FLAGS: [&str; 7] = [
+    "jobs",
+    "backend",
+    "governor",
+    "fault-plan",
+    "trace",
+    "metrics",
+    "journal",
+];
+/// The arguments that stand alone (`csv=` takes its value after `=`).
+const WORDS: [&str; 3] = ["quick", "csv=", "--resume"];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str, env: &str| flag_value(&args, name, Some(env));
+    if let Some(a) = unknown_arg(&args, &FLAGS, &WORDS) {
+        eprintln!(
+            "reproduce: unknown argument {a:?} (accepted: quick, csv=DIR, --resume, --{})",
+            FLAGS.join(" V, --") + " V"
+        );
+        std::process::exit(2);
+    }
+    let flag = |name: &str| flag_value(&args, name);
     let quick = args.iter().any(|a| a == "quick");
-    // `--jobs N`, `--jobs=N` or `jobs=N`, then `PITON_JOBS`, then every
-    // available core; 0 means 1.
-    let jobs = parse_or_exit(
-        flag_value(&args, "jobs", None)
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix("jobs=").map(str::to_owned))
-            })
-            .or_else(|| std::env::var("PITON_JOBS").ok()),
-        "bad --jobs: ",
-        |v| {
-            v.trim()
-                .parse::<usize>()
-                .map(|n| n.max(1))
-                .map_err(|_| format!("{v:?} is not a worker count"))
-        },
-    )
+    // `--jobs N` or `--jobs=N`, else every available core; 0 means 1.
+    let jobs = parse_or_exit(flag("jobs"), "bad --jobs: ", |v| {
+        v.trim()
+            .parse::<usize>()
+            .map(|n| n.max(1))
+            .map_err(|_| format!("{v:?} is not a worker count"))
+    })
     .unwrap_or_else(runner::default_jobs);
-    let backend = parse_or_exit(
-        flag("backend", "PITON_BACKEND"),
-        "bad --backend: ",
-        Backend::parse,
-    )
-    .unwrap_or(Backend::Cycle);
+    let backend =
+        parse_or_exit(flag("backend"), "bad --backend: ", Backend::parse).unwrap_or(Backend::Cycle);
     let governor_policy = parse_or_exit(
-        flag("governor", "PITON_GOVERNOR"),
+        flag("governor"),
         "bad --governor policy: ",
         GovernorConfig::parse,
     )
     .unwrap_or(GovernorConfig::Off);
-    // A full spec wins over a bare seed with default monitor-fault rates.
-    let fault_plan = parse_or_exit(flag("fault-plan", "PITON_FAULT_PLAN"), "", FaultPlan::parse)
-        .or_else(|| {
-            parse_or_exit(
-                std::env::var("PITON_FAULT_SEED").ok(),
-                "PITON_FAULT_SEED must be a u64, got ",
-                |v| {
-                    v.parse()
-                        .map(FaultPlan::with_seed)
-                        .map_err(|_| format!("{v:?}"))
-                },
-            )
-        });
-    let trace_spec = parse_or_exit(
-        flag("trace", "PITON_TRACE"),
-        "bad --trace spec: ",
-        TraceSpec::parse,
-    );
-    let manifest_path =
-        flag("metrics", "PITON_METRICS").unwrap_or_else(|| "piton-run-manifest.json".to_owned());
-    let journal_path = flag("journal", "PITON_JOURNAL");
+    let fault_plan = parse_or_exit(flag("fault-plan"), "", FaultPlan::parse);
+    let trace_spec = parse_or_exit(flag("trace"), "bad --trace spec: ", TraceSpec::parse);
+    let manifest_path = flag("metrics").unwrap_or_else(|| "piton-run-manifest.json".to_owned());
+    let journal_path = flag("journal");
     let resume = args.iter().any(|a| a == "--resume");
     if resume && journal_path.is_none() {
-        eprintln!("reproduce: --resume requires --journal PATH (or PITON_JOURNAL)");
+        eprintln!("reproduce: --resume requires --journal PATH");
         std::process::exit(2);
     }
     // The registry only accumulates (and is drained into the run
     // manifest); nothing printed to stdout depends on it.
     metrics::enable();
-    // Record the effective watchdog knobs so an archived run is
-    // attributable to its hang-detection configuration.
-    #[allow(clippy::cast_precision_loss)]
-    {
-        metrics::gauge_set("watchdog.chunk_cycles", watchdog::chunk_cycles() as f64);
-        metrics::gauge_set("watchdog.limit_cycles", watchdog::limit_cycles() as f64);
-    }
     let csv_dir: Option<std::path::PathBuf> = args
         .iter()
         .find_map(|a| a.strip_prefix("csv=").map(std::path::PathBuf::from));

@@ -3,8 +3,8 @@
 //! grids share section names, but the numbers mean different things).
 //! A `--resume` under a different backend must be refused outright —
 //! exit status 2 and a context-mismatch diagnostic — before any grid
-//! point is recomputed or trusted. Malformed flag values get the same
-//! exit status 2 before any section runs. Under `--backend both` the
+//! point is recomputed or trusted. Malformed flag values and unknown
+//! arguments get the same exit status 2 before any section runs. Under `--backend both` the
 //! journal and the fault plan belong to the cycle run alone: the
 //! analytic pass neither serves nor appends records and never fires a
 //! crash point.
@@ -224,4 +224,32 @@ fn unknown_backend_exits_2_listing_the_accepted_forms() {
         err.contains("cycle") && err.contains("analytic") && err.contains("both"),
         "{err}"
     );
+}
+
+#[test]
+fn unknown_arguments_exit_2_naming_the_argument() {
+    let serve = env!("CARGO_BIN_EXE_piton-serve");
+    let serve_job = [
+        "--socket",
+        "unused.sock",
+        "--cache-dir",
+        "unused",
+        "--job",
+        "4",
+    ];
+    for (bin, args, named) in [
+        (BIN, &["quik"][..], "quik"),
+        (BIN, &["quick", "--job", "4"], "--job"),
+        (BIN, &["quick", "jobs=4"], "jobs=4"),
+        (serve, &serve_job, "--job"),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("spawn");
+        let err = stderr_text(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        assert!(
+            err.contains(named),
+            "the diagnostic must name {named:?}: {err}"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! The real measurement campaign ran on fallible hardware: I²C monitor
 //! reads glitch (which is why §III-A averages 128 samples per reported
 //! number), bench supplies brown out, and individual grid points of a
-//! sweep hang or crash. A [`FaultPlan`] reproduces that fallibility
+//! sweep crash. A [`FaultPlan`] reproduces that fallibility
 //! *deterministically*: every injected fault is drawn from a seeded
 //! stream derived from the plan seed and the victim's own identity, so
 //! the same plan produces byte-identical output at any `--jobs` level.
@@ -127,8 +127,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The default plan for a bare `PITON_FAULT_SEED`: moderate monitor
-    /// fault rates, no brownout, no sabotage.
+    /// A plan with moderate monitor fault rates (3 % drop, 2 % stuck,
+    /// 2 % glitch) drawn from `seed`: no brownout, no sabotage.
     #[must_use]
     pub fn with_seed(seed: u64) -> Self {
         Self {
@@ -173,7 +173,7 @@ impl FaultPlan {
             .any(|c| c.section == section && c.index == index)
     }
 
-    /// Parses the `--fault-plan` / `PITON_FAULT_PLAN` spec: a
+    /// Parses the `--fault-plan` spec: a
     /// comma-separated `key=value` list.
     ///
     /// | key | value | meaning |

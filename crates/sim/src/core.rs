@@ -1429,25 +1429,6 @@ impl Core {
             .count() as u64
     }
 
-    /// Store-buffer entries still waiting to drain (hang diagnosis).
-    #[must_use]
-    pub fn pending_stores(&self) -> usize {
-        self.store_buffer.entries.len()
-    }
-
-    /// The running threads currently held by an occupancy, as
-    /// `(thread, wait kind, busy-until cycle)` — what a hang report
-    /// names when the machine stops retiring.
-    #[must_use]
-    pub fn waiting_threads(&self, now: u64) -> Vec<(usize, WaitKind, u64)> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.state == ThreadState::Running && t.busy_until > now)
-            .map(|(i, t)| (i, t.wait, t.busy_until))
-            .collect()
-    }
-
     /// Advances the core by one cycle: drain the store buffer, pick a
     /// ready thread round-robin, and issue its next instruction.
     ///

@@ -52,9 +52,8 @@ pub mod memsys;
 pub mod noc;
 pub mod program;
 pub mod testprog;
-pub mod watchdog;
 
 pub use crate::core::WaitKind;
 pub use events::ActivityCounters;
-pub use machine::{HangKind, HangReport, Machine, StuckThread};
+pub use machine::Machine;
 pub use program::Program;

@@ -60,107 +60,16 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use piton_arch::config::ChipConfig;
-use piton_arch::error::PitonError;
 use piton_arch::topology::TileId;
 use piton_obs::metrics::{self, Histogram};
 use piton_obs::trace::{self, EngineMode, TraceEvent, SUB_RETIRE};
 
-use crate::core::{
-    emit_retire, Core, IssueRecord, LocalCharges, LocalMem, MemLog, MemOp, RunMark, WaitKind,
-};
+use crate::core::{emit_retire, Core, IssueRecord, LocalCharges, LocalMem, MemLog, MemOp, RunMark};
 use crate::events::{activity_of_code, ActivityCounters};
 use crate::memsys::MemorySystem;
 use crate::noc::NocId;
 use crate::program::Program;
 use piton_arch::isa::Opcode;
-
-/// How a watched run stopped making progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HangKind {
-    /// No thread retired an instruction for a whole watchdog window
-    /// while threads were still running.
-    Stalled,
-    /// Threads were still running (and possibly retiring) when the
-    /// cycle budget ran out.
-    Timeout,
-}
-
-/// One running-but-held thread named by a [`HangReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StuckThread {
-    /// The tile whose core holds the thread.
-    pub tile: TileId,
-    /// Hardware thread index within the core.
-    pub thread: usize,
-    /// What the thread's occupancy is waiting on.
-    pub wait: WaitKind,
-    /// The cycle at which the occupancy releases.
-    pub ready_at: u64,
-}
-
-/// Structured diagnosis of a machine that stopped making progress —
-/// what [`Machine::run_until_halted_watched`] returns instead of a bare
-/// `false`: which cores are stuck, on what [`WaitKind`], and how loaded
-/// the store/memory path still is.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HangReport {
-    /// How progress stopped.
-    pub kind: HangKind,
-    /// Cycle at which the watchdog fired.
-    pub at_cycle: u64,
-    /// The no-retirement window that triggered it (cycles).
-    pub window: u64,
-    /// Instructions retired chip-wide before the hang.
-    pub retired: u64,
-    /// Every running thread still held by an occupancy, in tile order.
-    pub stuck: Vec<StuckThread>,
-    /// Store-buffer entries still waiting to drain, chip-wide.
-    pub pending_stores: u64,
-    /// Fused-off cores (a degraded chip hangs differently).
-    pub disabled_cores: usize,
-    /// Clock the DVFS governor held when the watchdog fired (kHz), if a
-    /// governor was driving the machine — a hang at a throttled
-    /// frequency reads very differently from one at full speed.
-    pub governed_khz: Option<u64>,
-}
-
-impl std::fmt::Display for HangReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self.kind {
-            HangKind::Stalled => "no retirement",
-            HangKind::Timeout => "cycle budget exhausted",
-        };
-        write!(
-            f,
-            "{kind} at cycle {} ({} retired, window {}, {} store(s) pending, {} core(s) disabled)",
-            self.at_cycle, self.retired, self.window, self.pending_stores, self.disabled_cores
-        )?;
-        if let Some(khz) = self.governed_khz {
-            write!(f, "; governor held {:.2} MHz", khz as f64 / 1_000.0)?;
-        }
-        for s in &self.stuck {
-            let wait = match s.wait {
-                WaitKind::Execute => "execute",
-                WaitKind::Memory => "memory",
-                WaitKind::StoreDrain => "store-drain",
-            };
-            write!(
-                f,
-                "; {} thread {} waiting on {wait} until cycle {}",
-                s.tile, s.thread, s.ready_at
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl From<HangReport> for PitonError {
-    fn from(r: HangReport) -> Self {
-        PitonError::Hang {
-            detail: r.to_string(),
-        }
-    }
-}
 
 /// Cycles between valid-flit groups on the chip bridge (§IV-G: "for
 /// every 47 cycles there are seven valid NoC flits").
@@ -303,6 +212,9 @@ struct PublishedMarks {
     rewinds: u64,
     handovers: u64,
 }
+
+/// Cycles [`Machine::run_until_halted`] runs between halt checks.
+const CHUNK_CYCLES: u64 = 1_000;
 
 /// Batch length of the batched dense engine, in cycles: the window
 /// over which the poll set stays fixed and at whose end issue duty
@@ -527,11 +439,6 @@ pub struct Machine {
     calendar_skew: u64,
     /// Per-lane scratch buffers of the batched dense engine.
     lane_scratch: Vec<LaneBuf>,
-    /// Clock the DVFS governor currently holds (kHz), when one is
-    /// driving this machine. Set by the board layer's governed run
-    /// loop; surfaced in [`HangReport`] so a watchdog firing at a
-    /// throttled frequency is diagnosable.
-    governed_khz: Option<u64>,
 }
 
 impl Machine {
@@ -560,20 +467,7 @@ impl Machine {
             published: PublishedMarks::default(),
             calendar_skew: 0,
             lane_scratch: Vec::new(),
-            governed_khz: None,
         }
-    }
-
-    /// Records the clock a DVFS governor is holding (kHz), or `None`
-    /// when ungoverned. Purely diagnostic — it does not alter timing.
-    pub fn set_governed_khz(&mut self, khz: Option<u64>) {
-        self.governed_khz = khz;
-    }
-
-    /// The clock the governor currently holds, if any (kHz).
-    #[must_use]
-    pub fn governed_khz(&self) -> Option<u64> {
-        self.governed_khz
     }
 
     /// The chip configuration.
@@ -1302,109 +1196,18 @@ impl Machine {
     }
 
     /// Runs until every thread halts or `max_cycles` elapse. Returns
-    /// `true` if everything halted. The chunk granularity between halt
-    /// checks follows `PITON_WATCHDOG_CHUNK` (see [`crate::watchdog`]):
-    /// retirement is unaffected, but the clock coasts to the next chunk
-    /// boundary after the last thread halts, so smaller chunks stop the
-    /// clock closer to the true halt cycle.
+    /// `true` if everything halted. Halts are checked every
+    /// `CHUNK_CYCLES` (1 000) cycles, so the clock coasts to the next chunk
+    /// boundary after the last thread halts; retirement is unaffected.
+    /// Timings read off [`Machine::now`] after this call include that
+    /// coast (the ablations' dual-thread MT/MC overhead study does).
     pub fn run_until_halted(&mut self, max_cycles: u64) -> bool {
-        let step = crate::watchdog::chunk_cycles();
         let end = self.now + max_cycles;
         while self.any_running() && self.now < end {
-            let chunk = step.min(end - self.now);
+            let chunk = CHUNK_CYCLES.min(end - self.now);
             self.run(chunk);
         }
         !self.any_running()
-    }
-
-    /// [`Machine::run_until_halted`] with a progress watchdog: if no
-    /// instruction retires chip-wide for `window` consecutive cycles
-    /// while threads are still running, or the cycle budget runs out,
-    /// returns a structured [`HangReport`] naming the stuck threads
-    /// (tile, [`WaitKind`], release cycle) and the residual store-path
-    /// occupancy, instead of a bare `false`.
-    ///
-    /// Pick `window` above the longest legitimate wait of the workload
-    /// (a cold memory miss holds a thread ~424 cycles);
-    /// [`Machine::run_until_halted_guarded`] supplies the
-    /// environment-tunable default. The chunk granularity between
-    /// progress checks follows `PITON_WATCHDOG_CHUNK` (see
-    /// [`crate::watchdog`]): retirement is unaffected, but the clock
-    /// coasts to the next chunk boundary after the last thread halts.
-    ///
-    /// # Errors
-    ///
-    /// [`HangReport`] when the watchdog fires or the budget is
-    /// exhausted with threads still running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn run_until_halted_watched(
-        &mut self,
-        max_cycles: u64,
-        window: u64,
-    ) -> Result<(), HangReport> {
-        assert!(window > 0, "watchdog window must be non-zero");
-        let step = crate::watchdog::chunk_cycles();
-        let end = self.now + max_cycles;
-        let mut last_retired = self.retired();
-        let mut progress_at = self.now;
-        while self.any_running() && self.now < end {
-            let chunk = step.min(window).min(end - self.now);
-            self.run(chunk);
-            let retired = self.retired();
-            if retired > last_retired {
-                last_retired = retired;
-                progress_at = self.now;
-            } else if self.now - progress_at >= window {
-                return Err(self.hang_report(HangKind::Stalled, window));
-            }
-        }
-        if self.any_running() {
-            return Err(self.hang_report(HangKind::Timeout, window));
-        }
-        Ok(())
-    }
-
-    /// [`Machine::run_until_halted_watched`] with the environment's
-    /// default hang window (`PITON_WATCHDOG_LIMIT`, see
-    /// [`crate::watchdog::limit_cycles`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HangReport`] when the watchdog fires or the budget is
-    /// exhausted with threads still running.
-    pub fn run_until_halted_guarded(&mut self, max_cycles: u64) -> Result<(), HangReport> {
-        self.run_until_halted_watched(max_cycles, crate::watchdog::limit_cycles())
-    }
-
-    /// Snapshots the stuck state for a [`HangReport`].
-    fn hang_report(&self, kind: HangKind, window: u64) -> HangReport {
-        let stuck = self
-            .cores
-            .iter()
-            .flat_map(|c| {
-                c.waiting_threads(self.now)
-                    .into_iter()
-                    .map(|(thread, wait, ready_at)| StuckThread {
-                        tile: c.tile(),
-                        thread,
-                        wait,
-                        ready_at,
-                    })
-            })
-            .collect();
-        HangReport {
-            kind,
-            at_cycle: self.now,
-            window,
-            retired: self.retired(),
-            stuck,
-            pending_stores: self.cores.iter().map(|c| c.pending_stores() as u64).sum(),
-            disabled_cores: self.disabled_cores(),
-            governed_khz: self.governed_khz,
-        }
     }
 
     /// Records I/O transactions (SD card, serial port) crossing the
@@ -1709,93 +1512,6 @@ mod tests {
         m.load_thread(TileId::new(7), 0, count_loop(10));
         assert!(m.run_until_halted(50_000));
         assert!(m.core(TileId::new(7)).retired() > 0);
-    }
-
-    #[test]
-    fn watchdog_reports_a_memory_stalled_thread() {
-        let mut m = machine();
-        // A cold miss holds the thread ~424 cycles; a 50-cycle watchdog
-        // window fires mid-wait and must name the memory wait.
-        m.load_thread(
-            TileId::new(5),
-            0,
-            Program::from_instructions(vec![
-                Instruction::movi(Reg::new(1), 0x9000),
-                Instruction::ldx(Reg::new(2), Reg::new(1), 0),
-                Instruction::halt(),
-            ]),
-        );
-        let report = m.run_until_halted_watched(5_000, 50).unwrap_err();
-        assert_eq!(report.kind, HangKind::Stalled);
-        assert_eq!(report.window, 50);
-        let stuck: Vec<_> = report.stuck.iter().map(|s| (s.tile, s.wait)).collect();
-        assert_eq!(stuck, vec![(TileId::new(5), crate::core::WaitKind::Memory)]);
-        assert!(report.stuck[0].ready_at > report.at_cycle);
-        let rendered = report.to_string();
-        assert!(rendered.contains("no retirement"), "{rendered}");
-        assert!(rendered.contains("waiting on memory"), "{rendered}");
-        // And it converts into the workspace error currency.
-        let err: PitonError = report.into();
-        assert!(err.is_transient());
-    }
-
-    #[test]
-    fn watchdog_timeout_reports_running_threads() {
-        let mut m = machine();
-        // An infinite loop keeps retiring: only the budget stops it.
-        m.load_thread(
-            TileId::new(0),
-            0,
-            Program::from_instructions(vec![
-                Instruction::nop(),
-                Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 0),
-            ]),
-        );
-        let report = m.run_until_halted_watched(2_000, 500).unwrap_err();
-        assert_eq!(report.kind, HangKind::Timeout);
-        assert!(report.retired > 0);
-    }
-
-    #[test]
-    fn watchdog_passes_a_completing_workload_unchanged() {
-        let mut watched = machine();
-        let mut plain = machine();
-        watched.load_thread(TileId::new(0), 0, count_loop(100));
-        plain.load_thread(TileId::new(0), 0, count_loop(100));
-        assert!(watched.run_until_halted_watched(100_000, 1_000).is_ok());
-        assert!(plain.run_until_halted(100_000));
-        assert_eq!(watched.retired(), plain.retired());
-        assert_eq!(watched.counters(), plain.counters());
-    }
-
-    #[test]
-    fn watchdog_chunk_size_never_changes_retirement() {
-        // Chunk granularity only decides how soon the loop notices the
-        // halt: retirement is identical, and a finer chunk stops the
-        // clock no later than the coarse one.
-        let mut coarse = machine();
-        coarse.load_thread(TileId::new(0), 0, count_loop(100));
-        assert!(coarse.run_until_halted_watched(100_000, 1_000).is_ok());
-        std::env::set_var("PITON_WATCHDOG_CHUNK", "77");
-        let mut fine = machine();
-        fine.load_thread(TileId::new(0), 0, count_loop(100));
-        let fine_result = fine.run_until_halted_watched(100_000, 1_000);
-        std::env::remove_var("PITON_WATCHDOG_CHUNK");
-        assert!(fine_result.is_ok());
-        assert_eq!(fine.retired(), coarse.retired());
-        assert!(
-            fine.now() <= coarse.now(),
-            "{} > {}",
-            fine.now(),
-            coarse.now()
-        );
-    }
-
-    #[test]
-    fn guarded_run_uses_the_default_window() {
-        let mut m = machine();
-        m.load_thread(TileId::new(0), 0, count_loop(100));
-        assert!(m.run_until_halted_guarded(100_000).is_ok());
     }
 
     #[test]

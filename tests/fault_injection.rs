@@ -5,8 +5,8 @@
 //! (§III-A) precisely because real measurement campaigns are fallible.
 //! These tests pin the reproduction's fault layer end to end: degraded
 //! chips still halt with silent disabled tiles, injected monitor faults
-//! are deterministic, the watchdog reports hangs as structured errors,
-//! and the sweep runner isolates any single killed grid point.
+//! are deterministic, and the sweep runner isolates any single killed
+//! grid point.
 
 use piton::arch::config::ChipConfig;
 use piton::arch::error::PitonError;
@@ -17,7 +17,7 @@ use piton::board::fault::FaultPlan;
 use piton::board::monitor::MonitorChannel;
 use piton::board::Quality;
 use piton::characterization::runner;
-use piton::sim::{HangKind, Machine, Program};
+use piton::sim::{Machine, Program};
 use proptest::prelude::*;
 
 /// A self-terminating loop: count register 1 up to `n`, then fall off
@@ -30,24 +30,6 @@ fn counting_program(n: i64) -> Program {
         Instruction::alu(Opcode::Add, Reg::new(1), Reg::new(1), Reg::new(3)),
         Instruction::branch(Opcode::Bne, Reg::new(1), Reg::new(2), 3),
     ])
-}
-
-/// A loop that never terminates.
-fn infinite_loop() -> Program {
-    Program::from_instructions(vec![
-        Instruction::movi(Reg::new(1), 1),
-        Instruction::branch(Opcode::Beq, Reg::new(0), Reg::new(0), 1),
-    ])
-}
-
-#[test]
-fn watchdog_reports_timeouts_through_the_facade() {
-    let mut m = Machine::new(&ChipConfig::default());
-    m.load_thread(TileId::new(0), 0, infinite_loop());
-    let report = m.run_until_halted_watched(5_000, 1_000).unwrap_err();
-    assert_eq!(report.kind, HangKind::Timeout);
-    let e: PitonError = report.into();
-    assert!(e.is_transient(), "{e}");
 }
 
 proptest! {

@@ -396,42 +396,3 @@ fn fused_off_core_adds_no_heat_to_the_governed_loop() {
         );
     }
 }
-
-/// Governor × watchdog: after a governed run, a firing watchdog names
-/// the clock the governor held — the first question a hang triage asks
-/// is "how fast was the chip actually running?".
-#[test]
-fn watchdog_report_carries_the_governed_clock() {
-    use piton::arch::units::{Hertz, Seconds, Volts};
-    use piton::board::system::PitonSystem;
-    use piton::power::governor::{Governor, GovernorConfig};
-    use piton::power::vf::VfSolver;
-
-    let mut sys = PitonSystem::reference_chip_2();
-    sys.set_chunk_cycles(1_000);
-    sys.machine_mut()
-        .load_on_tiles(25, 0, &governed_spin_loop());
-    let solver = VfSolver::new(sys.power_model().clone(), 20.0);
-    let mut gov = Governor::new(
-        GovernorConfig::RaceToHalt,
-        solver,
-        Volts(1.0),
-        Hertz::from_mhz(500.05),
-    );
-    sys.run_governed(&mut gov, 4, Some(Seconds(0.01)));
-    let report = sys
-        .machine_mut()
-        .run_until_halted_watched(3_000, 10_000)
-        .unwrap_err();
-    let expected_khz = (gov.frequency().0 / 1_000.0).round() as u64;
-    assert_eq!(
-        report.governed_khz,
-        Some(expected_khz),
-        "report must carry the governor's held clock"
-    );
-    let rendered = report.to_string();
-    assert!(
-        rendered.contains("governor held"),
-        "rendered report missing the governed clock: {rendered}"
-    );
-}

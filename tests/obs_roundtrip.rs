@@ -247,7 +247,7 @@ fn dense_manifest() -> RunManifest {
     metrics.counters.insert("journal.served".to_owned(), 104);
     metrics
         .gauges
-        .insert("watchdog.chunk_cycles".to_owned(), 1000.0);
+        .insert("engine.record_hwm".to_owned(), 1000.0);
     let mut h = Histogram::default();
     h.observe(7);
     metrics.histograms.insert("engine.issue_duty".to_owned(), h);

@@ -179,25 +179,21 @@ proptest! {
 
     /// Every engine path must be mutually bit-identical on randomized
     /// workloads: the naive reference and the batched dense engine,
-    /// traced and untraced. Mixed programs per tile, a core mask
-    /// applied mid-run and a governed clock are all in play, and the
-    /// batch accounting must be consistent with the cycles driven.
+    /// traced and untraced. Mixed programs per tile and a core mask
+    /// applied mid-run are in play, and the batch accounting must be
+    /// consistent with the cycles driven.
     #[test]
     fn engines_agree_across_batched_and_tile_parallel_paths(
         seeds in proptest::collection::vec(any::<u64>(), 1..4),
         slots in 4usize..10,
         mask in 0u32..(1 << 25),
-        khz_raw in 0u64..600_000,
         chunks in proptest::collection::vec(500u64..4_000, 2..5),
     ) {
         let placement = testprog::placement(&seeds, slots);
-        // Below 100 MHz the draw means "ungoverned".
-        let khz = (khz_raw >= 100_000).then_some(khz_raw);
         let drive = |m: &mut Machine, naive: bool| {
             for &(tile, thread, ref program) in &placement {
                 m.load_thread(TileId::new(tile), thread, program.clone());
             }
-            m.set_governed_khz(khz);
             for (i, &chunk) in chunks.iter().enumerate() {
                 if i == 1 {
                     m.apply_core_mask(mask);
