@@ -1,7 +1,7 @@
 //! First-divergence alignment of two trace streams.
 //!
 //! The differential harness runs the same program on two engines that
-//! must agree event-for-event (the hybrid calendar engine vs the naive
+//! must agree event-for-event (the batched dense engine vs the naive
 //! per-cycle engine), captures both streams, and asks: *where is the
 //! first event at which they disagree?* The answer — index, cycle,
 //! tile, and a window of the common prefix for context — turns an

@@ -126,12 +126,10 @@ impl CacheKind {
     }
 }
 
-/// Which cycle-engine regime the machine entered.
+/// Which cycle engine a `run` call entered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Event-driven ready-calendar scheduling.
-    Calendar,
-    /// Dense polling over the live core set.
+    /// Batched dense polling over the live core set.
     Dense,
     /// The reference per-cycle-polling engine.
     Naive,
@@ -141,7 +139,6 @@ impl EngineMode {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            EngineMode::Calendar => "calendar",
             EngineMode::Dense => "dense",
             EngineMode::Naive => "naive",
         }
@@ -149,7 +146,6 @@ impl EngineMode {
 
     fn parse(s: &str) -> Option<Self> {
         Some(match s {
-            "calendar" => EngineMode::Calendar,
             "dense" => EngineMode::Dense,
             "naive" => EngineMode::Naive,
             _ => return None,
@@ -925,7 +921,7 @@ mod tests {
             for cycle in 0..5 {
                 emit(TraceEvent::Engine {
                     cycle,
-                    mode: EngineMode::Calendar,
+                    mode: EngineMode::Dense,
                 });
             }
         });
@@ -959,7 +955,7 @@ mod tests {
         let spec = TraceSpec::parse(&format!("engine,out={}", path.display())).unwrap();
         let engine = |cycle| TraceEvent::Engine {
             cycle,
-            mode: EngineMode::Calendar,
+            mode: EngineMode::Dense,
         };
         let ((), written) = to_file(&spec, || {
             emit(engine(1));

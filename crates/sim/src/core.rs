@@ -1397,7 +1397,7 @@ impl Core {
     }
 
     /// Whether the store buffer still holds entries to drain. The
-    /// event-driven machine must keep stepping such a core every cycle —
+    /// dense engine must keep polling such a core every cycle —
     /// even when no thread can issue — so its background drains reach
     /// the memory system at the same cycles, in the same core order, as
     /// under per-cycle polling.

@@ -6,30 +6,22 @@
 //! the resulting [`ActivityCounters`] window is handed to the power
 //! model.
 //!
-//! The cycle loop is *event-driven*: a per-core ready calendar (min-heap
-//! over each core's `next_ready_at`) means only cores that can issue at
-//! `now` — plus cores with store-buffer drains in flight — are stepped
-//! each cycle; all other cores' per-cycle charges (`core_active_cycles`,
-//! `mem_stall_cycles`) are accrued in bulk at cached rates, which are
-//! constant over any window in which a core cannot issue. Cycles where
-//! no core can issue are fast-forwarded in one jump. This generalizes
-//! the old all-stalled-only fast-forward to the common partially-idle
-//! case (e.g. the single-tile EPI tests, where 24 of 25 cores are idle)
-//! while remaining counter-for-counter identical to the naive
-//! step-everything engine, which is kept as the hidden
-//! [`Machine::run_naive`] oracle and pinned by an equivalence property
-//! test.
+//! The cycle loop is one batched two-phase dense engine (see
+//! `run_dense_batched`). It polls only the cores that can do anything
+//! at all — a running thread or store-buffer drains in flight — and
+//! re-derives that set at every segment barrier, so a core that halts
+//! leaves the loop. Lanes run ahead locally — through L1 hits and store
+//! drains on lines their tile owns — then one ordered replay folds
+//! their deferred effects, applies their logged accesses and emits
+//! their `Retire` trace events in the naive engine's (cycle, tile)
+//! order. Cycles where no core can issue are fast-forwarded in one
+//! jump.
 //!
-//! When most live cores issue most cycles the calendar buys nothing,
-//! and the loop hands over to the one dense mode, a batched two-phase
-//! engine (see `run_dense_batched`): lanes run ahead locally — through
-//! L1 hits and store drains on lines their tile owns — then one ordered
-//! replay folds their deferred effects, applies their logged accesses
-//! and emits their `Retire` trace events in the naive engine's
-//! (cycle, tile) order.
-//! So there is one fast path and one oracle, and which mode runs
-//! depends on the machine's state alone: tracing changes what is
-//! emitted, never what is executed.
+//! The engine is counter-for-counter identical to the naive
+//! step-everything engine, which is kept as the hidden
+//! [`Machine::run_naive`] oracle and pinned by equivalence property
+//! tests. So there is one fast path and one oracle, and tracing changes
+//! what is emitted, never what is executed.
 //!
 //! The machine also exposes the chipset-side dummy-packet injector used
 //! by the NoC energy study of §IV-G (Figure 12): the real experiment
@@ -55,8 +47,6 @@
 //! assert_eq!(m.counters().issues.iter().sum::<u64>(), 2);
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use piton_arch::config::ChipConfig;
@@ -123,41 +113,6 @@ impl SwitchPattern {
     }
 }
 
-/// Cached per-core scheduling state for the event-driven engine: the
-/// charge profile of a core over a window in which it does not issue.
-///
-/// `Core::step` charges a running core one `core_active_cycles` and one
-/// `mem_stall_cycles` per memory-waiting thread every cycle. Between a
-/// core's issues, its thread states are frozen (every running thread has
-/// `busy_until` beyond the window), so both rates are constants that can
-/// be accrued in bulk without stepping the core.
-#[derive(Debug, Clone, Copy)]
-struct CoreSched {
-    /// Earliest cycle a thread of this core can issue (`None`: no
-    /// running thread).
-    ready_at: Option<u64>,
-    /// 1 if any thread is running (the per-cycle active charge).
-    active: u64,
-    /// Running threads held by a memory-system wait (the per-cycle
-    /// memory-stall charge).
-    mem_wait: u64,
-}
-
-impl CoreSched {
-    /// Snapshots a core's charge profile just after it was stepped at
-    /// `now` (or at engine start). `skew` delays the cached wakeup time
-    /// — zero in production; the test-only desync knob
-    /// ([`Machine::set_calendar_skew`]) uses it to fault-inject the
-    /// scheduler for the trace differential harness.
-    fn of(core: &Core, now: u64, skew: u64) -> Self {
-        Self {
-            ready_at: core.next_ready_at().map(|t| t.saturating_add(skew)),
-            active: u64::from(core.any_running()),
-            mem_wait: core.memory_waiting_threads(now),
-        }
-    }
-}
-
 /// Cycle-engine diagnostics: scheduler-internal tallies that are *not*
 /// part of [`ActivityCounters`] (they describe how the engine ran, not
 /// what the chip did). Exposed via [`Machine::engine_metrics`] and
@@ -168,30 +123,23 @@ impl CoreSched {
 pub struct EngineMetrics {
     /// Total `Core::step` calls (same value as [`Machine::engine_steps`]).
     pub steps: u64,
-    /// Ready-calendar heap pops, including stale (lazily-deleted) ones.
-    pub calendar_pops: u64,
-    /// Pops whose entry no longer matched the core's cached ready time.
-    pub calendar_stale_pops: u64,
-    /// Cycles driven by the event-driven calendar mode.
-    pub event_cycles: u64,
-    /// Cycles driven by the batched (phase-A/phase-B) dense mode.
+    /// Cycles driven by [`Machine::run`], the batched (phase-A/phase-B)
+    /// dense engine.
     pub batched_cycles: u64,
-    /// Batches executed by the batched dense mode (each fixes one poll
-    /// set and ends in one issue-duty check).
+    /// Segments worked off by the batched dense engine; each derives
+    /// its own poll set.
     pub batches: u64,
     /// High-water mark of deferred issues buffered by any one lane in
-    /// any segment of a batch — the effect-buffer depth phase B
-    /// replays, counting the records of runs re-armed during phase B
-    /// (measured at the segment barrier).
+    /// any segment — the effect-buffer depth phase B replays, counting
+    /// the records of runs re-armed during phase B (measured at the
+    /// segment barrier).
     pub record_hwm: u64,
     /// Cycles driven by the reference naive engine.
     pub naive_cycles: u64,
-    /// Lanes of the batched dense mode rewound because a logged owned
+    /// Lanes of the batched dense engine rewound because a logged owned
     /// access failed its check at its turn (another tile changed the
     /// line or the value first).
     pub rewinds: u64,
-    /// Mode handovers (calendar ↔ dense) within `run` calls.
-    pub handovers: u64,
     /// Histogram of cores issuing per serviced cycle (recorded only
     /// while the metrics registry is enabled).
     pub issue_duty: Histogram,
@@ -203,43 +151,34 @@ pub struct EngineMetrics {
 #[derive(Debug, Clone, Copy, Default)]
 struct PublishedMarks {
     steps: u64,
-    calendar_pops: u64,
-    calendar_stale_pops: u64,
-    event_cycles: u64,
     batched_cycles: u64,
     batches: u64,
     naive_cycles: u64,
     rewinds: u64,
-    handovers: u64,
 }
 
 /// Cycles [`Machine::run_until_halted`] runs between halt checks.
 const CHUNK_CYCLES: u64 = 1_000;
 
-/// Batch length of the batched dense engine, in cycles: the window
-/// over which the poll set stays fixed and at whose end issue duty
-/// decides whether to hand back to the calendar.
-const DENSE_BATCH_CYCLES: u64 = 4_096;
-
-/// Cycles of a batch that phase A runs ahead before phase B replays
-/// them. A batch is worked off in segments so that a lane's effect
-/// buffer holds one segment's issues (12 KB of 6-byte records), not a
-/// batch's. Long enough to amortize the per-segment lane setup and for
-/// a two-thread lane's schedule to come round within one segment
-/// (HP's recurs every 843 cycles). It does not bound how long a lane
-/// stays live: phase B re-arms a lane's local run after each live
-/// step.
+/// Cycles of a segment: phase A runs them ahead before phase B
+/// replays them, and the poll set is re-derived at each segment
+/// barrier. A lane's effect buffer holds one segment's issues (12 KB
+/// of 6-byte records). Long enough to amortize the per-segment lane
+/// setup and for a two-thread lane's schedule to come round within one
+/// segment (HP's recurs every 843 cycles). It does not bound how long
+/// a lane stays live: phase B re-arms a lane's local run after each
+/// live step.
 const DENSE_SEGMENT_CYCLES: u64 = 2_048;
 
 /// Reusable per-lane state of the batched dense engine: phase A's
 /// output (the lane's *effect buffer* of deferred issues, its log of
 /// owned memory accesses and its order-free charge aggregates) and
-/// phase B's replay cursors. Kept on the machine so the batch loop does
-/// not reallocate.
+/// phase B's replay cursors. Kept on the machine so segments do not
+/// reallocate.
 #[derive(Debug, Clone, Default)]
 struct LaneBuf {
-    /// First cycle phase A could not cover locally (== the batch start
-    /// for lanes that must be stepped from the outset).
+    /// First cycle phase A could not cover locally (== the segment
+    /// start for lanes that must be stepped from the outset).
     horizon: u64,
     /// Next unreplayed record (phase B).
     cursor: usize,
@@ -380,7 +319,7 @@ impl LaneBuf {
         self.next_due = u64::MAX;
     }
 
-    /// Phase B's turn of this lane at batch-relative cycle `rel` while
+    /// Phase B's turn of this lane at segment-relative cycle `rel` while
     /// the lane is inside its local span: if its next deferred issue
     /// falls on this cycle, folds the issue's operand activity and
     /// returns the record.
@@ -423,20 +362,17 @@ pub struct Machine {
     memsys: MemorySystem,
     act: ActivityCounters,
     now: u64,
-    /// Total `Core::step` calls made by the engine — a scheduler
-    /// diagnostic (not part of [`ActivityCounters`]): the event-driven
-    /// engine's value stays proportional to *busy* core-cycles, where
-    /// the naive engine's grows with `cores × cycles`. Promoted into
-    /// the metrics registry (as `engine.steps`) by
-    /// [`Machine::publish_metrics`].
+    /// Total `Core::step` calls made by the engine, counting each
+    /// polled lane once per processed cycle — a scheduler diagnostic
+    /// (not part of [`ActivityCounters`]): the dense engine's value
+    /// grows with the cores that can do anything, where the naive
+    /// engine's grows with `cores × cycles`. Promoted into the metrics
+    /// registry (as `engine.steps`) by [`Machine::publish_metrics`].
     engine_steps: u64,
     /// Scheduler diagnostics beyond the step count.
     emetrics: EngineMetrics,
     /// Publish watermarks (see [`Machine::publish_metrics`]).
     published: PublishedMarks,
-    /// Test-only scheduler fault: delays every ready-calendar wakeup by
-    /// this many cycles. Zero in production.
-    calendar_skew: u64,
     /// Per-lane scratch buffers of the batched dense engine.
     lane_scratch: Vec<LaneBuf>,
 }
@@ -465,7 +401,6 @@ impl Machine {
             engine_steps: 0,
             emetrics: EngineMetrics::default(),
             published: PublishedMarks::default(),
-            calendar_skew: 0,
             lane_scratch: Vec::new(),
         }
     }
@@ -560,242 +495,40 @@ impl Machine {
     /// fast-forwarded but still counted, as the clock tree still burns
     /// idle power).
     ///
-    /// Event-driven: each cycle, only cores that can issue (tracked in a
-    /// ready calendar) or that have store-buffer drains in flight are
-    /// stepped, in core order — the same order the naive engine sweeps
-    /// them — so every memory-system and NoC mutation happens in the
-    /// exact same global sequence and all counters (including the
-    /// order-dependent NoC bit-switch Hamming chains) match
-    /// [`Machine::run_naive`] exactly. Skipped cores accrue their
-    /// active/memory-stall charges in bulk at cached rates, which are
-    /// constant while a core cannot issue.
+    /// Batched dense stepping (`run_dense_batched`): the naive sweep
+    /// restricted to cores that can do anything at all (running threads
+    /// or store drains in flight; the naive engine's steps of the
+    /// others are observable no-ops), in core order — the same order
+    /// the naive engine sweeps them — so every memory-system and NoC
+    /// mutation happens in the exact same global sequence and all
+    /// counters (including the order-dependent NoC bit-switch Hamming
+    /// chains) match [`Machine::run_naive`] exactly. Tracing changes
+    /// what is emitted, never which code path runs.
     ///
-    /// Scheduler state is rebuilt per call: between calls, callers may
+    /// Engine state is rebuilt per call: between calls, callers may
     /// reload threads or mutate the memory system.
-    ///
-    /// When issue duty is high — most live cores issuing most cycles,
-    /// as in the lockstep 25-tile EPI tests — the calendar is pure
-    /// overhead, so the engine hands over to the batched dense mode
-    /// (`run_dense_batched`): the naive sweep restricted to
-    /// cores that can do anything at all (running threads or store
-    /// drains in flight; the naive engine's steps of the others are
-    /// observable no-ops). Either mode is exact, so switching between
-    /// them at any cycle boundary is too. The choice depends on the
-    /// machine's state alone — never on whether anyone is tracing.
     pub fn run(&mut self, cycles: u64) {
-        let end = self.now + cycles;
         if cycles == 0 {
             return;
         }
-        loop {
-            if trace::active() {
-                trace::emit(TraceEvent::Engine {
-                    cycle: self.now,
-                    mode: EngineMode::Calendar,
-                });
-            }
-            let entered = self.now;
-            let done = self.run_event(end);
-            self.emetrics.event_cycles += self.now - entered;
-            if done {
-                return;
-            }
-            self.emetrics.handovers += 1;
-            if trace::active() {
-                trace::emit(TraceEvent::Engine {
-                    cycle: self.now,
-                    mode: EngineMode::Dense,
-                });
-            }
-            let entered = self.now;
-            let done = self.run_dense_batched(end);
-            self.emetrics.batched_cycles += self.now - entered;
-            if done {
-                return;
-            }
-            self.emetrics.handovers += 1;
+        if trace::active() {
+            trace::emit(TraceEvent::Engine {
+                cycle: self.now,
+                mode: EngineMode::Dense,
+            });
         }
+        self.run_dense_batched(self.now + cycles);
+        self.emetrics.batched_cycles += cycles;
     }
 
-    /// Event-driven scheduling until `end` (returns `true`) or until
-    /// issue duty is high enough that dense polling is cheaper (returns
-    /// `false`).
-    #[allow(clippy::too_many_lines)]
-    fn run_event(&mut self, end: u64) -> bool {
-        // Per-core charge cache and chip-wide per-cycle rate totals.
-        let skew = self.calendar_skew;
-        let mut sched: Vec<CoreSched> = self
-            .cores
-            .iter()
-            .map(|c| CoreSched::of(c, self.now, skew))
-            .collect();
-        let mut total_active: u64 = sched.iter().map(|s| s.active).sum();
-        let mut total_mem: u64 = sched.iter().map(|s| s.mem_wait).sum();
-        // Cores that can still issue at all, and how many consecutive
-        // cycles a majority of them issued (the dense-mode trigger).
-        let mut live: usize = sched.iter().filter(|s| s.ready_at.is_some()).count();
-        let mut high_duty_streak: u32 = 0;
-
-        // Ready calendar. Lazy deletion: an entry is live iff it matches
-        // the core's current cached `ready_at`; each core has exactly one
-        // live entry (or none), stale ones are dropped when inspected.
-        let mut calendar: BinaryHeap<Reverse<(u64, usize)>> = sched
-            .iter()
-            .enumerate()
-            .filter_map(|(k, s)| s.ready_at.map(|t| Reverse((t, k))))
-            .collect();
-
-        // Cores with store-buffer entries still draining: they must be
-        // stepped every cycle even when no thread can issue, so their
-        // background drains hit the memory system at the same cycles —
-        // and in the same core order — as under the naive engine.
-        let mut draining: Vec<usize> = (0..self.cores.len())
-            .filter(|&k| self.cores[k].has_pending_stores())
-            .collect();
-
-        let mut ready: Vec<usize> = Vec::with_capacity(self.cores.len());
-        let mut serviced: Vec<usize> = Vec::with_capacity(self.cores.len());
-
-        while self.now < end {
-            if trace::active() {
-                trace::set_cycle(self.now);
-            }
-            // Earliest live calendar entry.
-            let next_ready = loop {
-                match calendar.peek() {
-                    None => break None,
-                    Some(&Reverse((t, k))) => {
-                        if sched[k].ready_at == Some(t) {
-                            break Some(t);
-                        }
-                        calendar.pop();
-                        self.emetrics.calendar_pops += 1;
-                        self.emetrics.calendar_stale_pops += 1;
-                    }
-                }
-            };
-
-            // Cores that can issue this cycle (consuming their entries).
-            ready.clear();
-            if next_ready.is_some_and(|t| t <= self.now) {
-                while let Some(&Reverse((t, k))) = calendar.peek() {
-                    if t > self.now {
-                        break;
-                    }
-                    calendar.pop();
-                    self.emetrics.calendar_pops += 1;
-                    if sched[k].ready_at == Some(t) {
-                        ready.push(k);
-                    } else {
-                        self.emetrics.calendar_stale_pops += 1;
-                    }
-                }
-                ready.sort_unstable();
-            }
-
-            serviced.clear();
-            serviced.extend_from_slice(&ready);
-            serviced.extend(draining.iter().copied());
-            serviced.sort_unstable();
-            serviced.dedup();
-
-            // Bulk-charge every core we skip at its cached rates;
-            // serviced cores charge themselves inside `step`.
-            let mut sub_active = 0;
-            let mut sub_mem = 0;
-            for &k in &serviced {
-                sub_active += sched[k].active;
-                sub_mem += sched[k].mem_wait;
-            }
-            self.act.core_active_cycles += total_active - sub_active;
-            self.act.mem_stall_cycles += total_mem - sub_mem;
-
-            let mut issued: u64 = 0;
-            for &k in &serviced {
-                issued += u64::from(self.cores[k].step(self.now, &mut self.memsys, &mut self.act));
-                self.engine_steps += 1;
-                let old = sched[k];
-                let new = CoreSched::of(&self.cores[k], self.now, skew);
-                total_active = total_active - old.active + new.active;
-                total_mem = total_mem - old.mem_wait + new.mem_wait;
-                live = live - usize::from(old.ready_at.is_some())
-                    + usize::from(new.ready_at.is_some());
-                sched[k] = new;
-                // Keep the one-live-entry calendar invariant: push when
-                // the ready time changed (the old entry, if any, went
-                // stale) or when this core's entry was consumed into
-                // `ready` this cycle.
-                if let Some(t) = new.ready_at {
-                    if new.ready_at != old.ready_at || ready.binary_search(&k).is_ok() {
-                        calendar.push(Reverse((t, k)));
-                    }
-                }
-            }
-            if !serviced.is_empty() {
-                // Drain-set membership only changes when a core steps
-                // (stores enqueue on issue, drains retire in `advance`).
-                draining.retain(|&k| self.cores[k].has_pending_stores());
-                for &k in &serviced {
-                    if self.cores[k].has_pending_stores() && !draining.contains(&k) {
-                        draining.push(k);
-                    }
-                }
-                draining.sort_unstable();
-            }
-            if issued > 0 && metrics::enabled() {
-                self.emetrics.issue_duty.observe(issued);
-            }
-
-            self.act.cycles += 1;
-            self.now += 1;
-
-            if !serviced.is_empty() {
-                // Duty tracking. High duty — a majority of the cores
-                // that can issue at all stepped this cycle — means the
-                // calendar is buying little; two such busy cycles hand
-                // over to dense polling (dead cycles between them are
-                // duty-neutral: both modes fast-forward those, so e.g.
-                // lockstep issue/stall rhythms of long-latency tests
-                // still count as saturated).
-                if serviced.len() * 2 >= live {
-                    high_duty_streak += 1;
-                    if high_duty_streak >= 2 {
-                        return false;
-                    }
-                } else {
-                    high_duty_streak = 0;
-                }
-            }
-            if ready.is_empty() {
-                // Dead cycle: no thread is ready before `next_ready`, so
-                // every running thread keeps its current wait for the
-                // whole window — charge it in bulk at the cached rates
-                // and jump (the naive engine's fast-forward, generalized;
-                // in-flight drains are timestamp-based and land
-                // unchanged).
-                let next = next_ready.unwrap_or(end).min(end).max(self.now);
-                if next > self.now {
-                    let skipped = next - self.now;
-                    self.act.cycles += skipped;
-                    self.act.core_active_cycles += skipped * total_active;
-                    self.act.mem_stall_cycles += skipped * total_mem;
-                    self.now = next;
-                }
-            }
-        }
-        true
-    }
-
-    /// Batched dense stepping until `end` (returns `true`) or until a
-    /// whole batch's issue duty is low enough that the event scheduler
-    /// is worth its rebuild (returns `false`). Counter- and
-    /// trace-exact against [`Machine::run_naive`]; only the engine
-    /// diagnostics can tell them apart.
+    /// Batched dense stepping until `end`. Counter- and trace-exact
+    /// against [`Machine::run_naive`]; only the engine diagnostics can
+    /// tell them apart.
     ///
-    /// Each batch (at most [`DENSE_BATCH_CYCLES`]) fixes the polled
-    /// lanes (cores with a running thread or drains in flight) and works
-    /// its cycles off in segments of [`DENSE_SEGMENT_CYCLES`], two
-    /// phases per segment:
+    /// The run is worked off in segments of [`DENSE_SEGMENT_CYCLES`].
+    /// Each segment re-derives the polled lanes (cores with a running
+    /// thread or drains in flight), so a core that halts or is fused off
+    /// leaves the stepping loop at the next barrier, and runs two phases:
     ///
     /// * **Phase A** — every polled core runs ahead *locally*
     ///   ([`Core::run_local`]): ALU/FP/branch cycles touch nothing
@@ -843,22 +576,22 @@ impl Machine {
     ///   already charged by phase A at the same frozen rates. A jump
     ///   that reaches its segment's end carries on in the next one, so
     ///   the segment length never shows in which cycles get processed.
-    ///
-    /// Re-deriving the poll set per batch also keeps mode hysteresis
-    /// honest on degraded dies: a core that halts or is fused off
-    /// leaves both the stepping loop and the issue-duty denominator at
-    /// the next barrier, so a heavily-fused part cannot ping-pong modes
-    /// on cores that no longer count.
     #[allow(clippy::too_many_lines)]
-    fn run_dense_batched(&mut self, end: u64) -> bool {
+    fn run_dense_batched(&mut self, end: u64) {
         let mut scratch = std::mem::take(&mut self.lane_scratch);
-        let mut reached_end = true;
         // Hoisted gates: a collector is per thread, so this thread's
         // answers cannot change while it is inside this call.
         let metrics_on = metrics::enabled();
         let tracing = trace::active();
         let trace_retire = trace::wants(SUB_RETIRE);
-        'batches: while self.now < end {
+        // Whether the last processed cycle issued nothing, so the next
+        // one starts with a fast-forward. Carried across segment ends:
+        // a jump a segment cuts short resumes, before any cycle is
+        // processed, once the next segment's records exist — segments
+        // never add a processed cycle. The poll set only shrinks within
+        // a call, and a core that leaves it has nothing left to charge.
+        let mut idle = false;
+        while self.now < end {
             let polled: Vec<usize> = (0..self.cores.len())
                 .filter(|&k| self.cores[k].any_running() || self.cores[k].has_pending_stores())
                 .collect();
@@ -868,204 +601,176 @@ impl Machine {
                 self.now = end;
                 break;
             }
-            let bend = (self.now + DENSE_BATCH_CYCLES).min(end);
             self.emetrics.batches += 1;
             if scratch.len() < polled.len() {
                 scratch.resize_with(polled.len(), LaneBuf::default);
             }
-            let mut issued_total: u64 = 0;
-            let mut processed: u64 = 0;
-            // Whether the last processed cycle issued nothing, so the
-            // next one starts with a fast-forward. Carried across
-            // segment ends: a jump a segment cuts short resumes, before
-            // any cycle is processed, once the next segment's records
-            // exist — segments never add a processed cycle.
-            let mut idle = false;
-            while self.now < bend {
-                let start = self.now;
-                let send = (start + DENSE_SEGMENT_CYCLES).min(bend);
+            let start = self.now;
+            let send = (start + DENSE_SEGMENT_CYCLES).min(end);
 
-                // Phase A: run every lane ahead locally.
-                run_lanes_ahead(
-                    &mut self.cores,
-                    &self.memsys,
-                    &polled,
-                    &mut scratch,
-                    start..send,
-                );
+            // Phase A: run every lane ahead locally.
+            run_lanes_ahead(
+                &mut self.cores,
+                &self.memsys,
+                &polled,
+                &mut scratch,
+                start..send,
+            );
 
-                // Phase B: the sequential exact replay.
-                // When every lane covered the whole segment locally
-                // without a memory access and no `Retire` events are
-                // wanted, the replay is a pure record merge: no horizon
-                // checks, no core access, nothing to emit — just each
-                // lane's next record against the cycle.
-                let merge_only = !trace_retire
-                    && scratch[..polled.len()]
-                        .iter()
-                        .all(|b| b.horizon == send && b.mem.ops().is_empty());
-                let mut c = start;
-                while c < send {
-                    if idle {
-                        // The naive fast-forward, batched: local lanes'
-                        // next event is their next deferred record (or
-                        // their frozen wake time once the buffer is dry
-                        // — provably at or beyond their horizon),
-                        // stepped lanes' is their live `next_ready_at`.
-                        // Charges cover stepped lanes only; phase A
-                        // already charged the local spans at the same
-                        // frozen rates.
-                        let mut next = send;
-                        let mut running: u64 = 0;
-                        let mut mem_waiting: u64 = 0;
-                        let mut dry = false;
-                        for (buf, &k) in scratch.iter().zip(&polled) {
-                            if c < buf.horizon {
-                                if let Some(r) = buf.records.get(buf.cursor) {
-                                    next = next.min(start + u64::from(r.offset));
-                                } else {
-                                    dry = true;
-                                    if let Some(t) = self.cores[k].next_ready_at() {
-                                        debug_assert!(
-                                            t >= buf.horizon,
-                                            "local lane wakes inside its span"
-                                        );
-                                        next = next.min(t);
-                                    }
-                                }
+            // Phase B: the sequential exact replay.
+            // When every lane covered the whole segment locally
+            // without a memory access and no `Retire` events are
+            // wanted, the replay is a pure record merge: no horizon
+            // checks, no core access, nothing to emit — just each
+            // lane's next record against the cycle.
+            let merge_only = !trace_retire
+                && scratch[..polled.len()]
+                    .iter()
+                    .all(|b| b.horizon == send && b.mem.ops().is_empty());
+            let mut c = start;
+            while c < send {
+                if idle {
+                    // The naive fast-forward, batched: local lanes'
+                    // next event is their next deferred record (or
+                    // their frozen wake time once the buffer is dry
+                    // — provably at or beyond their horizon),
+                    // stepped lanes' is their live `next_ready_at`.
+                    // Charges cover stepped lanes only; phase A
+                    // already charged the local spans at the same
+                    // frozen rates.
+                    let mut next = send;
+                    let mut running: u64 = 0;
+                    let mut mem_waiting: u64 = 0;
+                    let mut dry = false;
+                    for (buf, &k) in scratch.iter().zip(&polled) {
+                        if c < buf.horizon {
+                            if let Some(r) = buf.records.get(buf.cursor) {
+                                next = next.min(start + u64::from(r.offset));
                             } else {
-                                running += u64::from(self.cores[k].any_running());
-                                mem_waiting += self.cores[k].memory_waiting_threads(c);
+                                dry = true;
                                 if let Some(t) = self.cores[k].next_ready_at() {
+                                    debug_assert!(
+                                        t >= buf.horizon,
+                                        "local lane wakes inside its span"
+                                    );
                                     next = next.min(t);
                                 }
                             }
-                        }
-                        if next > c {
-                            let skipped = next - c;
-                            if dry {
-                                // A run that stopped mid-stall, at a
-                                // drain it could not take, leaves the
-                                // rest of the jump to be charged here.
-                                for (buf, &k) in scratch.iter().zip(&polled) {
-                                    if (c + 1..next).contains(&buf.horizon)
-                                        && buf.cursor == buf.records.len()
-                                    {
-                                        let core = &self.cores[k];
-                                        let live = next - buf.horizon;
-                                        self.act.core_active_cycles +=
-                                            live * u64::from(core.any_running());
-                                        self.act.mem_stall_cycles +=
-                                            live * core.memory_waiting_threads(buf.horizon);
-                                    }
-                                }
-                            }
-                            self.act.cycles += skipped;
-                            self.act.core_active_cycles += skipped * running;
-                            self.act.mem_stall_cycles += skipped * mem_waiting;
-                            c = next;
-                            if c == send {
-                                break;
+                        } else {
+                            running += u64::from(self.cores[k].any_running());
+                            mem_waiting += self.cores[k].memory_waiting_threads(c);
+                            if let Some(t) = self.cores[k].next_ready_at() {
+                                next = next.min(t);
                             }
                         }
                     }
-                    let mut issued: u64 = 0;
-                    #[allow(clippy::cast_possible_truncation)]
-                    let rel = (c - start) as u16;
-                    if merge_only {
-                        for buf in &mut scratch[..polled.len()] {
-                            issued += u64::from(buf.replay(rel, &mut self.act).is_some());
-                        }
-                    } else {
-                        if tracing {
-                            trace::set_cycle(c);
-                        }
-                        for (buf, &k) in scratch.iter_mut().zip(&polled) {
-                            let tile = TileId::new(k);
-                            if c >= buf.next_due
-                                && c < buf.horizon
-                                && !buf.apply_due(tile, c, &mut self.memsys, &mut self.act)
-                            {
-                                buf.rewind(&mut self.cores[k], &self.memsys, start, c);
-                                self.emetrics.rewinds += 1;
-                            }
-                            if c >= buf.horizon {
-                                let core = &mut self.cores[k];
-                                buf.unlog_pending(core);
-                                issued += u64::from(core.step(c, &mut self.memsys, &mut self.act));
-                                // Re-arm: the lane is local again from
-                                // the next cycle on, unless its next
-                                // drain must go live anyway.
-                                if c + 1 < send
-                                    && core.is_enabled()
-                                    && core.drains_locally(&self.memsys)
+                    if next > c {
+                        let skipped = next - c;
+                        if dry {
+                            // A run that stopped mid-stall, at a
+                            // drain it could not take, leaves the
+                            // rest of the jump to be charged here.
+                            for (buf, &k) in scratch.iter().zip(&polled) {
+                                if (c + 1..next).contains(&buf.horizon)
+                                    && buf.cursor == buf.records.len()
                                 {
-                                    buf.run_ahead(core, &self.memsys, start, c + 1, send);
-                                }
-                            } else if let Some(r) = buf.replay(rel, &mut self.act) {
-                                issued += 1;
-                                if let Some(op) = r.op().filter(|_| trace_retire) {
-                                    emit_retire(
-                                        c,
-                                        tile,
-                                        r.thread(),
-                                        Opcode::ALL[op],
-                                        u64::from(r.pc),
-                                    );
+                                    let core = &self.cores[k];
+                                    let live = next - buf.horizon;
+                                    self.act.core_active_cycles +=
+                                        live * u64::from(core.any_running());
+                                    self.act.mem_stall_cycles +=
+                                        live * core.memory_waiting_threads(buf.horizon);
                                 }
                             }
                         }
-                    }
-                    self.engine_steps += polled.len() as u64;
-                    if issued > 0 && metrics_on {
-                        self.emetrics.issue_duty.observe(issued);
-                    }
-                    issued_total += issued;
-                    processed += 1;
-                    self.act.cycles += 1;
-                    idle = issued == 0;
-                    c += 1;
-                }
-                self.now = c;
-
-                // The barrier: fold the order-free phase-A aggregates
-                // (all exact integers, so fold order is free), verify
-                // every effect buffer replayed to exhaustion and hand
-                // the drains whose turn lies beyond the segment back to
-                // their store buffers.
-                for (buf, &k) in scratch.iter_mut().zip(&polled) {
-                    debug_assert_eq!(buf.cursor, buf.records.len(), "unreplayed issue records");
-                    buf.unlog_pending(&mut self.cores[k]);
-                    self.emetrics.record_hwm =
-                        self.emetrics.record_hwm.max(buf.records.len() as u64);
-                    let ch = &buf.charges;
-                    self.act.core_active_cycles += ch.active;
-                    self.act.mem_stall_cycles += ch.mem_stall;
-                    self.act.dual_thread_cycles += ch.dual;
-                    self.act.drafted_issues += ch.drafted;
-                    self.act.l1i_accesses += ch.l1i;
-                    self.act.sb_enqueues += ch.sb_enqueues;
-                    for i in 0..Opcode::COUNT {
-                        self.act.issues[i] += ch.issues[i];
-                        self.act.occupancy_cycles[i] += ch.occupancy[i];
+                        self.act.cycles += skipped;
+                        self.act.core_active_cycles += skipped * running;
+                        self.act.mem_stall_cycles += skipped * mem_waiting;
+                        c = next;
+                        if c == send {
+                            break;
+                        }
                     }
                 }
+                let mut issued: u64 = 0;
+                #[allow(clippy::cast_possible_truncation)]
+                let rel = (c - start) as u16;
+                if merge_only {
+                    for buf in &mut scratch[..polled.len()] {
+                        issued += u64::from(buf.replay(rel, &mut self.act).is_some());
+                    }
+                } else {
+                    if tracing {
+                        trace::set_cycle(c);
+                    }
+                    for (buf, &k) in scratch.iter_mut().zip(&polled) {
+                        let tile = TileId::new(k);
+                        if c >= buf.next_due
+                            && c < buf.horizon
+                            && !buf.apply_due(tile, c, &mut self.memsys, &mut self.act)
+                        {
+                            buf.rewind(&mut self.cores[k], &self.memsys, start, c);
+                            self.emetrics.rewinds += 1;
+                        }
+                        if c >= buf.horizon {
+                            let core = &mut self.cores[k];
+                            buf.unlog_pending(core);
+                            issued += u64::from(core.step(c, &mut self.memsys, &mut self.act));
+                            // Re-arm: the lane is local again from
+                            // the next cycle on, unless its next
+                            // drain must go live anyway.
+                            if c + 1 < send
+                                && core.is_enabled()
+                                && core.drains_locally(&self.memsys)
+                            {
+                                buf.run_ahead(core, &self.memsys, start, c + 1, send);
+                            }
+                        } else if let Some(r) = buf.replay(rel, &mut self.act) {
+                            issued += 1;
+                            if let Some(op) = r.op().filter(|_| trace_retire) {
+                                emit_retire(c, tile, r.thread(), Opcode::ALL[op], u64::from(r.pc));
+                            }
+                        }
+                    }
+                }
+                self.engine_steps += polled.len() as u64;
+                if issued > 0 && metrics_on {
+                    self.emetrics.issue_duty.observe(issued);
+                }
+                self.act.cycles += 1;
+                idle = issued == 0;
+                c += 1;
             }
+            self.now = c;
 
-            // Whole-batch duty check against the freshly-derived lane
-            // count: sustained low duty hands back to the calendar.
-            if issued_total * 8 < polled.len() as u64 * processed && self.now < end {
-                reached_end = false;
-                break 'batches;
+            // The barrier: fold the order-free phase-A aggregates
+            // (all exact integers, so fold order is free), verify
+            // every effect buffer replayed to exhaustion and hand
+            // the drains whose turn lies beyond the segment back to
+            // their store buffers.
+            for (buf, &k) in scratch.iter_mut().zip(&polled) {
+                debug_assert_eq!(buf.cursor, buf.records.len(), "unreplayed issue records");
+                buf.unlog_pending(&mut self.cores[k]);
+                self.emetrics.record_hwm = self.emetrics.record_hwm.max(buf.records.len() as u64);
+                let ch = &buf.charges;
+                self.act.core_active_cycles += ch.active;
+                self.act.mem_stall_cycles += ch.mem_stall;
+                self.act.dual_thread_cycles += ch.dual;
+                self.act.drafted_issues += ch.drafted;
+                self.act.l1i_accesses += ch.l1i;
+                self.act.sb_enqueues += ch.sb_enqueues;
+                for i in 0..Opcode::COUNT {
+                    self.act.issues[i] += ch.issues[i];
+                    self.act.occupancy_cycles[i] += ch.occupancy[i];
+                }
             }
         }
         self.lane_scratch = scratch;
-        reached_end
     }
 
     /// The seed engine: polls every core every cycle, fast-forwarding
     /// only when *no* core can issue. Kept as the reference
-    /// implementation the event-driven [`Machine::run`] is equivalence-
+    /// implementation the batched dense [`Machine::run`] is equivalence-
     /// tested against (by the differential suites in `tests/`);
     /// both produce identical counters, cycle for cycle.
     #[doc(hidden)]
@@ -1128,8 +833,8 @@ impl Machine {
         self.engine_steps
     }
 
-    /// Cycle-engine diagnostics: calendar pops, per-mode cycle counts,
-    /// handovers and the issue-duty histogram (histogram recorded only
+    /// Cycle-engine diagnostics: per-engine cycle counts, segments,
+    /// rewinds and the issue-duty histogram (histogram recorded only
     /// while the metrics registry is enabled).
     #[must_use]
     pub fn engine_metrics(&self) -> EngineMetrics {
@@ -1141,7 +846,7 @@ impl Machine {
 
     /// Publishes this machine's engine diagnostics into this thread's
     /// `piton-obs` metrics registry (counters `engine.steps`,
-    /// `engine.calendar_pops`, … and histogram `engine.issue_duty`).
+    /// `engine.batched_cycles`, … and histogram `engine.issue_duty`).
     ///
     /// Delta-published against per-machine watermarks, so repeated
     /// calls (and the automatic call on drop) never double count. No-op
@@ -1160,18 +865,10 @@ impl Machine {
         let m = &self.emetrics;
         let w = &mut self.published;
         publish("steps", self.engine_steps, &mut w.steps);
-        publish("calendar_pops", m.calendar_pops, &mut w.calendar_pops);
-        publish(
-            "calendar_stale_pops",
-            m.calendar_stale_pops,
-            &mut w.calendar_stale_pops,
-        );
-        publish("event_cycles", m.event_cycles, &mut w.event_cycles);
         publish("batched_cycles", m.batched_cycles, &mut w.batched_cycles);
         publish("batches", m.batches, &mut w.batches);
         publish("naive_cycles", m.naive_cycles, &mut w.naive_cycles);
         publish("rewinds", m.rewinds, &mut w.rewinds);
-        publish("handovers", m.handovers, &mut w.handovers);
         if m.record_hwm > 0 {
             // A watermark, not a flow: last-write-wins gauge (the
             // registry keeps whichever machine published last; sweeps
@@ -1182,17 +879,6 @@ impl Machine {
         if duty.count > 0 {
             metrics::histogram_merge("engine.issue_duty", &duty);
         }
-    }
-
-    /// Test-only scheduler fault injection: delays every ready-calendar
-    /// wakeup by `skew` cycles, desynchronizing the event-driven engine
-    /// from [`Machine::run_naive`] without touching the naive path —
-    /// the deliberate divergence `tests/trace_differential.rs` must
-    /// localize.
-    /// Zero restores exact equivalence.
-    #[doc(hidden)]
-    pub fn set_calendar_skew(&mut self, skew: u64) {
-        self.calendar_skew = skew;
     }
 
     /// Runs until every thread halts or `max_cycles` elapse. Returns
@@ -1373,16 +1059,16 @@ mod tests {
 
     #[test]
     fn partially_idle_machine_steps_only_busy_cores() {
-        // One running core out of 25: the event-driven engine must not
-        // step the 24 idle cores, so total step calls stay bounded by
-        // the executed cycles — where the naive engine pays 25x.
+        // One running core out of 25: the dense engine must not poll
+        // the 24 idle cores, so total step calls stay bounded by the
+        // executed cycles — where the naive engine pays 25x.
         let mut event = machine();
         event.load_thread(TileId::new(7), 0, count_loop(2_000));
         event.run(20_000);
         assert!(event.retired() > 4_000, "workload ran");
         assert!(
             event.engine_steps() <= 20_000,
-            "event engine stepped idle cores: {} steps",
+            "dense engine stepped idle cores: {} steps",
             event.engine_steps()
         );
 
@@ -1410,9 +1096,9 @@ mod tests {
 
     /// Segment ends are invisible: 25 tiles in lockstep on back-to-back
     /// divides issue for one cycle and then stall together for 72, a
-    /// rhythm whose fast-forward jumps straddle the segment ends of the
-    /// batch. With all 25 cores polled, equal step counts mean the
-    /// batched engine processed exactly the naive engine's cycles.
+    /// rhythm whose fast-forward jumps straddle the segment end. With
+    /// all 25 cores polled, equal step counts mean the batched engine
+    /// processed exactly the naive engine's cycles.
     #[test]
     fn segment_ends_add_no_processed_cycles() {
         let p = Program::from_instructions(vec![
@@ -1428,8 +1114,8 @@ mod tests {
         naive.load_on_tiles(25, 0, &p);
         naive.run_naive(4_000);
         let m = batched.engine_metrics();
-        assert_eq!(m.batches, 1);
-        assert!(m.batched_cycles > DENSE_BATCH_CYCLES - DENSE_SEGMENT_CYCLES);
+        assert_eq!(m.batches, 2);
+        assert_eq!(m.batched_cycles, 4_000);
         assert_eq!(batched.engine_steps(), naive.engine_steps());
         assert_eq!(batched.counters(), naive.counters());
     }
@@ -1610,14 +1296,10 @@ mod tests {
             let em = event.engine_metrics();
             let expected: std::collections::BTreeMap<String, u64> = [
                 ("steps", em.steps),
-                ("calendar_pops", em.calendar_pops),
-                ("calendar_stale_pops", em.calendar_stale_pops),
-                ("event_cycles", em.event_cycles),
                 ("batched_cycles", em.batched_cycles),
                 ("batches", em.batches),
                 ("naive_cycles", em.naive_cycles),
                 ("rewinds", em.rewinds),
-                ("handovers", em.handovers),
             ]
             .into_iter()
             .filter(|&(_, v)| v > 0)

@@ -192,8 +192,8 @@ mod tests {
     #[test]
     fn programs_cover_scheduler_classes() {
         // Over a modest seed pool the decoder must emit memory ops and
-        // long-latency ops — the classes the calendar engine cares
-        // about.
+        // long-latency ops — the classes that decide where the dense
+        // engine's local runs stop and which cycles it fast-forwards.
         let seeds: Vec<u64> = (0..32).map(|i| mix(0xABCD, 0, i)).collect();
         let mut classes = std::collections::BTreeSet::new();
         for slot in 0..32 {

@@ -163,17 +163,16 @@ fn halted_chip_fast_forwards_instantly() {
     assert_eq!(m.counters().cycles, before + 50_000_000);
 }
 
-/// A heavily-degraded die must not ping-pong engine modes: fused-off
-/// cores (the paper's Table IV 24-core parts) and cores that halt
-/// mid-run leave the dense poll set — and with it the issue-duty
-/// denominator — at the next batch barrier. Two saturated survivors
-/// among 23 dead tiles then keep the dense engine engaged for the
-/// whole run (exactly one calendar→dense handover), where an
-/// entry-fixed 25-lane denominator would read ~2/25 duty and bounce
-/// back to the calendar indefinitely. Counters stay bit-identical to
-/// the naive engine throughout.
+/// A heavily-degraded die polls only its survivors: fused-off cores
+/// (the paper's Table IV 24-core parts) never enter the dense poll
+/// set, and cores that halt mid-run leave it at the next segment
+/// barrier. Two saturated survivors step every cycle and each of the
+/// six short-lived cores stays for at most one segment, so a halted or
+/// fused-off core that stayed polled would push the step count past
+/// its bound. Counters stay bit-identical to the naive engine
+/// throughout.
 #[test]
-fn fused_off_and_halted_cores_leave_the_issue_duty_denominator() {
+fn fused_off_and_halted_cores_leave_the_poll_set() {
     let saturated = || {
         let mut asm = Assembler::new();
         asm.movi(Reg::new(1), 0x0F0F);
@@ -218,11 +217,10 @@ fn fused_off_and_halted_cores_leave_the_issue_duty_denominator() {
         em.batched_cycles > 0,
         "a saturated survivor pair must engage the batched dense engine"
     );
-    assert_eq!(
-        em.handovers, 1,
-        "survivors must hold dense mode: fused-off/halted cores may not \
-         re-inflate the issue-duty denominator (got {} handovers)",
-        em.handovers
+    assert!(
+        em.steps <= 2 * 200_000 + 6 * 2_048,
+        "halted or fused-off cores stayed polled: {} steps",
+        em.steps
     );
 }
 

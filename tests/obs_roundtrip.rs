@@ -36,7 +36,7 @@ fn event_from_words(tag: u64, a: u64, b: u64, c: u64) -> TraceEvent {
         CacheKind::Writeback,
         CacheKind::Atomic,
     ];
-    const MODES: [EngineMode; 3] = [EngineMode::Calendar, EngineMode::Dense, EngineMode::Naive];
+    const MODES: [EngineMode; 2] = [EngineMode::Dense, EngineMode::Naive];
     const POLICIES: [&str; 3] = ["throttle-on-boot", "race-to-halt", "energy-frontier"];
     match tag % 6 {
         0 => TraceEvent::Retire {
@@ -181,7 +181,7 @@ proptest! {
     ) {
         const NAMES: [&str; 6] = [
             "engine.steps",
-            "engine.calendar_pops",
+            "engine.rewinds",
             "sweep.retries",
             "sweep.holes",
             "monitor.kept",

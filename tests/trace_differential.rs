@@ -1,4 +1,4 @@
-//! Golden-trace differential harness: the event-driven cycle engine
+//! Golden-trace differential harness: the batched dense cycle engine
 //! (`Machine::run`) and the reference per-cycle engine
 //! (`Machine::run_naive`) must produce *identical* structured trace
 //! streams over randomized programs — and when they don't, the
@@ -16,8 +16,8 @@
 //! Each seed pool prints its event count; a divergence panics with the
 //! first divergent event and context from both streams.
 //!
-//! Engine-mode events are masked out of every comparison: the two
-//! engines legitimately schedule themselves differently.
+//! Engine-mode events are masked out of every comparison: each engine
+//! names itself.
 //!
 //! The `*_microbenchmark_*` tests run the paper's Int, HP and Hist
 //! loops instead of random programs: the steady-state shapes the dense
@@ -63,7 +63,6 @@ fn differential(
     seeds: &[u64],
     slots: usize,
     chunks: &[u64],
-    skew: u64,
 ) -> (Vec<piton::obs::TraceEvent>, Vec<piton::obs::TraceEvent>) {
     let placement = testprog::placement(seeds, slots);
     let spec = diff_spec();
@@ -74,7 +73,6 @@ fn differential(
     };
     let event = capture_run(&spec, |m| {
         load(m);
-        m.set_calendar_skew(skew);
         for &chunk in chunks {
             m.run(chunk);
         }
@@ -98,7 +96,7 @@ fn engines_produce_identical_traces_on_randomized_programs() {
     .into_iter()
     .enumerate()
     {
-        let (event, naive) = differential(&seeds, 6 + pool, &[500, 2_000, 1_500], 0);
+        let (event, naive) = differential(&seeds, 6 + pool, &[500, 2_000, 1_500]);
         assert!(
             !event.is_empty(),
             "seed pool {pool}: programs emitted no events — the differential is vacuous"
@@ -110,11 +108,11 @@ fn engines_produce_identical_traces_on_randomized_programs() {
     }
 }
 
-/// A deliberately-desynced pair (calendar wakeups delayed one cycle)
-/// must produce a divergence report naming the first divergent event's
-/// cycle and tile. The program keeps issue duty sparse (`sdivx`
-/// chains, 72-cycle occupancy) so the event engine stays in calendar
-/// mode, where the skew applies.
+/// A deliberately-desynced pair must produce a divergence report naming
+/// the first divergent event's cycle and tile. The fault is in the
+/// input: the `run` side loads tile 18 one cycle after tile 6, so its
+/// whole schedule slips by a cycle, while the naive side loads both at
+/// cycle 0.
 #[test]
 fn desynced_engines_report_first_divergent_cycle_and_tile() {
     let sparse = Program::from_instructions(vec![
@@ -125,21 +123,19 @@ fn desynced_engines_report_first_divergent_cycle_and_tile() {
         Instruction::branch(Opcode::Beq, Reg::new(0), Reg::new(0), 2),
     ]);
     let spec = diff_spec();
-    let load = |m: &mut Machine| {
-        m.load_thread(TileId::new(6), 0, sparse.clone());
-        m.load_thread(TileId::new(18), 0, sparse.clone());
-    };
     let event = capture_run(&spec, |m| {
-        load(m);
-        m.set_calendar_skew(1);
-        m.run(4_000);
+        m.load_thread(TileId::new(6), 0, sparse.clone());
+        m.run(1);
+        m.load_thread(TileId::new(18), 0, sparse.clone());
+        m.run(3_999);
     });
     let naive = capture_run(&spec, |m| {
-        load(m);
+        m.load_thread(TileId::new(6), 0, sparse.clone());
+        m.load_thread(TileId::new(18), 0, sparse.clone());
         m.run_naive(4_000);
     });
     let d =
-        first_divergence(&event, &naive).expect("a skewed calendar must desynchronize the engines");
+        first_divergence(&event, &naive).expect("a slipped schedule must desynchronize the runs");
     let msg = d.to_string();
     assert!(
         msg.contains("first divergent event: cycle"),
@@ -226,11 +222,10 @@ proptest! {
         prop_assert_eq!(traced.counters(), naive.counters());
         prop_assert_eq!(batched.retired(), naive.retired());
 
-        // Batch accounting: the modal cycle attribution must cover the
-        // run exactly.
+        // Batch accounting: the batched engine drove every cycle.
         let total: u64 = chunks.iter().sum();
         let b = batched.engine_metrics();
-        prop_assert_eq!(b.event_cycles + b.batched_cycles, total);
+        prop_assert_eq!(b.batched_cycles, total);
         prop_assert!(b.batches == 0 || b.batched_cycles > 0, "batches without batched cycles");
         // Observing must not perturb: a collector changes nothing the
         // engine does, down to its own scheduling diagnostics.
@@ -242,8 +237,8 @@ proptest! {
 // --- local run-ahead exists to accelerate.                      ---
 
 /// Chunk lengths of the microbenchmark legs: one that ends inside the
-/// first batch, several whole batches, one that ends mid-segment and
-/// a long stretch of steady state.
+/// first segment, several whole segments, one that ends mid-segment
+/// and a long stretch of steady state.
 const MICRO_CHUNKS: [u64; 4] = [1_000, 10_000, 3_333, 30_000];
 
 fn micro_machine(bench: Microbenchmark, tpc: ThreadsPerCore, cores: usize) -> Machine {
