@@ -97,7 +97,7 @@ use piton_core::journal::{self, Journal};
 use piton_core::report::Hole;
 use piton_core::runner;
 use piton_core::GovernorConfig;
-use piton_obs::manifest::{HoleRecord, RunManifest, SectionRecord};
+use piton_obs::manifest::{RunManifest, SectionRecord};
 use piton_obs::metrics;
 use piton_obs::trace::{self, TraceSpec};
 
@@ -321,17 +321,7 @@ fn main() {
             "Figure 9 — voltage versus frequency",
             vf_sweep::run_with_jobs(jobs).render(),
         );
-        let mut holes = 0usize;
-        let mut hole_records: Vec<HoleRecord> = Vec::new();
-        let record_holes = |records: &mut Vec<HoleRecord>, hs: &[Hole]| {
-            records.extend(hs.iter().map(|h| HoleRecord {
-                section: h.section.clone(),
-                index: h.index,
-                point: h.point.clone(),
-                attempts: h.attempts,
-                error: h.error.clone(),
-            }));
-        };
+        let mut holes: Vec<Hole> = Vec::new();
         // Build the analytic rate library up front so each power figure
         // can run on both benches as its section comes up.
         let cal = if backend.runs_analytic() {
@@ -378,8 +368,7 @@ fn main() {
         let epi_result =
             passes.run(|bench, plan, journal| epi::run(bench, fidelity, plan, journal));
         if let Some(r) = &epi_result.cycle {
-            holes += r.holes.len();
-            record_holes(&mut hole_records, &r.holes);
+            holes.extend_from_slice(&r.holes);
             write_csv("figure11_epi.csv", r.to_csv());
         }
         comparisons.extend(epi_result.compare(compare::compare_epi));
@@ -396,8 +385,7 @@ fn main() {
         let noc_result =
             passes.run(|bench, plan, journal| noc_energy::run(bench, fidelity, plan, journal));
         if let Some(r) = &noc_result.cycle {
-            holes += r.holes.len();
-            record_holes(&mut hole_records, &r.holes);
+            holes.extend_from_slice(&r.holes);
             write_csv("figure12_noc_epf.csv", r.to_csv());
         }
         comparisons.extend(noc_result.compare(compare::compare_noc));
@@ -415,8 +403,7 @@ fn main() {
         });
         let fig13_wall = cycle.then(|| t_fig13.elapsed());
         if let Some(r) = &scaling_result.cycle {
-            holes += r.holes.len();
-            record_holes(&mut hole_records, &r.holes);
+            holes.extend_from_slice(&r.holes);
         }
         comparisons.extend(scaling_result.compare(compare::compare_core_scaling));
         let (title, body) = scaling_result.shown(
@@ -499,8 +486,7 @@ fn main() {
             let t_ds = Instant::now();
             let ds = design_space::run(cal, fidelity, plan, journal);
             let ds_wall = t_ds.elapsed();
-            holes += ds.holes.len();
-            record_holes(&mut hole_records, &ds.holes);
+            holes.extend_from_slice(&ds.holes);
             let evaluated = ds.evaluated();
             section(
                 "Design space — analytic V/f/cores/mix mega-sweep",
@@ -524,9 +510,9 @@ fn main() {
                 compare::error_table(&comparisons),
             );
         }
-        (timings, holes, hole_records, comparisons)
+        (timings, holes, comparisons)
     };
-    let (timings, holes, hole_records, comparisons) = match &trace_spec {
+    let (timings, holes, comparisons) = match &trace_spec {
         Some(spec) => {
             let (out, written) = trace::to_file(spec, run);
             match written {
@@ -604,7 +590,7 @@ fn main() {
                 points: t.stats.points as u64,
             })
             .collect(),
-        holes: hole_records,
+        holes,
         metrics: metrics::snapshot(),
     };
     if let Err(e) = std::fs::write(&manifest_path, manifest.to_json()) {
@@ -613,8 +599,11 @@ fn main() {
     }
     eprintln!("reproduce: run manifest -> {manifest_path}");
 
-    if holes > 0 {
-        eprintln!("reproduce: {holes} grid point(s) lost to faults — tables contain marked holes");
+    if !manifest.holes.is_empty() {
+        eprintln!(
+            "reproduce: {} grid point(s) lost to faults — tables contain marked holes",
+            manifest.holes.len()
+        );
         std::process::exit(1);
     }
     let over_budget: Vec<_> = comparisons.iter().filter(|c| !c.within_budget()).collect();

@@ -82,7 +82,7 @@ pub enum SabotageKind {
 /// One sabotaged grid point of a named experiment sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sabotage {
-    /// Sweep section tag (e.g. `"epi"`, `"noc"`, `"scaling"`).
+    /// Sweep section tag (one of [`KNOWN_SECTIONS`]).
     pub section: String,
     /// Grid-point index within that sweep.
     pub index: usize,
@@ -96,7 +96,7 @@ pub struct Sabotage {
 /// crash/resume path end to end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashPoint {
-    /// Sweep section tag (e.g. `"epi"`, `"noc"`, `"scaling"`).
+    /// Sweep section tag (one of [`KNOWN_SECTIONS`]).
     pub section: String,
     /// Grid-point index within that sweep.
     pub index: usize,
@@ -105,7 +105,7 @@ pub struct CrashPoint {
 /// Sweep sections that sabotage and crash entries may name. Grid-point
 /// faults only make sense on sections that run through the fault-aware
 /// sweep runner; a typo'd section would otherwise no-op silently.
-pub const KNOWN_SECTIONS: &[&str] = &["epi", "noc", "scaling"];
+pub const KNOWN_SECTIONS: &[&str] = &["epi", "noc", "scaling", "design_space"];
 
 /// A complete, deterministic fault-injection plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -335,10 +335,10 @@ impl FaultPlan {
     }
 }
 
-/// Gate called by sweep closures on sabotaged sections: panics for
-/// `kill` points (exercising the runner's `catch_unwind`) and returns a
-/// transient error for `flaky` points still inside their failing
-/// window.
+/// Gate the journaled sweep runner calls before every attempt at a grid
+/// point it computes: panics for `kill` points (exercising the runner's
+/// `catch_unwind`) and returns a transient error for `flaky` points
+/// still inside their failing window.
 ///
 /// # Errors
 ///
@@ -494,6 +494,16 @@ mod tests {
                 FaultPlan::parse(&format!("{key}={section}:0")).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn design_space_points_can_be_named() {
+        let p = FaultPlan::parse("kill=design_space:3,crash=design_space:0").unwrap();
+        assert_eq!(
+            p.sabotage_for("design_space", 3).map(|s| s.kind),
+            Some(SabotageKind::Kill)
+        );
+        assert!(p.crash_for("design_space", 0));
     }
 
     #[test]

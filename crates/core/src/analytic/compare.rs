@@ -83,7 +83,7 @@ impl FigureComparison {
 
     /// Builds a comparison from `(label, cycle, analytic, floor)`
     /// tuples (used by sweeps that compare outside this module).
-    pub fn from_points<I>(figure: &'static str, points: I) -> Self
+    pub fn with_points<I>(figure: &'static str, points: I) -> Self
     where
         I: IntoIterator<Item = (String, f64, f64, f64)>,
     {
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn a_non_finite_prediction_fails_its_budget() {
         for bad in [f64::NAN, f64::INFINITY] {
-            let cmp = FigureComparison::from_points(
+            let cmp = FigureComparison::with_points(
                 "figure_11",
                 [
                     ("nop".to_owned(), 100.0, bad, FLOOR_PJ),
@@ -333,7 +333,7 @@ mod tests {
             assert!(!cmp.within_budget(), "{bad} passed at {}", cmp.max_rel());
             assert!(!cmp.max_rel().is_finite());
         }
-        let fine = FigureComparison::from_points(
+        let fine = FigureComparison::with_points(
             "figure_11",
             [("add".to_owned(), 100.0, 100.1, FLOOR_PJ)],
         );

@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use piton_arch::error::PitonError;
 use piton_arch::units::Watts;
-use piton_board::fault::{self, FaultPlan};
+use piton_board::fault::FaultPlan;
 use piton_board::population::NamedChip;
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 
@@ -17,7 +17,7 @@ use super::Fidelity;
 use crate::bench::{Bench, ProbeKind, Rig};
 use crate::journal::Journal;
 use crate::measure::linear_fit;
-use crate::report::{render_holes, Hole, Table, HOLE_MARK};
+use crate::report::{self, render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
 
 /// One (benchmark, T/C) power-versus-cores series.
@@ -65,7 +65,7 @@ fn point_label(bench: Microbenchmark, tpc: ThreadsPerCore, cores: usize) -> Stri
 /// The canonical full-chip Figure 13 grid, 150 points: 3 benchmarks ×
 /// 2 T/C × 1..=25 cores as `(bench, tpc, cores)`, so point
 /// `(bench, tpc, cores)` sits at `bench·50 + (T/C − 1)·25 + (cores − 1)`.
-/// Its index is the point's journal index, sabotage index and seed in
+/// Its index is the point's journal index, fault-plan index and seed in
 /// every sweep, and the index the serve layer addresses.
 #[must_use]
 pub fn grid() -> Vec<(Microbenchmark, ThreadsPerCore, usize)> {
@@ -80,13 +80,14 @@ pub fn grid() -> Vec<(Microbenchmark, ThreadsPerCore, usize)> {
 }
 
 /// Computes one Figure 13 grid point on `bench` exactly as the
-/// [`run_with_cores`] sweep does — same index-derived seed, same
-/// sabotage gate — so a result computed here is bit-identical to one
-/// journaled by a full run under the same context.
+/// [`run_with_cores`] sweep does — same index-derived seed — so a
+/// result computed here is bit-identical to one journaled by a full run
+/// under the same context. `index`, `plan` and `attempt` seed the
+/// monitor faults of the measurement.
 ///
 /// # Errors
 ///
-/// Propagates injected sabotage failures and measurement errors.
+/// Propagates measurement errors.
 pub fn compute_point(
     bench: &dyn Bench,
     index: usize,
@@ -96,9 +97,6 @@ pub fn compute_point(
     attempt: u32,
 ) -> Result<f64, PitonError> {
     let &(micro, tpc, cores) = point;
-    if let Some(plan) = plan {
-        fault::sabotage_gate(plan, "scaling", index, attempt)?;
-    }
     let seed = ((index as u64) << 32) ^ u64::from(attempt);
     let work = ProbeKind::Micro(micro, tpc, cores);
     let rig = Rig::chip(NamedChip::Chip3);
@@ -147,7 +145,7 @@ pub fn run_with_cores(
         .filter_map(|(&(_, (bench, tpc, cores)), r)| {
             r.as_ref()
                 .err()
-                .map(|e| Hole::from_point("scaling", point_label(bench, tpc, cores), e))
+                .map(|e| report::hole("scaling", point_label(bench, tpc, cores), e))
         })
         .collect();
     let per_series = points.len() / 6;

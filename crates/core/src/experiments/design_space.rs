@@ -28,15 +28,15 @@ use piton_power::tech::TechModel;
 use piton_power::thermal::{Cooling, ThermalModel, ROOM_AMBIENT_C};
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 
-use piton_board::fault::{self, FaultPlan};
-use piton_obs::json::{ObjectBuilder, Value};
+use piton_board::fault::FaultPlan;
+use piton_obs::json::{self, ObjectBuilder, Value};
 
 use crate::analytic::battery::MICRO_KNOTS;
 use crate::analytic::compare::FigureComparison;
 use crate::analytic::{Calibrated, Features};
 use crate::bench::{Bench, CycleBench, ProbeKind, Rig};
 use crate::journal::{Journal, JournalPayload};
-use crate::report::{Hole, Table, ANALYTIC_MARK, HOLE_MARK};
+use crate::report::{self, render_holes, Hole, Table, ANALYTIC_MARK, HOLE_MARK};
 use crate::runner;
 
 use super::Fidelity;
@@ -133,15 +133,17 @@ pub struct DesignPoint {
 }
 
 impl JournalPayload for DesignPoint {
-    fn to_value(&self) -> Value {
+    fn to_text(&self) -> String {
         ObjectBuilder::new()
             .field("p", Value::Float(self.power_w))
             .field("e", Value::Float(self.nj_per_inst))
             .field("t", Value::Float(self.junction_c))
             .build()
+            .render()
     }
 
-    fn from_value(v: &Value) -> Result<Self, PitonError> {
+    fn from_text(text: &str) -> Result<Self, PitonError> {
+        let v = json::parse(text).map_err(PitonError::codec)?;
         let f = |key: &str| -> Result<f64, PitonError> {
             v.get(key)
                 .and_then(Value::as_f64)
@@ -249,10 +251,15 @@ pub fn mix_table(cal: &Calibrated) -> Vec<MixRow> {
     table
 }
 
-/// Evaluates one grid point against a precomputed mix row: the dynamic
-/// rail powers are junction-independent, so the warm-up fixed point
-/// only iterates the leakage term.
-fn evaluate(cal: &Calibrated, row: MixRow, p: GridPoint) -> DesignPoint {
+/// Computes one design-space grid point against its precomputed mix
+/// row, exactly as the [`run`] sweep does, so a result computed here is
+/// bit-identical to one journaled by a full run under the same context.
+/// `table` must come from [`mix_table`] for the same calibration. The
+/// dynamic rail powers are junction-independent, so the warm-up fixed
+/// point only iterates the leakage term.
+#[must_use]
+pub fn compute_point(cal: &Calibrated, table: &[MixRow], p: GridPoint) -> DesignPoint {
+    let row = table[(p.mix * CORE_STEPS) + (p.cores - 1)];
     let corner = NamedChip::Chip3.corner();
     let op0 = OperatingPoint::table_iii()
         .with_vdd_tracked(p.vdd)
@@ -273,33 +280,6 @@ fn evaluate(cal: &Calibrated, row: MixRow, p: GridPoint) -> DesignPoint {
     }
 }
 
-/// Computes one design-space grid point exactly as the [`run`] sweep
-/// does — same mix-table lookup, same sabotage gate — so a result
-/// computed here is bit-identical to one journaled by a full run under
-/// the same context. `table` must come from [`mix_table`] for the same
-/// calibration.
-///
-/// # Errors
-///
-/// Propagates injected sabotage failures from the fault plan.
-pub fn compute_point(
-    cal: &Calibrated,
-    table: &[MixRow],
-    index: usize,
-    p: GridPoint,
-    plan: Option<&FaultPlan>,
-    attempt: u32,
-) -> Result<DesignPoint, PitonError> {
-    if let Some(plan) = plan {
-        fault::sabotage_gate(plan, "design_space", index, attempt)?;
-    }
-    Ok(evaluate(
-        cal,
-        table[(p.mix * CORE_STEPS) + (p.cores - 1)],
-        p,
-    ))
-}
-
 /// Runs the mega-sweep with the analytic backend under an optional
 /// fault plan, serving and recording points through an optional result
 /// journal.
@@ -318,7 +298,7 @@ pub fn run(
         "design_space",
         plan,
         journal,
-        |index, &p, attempt| compute_point(cal, &table, index, p, plan, attempt),
+        |_, &p, _| Ok(compute_point(cal, &table, p)),
     );
     let holes = grid
         .iter()
@@ -326,7 +306,7 @@ pub fn run(
         .filter_map(|(p, r)| {
             r.as_ref()
                 .err()
-                .map(|e| Hole::from_point("design_space", p.label(), e))
+                .map(|e| report::hole("design_space", p.label(), e))
         })
         .collect();
     DesignSpaceResult {
@@ -410,7 +390,7 @@ impl DesignSpaceResult {
             ),
             None => "best efficiency: no points evaluated".to_owned(),
         };
-        format!("{}\n{best}\n", t.render())
+        format!("{}\n{best}\n{}", t.render(), render_holes(&self.holes))
     }
 }
 
@@ -447,10 +427,10 @@ pub fn cycle_oracle(cal: &Calibrated, fidelity: Fidelity) -> FigureComparison {
             cores,
             mix,
         };
-        let analytic = evaluate(cal, table[(mix * CORE_STEPS) + (cores - 1)], p);
+        let analytic = compute_point(cal, &table, p);
         (p.label(), cycle_w, analytic.power_w)
     });
-    FigureComparison::from_points(
+    FigureComparison::with_points(
         "design_space",
         compared
             .into_iter()
@@ -485,7 +465,6 @@ mod tests {
             nj_per_inst: 1.75,
             junction_c: 47.5,
         };
-        let v = p.to_value();
-        assert_eq!(DesignPoint::from_value(&v).unwrap(), p);
+        assert_eq!(DesignPoint::from_text(&p.to_text()).unwrap(), p);
     }
 }

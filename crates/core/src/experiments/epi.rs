@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use piton_arch::error::PitonError;
 use piton_arch::isa::{Opcode, OperandPattern};
 use piton_arch::units::Watts;
-use piton_board::fault::{self, FaultPlan};
+use piton_board::fault::FaultPlan;
 use piton_board::population::NamedChip;
 use piton_workloads::epi::{EpiCase, StoreVariant, STX_DRAIN_NOPS};
 
@@ -20,7 +20,7 @@ use super::Fidelity;
 use crate::bench::{Bench, ProbeKind, Rig};
 use crate::journal::Journal;
 use crate::measure::{epi_with_error, WithError};
-use crate::report::{render_holes, Hole, Table, HOLE_MARK};
+use crate::report::{self, render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
 
 /// EPI of one case under each operand pattern (pJ).
@@ -162,9 +162,6 @@ pub fn run_cases(
         plan,
         journal,
         |index, &(case, pattern), attempt| {
-            if let Some(plan) = plan {
-                fault::sabotage_gate(plan, "epi", index, attempt)?;
-            }
             if case == EpiCase::Plain(Opcode::Nop) {
                 Ok(nop_epi)
             } else {
@@ -187,7 +184,7 @@ pub fn run_cases(
         .filter_map(|(&(case, pattern), r)| {
             r.as_ref()
                 .err()
-                .map(|e| Hole::from_point("epi", point_label(case, pattern), e))
+                .map(|e| report::hole("epi", point_label(case, pattern), e))
         })
         .collect();
     let rows = cases
@@ -275,7 +272,7 @@ impl EpiResult {
                 r.at(p).map_or_else(
                     || {
                         let label = format!("{}/{p}", r.label);
-                        if self.holes.iter().any(|h| h.covers(&label)) {
+                        if self.holes.iter().any(|h| h.point == label) {
                             HOLE_MARK.to_owned()
                         } else {
                             "-".to_owned()

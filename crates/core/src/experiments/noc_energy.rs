@@ -10,9 +10,8 @@
 
 use std::sync::Mutex;
 
-use piton_arch::error::PitonError;
 use piton_arch::units::{Hertz, Watts};
-use piton_board::fault::{self, FaultPlan};
+use piton_board::fault::FaultPlan;
 use piton_power::ChipCorner;
 use piton_sim::machine::SwitchPattern;
 
@@ -20,7 +19,7 @@ use super::Fidelity;
 use crate::bench::{Bench, Rig};
 use crate::journal::Journal;
 use crate::measure::{epf_pj, linear_fit};
-use crate::report::{render_holes, Hole, Table, HOLE_MARK};
+use crate::report::{self, render_holes, Hole, Table, HOLE_MARK};
 use crate::runner;
 
 /// EPF series for one switching pattern.
@@ -74,27 +73,17 @@ pub fn grid() -> Vec<(usize, SwitchPattern, usize)> {
 }
 
 /// Computes one Figure 12 grid point on `bench` exactly as the [`run`]
-/// sweep does — same per-pattern seed, same sabotage gate — so a result
-/// computed here is bit-identical to one journaled by a full run under
-/// the same context.
-///
-/// # Errors
-///
-/// Propagates injected sabotage failures from the fault plan.
+/// sweep does — same per-pattern seed — so a result computed here is
+/// bit-identical to one journaled by a full run under the same context.
+#[must_use]
 pub fn compute_point(
     bench: &dyn Bench,
-    index: usize,
     point: &(usize, SwitchPattern, usize),
     fidelity: Fidelity,
-    plan: Option<&FaultPlan>,
-    attempt: u32,
-) -> Result<Watts, PitonError> {
+) -> Watts {
     let &(i, pattern, hops) = point;
-    if let Some(plan) = plan {
-        fault::sabotage_gate(plan, "noc", index, attempt)?;
-    }
     let rig = Rig::new(ChipCorner::typical(), 0xE0 + i as u64);
-    Ok(bench.traffic_power(&rig, pattern, hops, fidelity))
+    bench.traffic_power(&rig, pattern, hops, fidelity)
 }
 
 /// Runs the Figure 12 sweep on `bench` under an optional fault plan,
@@ -115,7 +104,7 @@ pub fn run(
         "noc",
         plan,
         journal,
-        |index, point, attempt| compute_point(bench, index, point, fidelity, plan, attempt),
+        |_, point, _| Ok(compute_point(bench, point, fidelity)),
     );
 
     let mut holes = Vec::new();
@@ -132,7 +121,7 @@ pub fn run(
                         match r {
                             Ok(p) => points.push((hops, epf_pj(*p, *base, f))),
                             Err(e) => {
-                                holes.push(Hole::from_point("noc", point_label(pattern, hops), e));
+                                holes.push(report::hole("noc", point_label(pattern, hops), e));
                             }
                         }
                     }
@@ -140,7 +129,7 @@ pub fn run(
                 Err(e) => {
                     // Without the hop-0 baseline nothing in the series
                     // can be normalized: hole every cell.
-                    holes.push(Hole::from_point("noc", point_label(pattern, 0), e));
+                    holes.push(report::hole("noc", point_label(pattern, 0), e));
                     for hops in 1..=8usize {
                         holes.push(Hole {
                             section: "noc".to_owned(),
@@ -208,7 +197,7 @@ impl NocEnergyResult {
                     .map_or_else(
                         || {
                             let point = format!("{label} hop {h}");
-                            if self.holes.iter().any(|hole| hole.covers(&point)) {
+                            if self.holes.iter().any(|hole| hole.point == point) {
                                 HOLE_MARK.to_owned()
                             } else {
                                 "-".to_owned()

@@ -14,7 +14,9 @@
 //! an uninterrupted one.
 //!
 //! A journal belongs to whoever opened it (`reproduce`, a test, the
-//! serve cache) and is lent to sweeps as `Option<&Mutex<Journal>>`.
+//! serve cache) and is lent to sweeps as `Option<&Mutex<Journal>>`. A
+//! payload is its point-line text ([`JournalPayload`]); the serve layer
+//! keeps it as a `String`, so a served point is its stored bytes.
 //!
 //! # File format
 //!
@@ -202,24 +204,13 @@ pub fn point_key(context: &str, section: &str, index: usize) -> u64 {
     fnv64_extend(h, context.as_bytes())
 }
 
-/// A sweep result that can ride in a journal point line. Implementations
-/// must round-trip *exactly* (the JSON writer renders `f64` in
-/// shortest-round-trip form, so bit-exactness holds for finite values
-/// and the tagged string forms cover the rest).
+/// A sweep result that can ride in a journal point line, as its text.
+/// Implementations must round-trip *exactly* (the JSON writer renders
+/// `f64` in shortest-round-trip form, so bit-exactness holds for finite
+/// values and the tagged string forms cover the rest).
 pub trait JournalPayload: Sized {
-    /// Encodes the payload as a JSON value.
-    fn to_value(&self) -> Value;
-    /// Decodes a payload encoded by [`JournalPayload::to_value`].
-    ///
-    /// # Errors
-    ///
-    /// [`PitonError::Codec`] when the value has the wrong shape.
-    fn from_value(v: &Value) -> Result<Self, PitonError>;
-
-    /// The payload's point-line text: its value's canonical JSON.
-    fn to_text(&self) -> String {
-        self.to_value().render()
-    }
+    /// The payload's point-line text: its canonical JSON.
+    fn to_text(&self) -> String;
 
     /// Decodes a point-line text written by [`JournalPayload::to_text`].
     ///
@@ -227,15 +218,24 @@ pub trait JournalPayload: Sized {
     ///
     /// [`PitonError::Codec`] when the text is not JSON of the right
     /// shape.
+    fn from_text(text: &str) -> Result<Self, PitonError>;
+}
+
+/// Stored text passes through unparsed: a served point is its stored
+/// bytes, and a computed one is rendered once.
+impl JournalPayload for String {
+    fn to_text(&self) -> String {
+        self.clone()
+    }
+
     fn from_text(text: &str) -> Result<Self, PitonError> {
-        Self::from_value(&json::parse(text).map_err(PitonError::codec)?)
+        Ok(text.to_owned())
     }
 }
 
-fn f64_to_value(v: f64) -> Value {
-    // `Value::Float` renders NaN/inf as tagged strings already; keep
-    // the payload total by accepting them back below.
-    Value::Float(v)
+/// Parses a point-line text as JSON.
+fn parse_payload(text: &str) -> Result<Value, PitonError> {
+    json::parse(text).map_err(PitonError::codec)
 }
 
 fn f64_from_value(v: &Value) -> Result<f64, PitonError> {
@@ -255,44 +255,48 @@ fn f64_from_value(v: &Value) -> Result<f64, PitonError> {
     }
 }
 
+// `Value::Float` renders NaN/inf as tagged strings; `f64_from_value`
+// accepts them back, so the payload is total.
 impl JournalPayload for f64 {
-    fn to_value(&self) -> Value {
-        f64_to_value(*self)
+    fn to_text(&self) -> String {
+        Value::Float(*self).render()
     }
 
-    fn from_value(v: &Value) -> Result<Self, PitonError> {
-        f64_from_value(v)
+    fn from_text(text: &str) -> Result<Self, PitonError> {
+        f64_from_value(&parse_payload(text)?)
     }
 }
 
 impl JournalPayload for Watts {
-    fn to_value(&self) -> Value {
-        f64_to_value(self.0)
+    fn to_text(&self) -> String {
+        self.0.to_text()
     }
 
-    fn from_value(v: &Value) -> Result<Self, PitonError> {
-        f64_from_value(v).map(Watts)
+    fn from_text(text: &str) -> Result<Self, PitonError> {
+        f64::from_text(text).map(Watts)
     }
 }
 
 impl JournalPayload for WithError {
-    fn to_value(&self) -> Value {
+    fn to_text(&self) -> String {
         ObjectBuilder::new()
-            .field("v", f64_to_value(self.value))
-            .field("e", f64_to_value(self.error))
+            .field("v", Value::Float(self.value))
+            .field("e", Value::Float(self.error))
             .build()
+            .render()
     }
 
-    fn from_value(v: &Value) -> Result<Self, PitonError> {
+    fn from_text(text: &str) -> Result<Self, PitonError> {
+        let v = parse_payload(text)?;
+        let field = |key: &str| {
+            f64_from_value(
+                v.get(key)
+                    .ok_or_else(|| PitonError::codec(format!("payload missing '{key}'")))?,
+            )
+        };
         Ok(WithError {
-            value: f64_from_value(
-                v.get("v")
-                    .ok_or_else(|| PitonError::codec("payload missing 'v'"))?,
-            )?,
-            error: f64_from_value(
-                v.get("e")
-                    .ok_or_else(|| PitonError::codec("payload missing 'e'"))?,
-            )?,
+            value: field("v")?,
+            error: field("e")?,
         })
     }
 }
@@ -734,9 +738,8 @@ impl Journal {
             .any(|s| s.name == section && s.get(index).is_some())
     }
 
-    /// Looks up a completed point's payload text — the canonical JSON
-    /// of the [`Value`] it was recorded with — counting a successful hit
-    /// as served.
+    /// Looks up a completed point's payload text — the text it was
+    /// recorded with — counting a successful hit as served.
     pub fn serve(&mut self, section: &str, index: usize) -> Option<&str> {
         let payload = self
             .sections
@@ -838,7 +841,7 @@ mod tests {
     /// A served point decoded as `T`.
     fn served<T: JournalPayload>(j: &mut Journal, section: &str, index: usize) -> Option<T> {
         let text = j.serve(section, index)?;
-        Some(T::from_value(&json::parse(text).unwrap()).unwrap())
+        Some(T::from_text(text).unwrap())
     }
 
     /// `json` framed under its own checksum, spelled out.
@@ -872,19 +875,19 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut j = Journal::open(&path, "ctx-a").unwrap();
-            j.record(
+            j.record_text(
                 "epi",
                 0,
                 &WithError {
                     value: 1.25,
                     error: 0.5,
                 }
-                .to_value(),
+                .to_text(),
             )
             .unwrap();
-            j.record("noc", 3, &Watts(0.123_456_789).to_value())
+            j.record_text("noc", 3, &Watts(0.123_456_789).to_text())
                 .unwrap();
-            j.record("scaling", 7, &2.5f64.to_value()).unwrap();
+            j.record_text("scaling", 7, &2.5f64.to_text()).unwrap();
             j.sync().unwrap();
             assert_eq!(j.stats().appended, 3);
         }
@@ -917,13 +920,12 @@ mod tests {
         {
             let mut j = Journal::open(&path, CTX).unwrap();
             for (section, index, v) in points {
-                j.record(section, index, &v.to_value()).unwrap();
+                j.record_text(section, index, &v.to_text()).unwrap();
             }
             j.sync().unwrap();
         }
-        let point = |section: &str, index: usize, v: f64| {
-            point_line(CTX, section, index, &v.to_value().render())
-        };
+        let point =
+            |section: &str, index: usize, v: f64| point_line(CTX, section, index, &v.to_text());
         let want = [
             header_line(CTX),
             run_line("noc", 0),
@@ -953,7 +955,7 @@ mod tests {
         let path = temp_path("tail");
         let _ = std::fs::remove_file(&path);
         let mut j = Journal::open(&path, CTX).unwrap();
-        j.record("noc", 3, &0.5f64.to_value()).unwrap();
+        j.record_text("noc", 3, &0.5f64.to_text()).unwrap();
         // (section, index, whether a run line comes first), each after
         // the one before it.
         for (section, index, run) in [
@@ -967,13 +969,13 @@ mod tests {
         ] {
             let before = std::fs::metadata(&path).unwrap().len() as usize;
             let v = index as f64 + 0.25;
-            j.record(section, index, &v.to_value()).unwrap();
+            j.record_text(section, index, &v.to_text()).unwrap();
             let added = std::fs::read_to_string(&path).unwrap()[before..].to_owned();
             let mut want = String::new();
             if run {
                 want.push_str(&run_line(section, index));
             }
-            want.push_str(&point_line(CTX, section, index, &v.to_value().render()));
+            want.push_str(&point_line(CTX, section, index, &v.to_text()));
             assert_eq!(added, want, "{section}:{index}");
         }
         let _ = std::fs::remove_file(&path);
@@ -985,9 +987,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut j = Journal::open(&path, "ctx").unwrap();
-            j.record("noc", 0, &1.5f64.to_value()).unwrap();
-            j.record("noc", 1, &2.5f64.to_value()).unwrap();
-            j.record("noc", 0, &3.5f64.to_value()).unwrap();
+            j.record_text("noc", 0, &1.5f64.to_text()).unwrap();
+            j.record_text("noc", 1, &2.5f64.to_text()).unwrap();
+            j.record_text("noc", 0, &3.5f64.to_text()).unwrap();
             j.sync().unwrap();
         }
         {
@@ -996,7 +998,7 @@ mod tests {
             assert_eq!(j.serve("noc", 0), Some("3.5"));
             assert_eq!(j.serve("noc", 1), Some("2.5"));
             // Once more, continuing the run recovery ended in.
-            j.record("noc", 1, &4.5f64.to_value()).unwrap();
+            j.record_text("noc", 1, &4.5f64.to_text()).unwrap();
             j.sync().unwrap();
         }
         let mut j = Journal::open(&path, "ctx").unwrap();
@@ -1015,13 +1017,14 @@ mod tests {
         {
             let mut j = Journal::open(&path, CTX).unwrap();
             for i in 0..5usize {
-                j.record("noc", i, &(i as f64 + 0.5).to_value()).unwrap();
+                j.record_text("noc", i, &(i as f64 + 0.5).to_text())
+                    .unwrap();
             }
             j.sync().unwrap();
         }
         let whole = std::fs::read_to_string(&path).unwrap();
         let lost: Vec<String> = (3..5usize)
-            .map(|i| point_line(CTX, "noc", i, &(i as f64 + 0.5).to_value().render()))
+            .map(|i| point_line(CTX, "noc", i, &(i as f64 + 0.5).to_text()))
             .collect();
         // Cut inside point 3's line: points 0-2 and their run stay.
         let cut = whole.len() - lost[1].len() - 3;
@@ -1031,7 +1034,8 @@ mod tests {
         assert_eq!(j.stats().torn as usize, lost[0].len() - 3);
         for (i, line) in (3..5usize).zip(&lost) {
             let before = std::fs::metadata(&path).unwrap().len() as usize;
-            j.record("noc", i, &(i as f64 + 0.5).to_value()).unwrap();
+            j.record_text("noc", i, &(i as f64 + 0.5).to_text())
+                .unwrap();
             let added = std::fs::read_to_string(&path).unwrap()[before..].to_owned();
             assert_eq!(&added, line, "noc:{i}");
         }
@@ -1099,7 +1103,7 @@ mod tests {
         {
             let mut j = Journal::open(&path, "ctx").unwrap();
             for i in 0..8usize {
-                j.record("scaling", i, &(i as f64 * 0.25).to_value())
+                j.record_text("scaling", i, &(i as f64 * 0.25).to_text())
                     .unwrap();
             }
             j.sync().unwrap();
@@ -1136,7 +1140,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut j = Journal::open(&path, "ctx").unwrap();
-            j.record("epi", 0, &1.0f64.to_value()).unwrap();
+            j.record_text("epi", 0, &1.0f64.to_text()).unwrap();
             j.sync().unwrap();
         }
         let clean_len = std::fs::metadata(&path).unwrap().len();
@@ -1147,7 +1151,7 @@ mod tests {
             let mut j = Journal::open(&path, "ctx").unwrap();
             assert_eq!(j.stats().recovered, 1);
             assert_eq!(j.stats().torn, 5);
-            j.record("epi", 1, &2.0f64.to_value()).unwrap();
+            j.record_text("epi", 1, &2.0f64.to_text()).unwrap();
             j.sync().unwrap();
         }
         assert!(std::fs::metadata(&path).unwrap().len() > clean_len);
@@ -1163,7 +1167,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut j = Journal::open(&path, "quick|fault=none").unwrap();
-            j.record("epi", 0, &1.0f64.to_value()).unwrap();
+            j.record_text("epi", 0, &1.0f64.to_text()).unwrap();
             j.sync().unwrap();
         }
         let err = Journal::open(&path, "full|fault=none").unwrap_err();
@@ -1235,8 +1239,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut j = Journal::open(&path, CTX).unwrap();
-            j.record("noc", 0, &1.5f64.to_value()).unwrap();
-            j.record("noc", 1, &2.5f64.to_value()).unwrap();
+            j.record_text("noc", 0, &1.5f64.to_text()).unwrap();
+            j.record_text("noc", 1, &2.5f64.to_text()).unwrap();
             j.sync().unwrap();
         }
         let clean = std::fs::read(&path).unwrap();
@@ -1322,10 +1326,10 @@ mod tests {
     /// names hold `"`, `\\` and `é`; one payload is NaN and one index
     /// is the last of the `design_space` grid. `epi` 0 comes after
     /// `epi` 1, which is then recorded again, so run lines sit mid-file.
-    fn damage_appends() -> [(&'static str, usize, Value); 6] {
+    fn damage_appends() -> [(&'static str, usize, String); 6] {
         [
-            ("noc", 3, 0.75f64.to_value()),
-            ("epi", 1, (-2.0f64).to_value()),
+            ("noc", 3, 0.75f64.to_text()),
+            ("epi", 1, (-2.0f64).to_text()),
             (
                 "epi",
                 0,
@@ -1333,11 +1337,11 @@ mod tests {
                     value: 1.25,
                     error: 0.5,
                 }
-                .to_value(),
+                .to_text(),
             ),
-            ("epi", 1, 4.5f64.to_value()),
-            ("dé\"s\\", 7, f64::NAN.to_value()),
-            ("design_space", 104_999, 3.5e-9f64.to_value()),
+            ("epi", 1, 4.5f64.to_text()),
+            ("dé\"s\\", 7, f64::NAN.to_text()),
+            ("design_space", 104_999, 3.5e-9f64.to_text()),
         ]
     }
 
@@ -1349,7 +1353,7 @@ mod tests {
         let mut j = Journal::open(path, context).unwrap();
         let mut lines = vec![(std::fs::metadata(path).unwrap().len() as usize, None)];
         for (n, (section, index, payload)) in damage_appends().iter().enumerate() {
-            j.record(section, *index, payload).unwrap();
+            j.record_text(section, *index, payload).unwrap();
             let bytes = std::fs::read(path).unwrap();
             let start = lines.last().unwrap().0;
             let added: Vec<usize> = bytes[start..]
@@ -1387,7 +1391,7 @@ mod tests {
             let Some(n) = n else { continue };
             let (section, index, payload) = &appends[n];
             want.retain(|(point, _)| *point != (*section, *index));
-            want.push(((section, *index), payload.render()));
+            want.push(((section, *index), payload.clone()));
         }
         let mut j = Journal::open(path, context).unwrap();
         assert_eq!(j.stats().recovered as usize, want.len(), "{what}");
@@ -1450,12 +1454,12 @@ mod tests {
         let whole_path = temp_path("cut-append-whole");
         let (clean, lines) = damage_file(&path, CTX);
         let appends = damage_appends();
-        let extra = ("epi", 2, 4.5f64.to_value());
+        let extra = ("epi", 2, 4.5f64.to_text());
         // A journal that recorded every append, then the extra point.
         let whole = {
             let (_, _) = damage_file(&whole_path, CTX);
             let mut j = Journal::open(&whole_path, CTX).unwrap();
-            j.record(extra.0, extra.1, &extra.2).unwrap();
+            j.record_text(extra.0, extra.1, &extra.2).unwrap();
             j.sync().unwrap();
             std::fs::read(&whole_path).unwrap()
         };
@@ -1470,7 +1474,7 @@ mod tests {
                 // Append the lost points again, then the extra one.
                 let mut j = Journal::open(&path, CTX).unwrap();
                 for (section, index, payload) in appends[kept..].iter().chain([&extra]) {
-                    j.record(section, *index, payload).unwrap();
+                    j.record_text(section, *index, payload).unwrap();
                 }
                 j.sync().unwrap();
             }
@@ -1479,8 +1483,11 @@ mod tests {
             assert_eq!(j.stats().recovered, 6, "cut={cut}");
             for n in [0, 2, 3, 4, 5] {
                 let (section, index, payload) = &appends[n];
-                let want = payload.render();
-                assert_eq!(j.serve(section, *index), Some(want.as_str()), "cut={cut}");
+                assert_eq!(
+                    j.serve(section, *index),
+                    Some(payload.as_str()),
+                    "cut={cut}"
+                );
             }
             assert_eq!(j.serve("epi", 2), Some("4.5"), "cut={cut}");
             // The appends continue the kept file exactly as the
@@ -1506,8 +1513,7 @@ mod tests {
     #[test]
     fn payloads_round_trip_non_finite_values() {
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e-300] {
-            let enc = v.to_value();
-            let back = f64::from_value(&json::parse(&enc.render()).unwrap()).unwrap();
+            let back = f64::from_text(&v.to_text()).unwrap();
             assert!(back == v || (back.is_nan() && v.is_nan()), "{v} -> {back}");
         }
     }
@@ -1534,7 +1540,7 @@ mod tests {
                 {
                     let mut j = Journal::open(&path, "prop-ctx").unwrap();
                     for (i, &v) in values.iter().enumerate() {
-                        j.record("noc", i, &v.to_value()).unwrap();
+                        j.record_text("noc", i, &v.to_text()).unwrap();
                     }
                     j.sync().unwrap();
                 }

@@ -151,40 +151,18 @@ impl std::fmt::Display for Table {
     }
 }
 
-/// A sweep grid point that failed permanently (every retry exhausted or
-/// a non-transient error) and is rendered as an explicit hole rather
-/// than silently dropped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hole {
-    /// Sweep section tag (`"epi"`, `"noc"`, `"scaling"`).
-    pub section: String,
-    /// Grid-point index within that sweep.
-    pub index: usize,
-    /// Human-readable point label (matches the table cell it holes).
-    pub point: String,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// The final panic or error message.
-    pub error: String,
-}
+pub use piton_obs::manifest::Hole;
 
-impl Hole {
-    /// Builds a hole from a failed sweep point.
-    #[must_use]
-    pub fn from_point(section: &str, point: String, e: &PointError) -> Self {
-        Self {
-            section: section.to_owned(),
-            index: e.index,
-            point,
-            attempts: e.attempts,
-            error: e.failure.to_string(),
-        }
-    }
-
-    /// Whether this hole covers the named point label.
-    #[must_use]
-    pub fn covers(&self, point: &str) -> bool {
-        self.point == point
+/// The hole a failed sweep point leaves: `point` is the label of the
+/// table cell it holes.
+#[must_use]
+pub fn hole(section: &str, point: String, e: &PointError) -> Hole {
+    Hole {
+        section: section.to_owned(),
+        index: e.index,
+        point,
+        attempts: e.attempts,
+        error: e.failure.to_string(),
     }
 }
 

@@ -12,9 +12,11 @@
 //!
 //! [`try_sweep`] adds per-point fault isolation and retries, and
 //! [`try_sweep_journaled`] makes a sweep durable: it is the one code
-//! path that serves, computes, commits, fsyncs and crash-aborts a
-//! journaled point, for `reproduce --journal` and for every
-//! `piton-serve` shard alike.
+//! path that serves, fault-gates, computes, commits, fsyncs and
+//! crash-aborts a journaled point, for `reproduce --journal` and for
+//! every `piton-serve` shard alike. A section hands it only its grid
+//! and a compute closure; payloads travel as their journal text
+//! ([`JournalPayload`]).
 //!
 //! Workers enter the calling thread's [`piton_obs::Scope`], so their
 //! trace events and metrics reach the run that called the sweep.
@@ -37,7 +39,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use piton_arch::error::PitonError;
-use piton_board::fault::FaultPlan;
+use piton_board::fault::{self, FaultPlan};
 use piton_obs::trace::{JournalKind, TraceEvent};
 use piton_obs::{metrics, trace};
 
@@ -300,17 +302,21 @@ fn note_point_metrics(attempt: u32, holed: bool) {
 /// sweep, behind `reproduce --journal` and every `piton-serve` shard.
 ///
 /// Items arrive as `(grid index, item)` in ascending index order. The
-/// grid index is the point's journal index, the index `f` sees (its
-/// sabotage gate and seed) and [`PointError::index`]. One call runs in
+/// grid index is the point's journal index, its index in the fault
+/// plan, the index `f` sees and [`PointError::index`]. One call runs in
 /// three steps:
 ///
 /// 1. **Partition.** Under one lock hold on the calling thread, every
 ///    point the journal holds is served from it
-///    ([`JournalPayload::from_text`]), skipping `f` and with it every
-///    sabotage gate and retry.
+///    ([`JournalPayload::from_text`]), skipping the fault gate, `f` and
+///    every retry.
 /// 2. **Compute.** The misses run as in [`try_sweep`] (default
 ///    [`RetryPolicy`]) on up to `jobs` workers, one per miss at most,
-///    with the lock released.
+///    with the lock released. Every attempt first passes the plan's
+///    [`fault::sabotage_gate`] for `section`, then calls `f`: a `kill=`
+///    point panics on every attempt and becomes a hole without `f`
+///    running, and a `flaky=` point reaches `f` once its failing
+///    attempts are spent.
 /// 3. **Commit.** A computed point is appended as soon as every point
 ///    before it in the call has finished, so the file grows in index
 ///    order while the sweep runs and a killed process keeps every point
@@ -376,13 +382,19 @@ where
             failed: None,
         })
     });
+    let gated = |idx: usize, item: &I, attempt: u32| {
+        if let Some(plan) = plan {
+            fault::sabotage_gate(plan, section, idx, attempt)?;
+        }
+        f(idx, item, attempt)
+    };
     let crash = AtomicUsize::new(usize::MAX);
     let mut out = sweep(jobs.min(misses), points, |pos, (idx, point)| {
         let item = match point {
             Ok(hit) => return Ok(hit),
             Err(item) => item,
         };
-        let (attempt, out) = run_point(idx, &item, RetryPolicy::default(), &f);
+        let (attempt, out) = run_point(idx, &item, RetryPolicy::default(), &gated);
         note_point_metrics(attempt, out.is_err());
         if out.is_ok() && plan.is_some_and(|p| p.crash_for(section, idx)) {
             crash.fetch_min(idx, Ordering::Relaxed);
@@ -679,6 +691,37 @@ mod tests {
     }
 
     #[test]
+    fn journaled_sweep_gates_every_attempt_before_f() {
+        // `kill=` panics in the gate on every attempt, so point 2 is a
+        // hole `f` never saw; `flaky=` fails its first two attempts in
+        // the gate, so point 4 reaches `f` once, on its third.
+        let plan = FaultPlan::parse("kill=noc:2,flaky=noc:4").unwrap();
+        let calls: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+        let out = try_sweep_journaled(2, indexed(0..6), "noc", Some(&plan), None, |i, &x, _| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            Ok(x as f64)
+        });
+        let hole = out[2].as_ref().unwrap_err();
+        assert_eq!((hole.index, hole.attempts), (2, 3));
+        assert!(matches!(hole.failure, PointFailure::Panicked(_)), "{hole}");
+        assert_eq!(
+            calls[2].load(Ordering::Relaxed),
+            0,
+            "f never runs for a killed point"
+        );
+        assert_eq!(out[4], Ok(4.0));
+        assert_eq!(
+            calls[4].load(Ordering::Relaxed),
+            1,
+            "f runs once for a flaky point"
+        );
+        for i in [0, 1, 3, 5] {
+            assert_eq!(out[i], Ok(i as f64));
+            assert_eq!(calls[i].load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
     fn journaled_sweep_sees_grid_indices_and_holes_by_them() {
         // A sparse selection: the closure, the hole and the journal all
         // speak the grid index, not the position in the selection.
@@ -761,7 +804,7 @@ mod tests {
                 journal
                     .lock()
                     .unwrap()
-                    .record("noc", 2, &(x as f64).to_value())
+                    .record_text("noc", 2, &(x as f64).to_text())
                     .unwrap();
             }
             Ok(x as f64)

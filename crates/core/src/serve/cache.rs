@@ -134,12 +134,12 @@ mod tests {
             let (b, _) = cache.journal("ctx-b").unwrap();
             a.lock()
                 .unwrap()
-                .record("noc", 0, &1.5f64.to_value())
+                .record_text("noc", 0, &1.5f64.to_text())
                 .unwrap();
             a.lock().unwrap().sync().unwrap();
             b.lock()
                 .unwrap()
-                .record("noc", 0, &2.5f64.to_value())
+                .record_text("noc", 0, &2.5f64.to_text())
                 .unwrap();
             b.lock().unwrap().sync().unwrap();
             assert_eq!(cache.contexts().len(), 2);

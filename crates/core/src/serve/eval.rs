@@ -26,7 +26,6 @@ use std::sync::Arc;
 use piton_arch::config::Backend;
 use piton_arch::error::PitonError;
 use piton_board::fault::FaultPlan;
-use piton_obs::json::{self, Value};
 
 use super::{Calibrations, ServeCounters};
 use crate::analytic::{self, Calibrated};
@@ -38,32 +37,9 @@ use crate::serve::request::{FidelitySpec, RunRequest};
 /// The serveable journal sections.
 pub const SECTIONS: [&str; 3] = ["noc", "scaling", "design_space"];
 
-/// A per-point compute closure: (index, attempt) → journal payload.
-pub type PointFn = Box<dyn Fn(usize, u32) -> Result<PayloadText, PitonError> + Send + Sync>;
-
-/// A journal payload held as its point-line text: a cached point is
-/// served as the stored bytes and a computed one is rendered once, so
-/// neither is parsed or re-rendered on its way to a result frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PayloadText(pub String);
-
-impl JournalPayload for PayloadText {
-    fn to_value(&self) -> Value {
-        json::parse(&self.0).expect("payload text is the JSON it was rendered as")
-    }
-
-    fn from_value(v: &Value) -> Result<Self, PitonError> {
-        Ok(Self(v.render()))
-    }
-
-    fn to_text(&self) -> String {
-        self.0.clone()
-    }
-
-    fn from_text(text: &str) -> Result<Self, PitonError> {
-        Ok(Self(text.to_owned()))
-    }
-}
+/// A per-point compute closure: (index, attempt) → the point's journal
+/// payload text. The journaled sweep that calls it owns the fault gate.
+pub type PointFn = Box<dyn Fn(usize, u32) -> Result<String, PitonError> + Send + Sync>;
 
 #[derive(Debug, Clone, Copy)]
 enum Section {
@@ -98,31 +74,23 @@ impl SectionEval {
     /// # Errors
     ///
     /// Calibration failures for `design_space`. The closure itself
-    /// propagates measurement and injected-sabotage failures.
+    /// propagates measurement failures.
     pub fn compute_fn(
         &self,
         calibrations: &Calibrations,
         counters: &ServeCounters,
     ) -> Result<PointFn, PitonError> {
         let fidelity = self.fidelity.to_fidelity();
-        let plan = self.plan.clone();
         Ok(match self.section {
             Section::Noc => {
                 let grid = noc_energy::grid();
-                Box::new(move |idx, attempt| {
-                    noc_energy::compute_point(
-                        &CycleBench,
-                        idx,
-                        &grid[idx],
-                        fidelity,
-                        plan.as_ref(),
-                        attempt,
-                    )
-                    .map(|w| PayloadText(w.to_text()))
+                Box::new(move |idx, _| {
+                    Ok(noc_energy::compute_point(&CycleBench, &grid[idx], fidelity).to_text())
                 })
             }
             Section::Scaling => {
                 let grid = core_scaling::grid();
+                let plan = self.plan.clone();
                 Box::new(move |idx, attempt| {
                     core_scaling::compute_point(
                         &CycleBench,
@@ -132,23 +100,15 @@ impl SectionEval {
                         plan.as_ref(),
                         attempt,
                     )
-                    .map(|w| PayloadText(w.to_text()))
+                    .map(|w| w.to_text())
                 })
             }
             Section::DesignSpace => {
                 let cal = calibration_for(calibrations, &self.fidelity, counters)?;
                 let table = design_space::mix_table(&cal);
                 let grid = design_space::grid();
-                Box::new(move |idx, attempt| {
-                    design_space::compute_point(
-                        &cal,
-                        &table,
-                        idx,
-                        grid[idx],
-                        plan.as_ref(),
-                        attempt,
-                    )
-                    .map(|d| PayloadText(d.to_text()))
+                Box::new(move |idx, _| {
+                    Ok(design_space::compute_point(&cal, &table, grid[idx]).to_text())
                 })
             }
         })
@@ -292,9 +252,8 @@ mod tests {
             .unwrap()
             .to_fidelity();
         for idx in [0usize, 5, 17, 35] {
-            let direct =
-                noc_energy::compute_point(&CycleBench, idx, &grid[idx], fidelity, None, 0).unwrap();
-            assert_eq!(compute(idx, 0).unwrap().0, direct.to_text(), "{idx}");
+            let direct = noc_energy::compute_point(&CycleBench, &grid[idx], fidelity);
+            assert_eq!(compute(idx, 0).unwrap(), direct.to_text(), "{idx}");
         }
         assert_eq!(counters.value("serve.calibrations"), 0);
     }

@@ -18,15 +18,15 @@
 //!   of [`ServerConfig::shard_points`]. Each shard is one
 //!   [`crate::runner::try_sweep_journaled`] call — the sweep
 //!   `reproduce --journal` runs: serve what the cache holds, compute
-//!   the misses, append them in index order as they finish, fsync —
+//!   the misses behind the request's fault gate, append them in index
+//!   order as they finish, fsync —
 //!   and is streamed after it returns. A killed daemon keeps every point
 //!   appended so far, a restart serves them from disk, and a cache file
 //!   holds the bytes `reproduce` writes for the same points.
 //! * **Cached points are stored bytes.** The journal holds each point's
 //!   payload as the JSON text its point line carries; a shard serves it
-//!   as an [`eval::PayloadText`] and a result frame is laid out around
-//!   that text ([`frames::push_result_line`]) with no decode or
-//!   re-render. Only a request that misses resolves its compute path,
+//!   as that `String` and a result frame is laid out around the text
+//!   ([`frames::push_result_line`]) with no decode or re-render. Only a request that misses resolves its compute path,
 //!   so an all-cached request — warm, or the first after a restart —
 //!   never calibrates.
 //! * **Buffered stream.** Frames go through one buffered writer per
@@ -534,24 +534,34 @@ fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Resul
     for shard in indices.chunks(ctx.shard_points.max(1)) {
         // Serve, compute, append and fsync the shard as one journaled
         // sweep before any frame (or any injected crash) references it.
-        let computed = AtomicU64::new(0);
+        // Each item is the point's position in the shard. A point is
+        // computed when the sweep called the compute closure for it or
+        // it ended a hole: a served point does neither, and a `kill=`
+        // point is a hole the closure never saw.
+        let called: Vec<AtomicBool> = shard.iter().map(|_| AtomicBool::new(false)).collect();
         let out = runner::try_sweep_journaled(
             ctx.jobs,
-            shard.iter().map(|&idx| (idx, ())).collect(),
+            shard
+                .iter()
+                .enumerate()
+                .map(|(pos, &idx)| (idx, pos))
+                .collect(),
             &run.section,
             run.fault.as_ref(),
             Some(&journal),
-            |idx, (), attempt| {
-                if attempt == 0 {
-                    computed.fetch_add(1, Ordering::Relaxed);
-                }
+            |idx, &pos, attempt| {
+                called[pos].store(true, Ordering::Relaxed);
                 let compute = compute
                     .as_ref()
                     .expect("the scan before hello saw every miss");
                 compute(idx, attempt)
             },
         );
-        let computed = computed.into_inner();
+        let computed = out
+            .iter()
+            .zip(&called)
+            .filter(|(point, called)| point.is_err() || called.load(Ordering::Relaxed))
+            .count() as u64;
         ctx.counters.points_computed(computed);
         ctx.counters.cache_hits(shard.len() as u64 - computed);
         lines.clear();
@@ -562,7 +572,7 @@ fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Resul
                     &run.section,
                     idx as u64,
                     point_key(&eval.context, &run.section, idx),
-                    &text.0,
+                    text,
                 ),
                 Err(e) => holes.push(FrameHole {
                     index: idx as u64,

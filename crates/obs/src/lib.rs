@@ -40,7 +40,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use diff::{first_divergence, Divergence};
-pub use manifest::{HoleRecord, RunManifest, SectionRecord, MANIFEST_SCHEMA};
+pub use manifest::{Hole, RunManifest, SectionRecord, MANIFEST_SCHEMA};
 pub use metrics::{snapshot, MetricsSnapshot};
 pub use trace::{TraceEvent, TraceSpec};
 

@@ -110,14 +110,39 @@ impl SweepStats {
     }
 }
 
-/// One permanently-failed sweep point (mirrors `report::Hole`).
+/// A sweep grid point that failed permanently (every retry exhausted or
+/// a non-transient error): rendered as an explicit hole in its table
+/// rather than silently dropped, and listed in the manifest.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HoleRecord {
+pub struct Hole {
+    /// Sweep section tag (`"epi"`, `"noc"`, `"scaling"`, `"design_space"`).
     pub section: String,
+    /// Grid-point index within that sweep.
     pub index: usize,
+    /// Human-readable point label (matches the table cell it holes).
     pub point: String,
+    /// Attempts made before giving up.
     pub attempts: u32,
+    /// The final panic or error message.
     pub error: String,
+}
+
+/// The manifest's `holes` array.
+fn holes_json(holes: &[Hole]) -> Value {
+    Value::Array(
+        holes
+            .iter()
+            .map(|h| {
+                ObjectBuilder::new()
+                    .field("section", Value::Str(h.section.clone()))
+                    .field("index", Value::Int(h.index as i128))
+                    .field("point", Value::Str(h.point.clone()))
+                    .field("attempts", Value::Int(i128::from(h.attempts)))
+                    .field("error", Value::Str(h.error.clone()))
+                    .build()
+            })
+            .collect(),
+    )
 }
 
 /// Result-journal accounting for a durable (`--journal`) run.
@@ -157,7 +182,7 @@ pub struct RunManifest {
     pub journal: Option<JournalStats>,
     pub total_wall_s: f64,
     pub sections: Vec<SectionRecord>,
-    pub holes: Vec<HoleRecord>,
+    pub holes: Vec<Hole>,
     pub metrics: MetricsSnapshot,
 }
 
@@ -175,20 +200,6 @@ impl RunManifest {
                         .field("busy_s", Value::Float(s.busy_s))
                         .field("sweeps", Value::Int(i128::from(s.sweeps)))
                         .field("points", Value::Int(i128::from(s.points)))
-                        .build()
-                })
-                .collect(),
-        );
-        let holes = Value::Array(
-            self.holes
-                .iter()
-                .map(|h| {
-                    ObjectBuilder::new()
-                        .field("section", Value::Str(h.section.clone()))
-                        .field("index", Value::Int(h.index as i128))
-                        .field("point", Value::Str(h.point.clone()))
-                        .field("attempts", Value::Int(i128::from(h.attempts)))
-                        .field("error", Value::Str(h.error.clone()))
                         .build()
                 })
                 .collect(),
@@ -226,7 +237,7 @@ impl RunManifest {
         let doc = builder
             .field("total_wall_s", Value::Float(self.total_wall_s))
             .field("sections", sections)
-            .field("holes", holes)
+            .field("holes", holes_json(&self.holes))
             .field("metrics", self.metrics.to_json())
             .build();
         let mut out = doc.render();
@@ -257,20 +268,6 @@ impl RunManifest {
                 })
                 .collect(),
         );
-        let holes = Value::Array(
-            self.holes
-                .iter()
-                .map(|h| {
-                    ObjectBuilder::new()
-                        .field("section", Value::Str(h.section.clone()))
-                        .field("index", Value::Int(h.index as i128))
-                        .field("point", Value::Str(h.point.clone()))
-                        .field("attempts", Value::Int(i128::from(h.attempts)))
-                        .field("error", Value::Str(h.error.clone()))
-                        .build()
-                })
-                .collect(),
-        );
         let mut builder = ObjectBuilder::new()
             .field("schema", Value::Str(DETERMINISTIC_SCHEMA.to_owned()))
             .field("fidelity", Value::Str(self.fidelity.clone()))
@@ -288,7 +285,7 @@ impl RunManifest {
         }
         let doc = builder
             .field("sections", sections)
-            .field("holes", holes)
+            .field("holes", holes_json(&self.holes))
             .build();
         let mut out = doc.render();
         out.push('\n');
@@ -409,7 +406,7 @@ impl RunManifest {
                     .map(str::to_owned)
                     .ok_or_else(|| format!("hole missing '{key}'"))
             };
-            out.holes.push(HoleRecord {
+            out.holes.push(Hole {
                 section: txt("section")?,
                 index: h
                     .get("index")
@@ -607,7 +604,7 @@ mod tests {
                 sweeps: 2,
                 points: 40,
             }],
-            holes: vec![HoleRecord {
+            holes: vec![Hole {
                 section: "epi".to_owned(),
                 index: 3,
                 point: "Add/Random".to_owned(),

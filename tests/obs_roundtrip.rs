@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use piton::board::fault::{Brownout, CrashPoint, FaultPlan, Sabotage, SabotageKind};
-use piton::obs::manifest::{HoleRecord, JournalStats, RunManifest, SectionRecord};
+use piton::obs::manifest::{Hole, JournalStats, RunManifest, SectionRecord};
 use piton::obs::metrics::Histogram;
 use piton::obs::trace::{
     decode_jsonl, encode_jsonl, CacheKind, CacheLevel, EngineMode, TraceEvent,
@@ -223,7 +223,7 @@ proptest! {
                 points: 46,
             }],
             holes: (0..hole_count)
-                .map(|i| HoleRecord {
+                .map(|i| Hole {
                     section: "noc".to_owned(),
                     index: i,
                     point: format!("point {i}"),
@@ -272,7 +272,7 @@ fn dense_manifest() -> RunManifest {
             sweeps: 1,
             points: 36,
         }],
-        holes: vec![HoleRecord {
+        holes: vec![Hole {
             section: "epi".to_owned(),
             index: 3,
             point: "add/Random".to_owned(),
@@ -327,7 +327,7 @@ proptest! {
 use piton::arch::request::GridSpec;
 use piton::characterization::journal::point_key;
 use piton::characterization::serve::frames::{Frame, FrameHole};
-use piton::obs::json::Value;
+use piton::obs::json::{self, Value};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -563,18 +563,20 @@ proptest! {
         ),
     ) {
         for &(a, b, index, key) in &words {
-            let payload = if index % 2 == 0 {
-                Value::Float(float_from_word(a))
+            let text = if index % 2 == 0 {
+                float_from_word(a).to_text()
             } else {
                 DesignPoint {
                     power_w: float_from_word(a),
                     nj_per_inst: float_from_word(b),
                     junction_c: float_from_word(a ^ b),
                 }
-                .to_value()
+                .to_text()
             };
+            let payload = json::parse(&text).unwrap();
+            prop_assert_eq!(&payload.render(), &text);
             let mut laid = String::new();
-            push_result_line(&mut laid, "design_space", index, key, &payload.render());
+            push_result_line(&mut laid, "design_space", index, key, &text);
             let frame = Frame::Result {
                 section: "design_space".to_owned(),
                 index,
@@ -593,21 +595,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A journal reopened after `record` serves, for every payload
-    /// type, exactly the text `Value::render` gives for what was
-    /// recorded — the text the serving loop puts on the wire.
+    /// A journal reopened after `record_text` serves, for every payload
+    /// type, exactly the text `JournalPayload::to_text` gave for what
+    /// was recorded — the text the serving loop puts on the wire.
     #[test]
     fn reopened_journals_serve_the_rendered_payload_text(
         words in proptest::collection::vec(proptest::strategy::any::<u64>(), 3..40),
     ) {
         let floats: Vec<f64> = words.iter().map(|&w| float_from_word(w)).collect();
-        let payloads: Vec<(&str, Value)> = floats
+        let payloads: Vec<(&str, String)> = floats
             .windows(3)
             .enumerate()
             .map(|(i, f)| match i % 4 {
-                0 => ("scaling", f[0].to_value()),
-                1 => ("noc", Watts(f[0]).to_value()),
-                2 => ("epi", WithError { value: f[0], error: f[1] }.to_value()),
+                0 => ("scaling", f[0].to_text()),
+                1 => ("noc", Watts(f[0]).to_text()),
+                2 => ("epi", WithError { value: f[0], error: f[1] }.to_text()),
                 _ => (
                     "design_space",
                     DesignPoint {
@@ -615,7 +617,7 @@ proptest! {
                         nj_per_inst: f[1],
                         junction_c: f[2],
                     }
-                    .to_value(),
+                    .to_text(),
                 ),
             })
             .collect();
@@ -627,14 +629,14 @@ proptest! {
         {
             let mut j = Journal::open(&path, "ctx").unwrap();
             for (i, (section, v)) in payloads.iter().enumerate() {
-                j.record(section, i, v).unwrap();
+                j.record_text(section, i, v).unwrap();
             }
             j.sync().unwrap();
         }
         let mut j = Journal::open(&path, "ctx").unwrap();
         prop_assert_eq!(j.stats().recovered as usize, payloads.len());
         for (i, (section, v)) in payloads.iter().enumerate() {
-            prop_assert_eq!(j.serve(section, i), Some(v.render().as_str()));
+            prop_assert_eq!(j.serve(section, i), Some(v.as_str()));
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -18,7 +18,9 @@
 //!   execution produces;
 //! * `design_space` calibrates on its first miss only — never for a
 //!   request the cache holds whole — and never serves a file cached
-//!   under another analytic model.
+//!   under another analytic model;
+//! * a `kill=` fault on a `design_space` point holes that point in the
+//!   done frame and streams the rest.
 //!
 //! Everything runs at a tiny custom fidelity so the whole suite
 //! computes milliseconds of simulation, not minutes.
@@ -372,7 +374,7 @@ fn design_space_misses_a_cache_recorded_without_the_model_digest() {
     };
     let mut journal = Journal::open(&cache.join(context_file_name(&stale)), &stale).unwrap();
     journal
-        .record("design_space", 0, &planted.to_value())
+        .record_text("design_space", 0, &planted.to_text())
         .unwrap();
     journal.sync().unwrap();
     drop(journal);
@@ -383,7 +385,33 @@ fn design_space_misses_a_cache_recorded_without_the_model_digest() {
     assert_eq!(server.counters().value("serve.points_computed"), 1);
     let served = payloads(&frames);
     assert_eq!(served.len(), 1);
-    assert_ne!(served[0].1, planted.to_value().render());
+    assert_ne!(served[0].1, planted.to_text());
+
+    server.stop().expect("clean stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_killed_design_space_point_is_a_hole_in_the_done_frame() {
+    let dir = temp_dir("ds-kill");
+    let server = spawn_server(&dir);
+    let request = format!(
+        r#"{{"op":"run","section":"design_space","grid":"0-3","fidelity":"{FIDELITY}","fault":"kill=design_space:2"}}"#
+    );
+    let (_, frames) = roundtrip(server.socket(), &request);
+    let served: Vec<u64> = payloads(&frames).into_iter().map(|(i, _)| i).collect();
+    assert_eq!(served, [0, 1, 3]);
+    match frames.last() {
+        Some(Frame::Done { points, holes, .. }) => {
+            assert_eq!(*points, 3);
+            assert_eq!(holes.len(), 1, "{holes:?}");
+            assert_eq!((holes[0].index, holes[0].attempts), (2, 3));
+        }
+        other => panic!("expected a done frame, got {other:?}"),
+    }
+    // The hole was a miss, not a hit, and it is not cached.
+    assert_eq!(server.counters().value("serve.points_computed"), 4);
+    assert_eq!(server.counters().value("serve.cache_hits"), 0);
 
     server.stop().expect("clean stop");
     let _ = std::fs::remove_dir_all(&dir);
