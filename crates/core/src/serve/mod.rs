@@ -59,6 +59,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use piton_arch::error::PitonError;
+use piton_board::fault::SabotageKind;
 use piton_obs::manifest::{ServeContextRecord, ServeManifest};
 
 use crate::analytic::Calibrated;
@@ -506,10 +507,19 @@ fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Resul
     // Only a miss needs the compute path, so only a miss calibrates: a
     // request the cache holds whole never runs the cycle engine. A
     // point cached now stays cached, so a shard can only miss what this
-    // scan saw missing.
+    // scan saw missing. A `kill=` point is no miss: the fault gate
+    // holes it on every attempt, so it never reaches the closure.
+    let killed = |idx: usize| {
+        run.fault.as_ref().is_some_and(|plan| {
+            plan.sabotage_for(&run.section, idx)
+                .is_some_and(|s| s.kind == SabotageKind::Kill)
+        })
+    };
     let missing = {
         let j = journal.lock().expect("cache journal lock");
-        indices.iter().any(|&idx| !j.contains(&run.section, idx))
+        indices
+            .iter()
+            .any(|&idx| !j.contains(&run.section, idx) && !killed(idx))
     };
     let compute = missing
         .then(|| eval.compute_fn(&ctx.calibrations, &ctx.counters))

@@ -52,7 +52,7 @@ use std::sync::Arc;
 use piton_arch::config::ChipConfig;
 use piton_arch::topology::TileId;
 use piton_obs::metrics::{self, Histogram};
-use piton_obs::trace::{self, EngineMode, TraceEvent, SUB_RETIRE};
+use piton_obs::trace::{self, EngineMode, TraceEvent, SUB_NOC, SUB_RETIRE};
 
 use crate::core::{emit_retire, Core, IssueRecord, LocalCharges, LocalMem, MemLog, MemOp, RunMark};
 use crate::events::{activity_of_code, ActivityCounters};
@@ -911,35 +911,54 @@ impl Machine {
     /// header flit plus six payload flits (alternating per `pattern`)
     /// enters through the chip bridge at tile0 and routes to `dst` on
     /// NoC2, where the L1.5 receives it as an invalidation.
+    ///
+    /// The stream is summed in closed form, exactly. Six payload toggles
+    /// return the alternation to its start, so every packet is the same
+    /// seven flits; `cycles.div_ceil(47)` of them enter (a partial last
+    /// window still sends one), and [`NocFabric::send_repeated`] accounts
+    /// them in one call. Tracing changes what is emitted, never what is
+    /// counted: a `noc` trace gets each packet's hop events at its own
+    /// cycle, and any active trace is left with the last packet's cycle
+    /// as its ambient clock.
+    ///
+    /// [`NocFabric::send_repeated`]: crate::noc::NocFabric::send_repeated
     pub fn run_invalidation_traffic(&mut self, dst: TileId, pattern: SwitchPattern, cycles: u64) {
-        let end = self.now + cycles;
+        const {
+            assert!(
+                (BRIDGE_PATTERN_FLITS - 1).is_multiple_of(2),
+                "an odd payload count would alternate packets"
+            );
+        }
         let (even, odd) = pattern.flit_pair();
         let entry = TileId::new(0);
-        // One reusable flit buffer and one precomputed route for the
-        // whole run; the header (the destination route) is constant,
-        // only the payload toggles.
-        let mut flits = [0u64; BRIDGE_PATTERN_FLITS];
-        flits[0] = dst.index() as u64;
-        let plan = self.memsys.noc.plan(NocId::Noc2, entry, dst);
-        let mut flit_toggle = false;
-        while self.now < end {
-            if trace::active() {
-                trace::set_cycle(self.now);
+        // The header (the destination route), then the payload starting
+        // on the pattern's even word.
+        let flits: [u64; BRIDGE_PATTERN_FLITS] = std::array::from_fn(|i| match i {
+            0 => dst.index() as u64,
+            i if i % 2 == 1 => even,
+            _ => odd,
+        });
+        let packets = cycles.div_ceil(BRIDGE_PATTERN_CYCLES);
+        if packets > 0 && trace::active() {
+            if trace::wants(SUB_NOC) {
+                for k in 0..packets {
+                    trace::set_cycle(self.now + k * BRIDGE_PATTERN_CYCLES);
+                    self.memsys
+                        .noc
+                        .trace_packet(NocId::Noc2, entry, dst, BRIDGE_PATTERN_FLITS);
+                }
             }
-            for slot in &mut flits[1..] {
-                *slot = if flit_toggle { odd } else { even };
-                flit_toggle = !flit_toggle;
-            }
-            self.act.chip_bridge_flits += BRIDGE_PATTERN_FLITS as u64;
-            self.memsys.noc.send_planned(&plan, &flits, &mut self.act);
-            // Receipt at the destination L1.5.
-            self.act.invalidations += 1;
-            self.act.l15_reads += 1;
-
-            let step = BRIDGE_PATTERN_CYCLES.min(end - self.now);
-            self.act.cycles += step;
-            self.now += step;
+            trace::set_cycle(self.now + (packets - 1) * BRIDGE_PATTERN_CYCLES);
         }
+        self.memsys
+            .noc
+            .send_repeated(NocId::Noc2, entry, dst, &flits, packets, &mut self.act);
+        self.act.chip_bridge_flits += BRIDGE_PATTERN_FLITS as u64 * packets;
+        // Receipt at the destination L1.5.
+        self.act.invalidations += packets;
+        self.act.l15_reads += packets;
+        self.act.cycles += cycles;
+        self.now += cycles;
     }
 }
 
@@ -1210,6 +1229,185 @@ mod tests {
             fswa.counters().noc_coupling_switches
                 > 10 * fsw.counters().noc_coupling_switches.max(1)
         );
+    }
+
+    mod bridge_stream {
+        use super::*;
+        use crate::noc::ReferenceNocFabric;
+        use piton_arch::topology::Mesh;
+        use piton_obs::trace::TraceSpec;
+        use proptest::prelude::*;
+
+        /// Stream lengths that sit on and around the 47-cycle pattern.
+        const EDGE_CYCLES: [u64; 6] = [0, 1, 46, 47, 48, 47 * 3 + 5];
+
+        /// The Figure 12 stream as the per-packet loop the closed form
+        /// replaced: one packet per 47 cycles through the reference
+        /// fabric, the payload toggle carried from flit to flit. Hop
+        /// events are built beside it, stamped like the machine's.
+        struct ReferenceStream {
+            mesh: Mesh,
+            noc: ReferenceNocFabric,
+            act: ActivityCounters,
+            now: u64,
+            ambient: u64,
+            events: Vec<TraceEvent>,
+        }
+
+        impl ReferenceStream {
+            fn new() -> Self {
+                Self {
+                    mesh: Mesh::piton(),
+                    noc: ReferenceNocFabric::new(Mesh::piton()),
+                    act: ActivityCounters::default(),
+                    now: 0,
+                    ambient: 0,
+                    events: Vec::new(),
+                }
+            }
+
+            fn send(&mut self, noc: NocId, src: TileId, dst: TileId, flits: &[u64]) {
+                let mut at = src;
+                while let Some(next) = self.mesh.next_hop(at, dst) {
+                    self.events.push(TraceEvent::NocHop {
+                        cycle: self.ambient,
+                        noc: NocId::ALL.iter().position(|&n| n == noc).unwrap() as u32,
+                        from: at.index() as u32,
+                        to: next.index() as u32,
+                        flits: flits.len() as u32,
+                    });
+                    at = next;
+                }
+                self.noc.send(noc, src, dst, flits, &mut self.act);
+            }
+
+            fn run(&mut self, dst: TileId, pattern: SwitchPattern, cycles: u64) {
+                let end = self.now + cycles;
+                let (even, odd) = pattern.flit_pair();
+                let mut flits = [0u64; BRIDGE_PATTERN_FLITS];
+                flits[0] = dst.index() as u64;
+                let mut toggle = false;
+                while self.now < end {
+                    self.ambient = self.now;
+                    for slot in &mut flits[1..] {
+                        *slot = if toggle { odd } else { even };
+                        toggle = !toggle;
+                    }
+                    self.act.chip_bridge_flits += BRIDGE_PATTERN_FLITS as u64;
+                    self.send(NocId::Noc2, TileId::new(0), dst, &flits);
+                    self.act.invalidations += 1;
+                    self.act.l15_reads += 1;
+                    let step = BRIDGE_PATTERN_CYCLES.min(end - self.now);
+                    self.act.cycles += step;
+                    self.now += step;
+                }
+            }
+        }
+
+        /// Up to three random packets of cross traffic from `seed`.
+        fn cross_traffic(seed: u64) -> Vec<(NocId, TileId, TileId, Vec<u64>)> {
+            let mut x = seed | 1;
+            (0..seed % 4)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let flits = (0..1 + (x >> 40) % 7)
+                        .map(|k| x.rotate_left(k as u32 * 11))
+                        .collect();
+                    (
+                        NocId::ALL[(x % 3) as usize],
+                        TileId::new((x >> 8) as usize % 25),
+                        TileId::new((x >> 16) as usize % 25),
+                        flits,
+                    )
+                })
+                .collect()
+        }
+
+        /// Runs the stream in `calls` on a fresh machine, with each
+        /// call's cross traffic before it; returns the machine and the
+        /// counts of a probe packet sent along the stream's route last.
+        fn run_machine(
+            dst: TileId,
+            pattern: SwitchPattern,
+            calls: &[(u64, u64)],
+        ) -> (Machine, ActivityCounters) {
+            let mut m = machine();
+            for &(cycles, seed) in calls {
+                for (noc, src, to, flits) in cross_traffic(seed) {
+                    m.memsys.noc.send(noc, src, to, &flits, &mut m.act);
+                }
+                m.run_invalidation_traffic(dst, pattern, cycles);
+            }
+            let mut probe = ActivityCounters::default();
+            m.memsys
+                .noc
+                .send(NocId::Noc2, TileId::new(0), dst, &[0x0F0F, !0], &mut probe);
+            (m, probe)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            /// The closed-form stream, split into random calls with
+            /// random cross traffic between them, counts, times, leaves
+            /// the wires and traces exactly like the per-packet loop.
+            #[test]
+            fn closed_form_stream_equals_the_per_packet_loop(
+                dst in 0usize..25,
+                pattern in 0usize..4,
+                calls in proptest::collection::vec((0u64..2_000, 0usize..12, any::<u64>()), 1..6),
+            ) {
+                let dst = TileId::new(dst);
+                let pattern = SwitchPattern::ALL[pattern];
+                let calls: Vec<(u64, u64)> = calls
+                    .into_iter()
+                    .map(|(cycles, edge, seed)| (EDGE_CYCLES.get(edge).copied().unwrap_or(cycles), seed))
+                    .collect();
+
+                let mut reference = ReferenceStream::new();
+                for &(cycles, seed) in &calls {
+                    for (noc, src, to, flits) in cross_traffic(seed) {
+                        reference.send(noc, src, to, &flits);
+                    }
+                    reference.run(dst, pattern, cycles);
+                }
+                let mut probe = ActivityCounters::default();
+                reference.noc.send(NocId::Noc2, TileId::new(0), dst, &[0x0F0F, !0], &mut probe);
+
+                let (m, machine_probe) = run_machine(dst, pattern, &calls);
+                prop_assert_eq!(m.counters(), &reference.act);
+                prop_assert_eq!(m.now(), reference.now);
+                prop_assert_eq!(machine_probe, probe);
+
+                let spec = TraceSpec::parse("noc").expect("static spec");
+                let ((traced, traced_probe), events) = trace::capture(&spec, || {
+                    trace::set_cycle(0);
+                    run_machine(dst, pattern, &calls)
+                });
+                prop_assert_eq!(traced.counters(), &reference.act);
+                prop_assert_eq!(traced_probe, probe);
+                // The probe's own hops close the capture at the last
+                // packet's cycle.
+                let probe_hops = events.len() - reference.events.len();
+                prop_assert_eq!(probe_hops, traced.memsys.noc.route(TileId::new(0), dst).hops());
+                prop_assert_eq!(&events[..reference.events.len()], reference.events.as_slice());
+                prop_assert!(events[reference.events.len()..]
+                    .iter()
+                    .all(|e| e.cycle() == reference.ambient));
+
+                // A trace that keeps no NoC events still gets the last
+                // packet's cycle as its ambient clock.
+                let spec = TraceSpec::parse("retire").expect("static spec");
+                let (ambient, events) = trace::capture(&spec, || {
+                    trace::set_cycle(0);
+                    run_machine(dst, pattern, &calls);
+                    trace::ambient_cycle()
+                });
+                prop_assert!(events.is_empty());
+                prop_assert_eq!(ambient, reference.ambient);
+            }
+        }
     }
 
     mod engine_equivalence {

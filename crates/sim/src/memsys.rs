@@ -212,7 +212,7 @@ impl MemorySystem {
 
     /// One-way (hops + turn) NoC latency between two tiles.
     fn route_cycles(&self, a: TileId, b: TileId) -> u64 {
-        self.noc.mesh().route(a, b).latency_cycles()
+        self.noc.route(a, b).latency_cycles()
     }
 
     fn flit_payloads<const N: usize>(addr: u64, value: u64) -> [u64; N] {
@@ -519,7 +519,7 @@ impl MemorySystem {
         act.l15_misses += 1;
 
         let home = self.home_slice(addr);
-        let route = self.noc.mesh().route(tile, home);
+        let route = self.noc.route(tile, home);
         let rt = 2 * route.latency_cycles();
         let req = Self::flit_payloads::<REQ_FLITS>(addr, tile.index() as u64);
         self.noc.send(NocId::Noc1, tile, home, &req, act);
@@ -543,9 +543,9 @@ impl MemorySystem {
         self.fill_private(tile, addr, fill_state, now, act);
 
         let level = if l2_hit {
-            HitLevel::L2 { hops: route.hops }
+            HitLevel::L2 { hops: route.hops() }
         } else {
-            HitLevel::Memory { hops: route.hops }
+            HitLevel::Memory { hops: route.hops() }
         };
         if tracing {
             let (lvl, kind) = if l2_hit {
@@ -599,7 +599,7 @@ impl MemorySystem {
             STORE_DRAIN_CYCLES
         } else {
             let home = self.home_slice(addr);
-            let route = self.noc.mesh().route(tile, home);
+            let route = self.noc.route(tile, home);
             let rt = 2 * route.latency_cycles();
             let req = Self::flit_payloads::<REQ_FLITS>(addr, value);
             self.noc.send(NocId::Noc1, tile, home, &req, act);
@@ -645,7 +645,7 @@ impl MemorySystem {
 
         let l2_line = self.l2_line(addr);
         let home = self.home_slice(addr);
-        let route = self.noc.mesh().route(tile, home);
+        let route = self.noc.route(tile, home);
         let rt = 2 * route.latency_cycles();
 
         let req = Self::flit_payloads::<REQ_FLITS>(addr, expected ^ new);

@@ -21,6 +21,18 @@
 //! (ascending cycle, then ascending tile) — the batched dense engine's
 //! barrier replay exists to preserve exactly this ordering.
 //!
+//! There is one send path, [`NocFabric::send_repeated`], and it costs
+//! O(hops + flits) per call however many identical packets it carries.
+//! The fabric builds a route table once: the directed links, hop count
+//! and head latency of every (src, dst) pair, so a send never walks the
+//! mesh. Every link on a route sees the same transitions between a
+//! packet's consecutive flits, so that chain is counted once and
+//! multiplied by the hops; only the head flit's transition depends on a
+//! link's prior wire state. After a packet every link on its route holds
+//! the tail flit, so each further identical packet adds the same counts.
+//! The seed per-flit, per-hop walk is kept as [`ReferenceNocFabric`],
+//! the oracle the tests hold this path to.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,8 +53,10 @@
 //! assert_eq!(act.noc_flit_hops, 14);
 //! ```
 
+use std::ops::Range;
+
 use piton_arch::topology::{Mesh, TileId};
-use piton_obs::trace::{self, TraceEvent};
+use piton_obs::trace::{self, TraceEvent, SUB_NOC};
 
 use crate::events::ActivityCounters;
 
@@ -70,36 +84,11 @@ impl NocId {
     }
 }
 
-/// Outlined per-hop trace emission — callers gate on [`trace::active`]
-/// so the per-flit accounting loop stays branch-cheap when tracing is
-/// off. The cycle stamp is the ambient clock set by the memory system
-/// (the fabric API itself is untimed).
-#[cold]
-fn trace_hop(noc: NocId, from: TileId, to: TileId, flits: usize) {
-    trace::emit(TraceEvent::NocHop {
-        cycle: trace::ambient_cycle(),
-        noc: noc.index() as u32,
-        from: from.index() as u32,
-        to: to.index() as u32,
-        flits: flits as u32,
-    });
-}
-
-/// Emits one hop event per link of a precomputed plan, reconstructing
-/// the endpoints from the flat link index (`tile * 4 + dir`, E/W/S/N).
-#[cold]
-fn trace_planned_hops(noc: NocId, links: &[usize], width: usize, flits: usize) {
-    for &l in links {
-        let from = l / 4;
-        let to = match l % 4 {
-            0 => from + 1,
-            1 => from - 1,
-            2 => from + width,
-            _ => from - width,
-        };
-        trace_hop(noc, TileId::new(from), TileId::new(to), flits);
-    }
-}
+/// Outbound link slots of a tile, in flat link order (`tile * 4 + dir`).
+const EAST: usize = 0;
+const WEST: usize = 1;
+const SOUTH: usize = 2;
+const NORTH: usize = 3;
 
 /// Counts bits that toggled between consecutive flits on a link.
 #[must_use]
@@ -118,56 +107,120 @@ pub fn coupling_transitions(prev: u64, cur: u64) -> u32 {
     (rising & (falling >> 1)).count_ones() + (falling & (rising >> 1)).count_ones()
 }
 
+/// `(bit switches, coupling switches)` of one flit transition.
+fn switches(prev: u64, cur: u64) -> (u64, u64) {
+    (
+        u64::from(hamming(prev, cur)),
+        u64::from(coupling_transitions(prev, cur)),
+    )
+}
+
+/// One (src, dst) entry of the fabric's route table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RouteEntry {
+    /// Offset of the route's first directed link in the link table.
+    first: u32,
+    hops: u32,
+    latency: u32,
+}
+
+impl RouteEntry {
+    /// Links crossed by the dimension-ordered route.
+    #[must_use]
+    pub(crate) fn hops(self) -> usize {
+        self.hops as usize
+    }
+
+    /// Head-flit network latency: one cycle per hop plus one for a turn.
+    #[must_use]
+    pub(crate) fn latency_cycles(self) -> u64 {
+        u64::from(self.latency)
+    }
+
+    /// The route's span of the fabric's link table.
+    fn links(self) -> Range<usize> {
+        let first = self.first as usize;
+        first..first + self.hops()
+    }
+}
+
 /// The three physical mesh networks with per-link wire state.
 #[derive(Debug, Clone)]
 pub struct NocFabric {
-    mesh: Mesh,
-    /// Mesh width, cached for the hot link-index computation.
+    tiles: usize,
+    /// Mesh width, to name a link's endpoints in trace events.
     width: usize,
+    /// The X-then-Y route of every (src, dst) pair, at `src * tiles + dst`.
+    routes: Vec<RouteEntry>,
+    /// Every route's directed-link indices, back to back.
+    route_links: Vec<u32>,
     /// Last flit value seen on each directed link, per network, in flat
-    /// arrays indexed by [`link_index`](Self::link_index): the per-flit
-    /// tuple-hash lookup of the old `HashMap<(TileId, TileId), u64>` was
-    /// the hottest line of the NoC energy experiment.
+    /// arrays indexed `tile * 4 + dir` (E/W/S/N); links off the mesh
+    /// edge are dead slots no route names.
     link_state: [Vec<u64>; 3],
 }
 
 impl NocFabric {
-    /// Creates an idle fabric over a mesh.
+    /// Creates an idle fabric over a mesh and builds its route table.
     #[must_use]
     pub fn new(mesh: Mesh) -> Self {
-        // Four outbound directions per tile; links off the mesh edge are
-        // dead slots that never get indexed.
-        let links = mesh.tile_count() * 4;
-        let width = mesh.width();
+        let (width, height) = (mesh.width(), mesh.height());
+        let tiles = mesh.tile_count();
+        // Σ|Δx| over all ordered pairs is height² · (width³ − width) / 3,
+        // and likewise for Δy: the exact length of the link table.
+        let total_hops = height * height * (width.pow(3) - width) / 3
+            + width * width * (height.pow(3) - height) / 3;
+        let mut routes = Vec::with_capacity(tiles * tiles);
+        let mut route_links = Vec::with_capacity(total_hops);
+        for src in 0..tiles {
+            let (sx, sy) = (src % width, src / width);
+            for dst in 0..tiles {
+                let (dx, dy) = (dst % width, dst / width);
+                let first = route_links.len();
+                let mut x = sx;
+                while x != dx {
+                    let tile = sy * width + x;
+                    if x < dx {
+                        route_links.push((tile * 4 + EAST) as u32);
+                        x += 1;
+                    } else {
+                        route_links.push((tile * 4 + WEST) as u32);
+                        x -= 1;
+                    }
+                }
+                let mut y = sy;
+                while y != dy {
+                    let tile = y * width + dx;
+                    if y < dy {
+                        route_links.push((tile * 4 + SOUTH) as u32);
+                        y += 1;
+                    } else {
+                        route_links.push((tile * 4 + NORTH) as u32);
+                        y -= 1;
+                    }
+                }
+                let hops = (route_links.len() - first) as u32;
+                routes.push(RouteEntry {
+                    first: first as u32,
+                    hops,
+                    latency: hops + u32::from(sx != dx && sy != dy),
+                });
+            }
+        }
+        let links = tiles * 4;
         Self {
-            mesh,
+            tiles,
             width,
+            routes,
+            route_links,
             link_state: [vec![0; links], vec![0; links], vec![0; links]],
         }
     }
 
-    /// Flat index of the directed link `from → to` (which must be mesh
-    /// neighbours): four outbound slots per tile, ordered E/W/S/N.
-    #[inline]
-    fn link_index(width: usize, from: TileId, to: TileId) -> usize {
-        let (f, t) = (from.index(), to.index());
-        let dir = if t == f + 1 {
-            0 // east
-        } else if t + 1 == f {
-            1 // west
-        } else if t == f + width {
-            2 // south
-        } else {
-            debug_assert_eq!(t + width, f, "link {f}->{t} is not a mesh hop");
-            3 // north
-        };
-        f * 4 + dir
-    }
-
-    /// The underlying mesh.
+    /// The route table's entry for `src → dst`.
     #[must_use]
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
+    pub(crate) fn route(&self, src: TileId, dst: TileId) -> RouteEntry {
+        self.routes[src.index() * self.tiles + dst.index()]
     }
 
     /// Sends one packet (`flits`, header first) from `src` to `dst` on
@@ -184,112 +237,124 @@ impl NocFabric {
         flits: &[u64],
         act: &mut ActivityCounters,
     ) -> u64 {
-        let route = self.mesh.route(src, dst);
-        act.noc_packets += 1;
-        act.noc_route_computes += route.hops as u64;
+        if trace::wants(SUB_NOC) {
+            self.trace_packet(noc, src, dst, flits.len());
+        }
+        self.send_repeated(noc, src, dst, flits, 1, act)
+    }
 
-        if route.hops == 0 {
-            // Local delivery still traverses the router's local port once.
-            act.noc_flit_hops += flits.len() as u64;
+    /// Sends `count` identical packets back to back from `src` to `dst`
+    /// on `noc` — the same counts and wire state as `count` calls of
+    /// [`NocFabric::send`], in O(hops + flits). The first packet finds
+    /// each link's prior wire state; every later one finds every link on
+    /// the route holding the tail flit, so each adds the same counts.
+    /// Emits no trace events: a traced caller stamps each packet's hops
+    /// at its own cycle. Returns the head-flit latency of one packet.
+    #[inline]
+    pub fn send_repeated(
+        &mut self,
+        noc: NocId,
+        src: TileId,
+        dst: TileId,
+        flits: &[u64],
+        count: u64,
+        act: &mut ActivityCounters,
+    ) -> u64 {
+        let route = self.route(src, dst);
+        if count == 0 {
+            return route.latency_cycles();
+        }
+        let hops = u64::from(route.hops);
+        act.noc_packets += count;
+        act.noc_route_computes += hops * count;
+        // Local delivery still traverses the router's local port once.
+        act.noc_flit_hops += flits.len() as u64 * hops.max(1) * count;
+        let (Some(&head), Some(&tail)) = (flits.first(), flits.last()) else {
+            return route.latency_cycles();
+        };
+        if hops == 0 {
             return 0;
         }
 
-        let tracing = trace::active();
+        // Transitions between the packet's own flits, the same on every
+        // link.
+        let (mut body_bits, mut body_coupling) = (0, 0);
+        let mut prev = head;
+        for &flit in &flits[1..] {
+            let (b, c) = switches(prev, flit);
+            body_bits += b;
+            body_coupling += c;
+            prev = flit;
+        }
+        // The head flit's transition depends on each link's prior state;
+        // consecutive links holding the same state reuse it.
         let net = &mut self.link_state[noc.index()];
-        let mut at = src;
-        while let Some(next) = self.mesh.next_hop(at, dst) {
-            let state = &mut net[Self::link_index(self.width, at, next)];
-            for &flit in flits {
-                act.noc_flit_hops += 1;
-                act.noc_bit_switches += u64::from(hamming(*state, flit));
-                act.noc_coupling_switches += u64::from(coupling_transitions(*state, flit));
-                *state = flit;
+        let links = &self.route_links[route.links()];
+        let mut prior = net[links[0] as usize];
+        let (mut head_bits, mut head_coupling) = switches(prior, head);
+        let (mut bits, mut coupling) = (0, 0);
+        for &l in links {
+            let state = &mut net[l as usize];
+            if *state != prior {
+                prior = *state;
+                (head_bits, head_coupling) = switches(prior, head);
             }
-            if tracing {
-                trace_hop(noc, at, next, flits.len());
-            }
-            at = next;
+            bits += head_bits;
+            coupling += head_coupling;
+            *state = tail;
+        }
+        act.noc_bit_switches += bits + body_bits * hops;
+        act.noc_coupling_switches += coupling + body_coupling * hops;
+        if count > 1 {
+            let (again_bits, again_coupling) = switches(tail, head);
+            let repeats = (count - 1) * hops;
+            act.noc_bit_switches += (again_bits + body_bits) * repeats;
+            act.noc_coupling_switches += (again_coupling + body_coupling) * repeats;
         }
         route.latency_cycles()
     }
 
-    /// Precomputes the route `src → dst` on `noc` for a constant packet
-    /// stream (e.g. the Figure 12 bridge traffic): the dimension-ordered
-    /// walk and link indices are resolved once instead of per packet.
-    #[must_use]
-    pub fn plan(&self, noc: NocId, src: TileId, dst: TileId) -> SendPlan {
-        let route = self.mesh.route(src, dst);
-        let mut links = Vec::with_capacity(route.hops);
-        let mut at = src;
-        while let Some(next) = self.mesh.next_hop(at, dst) {
-            links.push(Self::link_index(self.width, at, next));
-            at = next;
-        }
-        debug_assert_eq!(links.len(), route.hops);
-        SendPlan {
-            noc,
-            links,
-            latency: route.latency_cycles(),
+    /// Emits one packet's hop events along `src → dst`, stamped with the
+    /// ambient cycle. Callers gate on [`trace::wants`]`(SUB_NOC)`.
+    #[cold]
+    pub(crate) fn trace_packet(&self, noc: NocId, src: TileId, dst: TileId, flits: usize) {
+        for &l in &self.route_links[self.route(src, dst).links()] {
+            let from = l as usize / 4;
+            let to = match l as usize % 4 {
+                EAST => from + 1,
+                WEST => from - 1,
+                SOUTH => from + self.width,
+                _ => from - self.width,
+            };
+            trace::emit(TraceEvent::NocHop {
+                cycle: trace::ambient_cycle(),
+                noc: noc.index() as u32,
+                from: from as u32,
+                to: to as u32,
+                flits: flits as u32,
+            });
         }
     }
 
-    /// Sends one packet along a precomputed [`SendPlan`] — identical
-    /// accounting and wire-state effects to [`NocFabric::send`] with the
-    /// plan's endpoints, cheaper for repeated traffic: besides skipping
-    /// the route walk, when every link on the plan holds the same wire
-    /// state (always true for a stream that owns its route) the
-    /// switching chain is computed once and applied per hop, making a
-    /// packet O(hops + flits) instead of O(hops × flits).
+    /// A reusable handle on the route `src → dst` on `noc`.
+    #[must_use]
+    pub fn plan(&self, noc: NocId, src: TileId, dst: TileId) -> SendPlan {
+        SendPlan {
+            noc,
+            src,
+            dst,
+            links: self.route(src, dst).links(),
+        }
+    }
+
+    /// [`NocFabric::send`] along a [`SendPlan`]'s route.
     pub fn send_planned(
         &mut self,
         plan: &SendPlan,
         flits: &[u64],
         act: &mut ActivityCounters,
     ) -> u64 {
-        act.noc_packets += 1;
-        act.noc_route_computes += plan.links.len() as u64;
-
-        if plan.links.is_empty() {
-            // Local delivery still traverses the router's local port once.
-            act.noc_flit_hops += flits.len() as u64;
-            return 0;
-        }
-
-        if trace::active() {
-            trace_planned_hops(plan.noc, &plan.links, self.width, flits.len());
-        }
-        let net = &mut self.link_state[plan.noc.index()];
-        let first = net[plan.links[0]];
-        if plan.links.iter().all(|&l| net[l] == first) {
-            // Per-link switching depends only on (prior state, flits),
-            // so equal priors mean every link switches identically.
-            let mut bits = 0u64;
-            let mut coupling = 0u64;
-            let mut state = first;
-            for &flit in flits {
-                bits += u64::from(hamming(state, flit));
-                coupling += u64::from(coupling_transitions(state, flit));
-                state = flit;
-            }
-            let hops = plan.links.len() as u64;
-            act.noc_flit_hops += flits.len() as u64 * hops;
-            act.noc_bit_switches += bits * hops;
-            act.noc_coupling_switches += coupling * hops;
-            for &l in &plan.links {
-                net[l] = state;
-            }
-        } else {
-            for &l in &plan.links {
-                let state = &mut net[l];
-                for &flit in flits {
-                    act.noc_flit_hops += 1;
-                    act.noc_bit_switches += u64::from(hamming(*state, flit));
-                    act.noc_coupling_switches += u64::from(coupling_transitions(*state, flit));
-                    *state = flit;
-                }
-            }
-        }
-        plan.latency
+        self.send(plan.noc, plan.src, plan.dst, flits, act)
     }
 
     /// Resets all link wire state to zero (quiescent network).
@@ -300,18 +365,27 @@ impl NocFabric {
     }
 }
 
-/// A precomputed unicast route for [`NocFabric::send_planned`].
+/// A route handle for [`NocFabric::send_planned`].
 #[derive(Debug, Clone)]
 pub struct SendPlan {
     noc: NocId,
-    /// Directed-link indices along the dimension-ordered route.
-    links: Vec<usize>,
-    latency: u64,
+    src: TileId,
+    dst: TileId,
+    /// The route's span of the fabric's link table.
+    links: Range<usize>,
 }
 
-/// The seed NoC implementation, with `HashMap`-backed link state. Kept
-/// as the reference the flat-array [`NocFabric`] is equivalence-tested
-/// against.
+impl SendPlan {
+    /// Links the planned route crosses.
+    #[must_use]
+    pub fn hops(&self) -> usize {
+        self.links.len()
+    }
+}
+
+/// The seed NoC implementation, with `HashMap`-backed link state and a
+/// per-flit, per-hop walk. Kept as the reference the route-table
+/// [`NocFabric`] is equivalence-tested against.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct ReferenceNocFabric {
@@ -552,6 +626,96 @@ mod tests {
             0
         );
         assert_eq!(act_planned, act_plain);
+    }
+
+    #[test]
+    fn route_table_matches_the_mesh_for_every_pair() {
+        let mesh = Mesh::piton();
+        let noc = NocFabric::new(mesh.clone());
+        for src in mesh.tiles() {
+            for dst in mesh.tiles() {
+                let entry = noc.route(src, dst);
+                let route = mesh.route(src, dst);
+                assert_eq!(entry.hops(), route.hops, "{src:?}->{dst:?}");
+                assert_eq!(entry.latency_cycles(), route.latency_cycles());
+                // The table's links are the `next_hop` walk's, in order.
+                let mut walk = Vec::new();
+                let mut at = src;
+                while let Some(next) = mesh.next_hop(at, dst) {
+                    let (f, t) = (at.index(), next.index());
+                    let dir = if t == f + 1 {
+                        EAST
+                    } else if t + 1 == f {
+                        WEST
+                    } else if t == f + mesh.width() {
+                        SOUTH
+                    } else {
+                        NORTH
+                    };
+                    walk.push((f * 4 + dir) as u32);
+                    at = next;
+                }
+                assert_eq!(&noc.route_links[entry.links()], walk.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn send_matches_reference_for_every_flit_count_and_network() {
+        let mut fabric = NocFabric::new(Mesh::piton());
+        let mut reference = ReferenceNocFabric::new(Mesh::piton());
+        let (mut act, mut act_ref) = (ActivityCounters::default(), ActivityCounters::default());
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for n in 0..=8usize {
+            for noc in NocId::ALL {
+                for pair in 0..625usize {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let (src, dst) = (TileId::new(pair / 25), TileId::new(pair % 25));
+                    let flits: Vec<u64> = (0..n as u32)
+                        .map(|i| x.rotate_left(9 * i) ^ u64::from(i))
+                        .collect();
+                    // Runs of identical packets: the second one finds
+                    // every link on the route holding the same state.
+                    for _ in 0..1 + pair % 3 {
+                        let l1 = fabric.send(noc, src, dst, &flits, &mut act);
+                        let l2 = reference.send(noc, src, dst, &flits, &mut act_ref);
+                        assert_eq!(l1, l2);
+                    }
+                }
+                assert_eq!(act, act_ref, "{n} flits on {noc:?}");
+            }
+        }
+        assert!(act.noc_coupling_switches > 0);
+    }
+
+    #[test]
+    fn send_repeated_equals_a_loop_of_reference_sends() {
+        let mut fabric = NocFabric::new(Mesh::piton());
+        let mut reference = ReferenceNocFabric::new(Mesh::piton());
+        let (mut act, mut act_ref) = (ActivityCounters::default(), ActivityCounters::default());
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..300u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let noc = NocId::ALL[i as usize % 3];
+            let (src, dst) = (
+                TileId::new((x >> 8) as usize % 25),
+                TileId::new((x >> 16) as usize % 25),
+            );
+            let flits: Vec<u64> = (0..(x >> 24) % 9)
+                .map(|k| x.rotate_left(k as u32 * 7))
+                .collect();
+            let count = (x >> 32) % 5;
+            let l1 = fabric.send_repeated(noc, src, dst, &flits, count, &mut act);
+            for _ in 0..count {
+                let l2 = reference.send(noc, src, dst, &flits, &mut act_ref);
+                assert_eq!(l1, l2);
+            }
+            assert_eq!(act, act_ref, "packet run {i}");
+        }
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!   request the cache holds whole — and never serves a file cached
 //!   under another analytic model;
 //! * a `kill=` fault on a `design_space` point holes that point in the
-//!   done frame and streams the rest.
+//!   done frame and streams the rest, and a request whose only misses
+//!   are killed points does not calibrate;
+//! * the cold Figure 12 (`noc`) transcripts match
+//!   `tests/golden/serve_noc.jsonl` byte for byte.
 //!
 //! Everything runs at a tiny custom fidelity so the whole suite
 //! computes milliseconds of simulation, not minutes.
@@ -413,6 +416,73 @@ fn a_killed_design_space_point_is_a_hole_in_the_done_frame() {
     assert_eq!(server.counters().value("serve.points_computed"), 4);
     assert_eq!(server.counters().value("serve.cache_hits"), 0);
 
+    server.stop().expect("clean stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request whose only misses are `kill=` points has nothing to
+/// compute, so a daemon restarted on the rest of its grid answers it
+/// without calibrating and still holes the killed point.
+#[test]
+fn a_request_missing_only_killed_points_does_not_calibrate() {
+    let dir = temp_dir("ds-kill-restart");
+    let killed = |grid: &str| {
+        format!(
+            r#"{{"op":"run","section":"design_space","grid":"{grid}","fidelity":"{FIDELITY}","fault":"kill=design_space:2"}}"#
+        )
+    };
+    let first = spawn_server(&dir);
+    let (_, frames) = roundtrip(first.socket(), &killed("0,1,3"));
+    assert_eq!(payloads(&frames).len(), 3);
+    assert_eq!(first.counters().value("serve.calibrations"), 1);
+    first.stop().expect("clean stop");
+
+    let second = spawn_server(&dir);
+    let (_, frames) = roundtrip(second.socket(), &killed("0-3"));
+    let served: Vec<u64> = payloads(&frames).into_iter().map(|(i, _)| i).collect();
+    assert_eq!(served, [0, 1, 3]);
+    match frames.last() {
+        Some(Frame::Done { points, holes, .. }) => {
+            assert_eq!(*points, 3);
+            assert_eq!(holes.len(), 1, "{holes:?}");
+            assert_eq!((holes[0].index, holes[0].attempts), (2, 3));
+        }
+        other => panic!("expected a done frame, got {other:?}"),
+    }
+    assert_eq!(second.counters().value("serve.calibrations"), 0);
+    assert_eq!(second.counters().value("serve.cache_hits"), 3);
+
+    second.stop().expect("clean stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The Figure 12 bridge stream, served cold at the benchmark's
+/// fidelity and at one where neither the sample nor the warm-up is a
+/// multiple of the 47-cycle bridge pattern, is pinned byte for byte.
+#[test]
+fn cold_noc_transcripts_match_the_golden() {
+    let dir = temp_dir("noc-golden");
+    let server = spawn_server(&dir);
+    // Rendered as `piton-client` prints them: one frame per line,
+    // without the wire checksum.
+    let mut transcript = String::new();
+    for fidelity in ["s=128,c=1000000,w=300000", "s=3,c=1001,w=999"] {
+        let request =
+            format!(r#"{{"op":"run","section":"noc","grid":"all","fidelity":"{fidelity}"}}"#);
+        for frame in roundtrip(server.socket(), &request).1 {
+            transcript.push_str(&frame.to_value().render());
+            transcript.push('\n');
+        }
+    }
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/serve_noc.jsonl"
+    ))
+    .expect("read the golden");
+    assert!(
+        transcript == golden,
+        "the cold noc transcripts drifted from tests/golden/serve_noc.jsonl"
+    );
     server.stop().expect("clean stop");
     let _ = std::fs::remove_dir_all(&dir);
 }
