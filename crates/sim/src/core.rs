@@ -18,16 +18,16 @@
 //!   the L1; a miss rolls back younger instructions and stalls the
 //!   thread until the fill returns.
 //!
-//! Three loops drive a core: the live per-cycle [`Core::step`], and the
-//! two loops behind the batched dense engine's local run-ahead
-//! [`Core::run_local`], one for a single running thread and one for
-//! two, which both replay steady-state loop iterations instead of
-//! re-interpreting them. All three take the register-only instruction
-//! semantics (ALU, FP, branch, `movi`, nop) from a single function over
-//! the thread's register file; each loop owns only its scheduling
-//! bookkeeping and its memory/store/membar/halt arms.
+//! Two loops drive a core: the live per-cycle [`Core::step`], and the
+//! one loop behind the batched dense engine's local run-ahead
+//! [`Core::run_local`], which runs one or two running threads as a
+//! schedule over two slots and replays steady-state loop iterations
+//! instead of re-interpreting them. Both take the register-only
+//! instruction semantics (ALU, FP, branch, `movi`, nop) from a single
+//! function over the thread's register file; each loop owns only its
+//! scheduling bookkeeping and its memory/store/membar/halt arms.
 //!
-//! The local loops also run through the memory accesses that touch
+//! The local loop also runs through the memory accesses that touch
 //! only lines the tile owns: an `ldx` that hits the L1 on a line the
 //! L1.5 holds Modified or Exclusive, and a store-buffer drain to such a
 //! line. They read the memory system without changing it and log each
@@ -167,16 +167,11 @@ impl LocalCharges {
         *self = LocalCharges::default();
     }
 
-    /// Adds `k` more copies of what accrued since `mark`, an earlier
-    /// snapshot of these charges: the integer side of replaying a loop
-    /// period `k` more times.
-    fn repeat_since(&mut self, mark: &LocalCharges, k: u64) {
-        let (now, old) = (self.scalars(), mark.scalars());
-        self.add_scalars(std::array::from_fn(|i| now[i] - old[i]), k);
-        for i in 0..Opcode::COUNT {
-            self.issues[i] += k * (self.issues[i] - mark.issues[i]);
-            self.occupancy[i] += k * (self.occupancy[i] - mark.occupancy[i]);
-        }
+    /// Charges a stall span of `span` cycles during which `waiting`
+    /// threads wait on the memory system.
+    fn stall(&mut self, span: u64, waiting: u64) {
+        self.active += span;
+        self.mem_stall += span * waiting;
     }
 
     /// The charges other than the per-opcode ones.
@@ -296,7 +291,7 @@ pub struct MemLog {
     ops: Vec<MemOp>,
     /// `(word, value)` of the last logged drain to each word.
     overlay: Vec<(u64, u64)>,
-    /// What the lane's two-thread runs learned about its loops, kept
+    /// What the lane's local runs learned about its loops, kept
     /// from run to run ([`PairCache`]); emptying the log keeps it.
     pair: Option<Box<PairCache>>,
 }
@@ -412,7 +407,7 @@ impl<'a> LocalMem<'a> {
     fn mark(
         &mut self,
         now: u64,
-        threads: &[(usize, ThreadMark)],
+        threads: impl Iterator<Item = (usize, ThreadMark)>,
         sb: &StoreBuffer,
         last: (usize, Option<(usize, usize, Opcode)>),
         charges: &LocalCharges,
@@ -421,7 +416,7 @@ impl<'a> LocalMem<'a> {
         if let Some(m) = self.mark.take() {
             let c = &mut m.core;
             c.threads.clear();
-            c.threads.extend_from_slice(threads);
+            c.threads.extend(threads);
             c.entries.clear();
             c.entries.extend(sb.entries.iter().copied());
             c.drain_free_at = sb.drain_free_at;
@@ -437,17 +432,23 @@ impl<'a> LocalMem<'a> {
     /// it hits the L1 on a line the L1.5 owns (a redo: it comes before
     /// the failing access).
     fn takes_load(&self, tile: TileId, addr: u64) -> bool {
+        self.has_room()
+            && (self.stop.is_some()
+                || self.memsys.owns(tile, addr) && self.memsys.l1_holds(tile, addr))
+    }
+
+    /// Accesses the run may still take: up to [`LOG_CAP`] logged, or a
+    /// redo's up to its failing access.
+    fn room(&self) -> usize {
         match self.stop {
-            Some(stop) => self.pos < stop,
-            None => {
-                self.has_room() && self.memsys.owns(tile, addr) && self.memsys.l1_holds(tile, addr)
-            }
+            Some(stop) => stop - self.pos,
+            None => LOG_CAP.saturating_sub(self.log.ops.len()),
         }
     }
 
-    /// Whether a recording run may log another access.
+    /// Whether the run may take another access.
     fn has_room(&self) -> bool {
-        self.log.ops.len() < LOG_CAP
+        self.room() > 0
     }
 
     /// Takes an `ldx` of `addr` issued at `now` that
@@ -471,10 +472,7 @@ impl<'a> LocalMem<'a> {
     /// the L1.5 owns its line (a redo: it comes before the failing
     /// access).
     fn takes_drain(&self, tile: TileId, addr: u64) -> bool {
-        match self.stop {
-            Some(stop) => self.pos < stop,
-            None => self.has_room() && self.memsys.owns(tile, addr),
-        }
+        self.has_room() && (self.stop.is_some() || self.memsys.owns(tile, addr))
     }
 
     /// A drain of `value` to `addr` starting at `start`: whether it was
@@ -508,9 +506,9 @@ impl<'a> LocalMem<'a> {
 
     /// Logs again a load an earlier iteration of the run logged: same
     /// address, and the same value while no drain has changed memory
-    /// since.
+    /// since. A redo never replays loops: it re-executes every issue.
     fn relog_load(&mut self, now: u64, addr: u64, value: u64) {
-        debug_assert!(self.stop.is_none(), "relog_load in a redo");
+        assert!(self.stop.is_none(), "relog_load in a redo");
         self.log
             .ops
             .push(MemOp::new(now, addr, value, MemOpKind::Load));
@@ -521,11 +519,11 @@ impl<'a> LocalMem<'a> {
     /// shifted to start `j * period` cycles after `base`, and returns
     /// the largest `k` the log allows ([`LOG_CAP`]).
     fn append_cycle(&mut self, ops: &[MemOp], base: u64, k: u64, period: u64) -> u64 {
-        debug_assert!(self.stop.is_none(), "append_cycle in a redo");
+        assert!(self.stop.is_none(), "append_cycle in a redo");
         let k = if ops.is_empty() {
             k
         } else {
-            k.min(LOG_CAP.saturating_sub(self.log.ops.len()) as u64 / ops.len() as u64)
+            k.min((self.room() / ops.len()) as u64)
         };
         for j in 0..k {
             let shift = base + j * period;
@@ -537,145 +535,13 @@ impl<'a> LocalMem<'a> {
         self.pos = self.log.ops.len();
         k
     }
-
-    /// Logs `k` more copies of the accesses `body`, the `j`-th shifted
-    /// `j * period` cycles later (a redo steps over them instead).
-    /// Returns the largest `k` the log allows: a redo never replays
-    /// past its failing access, a recording never past [`LOG_CAP`].
-    fn repeat(&mut self, body: std::ops::Range<usize>, k: u64, period: u64) -> u64 {
-        let n = body.len() as u64;
-        if n == 0 {
-            return k;
-        }
-        if let Some(stop) = self.stop {
-            let k = k.min((stop - self.pos) as u64 / n);
-            self.pos += (k * n) as usize;
-            return k;
-        }
-        let k = k.min(LOG_CAP.saturating_sub(self.log.ops.len()) as u64 / n);
-        for j in 1..=k {
-            let copy = self.log.ops.len();
-            self.log.ops.extend_from_within(body.clone());
-            for op in &mut self.log.ops[copy..] {
-                op.at_kind += j * period;
-            }
-        }
-        self.pos = self.log.ops.len();
-        k
-    }
 }
 
-/// Consecutive loop heads that may fail to recur before a
-/// [`Core::run_local`] stops looking for a period: a loop whose
+/// Backward branches in a row that may fail to recur before a
+/// [`ThreadLoop`] stops recording for the rest of the run: a loop whose
 /// registers change every iteration (a countdown) never recurs, and the
-/// lookup is not free.
+/// recording is not free.
 const HEAD_MISSES: u32 = 8;
-
-/// Where a [`Core::run_local`] loop last took a backward branch: the
-/// loop's `state` there — everything its next iteration depends on —
-/// and what the run had produced by then.
-struct LoopHead<S> {
-    state: S,
-    now: u64,
-    records: usize,
-    ops: usize,
-    charges: LocalCharges,
-}
-
-/// A loop's last [`LoopHead`], and how many heads in a row have failed
-/// to recur.
-struct LoopHeads<S> {
-    last: Option<LoopHead<S>>,
-    misses: u32,
-}
-
-impl<S: PartialEq> LoopHeads<S> {
-    fn new() -> Self {
-        Self {
-            last: None,
-            misses: 0,
-        }
-    }
-
-    /// Whether the loop still looks for a period.
-    fn looking(&self) -> bool {
-        self.misses < HEAD_MISSES
-    }
-
-    /// Steady-state loop replay, called at a taken backward branch with
-    /// the loop's `state` at `now`, store buffer empty. A state equal
-    /// to the one at the previous call proves the period in between
-    /// repeats verbatim, so its records are copied once per whole
-    /// period that fits before `end`, each shifted one period later,
-    /// and its integer charges are added as many times. The `f64`
-    /// activities stay one per record, so the machine still folds them
-    /// one by one in naive order. A period's logged accesses repeat with
-    /// it when every drain in it is silent: then memory does not change
-    /// under the loop, so each load reads the same value again. A
-    /// period containing a `membar`, whose occupancy reads the
-    /// drain-port clock, or a drain that changes memory is left to the
-    /// interpreter.
-    ///
-    /// Returns the cycles replayed (zero if none) and remembers `state`.
-    #[allow(clippy::cast_possible_truncation, clippy::too_many_arguments)]
-    fn replay(
-        &mut self,
-        state: S,
-        now: u64,
-        end: u64,
-        records: &mut Vec<IssueRecord>,
-        charges: &mut LocalCharges,
-        mem: &mut LocalMem<'_>,
-        sb: &mut StoreBuffer,
-    ) -> u64 {
-        let mut replayed = 0;
-        match self.last.as_ref().filter(|h| h.state == state) {
-            None => self.misses += 1,
-            Some(h) => {
-                self.misses = 0;
-                let period = now - h.now;
-                let membar = Opcode::Membar.index();
-                let ops = h.ops..mem.pos;
-                let body = &mem.log.ops[ops.clone()];
-                let drains = body.iter().any(|op| !op.is_load());
-                let repeats = charges.issues[membar] == h.charges.issues[membar]
-                    && body
-                        .iter()
-                        .all(|op| op.kind() != MemOpKind::Drain { silent: false });
-                let k = if repeats {
-                    mem.repeat(ops, (end - now) / period, period)
-                } else {
-                    0
-                };
-                if k > 0 {
-                    let body = h.records..records.len();
-                    for j in 1..=k {
-                        let copy = records.len();
-                        records.extend_from_within(body.clone());
-                        let shift = (j * period) as u16;
-                        for r in &mut records[copy..] {
-                            r.offset += shift;
-                        }
-                    }
-                    charges.repeat_since(&h.charges, k);
-                    replayed = k * period;
-                    if drains {
-                        // The last drain moved on with the copies.
-                        sb.drain_free_at += replayed;
-                    }
-                }
-            }
-        }
-        self.last = Some(LoopHead {
-            state,
-            now: now + replayed,
-            records: records.len(),
-            ops: mem.pos,
-            charges: *charges,
-        });
-        replayed
-    }
-}
 
 /// One issue of a [`ThreadLoop`] iteration: everything about it that
 /// does not depend on when it issues.
@@ -698,16 +564,16 @@ enum LoopAccess {
     Store { addr: u64, value: u64 },
 }
 
-/// One thread's steady loop inside a [`Core::run_local`] pair: the
-/// issues of one iteration, recorded from a taken backward branch to
-/// the next, and proven to repeat when the thread comes back to the
-/// same `pc` with the same registers while memory has not changed under
-/// it. Two threads whose loops differ in length recur *together* only
-/// after hundreds of cycles (HP's compute and mixed kinds), but each
-/// thread's own loop repeats every iteration: the pair then issues from
-/// both loops' steps, and only the schedule between them — which thread
-/// issues when, and the charges that depend on it — is computed cycle
-/// by cycle.
+/// One thread's steady loop inside a [`Core::run_local`]: the issues of
+/// one iteration, recorded from a taken backward branch to the next,
+/// and proven to repeat when the thread comes back to the same `pc`
+/// with the same registers while memory has not changed under it. Two
+/// threads whose loops differ in length recur *together* only after
+/// hundreds of cycles (HP's compute and mixed kinds), but each thread's
+/// own loop repeats every iteration: the core then issues from the
+/// running threads' loop steps, and only the schedule between them —
+/// which thread issues when, and the charges that depend on it — is
+/// computed cycle by cycle.
 #[derive(Debug, Clone, Default)]
 struct ThreadLoop {
     /// The iteration's top: its `pc`, the registers there and the
@@ -718,6 +584,9 @@ struct ThreadLoop {
     clean: bool,
     /// The recording is a whole iteration that repeats.
     proven: bool,
+    /// Backward branches in a row that did not recur; at
+    /// [`HEAD_MISSES`] the loop stops recording.
+    misses: u32,
 }
 
 impl ThreadLoop {
@@ -732,8 +601,12 @@ impl ThreadLoop {
 
     /// The thread took a backward branch to `pc` with `regs`: proves
     /// the recorded iteration if it ends where it began, or starts
-    /// recording a new one.
+    /// recording a new one — unless [`HEAD_MISSES`] branches in a row
+    /// have failed to recur, when it records nothing more.
     fn branch(&mut self, pc: usize, regs: &[u64; Reg::COUNT], loud: u64) {
+        if self.misses == HEAD_MISSES {
+            return;
+        }
         let repeats = self.clean
             && self
                 .head
@@ -741,11 +614,15 @@ impl ThreadLoop {
                 .is_some_and(|(p, r, l)| *p == pc && r == regs && *l == loud);
         if repeats {
             self.proven = true;
-        } else {
+            self.misses = 0;
+            return;
+        }
+        let misses = self.misses + 1;
+        self.reset();
+        self.misses = misses;
+        if misses < HEAD_MISSES {
             self.head = Some((pc, *regs, loud));
-            self.steps.clear();
             self.clean = true;
-            self.proven = false;
         }
     }
 
@@ -755,6 +632,7 @@ impl ThreadLoop {
         self.steps.clear();
         self.clean = false;
         self.proven = false;
+        self.misses = 0;
     }
 
     /// Position in the iteration of the step at `pc`.
@@ -766,12 +644,23 @@ impl ThreadLoop {
     /// its `pc`: the registers there are the ones the loop's steps
     /// would leave.
     fn holds(&self, thread: &Thread, code: &[Instruction]) -> bool {
-        let Some(at) = self.position(thread.pc).filter(|_| self.proven) else {
+        let Some(at) = self.proven.then(|| self.position(thread.pc)).flatten() else {
             return false;
         };
         let mut probe = Thread::new();
         self.restore(&mut probe, code, at);
         probe.regs == thread.regs
+    }
+
+    /// Whether every load of this loop still reads what it recorded,
+    /// off the live path: memory may have moved on since an earlier run.
+    fn loads_hold(&self, tile: TileId, mem: &LocalMem<'_>) -> bool {
+        self.steps.iter().all(|s| match s.access {
+            LoopAccess::Load { addr, value } => {
+                mem.takes_load(tile, addr) && mem.log.view(mem.memsys, addr) == value
+            }
+            _ => true,
+        })
     }
 
     /// Sets `thread`'s registers to where `steps[..at]` of an iteration
@@ -794,15 +683,57 @@ impl ThreadLoop {
     }
 }
 
+/// The slot of a [`Core::run_local`] that issues at `now`: the first
+/// running slot that is ready, round-robin from `next`. When none is,
+/// the earliest cycle a running slot wakes (`u64::MAX` when none runs).
+/// With one `LIVE` slot only slot 0 can issue, which lets the compiler
+/// fold the lone thread's loop down to one slot.
+fn pick<const LIVE: usize>(
+    running: [bool; 2],
+    busy: [u64; 2],
+    next: usize,
+    now: u64,
+) -> Result<usize, u64> {
+    if LIVE == 1 {
+        return if !running[0] {
+            Err(u64::MAX)
+        } else if busy[0] <= now {
+            Ok(0)
+        } else {
+            Err(busy[0])
+        };
+    }
+    let ready = |i: usize| running[i] && busy[i] <= now;
+    if ready(next) {
+        Ok(next)
+    } else if ready(next ^ 1) {
+        Ok(next ^ 1)
+    } else {
+        Err((0..2)
+            .filter(|&i| running[i])
+            .map(|i| busy[i])
+            .min()
+            .unwrap_or(u64::MAX))
+    }
+}
+
+/// How many running slots wait on the memory system over a stall span.
+fn memory_waiting<const LIVE: usize>(running: [bool; 2], wait: [WaitKind; 2]) -> u64 {
+    (0..LIVE)
+        .filter(|&i| running[i] && wait[i] == WaitKind::Memory)
+        .count() as u64
+}
+
 /// Store-buffer entries a [`PairPhase`] can hold.
 const PHASE_ENTRIES: usize = 4;
 
-/// The state of a pair running from two proven [`ThreadLoop`]s, at the
-/// top of a cycle, relative to that cycle: where each thread is in its
-/// loop (which fixes its registers), how long each stays occupied and
-/// on what, the round-robin pointer, the last issue (drafting), and the
-/// store buffer. Two cycles with equal phases issue the same schedule
-/// from there on, so the span between them repeats.
+/// The state of a core running from its threads' proven
+/// [`ThreadLoop`]s, at the top of a cycle, relative to that cycle: where
+/// each thread is in its loop (which fixes its registers), how long
+/// each stays occupied and on what, the round-robin pointer, the last
+/// issue (drafting), and the store buffer. Two cycles with equal phases
+/// issue the same schedule from there on, so the span between them
+/// repeats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PairPhase {
     cursor: [usize; 2],
@@ -847,17 +778,18 @@ impl PairPhase {
     }
 }
 
-/// What a two-thread lane's runs learn about its loops, kept from one
-/// local run to the next so that a later run need not prove them
-/// again: each thread's proven loop, and a schedule period found by an
-/// earlier run, which a later run replays as soon as the pair comes
-/// round to its phase. Any use is checked first: a thread must stand
-/// where its loop says (`pc` and registers), and every access replayed
-/// from the period is still checked by the machine at its turn.
+/// What a lane's runs learn about its loops, kept from one local run
+/// to the next so that a later run need not prove them again: each
+/// slot's proven loop, and a schedule period found by an earlier run,
+/// which a later run replays as soon as the core comes round to its
+/// phase. Any use is checked first: a thread must stand where its loop
+/// says (`pc` and registers), and every access replayed from the period
+/// is still checked by the machine at its turn.
 #[derive(Debug, Clone, Default)]
 pub struct PairCache {
-    /// The threads' programs the loops were recorded from.
-    programs: Option<[Arc<Program>; 2]>,
+    /// The slots' programs the loops were recorded from (`None` for a
+    /// slot with no running thread).
+    programs: [Option<Arc<Program>>; 2],
     loops: [ThreadLoop; 2],
     cycle: Option<PairCycle>,
 }
@@ -941,6 +873,10 @@ impl PairCycle {
         }
         charges.add_scalars(self.scalars, k);
         for ((l, &issued), done) in loops.iter().zip(&self.issued).zip(retired) {
+            if issued == 0 {
+                // A slot with no running thread.
+                continue;
+            }
             let turns = k * issued / l.steps.len() as u64;
             for step in &l.steps {
                 charges.issues[step.op.index()] += turns;
@@ -952,7 +888,7 @@ impl PairCycle {
     }
 }
 
-/// What a pair run had produced when it reached a [`PairPhase`].
+/// What a run had produced when it reached a [`PairPhase`].
 struct PairMark {
     now: u64,
     records: usize,
@@ -1039,8 +975,8 @@ impl Thread {
     /// branch is taken. Such an instruction always occupies the thread
     /// for `base_latency()` cycles.
     ///
-    /// The one copy of these semantics: the live issue path and both
-    /// local run-ahead loops call it, each keeping only its own
+    /// The one copy of these semantics: the live issue path and the
+    /// local run-ahead loop call it, each keeping only its own
     /// scheduling bookkeeping and its memory/store/membar/halt arms.
     #[inline(always)]
     fn execute_local(&mut self, instr: &Instruction) -> (u8, Option<usize>) {
@@ -1536,11 +1472,13 @@ impl Core {
     /// state changes, so the active/memory-stall rates are constants of
     /// the span.
     ///
-    /// One running thread takes `run_local_single`, two take
-    /// `run_local_pair`. A core with more than two running
-    /// threads (not a Piton shape), or running a program longer than
-    /// an [`IssueRecord`] can address, has no local loop: the horizon
-    /// is `start` and the machine steps it live.
+    /// Every core with one or two running threads takes the same loop:
+    /// its two *slots* are the running threads' indices, and a slot with
+    /// no running thread (one thread loaded, or a sibling that halted)
+    /// is never ready and charges nothing. A core with more than two
+    /// running threads (not a Piton shape), or running a program longer
+    /// than an [`IssueRecord`] can address, has no local loop: the
+    /// horizon is `start` and the machine steps it live.
     ///
     /// The caller must ensure the core is enabled and `[origin, end)`
     /// fits an [`IssueRecord`] offset; `Machine::run_dense_batched`
@@ -1559,12 +1497,6 @@ impl Core {
             origin <= start && end - origin <= 1 << 16,
             "span overflows the record offset"
         );
-        let mut running = self
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.state == ThreadState::Running)
-            .map(|(i, _)| i);
         let long = |t: &Thread| {
             t.program
                 .as_ref()
@@ -1573,15 +1505,22 @@ impl Core {
         if self.threads.iter().any(long) {
             return start;
         }
-        match (running.next(), running.next(), running.next()) {
-            (None, _, _) if self.store_buffer.entries.is_empty() => end,
-            (Some(only), None, _) if only < RECORD_THREADS => {
-                self.run_local_single(only, origin, start, end, mem, records, charges)
+        let mut slots = [0; 2];
+        let mut live = 0;
+        for (i, t) in self.threads.iter().enumerate() {
+            if t.state == ThreadState::Running {
+                if live == 2 || i >= RECORD_THREADS {
+                    return start;
+                }
+                slots[live] = i;
+                live += 1;
             }
-            (Some(_), Some(_), None) if self.threads.len() == 2 => {
-                self.run_local_pair(origin, start, end, mem, records, charges)
-            }
-            _ => start,
+        }
+        match live {
+            0 if self.store_buffer.entries.is_empty() => end,
+            0 => start,
+            1 => self.run_local_slots::<1>(slots, origin, start, end, mem, records, charges),
+            _ => self.run_local_slots::<2>(slots, origin, start, end, mem, records, charges),
         }
     }
 
@@ -1634,237 +1573,38 @@ impl Core {
         self.last_issue = m.last_issue;
     }
 
-    /// [`Core::run_local`] for exactly one running thread — the shape of
-    /// the 1 T/C sweeps (Figures 13/14). The thread's hot state (`pc`,
-    /// `busy_until`, wait kind) lives in locals for the whole span and
-    /// is flushed once on exit, and the invariants of the single-thread
-    /// case delete the per-cycle bookkeeping wholesale: the issuing
-    /// thread is never memory-waiting at its own issue cycle, idle and
-    /// halted siblings never are, `dual` is statically false, the
-    /// round-robin always picks this thread, `next_thread`/`last_issue`
-    /// take the same value at every issue (written once at exit), and
-    /// only the *first* issue can draft (against a sibling's final
-    /// issue from before the span).
+    /// [`Core::run_local`] over the `LIVE` running threads in
+    /// `slots[..LIVE]`.
+    /// Each slot's `pc`, `busy_until` and wait kind live in locals, so
+    /// the round-robin pick, the dual-thread charge and the sibling's
+    /// memory-wait charge are a few compares instead of scans over the
+    /// thread vector. A thread that halts (or falls off the end)
+    /// mid-span leaves its sibling running here alone, exactly as
+    /// [`Core::step`] would, and `next_thread`/`last_issue` end as the
+    /// last `Core::step` would leave them.
     ///
-    /// Steady-state loops are replayed, not re-interpreted
-    /// ([`LoopHeads::replay`]) at taken backward branches that find the
-    /// store buffer empty: the state compared is the head `pc`, the
-    /// registers, the occupancy left, its wait kind and how long the
-    /// drain port stays busy. Nothing else a local iteration reads can
-    /// change, and a replayed period never holds a drafted issue: only
-    /// the run's first issue drafts, and it precedes every branch.
+    /// Steady-state loops are not re-interpreted. Each thread's own
+    /// loop is recorded from one taken backward branch to the next and
+    /// proven when it comes back to the same `pc` and registers
+    /// ([`ThreadLoop`]). Once every running thread's is proven, the core
+    /// issues from their steps and computes only the schedule between
+    /// them; and whenever the schedule's whole state ([`PairPhase`]:
+    /// where each thread is in its loop, occupancy left and wait kinds,
+    /// the round-robin pointer, the last issue — which decides drafting
+    /// — and the store buffer) comes round, the span in between is
+    /// replayed like a loop period: its records and logged accesses
+    /// copied, its integer charges multiplied. A lone thread is the
+    /// degenerate schedule: its phase comes round with its loop. The
+    /// proven loops and the period are kept in the lane's [`PairCache`]
+    /// from run to run.
     #[allow(
         clippy::cast_possible_truncation,
         clippy::too_many_lines,
         clippy::too_many_arguments
     )]
-    fn run_local_single(
+    fn run_local_slots<const LIVE: usize>(
         &mut self,
-        idx: usize,
-        origin: u64,
-        start: u64,
-        end: u64,
-        mem: &mut LocalMem<'_>,
-        records: &mut Vec<IssueRecord>,
-        charges: &mut LocalCharges,
-    ) -> u64 {
-        let n = self.threads.len();
-        let tile = self.tile;
-        let prog = self.threads[idx]
-            .program
-            .take()
-            .expect("running thread has a program");
-        let code = &prog.instructions;
-        let sb = &mut self.store_buffer;
-        let t = &mut self.threads[idx];
-        let mut pc = t.pc;
-        let mut busy = t.busy_until;
-        let mut wait = t.wait;
-        let mut retired = 0u64;
-        // `Some(v)` once any issue slot was consumed: `last_issue`
-        // becomes `v` and `next_thread` advances past `idx`, exactly as
-        // the final per-cycle issue would have left them.
-        let mut new_last: Option<Option<(usize, usize, Opcode)>> = None;
-        let mut first = true;
-        let mut heads = LoopHeads::new();
-        let mut now = start;
-        // Saves the state at the top of cycle `now` before the run's
-        // first logged access.
-        macro_rules! mark {
-            () => {
-                if mem.mark.is_some() {
-                    let thread = ThreadMark {
-                        regs: t.regs,
-                        pc,
-                        busy_until: busy,
-                        wait,
-                        state: t.state,
-                        retired: t.retired + retired,
-                    };
-                    let last = match new_last {
-                        Some(v) => ((idx + 1) % n, v),
-                        None => (self.next_thread, self.last_issue),
-                    };
-                    mem.mark(now, &[(idx, thread)], sb, last, charges, records.len());
-                }
-            };
-        }
-        let horizon = 'run: {
-            while now < end {
-                if let Some(addr) = sb.due_head(now, mem) {
-                    if mem.takes_drain(tile, addr) {
-                        mark!();
-                    }
-                    if !sb.drain_local(tile, now, mem) {
-                        break 'run now;
-                    }
-                }
-                if busy > now {
-                    // Stall span at frozen rates.
-                    let wake = busy.min(end).min(sb.next_local_drain(mem));
-                    let span = wake - now;
-                    charges.active += span;
-                    if wait == WaitKind::Memory {
-                        charges.mem_stall += span;
-                    }
-                    now = wake;
-                    continue;
-                }
-                // After a halt the buffer still drains live.
-                let halted = |sb: &StoreBuffer| {
-                    if sb.entries.is_empty() {
-                        end
-                    } else {
-                        now + 1
-                    }
-                };
-                let mut record = IssueRecord::new((now - origin) as u16, idx, pc);
-                let Some(instr) = code.get(pc) else {
-                    // Fell off the end: phantom issue, then every
-                    // remaining cycle charges nothing.
-                    charges.active += 1;
-                    new_last = Some(None);
-                    t.state = ThreadState::Halted;
-                    records.push(record);
-                    break 'run halted(sb);
-                };
-                let op = instr.opcode;
-                let loaded = match op {
-                    Opcode::Casx => break 'run now,
-                    Opcode::Stx if sb.is_full() => break 'run now,
-                    Opcode::Ldx => {
-                        let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
-                        if !mem.takes_load(tile, addr) {
-                            break 'run now;
-                        }
-                        mark!();
-                        mem.load(addr, now)
-                    }
-                    _ => 0,
-                };
-                charges.active += 1;
-                if first {
-                    if let Some((prev_t, prev_pc, prev_op)) = self.last_issue {
-                        if prev_t != idx && prev_pc == pc && prev_op == op {
-                            charges.drafted += 1;
-                        }
-                    }
-                    first = false;
-                }
-                new_last = Some(Some((idx, pc, op)));
-                charges.l1i += 1;
-                record.set_op(op);
-                retired += 1;
-                let (occupancy, activity, kind, target) = match op {
-                    Opcode::Halt => {
-                        t.state = ThreadState::Halted;
-                        charges.issues[op.index()] += 1;
-                        charges.occupancy[op.index()] += 1;
-                        records.push(record);
-                        break 'run halted(sb);
-                    }
-                    Opcode::Ldx => {
-                        t.write(instr.rd, loaded);
-                        let activity = value_activity_code(loaded);
-                        (L1_HIT_CYCLES, activity, WaitKind::Memory, None)
-                    }
-                    Opcode::Stx => {
-                        let addr = t.read(instr.rs1).wrapping_add(instr.imm as u64);
-                        let value = t.read(instr.rs2);
-                        sb.push(addr, value, now);
-                        charges.sb_enqueues += 1;
-                        (1, value_activity_code(value), WaitKind::Execute, None)
-                    }
-                    Opcode::Membar => {
-                        let held = sb.drained_by(now) - now;
-                        (held.max(op.base_latency()), 0, WaitKind::StoreDrain, None)
-                    }
-                    _ => {
-                        let (activity, target) = t.execute_local(instr);
-                        (op.base_latency(), activity, WaitKind::Execute, target)
-                    }
-                };
-                let occupancy = occupancy.max(1);
-                charges.issues[op.index()] += 1;
-                charges.occupancy[op.index()] += occupancy;
-                record.activity = activity;
-                records.push(record);
-                busy = now + occupancy;
-                wait = kind;
-                now += 1;
-                let Some(target) = target else {
-                    pc += 1;
-                    continue;
-                };
-                let backward = target <= pc;
-                pc = target;
-                if backward && sb.entries.is_empty() && heads.looking() {
-                    let before = records.len();
-                    let free = sb.drain_free_at.saturating_sub(now);
-                    let state = (pc, t.regs, busy - now, wait, free);
-                    let replayed = heads.replay(state, now, end, records, charges, mem, sb);
-                    retired += (records.len() - before) as u64;
-                    now += replayed;
-                    busy += replayed;
-                }
-            }
-            end
-        };
-        t.pc = pc;
-        t.busy_until = busy;
-        t.wait = wait;
-        t.retired += retired;
-        t.program = Some(prog);
-        if let Some(v) = new_last {
-            self.last_issue = v;
-            self.next_thread = (idx + 1) % n;
-        }
-        horizon
-    }
-
-    /// [`Core::run_local`] for a two-thread core with both threads
-    /// running — the 2 T/C sweeps. Both threads' `pc`, `busy_until` and
-    /// wait kind live in locals, so the round-robin pick, the
-    /// dual-thread charge and the sibling's memory-wait charge are a
-    /// few compares instead of scans over the thread vector. A thread
-    /// that halts (or falls off the end) mid-span leaves its sibling
-    /// running here alone, exactly as [`Core::step`] would.
-    ///
-    /// Steady-state loops are not re-interpreted. Each thread's own
-    /// loop is recorded from one taken backward branch to the next and
-    /// proven when it comes back to the same `pc` and registers
-    /// ([`ThreadLoop`]). Once both are proven, the pair issues from
-    /// their steps and computes only the schedule between them; and
-    /// whenever the schedule's whole state ([`PairPhase`]: where each
-    /// thread is in its loop, occupancy left and wait kinds, the
-    /// round-robin pointer, the last issue — which decides drafting —
-    /// and the store buffer) comes round, the span in between is
-    /// replayed like a loop period: its records and logged accesses
-    /// copied, its integer charges multiplied. The proven loops and the
-    /// period are kept in the lane's [`PairCache`] from run to run.
-    #[allow(clippy::cast_possible_truncation, clippy::too_many_lines)]
-    fn run_local_pair(
-        &mut self,
+        slots: [usize; 2],
         origin: u64,
         start: u64,
         end: u64,
@@ -1881,30 +1621,58 @@ impl Core {
             ..
         } = self;
         let tile = *tile;
-        let [a, b] = &mut threads[..] else {
-            unreachable!("run_local_pair on a core without two threads")
-        };
-        let mut th = [a, b];
-        let progs = [
-            th[0].program.take().expect("running thread has a program"),
-            th[1].program.take().expect("running thread has a program"),
+        let n = threads.len();
+        // The running threads, in slot order (`slots` ascends).
+        let (first, rest) = threads[slots[0]..]
+            .split_first_mut()
+            .expect("a running thread");
+        let mut refs = [
+            Some(first),
+            rest.get_mut(slots[1].wrapping_sub(slots[0] + 1)),
         ];
-        let code = [&progs[0].instructions[..], &progs[1].instructions[..]];
-        let mut pc = [th[0].pc, th[1].pc];
-        let mut busy = [th[0].busy_until, th[1].busy_until];
-        let mut wait = [th[0].wait, th[1].wait];
-        let mut running = [true; 2];
+        let mut th: [&mut Thread; LIVE] = std::array::from_fn(|i| refs[i].take().expect("a slot"));
+        let progs = th.each_mut().map(|t| t.program.take());
+        let code = progs.each_ref().map(|p| {
+            &p.as_ref()
+                .expect("running thread has a program")
+                .instructions[..]
+        });
+        // Per slot; a slot with no running thread never issues.
+        let (mut pc, mut busy, mut wait) = ([0; 2], [0; 2], [WaitKind::Execute; 2]);
+        for (i, t) in th.iter().enumerate() {
+            (pc[i], busy[i], wait[i]) = (t.pc, t.busy_until, t.wait);
+        }
+        let mut running = [true, LIVE == 2];
         let mut retired = [0u64; 2];
-        let mut next = *next_thread;
+        // The slot the round-robin tries first, and the last issue.
+        let mut next = usize::from(LIVE == 2 && (slots[0] + 1..=slots[1]).contains(next_thread));
         let mut last = *last_issue;
+        // `next_thread` as `Core::step` leaves it: past the thread that
+        // issued last, once any has.
+        let (first_record, prior_next) = (records.len(), *next_thread);
+        let core_next = |next: usize, records: usize| {
+            if records > first_record {
+                (slots[next ^ 1] + 1) % n
+            } else {
+                prior_next
+            }
+        };
         // The loops the lane's earlier runs proved, if its threads still
-        // stand where those loops put them; a redo starts afresh.
+        // stand where those loops put them; a redo starts afresh. A lone
+        // thread's loop must also still read what it recorded. A pair's
+        // is kept on `pc` and registers alone: a stale load it relogs
+        // fails its check at its turn and costs a rewind.
         let mut cache = mem.log.pair.take().unwrap_or_default();
-        let same = cache
-            .programs
-            .as_ref()
-            .is_some_and(|p| Arc::ptr_eq(&p[0], &progs[0]) && Arc::ptr_eq(&p[1], &progs[1]));
-        if mem.stop.is_none() && same && (0..2).all(|i| cache.loops[i].holds(th[i], code[i])) {
+        let program = |i: usize| progs.get(i).and_then(Option::as_ref);
+        let same = (0..2)
+            .all(|i| cache.programs[i].as_ref().map(Arc::as_ptr) == program(i).map(Arc::as_ptr));
+        if mem.stop.is_none()
+            && same
+            && (0..2).all(|i| {
+                let l = &cache.loops[i];
+                !running[i] || (l.holds(th[i], code[i]) && (LIVE == 2 || l.loads_hold(tile, mem)))
+            })
+        {
             for l in &mut cache.loops {
                 if let Some(head) = &mut l.head {
                     head.2 = mem.loud;
@@ -1912,7 +1680,7 @@ impl Core {
             }
         } else {
             if !same {
-                cache.programs = Some([Arc::clone(&progs[0]), Arc::clone(&progs[1])]);
+                cache.programs = std::array::from_fn(|i| program(i).cloned());
             }
             cache.loops.iter_mut().for_each(ThreadLoop::reset);
             cache.cycle = None;
@@ -1933,10 +1701,10 @@ impl Core {
                             state: th[i].state,
                             retired: th[i].retired + retired[i],
                         };
-                        (i, t)
+                        (slots[i], t)
                     };
-                    let threads = [thread(0), thread(1)];
-                    mem.mark(now, &threads, sb, (next, last), charges, records.len());
+                    let rr = (core_next(next, records.len()), last);
+                    mem.mark(now, (0..LIVE).map(thread), sb, rr, charges, records.len());
                 }
             };
         }
@@ -1952,27 +1720,32 @@ impl Core {
                     break now;
                 }
             }
-            if std::mem::take(&mut try_steady) {
-                let loops = &cache.loops;
-                let steady = |l: &ThreadLoop| l.proven && l.head.is_some_and(|h| h.2 == mem.loud);
-                let cursor = [loops[0].position(pc[0]), loops[1].position(pc[1])];
-                if let (true, [Some(c0), Some(c1)]) = (
-                    mem.stop.is_none() && running == [true, true] && loops.iter().all(steady),
-                    cursor,
-                ) {
-                    // Both loops proven: issue from their steps, computing
-                    // only the schedule, until the span ends or a step
-                    // needs the interpreter (a full buffer or log, a drain
-                    // to take live, a drain that changes memory under the
-                    // loops).
+            let steady = |i: usize| {
+                let l = &cache.loops[i];
+                if !running[i] {
+                    return Some(0);
+                }
+                let proven = l.proven && l.head.is_some_and(|h| h.2 == mem.loud);
+                proven.then(|| l.position(pc[i])).flatten()
+            };
+            if std::mem::take(&mut try_steady) && mem.stop.is_none() {
+                if let (Some(c0), Some(c1)) = (steady(0), steady(1)) {
+                    // Every running thread's loop proven (a redo
+                    // re-executes every issue instead): issue from
+                    // their steps, computing only the schedule, until the
+                    // span ends or a step needs the interpreter (a full
+                    // buffer or log, a drain to take live, a drain that
+                    // changes memory under the loops).
                     mark!();
                     let mut cursor = [c0, c1];
                     let loud = mem.loud;
-                    // The pair's state each time thread 0's loop comes
-                    // round, and what the run had produced by then: once
+                    // The core's state each time the first running
+                    // slot's loop comes round (here too, if it is at its
+                    // top), and what the run had produced by then: once
                     // it recurs, the schedule in between repeats too.
+                    let lead = usize::from(!running[0]);
                     let mut rounds: Vec<(PairPhase, PairMark)> = Vec::new();
-                    let mut round = false;
+                    let mut round = cursor[lead] == 0;
                     while now < end {
                         let drained = sb.entries.is_empty() || sb.drain_local(tile, now, mem);
                         if !drained || mem.loud != loud {
@@ -2016,8 +1789,8 @@ impl Core {
                                     );
                                     if shift > 0 {
                                         now += shift;
-                                        for b in &mut busy {
-                                            *b += shift;
+                                        for i in (0..2).filter(|&i| running[i]) {
+                                            busy[i] += shift;
                                         }
                                         for e in &mut sb.entries {
                                             e.enqueued_at += shift;
@@ -2032,19 +1805,14 @@ impl Core {
                                 rounds.push((phase, at));
                             }
                         }
-                        let idx = if busy[next] <= now {
-                            next
-                        } else if busy[next ^ 1] <= now {
-                            next ^ 1
-                        } else {
-                            let wake = busy[0].min(busy[1]).min(end).min(sb.next_local_drain(mem));
-                            let span = wake - now;
-                            let mem_waiting =
-                                wait.iter().filter(|&&w| w == WaitKind::Memory).count();
-                            charges.active += span;
-                            charges.mem_stall += span * mem_waiting as u64;
-                            now = wake;
-                            continue;
+                        let idx = match pick::<LIVE>(running, busy, next, now) {
+                            Ok(idx) => idx,
+                            Err(wake) => {
+                                let wake = wake.min(end).min(sb.next_local_drain(mem));
+                                charges.stall(wake - now, memory_waiting::<LIVE>(running, wait));
+                                now = wake;
+                                continue;
+                            }
                         };
                         let steps = &cache.loops[idx].steps;
                         let step = &steps[cursor[idx]];
@@ -2055,14 +1823,15 @@ impl Core {
                         }
                         let other = idx ^ 1;
                         charges.active += 1;
-                        charges.mem_stall +=
-                            u64::from(busy[other] > now && wait[other] == WaitKind::Memory);
-                        charges.dual += 1;
-                        if last.is_some_and(|(t, p, o)| t == other && p == step.pc && o == step.op)
-                        {
+                        charges.mem_stall += u64::from(
+                            running[other] && busy[other] > now && wait[other] == WaitKind::Memory,
+                        );
+                        charges.dual += u64::from(running[other]);
+                        let id = slots[idx];
+                        if last.is_some_and(|(t, p, o)| t != id && p == step.pc && o == step.op) {
                             charges.drafted += 1;
                         }
-                        last = Some((idx, step.pc, step.op));
+                        last = Some((id, step.pc, step.op));
                         next = other;
                         charges.l1i += 1;
                         charges.issues[step.op.index()] += 1;
@@ -2075,7 +1844,7 @@ impl Core {
                                 charges.sb_enqueues += 1;
                             }
                         }
-                        let mut record = IssueRecord::new((now - origin) as u16, idx, step.pc);
+                        let mut record = IssueRecord::new((now - origin) as u16, id, step.pc);
                         record.set_op(step.op);
                         record.activity = step.activity;
                         records.push(record);
@@ -2085,11 +1854,11 @@ impl Core {
                         cursor[idx] += 1;
                         if cursor[idx] == steps.len() {
                             cursor[idx] = 0;
-                            round = idx == 0;
+                            round = idx == lead;
                         }
                         now += 1;
                     }
-                    for i in 0..2 {
+                    for i in (0..2).filter(|&i| running[i]) {
                         pc[i] = cache.loops[i].restore(th[i], code[i], cursor[i]);
                     }
                     if mem.loud != loud {
@@ -2099,33 +1868,22 @@ impl Core {
                     continue;
                 }
             }
-            let ready = |i: usize| running[i] && busy[i] <= now;
-            let idx = if ready(next) {
-                next
-            } else if ready(next ^ 1) {
-                next ^ 1
-            } else {
-                // Stall span: every running thread is occupied, so no
-                // state changes before the earliest wake-up.
-                let wake = match running {
-                    [true, true] => busy[0].min(busy[1]),
-                    [true, false] => busy[0],
-                    [false, true] => busy[1],
-                    // Both halted: buffered stores still drain live.
-                    [false, false] if sb.entries.is_empty() => break end,
-                    [false, false] => break now,
-                };
-                let wake = wake.min(end).min(sb.next_local_drain(mem));
-                let span = wake - now;
-                let mem_waiting = (0..2)
-                    .filter(|&i| running[i] && wait[i] == WaitKind::Memory)
-                    .count() as u64;
-                charges.active += span;
-                charges.mem_stall += span * mem_waiting;
-                now = wake;
-                continue;
+            let idx = match pick::<LIVE>(running, busy, next, now) {
+                Ok(idx) => idx,
+                // Every thread halted: buffered stores still drain live.
+                Err(_) if running == [false; 2] && sb.entries.is_empty() => break end,
+                Err(_) if running == [false; 2] => break now,
+                Err(wake) => {
+                    // Stall span: every running thread is occupied, so
+                    // no state changes before the earliest wake-up.
+                    let wake = wake.min(end).min(sb.next_local_drain(mem));
+                    charges.stall(wake - now, memory_waiting::<LIVE>(running, wait));
+                    now = wake;
+                    continue;
+                }
             };
             let other = idx ^ 1;
+            let id = slots[idx];
             let here = pc[idx];
             let instr = code[idx].get(here);
             let mut access = LoopAccess::None;
@@ -2152,7 +1910,7 @@ impl Core {
                 u64::from(running[other] && busy[other] > at && wait[other] == WaitKind::Memory);
             charges.dual += u64::from(running[other]);
             next = other;
-            let mut record = IssueRecord::new((at - origin) as u16, idx, here);
+            let mut record = IssueRecord::new((at - origin) as u16, id, here);
             let Some(instr) = instr else {
                 // Fell off the end: an issuing step that fetches and
                 // records nothing, halting the thread.
@@ -2164,11 +1922,11 @@ impl Core {
             };
             let op = instr.opcode;
             if let Some((prev_t, prev_pc, prev_op)) = last {
-                if prev_t != idx && prev_pc == here && prev_op == op {
+                if prev_t != id && prev_pc == here && prev_op == op {
                     charges.drafted += 1;
                 }
             }
-            last = Some((idx, here, op));
+            last = Some((id, here, op));
             charges.l1i += 1;
             record.set_op(op);
             retired[idx] += 1;
@@ -2230,15 +1988,14 @@ impl Core {
             try_steady = true;
         };
         mem.log.pair = Some(cache);
-        let [p0, p1] = progs;
-        for (i, (t, p)) in th.into_iter().zip([p0, p1]).enumerate() {
+        for (i, (t, p)) in th.into_iter().zip(progs).enumerate() {
             t.pc = pc[i];
             t.busy_until = busy[i];
             t.wait = wait[i];
             t.retired += retired[i];
-            t.program = Some(p);
+            t.program = p;
         }
-        *next_thread = next;
+        *next_thread = core_next(next, records.len());
         *last_issue = last;
         horizon
     }
@@ -2586,17 +2343,31 @@ mod tests {
     /// live and asserts they stay in step, down to the whole core state.
     /// Returns the horizon.
     fn assert_local_matches_step_on(core: Core, sys: &MemorySystem, start: u64, end: u64) -> u64 {
+        assert_local_matches_step_in(core, sys, &mut MemLog::default(), start, end).0
+    }
+
+    /// [`assert_local_matches_step_on`] with the lane's `log`, emptied
+    /// first but keeping what earlier runs learned about their loops, as
+    /// the machine keeps it from run to run. Returns the horizon, and
+    /// the core and memory system 200 cycles past it.
+    fn assert_local_matches_step_in(
+        core: Core,
+        sys: &MemorySystem,
+        log: &mut MemLog,
+        start: u64,
+        end: u64,
+    ) -> (u64, Core, MemorySystem) {
         let tile = core.tile();
         let mut stepped = core.clone();
         let mut local = core;
         let mut records = Vec::new();
         let mut charges = LocalCharges::default();
-        let mut log = MemLog::default();
+        log.clear();
         let horizon = local.run_local(
             start,
             start,
             end,
-            &mut LocalMem::record(sys, &mut log, &mut RunMark::default()),
+            &mut LocalMem::record(sys, log, &mut RunMark::default()),
             &mut records,
             &mut charges,
         );
@@ -2647,7 +2418,7 @@ mod tests {
         }
         assert_eq!(folded, act, "after the horizon");
         assert_eq!(format!("{local:?}"), format!("{stepped:?}"), "core state");
-        horizon
+        (horizon, local, local_sys)
     }
 
     fn core_with(programs: &[Vec<Instruction>]) -> Core {
@@ -2671,6 +2442,17 @@ mod tests {
         ]
     }
 
+    /// A loop that counts `r1` down from `n` and halts.
+    fn countdown(n: i64) -> Vec<Instruction> {
+        vec![
+            Instruction::movi(Reg::new(1), n),
+            Instruction::movi(Reg::new(2), 1),
+            Instruction::alu(Opcode::Sub, Reg::new(1), Reg::new(1), Reg::new(2)),
+            Instruction::branch(Opcode::Bne, Reg::new(1), Reg::G0, 2),
+            Instruction::halt(),
+        ]
+    }
+
     #[test]
     fn two_thread_run_local_matches_step() {
         // Lockstep copies of one loop draft each other's issues; loops
@@ -2680,19 +2462,27 @@ mod tests {
             Instruction::alu(Opcode::Add, Reg::new(2), Reg::new(1), Reg::new(1)),
             Instruction::branch(Opcode::Beq, Reg::G0, Reg::G0, 1),
         ];
-        for pair in [[steady_loop(), steady_loop()], [steady_loop(), tight]] {
+        for pair in [
+            [steady_loop(), steady_loop()],
+            [steady_loop(), tight.clone()],
+        ] {
             let horizon = assert_local_matches_step(core_with(&pair), 0, 3_001);
             assert_eq!(horizon, 3_001);
         }
+        // Two running threads of three contexts, with the round-robin
+        // pointer on the first and between them.
+        let (mut wide, mut sys, mut act) = setup();
+        wide = Core::new(wide.tile(), 3, 8);
+        wide.load_thread(0, Arc::new(Program::from_instructions(steady_loop())));
+        wide.load_thread(2, Arc::new(Program::from_instructions(tight)));
+        for now in 0..3 {
+            let horizon = assert_local_matches_step(wide.clone(), now, 3_001);
+            assert_eq!(horizon, 3_001);
+            wide.step(now, &mut sys, &mut act);
+        }
         // A countdown that halts mid-span leaves its sibling running
         // alone; a program without `halt` falls off the end.
-        let countdown = vec![
-            Instruction::movi(Reg::new(1), 40),
-            Instruction::movi(Reg::new(2), 1),
-            Instruction::alu(Opcode::Sub, Reg::new(1), Reg::new(1), Reg::new(2)),
-            Instruction::branch(Opcode::Bne, Reg::new(1), Reg::G0, 2),
-            Instruction::halt(),
-        ];
+        let countdown = countdown(40);
         let short = vec![Instruction::nop(), Instruction::movi(Reg::new(5), 9)];
         for pair in [
             [steady_loop(), countdown.clone()],
@@ -2701,8 +2491,11 @@ mod tests {
             let horizon = assert_local_matches_step(core_with(&pair), 0, 2_000);
             assert_eq!(horizon, 2_000);
         }
-        let horizon = assert_local_matches_step(core_with(&[countdown, short]), 0, 2_000);
+        let horizon = assert_local_matches_step(core_with(&[countdown.clone(), short]), 0, 2_000);
         assert_eq!(horizon, 2_000, "both threads halt: the run covers the span");
+        // The survivor's loop replays long after its sibling halted.
+        let horizon = assert_local_matches_step(core_with(&[countdown, steady_loop()]), 0, 4_099);
+        assert_eq!(horizon, 4_099);
     }
 
     #[test]
@@ -2770,6 +2563,28 @@ mod tests {
         ] {
             for (start, end) in [(0, 800), (5, 605), (100, 113)] {
                 let horizon = assert_local_matches_step_on(core_with(&programs), &sys, start, end);
+                assert_eq!(horizon, end, "owned accesses never end the run");
+            }
+            // A second run on the same log picks up the loops the first
+            // proved. A lone thread's are refused once memory moved under
+            // their loads; a pair's are kept on registers alone, and the
+            // machine rewinds a lane whose relogged load went stale.
+            let moves: &[bool] = if programs.len() == 1 {
+                &[false, true]
+            } else {
+                &[false]
+            };
+            for &moved in moves {
+                let mut log = MemLog::default();
+                let core = core_with(&programs);
+                let (horizon, core, mut after) =
+                    assert_local_matches_step_in(core, &sys, &mut log, 0, 800);
+                if moved {
+                    after.poke(0x4008, 99);
+                    after.poke(0x5008, 99);
+                }
+                let (from, end) = (horizon + 200, horizon + 800);
+                let (horizon, ..) = assert_local_matches_step_in(core, &after, &mut log, from, end);
                 assert_eq!(horizon, end, "owned accesses never end the run");
             }
         }
@@ -2840,9 +2655,22 @@ mod tests {
     fn steady_loop_replay_matches_step() {
         // Spans that end mid-period, on a period boundary and long
         // after the first replay all fold to what stepping produces.
+        let mut lone = Core::new(TileId::new(0), 2, 8);
+        lone.load_thread(1, Arc::new(Program::from_instructions(steady_loop())));
         for end in [7, 40, 1_000, 1_024, 4_099] {
             assert_local_matches_step(core_with(&[steady_loop()]), 0, end);
+            // A lone thread in slot 1, slot 0 empty.
+            assert_local_matches_step(lone.clone(), 0, end);
         }
+        // A countdown never recurs: its loop stops recording after
+        // `HEAD_MISSES` backward branches.
+        let mut log = MemLog::default();
+        let sys = MemorySystem::new(&ChipConfig::piton());
+        let core = core_with(&[countdown(300)]);
+        let (horizon, ..) = assert_local_matches_step_in(core, &sys, &mut log, 0, 2_000);
+        assert_eq!(horizon, 2_000);
+        let l = &log.pair.as_ref().expect("the run kept its loops").loops[0];
+        assert_eq!((l.misses, l.steps.len()), (HEAD_MISSES, 0));
     }
 
     #[test]

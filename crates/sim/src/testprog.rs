@@ -132,9 +132,9 @@ fn owned_loop(asm: &mut Vec<Instruction>, line: u64, pattern: i64, alu: usize) {
 /// store that lands while slot 2's lane has run ahead on that line.
 ///
 /// Slots pair up on tiles (slots `2k` and `2k + 1` share a core, so the
-/// two-thread loop runs too), and pairs sit on distinct tiles, so slot
-/// 0's store is always foreign to slot 2. At least three slots are
-/// placed. Returns `(tile, thread, program)` triples.
+/// local loop runs two threads too), and pairs sit on distinct tiles,
+/// so slot 0's store is always foreign to slot 2. At least three slots
+/// are placed. Returns `(tile, thread, program)` triples.
 #[must_use]
 pub fn owned_placement(
     seeds: &[u64],

@@ -241,28 +241,46 @@ proptest! {
 /// and a long stretch of steady state.
 const MICRO_CHUNKS: [u64; 4] = [1_000, 10_000, 3_333, 30_000];
 
-fn micro_machine(bench: Microbenchmark, tpc: ThreadsPerCore, cores: usize) -> Machine {
+fn micro_machine(
+    bench: Microbenchmark,
+    tpc: ThreadsPerCore,
+    cores: usize,
+    length: RunLength,
+) -> Machine {
     let mut m = machine();
-    load_microbenchmark(&mut m, bench, cores * tpc.count(), tpc, RunLength::Forever);
+    load_microbenchmark(&mut m, bench, cores * tpc.count(), tpc, length);
     m
 }
 
+/// [`MICRO_CHUNKS`], then a stretch long enough for every Hist thread
+/// to finish one pass over the 4 096-element input: the lone thread of
+/// 1 core at 1 T/C is the slowest, halting near cycle 900 000.
+const HIST_PASS_CHUNKS: [u64; 5] = [1_000, 10_000, 3_333, 30_000, 1_000_000];
+
 /// Figures 13/14's Int, HP and Hist at 1 and 2 threads per core on 1,
-/// 7, 13 and 25 cores, run forever: `run` must match `run_naive` on
-/// every counter and on retirement. These are the shapes the one-thread
-/// loop replay, the two-thread loop (and its per-thread loops), the
-/// owned memory accesses and phase B's re-armed runs take. Int and HP
-/// touch only lines their tiles own, so no lane is ever rewound.
-fn assert_microbenchmark_matches_naive(bench: Microbenchmark) {
+/// 7, 13 and 25 cores, run for `length` in `chunks`: `run` must match
+/// `run_naive` on every counter and on retirement. These are the shapes
+/// the local loop (its per-thread loops and the schedule between them),
+/// the owned memory accesses and phase B's re-armed runs take. Int and
+/// HP touch only lines their tiles own, so no lane is ever rewound.
+///
+/// A countdown (Figure 14 and the ablations) adds halts mid-segment,
+/// the drain tail after a halt, and a thread running on alone after
+/// its sibling halts; every thread must have halted by the last chunk.
+fn assert_microbenchmark_matches_naive(bench: Microbenchmark, length: RunLength, chunks: &[u64]) {
     for tpc in [ThreadsPerCore::One, ThreadsPerCore::Two] {
         for cores in [1, 7, 13, 25] {
-            let mut fast = micro_machine(bench, tpc, cores);
-            let mut naive = micro_machine(bench, tpc, cores);
-            for chunk in MICRO_CHUNKS {
+            let mut fast = micro_machine(bench, tpc, cores, length);
+            let mut naive = micro_machine(bench, tpc, cores, length);
+            for &chunk in chunks {
                 fast.run(chunk);
                 naive.run_naive(chunk);
             }
             let point = format!("{} {} on {cores} cores", bench.label(), tpc.label());
+            if length != RunLength::Forever {
+                assert!(!naive.any_running(), "{point}: a countdown never halted");
+                assert!(!fast.any_running(), "{point}: a countdown never halted");
+            }
             assert_eq!(fast.counters(), naive.counters(), "{point}");
             assert_eq!(fast.retired(), naive.retired(), "{point}");
             if cores == 25 {
@@ -278,19 +296,27 @@ fn assert_microbenchmark_matches_naive(bench: Microbenchmark) {
     }
 }
 
+/// Int and HP countdowns halt inside [`MICRO_CHUNKS`] (by cycle
+/// ≈ 24 000 on 25 cores at 2 T/C).
 #[test]
 fn int_microbenchmark_matches_naive_engine() {
-    assert_microbenchmark_matches_naive(Microbenchmark::Int);
+    let int = Microbenchmark::Int;
+    assert_microbenchmark_matches_naive(int, RunLength::Forever, &MICRO_CHUNKS);
+    assert_microbenchmark_matches_naive(int, RunLength::Iterations(500), &MICRO_CHUNKS);
 }
 
 #[test]
 fn hp_microbenchmark_matches_naive_engine() {
-    assert_microbenchmark_matches_naive(Microbenchmark::Hp);
+    let hp = Microbenchmark::Hp;
+    assert_microbenchmark_matches_naive(hp, RunLength::Forever, &MICRO_CHUNKS);
+    assert_microbenchmark_matches_naive(hp, RunLength::Iterations(500), &MICRO_CHUNKS);
 }
 
 #[test]
 fn hist_microbenchmark_matches_naive_engine() {
-    assert_microbenchmark_matches_naive(Microbenchmark::Hist);
+    let hist = Microbenchmark::Hist;
+    assert_microbenchmark_matches_naive(hist, RunLength::Forever, &MICRO_CHUNKS);
+    assert_microbenchmark_matches_naive(hist, RunLength::Iterations(1), &HIST_PASS_CHUNKS);
 }
 
 /// HP mixes both local shapes — replayed compute loops and mixed
@@ -312,19 +338,19 @@ fn traced_hp_microbenchmark_retires_in_naive_order() {
     };
     for tpc in [ThreadsPerCore::One, ThreadsPerCore::Two] {
         let (traced, fast_events) = trace::capture(&spec, || {
-            let mut m = micro_machine(Microbenchmark::Hp, tpc, 7);
+            let mut m = micro_machine(Microbenchmark::Hp, tpc, 7, RunLength::Forever);
             for &chunk in chunks {
                 m.run(chunk);
             }
             m
         });
         let (_, naive_events) = trace::capture(&spec, || {
-            let mut m = micro_machine(Microbenchmark::Hp, tpc, 7);
+            let mut m = micro_machine(Microbenchmark::Hp, tpc, 7, RunLength::Forever);
             for &chunk in chunks {
                 m.run_naive(chunk);
             }
         });
-        let mut untraced = micro_machine(Microbenchmark::Hp, tpc, 7);
+        let mut untraced = micro_machine(Microbenchmark::Hp, tpc, 7, RunLength::Forever);
         for &chunk in chunks {
             untraced.run(chunk);
         }
