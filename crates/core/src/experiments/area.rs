@@ -4,8 +4,11 @@
 //! paper's place-and-route sums); this experiment re-derives them and
 //! checks completeness.
 
+use piton_arch::error::PitonError;
 use piton_arch::floorplan::{figure_8, AreaBreakdown, Level};
 
+use super::{whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::bench::CycleBench;
 use crate::report::Table;
 
 /// One rendered panel of Figure 8.
@@ -26,30 +29,66 @@ pub struct AreaResult {
     pub panels: Vec<AreaPanel>,
 }
 
-fn panel(b: &AreaBreakdown) -> AreaPanel {
-    AreaPanel {
-        level: b.level(),
-        total_mm2: b.total_area_mm2(),
-        blocks: b
-            .blocks()
+/// Figure 8: one point per hierarchy level, its `(area mm², percent)`
+/// per block.
+#[derive(Debug, Clone, Copy)]
+pub struct Area;
+
+impl Section for Area {
+    type Point = AreaBreakdown;
+    type Inputs = ();
+    type Payload = Vec<(f64, f64)>;
+    type Output = AreaResult;
+    const NAME: &'static str = "area";
+    const TITLE: &'static str = "Figure 8 — area breakdown";
+    const RUNS: Runs = Runs::Always;
+
+    fn grid(&self, _: Fidelity) -> Vec<AreaBreakdown> {
+        figure_8().to_vec()
+    }
+
+    fn label(&self, b: &AreaBreakdown) -> String {
+        format!("{} level", b.level())
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<Vec<(f64, f64)>, PitonError> {
+        let b = at.point;
+        Ok(b.blocks()
             .iter()
-            .map(|blk| {
-                (
-                    blk.name.clone(),
-                    blk.area_mm2,
-                    b.percent(&blk.name).unwrap_or(0.0),
-                )
+            .map(|blk| (blk.area_mm2, b.percent(&blk.name).unwrap_or(0.0)))
+            .collect())
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> AreaResult {
+        let panels = points
+            .into_iter()
+            .map(|(_, b, r)| AreaPanel {
+                level: b.level(),
+                total_mm2: b.total_area_mm2(),
+                blocks: b
+                    .blocks()
+                    .iter()
+                    .zip(whole(r))
+                    .map(|(blk, (area, pct))| (blk.name.clone(), area, pct))
+                    .collect(),
             })
-            .collect(),
+            .collect();
+        AreaResult { panels }
+    }
+
+    fn render(&self, out: &AreaResult) -> Rendered {
+        Rendered::body(out.render())
     }
 }
 
 /// Derives the Figure 8 panels.
 #[must_use]
 pub fn run() -> AreaResult {
-    AreaResult {
-        panels: figure_8().iter().map(panel).collect(),
-    }
+    super::run(Area, &Env::new(&CycleBench, Fidelity::quick(), None), None)
 }
 
 impl AreaResult {

@@ -13,12 +13,12 @@ use piton_board::fault::FaultPlan;
 use piton_board::population::NamedChip;
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 
-use super::Fidelity;
+use super::{At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::analytic::compare::{self, FigureComparison};
 use crate::bench::{Bench, ProbeKind, Rig};
 use crate::journal::Journal;
 use crate::measure::linear_fit;
 use crate::report::{self, render_holes, Hole, Table, HOLE_MARK};
-use crate::runner;
 
 /// One (benchmark, T/C) power-versus-cores series.
 #[derive(Debug, Clone)]
@@ -79,32 +79,129 @@ pub fn grid() -> Vec<(Microbenchmark, ThreadsPerCore, usize)> {
         .collect()
 }
 
-/// Computes one Figure 13 grid point on `bench` exactly as the
-/// [`run_with_cores`] sweep does — same index-derived seed — so a
-/// result computed here is bit-identical to one journaled by a full run
-/// under the same context. `index`, `plan` and `attempt` seed the
-/// monitor faults of the measurement.
-///
-/// # Errors
-///
-/// Propagates measurement errors.
-pub fn compute_point(
-    bench: &dyn Bench,
-    index: usize,
-    point: &(Microbenchmark, ThreadsPerCore, usize),
-    fidelity: Fidelity,
-    plan: Option<&FaultPlan>,
-    attempt: u32,
-) -> Result<f64, PitonError> {
-    let &(micro, tpc, cores) = point;
-    let seed = ((index as u64) << 32) ^ u64::from(attempt);
-    let work = ProbeKind::Micro(micro, tpc, cores);
-    let rig = Rig::chip(NamedChip::Chip3);
-    Ok(bench
-        .measure(&rig, work, fidelity, plan.map(|p| (p, seed)))?
-        .total
-        .mean
-        .0)
+/// The core counts a reduced-fidelity run sweeps.
+pub const REDUCED_CORES: [usize; 7] = [1, 5, 9, 13, 17, 21, 25];
+
+/// Figure 13: one point per (benchmark, T/C, cores) of the canonical
+/// [`grid`], its full-chip watts.
+#[derive(Debug, Clone, Copy)]
+pub struct Scaling;
+
+impl Section for Scaling {
+    type Point = (Microbenchmark, ThreadsPerCore, usize);
+    type Inputs = ();
+    type Payload = f64;
+    type Output = CoreScalingResult;
+    const NAME: &'static str = "scaling";
+    const TITLE: &'static str = "Figure 13 — power scaling with core count";
+    const RUNS: Runs = Runs::Bench;
+    const HOLE_AWARE: bool = true;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        grid()
+    }
+
+    fn shown(&self, fidelity: Fidelity) -> Option<Vec<usize>> {
+        fidelity.is_reduced().then(|| {
+            let grid = grid();
+            (0..grid.len())
+                .filter(|&i| REDUCED_CORES.contains(&grid[i].2))
+                .collect()
+        })
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    /// Full-chip power on Chip #3; the grid index and the attempt seed
+    /// the monitor faults, so a point is the same in every sweep.
+    fn compute(&self, at: &At<Self>) -> Result<f64, PitonError> {
+        let &(micro, tpc, cores) = at.point;
+        let seed = ((at.index as u64) << 32) ^ u64::from(at.attempt);
+        let faults = at.env.plan.map(|p| (p, seed));
+        let work = ProbeKind::Micro(micro, tpc, cores);
+        let m =
+            at.env
+                .bench
+                .measure(&Rig::chip(NamedChip::Chip3), work, at.env.fidelity, faults)?;
+        Ok(m.total.mean.0)
+    }
+
+    fn assemble(&self, env: &Env, (): &(), measured: Vec<Measured<'_, Self>>) -> CoreScalingResult {
+        let idle = env
+            .bench
+            .idle_power(&Rig::chip(NamedChip::Chip3), env.fidelity);
+        let points: Vec<_> = measured.iter().map(|&(i, &p, _)| (i, p)).collect();
+        let watts: Vec<_> = measured.into_iter().map(|(_, _, r)| r).collect();
+        let mut holes: Vec<Hole> = points
+            .iter()
+            .zip(&watts)
+            .filter_map(|(&(_, (bench, tpc, cores)), r)| {
+                r.as_ref()
+                    .err()
+                    .map(|e| report::hole("scaling", point_label(bench, tpc, cores), e))
+            })
+            .collect();
+        let per_series = points.len() / 6;
+        let series = points
+            .chunks(per_series)
+            .zip(watts.chunks(per_series))
+            .map(|(grid, chunk)| {
+                let (_, (bench, tpc, _)) = grid[0];
+                let points: Vec<(usize, f64)> = grid
+                    .iter()
+                    .zip(chunk)
+                    .filter_map(|(&(_, (_, _, c)), r)| r.as_ref().ok().map(|&w| (c, w)))
+                    .collect();
+                let fit: Vec<(f64, f64)> = points.iter().map(|&(c, w)| (c as f64, w)).collect();
+                let slope_w = match linear_fit(&fit) {
+                    Ok((_, slope)) => slope,
+                    Err(e) => {
+                        holes.push(Hole {
+                            section: "scaling".to_owned(),
+                            index: 0,
+                            point: format!("{} {} trendline", bench.label(), tpc.label()),
+                            attempts: 0,
+                            error: e.to_string(),
+                        });
+                        0.0
+                    }
+                };
+                ScalingSeries {
+                    bench,
+                    tpc,
+                    points,
+                    mw_per_core: slope_w * 1e3,
+                }
+            })
+            .collect();
+        CoreScalingResult {
+            series,
+            idle,
+            holes,
+        }
+    }
+
+    fn render(&self, out: &CoreScalingResult) -> Rendered {
+        Rendered {
+            body: out.render(),
+            holes: out.holes.clone(),
+            csv: None,
+        }
+    }
+
+    fn compare(
+        &self,
+        cycle: Option<&CoreScalingResult>,
+        analytic: &CoreScalingResult,
+        _: &Env,
+    ) -> Vec<FigureComparison> {
+        cycle
+            .map(|c| compare::compare_core_scaling(c, analytic))
+            .into_iter()
+            .collect()
+    }
 }
 
 /// Runs the Figure 13 sweep over the given core counts (the harness
@@ -121,71 +218,17 @@ pub fn run_with_cores(
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> CoreScalingResult {
-    let idle = bench.idle_power(&Rig::chip(NamedChip::Chip3), fidelity);
-
-    // The canonical grid's points at the requested core counts, each
-    // under its canonical index; all independent systems.
-    let points: Vec<(usize, (Microbenchmark, ThreadsPerCore, usize))> = grid()
-        .into_iter()
-        .enumerate()
-        .filter(|(_, (_, _, cores))| core_counts.contains(cores))
+    let grid = grid();
+    let shown = (0..grid.len())
+        .filter(|&i| core_counts.contains(&grid[i].2))
         .collect();
-    let watts = runner::try_sweep_journaled(
-        fidelity.jobs,
-        points.clone(),
-        "scaling",
-        plan,
+    super::run_points(
+        Scaling,
+        &Env::new(bench, fidelity, plan),
         journal,
-        |index, point, attempt| compute_point(bench, index, point, fidelity, plan, attempt),
-    );
-
-    let mut holes: Vec<Hole> = points
-        .iter()
-        .zip(&watts)
-        .filter_map(|(&(_, (bench, tpc, cores)), r)| {
-            r.as_ref()
-                .err()
-                .map(|e| report::hole("scaling", point_label(bench, tpc, cores), e))
-        })
-        .collect();
-    let per_series = points.len() / 6;
-    let series = points
-        .chunks(per_series)
-        .zip(watts.chunks(per_series))
-        .map(|(grid, chunk)| {
-            let (_, (bench, tpc, _)) = grid[0];
-            let points: Vec<(usize, f64)> = grid
-                .iter()
-                .zip(chunk)
-                .filter_map(|(&(_, (_, _, c)), r)| r.as_ref().ok().map(|&w| (c, w)))
-                .collect();
-            let fit: Vec<(f64, f64)> = points.iter().map(|&(c, w)| (c as f64, w)).collect();
-            let slope_w = match linear_fit(&fit) {
-                Ok((_, slope)) => slope,
-                Err(e) => {
-                    holes.push(Hole {
-                        section: "scaling".to_owned(),
-                        index: 0,
-                        point: format!("{} {} trendline", bench.label(), tpc.label()),
-                        attempts: 0,
-                        error: e.to_string(),
-                    });
-                    0.0
-                }
-            };
-            ScalingSeries {
-                bench,
-                tpc,
-                points,
-                mw_per_core: slope_w * 1e3,
-            }
-        })
-        .collect();
-    CoreScalingResult {
-        series,
-        idle,
-        holes,
-    }
+        &grid,
+        Some(shown),
+    )
 }
 
 /// Runs the full 1..=25-core sweep on `bench`.

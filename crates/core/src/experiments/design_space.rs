@@ -18,7 +18,7 @@
 //! `"design_space"` section, so it inherits crash-resume and the
 //! backend-tagged journal context like every paper figure.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use piton_arch::error::PitonError;
 use piton_arch::units::{Hertz, Volts};
@@ -29,17 +29,16 @@ use piton_power::thermal::{Cooling, ThermalModel, ROOM_AMBIENT_C};
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 
 use piton_board::fault::FaultPlan;
-use piton_obs::json::{self, ObjectBuilder, Value};
+use piton_obs::json::Value;
 
+use super::{At, Env, Fidelity, Measured, Rendered, Runs, Section};
 use crate::analytic::battery::MICRO_KNOTS;
 use crate::analytic::compare::FigureComparison;
-use crate::analytic::{Calibrated, Features};
+use crate::analytic::{self, Calibrated, Features};
 use crate::bench::{Bench, CycleBench, ProbeKind, Rig};
-use crate::journal::{Journal, JournalPayload};
+use crate::journal::{object_field, object_json, Journal, JsonPayload};
 use crate::report::{self, render_holes, Hole, Table, ANALYTIC_MARK, HOLE_MARK};
 use crate::runner;
-
-use super::Fidelity;
 
 /// Voltage axis: 0.80 V to 1.20 V in 20 mV steps.
 pub const VDD_STEPS: usize = 21;
@@ -132,27 +131,20 @@ pub struct DesignPoint {
     pub junction_c: f64,
 }
 
-impl JournalPayload for DesignPoint {
-    fn to_text(&self) -> String {
-        ObjectBuilder::new()
-            .field("p", Value::Float(self.power_w))
-            .field("e", Value::Float(self.nj_per_inst))
-            .field("t", Value::Float(self.junction_c))
-            .build()
-            .render()
+impl JsonPayload for DesignPoint {
+    fn to_json(&self) -> Value {
+        object_json(&[
+            ("p", self.power_w),
+            ("e", self.nj_per_inst),
+            ("t", self.junction_c),
+        ])
     }
 
-    fn from_text(text: &str) -> Result<Self, PitonError> {
-        let v = json::parse(text).map_err(PitonError::codec)?;
-        let f = |key: &str| -> Result<f64, PitonError> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| PitonError::codec(format!("design point missing '{key}'")))
-        };
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
         Ok(Self {
-            power_w: f("p")?,
-            nj_per_inst: f("e")?,
-            junction_c: f("t")?,
+            power_w: object_field(v, "p")?,
+            nj_per_inst: object_field(v, "e")?,
+            junction_c: object_field(v, "t")?,
         })
     }
 }
@@ -280,6 +272,91 @@ pub fn compute_point(cal: &Calibrated, table: &[MixRow], p: GridPoint) -> Design
     }
 }
 
+/// The design-space mega-sweep: one point per (voltage, frequency,
+/// cores, mix).
+#[derive(Debug, Clone, Copy)]
+pub struct DesignSpace;
+
+impl Section for DesignSpace {
+    type Point = GridPoint;
+    /// The rate library and its [`mix_table`].
+    type Inputs = (Arc<Calibrated>, Vec<MixRow>);
+    type Payload = DesignPoint;
+    type Output = DesignSpaceResult;
+    const NAME: &'static str = "design_space";
+    const TITLE: &'static str = "Design space — analytic V/f/cores/mix mega-sweep";
+    const RUNS: Runs = Runs::Analytic;
+    const HOLE_AWARE: bool = true;
+
+    fn grid(&self, _: Fidelity) -> Vec<GridPoint> {
+        grid()
+    }
+
+    fn grid_len(&self, _: Fidelity) -> usize {
+        GRID_POINTS
+    }
+
+    /// The run's rate library, or — serving — the 21 probes
+    /// [`probe_specs`] names at the fidelity. A point reads only those,
+    /// so both give bit-identical points.
+    fn prepare(&self, env: &Env) -> Result<Self::Inputs, PitonError> {
+        let cal = match env.cal {
+            Some(cal) => Arc::new(cal.clone()),
+            None => Arc::new(analytic::calibrate(env.fidelity, probe_specs())?),
+        };
+        let table = mix_table(&cal);
+        Ok((cal, table))
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<DesignPoint, PitonError> {
+        let (cal, table) = at.inputs;
+        let &p = at.point;
+        Ok(compute_point(cal, table, p))
+    }
+
+    fn assemble(
+        &self,
+        _: &Env,
+        _: &Self::Inputs,
+        points: Vec<Measured<'_, Self>>,
+    ) -> DesignSpaceResult {
+        let holes = points
+            .iter()
+            .filter_map(|(_, p, r)| {
+                let e = r.as_ref().err()?;
+                Some(report::hole("design_space", p.label(), e))
+            })
+            .collect();
+        let (grid, points) = points.into_iter().map(|(_, &p, r)| (p, r.ok())).unzip();
+        DesignSpaceResult {
+            grid,
+            points,
+            holes,
+        }
+    }
+
+    fn render(&self, out: &DesignSpaceResult) -> Rendered {
+        Rendered {
+            body: out.render(),
+            holes: out.holes.clone(),
+            csv: None,
+        }
+    }
+
+    /// The 27-corner cycle-engine spot check.
+    fn compare(
+        &self,
+        _: Option<&DesignSpaceResult>,
+        _: &DesignSpaceResult,
+        env: &Env,
+    ) -> Vec<FigureComparison> {
+        env.cal
+            .map(|cal| cycle_oracle(cal, env.fidelity))
+            .into_iter()
+            .collect()
+    }
+}
+
 /// Runs the mega-sweep with the analytic backend under an optional
 /// fault plan, serving and recording points through an optional result
 /// journal.
@@ -290,30 +367,11 @@ pub fn run(
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> DesignSpaceResult {
-    let grid = grid();
-    let table = mix_table(cal);
-    let out = runner::try_sweep_journaled(
-        fidelity.jobs,
-        grid.iter().copied().enumerate().collect(),
-        "design_space",
-        plan,
-        journal,
-        |_, &p, _| Ok(compute_point(cal, &table, p)),
-    );
-    let holes = grid
-        .iter()
-        .zip(&out)
-        .filter_map(|(p, r)| {
-            r.as_ref()
-                .err()
-                .map(|e| report::hole("design_space", p.label(), e))
-        })
-        .collect();
-    DesignSpaceResult {
-        grid,
-        points: out.into_iter().map(Result::ok).collect(),
-        holes,
-    }
+    let env = Env {
+        cal: Some(cal),
+        ..Env::new(&CycleBench, fidelity, plan)
+    };
+    super::run(DesignSpace, &env, journal)
 }
 
 /// Sub-sampling stride of the rendered (and golden-snapshotted) table.
@@ -441,6 +499,7 @@ pub fn cycle_oracle(cal: &Calibrated, fidelity: Fidelity) -> FigureComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalPayload;
 
     #[test]
     fn grid_has_the_advertised_shape() {

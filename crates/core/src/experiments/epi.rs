@@ -16,12 +16,12 @@ use piton_board::fault::FaultPlan;
 use piton_board::population::NamedChip;
 use piton_workloads::epi::{EpiCase, StoreVariant, STX_DRAIN_NOPS};
 
-use super::Fidelity;
+use super::{grouped, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::analytic::compare::{self, FigureComparison};
 use crate::bench::{Bench, ProbeKind, Rig};
 use crate::journal::Journal;
 use crate::measure::{epi_with_error, WithError};
 use crate::report::{self, render_holes, Hole, Table, HOLE_MARK};
-use crate::runner;
 
 /// EPI of one case under each operand pattern (pJ).
 #[derive(Debug, Clone)]
@@ -110,6 +110,130 @@ fn measure_case(
     Ok(epi)
 }
 
+/// Figure 11 + Table VI: one point per (case, operand pattern).
+#[derive(Debug, Clone, Copy)]
+pub struct Epi;
+
+impl Section for Epi {
+    type Point = (EpiCase, OperandPattern);
+    /// The idle baseline `(mean, stddev)` in watts and the `nop` EPI.
+    type Inputs = ((f64, f64), WithError);
+    type Payload = WithError;
+    type Output = EpiResult;
+    const NAME: &'static str = "epi";
+    const TITLE: &'static str = "Figure 11 + Table VI — energy per instruction";
+    const RUNS: Runs = Runs::Bench;
+    const HOLE_AWARE: bool = true;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        EpiCase::figure_11()
+            .into_iter()
+            .flat_map(|case| {
+                let patterns: &[OperandPattern] = if case.has_value_operands() {
+                    &OperandPattern::ALL
+                } else {
+                    &[OperandPattern::Random]
+                };
+                patterns.iter().map(move |&p| (case, p))
+            })
+            .collect()
+    }
+
+    /// The idle baseline, then the `nop` EPI the `stx (NF)` subtraction
+    /// needs; baselines are always measured fault-free so one glitchy
+    /// window cannot poison every row of the table.
+    fn prepare(&self, env: &Env) -> Result<Self::Inputs, PitonError> {
+        let idle_m = env
+            .bench
+            .measure(&rig(), ProbeKind::Idle, env.fidelity, None)
+            .expect("fault-free idle window");
+        let idle = (idle_m.total.mean.0, idle_m.total.stddev.0);
+        let nop = EpiCase::Plain(Opcode::Nop);
+        let nop_epi = measure_case(
+            env.bench,
+            nop,
+            OperandPattern::Random,
+            idle,
+            env.fidelity,
+            None,
+            None,
+        )
+        .expect("fault-free baseline measurement cannot fail");
+        Ok((idle, nop_epi))
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<WithError, PitonError> {
+        let env = at.env;
+        let &(idle, nop_epi) = at.inputs;
+        let index = at.index;
+        let &(case, pattern) = at.point;
+        let attempt = at.attempt;
+        if case == EpiCase::Plain(Opcode::Nop) {
+            return Ok(nop_epi);
+        }
+        measure_case(
+            env.bench,
+            case,
+            pattern,
+            idle,
+            env.fidelity,
+            Some(nop_epi.value),
+            env.plan.map(|p| (p, attempt_seed(index, attempt))),
+        )
+    }
+
+    fn assemble(
+        &self,
+        _: &Env,
+        &(idle, _): &Self::Inputs,
+        points: Vec<Measured<'_, Self>>,
+    ) -> EpiResult {
+        let holes: Vec<Hole> = points
+            .iter()
+            .filter_map(|&(_, &(case, pattern), ref r)| {
+                let e = r.as_ref().err()?;
+                Some(report::hole("epi", point_label(case, pattern), e))
+            })
+            .collect();
+        let cells = points
+            .into_iter()
+            .map(|(_, &(case, pattern), r)| (case, r.ok().map(|e| (pattern, e))));
+        let rows = grouped(cells)
+            .into_iter()
+            .map(|(case, cells)| EpiRow {
+                label: case.label(),
+                latency: case.opcode().base_latency(),
+                epi_pj: cells.into_iter().flatten().collect(),
+            })
+            .collect();
+        EpiResult {
+            rows,
+            idle_mw: idle.0 * 1e3,
+            holes,
+        }
+    }
+
+    fn render(&self, out: &EpiResult) -> Rendered {
+        Rendered {
+            body: out.render(),
+            holes: out.holes.clone(),
+            csv: Some(("figure11_epi.csv", out.to_csv())),
+        }
+    }
+
+    fn compare(
+        &self,
+        cycle: Option<&EpiResult>,
+        analytic: &EpiResult,
+        _: &Env,
+    ) -> Vec<FigureComparison> {
+        cycle
+            .map(|c| compare::compare_epi(c, analytic))
+            .into_iter()
+            .collect()
+    }
+}
+
 /// Runs a chosen subset of cases (tests use a few; the harness runs all)
 /// on `bench` under an optional fault plan, serving and recording
 /// points through an optional result journal.
@@ -121,90 +245,17 @@ pub fn run_cases(
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> EpiResult {
-    // Idle baseline.
-    let idle_m = bench
-        .measure(&rig(), ProbeKind::Idle, fidelity, None)
-        .expect("fault-free idle window");
-    let idle = (idle_m.total.mean.0, idle_m.total.stddev.0);
-
-    // nop EPI first (needed by the stx (NF) subtraction); baselines are
-    // always measured fault-free so one glitchy window cannot poison
-    // every row of the table.
-    let nop_epi = measure_case(
-        bench,
-        EpiCase::Plain(Opcode::Nop),
-        OperandPattern::Random,
-        idle,
-        fidelity,
-        None,
-        None,
-    )
-    .expect("fault-free baseline measurement cannot fail");
-
-    // Every remaining (case, pattern) point builds its own system, so
-    // the grid fans out across the sweep workers; regrouping by case
-    // afterwards keeps the row order identical at any jobs level.
-    let grid: Vec<(EpiCase, OperandPattern)> = cases
-        .iter()
-        .flat_map(|&case| {
-            let patterns: &[OperandPattern] = if case.has_value_operands() {
-                &OperandPattern::ALL
-            } else {
-                &[OperandPattern::Random]
-            };
-            patterns.iter().map(move |&p| (case, p))
-        })
+    let grid = Epi.grid(fidelity);
+    let shown = (0..grid.len())
+        .filter(|&i| cases.contains(&grid[i].0))
         .collect();
-    let measured = runner::try_sweep_journaled(
-        fidelity.jobs,
-        grid.iter().copied().enumerate().collect(),
-        "epi",
-        plan,
+    super::run_points(
+        Epi,
+        &Env::new(bench, fidelity, plan),
         journal,
-        |index, &(case, pattern), attempt| {
-            if case == EpiCase::Plain(Opcode::Nop) {
-                Ok(nop_epi)
-            } else {
-                measure_case(
-                    bench,
-                    case,
-                    pattern,
-                    idle,
-                    fidelity,
-                    Some(nop_epi.value),
-                    plan.map(|p| (p, attempt_seed(index, attempt))),
-                )
-            }
-        },
-    );
-
-    let holes: Vec<Hole> = grid
-        .iter()
-        .zip(&measured)
-        .filter_map(|(&(case, pattern), r)| {
-            r.as_ref()
-                .err()
-                .map(|e| report::hole("epi", point_label(case, pattern), e))
-        })
-        .collect();
-    let rows = cases
-        .iter()
-        .map(|&case| EpiRow {
-            label: case.label(),
-            latency: case.opcode().base_latency(),
-            epi_pj: grid
-                .iter()
-                .zip(&measured)
-                .filter(|((c, _), _)| *c == case)
-                .filter_map(|(&(_, p), e)| e.as_ref().ok().map(|&e| (p, e)))
-                .collect(),
-        })
-        .collect();
-    EpiResult {
-        rows,
-        idle_mw: idle.0 * 1e3,
-        holes,
-    }
+        &grid,
+        Some(shown),
+    )
 }
 
 /// Runs the full Figure 11 sweep on `bench`.
@@ -215,7 +266,7 @@ pub fn run(
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> EpiResult {
-    run_cases(bench, &EpiCase::figure_11(), fidelity, plan, journal)
+    super::run(Epi, &Env::new(bench, fidelity, plan), journal)
 }
 
 impl EpiResult {

@@ -19,7 +19,8 @@
 //!   searches the V/F grid for minimum energy per cycle.
 
 use piton_arch::config::ChipConfig;
-use piton_arch::units::{Joules, Seconds, Volts};
+use piton_arch::error::PitonError;
+use piton_arch::units::{Joules, Seconds, Volts, Watts};
 use piton_board::population::NamedChip;
 use piton_board::system::PitonSystem;
 use piton_power::governor::{Governor, GovernorConfig};
@@ -30,11 +31,10 @@ use piton_power::{Calibration, TechModel};
 use piton_workloads::micro::{load_microbenchmark, Microbenchmark, RunLength, ThreadsPerCore};
 use piton_workloads::thermal_app::{load_two_phase, Schedule};
 
-use super::thermal::{bare_package_rig, ScheduleTrace, SchedulingSample};
-use super::Fidelity;
-use crate::bench::Rig;
+use super::thermal::{bare_package_rig, fig18_samples, ScheduleTrace, SchedulingSample};
+use super::{grouped, whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::bench::{CycleBench, Rig};
 use crate::report::Table;
-use crate::runner;
 
 /// Human name of a reference die, Figure 9 style.
 fn chip_label(chip: NamedChip) -> &'static str {
@@ -95,68 +95,114 @@ pub struct ThrottleBoundaryResult {
     pub chips: Vec<ChipBoundary>,
 }
 
-/// Runs the closed-loop throttle boundary: per chip and VDD, boot at
-/// the cold-die analog capability under the boot-weight workload and
-/// let [`GovernorConfig::ThrottleOnBoot`] find the holdable frequency.
-/// Chips sweep on up to `fidelity.jobs` workers; results are
-/// byte-identical at every jobs setting.
+/// The dies every closed-loop study runs on.
+const CHIPS: [NamedChip; 3] = [NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3];
+
+/// Closed-loop Figure 9: one point per (chip, VDD step): per chip and
+/// VDD, boot at the cold-die analog capability under the boot-weight
+/// workload and let [`GovernorConfig::ThrottleOnBoot`] find the
+/// holdable frequency.
+#[derive(Debug, Clone, Copy)]
+pub struct Boundary;
+
+impl Section for Boundary {
+    type Point = (NamedChip, usize);
+    type Inputs = ();
+    /// Open-loop MHz and thermal limit, closed-loop MHz and throttling.
+    type Payload = (f64, bool, f64, bool);
+    type Output = ThrottleBoundaryResult;
+    const NAME: &'static str = "governor_boundary";
+    const TITLE: &'static str = "Figure 9 (closed loop) — governor throttle boundary";
+    const RUNS: Runs = Runs::Governed;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        CHIPS
+            .into_iter()
+            .flat_map(|chip| (0..=8).map(move |step| (chip, step)))
+            .collect()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let &(chip, step) = at.point;
+        let fidelity = at.env.fidelity;
+        let solver = solver_for(chip);
+        let o = solver.max_frequency(Volts(0.8 + 0.05 * step as f64));
+        let mut sys = PitonSystem::new(&ChipConfig::piton(), chip.corner(), 0x90 + chip as u64);
+        sys.set_chunk_cycles(fidelity.chunk_cycles);
+        sys.set_vdd_tracked(o.vdd);
+        // Boot-weight load: a Linux boot keeps roughly one
+        // core busy (the solver's boot activity factor), so
+        // the closed loop heats the die with one working
+        // core over the idle floor.
+        load_microbenchmark(
+            sys.machine_mut(),
+            Microbenchmark::Hp,
+            1,
+            ThreadsPerCore::Two,
+            RunLength::Forever,
+        );
+        // The PLL is programmed at the cold-die analog
+        // capability — the frequency the chip *would* run
+        // at if heat never mattered.
+        let cold = solver.capability(o.vdd, sys.thermal().junction_c());
+        let mut gov = Governor::new(GovernorConfig::ThrottleOnBoot, solver.clone(), o.vdd, cold);
+        sys.set_frequency(gov.frequency());
+        sys.warm_up(fidelity.warmup_cycles);
+        // 30 s control steps: long against the heatsink's
+        // ~60 s surface time constant, so each decision
+        // sees a near-equilibrium junction and the ladder
+        // walk settles *at* the boundary instead of
+        // digging past it while the die is still hot.
+        let run = sys.run_governed(&mut gov, settle_steps(fidelity), Some(Seconds(30.0)));
+        Ok((
+            o.freq.as_mhz(),
+            o.thermally_limited,
+            run.final_frequency()
+                .expect("forever workload always samples")
+                .as_mhz(),
+            run.throttled_steps > 0,
+        ))
+    }
+
+    fn assemble(
+        &self,
+        _: &Env,
+        (): &(),
+        points: Vec<Measured<'_, Self>>,
+    ) -> ThrottleBoundaryResult {
+        let points = points.into_iter().map(|(_, &(chip, step), r)| {
+            let (open_mhz, open_thermal, closed_mhz, closed_thermal) = whole(r);
+            let point = BoundaryPoint {
+                vdd: Volts(0.8 + 0.05 * step as f64),
+                open_mhz,
+                open_thermal,
+                closed_mhz,
+                closed_thermal,
+            };
+            (chip, point)
+        });
+        let chips = grouped(points)
+            .into_iter()
+            .map(|(chip, points)| ChipBoundary { chip, points })
+            .collect();
+        ThrottleBoundaryResult { chips }
+    }
+
+    fn render(&self, out: &ThrottleBoundaryResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+}
+
+/// Runs the closed-loop throttle boundary ([`Boundary`]) on up to
+/// `fidelity.jobs` workers; results are byte-identical at every jobs
+/// setting.
 #[must_use]
 pub fn run_throttle_boundary(fidelity: Fidelity) -> ThrottleBoundaryResult {
-    let chips = runner::sweep(
-        fidelity.jobs,
-        vec![NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3],
-        move |i, chip| {
-            let solver = solver_for(chip);
-            let open = solver.sweep();
-            let points = open
-                .iter()
-                .map(|o| {
-                    let mut sys =
-                        PitonSystem::new(&ChipConfig::piton(), chip.corner(), 0x90 + i as u64);
-                    sys.set_chunk_cycles(fidelity.chunk_cycles);
-                    sys.set_vdd_tracked(o.vdd);
-                    // Boot-weight load: a Linux boot keeps roughly one
-                    // core busy (the solver's boot activity factor), so
-                    // the closed loop heats the die with one working
-                    // core over the idle floor.
-                    load_microbenchmark(
-                        sys.machine_mut(),
-                        Microbenchmark::Hp,
-                        1,
-                        ThreadsPerCore::Two,
-                        RunLength::Forever,
-                    );
-                    // The PLL is programmed at the cold-die analog
-                    // capability — the frequency the chip *would* run
-                    // at if heat never mattered.
-                    let cold = solver.capability(o.vdd, sys.thermal().junction_c());
-                    let mut gov =
-                        Governor::new(GovernorConfig::ThrottleOnBoot, solver.clone(), o.vdd, cold);
-                    sys.set_frequency(gov.frequency());
-                    sys.warm_up(fidelity.warmup_cycles);
-                    // 30 s control steps: long against the heatsink's
-                    // ~60 s surface time constant, so each decision
-                    // sees a near-equilibrium junction and the ladder
-                    // walk settles *at* the boundary instead of
-                    // digging past it while the die is still hot.
-                    let run =
-                        sys.run_governed(&mut gov, settle_steps(fidelity), Some(Seconds(30.0)));
-                    BoundaryPoint {
-                        vdd: o.vdd,
-                        open_mhz: o.freq.as_mhz(),
-                        open_thermal: o.thermally_limited,
-                        closed_mhz: run
-                            .final_frequency()
-                            .expect("forever workload always samples")
-                            .as_mhz(),
-                        closed_thermal: run.throttled_steps > 0,
-                    }
-                })
-                .collect();
-            ChipBoundary { chip, points }
-        },
-    );
-    ThrottleBoundaryResult { chips }
+    super::run(Boundary, &Env::new(&CycleBench, fidelity, None), None)
 }
 
 impl ThrottleBoundaryResult {
@@ -245,52 +291,103 @@ pub struct HysteresisResult {
     pub traces: Vec<GovernedScheduleTrace>,
 }
 
-/// Runs the closed-loop Figure 18 study: the two-phase application on
-/// all 50 threads under both schedules on the §IV-J thermal rig (bare
-/// package, half-effective fan), with a `ThrottleOnBoot` governor in
-/// the loop starting from the paper's 100.01 MHz operating point.
+/// Closed-loop Figure 18: one point per schedule, its governed trace.
+#[derive(Debug, Clone, Copy)]
+pub struct Hysteresis;
+
+impl Section for Hysteresis {
+    /// Schedule, samples and seconds per sample.
+    type Point = (Schedule, usize, f64);
+    type Inputs = ();
+    /// `(seconds, power, surface °C)` per sample, transitions and
+    /// throttled steps.
+    type Payload = (Vec<(f64, Watts, f64)>, u64, u64);
+    type Output = HysteresisResult;
+    const NAME: &'static str = "governor_hysteresis";
+    const TITLE: &'static str = "Figure 18 (closed loop) — governor scheduling hysteresis";
+    const RUNS: Runs = Runs::Governed;
+
+    fn grid(&self, fidelity: Fidelity) -> Vec<Self::Point> {
+        let n = fig18_samples(fidelity);
+        vec![
+            (Schedule::Synchronized, n, 1.0),
+            (Schedule::Interleaved, n, 1.0),
+        ]
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    /// Runs the closed-loop Figure 18 study: the two-phase application on
+    /// all 50 threads under both schedules on the §IV-J thermal rig (bare
+    /// package, half-effective fan), with a `ThrottleOnBoot` governor in
+    /// the loop starting from the paper's 100.01 MHz operating point.
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let &(schedule, samples, dt_seconds) = at.point;
+        let fidelity = at.env.fidelity;
+        // Same operating point as the open-loop study, *before*
+        // warm-up — warming up at the default clock would settle
+        // the bare-package rig far above the Figure 18 regime.
+        let mut sys = Rig::thermal_study(0x18).system();
+        sys.set_chunk_cycles(fidelity.chunk_cycles);
+        *sys.thermal_mut() = bare_package_rig(0.5);
+        let phase_iters = (fidelity.chunk_cycles / 4).max(200) as u32;
+        load_two_phase(sys.machine_mut(), schedule, phase_iters);
+        sys.warm_up(fidelity.warmup_cycles / 4);
+        let solver = VfSolver::new(sys.power_model().clone(), ROOM_AMBIENT_C);
+        let mut gov = Governor::new(
+            GovernorConfig::ThrottleOnBoot,
+            solver,
+            Volts(0.9),
+            piton_arch::units::Hertz::from_mhz(100.01),
+        );
+        let run = sys.run_governed(&mut gov, samples, Some(Seconds(dt_seconds)));
+        let trace = run
+            .samples
+            .iter()
+            .map(|s| (s.time_s - dt_seconds, s.power, s.surface_c))
+            .collect();
+        Ok((trace, run.transitions, run.throttled_steps))
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> HysteresisResult {
+        let traces = points
+            .into_iter()
+            .map(|(_, &(schedule, _, _), r)| {
+                let (samples, transitions, throttled_steps) = whole(r);
+                GovernedScheduleTrace {
+                    trace: ScheduleTrace {
+                        schedule,
+                        samples: samples
+                            .into_iter()
+                            .map(|(time_s, power, surface_c)| SchedulingSample {
+                                time_s,
+                                power,
+                                surface_c,
+                            })
+                            .collect(),
+                    },
+                    transitions,
+                    throttled_steps,
+                }
+            })
+            .collect();
+        HysteresisResult { traces }
+    }
+
+    fn render(&self, out: &HysteresisResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+}
+
+/// Runs the closed-loop Figure 18 study ([`Hysteresis`]) with `samples`
+/// steps of `dt_seconds` each.
 #[must_use]
 pub fn run_hysteresis(samples: usize, dt_seconds: f64, fidelity: Fidelity) -> HysteresisResult {
-    let traces = runner::sweep(
-        fidelity.jobs,
-        vec![Schedule::Synchronized, Schedule::Interleaved],
-        move |_, schedule| {
-            // Same operating point as the open-loop study, *before*
-            // warm-up — warming up at the default clock would settle
-            // the bare-package rig far above the Figure 18 regime.
-            let mut sys = Rig::thermal_study(0x18).system();
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
-            *sys.thermal_mut() = bare_package_rig(0.5);
-            let phase_iters = (fidelity.chunk_cycles / 4).max(200) as u32;
-            load_two_phase(sys.machine_mut(), schedule, phase_iters);
-            sys.warm_up(fidelity.warmup_cycles / 4);
-            let solver = VfSolver::new(sys.power_model().clone(), ROOM_AMBIENT_C);
-            let mut gov = Governor::new(
-                GovernorConfig::ThrottleOnBoot,
-                solver,
-                Volts(0.9),
-                piton_arch::units::Hertz::from_mhz(100.01),
-            );
-            let run = sys.run_governed(&mut gov, samples, Some(Seconds(dt_seconds)));
-            GovernedScheduleTrace {
-                trace: ScheduleTrace {
-                    schedule,
-                    samples: run
-                        .samples
-                        .iter()
-                        .map(|s| SchedulingSample {
-                            time_s: s.time_s - dt_seconds,
-                            power: s.power,
-                            surface_c: s.surface_c,
-                        })
-                        .collect(),
-                },
-                transitions: run.transitions,
-                throttled_steps: run.throttled_steps,
-            }
-        },
-    );
-    HysteresisResult { traces }
+    let grid = [Schedule::Synchronized, Schedule::Interleaved].map(|s| (s, samples, dt_seconds));
+    let env = Env::new(&CycleBench, fidelity, None);
+    super::run_points(Hysteresis, &env, None, &grid, None)
 }
 
 impl HysteresisResult {
@@ -363,23 +460,42 @@ pub struct EnergyFrontierResult {
     pub rows: Vec<FrontierRow>,
 }
 
-/// Races a finite workload to completion under each policy on each
-/// chip, in real (undilated) time — the energy/latency tradeoff the
-/// `EnergyFrontier` policy optimizes. Jobs-deterministic like every
-/// other grid.
-#[must_use]
-pub fn run_energy_frontier(fidelity: Fidelity) -> EnergyFrontierResult {
-    let policies = [
-        GovernorConfig::ThrottleOnBoot,
-        GovernorConfig::RaceToHalt,
-        GovernorConfig::EnergyFrontier,
-    ];
-    let chips = [NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3];
-    let grid: Vec<(GovernorConfig, NamedChip)> = policies
-        .iter()
-        .flat_map(|&p| chips.iter().map(move |&c| (p, c)))
-        .collect();
-    let rows = runner::sweep(fidelity.jobs, grid, move |_, (policy, chip)| {
+/// The energy-frontier study: one point per (policy, chip).
+#[derive(Debug, Clone, Copy)]
+pub struct Frontier;
+
+impl Section for Frontier {
+    type Point = (GovernorConfig, NamedChip);
+    type Inputs = ();
+    /// Completed, seconds, joules, mean MHz and peak junction °C.
+    type Payload = (bool, f64, f64, (f64, f64));
+    type Output = EnergyFrontierResult;
+    const NAME: &'static str = "energy_frontier";
+    const TITLE: &'static str = "Energy frontier — governor policies racing to completion";
+    const RUNS: Runs = Runs::Governed;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        [
+            GovernorConfig::ThrottleOnBoot,
+            GovernorConfig::RaceToHalt,
+            GovernorConfig::EnergyFrontier,
+        ]
+        .into_iter()
+        .flat_map(|p| CHIPS.map(|c| (p, c)))
+        .collect()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    /// Races a finite workload to completion under each policy on each
+    /// chip, in real (undilated) time — the energy/latency tradeoff the
+    /// `EnergyFrontier` policy optimizes. Jobs-deterministic like every
+    /// other grid.
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let &(policy, chip) = at.point;
+        let fidelity = at.env.fidelity;
         let mut sys = PitonSystem::new(&ChipConfig::piton(), chip.corner(), 0xEF);
         sys.set_chunk_cycles(fidelity.chunk_cycles);
         sys.set_vdd_tracked(Volts(1.0));
@@ -395,17 +511,42 @@ pub fn run_energy_frontier(fidelity: Fidelity) -> EnergyFrontierResult {
         let cold = solver.capability(Volts(1.0), sys.thermal().junction_c());
         let mut gov = Governor::new(policy, solver, Volts(1.0), cold);
         let run = sys.run_governed(&mut gov, 4 * settle_steps(fidelity), None);
-        FrontierRow {
-            policy,
-            chip,
-            completed: run.completed,
-            time_s: run.samples.last().map_or(0.0, |s| s.time_s),
-            energy: run.energy,
-            mean_mhz: run.mean_frequency().as_mhz(),
-            peak_junction_c: run.peak_junction_c(),
-        }
-    });
-    EnergyFrontierResult { rows }
+        Ok((
+            run.completed,
+            run.samples.last().map_or(0.0, |s| s.time_s),
+            run.energy.0,
+            (run.mean_frequency().as_mhz(), run.peak_junction_c()),
+        ))
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> EnergyFrontierResult {
+        let rows = points
+            .into_iter()
+            .map(|(_, &(policy, chip), r)| {
+                let (completed, time_s, energy, (mean_mhz, peak_junction_c)) = whole(r);
+                FrontierRow {
+                    policy,
+                    chip,
+                    completed,
+                    time_s,
+                    energy: Joules(energy),
+                    mean_mhz,
+                    peak_junction_c,
+                }
+            })
+            .collect();
+        EnergyFrontierResult { rows }
+    }
+
+    fn render(&self, out: &EnergyFrontierResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+}
+
+/// Runs the energy-frontier race ([`Frontier`]).
+#[must_use]
+pub fn run_energy_frontier(fidelity: Fidelity) -> EnergyFrontierResult {
+    super::run(Frontier, &Env::new(&CycleBench, fidelity, None), None)
 }
 
 impl EnergyFrontierResult {

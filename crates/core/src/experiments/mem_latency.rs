@@ -6,12 +6,15 @@
 //! accounting for ~395 of them.
 
 use piton_arch::config::ChipConfig;
+use piton_arch::error::PitonError;
 use piton_arch::topology::TileId;
 use piton_arch::units::Seconds;
 use piton_sim::chipset::{figure15_segments, PathSegment};
 use piton_sim::events::ActivityCounters;
 use piton_sim::memsys::MemorySystem;
 
+use super::{whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::bench::CycleBench;
 use crate::report::Table;
 
 /// The Figure 15 reproduction.
@@ -28,24 +31,60 @@ pub struct MemLatencyResult {
     pub measured_ldx_miss_cycles: u64,
 }
 
+/// Figure 15: the path segments are the chipset's; the one point is
+/// the simulator's end-to-end `ldx` miss latency (cycles).
+#[derive(Debug, Clone, Copy)]
+pub struct MemLatency;
+
+impl Section for MemLatency {
+    type Point = ();
+    type Inputs = ();
+    type Payload = u64;
+    type Output = MemLatencyResult;
+    const NAME: &'static str = "latency";
+    const TITLE: &'static str = "Figure 15 — memory latency breakdown";
+    const RUNS: Runs = Runs::Cycle;
+
+    fn grid(&self, _: Fidelity) -> Vec<()> {
+        vec![()]
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn compute(&self, _: &At<Self>) -> Result<u64, PitonError> {
+        let mut sys = MemorySystem::new(&ChipConfig::piton());
+        let mut act = ActivityCounters::default();
+        Ok(sys.load(TileId::new(0), 0x40, 0, &mut act).latency)
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> MemLatencyResult {
+        let segments = figure15_segments();
+        let path_cycles: u64 = segments.iter().map(|s| s.cycles).sum();
+        let period: Seconds = piton_arch::units::Hertz::from_mhz(500.05).period();
+        let (_, _, r) = points.into_iter().next().expect("one point");
+        MemLatencyResult {
+            segments,
+            path_cycles,
+            path_ns: period.as_ns() * path_cycles as f64,
+            measured_ldx_miss_cycles: whole(r),
+        }
+    }
+
+    fn render(&self, out: &MemLatencyResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+}
+
 /// Runs the latency walk.
 #[must_use]
 pub fn run() -> MemLatencyResult {
-    let segments = figure15_segments();
-    let path_cycles: u64 = segments.iter().map(|s| s.cycles).sum();
-    let period: Seconds = piton_arch::units::Hertz::from_mhz(500.05).period();
-    let path_ns = period.as_ns() * path_cycles as f64;
-
-    let mut sys = MemorySystem::new(&ChipConfig::piton());
-    let mut act = ActivityCounters::default();
-    let out = sys.load(TileId::new(0), 0x40, 0, &mut act);
-
-    MemLatencyResult {
-        segments,
-        path_cycles,
-        path_ns,
-        measured_ldx_miss_cycles: out.latency,
-    }
+    super::run(
+        MemLatency,
+        &Env::new(&CycleBench, Fidelity::quick(), None),
+        None,
+    )
 }
 
 impl MemLatencyResult {

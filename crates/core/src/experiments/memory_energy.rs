@@ -11,6 +11,7 @@
 //! memory system, as the paper verifies them in simulation.
 
 use piton_arch::config::{ChipConfig, SliceMapping};
+use piton_arch::error::PitonError;
 use piton_arch::isa::Opcode;
 use piton_arch::topology::TileId;
 use piton_arch::units::Seconds;
@@ -19,7 +20,8 @@ use piton_sim::events::ActivityCounters;
 use piton_sim::memsys::MemorySystem;
 use piton_workloads::memwalk::{ldx_walker, scenario_addresses, MemScenario};
 
-use super::Fidelity;
+use super::{whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::bench::CycleBench;
 use crate::measure::WithError;
 use crate::report::Table;
 
@@ -112,18 +114,64 @@ fn measure_scenario(scenario: MemScenario, fidelity: Fidelity) -> WithError {
     WithError::new(e_nj, err)
 }
 
+/// Table VII: one point per access scenario, its load latency and
+/// energy per `ldx`.
+#[derive(Debug, Clone, Copy)]
+pub struct MemoryEnergy;
+
+impl Section for MemoryEnergy {
+    type Point = (MemScenario, &'static str);
+    type Inputs = ();
+    type Payload = (u64, WithError);
+    type Output = MemEnergyResult;
+    const NAME: &'static str = "memory";
+    const TITLE: &'static str = "Table VII — memory system energy";
+    const RUNS: Runs = Runs::Cycle;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        MemScenario::table_vii()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<(u64, WithError), PitonError> {
+        let env = at.env;
+        let &(scenario, _) = at.point;
+        Ok((
+            probe_latency(scenario),
+            measure_scenario(scenario, env.fidelity),
+        ))
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> MemEnergyResult {
+        let rows = points
+            .into_iter()
+            .map(|(_, &(_, label), r)| {
+                let (latency_cycles, energy_nj) = whole(r);
+                MemEnergyRow {
+                    label: label.to_owned(),
+                    latency_cycles,
+                    energy_nj,
+                }
+            })
+            .collect();
+        MemEnergyResult { rows }
+    }
+
+    fn render(&self, out: &MemEnergyResult) -> Rendered {
+        Rendered {
+            csv: Some(("table7_memory_energy.csv", out.to_csv())),
+            ..Rendered::body(out.render())
+        }
+    }
+}
+
 /// Runs the five Table VII scenarios.
 #[must_use]
 pub fn run(fidelity: Fidelity) -> MemEnergyResult {
-    let rows = MemScenario::table_vii()
-        .into_iter()
-        .map(|(scenario, label)| MemEnergyRow {
-            label: label.to_owned(),
-            latency_cycles: probe_latency(scenario),
-            energy_nj: measure_scenario(scenario, fidelity),
-        })
-        .collect();
-    MemEnergyResult { rows }
+    super::run(MemoryEnergy, &Env::new(&CycleBench, fidelity, None), None)
 }
 
 impl MemEnergyResult {

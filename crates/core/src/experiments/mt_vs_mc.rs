@@ -10,14 +10,15 @@
 //! multithreading. A bench that cannot time a run (the analytic one)
 //! reports time and energy as [`Unsupported`].
 
+use piton_arch::error::PitonError;
 use piton_arch::units::{Joules, Seconds, Watts};
 use piton_board::population::NamedChip;
 use piton_workloads::micro::{Microbenchmark, ThreadsPerCore};
 
-use super::Fidelity;
+use super::{grouped, whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::analytic::compare::{self, FigureComparison};
 use crate::bench::{Bench, ProbeKind, Rig, Unsupported};
 use crate::report::Table;
-use crate::runner;
 
 /// One (benchmark, threads, T/C) measurement.
 #[derive(Debug, Clone, Copy)]
@@ -84,83 +85,133 @@ fn iterations(bench: Microbenchmark, fidelity: Fidelity) -> u32 {
     }
 }
 
-fn measure_point(
-    bench: &dyn Bench,
-    micro: Microbenchmark,
-    threads: usize,
-    tpc: ThreadsPerCore,
-    chip_idle: Watts,
-    fidelity: Fidelity,
-) -> MtMcPoint {
-    assert_eq!(
-        threads % tpc.count(),
-        0,
-        "{threads} threads at {}",
-        tpc.label()
-    );
-    let active_cores = threads / tpc.count();
-    let rig = Rig::chip(NamedChip::Chip3);
-    let work = ProbeKind::Micro(micro, tpc, active_cores);
-    // Steady-state power with the infinite variant, execution time with
-    // the fixed-iteration one.
-    let total_power = bench
-        .measure(&rig, work, fidelity, None)
-        .expect("fault-free window")
-        .total
-        .mean;
-    let exec_time = bench.run_time(&rig, work, iterations(micro, fidelity), fidelity);
+/// The thread counts a reduced-fidelity run sweeps.
+pub const REDUCED_THREADS: [usize; 3] = [8, 16, 24];
 
-    let active_idle_power = chip_idle * (active_cores as f64 / 25.0);
-    let active_power = (total_power - chip_idle).max(Watts::ZERO);
-    MtMcPoint {
-        threads,
-        tpc,
-        active_cores,
-        total_power,
-        active_idle_power,
-        active_power,
-        exec_time,
-        active_energy: exec_time.map(|t| active_power * t),
-        idle_energy: exec_time.map(|t| active_idle_power * t),
+/// Figure 14: one point per (benchmark, threads, T/C), thread counts
+/// 2, 4, …, 24.
+#[derive(Debug, Clone, Copy)]
+pub struct MtMc;
+
+impl Section for MtMc {
+    type Point = (Microbenchmark, usize, ThreadsPerCore);
+    /// Full-chip idle power (Chip #3), copied into every point.
+    type Inputs = Watts;
+    /// Steady-state total power (W) and, where the bench can time the
+    /// fixed-iteration run, its execution time (s).
+    type Payload = (Watts, Option<f64>);
+    type Output = MtMcResult;
+    const NAME: &'static str = "mt_mc";
+    const TITLE: &'static str = "Figure 14 — multithreading versus multicore";
+    const RUNS: Runs = Runs::Bench;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        Microbenchmark::ALL
+            .into_iter()
+            .flat_map(|bench| {
+                (1..=12).flat_map(move |k| {
+                    [ThreadsPerCore::One, ThreadsPerCore::Two]
+                        .into_iter()
+                        .map(move |tpc| (bench, 2 * k, tpc))
+                })
+            })
+            .collect()
+    }
+
+    fn shown(&self, fidelity: Fidelity) -> Option<Vec<usize>> {
+        fidelity
+            .is_reduced()
+            .then(|| threads_shown(&REDUCED_THREADS))
+    }
+
+    fn prepare(&self, env: &Env) -> Result<Watts, PitonError> {
+        Ok(env
+            .bench
+            .idle_power(&Rig::chip(NamedChip::Chip3), env.fidelity))
+    }
+
+    /// Steady-state power with the infinite variant, execution time with
+    /// the fixed-iteration one.
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let env = at.env;
+        let &(micro, threads, tpc) = at.point;
+        let rig = Rig::chip(NamedChip::Chip3);
+        let work = ProbeKind::Micro(micro, tpc, threads / tpc.count());
+        let total_power = env
+            .bench
+            .measure(&rig, work, env.fidelity, None)
+            .expect("fault-free window")
+            .total
+            .mean;
+        let exec_time =
+            env.bench
+                .run_time(&rig, work, iterations(micro, env.fidelity), env.fidelity);
+        Ok((total_power, exec_time.ok().map(|t| t.0)))
+    }
+
+    fn assemble(&self, _: &Env, &chip_idle: &Watts, points: Vec<Measured<'_, Self>>) -> MtMcResult {
+        let points = points.into_iter().map(|(_, &(bench, threads, tpc), r)| {
+            let (total_power, exec_time) = whole(r);
+            let exec_time = exec_time.map(Seconds).ok_or(Unsupported);
+            let active_cores = threads / tpc.count();
+            let active_idle_power = chip_idle * (active_cores as f64 / 25.0);
+            let active_power = (total_power - chip_idle).max(Watts::ZERO);
+            let point = MtMcPoint {
+                threads,
+                tpc,
+                active_cores,
+                total_power,
+                active_idle_power,
+                active_power,
+                exec_time,
+                active_energy: exec_time.map(|t| active_power * t),
+                idle_energy: exec_time.map(|t| active_idle_power * t),
+            };
+            (bench, point)
+        });
+        let series = grouped(points)
+            .into_iter()
+            .map(|(bench, points)| MtMcSeries { bench, points })
+            .collect();
+        MtMcResult { series, chip_idle }
+    }
+
+    fn render(&self, out: &MtMcResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+
+    fn compare(
+        &self,
+        cycle: Option<&MtMcResult>,
+        analytic: &MtMcResult,
+        _: &Env,
+    ) -> Vec<FigureComparison> {
+        cycle
+            .map(|c| compare::compare_mt_vs_mc(c, analytic))
+            .into_iter()
+            .collect()
     }
 }
 
-/// Runs the Figure 14 sweep over the given thread counts (the harness
-/// uses 2..=24 even counts) on `bench`.
+/// The canonical grid indices at the given thread counts.
+fn threads_shown(thread_counts: &[usize]) -> Vec<usize> {
+    let grid = MtMc.grid(Fidelity::full());
+    (0..grid.len())
+        .filter(|&i| thread_counts.contains(&grid[i].1))
+        .collect()
+}
+
+/// Runs the Figure 14 sweep over the given thread counts (even, at most
+/// 24; the harness uses all twelve) on `bench`.
 #[must_use]
 pub fn run_with_threads(
     bench: &dyn Bench,
     thread_counts: &[usize],
     fidelity: Fidelity,
 ) -> MtMcResult {
-    let chip_idle = bench.idle_power(&Rig::chip(NamedChip::Chip3), fidelity);
-
-    // 3 benchmarks × thread counts × 2 T/C; the shared chip-idle
-    // baseline was measured once above and is copied into every point.
-    let grid: Vec<(Microbenchmark, usize, ThreadsPerCore)> = Microbenchmark::ALL
-        .into_iter()
-        .flat_map(|bench| {
-            thread_counts.iter().flat_map(move |&threads| {
-                [ThreadsPerCore::One, ThreadsPerCore::Two]
-                    .into_iter()
-                    .map(move |tpc| (bench, threads, tpc))
-            })
-        })
-        .collect();
-    let points = runner::sweep(fidelity.jobs, grid, |_, (micro, threads, tpc)| {
-        measure_point(bench, micro, threads, tpc, chip_idle, fidelity)
-    });
-
-    let per_bench = thread_counts.len() * 2;
-    let series = Microbenchmark::ALL
-        .into_iter()
-        .zip(points.chunks(per_bench))
-        .map(|(bench, chunk)| MtMcSeries {
-            bench,
-            points: chunk.to_vec(),
-        })
-        .collect();
-    MtMcResult { series, chip_idle }
+    let grid = MtMc.grid(fidelity);
+    let env = Env::new(bench, fidelity, None);
+    super::run_points(MtMc, &env, None, &grid, Some(threads_shown(thread_counts)))
 }
 
 /// Runs the full sweep (thread counts 2, 4, …, 24) on `bench`.

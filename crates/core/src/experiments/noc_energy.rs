@@ -10,17 +10,18 @@
 
 use std::sync::Mutex;
 
+use piton_arch::error::PitonError;
 use piton_arch::units::{Hertz, Watts};
 use piton_board::fault::FaultPlan;
 use piton_power::ChipCorner;
 use piton_sim::machine::SwitchPattern;
 
-use super::Fidelity;
+use super::{At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::analytic::compare::{self, FigureComparison};
 use crate::bench::{Bench, Rig};
 use crate::journal::Journal;
 use crate::measure::{epf_pj, linear_fit};
 use crate::report::{self, render_holes, Hole, Table, HOLE_MARK};
-use crate::runner;
 
 /// EPF series for one switching pattern.
 #[derive(Debug, Clone)]
@@ -72,18 +73,121 @@ pub fn grid() -> Vec<(usize, SwitchPattern, usize)> {
         .collect()
 }
 
-/// Computes one Figure 12 grid point on `bench` exactly as the [`run`]
-/// sweep does — same per-pattern seed — so a result computed here is
-/// bit-identical to one journaled by a full run under the same context.
-#[must_use]
-pub fn compute_point(
-    bench: &dyn Bench,
-    point: &(usize, SwitchPattern, usize),
-    fidelity: Fidelity,
-) -> Watts {
-    let &(i, pattern, hops) = point;
-    let rig = Rig::new(ChipCorner::typical(), 0xE0 + i as u64);
-    bench.traffic_power(&rig, pattern, hops, fidelity)
+/// Figure 12: one point per (pattern, hops), its full-chip power.
+#[derive(Debug, Clone, Copy)]
+pub struct Noc;
+
+impl Section for Noc {
+    type Point = (usize, SwitchPattern, usize);
+    type Inputs = ();
+    type Payload = Watts;
+    type Output = NocEnergyResult;
+    const NAME: &'static str = "noc";
+    const TITLE: &'static str = "Figure 12 — NoC energy per flit";
+    const RUNS: Runs = Runs::Bench;
+    const HOLE_AWARE: bool = true;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        grid()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    /// Each pattern's rig has its own seed.
+    fn compute(&self, at: &At<Self>) -> Result<Watts, PitonError> {
+        let &(i, pattern, hops) = at.point;
+        let rig = Rig::new(ChipCorner::typical(), 0xE0 + i as u64);
+        Ok(at
+            .env
+            .bench
+            .traffic_power(&rig, pattern, hops, at.env.fidelity))
+    }
+
+    /// Hop 0 is each pattern's baseline power the others subtract.
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> NocEnergyResult {
+        let f = Hertz::from_mhz(500.05);
+        let powers: Vec<_> = points.into_iter().map(|(_, _, r)| r).collect();
+        let mut holes = Vec::new();
+        let series = SwitchPattern::ALL
+            .into_iter()
+            .zip(powers.chunks(9))
+            .map(|(pattern, chunk)| {
+                let label = pattern.label();
+                let mut points = Vec::new();
+                match &chunk[0] {
+                    Ok(base) => {
+                        points.push((0usize, 0.0f64));
+                        for (hops, r) in (1..=8usize).zip(&chunk[1..]) {
+                            match r {
+                                Ok(p) => points.push((hops, epf_pj(*p, *base, f))),
+                                Err(e) => {
+                                    holes.push(report::hole("noc", point_label(pattern, hops), e));
+                                }
+                            }
+                        }
+                    }
+                    Err(e) => {
+                        // Without the hop-0 baseline nothing in the series
+                        // can be normalized: hole every cell.
+                        holes.push(report::hole("noc", point_label(pattern, 0), e));
+                        for hops in 1..=8usize {
+                            holes.push(Hole {
+                                section: "noc".to_owned(),
+                                index: e.index + hops,
+                                point: point_label(pattern, hops),
+                                attempts: 0,
+                                error: format!(
+                                    "baseline (hop 0) of {label} lost; cannot normalize"
+                                ),
+                            });
+                        }
+                    }
+                }
+                let fit: Vec<(f64, f64)> = points.iter().map(|&(h, e)| (h as f64, e)).collect();
+                let slope = match linear_fit(&fit) {
+                    Ok((_, slope)) => slope,
+                    Err(e) => {
+                        holes.push(Hole {
+                            section: "noc".to_owned(),
+                            index: 0,
+                            point: format!("{label} trendline"),
+                            attempts: 0,
+                            error: e.to_string(),
+                        });
+                        0.0
+                    }
+                };
+                PatternSeries {
+                    pattern: label.to_owned(),
+                    points,
+                    pj_per_hop: slope,
+                }
+            })
+            .collect();
+        NocEnergyResult { series, holes }
+    }
+
+    fn render(&self, out: &NocEnergyResult) -> Rendered {
+        Rendered {
+            body: out.render(),
+            holes: out.holes.clone(),
+            csv: Some(("figure12_noc_epf.csv", out.to_csv())),
+        }
+    }
+
+    fn compare(
+        &self,
+        cycle: Option<&NocEnergyResult>,
+        analytic: &NocEnergyResult,
+        _: &Env,
+    ) -> Vec<FigureComparison> {
+        cycle
+            .map(|c| compare::compare_noc(c, analytic))
+            .into_iter()
+            .collect()
+    }
 }
 
 /// Runs the Figure 12 sweep on `bench` under an optional fault plan,
@@ -95,74 +199,7 @@ pub fn run(
     plan: Option<&FaultPlan>,
     journal: Option<&Mutex<Journal>>,
 ) -> NocEnergyResult {
-    let f = Hertz::from_mhz(500.05);
-    // Every point an isolated system; hop 0 is the pattern's baseline
-    // power the others subtract.
-    let powers = runner::try_sweep_journaled(
-        fidelity.jobs,
-        grid().into_iter().enumerate().collect(),
-        "noc",
-        plan,
-        journal,
-        |_, point, _| Ok(compute_point(bench, point, fidelity)),
-    );
-
-    let mut holes = Vec::new();
-    let series = SwitchPattern::ALL
-        .into_iter()
-        .zip(powers.chunks(9))
-        .map(|(pattern, chunk)| {
-            let label = pattern.label();
-            let mut points = Vec::new();
-            match &chunk[0] {
-                Ok(base) => {
-                    points.push((0usize, 0.0f64));
-                    for (hops, r) in (1..=8usize).zip(&chunk[1..]) {
-                        match r {
-                            Ok(p) => points.push((hops, epf_pj(*p, *base, f))),
-                            Err(e) => {
-                                holes.push(report::hole("noc", point_label(pattern, hops), e));
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Without the hop-0 baseline nothing in the series
-                    // can be normalized: hole every cell.
-                    holes.push(report::hole("noc", point_label(pattern, 0), e));
-                    for hops in 1..=8usize {
-                        holes.push(Hole {
-                            section: "noc".to_owned(),
-                            index: e.index + hops,
-                            point: point_label(pattern, hops),
-                            attempts: 0,
-                            error: format!("baseline (hop 0) of {label} lost; cannot normalize"),
-                        });
-                    }
-                }
-            }
-            let fit: Vec<(f64, f64)> = points.iter().map(|&(h, e)| (h as f64, e)).collect();
-            let slope = match linear_fit(&fit) {
-                Ok((_, slope)) => slope,
-                Err(e) => {
-                    holes.push(Hole {
-                        section: "noc".to_owned(),
-                        index: 0,
-                        point: format!("{label} trendline"),
-                        attempts: 0,
-                        error: e.to_string(),
-                    });
-                    0.0
-                }
-            };
-            PatternSeries {
-                pattern: label.to_owned(),
-                points,
-                pj_per_hop: slope,
-            }
-        })
-        .collect();
-    NocEnergyResult { series, holes }
+    super::run(Noc, &Env::new(bench, fidelity, plan), journal)
 }
 
 impl NocEnergyResult {

@@ -9,14 +9,17 @@
 //! Piton execution time, slowdown, average power and energy of Table IX
 //! all *emerge* from the measured CPI and power.
 
+use piton_arch::error::PitonError;
 use piton_arch::topology::TileId;
 use piton_arch::units::{Hertz, Joules, Seconds, Watts};
 use piton_board::system::PitonSystem;
-use piton_workloads::spec::{spec_kernel, table_ix_benchmarks, SpecBenchmark, T2000Model};
+use piton_workloads::spec::{
+    spec_kernel, table_ix_benchmarks, table_viii, SpecBenchmark, SystemSpecRow, T2000Model,
+};
 
-use super::Fidelity;
+use super::{whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::bench::CycleBench;
 use crate::report::Table;
-use crate::runner;
 
 /// One Table IX row as reproduced.
 #[derive(Debug, Clone)]
@@ -105,41 +108,126 @@ fn measure_kernel(bench: &SpecBenchmark, fidelity: Fidelity) -> KernelMeasuremen
     }
 }
 
+/// Table IX: one point per benchmark/input pair, its surrogate
+/// kernel's measured CPI and power.
+#[derive(Debug, Clone, Copy)]
+pub struct Specint;
+
+impl Section for Specint {
+    type Point = SpecBenchmark;
+    type Inputs = ();
+    type Payload = (f64, Watts);
+    type Output = SpecResult;
+    const NAME: &'static str = "specint";
+    const TITLE: &'static str = "Table IX — SPECint 2006 performance, power, and energy";
+    const RUNS: Runs = Runs::Cycle;
+
+    fn grid(&self, _: Fidelity) -> Vec<SpecBenchmark> {
+        table_ix_benchmarks()
+    }
+
+    fn label(&self, bench: &SpecBenchmark) -> String {
+        bench.name.to_owned()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    /// Each surrogate kernel simulates its own single-core system.
+    fn compute(&self, at: &At<Self>) -> Result<(f64, Watts), PitonError> {
+        let env = at.env;
+        let bench = at.point;
+        let m = measure_kernel(bench, env.fidelity);
+        Ok((m.cpi, m.power))
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> SpecResult {
+        let t2000 = T2000Model::sun_fire_t2000();
+        let piton_f = Hertz::from_mhz(500.05);
+        let rows = points
+            .into_iter()
+            .map(|(_, bench, r)| {
+                let (cpi, power) = whole(r);
+                let m = KernelMeasurement { cpi, power };
+                let cpi_t = t2000.cpi(&bench.profile);
+                // Instruction count from the independent T2000 anchor.
+                let instructions = bench.t2000_minutes * 60.0 * (t2000.freq_mhz * 1e6) / cpi_t;
+                // Effective CPI: measured kernel CPI plus the fitted OS
+                // overhead (TLB reloads, paging, kernel time).
+                let cpi_eff = m.cpi + bench.profile.os_stall_cpi;
+                let piton_seconds = instructions * cpi_eff / piton_f.0;
+                let piton_minutes = piton_seconds / 60.0;
+                SpecRow {
+                    name: bench.name.to_owned(),
+                    t2000_minutes: bench.t2000_minutes,
+                    piton_minutes,
+                    slowdown: piton_minutes / bench.t2000_minutes,
+                    piton_cpi: cpi_eff,
+                    t2000_cpi: cpi_t,
+                    avg_power: m.power,
+                    energy: m.power * Seconds(piton_seconds),
+                }
+            })
+            .collect();
+        SpecResult { rows }
+    }
+
+    fn render(&self, out: &SpecResult) -> Rendered {
+        Rendered {
+            csv: Some(("table9_specint.csv", out.to_csv())),
+            ..Rendered::body(out.render())
+        }
+    }
+}
+
 /// Runs the Table IX study over all 13 pairs.
 #[must_use]
 pub fn run(fidelity: Fidelity) -> SpecResult {
-    let t2000 = T2000Model::sun_fire_t2000();
-    let piton_f = Hertz::from_mhz(500.05);
-    // Each surrogate kernel simulates its own single-core system.
-    let benches = table_ix_benchmarks();
-    let measured = runner::sweep(fidelity.jobs, benches.clone(), |_, bench| {
-        measure_kernel(&bench, fidelity)
-    });
-    let rows = benches
-        .iter()
-        .zip(measured)
-        .map(|(bench, m)| {
-            let cpi_t = t2000.cpi(&bench.profile);
-            // Instruction count from the independent T2000 anchor.
-            let instructions = bench.t2000_minutes * 60.0 * (t2000.freq_mhz * 1e6) / cpi_t;
-            // Effective CPI: measured kernel CPI plus the fitted OS
-            // overhead (TLB reloads, paging, kernel time).
-            let cpi_eff = m.cpi + bench.profile.os_stall_cpi;
-            let piton_seconds = instructions * cpi_eff / piton_f.0;
-            let piton_minutes = piton_seconds / 60.0;
-            SpecRow {
-                name: bench.name.to_owned(),
-                t2000_minutes: bench.t2000_minutes,
-                piton_minutes,
-                slowdown: piton_minutes / bench.t2000_minutes,
-                piton_cpi: cpi_eff,
-                t2000_cpi: cpi_t,
-                avg_power: m.power,
-                energy: m.power * Seconds(piton_seconds),
-            }
-        })
-        .collect();
-    SpecResult { rows }
+    super::run(Specint, &Env::new(&CycleBench, fidelity, None), None)
+}
+
+/// Table VIII: the static system comparison, one point per row.
+#[derive(Debug, Clone, Copy)]
+pub struct TableViii;
+
+impl Section for TableViii {
+    type Point = SystemSpecRow;
+    type Inputs = ();
+    type Payload = ();
+    type Output = Vec<SystemSpecRow>;
+    const NAME: &'static str = "table_viii";
+    const TITLE: &'static str = "Table VIII — system specifications";
+    const RUNS: Runs = Runs::Cycle;
+
+    fn grid(&self, _: Fidelity) -> Vec<SystemSpecRow> {
+        table_viii()
+    }
+
+    fn label(&self, row: &SystemSpecRow) -> String {
+        row.parameter.to_owned()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn compute(&self, _: &At<Self>) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> Vec<SystemSpecRow> {
+        points.into_iter().map(|(_, row, _)| row.clone()).collect()
+    }
+
+    fn render(&self, rows: &Vec<SystemSpecRow>) -> Rendered {
+        let mut t = Table::new("Table VIII: Sun Fire T2000 and Piton system specifications");
+        t.header(["System Parameter", "Sun Fire T2000", "Piton System"]);
+        for row in rows {
+            t.row([row.parameter, row.t2000, row.piton]);
+        }
+        Rendered::body(t.render())
+    }
 }
 
 impl SpecResult {
@@ -208,17 +296,6 @@ impl SpecResult {
         }
         t.render()
     }
-
-    /// Renders Table VIII (the static system comparison).
-    #[must_use]
-    pub fn render_table_viii() -> String {
-        let mut t = Table::new("Table VIII: Sun Fire T2000 and Piton system specifications");
-        t.header(["System Parameter", "Sun Fire T2000", "Piton System"]);
-        for row in piton_workloads::spec::table_viii() {
-            t.row([row.parameter, row.t2000, row.piton]);
-        }
-        t.render()
-    }
 }
 
 /// Figure 16 — power time series per rail over a full `gcc-166` run.
@@ -230,60 +307,109 @@ pub struct TimeSeriesResult {
     pub total_seconds: f64,
 }
 
-/// Runs the Figure 16 time-series logging: the `gcc-166` surrogate with
-/// its phases (compute-lean and memory/I/O-lean segments alternating),
-/// logging per-rail power at the emulated 17 Hz → run-length mapping.
+/// The paper's gcc-166 runtime (s).
+const GCC_166_SECONDS: f64 = 38.28 * 60.0;
+
+/// Figure 16: one point, the whole series, whose sample count is set by
+/// the fidelity (the phases share one system, so samples are not
+/// independent).
+#[derive(Debug, Clone, Copy)]
+pub struct TimeSeries;
+
+impl Section for TimeSeries {
+    /// Samples in the series.
+    type Point = usize;
+    type Inputs = ();
+    /// `(emulated seconds, core mW, sram mW, io mW)` samples.
+    type Payload = Vec<(f64, f64, f64, f64)>;
+    type Output = TimeSeriesResult;
+    const NAME: &'static str = "timeseries";
+    const TITLE: &'static str = "Figure 16 — gcc-166 power time series";
+    const RUNS: Runs = Runs::Cycle;
+
+    fn grid(&self, fidelity: Fidelity) -> Vec<usize> {
+        vec![if fidelity.is_reduced() { 48 } else { 256 }]
+    }
+
+    fn label(&self, samples: &usize) -> String {
+        format!("{samples} samples")
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    /// Runs the Figure 16 time-series logging: the `gcc-166` surrogate with
+    /// its phases (compute-lean and memory/I/O-lean segments alternating),
+    /// logging per-rail power at the emulated 17 Hz → run-length mapping.
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let &samples = at.point;
+        let fidelity = at.env.fidelity;
+        let benches = table_ix_benchmarks();
+        let gcc = benches
+            .iter()
+            .find(|b| b.name == "gcc-166")
+            .expect("gcc-166");
+        // Phase variants: lean (fewer misses) and heavy (profile as-is).
+        let mut lean = gcc.profile;
+        lean.mem_load_pct *= 0.3;
+        lean.l2_load_pct *= 0.5;
+        lean.int_pct += 4.0;
+        lean.io_per_kinstr = 0.0;
+        let heavy = gcc.profile;
+
+        let mut sys = PitonSystem::reference_chip_2();
+        sys.set_chunk_cycles(fidelity.chunk_cycles);
+        let dt = GCC_166_SECONDS / samples as f64;
+
+        let mut out = Vec::with_capacity(samples);
+        let mut phase_heavy = true;
+        for k in 0..samples {
+            // Swap phases every eighth of the run (gcc's front-end/back-end
+            // alternation).
+            if k % (samples / 8).max(1) == 0 {
+                phase_heavy = !phase_heavy;
+                let profile = if phase_heavy { &heavy } else { &lean };
+                sys.machine_mut()
+                    .load_thread(TileId::new(0), 0, spec_kernel(profile));
+                sys.warm_up(fidelity.warmup_cycles.max(220_000));
+            }
+            let before = sys.machine().counters().clone();
+            let r0 = sys.machine().core(TileId::new(0)).retired();
+            sys.machine_mut().run(fidelity.chunk_cycles);
+            let executed = sys.machine().core(TileId::new(0)).retired() - r0;
+            let io_rate = if phase_heavy {
+                gcc.profile.io_per_kinstr
+            } else {
+                0.0
+            };
+            let io = (executed as f64 * io_rate / 1_000.0).round() as u64;
+            sys.machine_mut().record_io(io);
+            let delta = sys.machine().counters().delta_since(&before);
+            let p = sys.power_model().power(&delta, sys.operating_point());
+            out.push((k as f64 * dt, p.vdd.as_mw(), p.vcs.as_mw(), p.vio.as_mw()));
+        }
+        Ok(out)
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> TimeSeriesResult {
+        let (_, _, r) = points.into_iter().next().expect("one series");
+        TimeSeriesResult {
+            samples: whole(r),
+            total_seconds: GCC_166_SECONDS,
+        }
+    }
+
+    fn render(&self, out: &TimeSeriesResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+}
+
+/// Runs the Figure 16 series with `samples` samples.
 #[must_use]
 pub fn run_timeseries(samples: usize, fidelity: Fidelity) -> TimeSeriesResult {
-    let benches = table_ix_benchmarks();
-    let gcc = benches
-        .iter()
-        .find(|b| b.name == "gcc-166")
-        .expect("gcc-166");
-    // Phase variants: lean (fewer misses) and heavy (profile as-is).
-    let mut lean = gcc.profile;
-    lean.mem_load_pct *= 0.3;
-    lean.l2_load_pct *= 0.5;
-    lean.int_pct += 4.0;
-    lean.io_per_kinstr = 0.0;
-    let heavy = gcc.profile;
-
-    let mut sys = PitonSystem::reference_chip_2();
-    sys.set_chunk_cycles(fidelity.chunk_cycles);
-    let total_seconds = 38.28 * 60.0; // the paper's gcc-166 runtime
-    let dt = total_seconds / samples as f64;
-
-    let mut out = Vec::with_capacity(samples);
-    let mut phase_heavy = true;
-    for k in 0..samples {
-        // Swap phases every eighth of the run (gcc's front-end/back-end
-        // alternation).
-        if k % (samples / 8).max(1) == 0 {
-            phase_heavy = !phase_heavy;
-            let profile = if phase_heavy { &heavy } else { &lean };
-            sys.machine_mut()
-                .load_thread(TileId::new(0), 0, spec_kernel(profile));
-            sys.warm_up(fidelity.warmup_cycles.max(220_000));
-        }
-        let before = sys.machine().counters().clone();
-        let r0 = sys.machine().core(TileId::new(0)).retired();
-        sys.machine_mut().run(fidelity.chunk_cycles);
-        let executed = sys.machine().core(TileId::new(0)).retired() - r0;
-        let io_rate = if phase_heavy {
-            gcc.profile.io_per_kinstr
-        } else {
-            0.0
-        };
-        let io = (executed as f64 * io_rate / 1_000.0).round() as u64;
-        sys.machine_mut().record_io(io);
-        let delta = sys.machine().counters().delta_since(&before);
-        let p = sys.power_model().power(&delta, sys.operating_point());
-        out.push((k as f64 * dt, p.vdd.as_mw(), p.vcs.as_mw(), p.vio.as_mw()));
-    }
-    TimeSeriesResult {
-        samples: out,
-        total_seconds,
-    }
+    let env = Env::new(&CycleBench, fidelity, None);
+    super::run_points(TimeSeries, &env, None, &[samples], None)
 }
 
 impl TimeSeriesResult {
@@ -395,7 +521,10 @@ mod tests {
 
     #[test]
     fn table_viii_renders() {
-        let s = SpecResult::render_table_viii();
+        let env = Env::new(&CycleBench, Fidelity::quick(), None);
+        let s = TableViii
+            .render(&super::super::run(TableViii, &env, None))
+            .body;
         assert!(s.contains("UltraSPARC T1"));
         assert!(s.contains("848ns"));
     }

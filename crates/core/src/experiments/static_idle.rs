@@ -8,13 +8,15 @@
 //! their VDD (core) and VCS (SRAM) contributions and averaged across
 //! the three chips.
 
+use piton_arch::error::PitonError;
 use piton_arch::units::{Hertz, Volts, Watts};
 use piton_board::population::NamedChip;
 
-use super::{vf_sweep, Fidelity};
+use super::vf_sweep::{self, VfSweepResult};
+use super::{whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::analytic::compare::{self, FigureComparison};
 use crate::bench::{Bench, ProbeKind, Rig};
 use crate::report::Table;
-use crate::runner;
 
 /// One voltage/frequency point of Figure 10 (three-chip average).
 #[derive(Debug, Clone, Copy)]
@@ -64,77 +66,125 @@ pub fn paper_table_v() -> (Watts, Watts) {
     (Watts::from_mw(389.3), Watts::from_mw(2015.3))
 }
 
-fn measure_chip(
-    bench: &dyn Bench,
-    chip: NamedChip,
-    vdd: Volts,
-    freq: Hertz,
-    fidelity: Fidelity,
-) -> (Watts, Watts, Watts, Watts) {
-    let rig = Rig::new(chip.corner(), 0xF10 + chip as u64).at(vdd, freq);
-    let s = bench.static_power(&rig);
-    let idle = bench
-        .measure(&rig, ProbeKind::Idle, fidelity, None)
-        .expect("fault-free idle window");
+/// The three dies every voltage step averages.
+const CHIPS: [NamedChip; 3] = [NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3];
+
+/// Figure 10 + Table V: one point per (VDD step, chip), then the Table
+/// V defaults (`None`).
+#[derive(Debug, Clone, Copy)]
+pub struct StaticIdle;
+
+impl Section for StaticIdle {
+    type Point = Option<(usize, NamedChip)>;
+    /// The Figure 9 sweep, whose steps set each point's operating point.
+    type Inputs = VfSweepResult;
+    /// Static VDD, static VCS, idle-dynamic VDD, idle-dynamic VCS (W);
+    /// Table V's static and idle fill the first two.
+    type Payload = [f64; 4];
+    type Output = StaticIdleResult;
+    const NAME: &'static str = "static_idle";
+    const TITLE: &'static str = "Figure 10 + Table V — static and idle power";
+    const RUNS: Runs = Runs::Bench;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        (0..9)
+            .flat_map(|i| CHIPS.map(|chip| Some((i, chip))))
+            .chain([None])
+            .collect()
+    }
+
+    fn prepare(&self, env: &Env) -> Result<VfSweepResult, PitonError> {
+        Ok(vf_sweep::run_with_jobs(env.fidelity.jobs))
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<[f64; 4], PitonError> {
+        let env = at.env;
+        let vf = at.inputs;
+        let point = at.point;
+        let Some((i, chip)) = *point else {
+            let (s, idle) = env
+                .bench
+                .table_v(&Rig::chip(NamedChip::Chip2), env.fidelity);
+            return Ok([s.0, idle.0, 0.0, 0.0]);
+        };
+        let (vdd, freq) = step(vf, i);
+        let rig = Rig::new(chip.corner(), 0xF10 + chip as u64).at(vdd, freq);
+        let s = env.bench.static_power(&rig);
+        let idle = env
+            .bench
+            .measure(&rig, ProbeKind::Idle, env.fidelity, None)
+            .expect("fault-free idle window");
+        Ok([
+            s.vdd.0,
+            s.vcs.0,
+            (idle.vdd.mean - s.vdd).max(Watts::ZERO).0,
+            (idle.vcs.mean - s.vcs).max(Watts::ZERO).0,
+        ])
+    }
+
+    fn assemble(
+        &self,
+        _: &Env,
+        vf: &VfSweepResult,
+        points: Vec<Measured<'_, Self>>,
+    ) -> StaticIdleResult {
+        let mut rails: Vec<[f64; 4]> = points.into_iter().map(|(_, _, r)| whole(r)).collect();
+        let table_v = rails.pop().expect("the Table V point");
+        let points = rails
+            .chunks(3)
+            .enumerate()
+            .map(|(i, chips)| {
+                let mut acc = [Watts::ZERO; 4];
+                for rail in chips {
+                    for (a, w) in acc.iter_mut().zip(rail) {
+                        *a += Watts(*w);
+                    }
+                }
+                let (vdd, freq) = step(vf, i);
+                StaticIdlePoint {
+                    vdd,
+                    freq,
+                    static_vdd: acc[0] / 3.0,
+                    static_vcs: acc[1] / 3.0,
+                    dynamic_vdd: acc[2] / 3.0,
+                    dynamic_vcs: acc[3] / 3.0,
+                }
+            })
+            .collect();
+        StaticIdleResult {
+            points,
+            table_v_static: Watts(table_v[0]),
+            table_v_idle: Watts(table_v[1]),
+        }
+    }
+
+    fn render(&self, out: &StaticIdleResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+
+    fn compare(
+        &self,
+        cycle: Option<&StaticIdleResult>,
+        analytic: &StaticIdleResult,
+        _: &Env,
+    ) -> Vec<FigureComparison> {
+        cycle.map_or_else(Vec::new, |c| compare::compare_static_idle(c, analytic))
+    }
+}
+
+/// VDD step `i` of Figure 10: Chip #2's voltage at the minimum of the
+/// three chips' maximum frequencies (§IV-D).
+fn step(vf: &VfSweepResult, i: usize) -> (Volts, Hertz) {
     (
-        s.vdd,
-        s.vcs,
-        (idle.vdd.mean - s.vdd).max(Watts::ZERO),
-        (idle.vcs.mean - s.vcs).max(Watts::ZERO),
+        vf.chip(NamedChip::Chip2).points[i].vdd,
+        Hertz::from_mhz(vf.min_fmax_mhz(i)),
     )
 }
 
 /// Runs the Figure 10 sweep and the Table V defaults on `bench`.
 #[must_use]
 pub fn run(bench: &dyn Bench, fidelity: Fidelity) -> StaticIdleResult {
-    let vf = vf_sweep::run_with_jobs(fidelity.jobs);
-    // 9 voltage steps × 3 chips, averaged per step after the sweep.
-    let grid: Vec<(Volts, Hertz, NamedChip)> = vf
-        .chip(NamedChip::Chip2)
-        .points
-        .iter()
-        .enumerate()
-        .flat_map(|(i, p)| {
-            let freq = Hertz::from_mhz(vf.min_fmax_mhz(i));
-            [NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3]
-                .into_iter()
-                .map(move |chip| (p.vdd, freq, chip))
-        })
-        .collect();
-    let measured = runner::sweep(fidelity.jobs, grid.clone(), |_, (vdd, freq, chip)| {
-        measure_chip(bench, chip, vdd, freq, fidelity)
-    });
-
-    let points = grid
-        .chunks(3)
-        .zip(measured.chunks(3))
-        .map(|(step, rails)| {
-            let mut acc = [Watts::ZERO; 4];
-            for &(sv, sc, dv, dc) in rails {
-                acc[0] += sv;
-                acc[1] += sc;
-                acc[2] += dv;
-                acc[3] += dc;
-            }
-            StaticIdlePoint {
-                vdd: step[0].0,
-                freq: step[0].1,
-                static_vdd: acc[0] / 3.0,
-                static_vcs: acc[1] / 3.0,
-                dynamic_vdd: acc[2] / 3.0,
-                dynamic_vcs: acc[3] / 3.0,
-            }
-        })
-        .collect();
-
-    // Table V: Chip #2 at the Table III defaults.
-    let (table_v_static, table_v_idle) = bench.table_v(&Rig::chip(NamedChip::Chip2), fidelity);
-
-    StaticIdleResult {
-        points,
-        table_v_static,
-        table_v_idle,
-    }
+    super::run(StaticIdle, &Env::new(bench, fidelity, None), None)
 }
 
 impl StaticIdleResult {

@@ -13,12 +13,14 @@
 //!   temperature are logged over time, exposing the hysteresis loop and
 //!   the lower average temperature of the balanced schedule.
 
+use piton_arch::error::PitonError;
 use piton_arch::units::Watts;
 use piton_power::thermal::{Cooling, ThermalModel, ThermalStep, EQUILIBRIUM_CAP_C, ROOM_AMBIENT_C};
 use piton_workloads::thermal_app::{load_two_phase, Schedule};
 
-use super::Fidelity;
-use crate::bench::{Bench, ProbeKind, Rig};
+use super::{whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::analytic::compare::{self, FigureComparison};
+use crate::bench::{Bench, CycleBench, ProbeKind, Rig};
 use crate::report::Table;
 
 /// The §IV-J cooling: heat sink removed, the fan at `effectiveness` on
@@ -61,29 +63,90 @@ pub struct ThermalPowerResult {
     pub points: Vec<ThermalPoint>,
 }
 
+/// Fan effectiveness steps of every Figure 17 series.
+const FAN_STEPS: [f64; 6] = [1.0, 0.8, 0.6, 0.4, 0.2, 0.0];
+
+/// Figure 17: one point per active-thread count, its `(surface °C,
+/// power)` equilibrium at each fan step.
+#[derive(Debug, Clone, Copy)]
+pub struct ThermalPower;
+
+impl Section for ThermalPower {
+    type Point = usize;
+    type Inputs = ();
+    type Payload = Vec<(f64, Watts)>;
+    type Output = ThermalPowerResult;
+    const NAME: &'static str = "thermal";
+    const TITLE: &'static str = "Figure 17 — power versus temperature";
+    const RUNS: Runs = Runs::Bench;
+
+    fn grid(&self, _: Fidelity) -> Vec<usize> {
+        FIG17_THREADS.to_vec()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    /// Captures the workload's activity once (it does not depend on
+    /// temperature), then solves the fixed point per fan angle.
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let env = at.env;
+        let &threads = at.point;
+        let power_at =
+            env.bench
+                .window(&fig17_rig(threads), ProbeKind::Fig17(threads), env.fidelity);
+        Ok(FAN_STEPS
+            .iter()
+            .map(|&eff| {
+                let (junction, power) =
+                    bare_package_rig(eff).equilibrium(&power_at, EQUILIBRIUM_CAP_C);
+                // Surface = junction − P × R_js.
+                let surface = junction - power.0 * Cooling::HeatsinkFan.r_junction_surface();
+                (surface, power)
+            })
+            .collect())
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> ThermalPowerResult {
+        let points = points
+            .into_iter()
+            .flat_map(|(_, &threads, r)| {
+                FAN_STEPS.into_iter().zip(whole(r)).map(
+                    move |(fan_effectiveness, (surface_c, power))| ThermalPoint {
+                        threads,
+                        fan_effectiveness,
+                        surface_c,
+                        power,
+                    },
+                )
+            })
+            .collect();
+        ThermalPowerResult { points }
+    }
+
+    fn render(&self, out: &ThermalPowerResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+
+    fn compare(
+        &self,
+        cycle: Option<&ThermalPowerResult>,
+        analytic: &ThermalPowerResult,
+        _: &Env,
+    ) -> Vec<FigureComparison> {
+        cycle
+            .map(|c| compare::compare_thermal(c, analytic))
+            .into_iter()
+            .collect()
+    }
+}
+
 /// Runs the Figure 17 sweep on `bench`: thread counts × fan
 /// effectiveness.
 #[must_use]
 pub fn run_thermal_power(bench: &dyn Bench, fidelity: Fidelity) -> ThermalPowerResult {
-    let fan_steps = [1.0, 0.8, 0.6, 0.4, 0.2, 0.0];
-    let mut points = Vec::new();
-    for threads in FIG17_THREADS {
-        // Capture the workload's activity once (it does not depend on
-        // temperature), then solve the fixed point per fan angle.
-        let power_at = bench.window(&fig17_rig(threads), ProbeKind::Fig17(threads), fidelity);
-        for &eff in &fan_steps {
-            let (junction, power) = bare_package_rig(eff).equilibrium(&power_at, EQUILIBRIUM_CAP_C);
-            // Surface = junction − P × R_js.
-            let surface = junction - power.0 * Cooling::HeatsinkFan.r_junction_surface();
-            points.push(ThermalPoint {
-                threads,
-                fan_effectiveness: eff,
-                surface_c: surface,
-                power,
-            });
-        }
-    }
-    ThermalPowerResult { points }
+    super::run(ThermalPower, &Env::new(bench, fidelity, None), None)
 }
 
 impl ThermalPowerResult {
@@ -184,49 +247,104 @@ pub struct SchedulingResult {
     pub traces: Vec<ScheduleTrace>,
 }
 
+/// Figure 18: one point per schedule, its whole trace; the sample
+/// count is set by the fidelity, one second apart.
+#[derive(Debug, Clone, Copy)]
+pub struct Scheduling;
+
+/// Figure 18 samples at `fidelity` (the closed-loop study uses the same).
+pub(crate) fn fig18_samples(fidelity: Fidelity) -> usize {
+    if fidelity.is_reduced() {
+        64
+    } else {
+        180
+    }
+}
+
+impl Section for Scheduling {
+    /// Schedule, samples and seconds per sample.
+    type Point = (Schedule, usize, f64);
+    type Inputs = ();
+    /// `(seconds, power, surface °C)` per sample.
+    type Payload = Vec<(f64, Watts, f64)>;
+    type Output = SchedulingResult;
+    const NAME: &'static str = "hysteresis";
+    const TITLE: &'static str = "Figure 18 — scheduling and thermal hysteresis";
+    const RUNS: Runs = Runs::Cycle;
+
+    fn grid(&self, fidelity: Fidelity) -> Vec<Self::Point> {
+        let n = fig18_samples(fidelity);
+        vec![
+            (Schedule::Synchronized, n, 1.0),
+            (Schedule::Interleaved, n, 1.0),
+        ]
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let &(schedule, samples, dt_seconds) = at.point;
+        let fidelity = at.env.fidelity;
+        let mut sys = Rig::thermal_study(0x18).system();
+        sys.set_chunk_cycles(fidelity.chunk_cycles);
+        *sys.thermal_mut() = bare_package_rig(0.5);
+        // Phase length ≈ four sampling chunks so phases span
+        // multiple thermal steps.
+        let phase_iters = (fidelity.chunk_cycles / 4).max(200) as u32;
+        load_two_phase(sys.machine_mut(), schedule, phase_iters);
+        sys.warm_up(fidelity.warmup_cycles / 4);
+
+        // The same fixed-timestep integrator the governor loop and
+        // the thermal-camera example use — one RC code path.
+        let stepper = ThermalStep::new(dt_seconds);
+        let mut out = Vec::with_capacity(samples);
+        for k in 0..samples {
+            let before = sys.machine().counters().clone();
+            sys.machine_mut().run(fidelity.chunk_cycles);
+            let delta = sys.machine().counters().delta_since(&before);
+            let p = sys
+                .power_model()
+                .power(&delta, sys.operating_point())
+                .total();
+            stepper.advance(sys.thermal_mut(), p);
+            out.push((k as f64 * dt_seconds, p, sys.thermal().surface_c()));
+        }
+        Ok(out)
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> SchedulingResult {
+        let traces = points
+            .into_iter()
+            .map(|(_, &(schedule, _, _), r)| ScheduleTrace {
+                schedule,
+                samples: whole(r)
+                    .into_iter()
+                    .map(|(time_s, power, surface_c)| SchedulingSample {
+                        time_s,
+                        power,
+                        surface_c,
+                    })
+                    .collect(),
+            })
+            .collect();
+        SchedulingResult { traces }
+    }
+
+    fn render(&self, out: &SchedulingResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+}
+
 /// Runs the Figure 18 study: the two-phase app on all 50 threads under
 /// both schedules, logging power and temperature over `samples` steps
 /// of `dt_seconds` each.
 #[must_use]
 pub fn run_scheduling(samples: usize, dt_seconds: f64, fidelity: Fidelity) -> SchedulingResult {
-    let traces = [Schedule::Synchronized, Schedule::Interleaved]
-        .into_iter()
-        .map(|schedule| {
-            let mut sys = Rig::thermal_study(0x18).system();
-            sys.set_chunk_cycles(fidelity.chunk_cycles);
-            *sys.thermal_mut() = bare_package_rig(0.5);
-            // Phase length ≈ four sampling chunks so phases span
-            // multiple thermal steps.
-            let phase_iters = (fidelity.chunk_cycles / 4).max(200) as u32;
-            load_two_phase(sys.machine_mut(), schedule, phase_iters);
-            sys.warm_up(fidelity.warmup_cycles / 4);
-
-            // The same fixed-timestep integrator the governor loop and
-            // the thermal-camera example use — one RC code path.
-            let stepper = ThermalStep::new(dt_seconds);
-            let mut out = Vec::with_capacity(samples);
-            for k in 0..samples {
-                let before = sys.machine().counters().clone();
-                sys.machine_mut().run(fidelity.chunk_cycles);
-                let delta = sys.machine().counters().delta_since(&before);
-                let p = sys
-                    .power_model()
-                    .power(&delta, sys.operating_point())
-                    .total();
-                stepper.advance(sys.thermal_mut(), p);
-                out.push(SchedulingSample {
-                    time_s: k as f64 * dt_seconds,
-                    power: p,
-                    surface_c: sys.thermal().surface_c(),
-                });
-            }
-            ScheduleTrace {
-                schedule,
-                samples: out,
-            }
-        })
-        .collect();
-    SchedulingResult { traces }
+    let grid = [Schedule::Synchronized, Schedule::Interleaved].map(|s| (s, samples, dt_seconds));
+    let env = Env::new(&CycleBench, fidelity, None);
+    super::run_points(Scheduling, &env, None, &grid, None)
 }
 
 impl SchedulingResult {

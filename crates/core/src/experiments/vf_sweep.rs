@@ -6,14 +6,17 @@
 //! thermally limited at 1.2 V; the PLL-quantization error bars come out
 //! of the solver.
 
+use piton_arch::error::PitonError;
+use piton_arch::units::{Hertz, Volts};
 use piton_board::population::NamedChip;
 use piton_power::model::PowerModel;
 use piton_power::thermal::ROOM_AMBIENT_C;
 use piton_power::vf::{VfPoint, VfSolver};
 use piton_power::{Calibration, TechModel};
 
+use super::{grouped, whole, At, Env, Fidelity, Measured, Rendered, Runs, Section};
+use crate::bench::CycleBench;
 use crate::report::Table;
-use crate::runner;
 
 /// One chip's sweep.
 #[derive(Debug, Clone)]
@@ -48,33 +51,81 @@ pub fn paper_reference() -> Vec<(f64, f64)> {
     ]
 }
 
+/// The swept dies.
+const CHIPS: [NamedChip; 3] = [NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3];
+
+/// Figure 9: one point per (chip, VDD step), solved on its own.
+#[derive(Debug, Clone, Copy)]
+pub struct Vf;
+
+impl Section for Vf {
+    type Point = (NamedChip, Volts);
+    type Inputs = ();
+    /// Frequency, next PLL step (Hz), thermally limited, junction °C.
+    type Payload = (f64, f64, bool, f64);
+    type Output = VfSweepResult;
+    const NAME: &'static str = "vf";
+    const TITLE: &'static str = "Figure 9 — voltage versus frequency";
+    const RUNS: Runs = Runs::Always;
+
+    fn grid(&self, _: Fidelity) -> Vec<Self::Point> {
+        CHIPS
+            .into_iter()
+            .flat_map(|chip| (0..=8).map(move |i| (chip, Volts(0.8 + 0.05 * f64::from(i)))))
+            .collect()
+    }
+
+    fn prepare(&self, _: &Env) -> Result<(), PitonError> {
+        Ok(())
+    }
+
+    fn compute(&self, at: &At<Self>) -> Result<Self::Payload, PitonError> {
+        let &(chip, vdd) = at.point;
+        let model = PowerModel::new(
+            Calibration::piton_hpca18(),
+            TechModel::ibm32soi(),
+            chip.corner(),
+        );
+        let p = VfSolver::new(model, ROOM_AMBIENT_C).max_frequency(vdd);
+        Ok((p.freq.0, p.next_step.0, p.thermally_limited, p.junction_c))
+    }
+
+    fn assemble(&self, _: &Env, (): &(), points: Vec<Measured<'_, Self>>) -> VfSweepResult {
+        let points = points.into_iter().map(|(_, &(chip, vdd), r)| {
+            let (freq, next, thermally_limited, junction_c) = whole(r);
+            let p = VfPoint {
+                vdd,
+                freq: Hertz(freq),
+                next_step: Hertz(next),
+                thermally_limited,
+                junction_c,
+            };
+            (chip, p)
+        });
+        let chips = grouped(points)
+            .into_iter()
+            .map(|(chip, points)| ChipSweep { chip, points })
+            .collect();
+        VfSweepResult { chips }
+    }
+
+    fn render(&self, out: &VfSweepResult) -> Rendered {
+        Rendered::body(out.render())
+    }
+}
+
 /// Runs the three-chip sweep serially.
 #[must_use]
 pub fn run() -> VfSweepResult {
     run_with_jobs(1)
 }
 
-/// Runs the three-chip sweep on up to `jobs` workers (each chip's
+/// Runs the three-chip sweep on up to `jobs` workers (each point's
 /// solver is independent).
 #[must_use]
 pub fn run_with_jobs(jobs: usize) -> VfSweepResult {
-    let chips = runner::sweep(
-        jobs,
-        vec![NamedChip::Chip1, NamedChip::Chip2, NamedChip::Chip3],
-        |_, chip| {
-            let model = PowerModel::new(
-                Calibration::piton_hpca18(),
-                TechModel::ibm32soi(),
-                chip.corner(),
-            );
-            let solver = VfSolver::new(model, ROOM_AMBIENT_C);
-            ChipSweep {
-                chip,
-                points: solver.sweep(),
-            }
-        },
-    );
-    VfSweepResult { chips }
+    let fidelity = Fidelity::quick().with_jobs(jobs);
+    super::run(Vf, &Env::new(&CycleBench, fidelity, None), None)
 }
 
 impl VfSweepResult {

@@ -233,70 +233,197 @@ impl JournalPayload for String {
     }
 }
 
-/// Parses a point-line text as JSON.
-fn parse_payload(text: &str) -> Result<Value, PitonError> {
-    json::parse(text).map_err(PitonError::codec)
+/// A payload that is one JSON value. Every `JsonPayload` is a
+/// [`JournalPayload`], and they compose: a `Vec`, `Option`, array or
+/// small tuple of them is one too, so a section's point codec is its
+/// shape alone.
+pub trait JsonPayload: Sized {
+    /// The payload as one JSON value.
+    fn to_json(&self) -> Value;
+
+    /// Decodes a value written by [`JsonPayload::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// [`PitonError::Codec`] when the value has the wrong shape.
+    fn from_json(v: &Value) -> Result<Self, PitonError>;
 }
 
-fn f64_from_value(v: &Value) -> Result<f64, PitonError> {
-    match v {
-        Value::Float(f) => Ok(*f),
-        #[allow(clippy::cast_precision_loss)]
-        Value::Int(i) => Ok(*i as f64),
-        Value::Str(s) => match s.as_str() {
-            "NaN" => Ok(f64::NAN),
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            _ => Err(PitonError::codec(format!("non-numeric payload {s:?}"))),
-        },
-        other => Err(PitonError::codec(format!(
-            "expected a number payload, got {other:?}"
-        ))),
-    }
-}
-
-// `Value::Float` renders NaN/inf as tagged strings; `f64_from_value`
-// accepts them back, so the payload is total.
-impl JournalPayload for f64 {
+impl<T: JsonPayload> JournalPayload for T {
     fn to_text(&self) -> String {
-        Value::Float(*self).render()
+        self.to_json().render()
     }
 
     fn from_text(text: &str) -> Result<Self, PitonError> {
-        f64_from_value(&parse_payload(text)?)
+        Self::from_json(&json::parse(text).map_err(PitonError::codec)?)
     }
 }
 
-impl JournalPayload for Watts {
-    fn to_text(&self) -> String {
-        self.0.to_text()
+fn shape_error(want: &str, got: &Value) -> PitonError {
+    PitonError::codec(format!("expected {want} payload, got {got:?}"))
+}
+
+// `Value::Float` renders NaN/inf as tagged strings, accepted back here,
+// so the payload is total.
+impl JsonPayload for f64 {
+    fn to_json(&self) -> Value {
+        Value::Float(*self)
     }
 
-    fn from_text(text: &str) -> Result<Self, PitonError> {
-        f64::from_text(text).map(Watts)
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        match v {
+            Value::Float(f) => Ok(*f),
+            #[allow(clippy::cast_precision_loss)]
+            Value::Int(i) => Ok(*i as f64),
+            Value::Str(s) => match s.as_str() {
+                "NaN" => Ok(f64::NAN),
+                "inf" => Ok(f64::INFINITY),
+                "-inf" => Ok(f64::NEG_INFINITY),
+                _ => Err(PitonError::codec(format!("non-numeric payload {s:?}"))),
+            },
+            other => Err(shape_error("a number", other)),
+        }
     }
 }
 
-impl JournalPayload for WithError {
-    fn to_text(&self) -> String {
-        ObjectBuilder::new()
-            .field("v", Value::Float(self.value))
-            .field("e", Value::Float(self.error))
-            .build()
-            .render()
+impl JsonPayload for u64 {
+    fn to_json(&self) -> Value {
+        Value::Int(i128::from(*self))
     }
 
-    fn from_text(text: &str) -> Result<Self, PitonError> {
-        let v = parse_payload(text)?;
-        let field = |key: &str| {
-            f64_from_value(
-                v.get(key)
-                    .ok_or_else(|| PitonError::codec(format!("payload missing '{key}'")))?,
-            )
-        };
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        v.as_u64().ok_or_else(|| shape_error("an unsigned", v))
+    }
+}
+
+impl JsonPayload for bool {
+    fn to_json(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        match v {
+            Value::Bool(b) => Ok(*b),
+            other => Err(shape_error("a bool", other)),
+        }
+    }
+}
+
+impl JsonPayload for () {
+    fn to_json(&self) -> Value {
+        Value::Null
+    }
+
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        match v {
+            Value::Null => Ok(()),
+            other => Err(shape_error("a null", other)),
+        }
+    }
+}
+
+impl JsonPayload for Watts {
+    fn to_json(&self) -> Value {
+        self.0.to_json()
+    }
+
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        f64::from_json(v).map(Watts)
+    }
+}
+
+impl<T: JsonPayload> JsonPayload for Option<T> {
+    fn to_json(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_json)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: JsonPayload> JsonPayload for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        v.as_array()
+            .ok_or_else(|| shape_error("an array", v))?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
+}
+
+impl<T: JsonPayload, const N: usize> JsonPayload for [T; N] {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
+        Vec::<T>::from_json(v)?
+            .try_into()
+            .map_err(|_| shape_error(&format!("a {N}-array"), v))
+    }
+}
+
+macro_rules! tuple_payload {
+    ($n:literal: $($t:ident $i:tt),+) => {
+        impl<$($t: JsonPayload),+> JsonPayload for ($($t,)+) {
+            fn to_json(&self) -> Value {
+                Value::Array(vec![$(self.$i.to_json()),+])
+            }
+
+            fn from_json(v: &Value) -> Result<Self, PitonError> {
+                match v.as_array() {
+                    Some(items) if items.len() == $n => Ok(($($t::from_json(&items[$i])?,)+)),
+                    _ => Err(shape_error(concat!("a ", $n, "-tuple"), v)),
+                }
+            }
+        }
+    };
+}
+tuple_payload!(2: A 0, B 1);
+tuple_payload!(3: A 0, B 1, C 2);
+tuple_payload!(4: A 0, B 1, C 2, D 3);
+
+/// Encodes fields as a JSON object in order, the shape of the
+/// [`WithError`] and design-point payloads.
+#[must_use]
+pub fn object_json(fields: &[(&str, f64)]) -> Value {
+    Value::Object(
+        fields
+            .iter()
+            .map(|&(k, v)| (k.to_owned(), Value::Float(v)))
+            .collect(),
+    )
+}
+
+/// Reads one number field of an object payload.
+///
+/// # Errors
+///
+/// [`PitonError::Codec`] when the field is missing or not a number.
+pub fn object_field(v: &Value, key: &str) -> Result<f64, PitonError> {
+    f64::from_json(
+        v.get(key)
+            .ok_or_else(|| PitonError::codec(format!("payload missing '{key}'")))?,
+    )
+}
+
+impl JsonPayload for WithError {
+    fn to_json(&self) -> Value {
+        object_json(&[("v", self.value), ("e", self.error)])
+    }
+
+    fn from_json(v: &Value) -> Result<Self, PitonError> {
         Ok(WithError {
-            value: field("v")?,
-            error: field("e")?,
+            value: object_field(v, "v")?,
+            error: object_field(v, "e")?,
         })
     }
 }

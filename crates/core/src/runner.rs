@@ -13,10 +13,14 @@
 //! [`try_sweep`] adds per-point fault isolation and retries, and
 //! [`try_sweep_journaled`] makes a sweep durable: it is the one code
 //! path that serves, fault-gates, computes, commits, fsyncs and
-//! crash-aborts a journaled point, for `reproduce --journal` and for
-//! every `piton-serve` shard alike. A section hands it only its grid
-//! and a compute closure; payloads travel as their journal text
-//! ([`JournalPayload`]).
+//! crash-aborts a point, and the one entry every section's grid runs
+//! through ([`crate::experiments::sweep`]) — for `reproduce`, with or
+//! without `--journal`, and for every `piton-serve` shard alike. A
+//! section hands it only its grid indices and a compute closure;
+//! payloads become journal text ([`JournalPayload`]) only when a
+//! journal records or serves them. [`sweep`] remains the primitive
+//! under it, under the analytic probe battery and under the
+//! `design_space` cycle oracle.
 //!
 //! Workers enter the calling thread's [`piton_obs::Scope`], so their
 //! trace events and metrics reach the run that called the sweep.
@@ -695,7 +699,7 @@ mod tests {
         // `kill=` panics in the gate on every attempt, so point 2 is a
         // hole `f` never saw; `flaky=` fails its first two attempts in
         // the gate, so point 4 reaches `f` once, on its third.
-        let plan = FaultPlan::parse("kill=noc:2,flaky=noc:4").unwrap();
+        let plan = FaultPlan::parse("kill=noc:2,flaky=noc:4", &["noc"]).unwrap();
         let calls: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
         let out = try_sweep_journaled(2, indexed(0..6), "noc", Some(&plan), None, |i, &x, _| {
             calls[i].fetch_add(1, Ordering::Relaxed);

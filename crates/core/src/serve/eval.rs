@@ -1,25 +1,32 @@
-//! Resolves a run request to a serveable section: the grid length and
-//! the derived cache context, plus — only when a point must be
-//! computed — a per-point compute closure that is bit-identical to the
-//! full experiment sweep.
+//! Resolves a run request to a registry section
+//! ([`experiments::find`]): the grid length and the derived cache
+//! context, plus — only when a point must be computed — a per-point
+//! compute closure that is bit-identical to the section's sweep in
+//! `reproduce`.
 //!
-//! Three journal sections are serveable — the ones whose grids are
-//! pure functions of (index, context):
+//! Every registry section is servable on its natural backend
+//! ([`Runs::natural`](crate::experiments::Runs::natural)): the analytic
+//! backend for `design_space`, the cycle engine for the rest. A
+//! section's grid is a function of the request's fidelity alone, so a
+//! served index is the point `reproduce` journals under that index.
 //!
 //! | section | grid | backend | payload |
 //! |---|---|---|---|
 //! | `noc` | 4 patterns × 9 hop counts = 36 | cycle | watts |
 //! | `scaling` | 3 benches × 2 T/C × 25 cores = 150 | cycle | watts (f64) |
 //! | `design_space` | 105,000 V/f/cores/mix points | analytic | power/EPI/junction |
+//! | the other 17 | the section's grid | cycle | the section's payload |
 //!
-//! The `design_space` section needs the analytic model's rate library:
-//! the 21 probes [`design_space::probe_specs`] names, which depend on
-//! the request's fidelity alone. The daemon runs them on the first miss
-//! at each fidelity and keeps the result in a map the
-//! [`super::Server`] owns. A request whose every point is cached never
-//! asks for a compute closure, so it never calibrates. A served point
-//! is bit-identical to the one `reproduce` computes from the full
-//! library, because the sweep reads only those 21 probes.
+//! A section's inputs (`epi`'s idle and `nop` baselines, `mt_mc`'s chip
+//! idle, `design_space`'s rate library — the 21 probes
+//! [`probe_specs`](crate::experiments::design_space::probe_specs) names) depend on the request's
+//! fidelity alone. The daemon builds them on the first miss at each
+//! fidelity and keeps them in a map the [`super::Server`] owns; each
+//! rate-library build counts in `serve.calibrations`. A request whose
+//! every point is cached never asks for a compute closure, so it never
+//! builds inputs. A served `design_space` point is bit-identical to the
+//! one `reproduce` computes from the full library, because the sweep
+//! reads only those 21 probes.
 
 use std::sync::Arc;
 
@@ -27,26 +34,10 @@ use piton_arch::config::Backend;
 use piton_arch::error::PitonError;
 use piton_board::fault::FaultPlan;
 
-use super::{Calibrations, ServeCounters};
-use crate::analytic::{self, Calibrated};
-use crate::bench::CycleBench;
-use crate::experiments::{core_scaling, design_space, noc_energy};
-use crate::journal::{self, JournalPayload};
+use super::{SectionInputs, ServeCounters};
+use crate::experiments::{self, Experiment, PointFn, Prepared, Runs};
+use crate::journal;
 use crate::serve::request::{FidelitySpec, RunRequest};
-
-/// The serveable journal sections.
-pub const SECTIONS: [&str; 3] = ["noc", "scaling", "design_space"];
-
-/// A per-point compute closure: (index, attempt) → the point's journal
-/// payload text. The journaled sweep that calls it owns the fault gate.
-pub type PointFn = Box<dyn Fn(usize, u32) -> Result<String, PitonError> + Send + Sync>;
-
-#[derive(Debug, Clone, Copy)]
-enum Section {
-    Noc,
-    Scaling,
-    DesignSpace,
-}
 
 /// A resolved section: everything the serving loop needs to answer a
 /// run request from the cache, and what [`SectionEval::compute_fn`]
@@ -59,89 +50,60 @@ pub struct SectionEval {
     pub backend: Backend,
     /// Grid length (requests index `0..len`).
     pub len: usize,
-    section: Section,
+    experiment: &'static dyn Experiment,
     fidelity: FidelitySpec,
     plan: Option<FaultPlan>,
 }
 
 impl SectionEval {
     /// The closure that computes one grid point (cache-miss path) on a
-    /// given attempt, already encoded as its journal payload. For
-    /// `design_space` this is where the rate library is built, on the
-    /// first call at each fidelity; every build counts in
-    /// `serve.calibrations`.
+    /// given attempt, already encoded as its journal payload. This is
+    /// where the section's inputs are built, on the first call at each
+    /// fidelity.
     ///
     /// # Errors
     ///
-    /// Calibration failures for `design_space`. The closure itself
+    /// Input failures (a rate-library probe). The closure itself
     /// propagates measurement failures.
     pub fn compute_fn(
         &self,
-        calibrations: &Calibrations,
+        inputs: &SectionInputs,
         counters: &ServeCounters,
     ) -> Result<PointFn, PitonError> {
-        let fidelity = self.fidelity.to_fidelity();
-        Ok(match self.section {
-            Section::Noc => {
-                let grid = noc_energy::grid();
-                Box::new(move |idx, _| {
-                    Ok(noc_energy::compute_point(&CycleBench, &grid[idx], fidelity).to_text())
-                })
-            }
-            Section::Scaling => {
-                let grid = core_scaling::grid();
-                let plan = self.plan.clone();
-                Box::new(move |idx, attempt| {
-                    core_scaling::compute_point(
-                        &CycleBench,
-                        idx,
-                        &grid[idx],
-                        fidelity,
-                        plan.as_ref(),
-                        attempt,
-                    )
-                    .map(|w| w.to_text())
-                })
-            }
-            Section::DesignSpace => {
-                let cal = calibration_for(calibrations, &self.fidelity, counters)?;
-                let table = design_space::mix_table(&cal);
-                let grid = design_space::grid();
-                Box::new(move |idx, _| {
-                    Ok(design_space::compute_point(&cal, &table, grid[idx]).to_text())
-                })
-            }
-        })
+        let prepared = inputs_for(inputs, self.experiment, &self.fidelity, counters)?;
+        Ok(self
+            .experiment
+            .point_fn(self.fidelity.to_fidelity(), self.plan.clone(), prepared))
     }
 }
 
-/// The `design_space` rate library at fidelity `spec`, built on first
-/// use and kept in the daemon's `calibrations` map. The map is keyed by
-/// the fidelity alone because the probes read nothing else: they run
-/// fault-free, so every fault plan at one fidelity shares a library.
-fn calibration_for(
-    calibrations: &Calibrations,
+/// The section's inputs at fidelity `spec`, built on first use and kept
+/// in the daemon's map. The map is keyed by section and fidelity alone
+/// because inputs are built fault-free, so every fault plan at one
+/// fidelity shares them.
+fn inputs_for(
+    inputs: &SectionInputs,
+    experiment: &dyn Experiment,
     spec: &FidelitySpec,
     counters: &ServeCounters,
-) -> Result<Arc<Calibrated>, PitonError> {
-    let key = spec.render();
-    if let Some(cal) = calibrations.lock().expect("calibration map lock").get(&key) {
-        return Ok(Arc::clone(cal));
+) -> Result<Prepared, PitonError> {
+    let key = (experiment.name(), spec.render());
+    if let Some(prepared) = inputs.lock().expect("inputs map lock").get(&key) {
+        return Ok(Arc::clone(prepared));
     }
-    // Calibrate outside the lock: it is expensive, and a concurrent
-    // duplicate is benign — calibration is deterministic, so whichever
-    // copy lands in the map serves identical numbers.
-    counters.calibrations(1);
-    let cal = Arc::new(analytic::calibrate(
-        spec.to_fidelity(),
-        design_space::probe_specs(),
-    )?);
+    // Build outside the lock: it is expensive, and a concurrent
+    // duplicate is benign — inputs are deterministic, so whichever copy
+    // lands in the map serves identical numbers.
+    if experiment.runs() == Runs::Analytic {
+        counters.calibrations(1);
+    }
+    let prepared = experiment.inputs(spec.to_fidelity())?;
     Ok(Arc::clone(
-        calibrations
+        inputs
             .lock()
-            .expect("calibration map lock")
+            .expect("inputs map lock")
             .entry(key)
-            .or_insert(cal),
+            .or_insert(prepared),
     ))
 }
 
@@ -153,21 +115,14 @@ fn calibration_for(
 /// [`PitonError::Codec`] for an unknown section or a section/backend
 /// mismatch.
 pub fn resolve(req: &RunRequest) -> Result<SectionEval, PitonError> {
-    let (section, natural, len) = match req.section.as_str() {
-        "noc" => (Section::Noc, Backend::Cycle, noc_energy::grid().len()),
-        "scaling" => (Section::Scaling, Backend::Cycle, core_scaling::grid().len()),
-        "design_space" => (
-            Section::DesignSpace,
-            Backend::Analytic,
-            design_space::GRID_POINTS,
-        ),
-        other => {
-            return Err(PitonError::codec(format!(
-                "unknown section {other:?} (serveable: {})",
-                SECTIONS.join(", ")
-            )))
-        }
-    };
+    let experiment = experiments::find(&req.section).ok_or_else(|| {
+        PitonError::codec(format!(
+            "unknown section {:?} (serveable: {})",
+            req.section,
+            experiments::names().join(", ")
+        ))
+    })?;
+    let natural = experiment.runs().natural();
     let backend = req.backend.unwrap_or(natural);
     if backend != natural {
         return Err(PitonError::codec(format!(
@@ -180,8 +135,8 @@ pub fn resolve(req: &RunRequest) -> Result<SectionEval, PitonError> {
     Ok(SectionEval {
         context: journal::run_context(&req.fidelity.render(), req.fault.as_ref(), backend),
         backend,
-        len,
-        section,
+        len: experiment.len(req.fidelity.to_fidelity()),
+        experiment,
         fidelity: req.fidelity,
         plan: req.fault.clone(),
     })
@@ -189,7 +144,13 @@ pub fn resolve(req: &RunRequest) -> Result<SectionEval, PitonError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+    use crate::analytic::Calibrated;
+    use crate::bench::CycleBench;
+    use crate::experiments::{design_space, Env, Section, Visit};
+    use crate::journal::Journal;
     use crate::serve::request::Request;
 
     fn resolve_run(json: &str) -> Result<SectionEval, PitonError> {
@@ -213,7 +174,7 @@ mod tests {
 
     #[test]
     fn unknown_sections_and_backend_mismatches_are_refused() {
-        assert!(resolve_run(r#"{"op":"run","section":"epi"}"#).is_err());
+        assert!(resolve_run(r#"{"op":"run","section":"figure_99"}"#).is_err());
         let err = resolve_run(r#"{"op":"run","section":"noc","backend":"analytic"}"#).unwrap_err();
         assert!(err.to_string().contains("cycle"), "{err}");
         assert!(resolve_run(r#"{"op":"run","section":"design_space","backend":"cycle"}"#).is_err());
@@ -240,21 +201,57 @@ mod tests {
         assert_eq!(crash, base);
     }
 
+    /// A served point equals the point the section's sweep journals,
+    /// for every registry section: the last grid index at a tiny
+    /// fidelity (`design_space` swept from a rate library of its own 21
+    /// probes, served from the one the daemon builds).
     #[test]
     fn computed_points_match_the_experiment_sweep_exactly() {
-        let counters = ServeCounters::default();
-        let compute = resolve_run(r#"{"op":"run","section":"noc","fidelity":"s=2,c=500,w=2000"}"#)
-            .unwrap()
-            .compute_fn(&Calibrations::default(), &counters)
-            .unwrap();
-        let grid = noc_energy::grid();
+        struct ServedIsSwept {
+            cal: Calibrated,
+            inputs: SectionInputs,
+            counters: ServeCounters,
+        }
+        impl Visit for ServedIsSwept {
+            fn visit<S: Section>(&mut self, s: &'static S) {
+                let spec = "s=2,c=500,w=2000";
+                let fidelity = FidelitySpec::parse(spec).unwrap().to_fidelity();
+                let env = Env {
+                    cal: Some(&self.cal),
+                    ..Env::new(&CycleBench, fidelity, None)
+                };
+                let path = std::env::temp_dir().join(format!(
+                    "piton-eval-{}-{}",
+                    S::NAME,
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_file(&path);
+                let journal = Mutex::new(Journal::open(&path, "eval-test").unwrap());
+                experiments::pass(s, &env, Some(&journal)).unwrap();
+                let req = format!(
+                    r#"{{"op":"run","section":"{}","fidelity":"{spec}"}}"#,
+                    S::NAME
+                );
+                let compute = resolve_run(&req)
+                    .unwrap()
+                    .compute_fn(&self.inputs, &self.counters)
+                    .unwrap();
+                let idx = s.len(fidelity) - 1;
+                let mut j = journal.lock().unwrap();
+                let swept = j.serve(S::NAME, idx).expect("the last point is swept");
+                assert_eq!(compute(idx, 0).unwrap(), swept, "{}:{idx}", S::NAME);
+                let _ = std::fs::remove_file(&path);
+            }
+        }
         let fidelity = FidelitySpec::parse("s=2,c=500,w=2000")
             .unwrap()
             .to_fidelity();
-        for idx in [0usize, 5, 17, 35] {
-            let direct = noc_energy::compute_point(&CycleBench, &grid[idx], fidelity);
-            assert_eq!(compute(idx, 0).unwrap(), direct.to_text(), "{idx}");
-        }
-        assert_eq!(counters.value("serve.calibrations"), 0);
+        let mut check = ServedIsSwept {
+            cal: crate::analytic::calibrate(fidelity, design_space::probe_specs()).unwrap(),
+            inputs: SectionInputs::default(),
+            counters: ServeCounters::default(),
+        };
+        experiments::each(&mut check);
+        assert_eq!(check.counters.value("serve.calibrations"), 1);
     }
 }

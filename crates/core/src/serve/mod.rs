@@ -62,7 +62,7 @@ use piton_arch::error::PitonError;
 use piton_board::fault::SabotageKind;
 use piton_obs::manifest::{ServeContextRecord, ServeManifest};
 
-use crate::analytic::Calibrated;
+use crate::experiments::Prepared;
 use crate::journal::point_key;
 use crate::runner;
 
@@ -171,17 +171,17 @@ counters! {
     torn => "serve.torn",
 }
 
-/// `design_space` rate libraries by rendered request fidelity. A
-/// library is built on the first `design_space` request at its
-/// fidelity that misses the cache (see
-/// [`eval::SectionEval::compute_fn`]), counted in
-/// `serve.calibrations`, and kept for the daemon's lifetime.
-type Calibrations = Mutex<HashMap<String, Arc<Calibrated>>>;
+/// Section inputs by section and rendered request fidelity. A
+/// section's inputs are built on the first request at its fidelity that
+/// misses the cache (see [`eval::SectionEval::compute_fn`]) and kept for
+/// the daemon's lifetime; `serve.calibrations` counts the `design_space`
+/// rate libraries among them.
+type SectionInputs = Mutex<HashMap<(&'static str, String), Prepared>>;
 
 /// Shared per-connection context.
 struct ConnCtx {
     cache: Arc<ResultCache>,
-    calibrations: Arc<Calibrations>,
+    inputs: Arc<SectionInputs>,
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
     jobs: usize,
@@ -194,7 +194,7 @@ pub struct Server {
     config: ServerConfig,
     listener: UnixListener,
     cache: Arc<ResultCache>,
-    calibrations: Arc<Calibrations>,
+    inputs: Arc<SectionInputs>,
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
 }
@@ -227,7 +227,7 @@ impl Server {
             config,
             listener,
             cache,
-            calibrations: Arc::default(),
+            inputs: Arc::default(),
             counters: Arc::new(ServeCounters::default()),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -290,7 +290,7 @@ impl Server {
                     self.counters.connections(1);
                     let ctx = ConnCtx {
                         cache: Arc::clone(&self.cache),
-                        calibrations: Arc::clone(&self.calibrations),
+                        inputs: Arc::clone(&self.inputs),
                         counters: Arc::clone(&self.counters),
                         shutdown: Arc::clone(&self.shutdown),
                         jobs: self.config.jobs,
@@ -522,7 +522,7 @@ fn handle_run(writer: &mut impl Write, ctx: &ConnCtx, run: &RunRequest) -> Resul
             .any(|&idx| !j.contains(&run.section, idx) && !killed(idx))
     };
     let compute = missing
-        .then(|| eval.compute_fn(&ctx.calibrations, &ctx.counters))
+        .then(|| eval.compute_fn(&ctx.inputs, &ctx.counters))
         .transpose()
         .map_err(RunAbort::Refused)?;
     ctx.counters.requests(1);

@@ -224,7 +224,7 @@ impl Request {
                 };
                 let fault = match text("fault")? {
                     None => None,
-                    Some(s) => Some(FaultPlan::parse(&s)?),
+                    Some(s) => Some(crate::experiments::parse_plan(&s)?),
                 };
                 Ok(Self::Run(Box::new(RunRequest {
                     id: text("id")?,

@@ -156,7 +156,7 @@ proptest! {
                 .collect(),
         };
         let spec = plan.render();
-        let back = FaultPlan::parse(&spec)
+        let back = FaultPlan::parse(&spec, &SECTIONS)
             .unwrap_or_else(|e| panic!("rendered spec {spec:?} must parse: {e}"));
         prop_assert_eq!(back, plan);
     }

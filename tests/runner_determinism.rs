@@ -6,9 +6,8 @@
 
 use std::sync::Mutex;
 
-use piton::board::fault::FaultPlan;
 use piton::characterization::bench::CycleBench;
-use piton::characterization::experiments::{core_scaling, epi, noc_energy, Fidelity};
+use piton::characterization::experiments::{core_scaling, epi, noc_energy, parse_plan, Fidelity};
 use piton::characterization::journal::Journal;
 use piton::obs::metrics;
 use piton::obs::trace::{self, TraceSpec};
@@ -97,7 +96,7 @@ fn resume_from_any_completed_prefix_is_byte_identical() {
 #[test]
 fn two_runs_in_one_process_observe_disjointly() {
     // Flaky points give the workers something to count: their retries.
-    let plan = FaultPlan::parse("flaky=noc:3,flaky=noc:8").unwrap();
+    let plan = parse_plan("flaky=noc:3,flaky=noc:8").unwrap();
     let counted = || {
         metrics::enable();
         let run = noc_energy::run(&CycleBench, tiny(2), Some(&plan), None);
@@ -152,7 +151,7 @@ fn two_runs_in_one_process_observe_disjointly() {
 /// run exactly.
 #[test]
 fn injected_kill_holes_identically_at_every_jobs_level() {
-    let plan = FaultPlan::parse("seed=7,kill=epi:3").unwrap();
+    let plan = parse_plan("seed=7,kill=epi:3").unwrap();
     let serial = epi::run(&CycleBench, tiny(1), Some(&plan), None);
     let parallel = epi::run(&CycleBench, tiny(8), Some(&plan), None);
     assert_eq!(serial.render(), parallel.render());
@@ -178,7 +177,7 @@ fn injected_kill_holes_identically_at_every_jobs_level() {
 /// and holes it again, rendering byte-identically.
 #[test]
 fn journaled_fault_holes_are_never_journaled() {
-    let plan = FaultPlan::parse("kill=noc:5").unwrap();
+    let plan = parse_plan("kill=noc:5").unwrap();
     let mut path = std::env::temp_dir();
     path.push(format!("piton-determinism-holes-{}", std::process::id()));
     let _ = std::fs::remove_file(&path);
